@@ -296,15 +296,15 @@ class _Evaluator:
         saved = self.env.get(node.var, _MISSING)
         saved_sort = self.sorts.get(node.var, _MISSING)
         self.sorts[node.var] = ZZ
-        total = CycloScalar.zero(self.field.p)
+        terms = []
         try:
             for i in range(lo, hi + 1):
                 self.env[node.var] = i
-                total = total + self.scalar(node.body)
+                terms.append(self.scalar(node.body))
         finally:
             _restore(self.env, node.var, saved)
             _restore(self.sorts, node.var, saved_sort)
-        return total
+        return CycloScalar.sum(self.field.p, terms)
 
     def sum_residues(self, node: SumRF) -> CycloScalar:
         count = self.field.q**node.level
@@ -316,15 +316,15 @@ class _Evaluator:
         saved = self.env.get(node.var, _MISSING)
         saved_sort = self.sorts.get(node.var, _MISSING)
         self.sorts[node.var] = ("res", node.level)
-        total = CycloScalar.zero(self.field.p)
+        terms = []
         try:
             for code in range(count):
                 self.env[node.var] = code
-                total = total + self.scalar(node.body)
+                terms.append(self.scalar(node.body))
         finally:
             _restore(self.env, node.var, saved)
             _restore(self.sorts, node.var, saved_sort)
-        return total
+        return CycloScalar.sum(self.field.p, terms)
 
     # -- conditions ------------------------------------------------------------
 

@@ -216,9 +216,10 @@ def dis_sample(
                     ball = Polyball.ball(field, xs, r)
 
                     parent = view.b_function(xs, r)
-                    total = CycloScalar.zero(field.p)
-                    for child in ball.children():
-                        total = total + view.b_function(child.centers, r + 1)
+                    children = ball.children()
+                    total = CycloScalar.sum(
+                        field.p, [view.b_function(c.centers, r + 1) for c in children]
+                    )
                     if not (parent - total).is_zero():
                         add_fail += 1
                         if add_fail <= max_witnesses:

@@ -15,6 +15,13 @@ sum_{i=0}^{p-1} zeta^{i*p^(K-1)} = 0; on that basis the zero test is an exact
 emptiness check.  sqrt(q) stays a formal symbol: identities that relate
 sqrt(p) to Gauss sums of p-power roots are (deliberately) not recognized, so
 the zero test is complete on each slice and sound overall.
+
+Sums of many scalars should go through ``CycloScalar.sum`` or a raw-triple
+constructor ``CycloScalar(p, [(e2, angle, coef), ...])``, never through a
+loop of ``+``: each ``+`` re-canonicalises the whole running sum, so a loop
+of N additions costs O(N^2) ``Fraction`` work where one canonicalisation of
+the concatenated terms costs O(N).  A character sum sum_x psi(f(x)) is best
+built from the histogram {psi_angle(f(x)): count} as one raw-triple scalar.
 """
 
 from __future__ import annotations
@@ -116,6 +123,16 @@ class CycloScalar:
     def root(cls, p: int, angle: Fraction, coef=Fraction(1)) -> "CycloScalar":
         """coef * exp(2*pi*i*angle), angle of p-power order."""
         return cls(p, [(0, Fraction(angle), Fraction(coef))])
+
+    @classmethod
+    def sum(cls, p: int, scalars: Iterable["CycloScalar"]) -> "CycloScalar":
+        """Exact sum of the scalars, canonicalised once over all their terms."""
+        raw: list = []
+        for s in scalars:
+            if s.p != p:
+                raise ValueError(f"mixed residue cardinalities {p} and {s.p}")
+            raw.extend(s.terms)
+        return cls(p, raw)
 
     # -- ring structure ----------------------------------------------------
 

@@ -274,7 +274,7 @@ class MixedCellDistribution:
         if not self.is_density():
             raise FieldError("pointwise values need a density")
         field = self.field
-        total = CycloScalar.zero(field.p)
+        values = []
         for coef, mod, fs in self.terms:
             inside = True
             for x, f in zip(xs, fs):
@@ -282,8 +282,8 @@ class MixedCellDistribution:
                     inside = False
                     break
             if inside:
-                total = total + coef * field.psi_pair(mod, xs)
-        return total
+                values.append(coef * field.psi_pair(mod, xs))
+        return CycloScalar.sum(field.p, values)
 
     def b_function(self, xs: Sequence, r: int) -> CycloScalar:
         """Pairing against the indicator of the radius-r polyball at xs."""
@@ -557,10 +557,9 @@ class SeriesDistribution:
         self.active_fn = active_fn
 
     def evaluate(self, phi: SchwartzBruhat) -> CycloScalar:
-        total = CycloScalar.zero(self.field.p)
-        for k in self.active_fn(phi):
-            total = total + self.term_fn(k).evaluate(phi)
-        return total
+        return CycloScalar.sum(
+            self.field.p, [self.term_fn(k).evaluate(phi) for k in self.active_fn(phi)]
+        )
 
     def b_function(self, xs: Sequence, r: int) -> CycloScalar:
         ball = Polyball.ball(self.field, tuple(xs), r)
@@ -607,16 +606,18 @@ class BFunctionView:
         """Pair with a cell function cell by cell at its finest level."""
         if phi.field != self.field or phi.n != self.n:
             raise FieldError("test function lives on a different space")
-        total = CycloScalar.zero(self.field.p)
+        p = self.field.p
         if not phi.cells:
-            return total
+            return CycloScalar.zero(p)
         level = max(phi.levels)
         flat = phi.refine(level)
-        for center, coef in flat.cells.items():
-            total = total + coerce_scalar(self.field.p, coef) * self.fn(
-                center, level
-            )
-        return total
+        return CycloScalar.sum(
+            p,
+            [
+                coerce_scalar(p, coef) * self.fn(center, level)
+                for center, coef in flat.cells.items()
+            ],
+        )
 
     def __repr__(self) -> str:
         tag = f" {self.label!r}" if self.label else ""
@@ -636,7 +637,7 @@ def additivity_check(u, ball: Polyball) -> bool:
         raise FieldError("additivity check needs a ball with uniform radii")
     r = next(iter(radii))
     parent = u.b_function(ball.centers, r)
-    total = CycloScalar.zero(ball.field.p)
-    for child in ball.children():
-        total = total + u.b_function(child.centers, r + 1)
+    total = CycloScalar.sum(
+        ball.field.p, [u.b_function(child.centers, r + 1) for child in ball.children()]
+    )
     return (parent - total).is_zero()

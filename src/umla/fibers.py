@@ -260,6 +260,7 @@ class FiberProblem:
 
     f: MultiPoly
     disc: MultiPoly = dc_field(init=False, compare=False)
+    _loci: dict = dc_field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         coerced = _coerce_poly(self.f)
@@ -272,6 +273,20 @@ class FiberProblem:
 
     def is_critical_value(self, field: LocalField, y) -> bool:
         return field.is_zero(self.disc.eval_field(field, (y,)))
+
+    def critical_locus(self, field: LocalField) -> FieldPoly:
+        """Squarefree part of ``disc`` over ``field``, kept per field.
+
+        Its roots are the critical values, each simple, so the root search
+        never meets a cluster there.  Squarefreeness is decided over the
+        field: ``disc`` has a repeated root whenever two critical points
+        share a critical value, and its reduction mod p can gain more.
+        """
+        locus = self._loci.get(field)
+        if locus is None:
+            locus = FieldPoly.from_multipoly(field, self.disc).squarefree_part()
+            self._loci[field] = locus
+        return locus
 
     def to_json(self) -> dict:
         return {"f": poly_to_string(self.f)}
@@ -314,14 +329,10 @@ def fiber_integrate(problem: FiberProblem, phi: SchwartzBruhat, y) -> CycloScala
         return CycloScalar.zero(field.p)
     support, constancy = phi.alpha_bounds()
     points = _fiber_points(problem, phi, y, max(constancy, support + 1, 1))
-    total = CycloScalar.zero(field.p)
-    for root, dorder in points:
-        value = phi.eval_at((root,))
-        if value.is_zero():
-            continue
-        # 1/|f'(x)| = q^(ord f'(x)), with the doubled-exponent encoding
-        total = total + value * CycloScalar.q_pow(field.p, 2 * dorder)
-    return total
+    # 1/|f'(x)| = q^(ord f'(x)), with the doubled-exponent encoding
+    return CycloScalar.sum(
+        field.p, [phi.eval_at((root,)).q_shift(2 * dorder) for root, dorder in points]
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -482,11 +493,11 @@ def level_measure(
 
     # critical values at the working precision; only those of valuation
     # above some eps can exclude scanned cells
-    disc_fp = FieldPoly.from_multipoly(field, problem.disc)
+    locus = problem.critical_locus(field)
     critical = [
         z
         for z, _ in _window_roots(
-            field, list(disc_fp.coeffs), min(window, 0), resolution
+            field, list(locus.coeffs), min(window, 0), resolution
         )
     ]
 

@@ -550,24 +550,8 @@ def vec_add(field: LocalField, xs: Sequence, ys: Sequence) -> tuple:
     return tuple(field.add(x, y) for x, y in zip(xs, ys, strict=True))
 
 
-def vec_sub(field: LocalField, xs: Sequence, ys: Sequence) -> tuple:
-    return tuple(field.sub(x, y) for x, y in zip(xs, ys, strict=True))
-
-
 def vec_neg(field: LocalField, xs: Sequence) -> tuple:
     return tuple(field.neg(x) for x in xs)
-
-
-def vec_scale(field: LocalField, a, xs: Sequence) -> tuple:
-    return tuple(field.mul(a, x) for x in xs)
-
-
-def vec_ord(field: LocalField, xs: Sequence):
-    return min((field.ord(x) for x in xs), default=INF)
-
-
-def vec_is_zero(field: LocalField, xs: Sequence) -> bool:
-    return all(field.is_zero(x) for x in xs)
 
 
 # -- balls -------------------------------------------------------------------

@@ -36,6 +36,7 @@ from dataclasses import dataclass
 from ..cyclo import CycloScalar
 from ..distribution import FULL, BallF, DeltaF, FullF, MixedCellDistribution
 from ..fields import FieldError, LocalField, ball_intersect_1d, vec_add, vec_neg
+from ..polys import ring_det
 from ..schwartz import DEFAULT_CELL_BUDGET, CellBudgetError
 from .cones import BaseFull, BasePoint, LambdaCone, OrbitRayCell, TaggedCell
 from .wavefront import wavefront_exact
@@ -127,7 +128,8 @@ class AffineMap:
     def det(self):
         if self.n_in != self.n_out:
             raise FieldError("determinant needs a square matrix")
-        return _det(self.field, [list(r) for r in self.rows])
+        f = self.field
+        return ring_det([list(r) for r in self.rows], f.zero(), f.one())
 
     def is_monomial(self) -> bool:
         """One nonzero entry in every row and every column (square only)."""
@@ -238,7 +240,7 @@ class AffineMap:
                     for r in range(n)
                     if r != i
                 ]
-                cof = _det(f, minor)
+                cof = ring_det(minor, f.zero(), f.one())
                 if (i + j) % 2:
                     cof = f.neg(cof)
                 adj[j][i] = cof / det  # exact rational division
@@ -263,24 +265,6 @@ class AffineMap:
             ),
             tuple(field.element_from_json(e) for e in obj["shift"]),
         )
-
-
-def _det(field, rows):
-    n = len(rows)
-    if n == 0:
-        return field.one()
-    if n == 1:
-        return rows[0][0]
-    total = field.zero()
-    for j in range(n):
-        if field.is_zero(rows[0][j]):
-            continue
-        minor = [[rows[r][c] for c in range(n) if c != j] for r in range(1, n)]
-        term = field.mul(rows[0][j], _det(field, minor))
-        if j % 2:
-            term = field.neg(term)
-        total = field.add(total, term)
-    return total
 
 
 # ---------------------------------------------------------------------------
@@ -539,7 +523,7 @@ def _nonzero_vec(f, vec) -> bool:
 def _value_at(u: MixedCellDistribution, point) -> CycloScalar:
     """Pointwise value at a point where u carries no atom."""
     f = u.field
-    total = CycloScalar.zero(f.p)
+    values = []
     for coef, mod, fs in u.terms:
         dead = False
         for x, fac in zip(point, fs):
@@ -552,8 +536,8 @@ def _value_at(u: MixedCellDistribution, point) -> CycloScalar:
                 dead = True
                 break
         if not dead:
-            total = total + coef * f.psi_pair(mod, point)
-    return total
+            values.append(coef * f.psi_pair(mod, point))
+    return CycloScalar.sum(f.p, values)
 
 
 # ---------------------------------------------------------------------------
@@ -675,7 +659,7 @@ def _pushforward_iso(f_map, u, budget) -> MixedCellDistribution:
 
 def _total_mass(u: MixedCellDistribution) -> CycloScalar:
     f = u.field
-    total = CycloScalar.zero(f.p)
+    masses = []
     for coef, mod, fs in u.terms:
         c2 = coef
         dead = False
@@ -688,8 +672,8 @@ def _total_mass(u: MixedCellDistribution) -> CycloScalar:
                     break
                 c2 = (c2 * f.psi(f.mul(a, fac.center))).q_shift(-2 * fac.r)
         if not dead:
-            total = total + c2
-    return total
+            masses.append(c2)
+    return CycloScalar.sum(f.p, masses)
 
 
 # ---------------------------------------------------------------------------

@@ -32,6 +32,7 @@ at slope 1, the windows chain downward from the first admissible level
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as iproduct
@@ -417,7 +418,7 @@ def oscillatory_integral(
     tay = _taylor_x(p, n)
 
     eta_lo = [field.ord(v) for v in eta]  # exact; INF for zero coordinates
-    total = CycloScalar.zero(field.p)
+    per_cell = []
     for ball, coef in phi.terms():
         coord_lo = _ball_coord_lo(field, ball) + eta_lo
         steps = []
@@ -438,8 +439,11 @@ def oscillatory_integral(
         axes = [
             field.cell_reps(c, r, level) for c, r in zip(ball.centers, ball.radii)
         ]
-        vol = CycloScalar.q_pow(field.p, -2 * n * level)
-        for centers in iproduct(*axes):
-            arg = field.mul(lam, p.eval_field(field, tuple(centers) + eta))
-            total = total + coef * vol * field.psi(arg)
-    return total
+        # the character sum over the subcells, as an angle histogram
+        hist = Counter(
+            field.psi_angle(field.mul(lam, p.eval_field(field, tuple(centers) + eta)))
+            for centers in iproduct(*axes)
+        )
+        psi_sum = CycloScalar(field.p, [(0, a, k) for a, k in hist.items()])
+        per_cell.append((coef * psi_sum).q_shift(-2 * n * level))
+    return CycloScalar.sum(field.p, per_cell)

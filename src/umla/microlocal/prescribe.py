@@ -150,15 +150,15 @@ class PrescribedDistribution:
             chi = SchwartzBruhat.indicator(
                 Polyball.ball(f, tuple(loc_point), loc_level)
             )
-        total = CycloScalar.zero(f.p)
+        values = []
         for k in range(kmax + 1):
             t = self.term(k)
             if chi is not None:
                 t = t.mul_by_sb(chi)
             if t.is_zero():
                 continue
-            total = total + t.fourier_dist().pointwise_eval(eta)
-        return total
+            values.append(t.fourier_dist().pointwise_eval(eta))
+        return CycloScalar.sum(f.p, values)
 
     def anchor_values(self, count: int):
         """For k = 0..count-1: the localized transform at lam_k * theta.

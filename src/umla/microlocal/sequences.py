@@ -34,7 +34,7 @@ from ..distribution import MixedCellDistribution
 from ..fields import FieldError, Polyball
 from ..schwartz import SchwartzBruhat
 from .cones import LambdaCone
-from .smoothness import _ray_profile, _reps_at_ord
+from .smoothness import _ray_profile, _ray_value, _reps_at_ord
 from .subgroup import LambdaSubgroup
 from .wavefront import wavefront_exact
 
@@ -136,9 +136,7 @@ def _localized_threshold(u, eta0, subgroup, search_depth):
     start = (threshold - 1) if threshold is not None else -1
     for e in range(start, start - search_depth, -1):
         for lam in _reps_at_ord(subgroup, e, 64):
-            total = CycloScalar.zero(f.p)
-            for beta, c in survivors.items():
-                total = total + c * f.psi(f.mul(beta, lam))
+            total = _ray_value(f, survivors, lam)
             if not total.is_zero():
                 return ("nonvanishing", (lam, total))
     return ("unresolved", None)

@@ -139,6 +139,15 @@ def _ray_profile(w: MixedCellDistribution, xi0):
     return threshold, survivors
 
 
+def _ray_value(f, survivors: dict, lam) -> CycloScalar:
+    """sum_beta survivors[beta] * psi(beta * lam), canonicalised once."""
+    raw = []
+    for beta, c in survivors.items():
+        angle = f.psi_angle(f.mul(beta, lam))
+        raw.extend((e2, a + angle, k) for e2, a, k in c)
+    return CycloScalar(f.p, raw)
+
+
 def is_smooth_at(
     u: MixedCellDistribution,
     x0,
@@ -194,9 +203,7 @@ def is_smooth_at(
         found = []
         for e in range(start, start - search_depth, -1):
             for lam in _reps_at_ord(subgroup, e, max_reps_per_level):
-                total = CycloScalar.zero(f.p)
-                for beta, c in survivors.items():
-                    total = total + c * f.psi(f.mul(beta, lam))
+                total = _ray_value(f, survivors, lam)
                 if not total.is_zero():
                     found.append((lam, total))
                     break

@@ -337,6 +337,59 @@ class FieldPoly:
                 out[j] = field.add(out[j], field.mul(c, w))
         return FieldPoly(field, out)
 
+    def __mul__(self, other: "FieldPoly") -> "FieldPoly":
+        field = self.field
+        out = [field.zero()] * max(len(self.coeffs) + len(other.coeffs) - 1, 0)
+        for i, a in enumerate(self.coeffs):
+            for j, b in enumerate(other.coeffs):
+                out[i + j] = field.add(out[i + j], field.mul(a, b))
+        return FieldPoly(field, out)
+
+    def __divmod__(self, other: "FieldPoly") -> tuple["FieldPoly", "FieldPoly"]:
+        """Quotient and remainder by a nonzero polynomial.
+
+        Exact when the divisor's leading coefficient is exactly invertible,
+        as every nonzero constant is.
+        """
+        field = self.field
+        rem = list(self.coeffs)
+        quo = [field.zero()] * max(len(rem) - len(other.coeffs) + 1, 0)
+        lead = field.invert(other.coeffs[-1])
+        for i in reversed(range(len(quo))):
+            c = quo[i] = field.mul(rem[i + len(other.coeffs) - 1], lead)
+            for j, b in enumerate(other.coeffs):
+                rem[i + j] = field.sub(rem[i + j], field.mul(c, b))
+        return FieldPoly(field, quo), FieldPoly(field, rem)
+
+    def gcd(self, other: "FieldPoly") -> "FieldPoly":
+        a, b = self, other
+        while not b.is_zero():
+            a, b = b, divmod(a, b)[1]
+        return a
+
+    def squarefree_part(self) -> "FieldPoly":
+        """Product of the distinct irreducible factors, up to a constant.
+
+        The coefficients must lie in the prime field (Q, or F_p for
+        F_p((t))), as those of integer polynomials do.  In characteristic p
+        a vanishing derivative does not make the polynomial squarefree:
+        then f(y) = h(y^p) = h(y)^p, and f' = 0 says nothing about h.
+        """
+        if self.degree() < 1:
+            return self
+        d = self.derivative()
+        if d.is_zero():
+            return FieldPoly(self.field, self.coeffs[:: self.field.p]).squarefree_part()
+        g = self.gcd(d)
+        # the factors whose multiplicity is prime to the characteristic
+        w = divmod(self, g)[0]
+        if g.degree() < 1:
+            return w
+        # g holds every repeated factor, w may miss those of multiplicity
+        # divisible by p: take lcm(w, rad g)
+        r = g.squarefree_part()
+        return divmod(w * r, w.gcd(r))[0]
+
     def __repr__(self) -> str:
         return f"FieldPoly({self.field!r}, deg={self.degree()})"
 
@@ -349,25 +402,34 @@ def ring_det(rows: list[list], zero, one):
     elements); ``zero`` and ``one`` are that ring's identities.
     """
     size = len(rows)
+    if size == 0:
+        return one
     memo: dict = {}
 
-    def minor(row: int, cols: frozenset):
-        if row == size:
-            return one
-        if cols in memo:
-            return memo[cols]
-        total = zero
+    def minor(row: int, cols: int):
+        # determinant of rows[row:] on the columns in the bit mask cols
+        if row == size - 1:
+            return rows[row][cols.bit_length() - 1]
+        got = memo.get(cols)
+        if got is not None:
+            return got
+        total = None
         negate = False
-        for col in sorted(cols):
+        for col in range(size):
+            if not cols >> col & 1:
+                continue
             entry = rows[row][col]
             if entry != zero:
-                term = entry * minor(row + 1, cols - {col})
-                total = total + (-term if negate else term)
+                term = entry * minor(row + 1, cols & ~(1 << col))
+                term = -term if negate else term
+                total = term if total is None else total + term
             negate = not negate
+        if total is None:
+            total = zero
         memo[cols] = total
         return total
 
-    return minor(0, frozenset(range(size)))
+    return minor(0, (1 << size) - 1)
 
 
 def sylvester_matrix(a: list, b: list, zero) -> list[list]:

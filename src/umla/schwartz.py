@@ -232,9 +232,7 @@ class SchwartzBruhat:
         return got if got is not None else CycloScalar.zero(self.field.p)
 
     def integrate(self) -> CycloScalar:
-        total = CycloScalar.zero(self.field.p)
-        for coef in self.cells.values():
-            total = total + coef
+        total = CycloScalar.sum(self.field.p, self.cells.values())
         return total.q_shift(-2 * sum(self.levels))
 
     # -- canonical coarsening and alpha data ------------------------------------

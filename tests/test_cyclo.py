@@ -1,6 +1,10 @@
 """Exact-scalar arithmetic: canonical reduction, ring laws, zero test."""
 
 from fractions import Fraction
+from functools import reduce
+
+import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import rng_for, sample_scalar
 
@@ -100,3 +104,82 @@ def test_rationality_checks():
 def test_monomial_inverse():
     z = CycloScalar(2, [(3, Fraction(1, 4), Fraction(5, 7))])
     assert z * z.inverse() == CycloScalar.one(2)
+
+
+# -- the accumulator: CycloScalar.sum against the left fold of + --------------
+
+@st.composite
+def _term_lists(draw):
+    """(p, scalars): mixed p-power orders, sqrt(q) slices and full orbits."""
+    p = draw(st.sampled_from([2, 3, 5]))
+
+    def monomial():
+        k = draw(st.integers(0, 3))
+        return CycloScalar(
+            p,
+            [
+                (
+                    draw(st.integers(-3, 3)),
+                    Fraction(draw(st.integers(0, p**k - 1)), p**k),
+                    Fraction(draw(st.integers(-4, 4)), draw(st.integers(1, 3))),
+                )
+            ],
+        )
+
+    def orbit():
+        # sum_{j<p} zeta_p^j * zeta_{p^k}^shift * c * q^(e2/2) = 0, term by term
+        k = draw(st.integers(1, 3))
+        shift = Fraction(draw(st.integers(0, p**k - 1)), p**k)
+        e2 = draw(st.integers(-3, 3))
+        c = Fraction(draw(st.integers(1, 5)), draw(st.integers(1, 3)))
+        return [
+            CycloScalar(p, [(e2, shift + Fraction(j, p), c)]) for j in range(p)
+        ]
+
+    scalars = []
+    for _ in range(draw(st.integers(0, 6))):
+        if draw(st.booleans()):
+            scalars.extend(orbit())
+        else:
+            scalars.append(monomial())
+    return p, draw(st.permutations(scalars))
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(_term_lists())
+def test_sum_equals_left_fold_of_plus(case):
+    p, scalars = case
+    folded = reduce(lambda a, b: a + b, scalars, CycloScalar.zero(p))
+    got = CycloScalar.sum(p, scalars)
+    assert got == folded
+    assert got.terms == folded.terms
+    # the same scalars twice, minus themselves, cancel exactly
+    assert CycloScalar.sum(p, scalars + [-s for s in scalars]).is_zero()
+
+
+def test_sum_of_full_orbits_is_exact_zero():
+    for p in (2, 3, 5):
+        for k in (1, 2, 3):
+            shift = Fraction(1, p**k)
+            orbit = [CycloScalar.root(p, shift + Fraction(j, p)) for j in range(p)]
+            assert CycloScalar.sum(p, orbit).is_zero()
+            half = [s.q_shift(1) for s in orbit]  # the sqrt(q) slice
+            assert CycloScalar.sum(p, half) == CycloScalar.zero(p)
+
+
+def test_sum_accepts_any_iterable():
+    gen = (CycloScalar.root(3, Fraction(j, 9)) for j in range(9))
+    assert CycloScalar.sum(3, gen).is_zero()
+
+
+def test_empty_sum_is_zero():
+    for p in (2, 3, 5):
+        assert CycloScalar.sum(p, []) == CycloScalar.zero(p)
+        assert CycloScalar.sum(p, iter(())) == CycloScalar.zero(p)
+
+
+def test_sum_rejects_mixed_residue_cardinalities():
+    with pytest.raises(ValueError):
+        CycloScalar.sum(3, [CycloScalar.one(3), CycloScalar.one(5)])
+    with pytest.raises(ValueError):
+        CycloScalar.sum(2, [CycloScalar.one(3)])

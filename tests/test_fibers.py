@@ -495,6 +495,54 @@ def test_level_measure_etale_map_is_flat():
     assert a == 0
 
 
+@pytest.mark.parametrize("field", [Q3, F3T], ids=["Q3", "F3t"])
+def test_level_measure_shared_critical_value(field):
+    # [DERIVED] f = x^4 - 2x^2 has critical points 0 and +-1 with critical
+    # values 0 and -1; the two points +-1 share a value, so
+    # disc = -256*y*(1 + y)^2 has a repeated root and only its squarefree
+    # part y*(1 + y) gives the critical values.  With u = x^2 the fiber
+    # equation is (u - 1)^2 = y + 1.  The resolution is 3, so the region is
+    # Z mod pi^3 (27 cells).  eps = 0 keeps the 9 cells with y = 1 mod pi,
+    # where y + 1 = 2 is no square mod 3; eps = 1 adds the 12 cells with
+    # ord y = 1 or ord(y + 1) = 1.  At ord(y + 1) = 1 the valuation is odd;
+    # at ord y = 1, u = 1 + s or 1 - s with s = 1 mod pi, giving u = 2 mod pi
+    # (no square) or ord u = 1 (odd).  So the pushforward of 1_Z vanishes on
+    # the whole scanned region and is constant already at level 0.
+    prob = FiberProblem.from_string("x^4 - 2*x^2")
+    rep = level_measure(prob, unit_ball_indicator(field), eps_values=(0, 1))
+    assert isinstance(rep, LevelReport)
+    assert rep.rows == {(0, 0): 0, (1, 0): 0}
+    assert rep.cells == {(0, 0): 9, (1, 0): 21}
+    assert rep.fit == (0, 0, 0)
+    locus = prob.critical_locus(field)
+    assert locus.degree() == 2
+    assert field.is_zero(locus.eval(field.zero()))
+    assert field.is_zero(locus.eval(field.from_int(-1)))
+
+
+def test_level_measure_discriminant_inseparable_mod_p():
+    # [DERIVED] f = x^3 - 3x has disc = -27*(y^2 - 4) over Z, squarefree
+    # over Q, but over F_2((t)) it is y^2: a repeated root at 0 with a
+    # vanishing derivative, so its squarefree part is y.  Over F_2,
+    # f = x(x + 1)^2 maps Z into (t), so the pushforward of 1_Z vanishes on
+    # units (mu = 0 at eps = 0).  On (t), f' = x^2 + 1 is a unit and f is
+    # an isometry of (t) onto itself, while x = 1 mod t gives ord f even:
+    # every y of valuation 1 has exactly one fiber point, with |f'| = 1, so
+    # the density is 1 on (t) \ (t^2) and 0 on units, constant mod t
+    # (mu = 1 at eps = 1).  The resolution is 4: 8, 12 and 14 of the 16
+    # cells have ord y <= 0, 1 and 2.
+    f2t = make_field("equal-characteristic", 2)
+    prob = FiberProblem.from_string("x^3 - 3*x")
+    rep = level_measure(prob, unit_ball_indicator(f2t), eps_values=(0, 1, 2))
+    assert rep.mu(0, 0) == 0
+    assert rep.mu(1, 0) == 1
+    assert rep.cells == {(0, 0): 8, (1, 0): 12, (2, 0): 14}
+    assert rep.fit_dominates()
+    locus = prob.critical_locus(f2t)
+    assert locus.degree() == 1
+    assert f2t.is_zero(locus.eval(f2t.zero()))
+
+
 # ---------------------------------------------------------------------------
 # problem serialization and rendering
 # ---------------------------------------------------------------------------

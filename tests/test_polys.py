@@ -140,6 +140,30 @@ def test_critical_value_locus_examples():
     assert len(ratios) == 1
 
 
+def test_squarefree_part():
+    # [DERIVED] over Q_3, y*(y + 1)^2 -> y*(y + 1), up to a constant
+    q3 = FIELDS["Q3"]
+    got = FieldPoly.from_ints(q3, [0, 1, 2, 1]).squarefree_part()
+    lead = got.coeffs[-1]
+    assert [c / lead for c in got.coeffs] == [0, 1, 1]
+    # [DERIVED] over F_3((t)), y^3 + 1 = (y + 1)^3 has derivative 3y^2 = 0,
+    # yet it is no square-free polynomial: its part is y + 1
+    f3t = FIELDS["F3t"]
+    got = FieldPoly.from_ints(f3t, [1, 0, 0, 1]).squarefree_part()
+    assert got.degree() == 1
+    assert f3t.is_zero(got.eval(f3t.from_int(-1)))
+    # [DERIVED] (y^3 + 1)^2 * y over F_3((t)) = (y + 1)^6 * y: the factor of
+    # multiplicity divisible by 3 survives only through the gcd
+    cube = FieldPoly.from_ints(f3t, [1, 0, 0, 1])
+    poly = cube * cube * FieldPoly.from_ints(f3t, [0, 1])
+    got = poly.squarefree_part()
+    assert got.degree() == 2
+    assert f3t.is_zero(got.eval(f3t.zero()))
+    assert f3t.is_zero(got.eval(f3t.from_int(-1)))
+    # constants are their own squarefree part
+    assert FieldPoly.from_ints(q3, [7]).squarefree_part().degree() == 0
+
+
 def test_resultant_vanishes_iff_common_root():
     rng = rng_for("poly-res")
     for _ in range(20):
