@@ -20,8 +20,6 @@ names from the root to the offending node.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .syntax import (
     Ac,
     Add,
@@ -42,6 +40,7 @@ from .syntax import (
     SumRF,
     SumZ,
     Var,
+    walk,
 )
 
 __all__ = ["SortError", "VF", "ZZ", "SC", "check", "classify_cmp", "CmpKind"]
@@ -74,17 +73,12 @@ class SortError(ValueError):
         self.path = tuple(path)
 
 
+_CONST_NODES = (Const, Add, Sub, Mul, Neg, Pow)
+
+
 def is_const_expr(node: Node) -> bool:
     """True when the expression is built purely from constants."""
-    if isinstance(node, Const):
-        return True
-    if isinstance(node, (Add, Sub, Mul)):
-        return is_const_expr(node.lhs) and is_const_expr(node.rhs)
-    if isinstance(node, Neg):
-        return is_const_expr(node.arg)
-    if isinstance(node, Pow):
-        return is_const_expr(node.base)
-    return False
+    return all(isinstance(n, _CONST_NODES) for n in walk(node))
 
 
 class _Checker:

@@ -28,7 +28,7 @@ from fractions import Fraction
 
 from ..cyclo import CycloScalar
 from ..fields import INF, FieldError, LocalField
-from .check import SC, VF, ZZ, SortError, check, classify_cmp
+from .check import VF, ZZ, check, classify_cmp
 from .syntax import (
     Ac,
     Add,

@@ -18,11 +18,9 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field as dc_field
-from fractions import Fraction
 
-from ..cyclo import CycloScalar
-from ..distribution import BFunctionView
-from ..fields import FieldError, LocalField, Polyball, field_spec, parse_field_spec
+from ..distribution import BFunctionView, _ball_and_subcells
+from ..fields import FieldError, LocalField, field_spec, parse_field_spec
 from .check import VF, ZZ, check
 from .evaluate import evaluate
 from .syntax import Node, parse, render
@@ -213,13 +211,7 @@ def dis_sample(
                 for _ in range(trials):
                     r = rng.randrange(radius_range[0], radius_range[1] + 1)
                     xs = tuple(_random_point(field, rng) for _ in range(family.n))
-                    ball = Polyball.ball(field, xs, r)
-
-                    parent = view.b_function(xs, r)
-                    children = ball.children()
-                    total = CycloScalar.sum(
-                        field.p, [view.b_function(c.centers, r + 1) for c in children]
-                    )
+                    parent, total = _ball_and_subcells(view, field, xs, r)
                     if not (parent - total).is_zero():
                         add_fail += 1
                         if add_fail <= max_witnesses:

@@ -13,12 +13,17 @@ The printer is canonical: ``parse(render(t))`` reproduces ``t`` node for
 node.  Constants are kept non-negative (a leading minus parses as a ``Neg``
 node), which is what makes the round trip structural rather than merely
 semantic.
+
+Node shapes are declared once, by the dataclass fields of each node class:
+``children``, ``substitute`` and the JSON form all read them from there.  A
+node's JSON keys are its field names, plus ``"node"`` holding its tag, the
+lower-cased class name (``"sum"`` for ``SumZ``).
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import Iterator, Mapping
 
@@ -220,27 +225,29 @@ class Not(Node):
 _RESERVED = {"q", "ord", "ac", "psi", "sum", "sumrf", "and", "or", "not"}
 
 
+# Each node's shape is its dataclass fields: (name, annotation) pairs in field
+# order, where the annotation is one of "Node", "str", "int" and "Fraction".
+_NODE_CLASSES = (
+    Const, Var, Add, Sub, Mul, Neg, Pow, Ord, Ac, QPow, Psi,
+    SumZ, SumRF, Indicator, Cmp, And, Or, Not,
+)
+_SHAPES = {cls: tuple((f.name, f.type) for f in fields(cls)) for cls in _NODE_CLASSES}
+_BINDERS = (SumZ, SumRF)  # bind ``var`` in ``body`` only
+_TAGS = {cls: "sum" if cls is SumZ else cls.__name__.lower() for cls in _NODE_CLASSES}
+_CLASS_OF_TAG = {tag: cls for cls, tag in _TAGS.items()}
+_COERCE = {"str": str, "int": int, "Fraction": Fraction}
+
+
+def _shape(node: Node) -> tuple:
+    try:
+        return _SHAPES[type(node)]
+    except KeyError:
+        raise TypeError(f"not a term node: {node!r}") from None
+
+
 def children(node: Node) -> tuple[Node, ...]:
-    """Immediate sub-nodes, in a fixed order."""
-    if isinstance(node, (Const, Var)):
-        return ()
-    if isinstance(node, (Add, Sub, Mul, And, Or, Cmp)):
-        return (node.lhs, node.rhs)
-    if isinstance(node, (Neg, Not)):
-        return (node.arg,)
-    if isinstance(node, Pow):
-        return (node.base,)
-    if isinstance(node, (Ord, Ac, Psi)):
-        return (node.arg,)
-    if isinstance(node, QPow):
-        return (node.exponent,)
-    if isinstance(node, SumZ):
-        return (node.lo, node.hi, node.body)
-    if isinstance(node, SumRF):
-        return (node.body,)
-    if isinstance(node, Indicator):
-        return (node.cond,)
-    raise TypeError(f"not a term node: {node!r}")
+    """Immediate sub-nodes, in field order."""
+    return tuple(getattr(node, name) for name, kind in _shape(node) if kind == "Node")
 
 
 def walk(node: Node) -> Iterator[Node]:
@@ -254,38 +261,18 @@ def substitute(node: Node, subs: Mapping[str, Node]) -> Node:
     """Replace free variables by terms; binders shadow their own names."""
     if isinstance(node, Var):
         return subs.get(node.name, node)
-    if isinstance(node, (Const,)):
-        return node
-    if isinstance(node, SumZ):
+    shape = _shape(node)
+    inner = subs
+    if isinstance(node, _BINDERS):
         inner = {k: v for k, v in subs.items() if k != node.var}
-        return SumZ(
-            node.var,
-            substitute(node.lo, subs),
-            substitute(node.hi, subs),
-            substitute(node.body, inner),
+    return type(node)(
+        *(
+            substitute(getattr(node, name), inner if name == "body" else subs)
+            if kind == "Node"
+            else getattr(node, name)
+            for name, kind in shape
         )
-    if isinstance(node, SumRF):
-        inner = {k: v for k, v in subs.items() if k != node.var}
-        return SumRF(node.var, node.level, substitute(node.body, inner))
-    if isinstance(node, (Add, Sub, Mul, And, Or)):
-        return type(node)(substitute(node.lhs, subs), substitute(node.rhs, subs))
-    if isinstance(node, Cmp):
-        return Cmp(node.op, substitute(node.lhs, subs), substitute(node.rhs, subs))
-    if isinstance(node, (Neg, Not)):
-        return type(node)(substitute(node.arg, subs))
-    if isinstance(node, Pow):
-        return Pow(substitute(node.base, subs), node.k)
-    if isinstance(node, Ord):
-        return Ord(substitute(node.arg, subs))
-    if isinstance(node, Ac):
-        return Ac(node.level, substitute(node.arg, subs))
-    if isinstance(node, Psi):
-        return Psi(substitute(node.arg, subs))
-    if isinstance(node, QPow):
-        return QPow(substitute(node.exponent, subs))
-    if isinstance(node, Indicator):
-        return Indicator(substitute(node.cond, subs))
-    raise TypeError(f"not a term node: {node!r}")
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -624,92 +611,28 @@ def render(node: Node) -> str:
 
 
 def term_to_json(node: Node) -> dict:
-    if isinstance(node, Const):
-        return {"node": "const", "value": str(node.value)}
-    if isinstance(node, Var):
-        return {"node": "var", "name": node.name}
-    if isinstance(node, (Add, Sub, Mul, And, Or)):
-        tag = type(node).__name__.lower()
-        return {
-            "node": tag,
-            "lhs": term_to_json(node.lhs),
-            "rhs": term_to_json(node.rhs),
-        }
-    if isinstance(node, (Neg, Not)):
-        tag = type(node).__name__.lower()
-        return {"node": tag, "arg": term_to_json(node.arg)}
-    if isinstance(node, Pow):
-        return {"node": "pow", "base": term_to_json(node.base), "k": node.k}
-    if isinstance(node, Ord):
-        return {"node": "ord", "arg": term_to_json(node.arg)}
-    if isinstance(node, Ac):
-        return {"node": "ac", "level": node.level, "arg": term_to_json(node.arg)}
-    if isinstance(node, Psi):
-        return {"node": "psi", "arg": term_to_json(node.arg)}
-    if isinstance(node, QPow):
-        return {"node": "qpow", "exponent": term_to_json(node.exponent)}
-    if isinstance(node, SumZ):
-        return {
-            "node": "sum",
-            "var": node.var,
-            "lo": term_to_json(node.lo),
-            "hi": term_to_json(node.hi),
-            "body": term_to_json(node.body),
-        }
-    if isinstance(node, SumRF):
-        return {
-            "node": "sumrf",
-            "var": node.var,
-            "level": node.level,
-            "body": term_to_json(node.body),
-        }
-    if isinstance(node, Indicator):
-        return {"node": "indicator", "cond": term_to_json(node.cond)}
-    if isinstance(node, Cmp):
-        return {
-            "node": "cmp",
-            "op": node.op,
-            "lhs": term_to_json(node.lhs),
-            "rhs": term_to_json(node.rhs),
-        }
-    raise TypeError(f"not a term node: {node!r}")
+    shape = _shape(node)
+    out = {"node": _TAGS[type(node)]}
+    for name, kind in shape:
+        value = getattr(node, name)
+        if kind == "Node":
+            value = term_to_json(value)
+        elif kind == "Fraction":
+            value = str(value)
+        out[name] = value
+    return out
 
 
 def term_from_json(obj: dict) -> Node:
     if not isinstance(obj, dict) or "node" not in obj:
         raise ValueError(f"not a term object: {obj!r}")
     tag = obj["node"]
-    if tag == "const":
-        return Const(Fraction(obj["value"]))
-    if tag == "var":
-        return Var(str(obj["name"]))
-    if tag in ("add", "sub", "mul", "and", "or"):
-        cls = {"add": Add, "sub": Sub, "mul": Mul, "and": And, "or": Or}[tag]
-        return cls(term_from_json(obj["lhs"]), term_from_json(obj["rhs"]))
-    if tag in ("neg", "not"):
-        cls = {"neg": Neg, "not": Not}[tag]
-        return cls(term_from_json(obj["arg"]))
-    if tag == "pow":
-        return Pow(term_from_json(obj["base"]), int(obj["k"]))
-    if tag == "ord":
-        return Ord(term_from_json(obj["arg"]))
-    if tag == "ac":
-        return Ac(int(obj["level"]), term_from_json(obj["arg"]))
-    if tag == "psi":
-        return Psi(term_from_json(obj["arg"]))
-    if tag == "qpow":
-        return QPow(term_from_json(obj["exponent"]))
-    if tag == "sum":
-        return SumZ(
-            str(obj["var"]),
-            term_from_json(obj["lo"]),
-            term_from_json(obj["hi"]),
-            term_from_json(obj["body"]),
+    cls = _CLASS_OF_TAG.get(tag) if isinstance(tag, str) else None
+    if cls is None:
+        raise ValueError(f"unknown term node tag {tag!r}")
+    return cls(
+        *(
+            term_from_json(obj[name]) if kind == "Node" else _COERCE[kind](obj[name])
+            for name, kind in _SHAPES[cls]
         )
-    if tag == "sumrf":
-        return SumRF(str(obj["var"]), int(obj["level"]), term_from_json(obj["body"]))
-    if tag == "indicator":
-        return Indicator(term_from_json(obj["cond"]))
-    if tag == "cmp":
-        return Cmp(str(obj["op"]), term_from_json(obj["lhs"]), term_from_json(obj["rhs"]))
-    raise ValueError(f"unknown term node tag {tag!r}")
+    )

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .cyclo import CycloScalar
 from .fields import FieldError, LocalField, Polyball, ball_intersect_1d, vec_neg
@@ -430,38 +430,6 @@ class MixedCellDistribution:
 
     # -- support data ---------------------------------------------------------------
 
-    def support_regions(self) -> list[tuple]:
-        """Per-term support descriptors (exact up to cancellation between
-        differently shaped decompositions of the same density)."""
-        out = []
-        for _, _, fs in self.terms:
-            region = tuple(
-                ("point", f.point)
-                if isinstance(f, DeltaF)
-                else ("ball", f.center, f.r)
-                if isinstance(f, BallF)
-                else ("full",)
-                for f in fs
-            )
-            out.append(region)
-        return out
-
-    def singular_regions(self) -> list[tuple]:
-        """Support descriptors of the point-mass-carrying terms."""
-        out = []
-        for _, _, fs in self.terms:
-            if any(isinstance(f, DeltaF) for f in fs):
-                region = tuple(
-                    ("point", f.point)
-                    if isinstance(f, DeltaF)
-                    else ("ball", f.center, f.r)
-                    if isinstance(f, BallF)
-                    else ("full",)
-                    for f in fs
-                )
-                out.append(region)
-        return out
-
     def singular_points(self) -> set:
         """Exact point set for purely atomic distributions."""
         if not all(
@@ -635,9 +603,14 @@ def additivity_check(u, ball: Polyball) -> bool:
     radii = set(ball.radii)
     if len(radii) != 1:
         raise FieldError("additivity check needs a ball with uniform radii")
-    r = next(iter(radii))
-    parent = u.b_function(ball.centers, r)
-    total = CycloScalar.sum(
-        ball.field.p, [u.b_function(child.centers, r + 1) for child in ball.children()]
-    )
+    parent, total = _ball_and_subcells(u, ball.field, ball.centers, next(iter(radii)))
     return (parent - total).is_zero()
+
+
+def _ball_and_subcells(u, field: LocalField, xs, r: int):
+    """(value on B_r(xs), sum of the values on its q^n immediate subcells)."""
+    parent = u.b_function(xs, r)
+    children = Polyball.ball(field, xs, r).children()
+    return parent, CycloScalar.sum(
+        field.p, [u.b_function(c.centers, r + 1) for c in children]
+    )

@@ -33,7 +33,7 @@ from .polys import (
     ring_det,
     sylvester_matrix,
 )
-from .schwartz import SchwartzBruhat
+from .schwartz import CellBudgetError, SchwartzBruhat
 
 __all__ = [
     "ClusterUnresolved",
@@ -487,7 +487,7 @@ def level_measure(
         )
     count = field.q ** (resolution - window)
     if count > cell_budget:
-        raise FieldError(
+        raise CellBudgetError(
             f"scan of {count} cells exceeds the budget of {cell_budget}"
         )
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from .cyclo import CycloScalar
@@ -612,41 +613,25 @@ class Polyball:
         got = self.intersect(other)
         return got == self
 
+    def _subcells(self, levels: Sequence[int]) -> Iterator[tuple]:
+        """Canonical center tuples of the subcells at per-coordinate `levels`."""
+        return product(
+            *(
+                self.field.cell_reps(c, r, level)
+                for c, r, level in zip(self.centers, self.radii, levels, strict=True)
+            )
+        )
+
     def children(self) -> list["Polyball"]:
         """The q^n disjoint sub-polyballs with every radius increased by one."""
-        field = self.field
-        per_coord = [
-            field.cell_reps(c, r, r + 1) for c, r in zip(self.centers, self.radii)
-        ]
-        out = []
         radii = tuple(r + 1 for r in self.radii)
-        stack = [()]
-        for reps in per_coord:
-            stack = [pref + (rep,) for pref in stack for rep in reps]
-        for centers in stack:
-            out.append(Polyball(field, centers, radii))
-        return out
+        return [
+            Polyball(self.field, centers, radii) for centers in self._subcells(radii)
+        ]
 
     def cells_at_level(self, level: int) -> Iterator[tuple]:
         """Canonical center tuples of the level-`level` cells covering self."""
-        per_coord = [
-            self.field.cell_reps(c, r, level)
-            for c, r in zip(self.centers, self.radii)
-        ]
-        idx = [0] * len(per_coord)
-        if any(not reps for reps in per_coord):
-            return
-        while True:
-            yield tuple(per_coord[i][idx[i]] for i in range(len(per_coord)))
-            i = len(per_coord) - 1
-            while i >= 0:
-                idx[i] += 1
-                if idx[i] < len(per_coord[i]):
-                    break
-                idx[i] = 0
-                i -= 1
-            if i < 0:
-                return
+        return self._subcells((level,) * self.n)
 
     def volume(self) -> CycloScalar:
         return CycloScalar.q_pow(self.field.p, -2 * sum(self.radii))

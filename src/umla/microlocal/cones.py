@@ -22,6 +22,7 @@ exact because a union meets a union exactly when some pair of cells meets.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import lcm
 
 from ..fields import INF, FieldError, LocalField, field_from_json
 from .subgroup import LambdaSubgroup
@@ -383,7 +384,7 @@ def _subgroup_leq(a: LambdaSubgroup, b: LambdaSubgroup) -> bool:
     lifted classes of b.
     """
     field = a.field
-    d = _lcm(a.d, b.d)
+    d = lcm(a.d, b.d)
     m = max(a.m, b.m)
     la = _lift_classes(field, a, d, m)
     lb = _lift_classes(field, b, d, m)
@@ -393,7 +394,7 @@ def _subgroup_leq(a: LambdaSubgroup, b: LambdaSubgroup) -> bool:
 def _product_subgroup(a: LambdaSubgroup, b: LambdaSubgroup):
     """Classes of the product group a*b at the common refinement (d, m)."""
     field = a.field
-    d = _lcm(a.d, b.d)
+    d = lcm(a.d, b.d)
     m = max(a.m, b.m)
     la = _lift_classes(field, a, d, m)
     lb = _lift_classes(field, b, d, m)
@@ -402,12 +403,6 @@ def _product_subgroup(a: LambdaSubgroup, b: LambdaSubgroup):
         for (e2, u2) in lb:
             prod.add(((e1 + e2) % d, field.residue_mul(u1, u2, m)))
     return d, m, prod
-
-
-def _lcm(a: int, b: int) -> int:
-    from math import gcd
-
-    return a * b // gcd(a, b)
 
 
 # ---------------------------------------------------------------------------

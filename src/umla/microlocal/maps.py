@@ -35,7 +35,14 @@ from dataclasses import dataclass
 
 from ..cyclo import CycloScalar
 from ..distribution import FULL, BallF, DeltaF, FullF, MixedCellDistribution
-from ..fields import FieldError, LocalField, ball_intersect_1d, vec_add, vec_neg
+from ..fields import (
+    FieldError,
+    LocalField,
+    Polyball,
+    ball_intersect_1d,
+    vec_add,
+    vec_neg,
+)
 from ..polys import ring_det
 from ..schwartz import DEFAULT_CELL_BUDGET, CellBudgetError
 from .cones import BaseFull, BasePoint, LambdaCone, OrbitRayCell, TaggedCell
@@ -504,16 +511,9 @@ def _preimage_cells(f_map, fs, budget):
         if inside and t + vmin >= rmax:
             out.append((center, t))
             continue
-        for child in _children(f, center, t):
+        for child in Polyball.ball(f, center, t).cells_at_level(t + 1):
             queue.append((child, t + 1))
     return out
-
-
-def _children(f, center, t):
-    from itertools import product as iproduct
-
-    axes = [f.cell_reps(c, t, t + 1) for c in center]
-    return [tuple(ch) for ch in iproduct(*axes)]
 
 
 def _nonzero_vec(f, vec) -> bool:

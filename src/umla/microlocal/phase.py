@@ -41,7 +41,7 @@ from math import comb
 from ..cyclo import CycloScalar
 from ..fields import INF, FieldError, LocalField, Polyball
 from ..polys import MultiPoly
-from ..schwartz import SchwartzBruhat
+from ..schwartz import CellBudgetError, SchwartzBruhat
 
 DEFAULT_CERT_BUDGET = 20_000
 DEFAULT_INTEGRATION_BUDGET = 200_000
@@ -235,15 +235,7 @@ def _certify_gradient(
         if certified:
             done += 1
             continue
-        # subdivide every coordinate one level deeper
-        axes = [
-            field.cell_reps(c, r, r + 1)
-            for c, r in zip(cur.centers, cur.radii)
-        ]
-        for centers in iproduct(*axes):
-            stack.append(
-                Polyball(field, centers, tuple(r + 1 for r in cur.radii))
-            )
+        stack.extend(cur.children())
     return done
 
 
@@ -347,10 +339,7 @@ def stationary_phase_bound(
                 all_orders.append(lb)
     p_min_ord = min(all_orders) if all_orders else 0
 
-    eta_axes = [
-        field.cell_reps(c, r, r + 1) for c, r in zip(V.centers, V.radii)
-    ]
-    etas = list(iproduct(*eta_axes))[:verify_eta_samples]
+    etas = [child.centers for child in V.children()[:verify_eta_samples]]
     checked = 0
     depth_capped = False
     for e_ord in range(threshold - verify_window, threshold):
@@ -435,14 +424,14 @@ def oscillatory_integral(
                 level += 1
         total_cells = field.q ** sum(level - r for r in ball.radii)
         if total_cells > budget:
-            raise FieldError("integration cell budget exhausted")
-        axes = [
-            field.cell_reps(c, r, level) for c, r in zip(ball.centers, ball.radii)
-        ]
+            raise CellBudgetError(
+                f"integration cell budget exhausted: {total_cells} cells "
+                f"requested, {budget} allowed"
+            )
         # the character sum over the subcells, as an angle histogram
         hist = Counter(
-            field.psi_angle(field.mul(lam, p.eval_field(field, tuple(centers) + eta)))
-            for centers in iproduct(*axes)
+            field.psi_angle(field.mul(lam, p.eval_field(field, centers + eta)))
+            for centers in ball.cells_at_level(level)
         )
         psi_sum = CycloScalar(field.p, [(0, a, k) for a, k in hist.items()])
         per_cell.append((coef * psi_sum).q_shift(-2 * n * level))

@@ -34,7 +34,7 @@ from ..distribution import MixedCellDistribution
 from ..fields import FieldError, Polyball
 from ..schwartz import SchwartzBruhat
 from .cones import LambdaCone
-from .smoothness import _ray_profile, _ray_value, _reps_at_ord
+from .smoothness import _ray_profile, _ray_witnesses
 from .subgroup import LambdaSubgroup
 from .wavefront import wavefront_exact
 
@@ -133,12 +133,10 @@ def _localized_threshold(u, eta0, subgroup, search_depth):
     threshold, survivors = _ray_profile(u.fourier_dist(), eta0)
     if not survivors:
         return ("threshold", threshold)
-    start = (threshold - 1) if threshold is not None else -1
-    for e in range(start, start - search_depth, -1):
-        for lam in _reps_at_ord(subgroup, e, 64):
-            total = _ray_value(f, survivors, lam)
-            if not total.is_zero():
-                return ("nonvanishing", (lam, total))
+    witnesses = _ray_witnesses(f, survivors, threshold, subgroup, search_depth)
+    witness = next(witnesses, None)
+    if witness is not None:
+        return ("nonvanishing", witness)
     return ("unresolved", None)
 
 

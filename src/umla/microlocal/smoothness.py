@@ -31,6 +31,7 @@ upgrades absence of a witness into a smoothness claim.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 
 from ..cyclo import CycloScalar
 from ..distribution import BallF, DeltaF, MixedCellDistribution
@@ -39,6 +40,9 @@ from ..schwartz import SchwartzBruhat
 from .subgroup import LambdaSubgroup
 
 __all__ = ["SmoothnessVerdict", "is_smooth_at"]
+
+# subgroup representatives tried per valuation in the ray-witness search
+_REPS_PER_ORD = 64
 
 
 @dataclass(frozen=True)
@@ -148,13 +152,28 @@ def _ray_value(f, survivors: dict, lam) -> CycloScalar:
     return CycloScalar(f.p, raw)
 
 
+def _ray_witnesses(f, survivors: dict, threshold, subgroup, search_depth: int):
+    """(lam, value) with the first nonzero ray value per valuation.
+
+    Valuations run down from just below ``threshold`` (from -1 when there is
+    none) over ``search_depth`` steps, trying at most ``_REPS_PER_ORD``
+    subgroup representatives at each.
+    """
+    start = (threshold - 1) if threshold is not None else -1
+    for e in range(start, start - search_depth, -1):
+        for lam in _reps_at_ord(subgroup, e, _REPS_PER_ORD):
+            total = _ray_value(f, survivors, lam)
+            if not total.is_zero():
+                yield lam, total
+                break
+
+
 def is_smooth_at(
     u: MixedCellDistribution,
     x0,
     xi0,
     subgroup: LambdaSubgroup,
     search_depth: int = 6,
-    max_reps_per_level: int = 64,
 ) -> SmoothnessVerdict:
     """Three-valued directional smoothness verdict at (x0, xi0).
 
@@ -197,19 +216,10 @@ def is_smooth_at(
         profiles.append((s, threshold, survivors))
 
     # no level certified smoothness; hunt for a nonzero ray value per level
-    witnesses_by_level = []
-    for s, threshold, survivors in profiles:
-        start = (threshold - 1) if threshold is not None else -1
-        found = []
-        for e in range(start, start - search_depth, -1):
-            for lam in _reps_at_ord(subgroup, e, max_reps_per_level):
-                total = _ray_value(f, survivors, lam)
-                if not total.is_zero():
-                    found.append((lam, total))
-                    break
-            if len(found) >= 3:
-                break
-        witnesses_by_level.append(found)
+    witnesses_by_level = [
+        list(islice(_ray_witnesses(f, survivors, threshold, subgroup, search_depth), 3))
+        for _, threshold, survivors in profiles
+    ]
 
     if all(witnesses_by_level):
         s, threshold, survivors = profiles[-1]

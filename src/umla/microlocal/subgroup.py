@@ -98,10 +98,6 @@ class LambdaSubgroup:
     def ord_classes(self) -> frozenset:
         return frozenset(e for (e, _) in self.classes)
 
-    def unit_class_group(self) -> frozenset:
-        """All unit codes appearing in the subgroup (a subgroup of units mod m)."""
-        return frozenset(u for (_, u) in self.classes)
-
     def units_at_ord(self, e: int) -> list:
         """Sorted unit codes attainable at valuation e."""
         c = e % self.d
@@ -122,15 +118,6 @@ class LambdaSubgroup:
             raise FieldError(f"no subgroup element has valuation {e}")
         f = self.field
         return f.mul(f.pow_uniformizer(e), f.residue_lift(units[0]))
-
-    def reps_in_window(self, lo: int, hi: int) -> list:
-        """One element per (valuation, unit class) pair with lo <= ord < hi."""
-        f = self.field
-        out = []
-        for e in range(lo, hi):
-            for u in self.units_at_ord(e):
-                out.append(f.mul(f.pow_uniformizer(e), f.residue_lift(u)))
-        return out
 
     # -- serialization ------------------------------------------------------
 

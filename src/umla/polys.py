@@ -54,9 +54,6 @@ class MultiPoly:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def total_degree(self) -> int:
-        return max((sum(e) for e in self.coeffs), default=0)
-
     def degree_in(self, i: int) -> int:
         return max((e[i] for e in self.coeffs), default=0)
 

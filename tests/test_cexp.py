@@ -320,6 +320,59 @@ def test_random_ast_text_and_json_round_trips():
         check(term, _DECLARED)  # generated terms are well-sorted
 
 
+# one term with every node class; the JSON text was captured when each class
+# still had its own hand-written encoder, and must stay byte-for-byte the same
+_ALL_NODES_TEXT = (
+    "sum(i, 0..n, q^(-i) * [ord(x) >= i and (not ac[2](x) == 1 or psi(x^2 - y) != 0)])"
+    " + sumrf(u, 1, 1/2 * u)"
+)
+_ALL_NODES_JSON = (
+    '{"node": "add", "lhs": {"node": "sum", "var": "i", '
+    '"lo": {"node": "const", "value": "0"}, "hi": {"node": "var", '
+    '"name": "n"}, "body": {"node": "mul", "lhs": {"node": "qpow", '
+    '"exponent": {"node": "neg", "arg": {"node": "var", "name": "i"}}}, '
+    '"rhs": {"node": "indicator", "cond": {"node": "and", '
+    '"lhs": {"node": "cmp", "op": ">=", "lhs": {"node": "ord", '
+    '"arg": {"node": "var", "name": "x"}}, "rhs": {"node": "var", '
+    '"name": "i"}}, "rhs": {"node": "or", "lhs": {"node": "not", '
+    '"arg": {"node": "cmp", "op": "==", "lhs": {"node": "ac", "level": 2, '
+    '"arg": {"node": "var", "name": "x"}}, "rhs": {"node": "const", '
+    '"value": "1"}}}, "rhs": {"node": "cmp", "op": "!=", '
+    '"lhs": {"node": "psi", "arg": {"node": "sub", "lhs": {"node": "pow", '
+    '"base": {"node": "var", "name": "x"}, "k": 2}, "rhs": {"node": "var", '
+    '"name": "y"}}}, "rhs": {"node": "const", "value": "0"}}}}}}}, '
+    '"rhs": {"node": "sumrf", "var": "u", "level": 1, '
+    '"body": {"node": "mul", "lhs": {"node": "const", "value": "1/2"}, '
+    '"rhs": {"node": "var", "name": "u"}}}}'
+)
+
+
+def test_term_json_is_pinned_on_every_node_class():
+    term = parse(_ALL_NODES_TEXT)
+    kinds = {type(node) for node in walk(term)}
+    assert kinds == {
+        Const, Var, Add, Sub, Mul, Neg, Pow, Ord, Ac, QPow, Psi, SumZ, SumRF,
+        Indicator, Cmp, And, Or, Not,
+    }
+    assert json.dumps(term_to_json(term)) == _ALL_NODES_JSON
+    assert term_from_json(json.loads(_ALL_NODES_JSON)) == term
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [
+        ["node", "var"],  # not a dict
+        "var",
+        {"name": "x"},  # no "node" key
+        {"node": "lambda", "arg": {}},  # unknown tag
+        {"node": ["var"]},
+    ],
+)
+def test_term_from_json_rejects_malformed_input(obj):
+    with pytest.raises(ValueError):
+        term_from_json(obj)
+
+
 # ---------------------------------------------------------------------------
 # sort checking
 # ---------------------------------------------------------------------------
@@ -594,6 +647,16 @@ def test_substitution_respects_binders():
     grown = substitute(parse("sum(i, 0..n0, q^(-i))"), {"n0": Const(Fraction(3))})
     assert grown == parse("sum(i, 0..3, q^(-i))")
     assert evaluate(grown, Q3, {}).as_fraction() == Fraction(40, 27)
+    # sumrf binds its variable in the body only
+    rf = parse("sumrf(u, 1, [u == ac[1](x)])")
+    assert substitute(rf, {"u": Const(Fraction(2))}) == rf
+    assert substitute(rf, {"u": Const(Fraction(2)), "x": Var("y")}) == parse(
+        "sumrf(u, 1, [u == ac[1](y)])"
+    )
+    # a sum's bound name is free in its bounds, so it is replaced there
+    upper = substitute(parse("sum(i, 0..i, q^(-i))"), {"i": Const(Fraction(2))})
+    assert upper == parse("sum(i, 0..2, q^(-i))")
+    assert evaluate(upper, Q3, {}).as_fraction() == Fraction(13, 9)
 
 
 # ---------------------------------------------------------------------------

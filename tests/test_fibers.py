@@ -22,7 +22,7 @@ from umla.fibers import (
     poly_to_string,
 )
 from umla.polys import MultiPoly, parse_poly
-from umla.schwartz import SchwartzBruhat
+from umla.schwartz import CellBudgetError, SchwartzBruhat
 
 from conftest import FIELDS, rng_for
 from test_schwartz import random_sb
@@ -464,6 +464,13 @@ def test_level_measure_json_round_trip():
     assert back.f_text == rep.f_text == "x^2"
     assert back.field is rep.field
     assert back.fit_dominates()
+
+
+def test_level_measure_budget_overrun_is_a_cell_budget_error():
+    prob = FiberProblem.from_string("x^2")
+    phi = unit_ball_indicator(Q3)
+    with pytest.raises(CellBudgetError, match="scan of 27 cells exceeds the budget of 10"):
+        level_measure(prob, phi, eps_values=(0,), cell_budget=10)
 
 
 def test_level_measure_validation():

@@ -15,7 +15,7 @@ from umla.microlocal import (
     stationary_phase_bound,
 )
 from umla.polys import parse_poly
-from umla.schwartz import SchwartzBruhat
+from umla.schwartz import CellBudgetError, SchwartzBruhat
 
 
 def indicator(field, center, r):
@@ -119,6 +119,15 @@ class TestOscillatoryIntegral:
         p = parse_poly("x^2*e", ("x", "e"))
         phi = indicator(f, (f.zero(),), 0)
         with pytest.raises(FieldError):
+            oscillatory_integral(
+                p, phi, (f.one(),), f.pow_uniformizer(-8), budget=2
+            )
+
+    def test_budget_overrun_reports_requested_and_allowed(self, field):
+        f = field
+        p = parse_poly("x^2*e", ("x", "e"))
+        phi = indicator(f, (f.zero(),), 0)
+        with pytest.raises(CellBudgetError, match=r"\d+ cells requested, 2 allowed"):
             oscillatory_integral(
                 p, phi, (f.one(),), f.pow_uniformizer(-8), budget=2
             )
