@@ -171,7 +171,7 @@ def _random_point(field: LocalField, rng: random.Random, lo: int = -2, hi: int =
         d = rng.randrange(field.q)
         if d:
             acc = field.add(
-                acc, field.mul(field.from_digit(d), field.pow_uniformizer(e))
+                acc, field.mul(field.from_int(d), field.pow_uniformizer(e))
             )
     return acc
 

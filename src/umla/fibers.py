@@ -184,7 +184,7 @@ def _unit_window_roots(field: LocalField, coeffs, k: int):
         step = field.pow_uniformizer(level)
         for d in range(field.q):
             child = field.canon_trunc(
-                field.add(a, field.mul(field.from_digit(d), step)), level + 1
+                field.add(a, field.mul(field.from_int(d), step)), level + 1
             )
             vc = field.ord(g.eval(child))
             if vc > level:

@@ -262,20 +262,15 @@ class LocalField:
         if level < r:
             raise ValueError("refinement level must be at least the radius")
         c0 = self.canon_trunc(center, level)
-        reps = []
-        for k in range(self.q ** (level - r)):
-            offset = self.zero()
-            kk, e = k, r
-            while kk:
-                offset = self.add(
-                    offset, self.mul(self.from_digit(kk % self.q), self.pow_uniformizer(e))
-                )
-                kk //= self.q
-                e += 1
-            reps.append(self.canon_trunc(self.add(c0, offset), level))
-        return reps
+        step = self.pow_uniformizer(r)
+        return [
+            self.canon_trunc(self.add(c0, self.mul(self.residue_lift(k), step)), level)
+            for k in range(self.q ** (level - r))
+        ]
 
     def from_digit(self, d: int) -> Element:
+        """Same as :meth:`from_int`; the library no longer calls it, but
+        ``umlabench/workloads.py`` builds its inputs with it."""
         return self.from_int(d)
 
     # -- serialization -------------------------------------------------------

@@ -28,6 +28,19 @@ window ``1 - B(s) <= ord(lam) < 1 - s - d0`` is killed at level ``s``.
 Because ``B`` grows at slope at least 2 in ``s`` while the upper edge falls
 at slope 1, the windows chain downward from the first admissible level
 ``s0`` and cover the half line ``ord(lam) < 1 - s0 - d0``.
+
+:func:`oscillatory_integral` computes the exact value with the same lemma.
+It splits each support cell into subcells ``B_L(c)`` at the least level
+``L`` at which the terms of degree ``|a| >= 2`` alone satisfy
+``ord(lam) + ord(q_a) + |a| L >= 1``; the linear term does not enter the
+level.  On ``B_L(c)`` the integral is ``q^(-n L) psi(lam p(c, eta))`` times
+a product over the gradient coordinates of
+``q^L * integral over pi^L O of psi(lam grad_i e) de``, which is 1 when
+``ord(lam grad_i) >= 1 - L`` and 0 otherwise (a nontrivial character of a
+compact group integrates to 0).  So a subcell whose gradient oscillates is
+skipped without evaluating the phase, and each other subcell contributes
+one character value.  The cell budget counts level-``L`` subcells, skipped
+ones included.
 """
 
 from __future__ import annotations
@@ -392,9 +405,14 @@ def oscillatory_integral(
 ) -> CycloScalar:
     """Exact value of integral_x phi(x) psi(lam * p(x, eta)) dx.
 
-    Each support cell is refined until the phase is constant modulo the
-    character conductor on every subcell, which the exact Taylor data
-    certifies; the integral is then a finite exact sum of character values.
+    Each support cell is split into subcells ``B_L(c)`` at the least level
+    ``L`` where the Taylor terms of degree >= 2 are trivial under psi (see
+    the module docstring).  A subcell with ``ord(lam * grad_i p(c, eta)) <
+    1 - L`` for some ``i`` is skipped, since a nontrivial character
+    integrates to 0 over ``pi^L O``; every other subcell adds
+    ``q^(-n L) psi(lam * p(c, eta))``.  ``budget`` bounds the number of
+    level-``L`` subcells of one support cell, skipped ones included;
+    exceeding it raises :class:`CellBudgetError`.
     """
     field = phi.field
     n = phi.n
@@ -404,20 +422,18 @@ def oscillatory_integral(
     if field.is_zero(lam):
         return phi.integrate()
     lam_ord = field.ord(lam)
-    tay = _taylor_x(p, n)
+    higher = [(a, qpoly) for a, qpoly in _taylor_x(p, n).items() if sum(a) >= 2]
+    grads = [p.derivative(i) for i in range(n)]
 
     eta_lo = [field.ord(v) for v in eta]  # exact; INF for zero coordinates
     per_cell = []
     for ball, coef in phi.terms():
         coord_lo = _ball_coord_lo(field, ball) + eta_lo
         steps = []
-        for alpha, qpoly in tay.items():
-            w = sum(alpha)
-            if w == 0:
-                continue
+        for alpha, qpoly in higher:
             lb = _ord_lower_bound(field, qpoly, coord_lo)
             if lb != INF:
-                steps.append((lb, w))
+                steps.append((lb, sum(alpha)))
         level = max(ball.radii)
         if steps:
             while min(lb + w * level for lb, w in steps) + lam_ord < 1:
@@ -428,10 +444,15 @@ def oscillatory_integral(
                 f"integration cell budget exhausted: {total_cells} cells "
                 f"requested, {budget} allowed"
             )
-        # the character sum over the subcells, as an angle histogram
+        # the character sum over the subcells whose linear character is
+        # trivial, as an angle histogram
         hist = Counter(
-            field.psi_angle(field.mul(lam, p.eval_field(field, centers + eta)))
-            for centers in ball.cells_at_level(level)
+            field.psi_angle(field.mul(lam, p.eval_field(field, point)))
+            for point in (centers + eta for centers in ball.cells_at_level(level))
+            if all(
+                field.ord(g.eval_field(field, point)) + lam_ord >= 1 - level
+                for g in grads
+            )
         )
         psi_sum = CycloScalar(field.p, [(0, a, k) for a, k in hist.items()])
         per_cell.append((coef * psi_sum).q_shift(-2 * n * level))

@@ -28,7 +28,7 @@ def digits(field: LocalField, x, lo: int, hi: int) -> list[int]:
         if not field.is_zero(rest) and field.ord(rest) == e:
             for cand in range(1, field.q):
                 trial = field.sub(
-                    rest, field.mul(field.from_digit(cand), field.pow_uniformizer(e))
+                    rest, field.mul(field.from_int(cand), field.pow_uniformizer(e))
                 )
                 if field.is_zero(trial) or field.ord(trial) > e:
                     d = cand

@@ -101,6 +101,58 @@ class TestOscillatoryIntegral:
             total = total + vol * f.psi(f.mul(lam, val))
         assert got == total
 
+    def test_oscillating_linear_character_is_skipped(self, field):
+        # x*e has no Taylor term of degree >= 2, so the support is integrated
+        # at its own level: one cell, on which the linear character oscillates
+        # (ord(lam * e) = -8 < 1).  Refining until the linear term is constant
+        # would take q^9 cells.
+        f = field
+        p = parse_poly("x*e", ("x", "e"))
+        phi = indicator(f, (f.zero(),), 0)
+        got = oscillatory_integral(
+            p, phi, (f.one(),), f.pow_uniformizer(-8), budget=1
+        )
+        assert got == CycloScalar.zero(f.p)
+
+    def test_skipped_cells_around_a_critical_point(self, field):
+        # x^2*e on O at ord(lam) = -3: the quadratic term fixes level 2, the
+        # cells with ord(2x) < 2 are skipped, and the critical point x = 0
+        # lies in the support.  The budget admits the q^2 cells of level 2
+        # only; level 4, where the phase is constant on every cell, checks it.
+        f = field
+        p = parse_poly("x^2*e", ("x", "e"))
+        phi = indicator(f, (f.zero(),), 0)
+        lam = f.pow_uniformizer(-3)
+        got = oscillatory_integral(p, phi, (f.one(),), lam, budget=f.q**2)
+        want = brute_integral(f, p, (f.zero(),), 0, 4, (f.one(),), lam)
+        assert not want.is_zero()
+        assert got == want
+
+    def test_two_dimensional_skipped_cells(self, field):
+        # x^2 + x*y + y*e on O x pi*O at ord(lam) = -2, eta = pi: level 2
+        # (q^3 cells) skips every cell with x a unit; the critical point
+        # (-pi, 2*pi) lies in the support.  Level 3 makes the phase constant
+        # on every cell.
+        f = field
+        p = parse_poly("x^2 + x*y + y*e", ("x", "y", "e"))
+        phi = SchwartzBruhat.indicator(
+            Polyball(f, (f.zero(), f.zero()), (0, 1))
+        )
+        eta = (f.uniformizer(),)
+        lam = f.pow_uniformizer(-2)
+        got = oscillatory_integral(p, phi, eta, lam, budget=f.q**3)
+        from itertools import product as iproduct
+
+        total = CycloScalar.zero(f.p)
+        vol = CycloScalar.q_pow(f.p, -2 * 3 * 2)
+        for x, y in iproduct(
+            f.cell_reps(f.zero(), 0, 3), f.cell_reps(f.zero(), 1, 3)
+        ):
+            val = p.eval_field(f, (x, y) + eta)
+            total = total + vol * f.psi(f.mul(lam, val))
+        assert not total.is_zero()
+        assert got == total
+
     def test_zero_scale_reduces_to_volume(self, field):
         f = field
         p = parse_poly("x^2*e", ("x", "e"))
