@@ -39,8 +39,23 @@ a product over the gradient coordinates of
 ``ord(lam grad_i) >= 1 - L`` and 0 otherwise (a nontrivial character of a
 compact group integrates to 0).  So a subcell whose gradient oscillates is
 skipped without evaluating the phase, and each other subcell contributes
-one character value.  The cell budget counts level-``L`` subcells, skipped
-ones included.
+one character value.
+
+The same skip applies to whole cells above level ``L``.  On a cell
+``B_s(c)`` with ``s < L``, expand ``grad_i p(c + e, eta) = sum_b t_b(c) e^b``.
+If one term dominates, ``ord(t_0(c)) < ord(t_b(c)) + sum_j b_j s_j`` for
+every ``b != 0``, then ``ord(grad_i p)`` equals ``ord(t_0(c))`` at every
+point of the cell.  When moreover ``ord(lam) + ord(t_0(c)) < 1 - L``, every
+level-``L`` subcell of ``B_s(c)`` is skipped by the rule above, so the whole
+subtree adds exactly 0 and is never enumerated.  The integral therefore
+walks each support cell top-down: it drops such a subtree, splits any other
+cell above level ``L`` by one level, and at level ``L`` applies the skip
+rule to each subcell.  The level rule and the skip rule are unchanged by the
+walk, and so is the value: it is a sum over the same subcells.  The cell
+budget still counts the level-``L`` subcells requested, skipped ones
+included, before the walk starts.  The dominant-term test is the one that
+certifies the gradient bound in :func:`stationary_phase_bound`; both read
+the gradient and its Taylor coefficients off one Taylor expansion of ``p``.
 """
 
 from __future__ import annotations
@@ -48,8 +63,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product as iproduct
-from math import comb
+from itertools import product
 
 from ..cyclo import CycloScalar
 from ..fields import INF, FieldError, LocalField, Polyball
@@ -116,57 +130,6 @@ def _grad_ord_from_delta(field: LocalField, delta) -> int:
     return d0
 
 
-def _taylor_x(p: MultiPoly, n: int) -> dict:
-    """Expansion of p(c + e, eta) in the first n variables only.
-
-    Returns {alpha: q_alpha} with alpha of length n and q_alpha a polynomial
-    in (c, eta) over the same n + r variables, expanded exactly over the
-    integers so that p(c + e, eta) = sum_alpha q_alpha(c, eta) * e**alpha.
-    """
-    out: dict = {}
-    for mono, c in p.coeffs.items():
-        xpart, epart = mono[:n], mono[n:]
-        ranges = [range(b + 1) for b in xpart]
-        for alpha in iproduct(*ranges) if ranges else [()]:
-            weight = c
-            for b, a in zip(xpart, alpha):
-                weight *= comb(b, a)
-            key = tuple(b - a for b, a in zip(xpart, alpha)) + epart
-            bucket = out.setdefault(alpha, {})
-            bucket[key] = bucket.get(key, 0) + weight
-    result = {}
-    for alpha, coeffs in out.items():
-        poly = MultiPoly(p.n, {k: v for k, v in coeffs.items() if v})
-        if not poly.is_zero():
-            result[alpha] = poly
-    return result
-
-
-def _ord_lower_bound(field: LocalField, poly: MultiPoly, coord_lo) -> object:
-    """Lower bound for ord(poly) given per-coordinate valuation lower bounds.
-
-    ``coord_lo[i]`` may be INF when the coordinate is identically zero, in
-    which case monomials involving it contribute nothing.
-    """
-    best = INF
-    for e, c in poly.coeffs.items():
-        base = field.ord(field.from_int(c))
-        if base == INF:
-            continue
-        bound = base
-        dead = False
-        for k, lo in zip(e, coord_lo):
-            if not k:
-                continue
-            if lo == INF:
-                dead = True
-                break
-            bound += k * lo
-        if not dead:
-            best = min(best, bound)
-    return best
-
-
 def _ball_coord_lo(field: LocalField, ball: Polyball) -> list:
     return [
         min(field.ord(c), r) if not field.is_zero(c) else r
@@ -197,21 +160,81 @@ def _joint_ball(field: LocalField, xball: Polyball, vball: Polyball) -> Polyball
     )
 
 
+class _Phase:
+    """Taylor data of a phase p, read off one expansion ``tay`` of p in its
+    first k >= n variables (``p.taylor(k)``).
+
+    ``tay`` is the expansion {a: q_a} with p(c + e) = sum_a q_a(c) e^a, and
+    ``higher`` lists its terms of degree |a| >= 2.  For each integration
+    coordinate i < n with a nonzero derivative, ``grads`` holds (e_i, terms):
+    d_i p = q_{e_i} and
+
+        d_i p(c + e) = sum_b (b_i + 1) q_{b + e_i}(c) e^b,
+
+    so ``terms`` lists (b, ord(b_i + 1), b + e_i) for every b != 0 there.
+    """
+
+    __slots__ = ("p", "tay", "higher", "grads")
+
+    def __init__(self, field: LocalField, p: MultiPoly, n: int, tay: dict):
+        self.p = p
+        self.tay = tay
+        self.higher = [(a, qpoly) for a, qpoly in tay.items() if sum(a) >= 2]
+        self.grads = []
+        for ei in tay:
+            if sum(ei) != 1 or ei.index(1) >= n:
+                continue
+            i = ei.index(1)
+            terms = [
+                (a[:i] + (a[i] - 1,) + a[i + 1 :], field.ord(field.from_int(a[i])), a)
+                for a in tay
+                if a[i] and a != ei
+            ]
+            self.grads.append((ei, terms))
+
+
+class _OrdsAt(dict):
+    """ord q_a(point) for the Taylor coefficients of a phase, on demand."""
+
+    __slots__ = ("field", "tay", "point")
+
+    def __init__(self, field: LocalField, tay: dict, point: tuple):
+        super().__init__()
+        self.field, self.tay, self.point = field, tay, point
+
+    def __missing__(self, a):
+        o = self[a] = self.field.ord(self.tay[a].eval_field(self.field, self.point))
+        return o
+
+
+def _dominant(grads: list, ords: _OrdsAt, radii, cap) -> bool:
+    """Dominant-term test on the cell of the given radii around ``ords.point``.
+
+    True when some gradient coordinate d_i p has ord <= ``cap`` at the center
+    and every other term of its expansion there is strictly larger over the
+    cell, so that ord(d_i p) is the same at every point of the cell.
+    """
+    for ei, terms in grads:
+        o0 = ords[ei]
+        if o0 > cap:
+            continue
+        if all(
+            k_ord + ords[a] + sum(b * r for b, r in zip(beta, radii)) > o0
+            for beta, k_ord, a in terms
+        ):
+            return True
+    return False
+
+
 def _certify_gradient(
-    field: LocalField,
-    grads: list[MultiPoly],
-    grad_taylors: list[dict],
-    cell: Polyball,
-    d0: int,
-    budget: int,
+    field: LocalField, cert: _Phase, cell: Polyball, d0: int, budget: int
 ) -> int:
     """Certify min_i ord(grad_i) <= d0 over every point of the cell.
 
-    Works by a dominant-term test at the cell center: if some gradient
-    coordinate has ord <= d0 at the center and every non-constant term of its
-    recentered expansion is strictly larger over the cell, the valuation is
-    constant on the cell.  Cells failing the test are subdivided one level in
-    every coordinate.  Returns the number of cells certified.
+    ``cert`` holds the expansion of the phase in all its variables.  A cell
+    passing the dominant-term test at its center with cap ``d0`` is
+    certified; any other cell is subdivided one level in every coordinate.
+    Returns the number of cells certified.
     """
     stack = [cell]
     done = 0
@@ -223,32 +246,10 @@ def _certify_gradient(
             raise PhaseCertificationError(
                 "gradient certification budget exhausted", witness=cur
             )
-        certified = False
-        for g, tay in zip(grads, grad_taylors):
-            g0 = g.eval_field(field, cur.centers)
-            o0 = field.ord(g0)
-            if o0 > d0:
-                continue
-            dominant = True
-            for beta, tpoly in tay.items():
-                if not any(beta):
-                    continue
-                tval = tpoly.eval_field(field, cur.centers)
-                if field.is_zero(tval):
-                    continue
-                lower = field.ord(tval) + sum(
-                    b * r for b, r in zip(beta, cur.radii)
-                )
-                if lower <= o0:
-                    dominant = False
-                    break
-            if dominant:
-                certified = True
-                break
-        if certified:
+        if _dominant(cert.grads, _OrdsAt(field, cert.tay, cur.centers), cur.radii, d0):
             done += 1
-            continue
-        stack.extend(cur.children())
+        else:
+            stack.extend(cur.children())
     return done
 
 
@@ -286,33 +287,33 @@ def stationary_phase_bound(
     s_min = max(max(b.radii) for b in cells)
 
     # --- gradient certification over every support cell x V -----------------
-    grads = [p.derivative(i) for i in range(n)]
-    if all(g.is_zero() for g in grads):
+    # one expansion of p in all its variables; restricting it to the terms
+    # constant in the parameters gives the expansion in x alone
+    cert = _Phase(field, p, n, p.taylor())
+    if not cert.grads:
         raise PhaseCertificationError(
             "phase has identically vanishing gradient in the integration "
             "variables",
             witness=None,
         )
-    grad_taylors = [g.taylor() for g in grads]
+    phase = _Phase(
+        field, p, n, {a[:n]: q for a, q in cert.tay.items() if not any(a[n:])}
+    )
     certified = 0
     for ball in cells:
         certified += _certify_gradient(
-            field, grads, grad_taylors, _joint_ball(field, ball, V), d0, budget
+            field, cert, _joint_ball(field, ball, V), d0, budget
         )
 
     # --- remainder profile ---------------------------------------------------
     hull_lo = _ball_coord_lo(
         field, _joint_ball(field, _ball_hull(field, cells), V)
     )
-    tay = _taylor_x(p, n)
     rest_orders = []
-    for alpha, qpoly in tay.items():
-        weight = sum(alpha)
-        if weight < 2:
-            continue
-        lb = _ord_lower_bound(field, qpoly, hull_lo)
+    for alpha, qpoly in phase.higher:
+        lb = qpoly.ord_lower_bound(field, hull_lo)
         if lb != INF:
-            rest_orders.append((lb, weight))
+            rest_orders.append((lb, sum(alpha)))
 
     def rest_bound(s: int):
         if not rest_orders:
@@ -345,9 +346,9 @@ def stationary_phase_bound(
     # orders of p-values over supp x V bound the exact unit depth needed for
     # lam-orbit exhaustiveness at each scale order.
     all_orders = [lb for lb, _ in rest_orders]
-    for alpha, qpoly in tay.items():
+    for alpha, qpoly in phase.tay.items():
         if sum(alpha) < 2:
-            lb = _ord_lower_bound(field, qpoly, hull_lo)
+            lb = qpoly.ord_lower_bound(field, hull_lo)
             if lb != INF:
                 all_orders.append(lb)
     p_min_ord = min(all_orders) if all_orders else 0
@@ -365,7 +366,7 @@ def stationary_phase_bound(
                 field.pow_uniformizer(e_ord), field.residue_lift(ucode)
             )
             for eta in etas:
-                val = oscillatory_integral(p, phi, eta, lam, budget=budget * 10)
+                val = _integrate(field, phase, phi, eta, lam, budget * 10)
                 checked += 1
                 if not val.is_zero():
                     raise PhaseCertificationError(
@@ -410,28 +411,38 @@ def oscillatory_integral(
     the module docstring).  A subcell with ``ord(lam * grad_i p(c, eta)) <
     1 - L`` for some ``i`` is skipped, since a nontrivial character
     integrates to 0 over ``pi^L O``; every other subcell adds
-    ``q^(-n L) psi(lam * p(c, eta))``.  ``budget`` bounds the number of
-    level-``L`` subcells of one support cell, skipped ones included;
-    exceeding it raises :class:`CellBudgetError`.
+    ``q^(-n L) psi(lam * p(c, eta))``.  The level rule and the skip rule are
+    those of the module docstring, unchanged by the order of the walk: each
+    support cell is walked top-down, and a cell above level ``L`` on which a
+    dominant Taylor term makes ``ord(lam * grad_i p)`` constant and below
+    ``1 - L`` is dropped whole, because every level-``L`` subcell in it would
+    be skipped.  ``budget`` bounds the number of level-``L`` subcells of one
+    support cell that the level requests, skipped ones included, whether the
+    walk visits them or not; exceeding it raises :class:`CellBudgetError`.
     """
     field = phi.field
     n = phi.n
     eta = tuple(eta)
     if p.n != n + len(eta):
         raise FieldError("phase has wrong number of variables")
+    return _integrate(field, _Phase(field, p, n, p.taylor(n)), phi, eta, lam, budget)
+
+
+def _integrate(
+    field: LocalField, phase: _Phase, phi: SchwartzBruhat, eta: tuple, lam, budget: int
+) -> CycloScalar:
+    """:func:`oscillatory_integral` on phase data expanded in x alone."""
+    n = phi.n
     if field.is_zero(lam):
         return phi.integrate()
     lam_ord = field.ord(lam)
-    higher = [(a, qpoly) for a, qpoly in _taylor_x(p, n).items() if sum(a) >= 2]
-    grads = [p.derivative(i) for i in range(n)]
-
     eta_lo = [field.ord(v) for v in eta]  # exact; INF for zero coordinates
     per_cell = []
     for ball, coef in phi.terms():
         coord_lo = _ball_coord_lo(field, ball) + eta_lo
         steps = []
-        for alpha, qpoly in higher:
-            lb = _ord_lower_bound(field, qpoly, coord_lo)
+        for alpha, qpoly in phase.higher:
+            lb = qpoly.ord_lower_bound(field, coord_lo)
             if lb != INF:
                 steps.append((lb, sum(alpha)))
         level = max(ball.radii)
@@ -444,16 +455,25 @@ def oscillatory_integral(
                 f"integration cell budget exhausted: {total_cells} cells "
                 f"requested, {budget} allowed"
             )
-        # the character sum over the subcells whose linear character is
-        # trivial, as an angle histogram
-        hist = Counter(
-            field.psi_angle(field.mul(lam, p.eval_field(field, point)))
-            for point in (centers + eta for centers in ball.cells_at_level(level))
-            if all(
-                field.ord(g.eval_field(field, point)) + lam_ord >= 1 - level
-                for g in grads
-            )
-        )
+        # walk the cell top-down: drop a subtree on which some lam * d_i p
+        # has one valuation below 1 - level, split any other cell above the
+        # level, and at the level add psi(lam p) unless a gradient
+        # coordinate oscillates; the angle histogram holds the sum
+        hist = Counter()
+        stack = [(ball.centers, ball.radii)]
+        while stack:
+            centers, radii = stack.pop()
+            ords = _OrdsAt(field, phase.tay, centers + eta)
+            if min(radii) == level:
+                if all(ords[ei] + lam_ord >= 1 - level for ei, _ in phase.grads):
+                    value = phase.p.eval_field(field, ords.point)
+                    hist[field.psi_angle(field.mul(lam, value))] += 1
+            elif not _dominant(phase.grads, ords, radii, -level - lam_ord):
+                split = tuple(min(r + 1, level) for r in radii)
+                axes = (
+                    field.cell_reps(c, r, r1) for c, r, r1 in zip(centers, radii, split)
+                )
+                stack.extend((sub, split) for sub in product(*axes))
         psi_sum = CycloScalar(field.p, [(0, a, k) for a, k in hist.items()])
         per_cell.append((coef * psi_sum).q_shift(-2 * n * level))
     return CycloScalar.sum(field.p, per_cell)

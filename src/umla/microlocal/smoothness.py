@@ -53,10 +53,6 @@ class SmoothnessVerdict:
     witnesses: tuple  # ((lam, value) pairs for not_smooth)
     detail: str = ""
 
-    @property
-    def is_smooth(self) -> bool:
-        return self.kind == "smooth"
-
     def to_json(self, field=None) -> dict:
         wit = []
         for lam, val in self.witnesses:

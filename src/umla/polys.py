@@ -4,7 +4,7 @@
 It supports the pieces the analytic layers need: formal derivatives, the
 Taylor expansion of p(c + e) as polynomials-in-c indexed by e-monomials, exact
 evaluation over a local field, and ultrametric lower bounds for the valuation
-of the values taken over a polyball.
+of the values taken where each coordinate has a given valuation lower bound.
 
 ``FieldPoly`` is a dense univariate polynomial with local-field coefficients.
 ``sylvester_resultant`` works over the ring Z[y] (one-variable ``MultiPoly``
@@ -14,10 +14,11 @@ used here.
 
 from __future__ import annotations
 
+from itertools import product
 from math import comb, prod
 from typing import Sequence
 
-from .fields import INF, FieldError, LocalField, Polyball
+from .fields import INF, FieldError, LocalField
 
 
 class MultiPoly:
@@ -110,32 +111,29 @@ class MultiPoly:
                 out[key] = out.get(key, 0) + c * e[i]
         return MultiPoly(self.n, out)
 
-    def taylor(self) -> dict[tuple, "MultiPoly"]:
-        """Expansion of p(c + e) as sum over e-monomials of coeff polys in c.
+    def taylor(self, k: int | None = None) -> dict[tuple, "MultiPoly"]:
+        """Expansion of p(c + e, y) in the first k variables (default: all n).
 
-        Returns {alpha: q_alpha} with p(c + e) = sum q_alpha(c) e^alpha,
-        expanded exactly over the integers.
+        Returns {alpha: q_alpha} with alpha of length k and each q_alpha a
+        polynomial in all n variables (c, y), such that
+        p(c + e, y) = sum q_alpha(c, y) e^alpha, expanded exactly over the
+        integers.
         """
-        out: dict[tuple, MultiPoly] = {}
+        k = self.n if k is None else k
+        out: dict = {}
         for beta, c in self.coeffs.items():
-            ranges = [range(b + 1) for b in beta]
-            idx = [0] * self.n
-            while True:
-                alpha = tuple(idx)
-                weight = c * prod(comb(b, a) for b, a in zip(beta, alpha))
-                cexp = tuple(b - a for b, a in zip(beta, alpha))
-                bucket = out.setdefault(alpha, MultiPoly.zero(self.n))
-                out[alpha] = bucket + MultiPoly(self.n, {cexp: weight})
-                j = self.n - 1
-                while j >= 0:
-                    idx[j] += 1
-                    if idx[j] <= beta[j]:
-                        break
-                    idx[j] = 0
-                    j -= 1
-                if j < 0:
-                    break
-        return {a: q for a, q in out.items() if not q.is_zero()}
+            head, tail = beta[:k], beta[k:]
+            for alpha in product(*(range(b + 1) for b in head)):
+                weight = c * prod(comb(b, a) for b, a in zip(head, alpha))
+                key = tuple(b - a for b, a in zip(head, alpha)) + tail
+                bucket = out.setdefault(alpha, {})
+                bucket[key] = bucket.get(key, 0) + weight
+        result = {}
+        for alpha, coeffs in out.items():
+            poly = MultiPoly(self.n, coeffs)
+            if not poly.is_zero():
+                result[alpha] = poly
+        return result
 
     def eval_field(self, field: LocalField, xs: Sequence):
         """Exact value at a point with local-field coordinates."""
@@ -150,20 +148,20 @@ class MultiPoly:
             total = field.add(total, term)
         return total
 
-    def ord_lower_bound(self, field: LocalField, ball: Polyball):
-        """A valid lower bound for ord(p(x)) over all x in the polyball."""
-        if ball.n != self.n:
-            raise FieldError("polyball has wrong dimension")
-        coord_lo = [
-            min(field.ord(c), r) if not field.is_zero(c) else r
-            for c, r in zip(ball.centers, ball.radii)
-        ]
+    def ord_lower_bound(self, field: LocalField, coord_lo: Sequence):
+        """A valid lower bound for ord(p(x)) over all x with ord(x_i) >= coord_lo[i].
+
+        ``coord_lo[i]`` may be INF when the coordinate is identically zero;
+        the monomials that use it then contribute nothing.
+        """
+        if len(coord_lo) != self.n:
+            raise FieldError("wrong number of coordinate bounds")
         best = INF
         for e, c in self.coeffs.items():
-            base = field.ord(field.from_int(c))
-            if base == INF:
-                continue
-            bound = base + sum(k * lo for k, lo in zip(e, coord_lo))
+            bound = field.ord(field.from_int(c))
+            for k, lo in zip(e, coord_lo):
+                if k:  # skipped when 0, as 0 * INF is nan
+                    bound += k * lo
             best = min(best, bound)
         return best
 

@@ -27,16 +27,23 @@ def unit_eta_ball(field):
 
 
 def brute_integral(field, p, center, r, level, eta, lam):
-    """Riemann refinement: exact once the phase is locally constant."""
-    total = CycloScalar.zero(field.p)
-    vol = CycloScalar.q_pow(field.p, -2 * level * len(center))
+    """Riemann refinement: exact once the phase is locally constant.
+
+    ``r`` is the radius of the support, or a tuple of per-coordinate radii.
+    The psi values are counted per angle and summed in one exact scalar, as
+    adding thousands of them one at a time takes over a minute.
+    """
+    from collections import Counter
     from itertools import product as iproduct
 
-    axes = [field.cell_reps(c, r, level) for c in center]
-    for point in iproduct(*axes):
-        val = p.eval_field(field, tuple(point) + tuple(eta))
-        total = total + vol * field.psi(field.mul(lam, val))
-    return total
+    radii = r if isinstance(r, tuple) else (r,) * len(center)
+    axes = [field.cell_reps(c, rc, level) for c, rc in zip(center, radii)]
+    hist = Counter(
+        field.psi_angle(field.mul(lam, p.eval_field(field, tuple(point) + tuple(eta))))
+        for point in iproduct(*axes)
+    )
+    e2 = -2 * level * len(center)
+    return CycloScalar(field.p, [(e2, a, k) for a, k in hist.items()])
 
 
 class TestOscillatoryIntegral:
@@ -152,6 +159,29 @@ class TestOscillatoryIntegral:
             total = total + vol * f.psi(f.mul(lam, val))
         assert not total.is_zero()
         assert got == total
+
+    def test_cubic_phases_are_exact(self, field):
+        # The gradient of a cubic phase has Taylor terms of degree 2, and the
+        # dominant-term test that drops whole cells must weigh them too.
+        # Every Taylor term of degree >= 1 has integral coefficients on the
+        # support, so the Riemann sum at level 1 - ord(lam) is exact.
+        f = field
+        eta = (f.one(),)
+        phi = indicator(f, (f.zero(),), 0)
+        for src in ("x^3 + x*e", "-2*x^3 - x"):
+            p = parse_poly(src, ("x", "e"))
+            for o in (-2, -3, -4):
+                lam = f.pow_uniformizer(o)
+                got = oscillatory_integral(p, phi, eta, lam)
+                assert got == brute_integral(f, p, (f.zero(),), 0, 1 - o, eta, lam)
+        # two dimensions, mixed radii: O x pi*O
+        p = parse_poly("x^3 + y^3 + x*y*e", ("x", "y", "e"))
+        phi = SchwartzBruhat.indicator(Polyball(f, (f.zero(), f.zero()), (0, 1)))
+        lam = f.pow_uniformizer(-2)
+        got = oscillatory_integral(p, phi, eta, lam)
+        want = brute_integral(f, p, (f.zero(), f.zero()), (0, 1), 3, eta, lam)
+        assert not want.is_zero()
+        assert got == want
 
     def test_zero_scale_reduces_to_volume(self, field):
         f = field

@@ -80,7 +80,11 @@ def test_ord_lower_bound_is_valid():
                 tuple(sample_element(field, rng, -1, 2) for _ in range(2)),
                 tuple(rng.randrange(-1, 3) for _ in range(2)),
             )
-            bound = p.ord_lower_bound(field, ball)
+            coord_lo = [
+                min(field.ord(c), r) if not field.is_zero(c) else r
+                for c, r in zip(ball.centers, ball.radii)
+            ]
+            bound = p.ord_lower_bound(field, coord_lo)
             for _ in range(5):
                 xs = tuple(
                     field.add(c, field.mul(field.pow_uniformizer(r), d))
@@ -99,8 +103,12 @@ def test_ord_lower_bound_is_valid():
 def test_ord_lower_bound_vanishing_coefficients():
     field = make_field("equal-characteristic", 3)
     p = MultiPoly(1, {(1,): 3})  # 3x is identically 0 in characteristic 3
-    ball = Polyball.ball(field, (field.zero(),), 0)
-    assert p.ord_lower_bound(field, ball) == INF
+    assert p.ord_lower_bound(field, [0]) == INF
+    # an INF coordinate bound (the coordinate is 0) kills every monomial
+    # that uses it; the others still count
+    q = MultiPoly(2, {(1, 0): 1, (1, 1): 1})  # x + x*y
+    assert q.ord_lower_bound(field, [1, INF]) == 1
+    assert q.ord_lower_bound(field, [INF, 0]) == INF
 
 
 def test_field_poly_shift_and_derivative():
