@@ -28,6 +28,7 @@ from fractions import Fraction
 
 from ..cyclo import CycloScalar
 from ..fields import INF, FieldError, LocalField
+from ..schwartz import DEFAULT_CELL_BUDGET
 from .check import VF, ZZ, check, classify_cmp
 from .syntax import (
     Ac,
@@ -52,8 +53,6 @@ from .syntax import (
 )
 
 __all__ = ["EvalError", "evaluate"]
-
-DEFAULT_RANGE_BUDGET = 100_000
 
 
 class EvalError(FieldError):
@@ -405,7 +404,7 @@ def evaluate(
     field: LocalField,
     env=None,
     declared=None,
-    range_budget: int = DEFAULT_RANGE_BUDGET,
+    range_budget: int = DEFAULT_CELL_BUDGET,
     sorts=None,
 ) -> CycloScalar:
     """Evaluate a term to an exact scalar.
@@ -415,7 +414,9 @@ def evaluate(
     integer codes.  ``declared`` optionally fixes sorts before inference;
     ``sorts`` skips inference entirely when the caller has already checked
     the term.  Raises ``SortError`` for ill-sorted terms and ``EvalError``
-    when the term has no value at the given point.
+    when the term has no value at the given point, or when one ``sum`` or
+    ``sumrf`` would add more than ``range_budget`` terms (default the shared
+    ``DEFAULT_CELL_BUDGET``).
     """
     if sorts is None:
         sorts = check(term, declared)

@@ -33,7 +33,7 @@ from .polys import (
     ring_det,
     sylvester_matrix,
 )
-from .schwartz import CellBudgetError, SchwartzBruhat
+from .schwartz import DEFAULT_CELL_BUDGET, SchwartzBruhat, check_budget
 
 __all__ = [
     "ClusterUnresolved",
@@ -46,7 +46,6 @@ __all__ = [
     "poly_to_string",
 ]
 
-DEFAULT_CELL_BUDGET = 30_000
 _NEWTON_CAP = 64
 
 
@@ -459,6 +458,8 @@ def level_measure(
     the level-m ball at ``x0`` (the unit point by default).  The measured
     mu is the minimal level at which the pushforward is constant per cell
     across the region, checked exhaustively at the working resolution.
+    ``cell_budget`` (default the shared ``DEFAULT_CELL_BUDGET``) bounds the
+    number of cells of the scanned window at that resolution.
     """
     if phi.n != 1:
         raise FieldError("level measurement works along one-variable charts")
@@ -485,11 +486,7 @@ def level_measure(
         raise FieldError(
             "resolution must exceed the largest eps and the image window"
         )
-    count = field.q ** (resolution - window)
-    if count > cell_budget:
-        raise CellBudgetError(
-            f"scan of {count} cells exceeds the budget of {cell_budget}"
-        )
+    check_budget("level scan", field.q ** (resolution - window), cell_budget)
 
     # critical values at the working precision; only those of valuation
     # above some eps can exclude scanned cells

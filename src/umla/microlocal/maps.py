@@ -44,7 +44,7 @@ from ..fields import (
     vec_neg,
 )
 from ..polys import ring_det
-from ..schwartz import DEFAULT_CELL_BUDGET, CellBudgetError
+from ..schwartz import DEFAULT_CELL_BUDGET, check_budget
 from .cones import BaseFull, BasePoint, LambdaCone, OrbitRayCell, TaggedCell
 from .wavefront import wavefront_exact
 
@@ -326,7 +326,11 @@ def pullback(
     u: MixedCellDistribution,
     budget: int = DEFAULT_CELL_BUDGET,
 ) -> MixedCellDistribution:
-    """u composed with the map, as a distribution on the source space."""
+    """u composed with the map, as a distribution on the source space.
+
+    ``budget`` (default the shared ``DEFAULT_CELL_BUDGET``) bounds the cells
+    visited when a non-monomial invertible map subdivides a preimage.
+    """
     f = f_map.field
     if u.field != f or u.n != f_map.n_out:
         raise FieldError("operand lives on a different space than the target")
@@ -494,8 +498,7 @@ def _preimage_cells(f_map, fs, budget):
     while queue:
         center, t = queue.pop()
         spent += 1
-        if spent > budget:
-            raise CellBudgetError("preimage subdivision exceeded the cell budget")
+        check_budget("preimage subdivision", spent, budget)
         img = f_map.apply(center)
         inside = True
         disjoint = False
@@ -550,7 +553,11 @@ def pushforward(
     u: MixedCellDistribution,
     budget: int = DEFAULT_CELL_BUDGET,
 ) -> MixedCellDistribution:
-    """Image distribution: pairs with phi as u pairs with phi composed with the map."""
+    """Image distribution: pairs with phi as u pairs with phi composed with the map.
+
+    ``budget`` (default the shared ``DEFAULT_CELL_BUDGET``) is passed to
+    :func:`pullback` along the inverse of an invertible map.
+    """
     f = f_map.field
     if u.field != f or u.n != f_map.n_in:
         raise FieldError("operand lives on a different space than the source")
@@ -559,32 +566,14 @@ def pushforward(
         return _pushforward_iso(f_map, u, budget)
     if kind == "projection":
         keep = f_map.projection_parts()
-        kept = set(keep)
+        dropped = [j for j in range(f_map.n_in) if j not in keep]
         out = []
         for coef, mod, fs in u.terms:
-            c2 = coef
-            dead = False
-            for j in range(f_map.n_in):
-                if j in kept:
-                    continue
-                a, fac = mod[j], fs[j]
-                if isinstance(fac, FullF):
-                    raise NotProperOnSupport(
-                        "support is a full line over a dropped coordinate"
-                    )
-                if isinstance(fac, BallF):
-                    # integral of psi(a x) over the ball
-                    if not f.is_zero(a) and f.ord(a) < 1 - fac.r:
-                        dead = True
-                        break
-                    c2 = (c2 * f.psi(f.mul(a, fac.center))).q_shift(-2 * fac.r)
-                # point masses integrate to their coefficient (canonical
-                # modulation on a point coordinate is zero)
-            if dead:
-                continue
-            nmod = tuple(mod[j] for j in keep)
-            nfs = tuple(fs[j] for j in keep)
-            out.append((c2, nmod, nfs))
+            c2 = _integrate_out(f, coef, mod, fs, dropped)
+            if c2 is not None:
+                nmod = tuple(mod[j] for j in keep)
+                nfs = tuple(fs[j] for j in keep)
+                out.append((c2, nmod, nfs))
         res = MixedCellDistribution(f, f_map.n_out, out)
         if _nonzero_vec(f, f_map.shift):
             res = res.translate(f_map.shift)
@@ -657,23 +646,26 @@ def _pushforward_iso(f_map, u, budget) -> MixedCellDistribution:
     return pulled.scale(CycloScalar.q_pow(f.p, 2 * f.ord(f_map.det())))
 
 
+def _integrate_out(f, coef, mod, fs, coords):
+    """coef times the integral of one term over the given coordinates, or
+    None when it is 0: a ball B_r(c) contributes psi(a c) q^(-r) unless
+    psi(a x) oscillates on it, a point mass 1 (its modulation is zero), and
+    a full line is not integrable."""
+    for j in coords:
+        a, fac = mod[j], fs[j]
+        if isinstance(fac, FullF):
+            raise NotProperOnSupport("support is a full line in an integrated axis")
+        if isinstance(fac, BallF):
+            if not f.is_zero(a) and f.ord(a) < 1 - fac.r:
+                return None
+            coef = (coef * f.psi(f.mul(a, fac.center))).q_shift(-2 * fac.r)
+    return coef
+
+
 def _total_mass(u: MixedCellDistribution) -> CycloScalar:
     f = u.field
-    masses = []
-    for coef, mod, fs in u.terms:
-        c2 = coef
-        dead = False
-        for a, fac in zip(mod, fs):
-            if isinstance(fac, FullF):
-                raise NotProperOnSupport("total mass of a full-line factor")
-            if isinstance(fac, BallF):
-                if not f.is_zero(a) and f.ord(a) < 1 - fac.r:
-                    dead = True
-                    break
-                c2 = (c2 * f.psi(f.mul(a, fac.center))).q_shift(-2 * fac.r)
-        if not dead:
-            masses.append(c2)
-    return CycloScalar.sum(f.p, masses)
+    masses = (_integrate_out(f, c, mod, fs, range(u.n)) for c, mod, fs in u.terms)
+    return CycloScalar.sum(f.p, [m for m in masses if m is not None])
 
 
 # ---------------------------------------------------------------------------

@@ -68,14 +68,12 @@ from itertools import product
 from ..cyclo import CycloScalar
 from ..fields import INF, FieldError, LocalField, Polyball
 from ..polys import MultiPoly
-from ..schwartz import CellBudgetError, SchwartzBruhat
-
-DEFAULT_CERT_BUDGET = 20_000
-DEFAULT_INTEGRATION_BUDGET = 200_000
+from ..schwartz import DEFAULT_CELL_BUDGET, SchwartzBruhat, check_budget
 
 
 class PhaseCertificationError(FieldError):
-    """Raised when the gradient bound cannot be certified on some cell."""
+    """Raised when the gradient bound fails at some point, or when exact
+    integration contradicts the certified vanishing bound."""
 
     def __init__(self, message: str, witness=None):
         super().__init__(message)
@@ -233,8 +231,10 @@ def _certify_gradient(
 
     ``cert`` holds the expansion of the phase in all its variables.  A cell
     passing the dominant-term test at its center with cap ``d0`` is
-    certified; any other cell is subdivided one level in every coordinate.
-    Returns the number of cells certified.
+    certified.  A center with every ord(grad_i) > d0 refutes the bound, and
+    is the witness of the :class:`PhaseCertificationError` raised; any other
+    cell is subdivided one level in every coordinate, at most ``budget``
+    cells in all.  Returns the number of cells certified.
     """
     stack = [cell]
     done = 0
@@ -242,12 +242,14 @@ def _certify_gradient(
     while stack:
         cur = stack.pop()
         spent += 1
-        if spent > budget:
-            raise PhaseCertificationError(
-                "gradient certification budget exhausted", witness=cur
-            )
-        if _dominant(cert.grads, _OrdsAt(field, cert.tay, cur.centers), cur.radii, d0):
+        check_budget("gradient certificate", spent, budget)
+        ords = _OrdsAt(field, cert.tay, cur.centers)
+        if _dominant(cert.grads, ords, cur.radii, d0):
             done += 1
+        elif all(ords[ei] > d0 for ei, _ in cert.grads):
+            raise PhaseCertificationError(
+                "gradient bound fails at a cell center", witness=cur.centers
+            )
         else:
             stack.extend(cur.children())
     return done
@@ -259,7 +261,7 @@ def stationary_phase_bound(
     V: Polyball,
     delta,
     *,
-    budget: int = DEFAULT_CERT_BUDGET,
+    budget: int = DEFAULT_CELL_BUDGET,
     verify_window: int = 2,
     verify_eta_samples: int = 4,
 ) -> PhaseBoundReport:
@@ -274,6 +276,11 @@ def stationary_phase_bound(
     i.e. the integral vanishes whenever ord(lam) < -r.  The bound is then
     confirmed by exhaustive exact integration over ``verify_window`` scale
     orders below the threshold at the exact unit depth, for sampled eta.
+
+    One ``budget`` (default the shared ``DEFAULT_CELL_BUDGET``) bounds both
+    the cells the gradient certificate visits per support cell and, as in
+    :func:`oscillatory_integral`, the cells of each verification integral;
+    exceeding it raises :class:`CellBudgetError`.
     """
     field = phi.field
     n, r_par = phi.n, V.n
@@ -321,22 +328,11 @@ def stationary_phase_bound(
         return min(lb + w * s for lb, w in rest_orders)
 
     # --- window chaining -----------------------------------------------------
-    # find the least s0 >= s_min with a nonempty kill window whose successors
-    # chain downward forever: B(s0) > s0 + d0 and B(s0 + 1) >= s0 + d0 (every
-    # branch of B has slope >= 2, so the latter persists for all larger s).
-    s0 = s_min
-    guard = 0
-    while True:
-        b_here = rest_bound(s0)
-        b_next = rest_bound(s0 + 1)
-        if b_here is None or (b_here > s0 + d0 and b_next >= s0 + d0):
-            break
-        s0 += 1
-        guard += 1
-        if guard > 10_000:
-            raise PhaseCertificationError(
-                "no admissible cell level found for the remainder windows"
-            )
+    # the least s0 >= s_min with a nonempty kill window whose successors chain
+    # downward forever: B(s0) > s0 + d0, i.e. lb + (w - 1) s0 > d0 for every
+    # branch.  Every w >= 2, so this holds for all s >= s0 once it holds at
+    # s0, and it implies B(s0 + 1) >= s0 + d0.
+    s0 = max([s_min] + [(d0 - lb) // (w - 1) + 1 for lb, w in rest_orders])
     threshold = 1 - s0 - d0
     profile = tuple(
         (s, rest_bound(s), 1 - s - d0) for s in range(s0, s0 + 4)
@@ -366,7 +362,7 @@ def stationary_phase_bound(
                 field.pow_uniformizer(e_ord), field.residue_lift(ucode)
             )
             for eta in etas:
-                val = _integrate(field, phase, phi, eta, lam, budget * 10)
+                val = _integrate(field, phase, phi, eta, lam, budget)
                 checked += 1
                 if not val.is_zero():
                     raise PhaseCertificationError(
@@ -402,7 +398,7 @@ def oscillatory_integral(
     eta,
     lam,
     *,
-    budget: int = DEFAULT_INTEGRATION_BUDGET,
+    budget: int = DEFAULT_CELL_BUDGET,
 ) -> CycloScalar:
     """Exact value of integral_x phi(x) psi(lam * p(x, eta)) dx.
 
@@ -418,7 +414,8 @@ def oscillatory_integral(
     ``1 - L`` is dropped whole, because every level-``L`` subcell in it would
     be skipped.  ``budget`` bounds the number of level-``L`` subcells of one
     support cell that the level requests, skipped ones included, whether the
-    walk visits them or not; exceeding it raises :class:`CellBudgetError`.
+    walk visits them or not (default the shared ``DEFAULT_CELL_BUDGET``);
+    exceeding it raises :class:`CellBudgetError`.
     """
     field = phi.field
     n = phi.n
@@ -449,12 +446,8 @@ def _integrate(
         if steps:
             while min(lb + w * level for lb, w in steps) + lam_ord < 1:
                 level += 1
-        total_cells = field.q ** sum(level - r for r in ball.radii)
-        if total_cells > budget:
-            raise CellBudgetError(
-                f"integration cell budget exhausted: {total_cells} cells "
-                f"requested, {budget} allowed"
-            )
+        cells = field.q ** sum(level - r for r in ball.radii)
+        check_budget("oscillatory integral", cells, budget)
         # walk the cell top-down: drop a subtree on which some lam * d_i p
         # has one valuation below 1 - level, split any other cell above the
         # level, and at the level add psi(lam p) unless a gradient

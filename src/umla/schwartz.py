@@ -19,11 +19,19 @@ from typing import Iterator, Sequence
 from .cyclo import CycloScalar
 from .fields import FieldError, LocalField, Polyball, vec_add, vec_neg
 
+# the one cell budget: every cell-enumerating operation and every cexp
+# summation range defaults to it, and every cell guard calls check_budget
 DEFAULT_CELL_BUDGET = 1 << 18
 
 
 class CellBudgetError(FieldError):
     """An operation would materialize more cells than the allowed budget."""
+
+
+def check_budget(what: str, cells: int, budget: int) -> None:
+    """Raise :class:`CellBudgetError` naming both counts if cells > budget."""
+    if cells > budget:
+        raise CellBudgetError(f"{what}: {cells} cells requested, {budget} allowed")
 
 
 def coerce_scalar(p: int, value) -> CycloScalar:
@@ -114,6 +122,9 @@ class SchwartzBruhat:
         return tuple(out)
 
     def refine(self, levels, budget: int = DEFAULT_CELL_BUDGET) -> "SchwartzBruhat":
+        """The same function on finer levels.  ``budget`` bounds the refined
+        cells (default the shared ``DEFAULT_CELL_BUDGET``), here and in
+        ``common_refinement``, ``modulate`` and ``restrict``."""
         levels = self._levels_tuple(self.n, levels)
         if levels == self.levels:
             return self
@@ -122,10 +133,7 @@ class SchwartzBruhat:
             if new < old:
                 raise FieldError("refinement must not coarsen any coordinate")
             fan *= self.field.q ** (new - old)
-        if len(self.cells) * fan > budget:
-            raise CellBudgetError(
-                f"refinement would need {len(self.cells) * fan} cells (budget {budget})"
-            )
+        check_budget("refinement", len(self.cells) * fan, budget)
         field = self.field
         new_cells: dict = {}
         for center, coef in self.cells.items():
@@ -290,6 +298,8 @@ class SchwartzBruhat:
         q^(-r) psi(center*xi) when ord(xi) >= 1-r and to 0 otherwise, so the
         transform of a level-r decomposition is supported on B_{1-r}(0) and is
         constant on cells of radius 1-a, where a bounds the support.
+        ``budget`` (default the shared ``DEFAULT_CELL_BUDGET``) bounds the
+        (cell, frequency) pairs scanned for each coordinate.
         """
         field, n, p = self.field, self.n, self.field.p
         g = self.normalized()
@@ -306,11 +316,7 @@ class SchwartzBruhat:
                 for c in cells
             )
             grid = field.cell_reps(field.zero(), 1 - r, 1 - a)
-            if len(cells) * len(grid) > budget:
-                raise CellBudgetError(
-                    f"transform would scan {len(cells) * len(grid)} cell pairs "
-                    f"(budget {budget})"
-                )
+            check_budget("Fourier transform", len(cells) * len(grid), budget)
             raw: dict = {}
             for center, coef in cells.items():
                 ci = center[i]
@@ -332,13 +338,13 @@ class SchwartzBruhat:
         return SchwartzBruhat._trusted(field, n, tuple(levels), cells)
 
     def convolve(self, other: "SchwartzBruhat", budget=DEFAULT_CELL_BUDGET):
-        """Additive convolution with respect to the self-dual measure."""
+        """Additive convolution with respect to the self-dual measure.
+
+        ``budget`` (default the shared ``DEFAULT_CELL_BUDGET``) bounds the
+        refined cells of each operand and the cell pairs scanned.
+        """
         f, g = self.common_refinement(other, budget)
-        if len(f.cells) * len(g.cells) > budget:
-            raise CellBudgetError(
-                f"convolution would scan {len(f.cells) * len(g.cells)} cell pairs "
-                f"(budget {budget})"
-            )
+        check_budget("convolution", len(f.cells) * len(g.cells), budget)
         field, p = f.field, f.field.p
         shift = -2 * sum(f.levels)
         raw: dict = {}

@@ -469,7 +469,7 @@ def test_level_measure_json_round_trip():
 def test_level_measure_budget_overrun_is_a_cell_budget_error():
     prob = FiberProblem.from_string("x^2")
     phi = unit_ball_indicator(Q3)
-    with pytest.raises(CellBudgetError, match="scan of 27 cells exceeds the budget of 10"):
+    with pytest.raises(CellBudgetError, match="level scan: 27 cells requested, 10 allowed"):
         level_measure(prob, phi, eps_values=(0,), cell_budget=10)
 
 

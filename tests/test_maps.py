@@ -234,7 +234,9 @@ class TestPullback:
         for _ in range(20):
             x = (sample_element(f, rng), sample_element(f, rng))
             assert v.pointwise_eval(x) == u.pointwise_eval(m.apply(x))
-        with pytest.raises(CellBudgetError):
+        with pytest.raises(
+            CellBudgetError, match="preimage subdivision: 2 cells requested, 1 allowed"
+        ):
             pullback(m, u, budget=1)
 
     def test_general_matrix_rejected_equal_characteristic(self):

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import rng_for
+from conftest import FIELDS, rng_for
 from umla.cyclo import CycloScalar
 from umla.fields import FieldError, Polyball
 from umla.microlocal import (
@@ -271,6 +271,47 @@ class TestStationaryPhaseBound:
         with pytest.raises(PhaseCertificationError) as exc:
             stationary_phase_bound(p, phi, unit_eta_ball(f), Fraction(1, f.q**3), budget=60)
         assert exc.value.witness is not None
+
+    @pytest.mark.parametrize("src", ["4*x^2 + 4*x*e", "x^2*e"])
+    def test_refuted_center_is_a_point_witness(self, src):
+        # over Q_2 on pi*O x (1 + pi*O), delta = 1 (d0 = 0): at (0, 1) every
+        # ord(d_x p) > 0, so |grad_x p| < delta there and no split can certify
+        # the cell; the certificate stops at once, whatever the budget
+        f = FIELDS["Q2"]
+        p = parse_poly(src, ("x", "e"))
+        support, V = Polyball.ball(f, (f.zero(),), 1), unit_eta_ball(f)
+        with pytest.raises(PhaseCertificationError) as exc:
+            stationary_phase_bound(p, SchwartzBruhat.indicator(support), V, 1, budget=1)
+        point = exc.value.witness
+        assert support.contains(point[:1]) and V.contains(point[1:])
+        assert f.ord(p.derivative(0).eval_field(f, point)) > 0
+
+    def test_certificate_budget_overrun_is_a_cell_budget_error(self):
+        # the phase of test_cubic_phases_are_exact over Q_5: d_x p = e + 3x^2
+        # is a unit on O x (1 + pi*O) (-1/3 = 3 is not a square mod 5), but the
+        # root cell fails the dominant-term test, so certifying splits it
+        f = FIELDS["Q5"]
+        p = parse_poly("x^3 + x*e", ("x", "e"))
+        phi = indicator(f, (f.zero(),), 0)
+        rep = stationary_phase_bound(p, phi, unit_eta_ball(f), 1)
+        assert rep.certified_cells >= 2
+        with pytest.raises(
+            CellBudgetError, match="gradient certificate: 2 cells requested, 1 allowed"
+        ):
+            stationary_phase_bound(p, phi, unit_eta_ball(f), 1, budget=1)
+
+    def test_one_budget_bounds_the_verification_integrals(self, field):
+        # one cell certifies x^2*e on 1 + pi*O, but each verification
+        # integral needs q cells or more, and the same budget bounds them
+        f = field
+        p = parse_poly("x^2*e", ("x", "e"))
+        delta = Fraction(1, f.q ** f.ord(f.from_int(2)))
+        phi = indicator(f, (f.one(),), 1)
+        assert stationary_phase_bound(p, phi, unit_eta_ball(f), delta).certified_cells == 1
+        with pytest.raises(
+            CellBudgetError, match=r"oscillatory integral: \d+ cells requested, 1 allowed"
+        ):
+            stationary_phase_bound(p, phi, unit_eta_ball(f), delta, budget=1)
 
     def test_constant_phase_rejected(self, field):
         f = field
