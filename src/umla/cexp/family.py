@@ -212,7 +212,7 @@ def dis_sample(
                     r = rng.randrange(radius_range[0], radius_range[1] + 1)
                     xs = tuple(_random_point(field, rng) for _ in range(family.n))
                     parent, total = _ball_and_subcells(view, field, xs, r)
-                    if not (parent - total).is_zero():
+                    if parent != total:
                         add_fail += 1
                         if add_fail <= max_witnesses:
                             witnesses.append(
@@ -237,7 +237,7 @@ def dis_sample(
                         for x in xs
                     )
                     moved = view.b_function(shifted, r)
-                    if not (parent - moved).is_zero():
+                    if parent != moved:
                         center_fail += 1
                         if center_fail <= max_witnesses:
                             witnesses.append(

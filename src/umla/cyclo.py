@@ -16,6 +16,18 @@ emptiness check.  sqrt(q) stays a formal symbol: identities that relate
 sqrt(p) to Gauss sums of p-power roots are (deliberately) not recognized, so
 the zero test is complete on each slice and sound overall.
 
+Canonicalisation runs on integer angle indices.  One pass over the raw
+triples folds q^k into the coefficient and adds it under the key
+(denominator, numerator mod denominator) of its angle, one dict per slice;
+a reduced Fraction makes that key unique per root of unity.  Per slice the
+largest denominator gives p^K, every index is lifted to j with angle = j/p^K
+by an integer multiplication, and the indices j >= phi(p^K) are rewritten on
+ints.  Only the stored ``terms``, (e2, Fraction(j, p^K), Fraction(coef)) in
+order of j, leave ``_canonical``.  The form is independent of K (lifting a
+reduced level-(K-1) vector gives a reduced level-K vector), so it is unique:
+``a == b`` is the exact equality test.  Callers use it rather than the zero
+test of ``a - b``, which canonicalises twice more (a negation and a sum).
+
 Sums of many scalars should go through ``CycloScalar.sum`` or a raw-triple
 constructor ``CycloScalar(p, [(e2, angle, coef), ...])``, never through a
 loop of ``+``: each ``+`` re-canonicalises the whole running sum, so a loop
@@ -33,58 +45,53 @@ from typing import Iterable, Iterator
 __all__ = ["CycloScalar"]
 
 
-def _ppow_denominator_exp(p: int, ang: Fraction) -> int:
-    """Exponent k with ang.denominator == p**k, or raise if not a p-power."""
-    d, k = ang.denominator, 0
-    while d % p == 0:
-        d //= p
-        k += 1
-    if d != 1:
-        raise ValueError(f"angle {ang} is not of p-power order for p={p}")
-    return k
-
-
 def _canonical(p: int, raw: Iterable[tuple[int, Fraction, Fraction]]) -> tuple:
     """Reduce (e2, angle, coef) triples to the canonical sorted term tuple.
 
-    Integer powers of q are folded into the rational coefficient, so the only
-    surviving exponents are e2 = 0 and e2 = 1 (a formal factor sqrt(q)).
+    Integer powers of q are folded into the coefficient, so the only surviving
+    exponents are e2 = 0 and e2 = 1 (a formal factor sqrt(q)).  Angles and
+    coefficients may be ints or Fractions; the terms hold Fractions only (an
+    int coefficient is converted on the way out, a Fraction is kept as is).
     """
-    slices: dict[int, dict[Fraction, Fraction]] = {}
+    slices: dict[int, dict[tuple[int, int], Fraction]] = {}
     for e2, ang, coef in raw:
         if not coef:
             continue
         k, r = divmod(int(e2), 2)
-        coef = Fraction(coef) * Fraction(p) ** k
-        ang = ang % 1
-        slices.setdefault(r, {})
-        slices[r][ang] = slices[r].get(ang, Fraction(0)) + coef
+        if k > 0:
+            coef = coef * p**k
+        elif k < 0:
+            coef = Fraction(coef.numerator, coef.denominator * p**-k)
+        den = ang.denominator
+        key = (den, ang.numerator % den)
+        acc = slices.get(r)
+        if acc is None:
+            slices[r] = {key: coef}
+        else:
+            acc[key] = acc.get(key, 0) + coef
     out = []
-    for e2 in sorted(slices):
-        angs = slices[e2]
-        K = max((_ppow_denominator_exp(p, a) for a in angs), default=0)
-        if K == 0:
-            c = sum(angs.values(), Fraction(0))
-            if c:
-                out.append((e2, Fraction(0), c))
-            continue
-        pK = p**K
-        phi = pK // p * (p - 1)
-        vec: dict[int, Fraction] = {}
-        for ang, c in angs.items():
-            j = int(ang * pK)
-            vec[j] = vec.get(j, Fraction(0)) + c
+    for r in sorted(slices):
+        acc = slices[r]
+        pK = max(den for den, _ in acc)
+        d = pK
+        while d % p == 0:
+            d //= p
+        if d != 1 or any(pK % den for den, _ in acc):
+            dens = sorted({den for den, _ in acc})
+            raise ValueError(f"angle denominators {dens} are not all powers of p={p}")
+        vec = {num * (pK // den): c for (den, num), c in acc.items()}
+        step = pK // p
+        phi = pK - step  # phi(p^K); phi(1) = 1 leaves a rational slice as it is
         for j in [j for j in vec if j >= phi]:
             c = vec.pop(j)
-            if not c:
-                continue
-            t = j - phi
-            for i in range(p - 1):
-                jj = t + i * (pK // p)
-                vec[jj] = vec.get(jj, Fraction(0)) - c
+            if c:
+                for jj in range(j - phi, phi, step):
+                    vec[jj] = vec.get(jj, 0) - c
         for j in sorted(vec):
-            if vec[j]:
-                out.append((e2, Fraction(j, pK), vec[j]))
+            c = vec[j]
+            if c:
+                c = c if type(c) is Fraction else Fraction(c)
+                out.append((r, Fraction(j, pK), c))
     return tuple(out)
 
 
@@ -94,6 +101,11 @@ class CycloScalar:
     __slots__ = ("p", "terms", "_hash")
 
     def __init__(self, p: int, raw: Iterable[tuple[int, Fraction, Fraction]] = ()):
+        """Canonical sum of the raw (e2, angle, coef) triples.
+
+        Angles and coefficients are ints or Fractions; ``fraction``, ``q_pow``
+        and ``root`` convert any other rational coefficient first.
+        """
         if p < 2:
             raise ValueError("residue cardinality must be at least 2")
         object.__setattr__(self, "p", p)
@@ -219,6 +231,12 @@ class CycloScalar:
         return z
 
     def __eq__(self, other) -> bool:
+        """Exact equality: ``a == b`` holds exactly when ``a - b`` is zero.
+
+        The terms are coordinates on a basis, taken per sqrt(q)-slice, so two
+        values agree exactly when their terms do; the formal sqrt(q) slice is
+        independent of the rational one here just as in the zero test.
+        """
         if not isinstance(other, CycloScalar):
             return NotImplemented
         return self.p == other.p and self.terms == other.terms

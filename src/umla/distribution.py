@@ -74,18 +74,14 @@ class MixedCellDistribution:
         merged: dict = {}
         for coef, mod, factors in raw_terms:
             coef, mod, factors = self._canonical_term(field, n, coef, mod, factors)
-            if coef.is_zero():
-                continue
-            key = (mod, factors)
-            if key in merged:
-                merged[key] = merged[key] + coef
-            else:
-                merged[key] = coef
-        self.terms = tuple(
-            (coef, mod, factors)
-            for (mod, factors), coef in merged.items()
-            if not coef.is_zero()
-        )
+            if not coef.is_zero():
+                merged.setdefault((mod, factors), []).append(coef)
+        terms = []
+        for (mod, factors), coefs in merged.items():
+            coef = coefs[0] if len(coefs) == 1 else CycloScalar.sum(field.p, coefs)
+            if not coef.is_zero():
+                terms.append((coef, mod, factors))
+        self.terms = tuple(terms)
 
     @staticmethod
     def _canonical_term(field, n, coef, mod, factors):
@@ -604,7 +600,7 @@ def additivity_check(u, ball: Polyball) -> bool:
     if len(radii) != 1:
         raise FieldError("additivity check needs a ball with uniform radii")
     parent, total = _ball_and_subcells(u, ball.field, ball.centers, next(iter(radii)))
-    return (parent - total).is_zero()
+    return parent == total
 
 
 def _ball_and_subcells(u, field: LocalField, xs, r: int):

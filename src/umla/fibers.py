@@ -531,7 +531,7 @@ def level_measure(
                     parent = field.canon_trunc(c, cand)
                     value = table[c]
                     if parent in groups:
-                        if not (groups[parent] - value).is_zero():
+                        if groups[parent] != value:
                             pure = False
                             break
                     else:

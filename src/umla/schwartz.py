@@ -263,9 +263,7 @@ class SchwartzBruhat:
                     key = center[:i] + (parent,) + center[i + 1 :]
                     groups.setdefault(key, []).append(coef)
                 for members in groups.values():
-                    if len(members) != q or any(
-                        not (c - members[0]).is_zero() for c in members[1:]
-                    ):
+                    if len(members) != q or any(c != members[0] for c in members[1:]):
                         ok = False
                         break
                 if ok:
@@ -287,7 +285,7 @@ class SchwartzBruhat:
         f, g = self.common_refinement(other)
         if set(f.cells) != set(g.cells):
             return False
-        return all((coef - g.cells[k]).is_zero() for k, coef in f.cells.items())
+        return all(coef == g.cells[k] for k, coef in f.cells.items())
 
     # -- transforms --------------------------------------------------------------
 

@@ -69,6 +69,61 @@ def psi_by_digits(field: LocalField, x) -> Fraction:
     return Fraction(ds[-v], field.p) if len(ds) > -v else Fraction(0)
 
 
+def canonical_terms(p: int, raw) -> tuple:
+    """Canonical term tuple of (e2, angle, coef) triples, on Fractions only.
+
+    The reduction ``CycloScalar`` used before it moved to integer angle
+    indices: angles are taken mod 1 and summed in Fraction-keyed dicts, then
+    rewritten on the basis {zeta^j : 0 <= j < phi(p^K)} of Q(zeta_{p^K}).
+    """
+
+    def ppow_exp(ang: Fraction) -> int:
+        d, k = ang.denominator, 0
+        while d % p == 0:
+            d //= p
+            k += 1
+        if d != 1:
+            raise ValueError(f"angle {ang} is not of p-power order for p={p}")
+        return k
+
+    slices: dict = {}
+    for e2, ang, coef in raw:
+        if not coef:
+            continue
+        k, r = divmod(int(e2), 2)
+        coef = Fraction(coef) * Fraction(p) ** k
+        ang = ang % 1
+        slices.setdefault(r, {})
+        slices[r][ang] = slices[r].get(ang, Fraction(0)) + coef
+    out = []
+    for e2 in sorted(slices):
+        angs = slices[e2]
+        K = max((ppow_exp(a) for a in angs), default=0)
+        if K == 0:
+            c = sum(angs.values(), Fraction(0))
+            if c:
+                out.append((e2, Fraction(0), c))
+            continue
+        pK = p**K
+        phi = pK // p * (p - 1)
+        vec: dict = {}
+        for ang, c in angs.items():
+            j = int(ang * pK)
+            vec[j] = vec.get(j, Fraction(0)) + c
+        for j in [j for j in vec if j >= phi]:
+            c = vec.pop(j)
+            if not c:
+                continue
+            t = j - phi
+            for i in range(p - 1):
+                jj = t + i * (pK // p)
+                vec[jj] = vec.get(jj, Fraction(0)) - c
+        for j in sorted(vec):
+            if vec[j]:
+                out.append((e2, Fraction(j, pK), vec[j]))
+    return tuple(out)
+
+
 def riemann_integral(field: LocalField, fn, ball, level: int) -> CycloScalar:
     """Sum fn(center)*q^(-level*n) over the level-`level` cells of a polyball."""
     total = CycloScalar.zero(field.p)

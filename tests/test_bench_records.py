@@ -1,0 +1,41 @@
+"""Committed benchmark records (``BENCH_*.json`` at the repo root).
+
+A speed claim counts only with a committed record of the benchmark run
+before and after the change.  Each record must cover every workload and every
+end-to-end metric that ``BENCHMARK.json`` declares, give both sides as
+numbers, and show the same result digest on both sides: a change that moves
+a digest changed the exact results, so its timings compare different work.
+"""
+
+import json
+import math
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+DECLARED = json.loads((ROOT / "BENCHMARK.json").read_text())
+RECORDS = sorted(ROOT.glob("BENCH_*.json"))
+
+
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+
+
+def test_a_record_is_committed():
+    assert RECORDS
+
+
+@pytest.mark.parametrize("path", RECORDS, ids=lambda p: p.name)
+def test_record_covers_the_declared_benchmark(path):
+    record = json.loads(path.read_text())
+    for workload in DECLARED["workloads"]:
+        entry = record["workloads"][workload["name"]]
+        assert entry["seeds"] and _is_number(entry["run_seconds"])
+        for metric in DECLARED["end_to_end"]:
+            row = entry["metrics"][metric["name"]]
+            assert _is_number(row["parent"]) and _is_number(row["change"])
+            assert row["unit"] == metric["unit"]
+        assert set(entry["digests"]) == {str(s) for s in entry["seeds"]}
+        for seed, digests in entry["digests"].items():
+            assert digests["parent"] == digests["change"], (workload["name"], seed)

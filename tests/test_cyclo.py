@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import rng_for, sample_scalar
+from oracles import canonical_terms
 
 from umla.cyclo import CycloScalar
 
@@ -105,6 +106,97 @@ def test_rationality_checks():
 def test_monomial_inverse():
     z = CycloScalar(2, [(3, Fraction(1, 4), Fraction(5, 7))])
     assert z * z.inverse() == CycloScalar.one(2)
+
+
+# -- canonicalisation against the Fraction-only reference ------------------------
+
+@st.composite
+def _raw_triples(draw, p=None):
+    """(p, raw): q-exponents on both slices, unreduced angles, mixed coefficients.
+
+    Angles have denominators p^0 .. p^3 and numerators outside [0, p^k),
+    negative ones included; an angle of denominator 1 is sometimes a bare
+    int.  Coefficients are ints, Fractions and zeros.
+    """
+    p = p or draw(st.sampled_from([2, 3, 5]))
+    raw = []
+    for _ in range(draw(st.integers(0, 8))):
+        k = draw(st.integers(0, 3))
+        num = draw(st.integers(-2 * p**k, 2 * p**k))
+        ang = num if k == 0 and draw(st.booleans()) else Fraction(num, p**k)
+        coef = draw(
+            st.one_of(
+                st.just(0),
+                st.just(Fraction(0)),
+                st.integers(-6, 6),
+                st.builds(Fraction, st.integers(-6, 6), st.integers(1, 12)),
+            )
+        )
+        raw.append((draw(st.integers(-5, 5)), ang, coef))
+    # repeat some triples so that like angles merge and orbits can cancel
+    repeats = st.lists(st.sampled_from(raw), max_size=4) if raw else st.just([])
+    return p, raw + draw(repeats)
+
+
+@settings(max_examples=500, derandomize=True, deadline=None)
+@given(_raw_triples())
+def test_canonical_matches_fraction_reference(case):
+    p, raw = case
+    got = CycloScalar(p, raw).terms
+    assert got == canonical_terms(p, raw)
+    for e2, ang, coef in got:
+        assert type(e2) is int and e2 in (0, 1)
+        assert type(ang) is Fraction and 0 <= ang < 1
+        assert type(coef) is Fraction and coef != 0
+
+
+def test_non_p_power_angles_raise():
+    with pytest.raises(ValueError):
+        CycloScalar.root(3, Fraction(1, 2))
+    with pytest.raises(ValueError):
+        CycloScalar.root(3, Fraction(1, 6))
+    # the largest denominator is a power of 3, another is not
+    with pytest.raises(ValueError):
+        CycloScalar(3, [(0, Fraction(1, 9), 1), (0, Fraction(1, 6), 1)])
+    # also in the sqrt(q) slice, and when the offending terms cancel
+    with pytest.raises(ValueError):
+        CycloScalar(5, [(1, Fraction(1, 10), 1)])
+    with pytest.raises(ValueError):
+        CycloScalar(2, [(0, Fraction(1, 3), 1), (0, Fraction(1, 3), -1)])
+    # a zero coefficient drops its triple before its angle is looked at
+    assert CycloScalar(3, [(0, Fraction(1, 2), 0)]).is_zero()
+
+
+@st.composite
+def _scalar_pairs(draw):
+    """(a, b): equal values built from different raw triples, or unequal ones."""
+    p, raw = draw(_raw_triples())
+    a = CycloScalar(p, raw)
+    kind = draw(st.sampled_from(["rebuilt", "shifted", "random"]))
+    if kind == "rebuilt":
+        # the same value: permuted triples, split coefficients, a full orbit
+        k = draw(st.integers(1, 3))
+        f2 = draw(st.integers(-3, 3))
+        orbit = [(f2, Fraction(j, p**k), 2) for j in range(p**k)]
+        split = [(e2, ang, Fraction(c, 2)) for e2, ang, c in raw for _ in range(2)]
+        b = CycloScalar(p, draw(st.permutations(split + orbit)))
+    elif kind == "shifted":
+        # differ by a nonzero scalar in one slice only (odd e2: sqrt(q) slice)
+        e2 = draw(st.integers(-3, 3))
+        ang = Fraction(draw(st.integers(0, p**2 - 1)), p**2)
+        b = a + CycloScalar.root(p, ang, draw(st.integers(1, 4))).q_shift(e2)
+    else:
+        b = CycloScalar(*draw(_raw_triples(p)))
+    return draw(st.permutations([a, b]))
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(_scalar_pairs())
+def test_equality_is_the_zero_test_of_the_difference(pair):
+    a, b = pair
+    assert (a - b).is_zero() == (a == b)
+    if a == b:
+        assert hash(a) == hash(b)
 
 
 # -- the accumulator: CycloScalar.sum against the left fold of + --------------
