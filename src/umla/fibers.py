@@ -29,6 +29,8 @@ from .polys import (
     FieldPoly,
     MultiPoly,
     critical_value_locus,
+    horner_ints,
+    int_ord,
     parse_poly,
     ring_det,
     sylvester_matrix,
@@ -146,6 +148,17 @@ def _unit_window_roots(field: LocalField, coeffs, k: int):
     integral, every surviving cell deeper than ord Res(g, g') is decided.
     Raises ClusterUnresolved only when Res(g, g') = 0, i.e. g has a
     repeated root, and a cell is still undecided at level k.
+
+    The walk runs on ints: the level-L cells are the codes a in [0, q^L)
+    of their canonical centres (``residue_lift``), and the children of a
+    are a + d*q^L.  Over Q_p the code is the centre itself, and
+    ord g(a) = v_p(G(a)) for G = D*g with integer coefficients over their
+    common denominator D (``FieldPoly.ints``; likewise for g'): the content
+    scaling makes every coefficient of g, and so of g', p-integral, so D is
+    a p-unit and the valuation is exact for every input.  Field elements
+    are built only for found roots (Newton lifting) and for the centre that
+    ClusterUnresolved reports.  Over F_p((t)) g is evaluated on the lifted
+    centre.
     """
     if k < 1:
         raise FieldError("root precision must be at least 1")
@@ -160,16 +173,26 @@ def _unit_window_roots(field: LocalField, coeffs, k: int):
     dcoeffs = [field.mul(field.from_int(i), c) for i, c in enumerate(g.coeffs)][1:]
     gp = FieldPoly(field, dcoeffs)
     res_ord = None  # ord Res(g, g'), computed once a cell reaches level k
+    if field.kind == "p-adic":
+
+        def ord_at(poly: FieldPoly, a: int):
+            return int_ord(horner_ints(poly.ints[0], a)[0], field.p)
+
+    else:
+
+        def ord_at(poly: FieldPoly, a: int):
+            return field.ord(poly.eval(field.residue_lift(a)))
 
     found = []
-    cells = [(field.zero(), 0, field.ord(g.eval(field.zero())))]
+    cells = [(0, 0, ord_at(g, 0))]
     while cells:
         a, level, va = cells.pop()
-        vpa = field.ord(gp.eval(a))
+        vpa = ord_at(gp, a)
         if level > vpa:
             if va >= level + vpa:
                 # dorder is the derivative order of the input coefficients
-                found.append((_newton_lift(field, g, gp, a, vpa, k), vpa + content))
+                root = _newton_lift(field, g, gp, field.residue_lift(a), vpa, k)
+                found.append((root, vpa + content))
             continue
         if level >= k:
             if res_ord is None:
@@ -179,13 +202,11 @@ def _unit_window_roots(field: LocalField, coeffs, k: int):
                 )
                 res_ord = field.ord(res)
             if res_ord == INF:
-                raise ClusterUnresolved(field, a, level)
-        step = field.pow_uniformizer(level)
+                raise ClusterUnresolved(field, field.residue_lift(a), level)
+        step = field.q**level
         for d in range(field.q):
-            child = field.canon_trunc(
-                field.add(a, field.mul(field.from_int(d), step)), level + 1
-            )
-            vc = field.ord(g.eval(child))
+            child = a + d * step
+            vc = ord_at(g, child)
             if vc > level:
                 cells.append((child, level + 1, vc))
     return sorted(found, key=lambda item: (_elem_sort_key(item[0]), item[1]))
@@ -328,9 +349,15 @@ def fiber_integrate(problem: FiberProblem, phi: SchwartzBruhat, y) -> CycloScala
         return CycloScalar.zero(field.p)
     support, constancy = phi.alpha_bounds()
     points = _fiber_points(problem, phi, y, max(constancy, support + 1, 1))
-    # 1/|f'(x)| = q^(ord f'(x)), with the doubled-exponent encoding
-    return CycloScalar.sum(
-        field.p, [phi.eval_at((root,)).q_shift(2 * dorder) for root, dorder in points]
+    # 1/|f'(x)| = q^(ord f'(x)), with the doubled-exponent encoding; one
+    # raw-triple construction canonicalises the shifted terms of every point
+    return CycloScalar(
+        field.p,
+        [
+            (e2 + 2 * dorder, angle, coef)
+            for root, dorder in points
+            for e2, angle, coef in phi.eval_at((root,)).terms
+        ],
     )
 
 

@@ -347,6 +347,9 @@ class PAdicField(LocalField):
         return num * pow(den, -1, mod) % mod
 
     def canon_trunc(self, a: Fraction, r: int) -> Fraction:
+        if a.denominator == 1 and r >= 0:
+            # an integer's digits below r are its residue mod p^r
+            return Fraction(a.numerator % self.p**r)
         if a == 0:
             return Fraction(0)
         v = self.ord(a)

@@ -10,15 +10,83 @@ of the values taken where each coordinate has a given valuation lower bound.
 ``sylvester_resultant`` works over the ring Z[y] (one-variable ``MultiPoly``
 entries) via exact Laplace expansion, which is plenty for the small degrees
 used here.
+
+Over Q_p every evaluation runs on Python ints.  The point is brought to
+integer numerators over one common denominator, x_i = n_i / d, and the
+coefficients to numerators c_e over theirs, b (b = 1 for ``MultiPoly``).
+For P of total degree m,
+
+    N = b * d^m * P(n / d) = sum_e c_e * n^e * d^(m - |e|)
+
+is an integer (the homogenised form), and P(x) = N / (b * d^m).  This holds
+for every rational input, whatever its denominators, so no precision has to
+be chosen.  ``monomial_ints`` evaluates the sparse form with the powers of
+each n_i and of d shared between the monomials, ``horner_ints`` the dense
+one-variable form by Horner steps.  A caller builds at most one ``Fraction``
+from the ints; one that needs only the valuation takes ``int_ord`` of them
+instead.  Over F_p((t)) evaluation stays on ``LaurentPoly`` elements.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from itertools import product
-from math import comb, prod
+from math import comb, lcm, prod
 from typing import Sequence
 
-from .fields import INF, FieldError, LocalField
+from .fields import INF, FieldError, LocalField, _vp
+
+
+def common_denominator(xs: Sequence) -> tuple[list[int], int]:
+    """Integer numerators of the rationals ``xs`` over their least common
+    denominator, and that denominator."""
+    den = lcm(*(x.denominator for x in xs))
+    return [x.numerator * (den // x.denominator) for x in xs], den
+
+
+def horner_ints(cs: Sequence[int], n: int, d: int = 1) -> tuple[int, int]:
+    """(N, d^m) with sum_k cs[k] (n/d)^k = N / d^m, m = len(cs) - 1.
+
+    Horner's rule on the homogenised form: N = sum_k cs[k] n^k d^(m - k).
+    """
+    acc, dk = 0, 1
+    for c in reversed(cs):
+        acc = acc * n + c * dk
+        dk *= d
+    return acc, dk // d if cs else 1
+
+
+def monomial_ints(coeffs: dict, nums: Sequence[int], d: int) -> tuple[int, int]:
+    """(N, d^m) with sum_e c_e (nums/d)^e = N / d^m, m the total degree.
+
+    ``coeffs`` maps exponent tuples to ints.  Each monomial multiplies
+    entries of one power table per coordinate and of d, each built once.
+    """
+    m = max(map(sum, coeffs), default=0)
+    tables = []
+    for x in nums:
+        row = [1]
+        for _ in range(m):
+            row.append(row[-1] * x)
+        tables.append(row)
+    dpow = [1]
+    if d != 1:
+        for _ in range(m):
+            dpow.append(dpow[-1] * d)
+    total = 0
+    for e, c in coeffs.items():
+        for row, k in zip(tables, e):
+            if k:
+                c *= row[k]
+        if d != 1:
+            c *= dpow[m - sum(e)]
+        total += c
+    return total, dpow[-1]
+
+
+def int_ord(v: int, p: int):
+    """p-adic valuation of an integer; INF for 0."""
+    return INF if v == 0 else _vp(v, p)
 
 
 class MultiPoly:
@@ -136,9 +204,19 @@ class MultiPoly:
         return result
 
     def eval_field(self, field: LocalField, xs: Sequence):
-        """Exact value at a point with local-field coordinates."""
+        """Exact value at a point with local-field coordinates.
+
+        Over Q_p the point goes to integer numerators over one denominator d
+        and the homogenised form d^m * p(x) is summed on ints
+        (``monomial_ints``), which is exact for every rational point; one
+        ``Fraction`` is built from the result.  Over F_p((t)) the monomials
+        are summed on field elements.
+        """
         if len(xs) != self.n:
             raise FieldError("wrong number of coordinates")
+        if field.kind == "p-adic":
+            nums, d = common_denominator(xs)
+            return Fraction(*monomial_ints(self.coeffs, nums, d))
         total = field.zero()
         for e, c in self.coeffs.items():
             term = field.from_int(c)
@@ -271,9 +349,14 @@ def parse_poly(src: str, var_names: Sequence[str]) -> MultiPoly:
 
 
 class FieldPoly:
-    """Dense univariate polynomial with local-field coefficients."""
+    """Dense univariate polynomial with local-field coefficients.
 
-    __slots__ = ("field", "coeffs")
+    Over Q_p, ``ints`` holds the integer numerators of the coefficients over
+    their least common denominator, and that denominator; it is None over
+    F_p((t)).
+    """
+
+    __slots__ = ("field", "coeffs", "ints")
 
     def __init__(self, field: LocalField, coeffs: Sequence):
         self.field = field
@@ -281,6 +364,7 @@ class FieldPoly:
         while cs and field.is_zero(cs[-1]):
             cs.pop()
         self.coeffs = tuple(cs)
+        self.ints = common_denominator(cs) if field.kind == "p-adic" else None
 
     @classmethod
     def from_ints(cls, field: LocalField, coeffs: Sequence[int]) -> "FieldPoly":
@@ -303,6 +387,18 @@ class FieldPoly:
         return not self.coeffs
 
     def eval(self, x):
+        """Exact value at a field element.
+
+        Over Q_p, with the coefficients c_k = a_k / b and x = n / d on ints,
+        Horner's rule on the homogenised form gives N = sum_k a_k n^k d^(m-k)
+        and the value N / (b * d^m) (``horner_ints``): exact for every
+        rational x, built as one ``Fraction``.  Over F_p((t)), Horner's rule
+        runs on field elements.
+        """
+        if self.ints is not None:
+            nums, b = self.ints
+            num, den = horner_ints(nums, x.numerator, x.denominator)
+            return Fraction(num, b * den)
         field = self.field
         total = field.zero()
         for c in reversed(self.coeffs):

@@ -124,6 +124,22 @@ def canonical_terms(p: int, raw) -> tuple:
     return tuple(out)
 
 
+def eval_by_fractions(coeffs: dict, xs) -> Fraction:
+    """sum_e c_e x^e over Q, monomial by monomial on Fractions.
+
+    ``coeffs`` maps exponent tuples to int or Fraction coefficients; the
+    point's coordinates are rationals.  No common denominator, no shared
+    powers: each monomial is its own product of Fraction powers.
+    """
+    total = Fraction(0)
+    for e, c in coeffs.items():
+        term = Fraction(c)
+        for x, k in zip(xs, e, strict=True):
+            term *= Fraction(x) ** k
+        total += term
+    return total
+
+
 def riemann_integral(field: LocalField, fn, ball, level: int) -> CycloScalar:
     """Sum fn(center)*q^(-level*n) over the level-`level` cells of a polyball."""
     total = CycloScalar.zero(field.p)

@@ -293,6 +293,49 @@ def test_pushforward_square_map_negative_support():
     assert fiber_integrate(prob, phi, Q3.element_from_json("1/81")).is_zero()
 
 
+# Non-integral input to the integer root walk: y with a denominator prime to
+# p, and phi supported on B_{-1}(0), so that _window_roots substitutes
+# x = u/p and scales the coefficients by powers of p.  Each value is a
+# Hensel count by hand; the umlabench fiber oracle (on h(u) = p^d f(u/p) at
+# p^d y for the B_{-1} rows) gives the same numbers.
+NON_INTEGRAL_FIBERS = [
+    # [DERIVED] 1/7 = 1 mod 3 is a unit square: roots +-1/sqrt(7), |2x| = 1.
+    ("Q3", "x^2", 0, "1/7", 2),
+    # [DERIVED] roots +-1/(3 sqrt(7)) of ord -1, |2x| = 3: 1/3 each.
+    ("Q3", "x^2", -1, "1/63", Fraction(2, 3)),
+    # [DERIVED] 6/7 = 0 mod 3 and x^3 - x = 0 mod 3 with f' = -1 mod 3:
+    # one simple root in each residue class, |f'| = 1.
+    ("Q3", "x^3 - x", 0, "6/7", 3),
+    # [DERIVED] 1/7 = 1 mod 3 is not a value of x^3 - x mod 3.
+    ("Q3", "x^3 - x", 0, "1/7", 0),
+    # [DERIVED] 1/9 = 1 mod 8 is a unit square: roots +-1/3, |2x| = 1/2.
+    ("Q2", "x^2", 0, "1/9", 4),
+    # [DERIVED] 1/7 = 7 mod 8 is not a square in Q_2.
+    ("Q2", "x^2", 0, "1/7", 0),
+    # [DERIVED] roots +-1/6 of ord -1, |2x| = 1.
+    ("Q2", "x^2", -1, "1/36", 2),
+    # [DERIVED] ord y = -3 forces ord x = -1; x = u/2 with u^3 - 4u = 3/7,
+    # whose only root mod 2 is the simple root 1: one root, |3x^2 - 1| = 4.
+    ("Q2", "x^3 - x", -1, "3/56", Fraction(1, 4)),
+    # [DERIVED] 3/7 = 4 = 2^2 mod 5: two unit roots, |2x| = 1.
+    ("Q5", "x^2", 0, "3/7", 2),
+    # [DERIVED] 1/11 = 1 mod 5: roots +-1/(5 sqrt(11)) of ord -1, |2x| = 5.
+    ("Q5", "x^2", -1, "1/275", Fraction(2, 5)),
+    # [DERIVED] ord y = -3 forces ord x = -1; x = u/5 with u^3 - 25u = 8/7
+    # = 4 mod 5, and cubing is a bijection mod 5 with unit derivative at the
+    # root u = 4: one root, |3x^2 - 1| = 25.
+    ("Q5", "x^3 - x", -1, "8/875", Fraction(1, 25)),
+]
+
+
+@pytest.mark.parametrize("fname, f, radius, y, want", NON_INTEGRAL_FIBERS)
+def test_pushforward_non_integral_base_points_and_windows(fname, f, radius, y, want):
+    field = FIELDS[fname]
+    prob = FiberProblem.from_string(f)
+    phi = SchwartzBruhat.indicator(Polyball.ball(field, (field.zero(),), radius))
+    assert fiber_integrate(prob, phi, Fraction(y)) == scalar(field, want)
+
+
 def test_pushforward_cube_map():
     # [DERIVED] x^3 = 1 has the single Q_3 root 1 (the quadratic cofactor
     # x^2 + x + 1 has discriminant -3, not a square); |f'(1)| = |3| = 1/3.

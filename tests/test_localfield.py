@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 from conftest import FIELDS, rng_for, sample_element, sample_nonzero
-from oracles import ac_by_digits, psi_by_digits
+from oracles import ac_by_digits, digits, psi_by_digits
 
 from umla.cyclo import CycloScalar
 from umla.fields import (
@@ -121,14 +121,28 @@ def test_psi_root_of_unity_order():
 
 def test_canon_trunc_properties():
     rng = rng_for("trunc")
-    for field in FIELDS.values():
-        for _ in range(300):
-            x = sample_element(field, rng)
-            r = rng.randrange(-3, 5)
-            c = field.canon_trunc(x, r)
-            diff = field.sub(x, c)
-            assert field.is_zero(diff) or field.ord(diff) >= r
-            assert field.canon_trunc(c, r) == c
+    cases = [
+        (field, sample_element(field, rng), rng.randrange(-3, 5))
+        for field in FIELDS.values()
+        for _ in range(300)
+    ]
+    # integral inputs, whose truncation at r >= 0 is a residue mod p^r:
+    # negative integers, r = 0, and r above and below the valuation
+    integral = [
+        (field, Fraction(n), r)
+        for field in (Q2, Q3, Q5)
+        for n in (0, 1, -1, 6, -6, 7 * field.p**2, -7 * field.p**2 - 1, -1000)
+        for r in (0, 1, 2, 5)
+    ]
+    for field, x, r in cases + integral:
+        c = field.canon_trunc(x, r)
+        diff = field.sub(x, c)
+        assert field.is_zero(diff) or field.ord(diff) >= r
+        assert field.canon_trunc(c, r) == c
+    for field, x, r in integral:
+        want = sum(d * field.p**i for i, d in enumerate(digits(field, x, 0, r)))
+        got = field.canon_trunc(x, r)
+        assert type(got) is Fraction and got == want, (field, x, r)
 
 
 def test_unit_inverse_mod():

@@ -3,6 +3,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from umla.fields import INF, FieldError, Polyball, make_field
 from umla.polys import (
@@ -14,6 +15,7 @@ from umla.polys import (
 )
 
 from conftest import FIELDS, rng_for, sample_element
+from oracles import eval_by_fractions
 
 
 def test_parse_and_eval():
@@ -32,6 +34,57 @@ def test_parse_matches_manual_construction():
     y = MultiPoly.var(2, 1)
     want = x * x * y - y.scale(3) + MultiPoly.const(2, 1)
     assert parse_poly("x^2*y - 3*y + 1", ("x", "y")) == want
+
+
+@st.composite
+def _rationals(draw, p: int):
+    """Zero, integers, p-power denominators, denominators prime to p, and
+    both at once, with numerators of either sign."""
+    num = draw(st.integers(-60, 60))
+    kind = draw(st.sampled_from(["zero", "int", "p-power", "prime-to-p", "mixed"]))
+    if kind == "zero":
+        return Fraction(0)
+    if kind == "int":
+        return Fraction(num)
+    unit = draw(st.sampled_from([u for u in (2, 3, 7, 11, 25, 49) if u % p]))
+    k = draw(st.integers(1, 4))
+    den = {"p-power": p**k, "prime-to-p": unit, "mixed": p**k * unit}[kind]
+    return Fraction(num, den)
+
+
+@st.composite
+def _qp_eval_cases(draw):
+    """(p, MultiPoly, point, FieldPoly coefficients, x): zero, constant and
+    random shapes for both polynomial kinds."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    n = draw(st.integers(1, 3))
+    shape = draw(st.sampled_from(["zero", "constant", "random"]))
+    coeffs = {}
+    if shape == "constant":
+        coeffs[(0,) * n] = draw(st.integers(-9, 9))
+    elif shape == "random":
+        for _ in range(draw(st.integers(1, 5))):
+            expo = tuple(draw(st.integers(0, 3)) for _ in range(n))
+            coeffs[expo] = draw(st.integers(-9, 9))
+    point = tuple(draw(_rationals(p)) for _ in range(n))
+    length = {"zero": 0, "constant": 1, "random": draw(st.integers(2, 6))}[shape]
+    fcoeffs = [draw(_rationals(p)) for _ in range(length)]
+    return p, MultiPoly(n, coeffs), point, fcoeffs, draw(_rationals(p))
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(_qp_eval_cases())
+def test_qp_evaluation_matches_fraction_reference(case):
+    # the integer kernel against monomial-by-monomial Fraction evaluation
+    p, poly, point, fcoeffs, x = case
+    field = make_field("p-adic", p)
+    got = poly.eval_field(field, point)
+    assert type(got) is Fraction
+    assert got == eval_by_fractions(poly.coeffs, point)
+    fpoly = FieldPoly(field, fcoeffs)
+    got = fpoly.eval(x)
+    assert type(got) is Fraction
+    assert got == eval_by_fractions({(k,): c for k, c in enumerate(fcoeffs)}, (x,))
 
 
 def test_taylor_expansion_of_square():
