@@ -316,16 +316,15 @@ class FiberProblem:
         return cls.from_string(obj["f"])
 
 
-def _fiber_points(problem: FiberProblem, phi: SchwartzBruhat, y, k: int):
-    """(truncated root, ord f' there) for fiber points inside phi's window."""
-    field = phi.field
-    window, _ = phi.alpha_bounds()
+def _fiber_points(problem: FiberProblem, field: LocalField, y, support: int, k: int):
+    """(truncated root, ord f' there) for fiber points inside the window
+    ord x >= min(support, 0), ``support`` the support radius of phi."""
     fp = FieldPoly.from_multipoly(field, problem.f)
     coeffs = list(fp.coeffs)
     if not coeffs:
         coeffs = [field.zero()]
     coeffs[0] = field.sub(coeffs[0], y)
-    return _window_roots(field, coeffs, min(window, 0), max(k, min(window, 0) + 1))
+    return _window_roots(field, coeffs, min(support, 0), max(k, min(support, 0) + 1))
 
 
 def fiber_integrate(problem: FiberProblem, phi: SchwartzBruhat, y) -> CycloScalar:
@@ -348,7 +347,7 @@ def fiber_integrate(problem: FiberProblem, phi: SchwartzBruhat, y) -> CycloScala
     if phi.is_zero():
         return CycloScalar.zero(field.p)
     support, constancy = phi.alpha_bounds()
-    points = _fiber_points(problem, phi, y, max(constancy, support + 1, 1))
+    points = _fiber_points(problem, field, y, support, max(constancy, support + 1, 1))
     # 1/|f'(x)| = q^(ord f'(x)), with the doubled-exponent encoding; one
     # raw-triple construction canonicalises the shifted terms of every point
     return CycloScalar(

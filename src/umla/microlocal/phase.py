@@ -56,6 +56,16 @@ budget still counts the level-``L`` subcells requested, skipped ones
 included, before the walk starts.  The dominant-term test is the one that
 certifies the gradient bound in :func:`stationary_phase_bound`; both read
 the gradient and its Taylor coefficients off one Taylor expansion of ``p``.
+
+Every decision of the walk reads ``lam`` only through ``ord(lam)``: the
+level ``L``, the budget check, the dropped subtrees and the skip rule.  The
+integral is therefore computed in two steps.  ``_walk`` takes ``ord(lam)``,
+makes every decision, and keeps, per support cell, the phase values
+``p(c, eta)`` at the level-``L`` centres that are not skipped; ``_sum``
+takes ``lam`` and adds ``q^(-n L) psi(lam p(c, eta))`` over them.
+:func:`oscillatory_integral` is one walk and one sum.  The verification of
+:func:`stationary_phase_bound` makes one walk per (scale order, ``eta``) and
+sums it for every unit class of that order.
 """
 
 from __future__ import annotations
@@ -67,7 +77,7 @@ from itertools import product
 
 from ..cyclo import CycloScalar
 from ..fields import INF, FieldError, LocalField, Polyball
-from ..polys import MultiPoly
+from ..polys import MultiPoly, common_denominator, int_ord, monomial_ints
 from ..schwartz import DEFAULT_CELL_BUDGET, SchwartzBruhat, check_budget
 
 
@@ -192,16 +202,35 @@ class _Phase:
 
 
 class _OrdsAt(dict):
-    """ord q_a(point) for the Taylor coefficients of a phase, on demand."""
+    """ord q_a(point) for the Taylor coefficients of a phase, on demand.
 
-    __slots__ = ("field", "tay", "point")
+    Over Q_p the point is brought once to integer numerators over one
+    denominator, x = n / d.  With (N, d^m) = ``monomial_ints`` of q_a at
+    (n, d), m the total degree of q_a, ord q_a(x) = v_p(N) - m v_p(d), read
+    on ints without building a ``Fraction``.  Over F_p((t)) each coefficient
+    is evaluated by ``eval_field``.
+    """
+
+    __slots__ = ("field", "tay", "point", "nums", "den", "den_ord")
 
     def __init__(self, field: LocalField, tay: dict, point: tuple):
         super().__init__()
         self.field, self.tay, self.point = field, tay, point
+        self.nums = None
+        if field.kind == "p-adic":
+            self.nums, self.den = common_denominator(point)
+            self.den_ord = int_ord(self.den, field.p)
 
     def __missing__(self, a):
-        o = self[a] = self.field.ord(self.tay[a].eval_field(self.field, self.point))
+        poly = self.tay[a]
+        if self.nums is None:
+            o = self.field.ord(poly.eval_field(self.field, self.point))
+        else:
+            num, _ = monomial_ints(poly.coeffs, self.nums, self.den)
+            o = int_ord(num, self.field.p)
+            if num and self.den_ord:
+                o -= self.den_ord * max(map(sum, poly.coeffs))
+        self[a] = o
         return o
 
 
@@ -276,6 +305,9 @@ def stationary_phase_bound(
     i.e. the integral vanishes whenever ord(lam) < -r.  The bound is then
     confirmed by exhaustive exact integration over ``verify_window`` scale
     orders below the threshold at the exact unit depth, for sampled eta.
+    The cell walk of an integral reads lam only through ord(lam), so the
+    verification makes one walk per (scale order, eta), when the first unit
+    class of that order needs it, and sums it for every unit class.
 
     One ``budget`` (default the shared ``DEFAULT_CELL_BUDGET``) bounds both
     the cells the gradient certificate visits per support cell and, as in
@@ -350,25 +382,22 @@ def stationary_phase_bound(
     p_min_ord = min(all_orders) if all_orders else 0
 
     etas = [child.centers for child in V.children()[:verify_eta_samples]]
-    checked = 0
+    scales = []
     depth_capped = False
     for e_ord in range(threshold - verify_window, threshold):
         depth = max(1, 1 - e_ord - p_min_ord)
         if depth > 4:
             depth = 4
             depth_capped = True
-        for ucode in field.unit_classes(depth):
-            lam = field.mul(
-                field.pow_uniformizer(e_ord), field.residue_lift(ucode)
+        scales.append((e_ord, depth))
+    checked = 0
+    for lam, eta, val in _unit_scale_integrals(field, phase, phi, etas, scales, budget):
+        checked += 1
+        if not val.is_zero():
+            raise PhaseCertificationError(
+                "certified bound contradicted by exact integration",
+                witness=(lam, eta, val),
             )
-            for eta in etas:
-                val = _integrate(field, phase, phi, eta, lam, budget)
-                checked += 1
-                if not val.is_zero():
-                    raise PhaseCertificationError(
-                        "certified bound contradicted by exact integration",
-                        witness=(lam, eta, val),
-                    )
     verification = {
         "lambda_orders": [threshold - verify_window, threshold - 1],
         "eta_samples": len(etas),
@@ -415,26 +444,61 @@ def oscillatory_integral(
     be skipped.  ``budget`` bounds the number of level-``L`` subcells of one
     support cell that the level requests, skipped ones included, whether the
     walk visits them or not (default the shared ``DEFAULT_CELL_BUDGET``);
-    exceeding it raises :class:`CellBudgetError`.
+    exceeding it raises :class:`CellBudgetError`.  The walk reads lam only
+    through ord(lam); one sum over the kept centres then brings in lam.
     """
     field = phi.field
-    n = phi.n
     eta = tuple(eta)
-    if p.n != n + len(eta):
+    if p.n != phi.n + len(eta):
         raise FieldError("phase has wrong number of variables")
-    return _integrate(field, _Phase(field, p, n, p.taylor(n)), phi, eta, lam, budget)
-
-
-def _integrate(
-    field: LocalField, phase: _Phase, phi: SchwartzBruhat, eta: tuple, lam, budget: int
-) -> CycloScalar:
-    """:func:`oscillatory_integral` on phase data expanded in x alone."""
-    n = phi.n
     if field.is_zero(lam):
         return phi.integrate()
-    lam_ord = field.ord(lam)
+    phase = _Phase(field, p, phi.n, p.taylor(phi.n))
+    walk = _walk(field, phase, phi, eta, field.ord(lam), budget)
+    return _sum(field, phi.n, walk, lam)
+
+
+def _unit_scale_integrals(
+    field: LocalField,
+    phase: _Phase,
+    phi: SchwartzBruhat,
+    etas: list,
+    scales: list,
+    budget: int,
+):
+    """Yield (lam, eta, I_eta(lam)) for lam = pi^e u, for each (e, depth) in
+    ``scales``, each unit class u at that depth and each eta, in this order.
+
+    The walk of each eta is made once per scale, when the first unit needs
+    it, and summed for every unit of that scale.
+    """
+    for e_ord, depth in scales:
+        walks = [None] * len(etas)
+        for ucode in field.unit_classes(depth):
+            lam = field.mul(field.pow_uniformizer(e_ord), field.residue_lift(ucode))
+            for i, eta in enumerate(etas):
+                if walks[i] is None:
+                    walks[i] = _walk(field, phase, phi, eta, e_ord, budget)
+                yield lam, eta, _sum(field, phi.n, walks[i], lam)
+
+
+def _walk(
+    field: LocalField,
+    phase: _Phase,
+    phi: SchwartzBruhat,
+    eta: tuple,
+    lam_ord: int,
+    budget: int,
+) -> list:
+    """The cell walk of :func:`oscillatory_integral` for every lam of order
+    ``lam_ord``, on phase data expanded in x alone.
+
+    Returns, per support cell of ``phi``, (coef, L, values): the cell's
+    coefficient, its level L and the phase values p(c, eta) at the level-L
+    centres c that the skip rule keeps.
+    """
     eta_lo = [field.ord(v) for v in eta]  # exact; INF for zero coordinates
-    per_cell = []
+    out = []
     for ball, coef in phi.terms():
         coord_lo = _ball_coord_lo(field, ball) + eta_lo
         steps = []
@@ -450,23 +514,33 @@ def _integrate(
         check_budget("oscillatory integral", cells, budget)
         # walk the cell top-down: drop a subtree on which some lam * d_i p
         # has one valuation below 1 - level, split any other cell above the
-        # level, and at the level add psi(lam p) unless a gradient
-        # coordinate oscillates; the angle histogram holds the sum
-        hist = Counter()
+        # level, and at the level keep p(c, eta) unless a gradient
+        # coordinate oscillates
+        values = []
         stack = [(ball.centers, ball.radii)]
         while stack:
             centers, radii = stack.pop()
             ords = _OrdsAt(field, phase.tay, centers + eta)
             if min(radii) == level:
                 if all(ords[ei] + lam_ord >= 1 - level for ei, _ in phase.grads):
-                    value = phase.p.eval_field(field, ords.point)
-                    hist[field.psi_angle(field.mul(lam, value))] += 1
+                    values.append(phase.p.eval_field(field, ords.point))
             elif not _dominant(phase.grads, ords, radii, -level - lam_ord):
                 split = tuple(min(r + 1, level) for r in radii)
                 axes = (
                     field.cell_reps(c, r, r1) for c, r, r1 in zip(centers, radii, split)
                 )
                 stack.extend((sub, split) for sub in product(*axes))
+        out.append((coef, level, values))
+    return out
+
+
+def _sum(field: LocalField, n: int, walk: list, lam) -> CycloScalar:
+    """I_eta(lam) from a walk made at ord(lam): per support cell, coef times
+    q^(-n L) times the sum of psi(lam p(c, eta)) over the kept values, the
+    psi angles counted in one histogram."""
+    per_cell = []
+    for coef, level, values in walk:
+        hist = Counter(field.psi_angle(field.mul(lam, v)) for v in values)
         psi_sum = CycloScalar(field.p, [(0, a, k) for a, k in hist.items()])
         per_cell.append((coef * psi_sum).q_shift(-2 * n * level))
     return CycloScalar.sum(field.p, per_cell)

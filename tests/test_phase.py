@@ -2,20 +2,24 @@
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
+from itertools import product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import FIELDS, rng_for
 from umla.cyclo import CycloScalar
-from umla.fields import FieldError, Polyball
+from umla.fields import FieldError, LaurentPoly, Polyball
 from umla.microlocal import (
     PhaseCertificationError,
     oscillatory_integral,
     stationary_phase_bound,
 )
-from umla.polys import parse_poly
-from umla.schwartz import CellBudgetError, SchwartzBruhat
+from umla.microlocal.phase import _OrdsAt, _Phase, _unit_scale_integrals
+from umla.polys import MultiPoly, parse_poly
+from umla.schwartz import DEFAULT_CELL_BUDGET, CellBudgetError, SchwartzBruhat
 
 
 def indicator(field, center, r):
@@ -26,24 +30,31 @@ def unit_eta_ball(field):
     return Polyball.ball(field, (field.one(),), 1)
 
 
-def brute_integral(field, p, center, r, level, eta, lam):
-    """Riemann refinement: exact once the phase is locally constant.
+def grid_values(field, p, center, r, level, eta):
+    """p(x, eta) at every level-``level`` cell center x of the support.
 
     ``r`` is the radius of the support, or a tuple of per-coordinate radii.
+    """
+    radii = r if isinstance(r, tuple) else (r,) * len(center)
+    axes = [field.cell_reps(c, rc, level) for c, rc in zip(center, radii)]
+    return [p.eval_field(field, tuple(point) + tuple(eta)) for point in product(*axes)]
+
+
+def riemann_sum(field, values, n, level, lam):
+    """q^(-n level) times the sum of psi(lam v) over ``values``.
+
     The psi values are counted per angle and summed in one exact scalar, as
     adding thousands of them one at a time takes over a minute.
     """
-    from collections import Counter
-    from itertools import product as iproduct
-
-    radii = r if isinstance(r, tuple) else (r,) * len(center)
-    axes = [field.cell_reps(c, rc, level) for c, rc in zip(center, radii)]
-    hist = Counter(
-        field.psi_angle(field.mul(lam, p.eval_field(field, tuple(point) + tuple(eta))))
-        for point in iproduct(*axes)
-    )
-    e2 = -2 * level * len(center)
+    hist = Counter(field.psi_angle(field.mul(lam, v)) for v in values)
+    e2 = -2 * level * n
     return CycloScalar(field.p, [(e2, a, k) for a, k in hist.items()])
+
+
+def brute_integral(field, p, center, r, level, eta, lam):
+    """Riemann refinement: exact once the phase is locally constant."""
+    values = grid_values(field, p, center, r, level, eta)
+    return riemann_sum(field, values, len(center), level, lam)
 
 
 class TestOscillatoryIntegral:
@@ -354,3 +365,304 @@ class TestStationaryPhaseBound:
         assert obj["threshold"] == rep.threshold
         assert obj["verification"]["all_zero"] is True
         assert isinstance(obj["rest_profile"], list)
+
+
+class TestOneWalkPerScale:
+    """The cell walk reads lam only through ord(lam): one walk per (scale
+    order, eta) serves every unit class of that order."""
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_shared_walk_matches_riemann_sums(self, field, dim):
+        # x^2*e on O has its critical point at 0; x^2 + x*y + y*e on O x pi*O
+        # has one at (-pi, 2*pi) for eta = pi.  Every Taylor term of degree >= 1
+        # is integral on the support, so the Riemann sum at level 1 - ord(lam)
+        # is exact.  The scales hold two orders, each at unit depths 1 and 2.
+        f = field
+        pi = f.uniformizer()
+        if dim == 1:
+            p = parse_poly("x^2*e", ("x", "e"))
+            center, radii, e = (f.zero(),), (0,), -3
+            etas = [(f.one(),), (f.add(f.one(), pi),)]
+        else:
+            p = parse_poly("x^2 + x*y + y*e", ("x", "y", "e"))
+            center, radii, e = (f.zero(), f.zero()), (0, 1), -2
+            etas = [(pi,), (f.add(pi, f.mul(pi, pi)),)]
+        phi = SchwartzBruhat.indicator(Polyball(f, center, radii))
+        phase = _Phase(f, p, dim, p.taylor(dim))
+        scales = [(e, 1), (e, 2), (e + 1, 2)]
+        got = list(
+            _unit_scale_integrals(f, phase, phi, etas, scales, DEFAULT_CELL_BUDGET)
+        )
+        want = []
+        for order, depth in scales:
+            level = 1 - order
+            grids = [grid_values(f, p, center, radii, level, eta) for eta in etas]
+            for u in f.unit_classes(depth):
+                lam = f.mul(f.pow_uniformizer(order), f.residue_lift(u))
+                for eta, values in zip(etas, grids):
+                    want.append((lam, eta, riemann_sum(f, values, dim, level, lam)))
+        assert len(got) == len(want)
+        for (lam, eta, val), (lam_w, eta_w, val_w) in zip(got, want):
+            assert f.is_zero(f.sub(lam, lam_w)) and eta == eta_w
+            assert val == val_w
+            assert val == oscillatory_integral(p, phi, eta, lam)
+        assert sum(not val.is_zero() for _, _, val in want) > len(want) // 2
+
+
+# (field, phase, variables, support centre, support radii, delta, options) and
+# the report, captured before the verification shared one walk per scale
+SPB_PINS = [
+    (
+        ('Q2', 'x*e', ('x', 'e'), (0,), (0,), 1, {}),
+        {'r': -1,
+         'threshold': 1,
+         'cell_level': 0,
+         'grad_ord_bound': 0,
+         'rest_profile': [[0, None, 1], [1, None, 0], [2, None, -1], [3, None, -2]],
+         'certified_cells': 1,
+         'verification': {'lambda_orders': [-1, 0],
+                          'eta_samples': 2,
+                          'integrals_checked': 6,
+                          'unit_depth_capped': False,
+                          'all_zero': True},
+         'detail': 'windows chain downward from level 0; gradient valuation bound 0 '
+                   'certified on 1 cell(s)'},
+    ),
+    (
+        ('Q2', 'x^2*e', ('x', 'e'), (1,), (1,), Fraction(1, 2), {}),
+        {'r': 2,
+         'threshold': -2,
+         'cell_level': 2,
+         'grad_ord_bound': 1,
+         'rest_profile': [[2, 4, -2], [3, 6, -3], [4, 8, -4], [5, 10, -5]],
+         'certified_cells': 1,
+         'verification': {'lambda_orders': [-4, -3],
+                          'eta_samples': 2,
+                          'integrals_checked': 32,
+                          'unit_depth_capped': True,
+                          'all_zero': True},
+         'detail': 'windows chain downward from level 2; gradient valuation bound 1 '
+                   'certified on 1 cell(s)'},
+    ),
+    (
+        ('Q2', 'x^2*e + x', ('x', 'e'), (0,), (1,), 1, {'verify_eta_samples': 2}),
+        {'r': 0,
+         'threshold': 0,
+         'cell_level': 1,
+         'grad_ord_bound': 0,
+         'rest_profile': [[1, 2, 0], [2, 4, -1], [3, 6, -2], [4, 8, -3]],
+         'certified_cells': 1,
+         'verification': {'lambda_orders': [-2, -1],
+                          'eta_samples': 2,
+                          'integrals_checked': 12,
+                          'unit_depth_capped': False,
+                          'all_zero': True},
+         'detail': 'windows chain downward from level 1; gradient valuation bound 0 '
+                   'certified on 1 cell(s)'},
+    ),
+    (
+        ('Q3', 'x*e + y*e', ('x', 'y', 'e'), (0, 0), (0, 0), 1, {}),
+        {'r': -1,
+         'threshold': 1,
+         'cell_level': 0,
+         'grad_ord_bound': 0,
+         'rest_profile': [[0, None, 1], [1, None, 0], [2, None, -1], [3, None, -2]],
+         'certified_cells': 1,
+         'verification': {'lambda_orders': [-1, 0],
+                          'eta_samples': 3,
+                          'integrals_checked': 24,
+                          'unit_depth_capped': False,
+                          'all_zero': True},
+         'detail': 'windows chain downward from level 0; gradient valuation bound 0 '
+                   'certified on 1 cell(s)'},
+    ),
+    (
+        ('Q3', '2*x^2 + x*e', ('x', 'e'), (3,), (1,), 1, {'verify_window': 3}),
+        {'r': 0,
+         'threshold': 0,
+         'cell_level': 1,
+         'grad_ord_bound': 0,
+         'rest_profile': [[1, 2, 0], [2, 4, -1], [3, 6, -2], [4, 8, -3]],
+         'certified_cells': 1,
+         'verification': {'lambda_orders': [-3, -1],
+                          'eta_samples': 3,
+                          'integrals_checked': 234,
+                          'unit_depth_capped': False,
+                          'all_zero': True},
+         'detail': 'windows chain downward from level 1; gradient valuation bound 0 '
+                   'certified on 1 cell(s)'},
+    ),
+    (
+        ('Q3', 'x^3 + x*e', ('x', 'e'), (0,), (0,), 1, {}),
+        {'r': 0,
+         'threshold': 0,
+         'cell_level': 1,
+         'grad_ord_bound': 0,
+         'rest_profile': [[1, 3, 0], [2, 5, -1], [3, 7, -2], [4, 9, -3]],
+         'certified_cells': 1,
+         'verification': {'lambda_orders': [-2, -1],
+                          'eta_samples': 3,
+                          'integrals_checked': 72,
+                          'unit_depth_capped': False,
+                          'all_zero': True},
+         'detail': 'windows chain downward from level 1; gradient valuation bound 0 '
+                   'certified on 1 cell(s)'},
+    ),
+    (
+        ('Q5', 'x^3 + x*e', ('x', 'e'), (0,), (0,), 1, {}),
+        {'r': 0,
+         'threshold': 0,
+         'cell_level': 1,
+         'grad_ord_bound': 0,
+         'rest_profile': [[1, 2, 0], [2, 4, -1], [3, 6, -2], [4, 8, -3]],
+         'certified_cells': 25,
+         'verification': {'lambda_orders': [-2, -1],
+                          'eta_samples': 4,
+                          'integrals_checked': 480,
+                          'unit_depth_capped': False,
+                          'all_zero': True},
+         'detail': 'windows chain downward from level 1; gradient valuation bound 0 '
+                   'certified on 25 cell(s)'},
+    ),
+    (
+        ('Q5', '3*x*e', ('x', 'e'), (2,), (0,), 1, {'verify_eta_samples': 3}),
+        {'r': -1,
+         'threshold': 1,
+         'cell_level': 0,
+         'grad_ord_bound': 0,
+         'rest_profile': [[0, None, 1], [1, None, 0], [2, None, -1], [3, None, -2]],
+         'certified_cells': 1,
+         'verification': {'lambda_orders': [-1, 0],
+                          'eta_samples': 3,
+                          'integrals_checked': 72,
+                          'unit_depth_capped': False,
+                          'all_zero': True},
+         'detail': 'windows chain downward from level 0; gradient valuation bound 0 '
+                   'certified on 1 cell(s)'},
+    ),
+    (
+        ('Q5', 'x^2 + 2*x*e', ('x', 'e'), (5,), (1,), 1, {}),
+        {'r': 0,
+         'threshold': 0,
+         'cell_level': 1,
+         'grad_ord_bound': 0,
+         'rest_profile': [[1, 2, 0], [2, 4, -1], [3, 6, -2], [4, 8, -3]],
+         'certified_cells': 1,
+         'verification': {'lambda_orders': [-2, -1],
+                          'eta_samples': 4,
+                          'integrals_checked': 480,
+                          'unit_depth_capped': False,
+                          'all_zero': True},
+         'detail': 'windows chain downward from level 1; gradient valuation bound 0 '
+                   'certified on 1 cell(s)'},
+    ),
+    (
+        ('F3t', 'x*e', ('x', 'e'), (0,), (2,), 1, {}),
+        {'r': 1,
+         'threshold': -1,
+         'cell_level': 2,
+         'grad_ord_bound': 0,
+         'rest_profile': [[2, None, -1], [3, None, -2], [4, None, -3], [5, None, -4]],
+         'certified_cells': 1,
+         'verification': {'lambda_orders': [-3, -2],
+                          'eta_samples': 3,
+                          'integrals_checked': 216,
+                          'unit_depth_capped': False,
+                          'all_zero': True},
+         'detail': 'windows chain downward from level 2; gradient valuation bound 0 '
+                   'certified on 1 cell(s)'},
+    ),
+    (
+        ('F3t', 'x^2*e', ('x', 'e'), (1,), (1,), 1, {}),
+        {'r': 0,
+         'threshold': 0,
+         'cell_level': 1,
+         'grad_ord_bound': 0,
+         'rest_profile': [[1, 2, 0], [2, 4, -1], [3, 6, -2], [4, 8, -3]],
+         'certified_cells': 1,
+         'verification': {'lambda_orders': [-2, -1],
+                          'eta_samples': 3,
+                          'integrals_checked': 72,
+                          'unit_depth_capped': False,
+                          'all_zero': True},
+         'detail': 'windows chain downward from level 1; gradient valuation bound 0 '
+                   'certified on 1 cell(s)'},
+    ),
+    (
+        ('F3t', 'x^2 + y^2 + x*e', ('x', 'y', 'e'), (0, 0), (1, 1), 1, {}),
+        {'r': 0,
+         'threshold': 0,
+         'cell_level': 1,
+         'grad_ord_bound': 0,
+         'rest_profile': [[1, 2, 0], [2, 4, -1], [3, 6, -2], [4, 8, -3]],
+         'certified_cells': 1,
+         'verification': {'lambda_orders': [-2, -1],
+                          'eta_samples': 3,
+                          'integrals_checked': 72,
+                          'unit_depth_capped': False,
+                          'all_zero': True},
+         'detail': 'windows chain downward from level 1; gradient valuation bound 0 '
+                   'certified on 1 cell(s)'},
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "case, want", SPB_PINS, ids=[f"{c[0]} {c[1]}" for c, _ in SPB_PINS]
+)
+def test_stationary_phase_reports_are_pinned(case, want):
+    key, src, names, center, radii, delta, options = case
+    f = FIELDS[key]
+    p = parse_poly(src, names)
+    phi = SchwartzBruhat.indicator(Polyball(f, tuple(map(f.from_int, center)), radii))
+    V = Polyball.ball(f, (f.one(),), 1)
+    assert stationary_phase_bound(p, phi, V, delta, **options).to_json() == want
+
+
+@st.composite
+def _elements(draw, key):
+    """Zero, integers, and elements with p-power, prime-to-p and mixed
+    denominators (over F_p((t)): Laurent polynomials with poles)."""
+    f = FIELDS[key]
+    kind = draw(st.sampled_from(["zero", "int", "p-power", "prime-to-p", "mixed"]))
+    if kind == "zero":
+        return f.zero()
+    if f.kind != "p-adic":
+        lo = {"int": 0, "p-power": -3, "prime-to-p": 0, "mixed": -3}[kind]
+        digits = draw(st.lists(st.integers(0, f.p - 1), min_size=1, max_size=5))
+        return LaurentPoly(f.p, [(lo + i, d) for i, d in enumerate(digits)])
+    num = draw(st.integers(-60, 60))
+    if kind == "int":
+        return Fraction(num)
+    unit = draw(st.sampled_from([u for u in (2, 3, 7, 11, 25, 49) if u % f.p]))
+    k = draw(st.integers(1, 4))
+    den = {"p-power": f.p**k, "prime-to-p": unit, "mixed": f.p**k * unit}[kind]
+    return Fraction(num, den)
+
+
+@st.composite
+def _ords_cases(draw):
+    """(field key, Taylor expansion, point).  Half the time the phase gets a
+    factor x_0 - x_1 and the point has x_0 = x_1, so some values are 0 (INF)."""
+    key = draw(st.sampled_from(sorted(FIELDS)))
+    n = draw(st.integers(2, 3))
+    coeffs = {}
+    for _ in range(draw(st.integers(1, 4))):
+        expo = tuple(draw(st.integers(0, 3)) for _ in range(n))
+        coeffs[expo] = draw(st.integers(-9, 9))
+    poly = MultiPoly(n, coeffs)
+    point = [draw(_elements(key)) for _ in range(n)]
+    if draw(st.booleans()):
+        poly = poly * (MultiPoly.var(n, 0) - MultiPoly.var(n, 1))
+        point[1] = point[0]
+    return key, poly.taylor(draw(st.integers(1, n))), tuple(point)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(_ords_cases())
+def test_ords_at_matches_field_valuations(case):
+    key, tay, point = case
+    f = FIELDS[key]
+    ords = _OrdsAt(f, tay, point)
+    for a, q in tay.items():
+        assert ords[a] == f.ord(q.eval_field(f, point))
