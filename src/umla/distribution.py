@@ -16,6 +16,25 @@ coefficient; ball coordinates truncate the modulation to the conductor of the
 ball; terms with identical factor/modulation data merge.  Zero tests on the
 scalars make the merge exact, so e.g. a point mass minus itself is the empty
 sum.
+
+The rules of each kind of factor live on its class (``BallF``, ``FullF``,
+``DeltaF``); the methods here and in ``microlocal.maps`` combine them
+coordinate by coordinate, with ``a`` the coordinate's modulation:
+
+* ``canonical(field, a)`` and ``fourier(field, a)`` return a part
+  ``(e2, angle, a', factor')``: the term's coefficient gains
+  q^(e2/2) psi(angle) and the coordinate becomes ``(a', factor')``.
+* ``push(field, s, b)`` returns ``(factor', e2)``: factor' is the image under
+  x -> s x + b, and q^(e2/2) the Jacobian factor of that image, e2 = 2 ord(s)
+  for a density (dx goes to |s|^-1 dy) and 0 for a point mass.  A pullback
+  along the map pushes along its inverse and multiplies by |s|^-1.
+* ``meet(field, z, lev)`` is the product with the indicator of B_lev(z), or
+  None when it is zero.
+* ``mass(field, a)`` is ``(e2, angle)`` with integral of psi(a x) against the
+  factor equal to q^(e2/2) psi(angle), or None when that integral is 0; the
+  line has no finite mass.
+* ``contains(field, x)`` tests x against the support; ``to_json`` writes the
+  factor.
 """
 
 from __future__ import annotations
@@ -25,7 +44,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .cyclo import CycloScalar
-from .fields import FieldError, LocalField, Polyball, ball_intersect_1d, vec_neg
+from .fields import INF, FieldError, LocalField, Polyball, ball_intersect_1d, vec_neg
 from .schwartz import SchwartzBruhat, coerce_scalar
 
 
@@ -44,10 +63,67 @@ class BallF:
     center: object
     r: int
 
+    def contains(self, field, x) -> bool:
+        return field.ord(field.sub(x, self.center)) >= self.r
+
+    def canonical(self, field, a):
+        """Centre truncated to the radius, modulation to the conductor 1 - r;
+        the discarded digits of a are constant on the ball."""
+        z = field.canon_trunc(self.center, self.r)
+        a2 = field.canon_trunc(a, 1 - self.r)
+        return 0, field.psi_angle(field.mul(field.sub(a, a2), z)), a2, BallF(z, self.r)
+
+    def push(self, field, s, b):
+        center = field.add(field.mul(s, self.center), b)
+        return BallF(center, self.r + field.ord(s)), 2 * field.ord(s)
+
+    def meet(self, field, z, lev):
+        got = ball_intersect_1d(field, z, lev, self.center, self.r)
+        return None if got is None else BallF(*got)
+
+    def mass(self, field, a):
+        if not field.is_zero(a) and field.ord(a) < 1 - self.r:
+            return None  # psi(a x) runs over full character sums on the ball
+        return -2 * self.r, field.psi_angle(field.mul(a, self.center))
+
+    def fourier(self, field, a):
+        """A modulated ball goes to a modulated ball of reciprocal radius."""
+        angle = field.psi_angle(field.mul(self.center, a))
+        return -2 * self.r, angle, self.center, BallF(field.neg(a), 1 - self.r)
+
+    def to_json(self, field) -> dict:
+        return {
+            "type": "ball",
+            "center": field.element_to_json(self.center),
+            "radius": self.r,
+        }
+
 
 @dataclass(frozen=True, slots=True)
 class FullF:
     """Constant density 1 on the whole coordinate line."""
+
+    def contains(self, field, x) -> bool:
+        return True
+
+    def canonical(self, field, a):
+        return 0, 0, a, self
+
+    def push(self, field, s, b):
+        return self, 2 * field.ord(s)
+
+    def meet(self, field, z, lev):
+        return BallF(z, lev)
+
+    def mass(self, field, a):
+        raise NonCompactSupport("the line has infinite mass")
+
+    def fourier(self, field, a):
+        """A modulated constant goes to a point mass at minus the modulation."""
+        return -2, 0, field.zero(), DeltaF(field.neg(a))
+
+    def to_json(self, field) -> dict:
+        return {"type": "full"}
 
 
 @dataclass(frozen=True, slots=True)
@@ -55,6 +131,29 @@ class DeltaF:
     """Unit point mass at a fixed coordinate value."""
 
     point: object
+
+    def contains(self, field, x) -> bool:
+        return field.is_zero(field.sub(x, self.point))
+
+    def canonical(self, field, a):
+        """The character is a constant on a point mass: absorb it."""
+        return 0, field.psi_angle(field.mul(a, self.point)), field.zero(), self
+
+    def push(self, field, s, b):
+        return DeltaF(field.add(field.mul(s, self.point), b)), 0
+
+    def meet(self, field, z, lev):
+        return None if field.ord(field.sub(self.point, z)) < lev else self
+
+    def mass(self, field, a):
+        return 0, field.psi_angle(field.mul(a, self.point))
+
+    def fourier(self, field, a):
+        """A point mass goes to a modulated constant."""
+        return 0, 0, self.point, FULL
+
+    def to_json(self, field) -> dict:
+        return {"type": "delta", "point": field.element_to_json(self.point)}
 
 
 FULL = FullF()
@@ -87,28 +186,11 @@ class MixedCellDistribution:
     def _canonical_term(field, n, coef, mod, factors):
         if len(mod) != n or len(factors) != n:
             raise FieldError("term has wrong dimension")
-        coef = coerce_scalar(field.p, coef)
-        new_mod = []
-        new_factors = []
-        angle = Fraction(0)
-        for a, f in zip(mod, factors):
-            if isinstance(f, DeltaF):
-                # the character is a constant on a point mass
-                angle += field.psi_angle(field.mul(a, f.point))
-                new_mod.append(field.zero())
-                new_factors.append(f)
-            elif isinstance(f, BallF):
-                z = field.canon_trunc(f.center, f.r)
-                a2 = field.canon_trunc(a, 1 - f.r)
-                angle += field.psi_angle(field.mul(field.sub(a, a2), z))
-                new_mod.append(a2)
-                new_factors.append(BallF(z, f.r))
-            elif isinstance(f, FullF):
-                new_mod.append(a)
-                new_factors.append(f)
-            else:
+        for f in factors:
+            if not isinstance(f, (BallF, DeltaF, FullF)):
                 raise FieldError(f"unknown factor {f!r}")
-        return coef.rotate(angle), tuple(new_mod), tuple(new_factors)
+        coef = coerce_scalar(field.p, coef)
+        return _term(coef, [f.canonical(field, a) for a, f in zip(mod, factors)])
 
     # -- constructors --------------------------------------------------------
 
@@ -187,32 +269,21 @@ class MixedCellDistribution:
     def reflect(self) -> "MixedCellDistribution":
         """Pullback along x -> -x."""
         field = self.field
+        minus_one, zero = field.neg(field.one()), field.zero()
         out = []
         for coef, mod, fs in self.terms:
-            nfs = tuple(
-                BallF(field.neg(f.center), f.r)
-                if isinstance(f, BallF)
-                else DeltaF(field.neg(f.point))
-                if isinstance(f, DeltaF)
-                else f
-                for f in fs
-            )
+            nfs = tuple(f.push(field, minus_one, zero)[0] for f in fs)
             out.append((coef, vec_neg(field, mod), nfs))
         return MixedCellDistribution(field, self.n, out)
 
     def translate(self, v: Sequence) -> "MixedCellDistribution":
         """Shift support by +v (pullback along x -> x - v)."""
         field = self.field
+        v = _coords(self.n, v)
+        one = field.one()
         out = []
         for coef, mod, fs in self.terms:
-            nfs = tuple(
-                BallF(field.add(f.center, w), f.r)
-                if isinstance(f, BallF)
-                else DeltaF(field.add(f.point, w))
-                if isinstance(f, DeltaF)
-                else f
-                for f, w in zip(fs, v)
-            )
+            nfs = tuple(f.push(field, one, w)[0] for f, w in zip(fs, v))
             # psi(<a, x>) composed with x -> x - v picks up psi(-<a, v>)
             pair = field.zero()
             for a, w in zip(mod, v):
@@ -227,58 +298,34 @@ class MixedCellDistribution:
         """Exact pairing with a cell function."""
         if phi.field != self.field or phi.n != self.n:
             raise FieldError("test function lives on a different space")
-        field, p = self.field, self.field.p
+        field = self.field
         raw = []
         for coef, mod, fs in self.terms:
             for center, cphi in phi.cells.items():
-                qexp = 0
-                angle = Fraction(0)
-                dead = False
-                for i in range(self.n):
-                    a, f = mod[i], fs[i]
-                    z, lev = center[i], phi.levels[i]
-                    if isinstance(f, DeltaF):
-                        if field.ord(field.sub(f.point, z)) < lev:
-                            dead = True
-                            break
-                        # canonical terms carry no modulation on point coords
-                    elif isinstance(f, BallF):
-                        got = ball_intersect_1d(field, z, lev, f.center, f.r)
-                        if got is None:
-                            dead = True
-                            break
-                        w, big = got
-                        if not field.is_zero(a) and field.ord(a) < 1 - big:
-                            dead = True
-                            break
-                        qexp -= big
-                        angle += field.psi_angle(field.mul(a, w))
-                    else:  # FullF
-                        if not field.is_zero(a) and field.ord(a) < 1 - lev:
-                            dead = True
-                            break
-                        qexp -= lev
-                        angle += field.psi_angle(field.mul(a, z))
-                if dead:
-                    continue
-                for e2, ang, c in coef * cphi:
-                    raw.append((e2 + 2 * qexp, ang + angle, c))
-        return CycloScalar(p, raw)
+                e2, angle = 0, Fraction(0)
+                for a, f, z, lev in zip(mod, fs, center, phi.levels):
+                    g = f.meet(field, z, lev)
+                    got = None if g is None else g.mass(field, a)
+                    if got is None:
+                        break
+                    e2 += got[0]
+                    angle += got[1]
+                else:
+                    for f2, ang, c in coef * cphi:
+                        raw.append((f2 + e2, ang + angle, c))
+        return CycloScalar(field.p, raw)
 
     def pointwise_eval(self, xs: Sequence) -> CycloScalar:
         """Value at a point; only densities have one."""
         if not self.is_density():
             raise FieldError("pointwise values need a density")
         field = self.field
-        values = []
-        for coef, mod, fs in self.terms:
-            inside = True
-            for x, f in zip(xs, fs):
-                if isinstance(f, BallF) and field.ord(field.sub(x, f.center)) < f.r:
-                    inside = False
-                    break
-            if inside:
-                values.append(coef * field.psi_pair(mod, xs))
+        xs = _coords(self.n, xs)
+        values = [
+            coef * field.psi_pair(mod, xs)
+            for coef, mod, fs in self.terms
+            if all(f.contains(field, x) for x, f in zip(xs, fs))
+        ]
         return CycloScalar.sum(field.p, values)
 
     def b_function(self, xs: Sequence, r: int) -> CycloScalar:
@@ -293,35 +340,12 @@ class MixedCellDistribution:
     # -- calculus ------------------------------------------------------------------
 
     def fourier_dist(self) -> "MixedCellDistribution":
-        """Additive-character transform, term by term.
-
-        Per coordinate: a modulated ball maps to a modulated ball with
-        reciprocal radius, a modulated constant to a point mass at minus the
-        modulation, and a point mass to a modulated constant.
-        """
+        """Additive-character transform, term by term (``fourier`` per factor)."""
         field = self.field
-        out = []
-        for coef, mod, fs in self.terms:
-            qexp = 0
-            angle = Fraction(0)
-            nmod = []
-            nfs = []
-            for a, f in zip(mod, fs):
-                if isinstance(f, BallF):
-                    qexp -= f.r
-                    angle += field.psi_angle(field.mul(f.center, a))
-                    nfs.append(BallF(field.neg(a), 1 - f.r))
-                    nmod.append(f.center)
-                elif isinstance(f, FullF):
-                    qexp -= 1
-                    nfs.append(DeltaF(field.neg(a)))
-                    nmod.append(field.zero())
-                else:  # DeltaF
-                    nfs.append(FULL)
-                    nmod.append(f.point)
-            out.append(
-                (coef.q_shift(2 * qexp).rotate(angle), tuple(nmod), tuple(nfs))
-            )
+        out = [
+            _term(coef, [f.fourier(field, a) for a, f in zip(mod, fs)])
+            for coef, mod, fs in self.terms
+        ]
         return MixedCellDistribution(field, self.n, out)
 
     def mul_by_sb(self, phi: SchwartzBruhat) -> "MixedCellDistribution":
@@ -332,87 +356,42 @@ class MixedCellDistribution:
         out = []
         for coef, mod, fs in self.terms:
             for center, cphi in phi.cells.items():
-                nfs = []
-                dead = False
-                for i in range(self.n):
-                    f = fs[i]
-                    z, lev = center[i], phi.levels[i]
-                    if isinstance(f, DeltaF):
-                        if field.ord(field.sub(f.point, z)) < lev:
-                            dead = True
-                            break
-                        nfs.append(f)
-                    elif isinstance(f, BallF):
-                        got = ball_intersect_1d(field, z, lev, f.center, f.r)
-                        if got is None:
-                            dead = True
-                            break
-                        nfs.append(BallF(got[0], got[1]))
-                    else:
-                        nfs.append(BallF(z, lev))
-                if not dead:
-                    out.append((coef * cphi, mod, tuple(nfs)))
+                nfs = tuple(
+                    f.meet(field, z, lev) for f, z, lev in zip(fs, center, phi.levels)
+                )
+                if None not in nfs:
+                    out.append((coef * cphi, mod, nfs))
         return MixedCellDistribution(field, self.n, out)
 
     def convolve_dist(self, other: "MixedCellDistribution") -> "MixedCellDistribution":
-        """Exact convolution; diverges only for constant*constant coordinates."""
+        """Exact convolution; diverges only for constant*constant coordinates.
+
+        Per coordinate the finer factor (a point mass, else the smaller ball)
+        contributes its mass against the difference of the modulations, and
+        the other factor moves to its location.
+        """
         if self.field != other.field or self.n != other.n:
             raise FieldError("operands live on different spaces")
         field = self.field
+        one = field.one()
         out = []
         for coef1, mod1, fs1 in self.terms:
             for coef2, mod2, fs2 in other.terms:
-                coef = coef1 * coef2
-                qexp = 0
-                angle = Fraction(0)
-                nmod = []
-                nfs = []
-                dead = False
+                parts = []
                 for a, f, b, g in zip(mod1, fs1, mod2, fs2):
-                    c = field.sub(a, b)
-                    if isinstance(f, DeltaF) or isinstance(g, DeltaF):
-                        if isinstance(g, DeltaF) and not isinstance(f, DeltaF):
-                            # swap so f is the point mass, flipping the sign of c
-                            f, g, a, b, c = g, f, b, a, field.neg(c)
-                        angle += field.psi_angle(field.mul(c, f.point))
-                        nmod.append(b)
-                        if isinstance(g, DeltaF):
-                            nfs.append(DeltaF(field.add(f.point, g.point)))
-                        elif isinstance(g, BallF):
-                            nfs.append(BallF(field.add(g.center, f.point), g.r))
-                        else:
-                            nfs.append(FULL)
-                    elif isinstance(f, FullF) and isinstance(g, FullF):
+                    if _fineness(g) > _fineness(f):
+                        f, g, a, b = g, f, b, a
+                    if isinstance(f, FullF):
                         raise ConvolutionDivergence(
                             "both operands have infinite mass in a coordinate"
                         )
-                    elif isinstance(f, FullF) or isinstance(g, FullF):
-                        if isinstance(f, FullF):
-                            f, g, a, b, c = g, f, b, a, field.neg(c)
-                        # f is a ball, g the constant: mass of the modulated ball
-                        if not field.is_zero(c) and field.ord(c) < 1 - f.r:
-                            dead = True
-                            break
-                        qexp -= f.r
-                        angle += field.psi_angle(field.mul(c, f.center))
-                        nmod.append(b)
-                        nfs.append(FULL)
-                    else:
-                        # two balls; the finer one contributes its mass
-                        if g.r > f.r:
-                            f, g, a, b, c = g, f, b, a, field.neg(c)
-                        if not field.is_zero(c) and field.ord(c) < 1 - f.r:
-                            dead = True
-                            break
-                        qexp -= f.r
-                        angle += field.psi_angle(field.mul(c, f.center))
-                        nmod.append(b)
-                        nfs.append(BallF(field.add(f.center, g.center), g.r))
-                if dead:
-                    continue
-                out.append(
-                    (coef.q_shift(2 * qexp).rotate(angle), tuple(nmod), tuple(nfs))
-                )
+                    got = f.mass(field, field.sub(a, b))
+                    if got is None:
+                        break
+                    at = f.point if isinstance(f, DeltaF) else f.center
+                    parts.append((*got, b, g.push(field, one, at)[0]))
+                else:
+                    out.append(_term(coef1 * coef2, parts))
         return MixedCellDistribution(field, self.n, out)
 
     def tensor(self, other: "MixedCellDistribution") -> "MixedCellDistribution":
@@ -449,31 +428,14 @@ class MixedCellDistribution:
 
     def to_json(self) -> dict:
         field = self.field
-        terms = []
-        for coef, mod, fs in self.terms:
-            factors = []
-            for f in fs:
-                if isinstance(f, BallF):
-                    factors.append(
-                        {
-                            "type": "ball",
-                            "center": field.element_to_json(f.center),
-                            "radius": f.r,
-                        }
-                    )
-                elif isinstance(f, DeltaF):
-                    factors.append(
-                        {"type": "delta", "point": field.element_to_json(f.point)}
-                    )
-                else:
-                    factors.append({"type": "full"})
-            terms.append(
-                {
-                    "coef": coef.to_json(),
-                    "mod": [field.element_to_json(a) for a in mod],
-                    "factors": factors,
-                }
-            )
+        terms = [
+            {
+                "coef": coef.to_json(),
+                "mod": [field.element_to_json(a) for a in mod],
+                "factors": [f.to_json(field) for f in fs],
+            }
+            for coef, mod, fs in self.terms
+        ]
         return {"field": field.to_json(), "n": self.n, "terms": terms}
 
     @classmethod
@@ -557,10 +519,7 @@ class BFunctionView:
         self.label = label
 
     def b_function(self, xs: Sequence, r: int) -> CycloScalar:
-        xs = tuple(xs)
-        if len(xs) != self.n:
-            raise FieldError(f"expected {self.n} coordinates, got {len(xs)}")
-        return coerce_scalar(self.field.p, self.fn(xs, int(r)))
+        return coerce_scalar(self.field.p, self.fn(_coords(self.n, xs), int(r)))
 
     def wavelet(self, xs: Sequence, r: int) -> CycloScalar:
         """Volume-normalized ball pairing q^(r n) <u, 1_{B_r(xs)}>."""
@@ -586,6 +545,29 @@ class BFunctionView:
     def __repr__(self) -> str:
         tag = f" {self.label!r}" if self.label else ""
         return f"<ball-function view{tag} on {self.field!r}^{self.n}>"
+
+
+def _term(coef: CycloScalar, parts) -> tuple:
+    """The term (coef', mod, factors) from per-coordinate parts
+    (e2, angle, modulation, factor): coef' = coef q^(sum e2 / 2) psi(sum angle)."""
+    e2s, angles, mod, fs = zip(*parts)
+    e2 = sum(e2s)
+    return (coef.q_shift(e2) if e2 else coef).rotate(sum(angles)), mod, fs
+
+
+def _fineness(f) -> float:
+    """Order of the convolution rule: point mass, then balls by radius, then line."""
+    if isinstance(f, BallF):
+        return f.r
+    return INF if isinstance(f, DeltaF) else -INF
+
+
+def _coords(n: int, xs: Sequence) -> tuple:
+    """The point xs as a tuple; FieldError unless it has n coordinates."""
+    xs = tuple(xs)
+    if len(xs) != n:
+        raise FieldError(f"expected {n} coordinates, got {len(xs)}")
+    return xs
 
 
 def additivity_check(u, ball: Polyball) -> bool:

@@ -27,6 +27,14 @@ Supported map shapes, classified from the matrix:
 ``product_dist`` multiplies two distributions on the same space, guarded by
 the wavefront collision test: the product is formed only when no singular
 pair of one factor opposes a singular pair of the other.
+
+The per-coordinate rules live on the factor classes of ``umla.distribution``
+(see its docstring).  A monomial map y_i = s_i x_perm(i) + b_i pushes the
+factor of coordinate perm(i) by ``push(field, s_i, b_i)``, which moves it by
+x -> s_i x + b_i and multiplies a density by |s_i|^-1; pullback pushes along
+the inverse and multiplies by |det|^-1.  Integrating a coordinate out takes
+the factor's ``mass``, restriction and products its ``contains`` and
+``meet``.
 """
 
 from __future__ import annotations
@@ -34,15 +42,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..cyclo import CycloScalar
-from ..distribution import FULL, BallF, DeltaF, FullF, MixedCellDistribution
-from ..fields import (
-    FieldError,
-    LocalField,
-    Polyball,
-    ball_intersect_1d,
-    vec_add,
-    vec_neg,
-)
+from ..distribution import FULL, BallF, DeltaF, FullF, MixedCellDistribution, _term
+from ..fields import FieldError, LocalField, Polyball, vec_add, vec_neg
 from ..polys import ring_det
 from ..schwartz import DEFAULT_CELL_BUDGET, check_budget
 from .cones import BaseFull, BasePoint, LambdaCone, OrbitRayCell, TaggedCell
@@ -364,21 +365,16 @@ def pullback(
                     nmod[j] = mod[row]
                     nfs[j] = fs[row]
                     continue
-                fac = fs[row]
-                if isinstance(fac, DeltaF):
-                    if f.is_zero(fac.point):
-                        # guarded by the conormal check; defensive
-                        raise NfIntersectsWF(
-                            "restriction meets a point mass in a dropped coordinate"
-                        )
-                    # the atom sits off the subspace: the term restricts to zero
-                    dead = True
-                    break
-                if isinstance(fac, BallF) and f.ord(f.neg(fac.center)) < fac.r:
-                    dead = True
-                    break
                 # the dropped coordinate is evaluated at 0 after the shift,
                 # so the modulation contributes psi(a * 0) = 1
+                if not fs[row].contains(f, zero):
+                    dead = True
+                    break
+                if isinstance(fs[row], DeltaF):
+                    # guarded by the conormal check; defensive
+                    raise NfIntersectsWF(
+                        "restriction meets a point mass in a dropped coordinate"
+                    )
             if not dead:
                 out.append((coef, tuple(nmod), tuple(nfs)))
         return MixedCellDistribution(f, f_map.n_in, out)
@@ -390,7 +386,8 @@ def pullback(
 def _pullback_iso(f_map, u, budget) -> MixedCellDistribution:
     f = f_map.field
     if f_map.is_monomial():
-        return _pullback_monomial(f_map, u)
+        # push along the inverse, times |det|^-1
+        return _push_monomial(f_map.inverse(), u, 2 * f.ord(f_map.det()))
     if f.kind != "p-adic":
         raise UnsupportedMap(
             "over equal-characteristic fields only monomial matrices are supported"
@@ -427,32 +424,25 @@ def _pullback_iso(f_map, u, budget) -> MixedCellDistribution:
     return MixedCellDistribution(f, f_map.n_in, out_terms)
 
 
-def _pullback_monomial(f_map, u) -> MixedCellDistribution:
+def _push_monomial(f_map, u, e2: int) -> MixedCellDistribution:
+    """The image of u under the monomial map, times q^(e2/2).
+
+    Output coordinate i is s x_perm[i] + b, so the factor of input
+    coordinate perm[i] is pushed by (s, b), and psi(a x) = psi(-a b / s)
+    psi((a / s) y) on y = s x + b.
+    """
     f = f_map.field
     perm, scales = f_map.monomial_parts()
-    n = f_map.n_in
+    inv = [f.invert(s) for s in scales]
     out = []
     for coef, mod, fs in u.terms:
-        nmod = [None] * n
-        nfs = [None] * n
-        c2 = coef
-        for i in range(n):
-            j, s, b = perm[i], scales[i], f_map.shift[i]
-            inv = f.invert(s)
-            a, fac = mod[i], fs[i]
-            # psi(a (s x + b)) = psi(a b) psi((a s) x)
-            c2 = c2 * f.psi(f.mul(a, b))
-            nmod[j] = f.mul(a, s)
-            if isinstance(fac, DeltaF):
-                # one-variable point mass picks up the Jacobian modulus
-                c2 = c2.q_shift(2 * f.ord(s))
-                nfs[j] = DeltaF(f.mul(f.sub(fac.point, b), inv))
-            elif isinstance(fac, BallF):
-                nfs[j] = BallF(f.mul(f.sub(fac.center, b), inv), fac.r - f.ord(s))
-            else:
-                nfs[j] = FULL
-        out.append((c2, tuple(nmod), tuple(nfs)))
-    return MixedCellDistribution(f, n, out)
+        parts = []
+        for j, s, si, b in zip(perm, scales, inv, f_map.shift):
+            na = f.mul(mod[j], si)
+            fac, de2 = fs[j].push(f, s, b)
+            parts.append((de2, -f.psi_angle(f.mul(na, b)), na, fac))
+        out.append(_term(coef.q_shift(e2), parts))
+    return MixedCellDistribution(f, f_map.n_in, out)
 
 
 def _transpose_apply(f_map, vec):
@@ -530,14 +520,11 @@ def _value_at(u: MixedCellDistribution, point) -> CycloScalar:
     for coef, mod, fs in u.terms:
         dead = False
         for x, fac in zip(point, fs):
+            if not fac.contains(f, x):
+                dead = True
+                break
             if isinstance(fac, DeltaF):
-                if f.is_zero(f.sub(fac.point, x)):
-                    raise NfIntersectsWF("the distribution has an atom at the point")
-                dead = True
-                break
-            if isinstance(fac, BallF) and f.ord(f.sub(x, fac.center)) < fac.r:
-                dead = True
-                break
+                raise NfIntersectsWF("the distribution has an atom at the point")
         if not dead:
             values.append(coef * f.psi_pair(mod, point))
     return CycloScalar.sum(f.p, values)
@@ -612,33 +599,7 @@ def pushforward(
 def _pushforward_iso(f_map, u, budget) -> MixedCellDistribution:
     f = f_map.field
     if f_map.is_monomial():
-        perm, scales = f_map.monomial_parts()
-        n = f_map.n_in
-        out = []
-        for coef, mod, fs in u.terms:
-            nmod = [None] * n
-            nfs = [None] * n
-            c2 = coef
-            for i in range(n):
-                j, s, b = perm[i], scales[i], f_map.shift[i]
-                inv = f.invert(s)
-                a, fac = mod[j], fs[j]
-                na = f.mul(a, inv)
-                # psi(a x) = psi(-a b / s) psi((a / s) y) on y = s x + b
-                c2 = c2 * f.psi(f.neg(f.mul(na, b)))
-                nmod[i] = na
-                if isinstance(fac, DeltaF):
-                    nfs[i] = DeltaF(f.add(f.mul(s, fac.point), b))
-                elif isinstance(fac, BallF):
-                    nfs[i] = BallF(
-                        f.add(f.mul(s, fac.center), b), fac.r + f.ord(s)
-                    )
-                    c2 = c2.q_shift(2 * f.ord(s))
-                else:
-                    nfs[i] = FULL
-                    c2 = c2.q_shift(2 * f.ord(s))
-            out.append((c2, tuple(nmod), tuple(nfs)))
-        return MixedCellDistribution(f, n, out)
+        return _push_monomial(f_map, u, 0)
     # general invertible: push along f = pull along the inverse, scaled by
     # the inverse Jacobian modulus
     inv = f_map.inverse()
@@ -651,15 +612,16 @@ def _integrate_out(f, coef, mod, fs, coords):
     None when it is 0: a ball B_r(c) contributes psi(a c) q^(-r) unless
     psi(a x) oscillates on it, a point mass 1 (its modulation is zero), and
     a full line is not integrable."""
+    e2, angle = 0, 0
     for j in coords:
-        a, fac = mod[j], fs[j]
-        if isinstance(fac, FullF):
+        if isinstance(fs[j], FullF):
             raise NotProperOnSupport("support is a full line in an integrated axis")
-        if isinstance(fac, BallF):
-            if not f.is_zero(a) and f.ord(a) < 1 - fac.r:
-                return None
-            coef = (coef * f.psi(f.mul(a, fac.center))).q_shift(-2 * fac.r)
-    return coef
+        got = fs[j].mass(f, mod[j])
+        if got is None:
+            return None
+        e2 += got[0]
+        angle += got[1]
+    return coef.q_shift(e2).rotate(angle)
 
 
 def _total_mass(u: MixedCellDistribution) -> CycloScalar:
@@ -725,18 +687,8 @@ def _mul_factors(f, a, b):
         if f.is_zero(f.sub(a.point, b.point)):
             raise WFCollision("product of coinciding point masses")
         return None
-    if isinstance(a, DeltaF) or isinstance(b, DeltaF):
-        d, other = (a, b) if isinstance(a, DeltaF) else (b, a)
-        if isinstance(other, BallF) and f.ord(f.sub(d.point, other.center)) < other.r:
-            return None
-        return d
-    if isinstance(a, BallF) and isinstance(b, BallF):
-        got = ball_intersect_1d(f, a.center, a.r, b.center, b.r)
-        if got is None:
-            return None
-        return BallF(got[0], got[1])
-    if isinstance(a, BallF):
-        return a
+    if isinstance(b, DeltaF):
+        a, b = b, a
     if isinstance(b, BallF):
-        return b
-    return FULL
+        return a.meet(f, b.center, b.r)
+    return a  # times the constant 1 of the line

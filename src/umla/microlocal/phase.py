@@ -537,10 +537,12 @@ def _walk(
 def _sum(field: LocalField, n: int, walk: list, lam) -> CycloScalar:
     """I_eta(lam) from a walk made at ord(lam): per support cell, coef times
     q^(-n L) times the sum of psi(lam p(c, eta)) over the kept values, the
-    psi angles counted in one histogram."""
-    per_cell = []
+    psi angles counted in one histogram; the raw terms of every cell are
+    canonicalised once."""
+    raw = []
     for coef, level, values in walk:
         hist = Counter(field.psi_angle(field.mul(lam, v)) for v in values)
-        psi_sum = CycloScalar(field.p, [(0, a, k) for a, k in hist.items()])
-        per_cell.append((coef * psi_sum).q_shift(-2 * n * level))
-    return CycloScalar.sum(field.p, per_cell)
+        shift = -2 * n * level
+        for f2, b, c in coef:
+            raw.extend((f2 + shift, a + b, c * k) for a, k in hist.items())
+    return CycloScalar(field.p, raw)

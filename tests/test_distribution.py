@@ -21,7 +21,8 @@ from umla.distribution import (
 from umla.fields import FieldError, Polyball, make_field
 from umla.schwartz import SchwartzBruhat
 
-from conftest import FIELDS, rng_for, sample_element
+from conftest import FIELDS, rng_for, sample_element, sample_nonzero
+from oracles import riemann_integral
 from test_schwartz import random_sb
 
 
@@ -343,3 +344,93 @@ def test_singular_point_set_requires_atomic():
     u = MixedCellDistribution.constant(field, 1)
     with pytest.raises(FieldError):
         u.singular_points()
+
+
+# ---------------------------------------------------------------------------
+# dimension checks
+# ---------------------------------------------------------------------------
+
+
+def test_pointwise_eval_rejects_short_points():
+    field = make_field("p-adic", 3)
+    u = MixedCellDistribution.from_sb(
+        SchwartzBruhat.indicator(Polyball.ball(field, (Fraction(0),) * 2, 0))
+    )
+    for xs in ((Fraction(1, 3),), (Fraction(0),)):
+        with pytest.raises(FieldError):
+            u.pointwise_eval(xs)
+
+
+def test_translate_rejects_wrong_length():
+    field = make_field("p-adic", 3)
+    u = MixedCellDistribution.delta(field, (Fraction(0),) * 2)
+    with pytest.raises(FieldError):
+        u.translate((Fraction(1),) * 3)
+
+
+# ---------------------------------------------------------------------------
+# laws of the per-coordinate factor rules
+# ---------------------------------------------------------------------------
+
+
+def random_factor(field, rng):
+    kind = rng.choice(["ball", "full", "delta"])
+    if kind == "ball":
+        return BallF(sample_element(field, rng, -1, 3), rng.randrange(-1, 3))
+    if kind == "delta":
+        return DeltaF(sample_element(field, rng, -1, 3))
+    return FULL
+
+
+def test_push_then_inverse_push_is_identity(field):
+    rng = rng_for(f"factor-push:{field!r}")
+    for _ in range(30):
+        fac = random_factor(field, rng)
+        s = field.mul(
+            field.from_int(rng.randrange(1, field.p)),
+            field.pow_uniformizer(rng.randrange(-2, 3)),
+        )
+        b = sample_element(field, rng, -2, 3)
+        inv = field.invert(s)
+        image, e2 = fac.push(field, s, b)
+        back, e2_back = image.push(field, inv, field.neg(field.mul(inv, b)))
+        assert back == fac
+        assert e2 + e2_back == 0
+        assert e2 == (0 if isinstance(fac, DeltaF) else 2 * field.ord(s))
+
+
+def test_meet_agrees_with_contains(field):
+    rng = rng_for(f"factor-meet:{field!r}")
+    for _ in range(30):
+        fac = random_factor(field, rng)
+        z, lev = sample_element(field, rng, -1, 3), rng.randrange(-1, 3)
+        met = fac.meet(field, z, lev)
+        ball = BallF(z, lev)
+        # random points, plus the ball's centre and the factor's own centre
+        # or point, so that the inside of both supports is probed too
+        probes = [sample_element(field, rng, -2, 4) for _ in range(12)] + [z]
+        probes += [getattr(fac, name) for name in ("center", "point") if hasattr(fac, name)]
+        for x in probes:
+            want = fac.contains(field, x) and ball.contains(field, x)
+            assert (met is not None and met.contains(field, x)) == want
+
+
+def test_ball_mass_matches_riemann_sum(field):
+    rng = rng_for(f"factor-mass:{field!r}")
+    for _ in range(12):
+        r = rng.randrange(-1, 2)
+        fac = BallF(sample_element(field, rng, -1, 2), r)
+        a = sample_nonzero(field, rng, -r - 1, 3) if rng.random() < 0.8 else field.zero()
+        level = r if field.is_zero(a) else max(r, 1 - field.ord(a))
+        got = fac.mass(field, a)
+        want = riemann_integral(
+            field,
+            lambda c: field.psi(field.mul(a, c[0])),
+            Polyball.ball(field, (fac.center,), r),
+            level,
+        )
+        if got is None:
+            assert want.is_zero()
+        else:
+            e2, angle = got
+            assert CycloScalar.q_pow(field.p, e2).rotate(angle) == want

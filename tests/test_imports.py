@@ -1,8 +1,11 @@
-"""Every program module uses what it imports.
+"""Every program module uses what it imports, and every private helper has a reader.
 
 An AST scan of each module under ``src/umla`` (package ``__init__`` files
 re-export, so they are skipped): a name bound by an import must be read
-somewhere in the module or be listed in its ``__all__``.
+somewhere in the module or be listed in its ``__all__``.  A second scan
+covers the whole package: every module-level private name (one leading
+underscore) must be read somewhere in it, so a refactor cannot leave a
+helper without callers.
 """
 
 import ast
@@ -55,3 +58,43 @@ def test_module_uses_its_imports(path):
         name: line for name, line in _imported(tree).items() if name not in used
     }
     assert not unused, f"{path.name}: unused imports {unused}"
+
+
+def _private_definitions(tree: ast.Module) -> dict:
+    """Module-level private name -> line, for defs, classes and assignments."""
+    out = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            targets = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            nodes = node.targets if isinstance(node, ast.Assign) else [node.target]
+            targets = [t.id for n in nodes for t in ast.walk(n) if isinstance(t, ast.Name)]
+        else:
+            continue
+        for name in targets:
+            if name.startswith("_") and not name.startswith("__"):
+                out[name] = node.lineno
+    return out
+
+
+def _package_reads() -> set:
+    """Names loaded or read as attributes anywhere in the package."""
+    names = set()
+    for path in SRC.rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+    return names
+
+
+def test_private_names_have_readers():
+    reads = _package_reads()
+    unread = [
+        f"{path.relative_to(SRC)}:{line} {name}"
+        for path in sorted(SRC.rglob("*.py"))
+        for name, line in _private_definitions(ast.parse(path.read_text())).items()
+        if name not in reads
+    ]
+    assert not unread, f"private names nothing reads: {unread}"
