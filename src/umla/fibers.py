@@ -29,8 +29,7 @@ from .polys import (
     FieldPoly,
     MultiPoly,
     critical_value_locus,
-    horner_ints,
-    int_ord,
+    field_ints,
     parse_poly,
     ring_det,
     sylvester_matrix,
@@ -149,16 +148,20 @@ def _unit_window_roots(field: LocalField, coeffs, k: int):
     Raises ClusterUnresolved only when Res(g, g') = 0, i.e. g has a
     repeated root, and a cell is still undecided at level k.
 
-    The walk runs on ints: the level-L cells are the codes a in [0, q^L)
-    of their canonical centres (``residue_lift``), and the children of a
-    are a + d*q^L.  Over Q_p the code is the centre itself, and
+    The walk runs on ints (``FieldPoly.ints.cell_codes``): g and g' are
+    brought to integer coefficients once per search, and the level-L cells
+    are integer codes a of their canonical centres, whose children are
+    a + d * radix^L.  Over Q_p the code is the centre itself (radix p), and
     ord g(a) = v_p(G(a)) for G = D*g with integer coefficients over their
-    common denominator D (``FieldPoly.ints``; likewise for g'): the content
-    scaling makes every coefficient of g, and so of g', p-integral, so D is
-    a p-unit and the valuation is exact for every input.  Field elements
-    are built only for found roots (Newton lifting) and for the centre that
-    ClusterUnresolved reports.  Over F_p((t)) g is evaluated on the lifted
-    centre.
+    common denominator D: the content scaling makes every coefficient of g,
+    and so of g', p-integral, so D is a p-unit and the valuation is exact
+    for every input.  Over F_p((t)) the code packs the centre's digits at
+    t = 2^W (radix 2^W), and ord g(a) is the first digit of G(a) that p
+    does not divide (``packed_ord``).  W holds the codes of up to ``limit``
+    digits, first k + 1; a search that must split a cell at that depth
+    starts again with the limit ord Res(g, g') + 1, which no split exceeds.
+    Field elements are built only for found roots (Newton lifting) and for
+    the centre that ClusterUnresolved reports.
     """
     if k < 1:
         raise FieldError("root precision must be at least 1")
@@ -166,49 +169,49 @@ def _unit_window_roots(field: LocalField, coeffs, k: int):
         raise FieldError("the zero polynomial has no root locus")
     # scale to an integral polynomial with unit content; roots are unchanged
     content = min(field.ord(c) for c in coeffs if not field.is_zero(c))
-    g = FieldPoly(
-        field, [field.mul(c, field.pow_uniformizer(-content)) for c in coeffs]
-    )
+    if content:
+        coeffs = [field.mul(c, field.pow_uniformizer(-content)) for c in coeffs]
+    g = FieldPoly(field, coeffs)
     # the formal derivative keeps degree deg g - 1 for the resultant
     dcoeffs = [field.mul(field.from_int(i), c) for i, c in enumerate(g.coeffs)][1:]
     gp = FieldPoly(field, dcoeffs)
     res_ord = None  # ord Res(g, g'), computed once a cell reaches level k
-    if field.kind == "p-adic":
-
-        def ord_at(poly: FieldPoly, a: int):
-            return int_ord(horner_ints(poly.ints[0], a)[0], field.p)
-
-    else:
-
-        def ord_at(poly: FieldPoly, a: int):
-            return field.ord(poly.eval(field.residue_lift(a)))
-
-    found = []
-    cells = [(0, 0, ord_at(g, 0))]
-    while cells:
-        a, level, va = cells.pop()
-        vpa = ord_at(gp, a)
-        if level > vpa:
-            if va >= level + vpa:
-                # dorder is the derivative order of the input coefficients
-                root = _newton_lift(field, g, gp, field.residue_lift(a), vpa, k)
-                found.append((root, vpa + content))
-            continue
-        if level >= k:
-            if res_ord is None:
-                zero = field.zero()
-                res = ring_det(
-                    sylvester_matrix(list(g.coeffs), dcoeffs, zero), zero, field.one()
-                )
-                res_ord = field.ord(res)
-            if res_ord == INF:
-                raise ClusterUnresolved(field, field.residue_lift(a), level)
-        step = field.q**level
-        for d in range(field.q):
-            child = a + d * step
-            vc = ord_at(g, child)
-            if vc > level:
-                cells.append((child, level + 1, vc))
+    found, cap = None, k + 1
+    while found is None:
+        ord_g, ord_gp, radix, lift, limit = g.ints.cell_codes(gp.ints, cap)
+        found = []
+        cells = [(0, 0, ord_g(0))]
+        while cells:
+            a, level, va = cells.pop()
+            vpa = ord_gp(a)
+            if level > vpa:
+                if va >= level + vpa:
+                    # dorder is the derivative order of the input coefficients
+                    root = _newton_lift(field, g, gp, lift(a), vpa, k)
+                    found.append((root, vpa + content))
+                continue
+            if level >= k:
+                if res_ord is None:
+                    zero = field.zero()
+                    res = ring_det(
+                        sylvester_matrix(list(g.coeffs), dcoeffs, zero),
+                        zero,
+                        field.one(),
+                    )
+                    res_ord = field.ord(res)
+                if res_ord == INF:
+                    raise ClusterUnresolved(field, lift(a), level)
+                if level >= limit:
+                    # the children need level + 1 digits; no cell deeper
+                    # than ord Res splits, so the new limit holds them all
+                    found, cap = None, res_ord + 1
+                    break
+            step = radix**level
+            for d in range(field.q):
+                child = a + d * step
+                vc = ord_g(child)
+                if vc > level:
+                    cells.append((child, level + 1, vc))
     return sorted(found, key=lambda item: (_elem_sort_key(item[0]), item[1]))
 
 
@@ -292,7 +295,7 @@ class FiberProblem:
         return cls(parse_poly(src, ("x",)))
 
     def is_critical_value(self, field: LocalField, y) -> bool:
-        return field.is_zero(self.disc.eval_field(field, (y,)))
+        return field_ints(field, (y,)).ord(self.disc.coeffs) == INF
 
     def critical_locus(self, field: LocalField) -> FieldPoly:
         """Squarefree part of ``disc`` over ``field``, kept per field.

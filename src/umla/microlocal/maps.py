@@ -393,12 +393,13 @@ def _pullback_iso(f_map, u, budget) -> MixedCellDistribution:
             "over equal-characteristic fields only monomial matrices are supported"
         )
     inv = f_map.inverse()
+    # |det|^{-1}, the scale of every pulled-back point mass
+    scale = CycloScalar.q_pow(f.p, 2 * f.ord(f_map.det()))
     out_terms = []
     for coef, mod, fs in u.terms:
         if all(isinstance(fac, DeltaF) for fac in fs):
             # |det|^{-1} delta at the preimage point
             point = inv.apply(tuple(fac.point for fac in fs))
-            scale = CycloScalar.q_pow(f.p, 2 * f.ord(f_map.det()))
             nfs = tuple(DeltaF(c) for c in point)
             nmod = tuple(mod)  # canonical zero on point coordinates
             out_terms.append((coef * scale, nmod, nfs))

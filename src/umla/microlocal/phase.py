@@ -77,7 +77,7 @@ from itertools import product
 
 from ..cyclo import CycloScalar
 from ..fields import INF, FieldError, LocalField, Polyball
-from ..polys import MultiPoly, common_denominator, int_ord, monomial_ints
+from ..polys import MultiPoly, field_ints
 from ..schwartz import DEFAULT_CELL_BUDGET, SchwartzBruhat, check_budget
 
 
@@ -204,33 +204,23 @@ class _Phase:
 class _OrdsAt(dict):
     """ord q_a(point) for the Taylor coefficients of a phase, on demand.
 
-    Over Q_p the point is brought once to integer numerators over one
-    denominator, x = n / d.  With (N, d^m) = ``monomial_ints`` of q_a at
-    (n, d), m the total degree of q_a, ord q_a(x) = v_p(N) - m v_p(d), read
-    on ints without building a ``Fraction``.  Over F_p((t)) each coefficient
-    is evaluated by ``eval_field``.
+    The point is brought to ints once (``field_ints``), and each ord is
+    read off the integer kernel without building an element: over Q_p,
+    with x = n / d and (N, d^m) = ``monomial_ints`` of q_a at (n, d),
+    ord q_a(x) = v_p(N) - m v_p(d); over F_p((t)), the first digit of the
+    packed value that p does not divide, less the shift of the point's
+    denominator (``packed_ord``).
     """
 
-    __slots__ = ("field", "tay", "point", "nums", "den", "den_ord")
+    __slots__ = ("tay", "point", "ints")
 
     def __init__(self, field: LocalField, tay: dict, point: tuple):
         super().__init__()
-        self.field, self.tay, self.point = field, tay, point
-        self.nums = None
-        if field.kind == "p-adic":
-            self.nums, self.den = common_denominator(point)
-            self.den_ord = int_ord(self.den, field.p)
+        self.tay, self.point = tay, point
+        self.ints = field_ints(field, point)
 
     def __missing__(self, a):
-        poly = self.tay[a]
-        if self.nums is None:
-            o = self.field.ord(poly.eval_field(self.field, self.point))
-        else:
-            num, _ = monomial_ints(poly.coeffs, self.nums, self.den)
-            o = int_ord(num, self.field.p)
-            if num and self.den_ord:
-                o -= self.den_ord * max(map(sum, poly.coeffs))
-        self[a] = o
+        o = self[a] = self.ints.ord(self.tay[a].coeffs)
         return o
 
 
@@ -523,7 +513,7 @@ def _walk(
             ords = _OrdsAt(field, phase.tay, centers + eta)
             if min(radii) == level:
                 if all(ords[ei] + lam_ord >= 1 - level for ei, _ in phase.grads):
-                    values.append(phase.p.eval_field(field, ords.point))
+                    values.append(ords.ints.value(phase.p.coeffs))
             elif not _dominant(phase.grads, ords, radii, -level - lam_ord):
                 split = tuple(min(r + 1, level) for r in radii)
                 axes = (

@@ -24,7 +24,32 @@ be chosen.  ``monomial_ints`` evaluates the sparse form with the powers of
 each n_i and of d shared between the monomials, ``horner_ints`` the dense
 one-variable form by Horner steps.  A caller builds at most one ``Fraction``
 from the ints; one that needs only the valuation takes ``int_ord`` of them
-instead.  Over F_p((t)) evaluation stays on ``LaurentPoly`` elements.
+instead.
+
+Over F_p((t)) the same kernel runs by Kronecker substitution.  Each
+coordinate is written x_i = n_i(t) / t^K with n_i in F_p[t], its digits
+taken in [0, p), and each integer coefficient is reduced mod p into [0, p).
+The homogenised form N(t) = sum_e c_e n^e (t^K)^(m - |e|) then has
+non-negative integer coefficients, and every one of them is at most the sum
+of them all,
+
+    B = sum_e c_e prod_i l1(n_i)^(e_i),
+
+where l1(n) is the sum of the digits of n (l1(t^K) = 1).  Coefficients
+that are themselves elements (``FieldPoly``) are packed like the
+coordinates, over their own power of t, with l1 of their digits in place
+of c_e.  Evaluating at t = 2^W with W = bit_length(B) (at least 1) is a
+ring map Z[t] -> Z, so ``monomial_ints`` and ``horner_ints`` run unchanged
+on n_i(2^W) and d = 2^(W K), and every W-bit digit of the integer N(2^W)
+is exactly one coefficient of N(t), below 2^W, with no carry and no sign.
+Reducing the digits mod p decodes N(t) in F_p[t] (``unpack``), and
+P(x) = N(t) / t^(K m).  A caller that needs only the valuation reads it
+without decoding (``packed_ord``): ord N(t) is the index of the first digit
+that p does not divide.  A nonzero integer whose every digit p divides
+packs the zero element, as x^2 - 1 at x = 1 over F_3((t)) packs to 3, so
+its ord is INF.  ``field_ints`` brings a tuple of elements of either field
+to ints once: ``QpInts`` as above, ``LaurentInts`` at the width W that
+each evaluation needs.
 """
 
 from __future__ import annotations
@@ -34,7 +59,7 @@ from itertools import product
 from math import comb, lcm, prod
 from typing import Sequence
 
-from .fields import INF, FieldError, LocalField, _vp
+from .fields import INF, FieldError, LaurentPoly, LocalField, _vp
 
 
 def common_denominator(xs: Sequence) -> tuple[list[int], int]:
@@ -87,6 +112,165 @@ def monomial_ints(coeffs: dict, nums: Sequence[int], d: int) -> tuple[int, int]:
 def int_ord(v: int, p: int):
     """p-adic valuation of an integer; INF for 0."""
     return INF if v == 0 else _vp(v, p)
+
+
+def kronecker_width(bound: int) -> int:
+    """The width W, at least 1, of the digits that hold integers in [0, bound]."""
+    return max(bound.bit_length(), 1)
+
+
+def packed_ord(v: int, w: int, p: int):
+    """ord_t of the F_p[t] element packed in v >= 0 at t = 2^w: the index of
+    the first w-bit digit of v that p does not divide; INF when there is none,
+    which includes every nonzero v whose digits are all divisible by p."""
+    mask = (1 << w) - 1
+    j = 0
+    while v:
+        # skip the zero digits below the lowest set bit at once
+        z = ((v & -v).bit_length() - 1) // w
+        v >>= z * w
+        j += z
+        if (v & mask) % p:
+            return j
+        v >>= w
+        j += 1
+    return INF
+
+
+def unpack(p: int, v: int, w: int, low: int = 0) -> LaurentPoly:
+    """The element sum_j (digit_j mod p) t^(low + j) of F_p((t)), with digit_j
+    the w-bit digits of v >= 0."""
+    mask = (1 << w) - 1
+    digits = []
+    e = low
+    while v:
+        c = (v & mask) % p
+        if c:
+            digits.append((e, c))
+        v >>= w
+        e += 1
+    return LaurentPoly(p, digits)
+
+
+class QpInts:
+    """Elements x_i of Q_p brought to ints once: x_i = nums[i] / den.
+
+    As a point, it evaluates integer-coefficient polynomials (``value``,
+    ``ord``); as a coefficient list, it is evaluated at an element by Horner's
+    rule (``horner``).
+    """
+
+    __slots__ = ("p", "nums", "den", "den_ord")
+
+    def __init__(self, p: int, xs: Sequence):
+        self.p = p
+        self.nums, self.den = common_denominator(xs)
+        self.den_ord = _vp(self.den, p)
+
+    def value(self, coeffs: dict) -> Fraction:
+        """sum_e c_e x^e for an exponent-to-int dict ``coeffs``."""
+        return Fraction(*monomial_ints(coeffs, self.nums, self.den))
+
+    def ord(self, coeffs: dict):
+        """ord of sum_e c_e x^e: v_p(N) - m v_p(den), read on ints."""
+        num, _ = monomial_ints(coeffs, self.nums, self.den)
+        if num and self.den_ord:
+            return _vp(num, self.p) - self.den_ord * max(map(sum, coeffs))
+        return int_ord(num, self.p)
+
+    def horner(self, x: Fraction) -> Fraction:
+        """sum_k x_k x^k, the elements taken as coefficients in degree order."""
+        num, den = horner_ints(self.nums, x.numerator, x.denominator)
+        return Fraction(num, self.den * den)
+
+    def cell_codes(self, other: "QpInts", cap: int):
+        """The root search's integer kernel for the polynomials with
+        coefficients self and ``other``: (ord_self, ord_other, radix, lift,
+        limit).  A cell code is the integer centre itself, in base p; every
+        width of code is valid (limit INF).  The valuations are exact when
+        den and other.den are p-units."""
+        p = self.p
+        g, h = self.nums, other.nums
+        return (
+            lambda a: int_ord(horner_ints(g, a)[0], p),
+            lambda a: int_ord(horner_ints(h, a)[0], p),
+            p,
+            Fraction,
+            INF,
+        )
+
+
+class LaurentInts:
+    """Elements x_i of F_p((t)) brought to ints: x_i = n_i(t) / t^shift,
+    with the digit sums ``sizes`` = l1(n_i) that fix the width W.
+
+    n_i(2^W) is built per width (``nums``).  The methods mirror ``QpInts``;
+    each evaluation takes the W of the module docstring for its own
+    polynomial and decodes, or reads ord from, the packed result.
+    """
+
+    __slots__ = ("p", "xs", "shift", "sizes")
+
+    def __init__(self, p: int, xs: Sequence):
+        self.p, self.xs = p, xs
+        self.shift = max([-x.coeffs[0][0] for x in xs if x.coeffs] + [0])
+        self.sizes = [sum(c for _, c in x.coeffs) for x in xs]
+
+    def nums(self, w: int) -> list[int]:
+        """n_i(2^w) for every element."""
+        k = self.shift
+        return [sum(c << w * (e + k) for e, c in x.coeffs) for x in self.xs]
+
+    def _eval(self, coeffs: dict) -> tuple[int, int, int]:
+        """(N, w, s): sum_e c_e x^e packs as N at t = 2^w, divided by t^s."""
+        p = self.p
+        cs = {e: c % p for e, c in coeffs.items() if c % p}
+        w = kronecker_width(monomial_ints(cs, self.sizes, 1)[0])
+        num, den = monomial_ints(cs, self.nums(w), 1 << w * self.shift)
+        return num, w, (den.bit_length() - 1) // w
+
+    def value(self, coeffs: dict) -> LaurentPoly:
+        num, w, s = self._eval(coeffs)
+        return unpack(self.p, num, w, -s)
+
+    def ord(self, coeffs: dict):
+        num, w, s = self._eval(coeffs)
+        return packed_ord(num, w, self.p) - s
+
+    def horner(self, x: LaurentPoly) -> LaurentPoly:
+        pt = LaurentInts(self.p, (x,))
+        w = kronecker_width(horner_ints(self.sizes, pt.sizes[0])[0])
+        num, den = horner_ints(self.nums(w), pt.nums(w)[0], 1 << w * pt.shift)
+        return unpack(self.p, num, w, -self.shift - (den.bit_length() - 1) // w)
+
+    def cell_codes(self, other: "LaurentInts", cap: int):
+        """As ``QpInts.cell_codes``, for integral coefficients (shift 0).
+
+        A cell code packs the centre's digits at t = 2^W, so the radix is
+        2^W, and the codes of at most ``cap`` digits (the limit) have digit
+        sum at most (p - 1) cap; W is the width for that bound on both
+        polynomials.
+        """
+        p = self.p
+        size = (p - 1) * cap
+        w = kronecker_width(
+            max(horner_ints(self.sizes, size)[0], horner_ints(other.sizes, size)[0])
+        )
+        g, h = self.nums(w), other.nums(w)
+        return (
+            lambda a: packed_ord(horner_ints(g, a)[0], w, p),
+            lambda a: packed_ord(horner_ints(h, a)[0], w, p),
+            1 << w,
+            lambda a: unpack(p, a, w),
+            cap,
+        )
+
+
+def field_ints(field: LocalField, xs: Sequence) -> QpInts | LaurentInts:
+    """Elements of ``field`` brought to ints once (see the module docstring)."""
+    if field.kind == "p-adic":
+        return QpInts(field.p, xs)
+    return LaurentInts(field.p, xs)
 
 
 class MultiPoly:
@@ -206,25 +390,14 @@ class MultiPoly:
     def eval_field(self, field: LocalField, xs: Sequence):
         """Exact value at a point with local-field coordinates.
 
-        Over Q_p the point goes to integer numerators over one denominator d
-        and the homogenised form d^m * p(x) is summed on ints
-        (``monomial_ints``), which is exact for every rational point; one
-        ``Fraction`` is built from the result.  Over F_p((t)) the monomials
-        are summed on field elements.
+        The point is brought to ints once (``field_ints``) and the
+        homogenised form is summed there by ``monomial_ints``: over Q_p one
+        ``Fraction`` is built from the result, over F_p((t)) one
+        ``LaurentPoly`` is decoded from it (see the module docstring).
         """
         if len(xs) != self.n:
             raise FieldError("wrong number of coordinates")
-        if field.kind == "p-adic":
-            nums, d = common_denominator(xs)
-            return Fraction(*monomial_ints(self.coeffs, nums, d))
-        total = field.zero()
-        for e, c in self.coeffs.items():
-            term = field.from_int(c)
-            for x, k in zip(xs, e):
-                if k:
-                    term = field.mul(term, field.power(x, k))
-            total = field.add(total, term)
-        return total
+        return field_ints(field, xs).value(self.coeffs)
 
     def ord_lower_bound(self, field: LocalField, coord_lo: Sequence):
         """A valid lower bound for ord(p(x)) over all x with ord(x_i) >= coord_lo[i].
@@ -351,9 +524,9 @@ def parse_poly(src: str, var_names: Sequence[str]) -> MultiPoly:
 class FieldPoly:
     """Dense univariate polynomial with local-field coefficients.
 
-    Over Q_p, ``ints`` holds the integer numerators of the coefficients over
-    their least common denominator, and that denominator; it is None over
-    F_p((t)).
+    ``ints`` holds the coefficients brought to ints (``field_ints``): over
+    Q_p their numerators over one denominator, over F_p((t)) their digit
+    polynomials over one power of t, packed at each evaluation's width.
     """
 
     __slots__ = ("field", "coeffs", "ints")
@@ -364,7 +537,7 @@ class FieldPoly:
         while cs and field.is_zero(cs[-1]):
             cs.pop()
         self.coeffs = tuple(cs)
-        self.ints = common_denominator(cs) if field.kind == "p-adic" else None
+        self.ints = field_ints(field, self.coeffs)
 
     @classmethod
     def from_ints(cls, field: LocalField, coeffs: Sequence[int]) -> "FieldPoly":
@@ -387,23 +560,15 @@ class FieldPoly:
         return not self.coeffs
 
     def eval(self, x):
-        """Exact value at a field element.
+        """Exact value at a field element, by Horner's rule on ints.
 
-        Over Q_p, with the coefficients c_k = a_k / b and x = n / d on ints,
-        Horner's rule on the homogenised form gives N = sum_k a_k n^k d^(m-k)
-        and the value N / (b * d^m) (``horner_ints``): exact for every
-        rational x, built as one ``Fraction``.  Over F_p((t)), Horner's rule
-        runs on field elements.
+        Over Q_p, with the coefficients c_k = a_k / b and x = n / d, Horner's
+        rule on the homogenised form gives N = sum_k a_k n^k d^(m-k) and the
+        value N / (b * d^m), one ``Fraction``.  Over F_p((t)) the
+        coefficients and x are packed at t = 2^W with W from the digit sums
+        (the module docstring's rule) and the value is decoded from N.
         """
-        if self.ints is not None:
-            nums, b = self.ints
-            num, den = horner_ints(nums, x.numerator, x.denominator)
-            return Fraction(num, b * den)
-        field = self.field
-        total = field.zero()
-        for c in reversed(self.coeffs):
-            total = field.add(field.mul(total, x), c)
-        return total
+        return self.ints.horner(x)
 
     def derivative(self) -> "FieldPoly":
         field = self.field

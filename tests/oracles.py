@@ -11,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from umla.cyclo import CycloScalar
-from umla.fields import LocalField
+from umla.fields import LaurentPoly, LocalField
 
 
 def digits(field: LocalField, x, lo: int, hi: int) -> list[int]:
@@ -138,6 +138,28 @@ def eval_by_fractions(coeffs: dict, xs) -> Fraction:
             term *= Fraction(x) ** k
         total += term
     return total
+
+
+def eval_by_laurent(p: int, coeffs: dict, xs) -> LaurentPoly:
+    """sum_e c_e x^e over F_p((t)), element by element on ``LaurentPoly``.
+
+    ``coeffs`` maps exponent tuples to int or ``LaurentPoly`` coefficients.
+    Horner's rule in the first variable, whose coefficients are evaluated
+    the same way in the others; every step is one ``LaurentPoly`` product or
+    sum.  Nothing is packed into an integer.
+    """
+    if not xs:
+        total = LaurentPoly(p)
+        for c in coeffs.values():
+            total = total + (c if isinstance(c, LaurentPoly) else LaurentPoly(p, [(0, c)]))
+        return total
+    by_degree: dict = {}
+    for e, c in coeffs.items():
+        by_degree.setdefault(e[0], {})[e[1:]] = c
+    acc = LaurentPoly(p)
+    for k in range(max(by_degree, default=-1), -1, -1):
+        acc = acc * xs[0] + eval_by_laurent(p, by_degree.get(k, {}), xs[1:])
+    return acc
 
 
 def riemann_integral(field: LocalField, fn, ball, level: int) -> CycloScalar:

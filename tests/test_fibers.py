@@ -8,6 +8,7 @@ random property loop with stabilized cell sums on both sides.
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from umla.cyclo import CycloScalar
 from umla.fields import FieldError, LaurentPoly, Polyball, make_field
@@ -16,12 +17,14 @@ from umla.fibers import (
     FiberProblem,
     LevelReport,
     OnDiscriminant,
+    _newton_lift,
+    _unit_window_roots,
     fiber_integrate,
     level_measure,
     padic_roots,
     poly_to_string,
 )
-from umla.polys import MultiPoly, parse_poly
+from umla.polys import FieldPoly, MultiPoly, parse_poly
 from umla.schwartz import CellBudgetError, SchwartzBruhat
 
 from conftest import FIELDS, rng_for
@@ -70,6 +73,58 @@ def test_roots_laurent_field():
     # [DERIVED] over F_3((t)): x^2 - 4 = x^2 - 1 = (x-1)(x+1), roots 1 and 2.
     got = padic_roots("x^2 - 4", F3T, 2)
     assert [F3T._encode(r, 1) for r in got] == [1, 2]
+
+
+def test_newton_lift_stops_at_an_exact_root():
+    # [DERIVED] over F_3((t)) x^2 - 4 is x^2 + 2, and at x = 2 it packs to
+    # N = 6: nonzero, every digit divisible by 3, so g(2) = 0 (ord INF) and
+    # the lift returns at once; deep searches end on the same exact roots
+    g = FieldPoly.from_multipoly(F3T, parse_poly("x^2 - 4", ("x",)))
+    two = F3T.from_int(2)
+    assert F3T.is_zero(g.eval(two))
+    assert _newton_lift(F3T, g, g.derivative(), two, 0, 12) == two
+    for k in (1, 5, 12):
+        assert padic_roots("x^2 - 4", F3T, k) == [F3T.one(), two]
+
+
+@st.composite
+def _close_roots(draw):
+    """(p, distinct integral roots in F_p[t], k): roots that often share
+    their first digits, so the search must split cells deeper than k."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    head = draw(st.lists(st.integers(0, p - 1), max_size=4))
+    roots = set()
+    for _ in range(draw(st.integers(1, 3))):
+        tail = draw(st.lists(st.integers(0, p - 1), max_size=4))
+        digits = (head if draw(st.booleans()) else []) + tail
+        roots.add(LaurentPoly(p, list(enumerate(digits))))
+    return p, sorted(roots, key=lambda r: r.coeffs), draw(st.integers(1, 6))
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(_close_roots())
+def test_laurent_root_search_finds_planted_roots(case):
+    # g = prod (x - r_i): one pair (r_i mod t^k, ord g'(r_i)) per root, with
+    # g'(r_i) = prod_{j != i} (r_i - r_j)
+    p, roots, k = case
+    field = make_field("equal-characteristic", p)
+    coeffs = [field.one()]
+    for r in roots:
+        shifted = [field.zero()] + coeffs
+        for i, c in enumerate(coeffs):
+            shifted[i] = field.sub(shifted[i], field.mul(r, c))
+        coeffs = shifted
+    want = sorted(
+        (
+            (
+                field.canon_trunc(r, k),
+                sum(field.ord(field.sub(r, s)) for s in roots if s != r),
+            )
+            for r in roots
+        ),
+        key=lambda item: (item[0].coeffs, item[1]),
+    )
+    assert _unit_window_roots(field, coeffs, k) == want
 
 
 def test_roots_with_negative_window():

@@ -6,7 +6,7 @@ import pytest
 
 from conftest import rng_for, sample_element, sample_nonzero
 from umla.cyclo import CycloScalar
-from umla.distribution import MixedCellDistribution
+from umla.distribution import DeltaF, MixedCellDistribution
 from umla.fields import FieldError, Polyball, make_field
 from umla.microlocal import (
     AffineMap,
@@ -20,6 +20,7 @@ from umla.microlocal import (
     pushforward,
     wavefront_exact,
 )
+from umla.microlocal import maps as maps_module
 from umla.schwartz import CellBudgetError, SchwartzBruhat
 
 
@@ -263,6 +264,42 @@ class TestPullback:
                 assert wf_v.contains((x,), (f.mul(s, eta),)) == wf_u.contains(
                     m.apply((x,)), (eta,)
                 )
+
+    def test_point_masses_share_one_determinant(self, monkeypatch):
+        # pulling back along a non-monomial matrix takes |det|^-1 once for
+        # all point masses, beside the determinants that classifying (twice:
+        # pullback and its conormal check) and inverting the map compute
+        f = make_field("p-adic", 3)
+        m = AffineMap.from_ints(f, [[1, 1], [0, 1]], [0, 0])
+        u = MixedCellDistribution.zero(f, 2)
+        for i in range(20):
+            u = u + MixedCellDistribution.delta(f, (f.from_int(i), f.from_int(2 * i)))
+        assert len(u.terms) == 20
+        calls = []
+        ring_det = maps_module.ring_det
+
+        def counted(*args):
+            calls.append(args)
+            return ring_det(*args)
+
+        monkeypatch.setattr(maps_module, "ring_det", counted)
+        m.classify()
+        m.classify()
+        m.inverse()
+        own = len(calls)
+        calls.clear()
+        got = pullback(m, u)
+        assert len(calls) - own == 1
+        inv = m.inverse()  # det = 1, so every coefficient stays
+        want = MixedCellDistribution(
+            f,
+            2,
+            [
+                (coef, mod, tuple(DeltaF(c) for c in inv.apply([a.point for a in fs])))
+                for coef, mod, fs in u.terms
+            ],
+        )
+        assert (got - want).is_zero()
 
 
 class TestPushforward:

@@ -5,17 +5,21 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from umla.fields import INF, FieldError, Polyball, make_field
+from umla.fields import INF, FieldError, LaurentPoly, Polyball, make_field
+from umla.microlocal.phase import _OrdsAt
 from umla.polys import (
     FieldPoly,
     MultiPoly,
     critical_value_locus,
+    field_ints,
+    packed_ord,
     parse_poly,
     sylvester_resultant,
+    unpack,
 )
 
 from conftest import FIELDS, rng_for, sample_element
-from oracles import eval_by_fractions
+from oracles import eval_by_fractions, eval_by_laurent
 
 
 def test_parse_and_eval():
@@ -85,6 +89,91 @@ def test_qp_evaluation_matches_fraction_reference(case):
     got = fpoly.eval(x)
     assert type(got) is Fraction
     assert got == eval_by_fractions({(k,): c for k, c in enumerate(fcoeffs)}, (x,))
+
+
+@st.composite
+def _laurent_elements(draw, p: int):
+    """Zero, constants, polynomials, and elements with poles down to t^-4."""
+    kind = draw(st.sampled_from(["zero", "constant", "polynomial", "poles"]))
+    if kind == "zero":
+        return LaurentPoly(p)
+    lo = draw(st.integers(-4, -1)) if kind == "poles" else 0
+    size = 1 if kind == "constant" else draw(st.integers(1, 5))
+    digits = draw(st.lists(st.integers(0, p - 1), min_size=size, max_size=size))
+    return LaurentPoly(p, [(lo + i, d) for i, d in enumerate(digits)])
+
+
+@st.composite
+def _laurent_eval_cases(draw):
+    """(p, MultiPoly, point, FieldPoly coefficients, x) over F_p((t)), with
+    negative integer coefficients.  Half the time the polynomial gets a
+    factor x_0 - x_1 and the point has x_0 = x_1, so its value vanishes."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    n = draw(st.integers(1, 3))
+    shape = draw(st.sampled_from(["zero", "constant", "random"]))
+    coeffs = {}
+    if shape == "constant":
+        coeffs[(0,) * n] = draw(st.integers(-9, 9))
+    elif shape == "random":
+        for _ in range(draw(st.integers(1, 5))):
+            expo = tuple(draw(st.integers(0, 3)) for _ in range(n))
+            coeffs[expo] = draw(st.integers(-9, 9))
+    poly = MultiPoly(n, coeffs)
+    point = [draw(_laurent_elements(p)) for _ in range(n)]
+    if n > 1 and draw(st.booleans()):
+        poly = poly * (MultiPoly.var(n, 0) - MultiPoly.var(n, 1))
+        point[1] = point[0]
+    length = {"zero": 0, "constant": 1, "random": draw(st.integers(2, 6))}[shape]
+    fcoeffs = [draw(_laurent_elements(p)) for _ in range(length)]
+    return p, poly, tuple(point), fcoeffs, draw(_laurent_elements(p))
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(_laurent_eval_cases())
+def test_laurent_evaluation_matches_element_reference(case):
+    # the packed integer kernel against LaurentPoly arithmetic, element by
+    # element: values, valuations read off the packed ints, Taylor ords
+    p, poly, point, fcoeffs, x = case
+    field = make_field("equal-characteristic", p)
+    want = eval_by_laurent(p, poly.coeffs, point)
+    assert poly.eval_field(field, point) == want
+    assert field_ints(field, point).ord(poly.coeffs) == want.ord()
+    tay = poly.taylor()
+    ords = _OrdsAt(field, tay, point)
+    for a, q in tay.items():
+        assert ords[a] == eval_by_laurent(p, q.coeffs, point).ord()
+    fpoly = FieldPoly(field, fcoeffs)
+    want = eval_by_laurent(p, {(k,): c for k, c in enumerate(fcoeffs)}, (x,))
+    assert fpoly.eval(x) == want
+
+
+def test_packed_zero_by_cancellation_has_infinite_ord():
+    # x^2 - 1 at x = 1 over F_3((t)) packs to N = 3: nonzero, but its one
+    # digit is divisible by 3, so it is the zero element
+    f3t = make_field("equal-characteristic", 3)
+    poly = parse_poly("x^2 - 1", ("x",))
+    one = f3t.one()
+    assert field_ints(f3t, (one,)).ord(poly.coeffs) == INF
+    assert f3t.is_zero(poly.eval_field(f3t, (one,)))
+    assert f3t.is_zero(FieldPoly.from_multipoly(f3t, poly).eval(one))
+    assert packed_ord(3, 2, 3) == INF
+    # digits 3, 0, 6 at W = 3: every digit vanishes mod 3
+    assert packed_ord(3 + (6 << 6), 3, 3) == INF
+    assert packed_ord(3 + (5 << 6), 3, 3) == 2
+    assert packed_ord(0, 4, 5) == INF
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(
+    st.sampled_from([2, 3, 5]),
+    st.integers(1, 6),
+    st.lists(st.integers(0, 63), max_size=6),
+)
+def test_packed_ord_reads_the_first_digit_prime_to_p(p, w, digits):
+    digits = [d % (1 << w) for d in digits]
+    v = sum(d << w * j for j, d in enumerate(digits))
+    want = next((j for j, d in enumerate(digits) if d % p), INF)
+    assert packed_ord(v, w, p) == want == unpack(p, v, w).ord()
 
 
 def test_taylor_expansion_of_square():
