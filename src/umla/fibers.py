@@ -322,10 +322,10 @@ class FiberProblem:
 def _fiber_points(problem: FiberProblem, field: LocalField, y, support: int, k: int):
     """(truncated root, ord f' there) for fiber points inside the window
     ord x >= min(support, 0), ``support`` the support radius of phi."""
-    fp = FieldPoly.from_multipoly(field, problem.f)
-    coeffs = list(fp.coeffs)
-    if not coeffs:
-        coeffs = [field.zero()]
+    f = problem.f
+    coeffs = [field.zero()] * (f.degree_in(0) + 1)
+    for (i,), c in f.coeffs.items():
+        coeffs[i] = field.from_int(c)
     coeffs[0] = field.sub(coeffs[0], y)
     return _window_roots(field, coeffs, min(support, 0), max(k, min(support, 0) + 1))
 

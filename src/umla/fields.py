@@ -620,11 +620,15 @@ class Polyball:
             )
         )
 
+    def child_centers(self) -> Iterator[tuple]:
+        """Canonical center tuples of the children, lazily, in their order."""
+        return self._subcells(tuple(r + 1 for r in self.radii))
+
     def children(self) -> list["Polyball"]:
         """The q^n disjoint sub-polyballs with every radius increased by one."""
         radii = tuple(r + 1 for r in self.radii)
         return [
-            Polyball(self.field, centers, radii) for centers in self._subcells(radii)
+            Polyball(self.field, centers, radii) for centers in self.child_centers()
         ]
 
     def cells_at_level(self, level: int) -> Iterator[tuple]:

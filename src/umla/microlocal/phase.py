@@ -61,11 +61,21 @@ Every decision of the walk reads ``lam`` only through ``ord(lam)``: the
 level ``L``, the budget check, the dropped subtrees and the skip rule.  The
 integral is therefore computed in two steps.  ``_walk`` takes ``ord(lam)``,
 makes every decision, and keeps, per support cell, the phase values
-``p(c, eta)`` at the level-``L`` centres that are not skipped; ``_sum``
-takes ``lam`` and adds ``q^(-n L) psi(lam p(c, eta))`` over them.
-:func:`oscillatory_integral` is one walk and one sum.  The verification of
-:func:`stationary_phase_bound` makes one walk per (scale order, ``eta``) and
-sums it for every unit class of that order.
+``p(c, eta)`` at the level-``L`` centres that are not skipped; ``_angles``
+counts, once per walk, what psi reads from ``m * p(c, eta)`` for a
+multiplier ``m`` of order ``ord(lam)``, and ``_sum`` adds
+``q^(-n L) psi(u m p(c, eta))`` for a unit ``u`` from those counts alone.
+With psi as in ``fields.psi_angle`` (trivial on ``pi O`` over Q_p; the
+``t^0`` digit over F_p((t))), the twist rule is: over Q_p, a unit code
+``u`` is an integer, so psi(u w) = psi(w)^u, and an angle ``j / p^K`` of
+``w`` becomes ``u j mod p^K``; over F_p((t)), ``u = sum_{i<d} u_i t^i``
+gives psi(u w) = zeta_p^(sum_i u_i w_{-i}), so the counts are kept per
+digit vector ``(w_0, w_{-1}, ..., w_{1-d})`` and a unit is one dot product
+mod p.  :func:`oscillatory_integral` is one walk and one sum, with
+``m = lam`` and ``u = 1``.  The verification of
+:func:`stationary_phase_bound` makes one walk per (scale order ``e``,
+``eta``), counts it once with ``m = pi^e``, and sums it for every unit
+class of that order without building ``lam``.
 """
 
 from __future__ import annotations
@@ -73,7 +83,8 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import islice, product
+from operator import mul
 
 from ..cyclo import CycloScalar
 from ..fields import INF, FieldError, LocalField, Polyball
@@ -296,8 +307,13 @@ def stationary_phase_bound(
     confirmed by exhaustive exact integration over ``verify_window`` scale
     orders below the threshold at the exact unit depth, for sampled eta.
     The cell walk of an integral reads lam only through ord(lam), so the
-    verification makes one walk per (scale order, eta), when the first unit
-    class of that order needs it, and sums it for every unit class.
+    verification makes one walk per (scale order e, eta), when the first
+    unit class of that order needs it, counts once what psi reads from
+    pi^e times its kept values, and sums those counts for every unit class
+    u by an integer twist: with psi as in ``fields.psi_angle``, an angle
+    j / p^K becomes u j mod p^K over Q_p, and over F_p((t)) a digit vector
+    (w_0, ..., w_{1-d}) becomes sum_i u_i w_{-i} mod p.  lam = pi^e u is
+    built as a field element only for the witness of a contradiction.
 
     One ``budget`` (default the shared ``DEFAULT_CELL_BUDGET``) bounds both
     the cells the gradient certificate visits per support cell and, as in
@@ -371,7 +387,7 @@ def stationary_phase_bound(
                 all_orders.append(lb)
     p_min_ord = min(all_orders) if all_orders else 0
 
-    etas = [child.centers for child in V.children()[:verify_eta_samples]]
+    etas = list(islice(V.child_centers(), verify_eta_samples))
     scales = []
     depth_capped = False
     for e_ord in range(threshold - verify_window, threshold):
@@ -381,9 +397,12 @@ def stationary_phase_bound(
             depth_capped = True
         scales.append((e_ord, depth))
     checked = 0
-    for lam, eta, val in _unit_scale_integrals(field, phase, phi, etas, scales, budget):
+    for e_ord, ucode, eta, val in _unit_scale_integrals(
+        field, phase, phi, etas, scales, budget
+    ):
         checked += 1
         if not val.is_zero():
+            lam = field.mul(field.pow_uniformizer(e_ord), field.residue_lift(ucode))
             raise PhaseCertificationError(
                 "certified bound contradicted by exact integration",
                 witness=(lam, eta, val),
@@ -435,7 +454,9 @@ def oscillatory_integral(
     support cell that the level requests, skipped ones included, whether the
     walk visits them or not (default the shared ``DEFAULT_CELL_BUDGET``);
     exceeding it raises :class:`CellBudgetError`.  The walk reads lam only
-    through ord(lam); one sum over the kept centres then brings in lam.
+    through ord(lam); the psi values of lam times the kept phase values are
+    then counted once and summed, as the unit class u = 1 of the
+    verification in :func:`stationary_phase_bound`.
     """
     field = phi.field
     eta = tuple(eta)
@@ -445,7 +466,7 @@ def oscillatory_integral(
         return phi.integrate()
     phase = _Phase(field, p, phi.n, p.taylor(phi.n))
     walk = _walk(field, phase, phi, eta, field.ord(lam), budget)
-    return _sum(field, phi.n, walk, lam)
+    return _sum(field, phi.n, _angles(field, walk, lam, 1), 1)
 
 
 def _unit_scale_integrals(
@@ -456,20 +477,26 @@ def _unit_scale_integrals(
     scales: list,
     budget: int,
 ):
-    """Yield (lam, eta, I_eta(lam)) for lam = pi^e u, for each (e, depth) in
-    ``scales``, each unit class u at that depth and each eta, in this order.
+    """Yield (e, u, eta, I_eta(pi^e u)) for each (e, depth) in ``scales``,
+    each unit class code u at that depth and each eta, in this order.
 
     The walk of each eta is made once per scale, when the first unit needs
-    it, and summed for every unit of that scale.
+    it, and its psi values at pi^e times the kept phase values are counted
+    once (``_angles`` at depth d).  Each unit class then twists those counts
+    on ints (``_sum``): over Q_p the unit code u is an integer and an angle
+    j / p^K becomes u j mod p^K; over F_p((t)), u = sum_{i<d} u_i t^i and a
+    digit vector (w_0, ..., w_{1-d}) becomes sum_i u_i w_{-i} mod p, psi
+    reading the t^0 digit.  No lam is built here.
     """
     for e_ord, depth in scales:
-        walks = [None] * len(etas)
+        pi_e = field.pow_uniformizer(e_ord)
+        counts = [None] * len(etas)
         for ucode in field.unit_classes(depth):
-            lam = field.mul(field.pow_uniformizer(e_ord), field.residue_lift(ucode))
             for i, eta in enumerate(etas):
-                if walks[i] is None:
-                    walks[i] = _walk(field, phase, phi, eta, e_ord, budget)
-                yield lam, eta, _sum(field, phi.n, walks[i], lam)
+                if counts[i] is None:
+                    walk = _walk(field, phase, phi, eta, e_ord, budget)
+                    counts[i] = _angles(field, walk, pi_e, depth)
+                yield e_ord, ucode, eta, _sum(field, phi.n, counts[i], ucode)
 
 
 def _walk(
@@ -524,15 +551,69 @@ def _walk(
     return out
 
 
-def _sum(field: LocalField, n: int, walk: list, lam) -> CycloScalar:
-    """I_eta(lam) from a walk made at ord(lam): per support cell, coef times
-    q^(-n L) times the sum of psi(lam p(c, eta)) over the kept values, the
-    psi angles counted in one histogram; the raw terms of every cell are
-    canonicalised once."""
-    raw = []
+def _angles(field: LocalField, walk: list, mult, depth: int) -> list:
+    """What psi reads from ``mult`` times each kept value of a walk, counted
+    once per support cell: (coef, L, den, hist) per cell.
+
+    Over Q_p, ``hist`` counts the numerators (j,) of the angles
+    ``psi_angle(mult v) = j / den``, den = p^K the largest denominator.
+    Over F_p((t)), it counts the digit vectors (w_0, w_{-1}, ...,
+    w_{1-depth}) of w = mult v, and den = p.
+    """
+    out = []
     for coef, level, values in walk:
-        hist = Counter(field.psi_angle(field.mul(lam, v)) for v in values)
+        ws = [field.mul(mult, v) for v in values]
+        if field.kind == "p-adic":
+            angles = Counter(field.psi_angle(w) for w in ws)
+            den = max((a.denominator for a in angles), default=1)
+            hist = {
+                (a.numerator * (den // a.denominator),): k for a, k in angles.items()
+            }
+        else:
+            den = field.p
+            hist = Counter(tuple(w.coeff(-i) for i in range(depth)) for w in ws)
+        out.append((coef, level, den, hist))
+    return out
+
+
+def _twist(field: LocalField, den: int, hist: dict, ucode: int) -> dict:
+    """The counts of ``_angles`` for the multiplier times the unit class
+    ``ucode``: {numerator j of the psi angle j / den: count}.
+
+    A key is a vector x and the unit a vector u of the same kind, and the
+    twisted numerator is sum_i u_i x_i mod den: over Q_p u = (ucode,), the
+    unit code itself; over F_p((t)) u holds the base-p digits of ucode,
+    low first, the coefficients of residue_lift(ucode).
+    """
+    if field.kind == "p-adic":
+        us = (ucode,)
+    else:
+        us = []
+        while ucode:
+            ucode, digit = divmod(ucode, field.p)
+            us.append(digit)
+    out = {}
+    for xs, k in hist.items():
+        j = sum(map(mul, us, xs)) % den
+        out[j] = out.get(j, 0) + k
+    return out
+
+
+def _sum(field: LocalField, n: int, angles: list, ucode: int) -> CycloScalar:
+    """I_eta(pi^e u) from the counts of ``_angles`` at the multiplier pi^e
+    (or lam, with u = 1), for the unit class code ``ucode``.
+
+    Per support cell, coef times q^(-n L) times the sum of psi(u w) over the
+    kept w, read off the counts by the integer twist of ``_twist``: with
+    psi as in ``fields.psi_angle``, j / p^K becomes u j mod p^K over Q_p,
+    and (w_0, ..., w_{1-d}) becomes sum_i u_i w_{-i} mod p over F_p((t)).
+    The twisted counts, the cell coefficient and the q-shift of every cell
+    fold into the raw triples of one scalar, canonicalised once.
+    """
+    raw = []
+    for coef, level, den, hist in angles:
         shift = -2 * n * level
-        for f2, b, c in coef:
-            raw.extend((f2 + shift, a + b, c * k) for a, k in hist.items())
+        for j, k in _twist(field, den, hist, ucode).items():
+            a = Fraction(j, den)
+            raw.extend((f2 + shift, a + b, c * k) for f2, b, c in coef)
     return CycloScalar(field.p, raw)

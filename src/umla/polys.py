@@ -526,10 +526,13 @@ class FieldPoly:
 
     ``ints`` holds the coefficients brought to ints (``field_ints``): over
     Q_p their numerators over one denominator, over F_p((t)) their digit
-    polynomials over one power of t, packed at each evaluation's width.
+    polynomials over one power of t, packed at each evaluation's width.  It
+    is built on its first read (by ``eval`` or the root search) and kept, so
+    a polynomial that is never evaluated, such as a quotient, remainder or
+    gcd inside ``squarefree_part``, never builds it.
     """
 
-    __slots__ = ("field", "coeffs", "ints")
+    __slots__ = ("field", "coeffs", "_ints")
 
     def __init__(self, field: LocalField, coeffs: Sequence):
         self.field = field
@@ -537,7 +540,13 @@ class FieldPoly:
         while cs and field.is_zero(cs[-1]):
             cs.pop()
         self.coeffs = tuple(cs)
-        self.ints = field_ints(field, self.coeffs)
+        self._ints = None
+
+    @property
+    def ints(self) -> QpInts | LaurentInts:
+        if self._ints is None:
+            self._ints = field_ints(self.field, self.coeffs)
+        return self._ints
 
     @classmethod
     def from_ints(cls, field: LocalField, coeffs: Sequence[int]) -> "FieldPoly":

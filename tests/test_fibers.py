@@ -17,6 +17,7 @@ from umla.fibers import (
     FiberProblem,
     LevelReport,
     OnDiscriminant,
+    _fiber_points,
     _newton_lift,
     _unit_window_roots,
     fiber_integrate,
@@ -73,6 +74,20 @@ def test_roots_laurent_field():
     # [DERIVED] over F_3((t)): x^2 - 4 = x^2 - 1 = (x-1)(x+1), roots 1 and 2.
     got = padic_roots("x^2 - 4", F3T, 2)
     assert [F3T._encode(r, 1) for r in got] == [1, 2]
+
+
+@pytest.mark.parametrize("key", ["Q2", "Q3", "Q5", "F3t"])
+def test_fiber_points_are_truncated_at_the_requested_level(key):
+    # [DERIVED] the fiber of x^2 over 1 is {1, -1}, with f' = 2x; each point
+    # comes back as its level-k truncation, whatever the degree of f
+    f = FIELDS[key]
+    prob = FiberProblem.from_string("x^2")
+    two_ord = f.ord(f.from_int(2))
+    for k in (2, 3, 5):
+        got = _fiber_points(prob, f, f.one(), 0, k)
+        roots = {f.canon_trunc(r, k) for r in (f.one(), f.from_int(-1))}
+        assert {root for root, _ in got} == roots
+        assert all(dorder == two_ord for _, dorder in got)
 
 
 def test_newton_lift_stops_at_an_exact_root():

@@ -183,6 +183,8 @@ def test_children_partition_bulk():
             )
             assert ball.contains(x)
             assert sum(1 for k in kids if k.contains(x)) == 1
+            # the lazy child centres are the children's, in the same order
+            assert list(ball.child_centers()) == [k.centers for k in kids]
 
 
 def test_polyball_intersection_nested_or_disjoint():

@@ -17,7 +17,16 @@ from umla.microlocal import (
     oscillatory_integral,
     stationary_phase_bound,
 )
-from umla.microlocal.phase import _OrdsAt, _Phase, _unit_scale_integrals
+from umla.microlocal import phase as phase_mod
+from umla.microlocal.phase import (
+    _OrdsAt,
+    _Phase,
+    _angles,
+    _sum,
+    _twist,
+    _unit_scale_integrals,
+    _walk,
+)
 from umla.polys import MultiPoly, parse_poly
 from umla.schwartz import DEFAULT_CELL_BUDGET, CellBudgetError, SchwartzBruhat
 
@@ -400,13 +409,126 @@ class TestOneWalkPerScale:
             for u in f.unit_classes(depth):
                 lam = f.mul(f.pow_uniformizer(order), f.residue_lift(u))
                 for eta, values in zip(etas, grids):
-                    want.append((lam, eta, riemann_sum(f, values, dim, level, lam)))
+                    want.append(
+                        (order, u, lam, eta, riemann_sum(f, values, dim, level, lam))
+                    )
         assert len(got) == len(want)
-        for (lam, eta, val), (lam_w, eta_w, val_w) in zip(got, want):
-            assert f.is_zero(f.sub(lam, lam_w)) and eta == eta_w
+        for (e_got, u_got, eta, val), (order, u, lam, eta_w, val_w) in zip(got, want):
+            assert (e_got, u_got) == (order, u) and eta == eta_w
             assert val == val_w
             assert val == oscillatory_integral(p, phi, eta, lam)
-        assert sum(not val.is_zero() for _, _, val in want) > len(want) // 2
+        assert sum(not val.is_zero() for *_, val in want) > len(want) // 2
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize("depth", [1, 2])
+    def test_twisted_histograms_match_riemann_sums(self, field, dim, depth):
+        # the phases of test_shared_walk_matches_riemann_sums with a term in
+        # eta alone, so that pi^e times the kept values has digits below
+        # t^0 (angles up to 1/p^4 over Q_p); every Taylor term of degree >= 1
+        # is integral on the support, so the Riemann sum at level 1 - e is
+        # exact.  A support cell carries a root of unity and a sqrt(q), so
+        # the fold adds its angle; in 1-D the cell B_1(1) keeps no value for
+        # odd p.  For every unit u, the twisted counts of the one walk at
+        # pi^e must be the psi-angle counts of lam = pi^e u times the kept
+        # values, and their sum the Riemann sum at lam
+        f = field
+        pi = f.uniformizer()
+        coef = CycloScalar(f.p, [(1, Fraction(1, f.p**2), Fraction(2, 3))])
+        if dim == 1:
+            p = parse_poly("x^2*e + e^2", ("x", "e"))
+            cells = {(f.zero(),): coef, (f.one(),): CycloScalar.one(f.p)}
+            eta = (f.add(f.add(f.one(), pi), f.mul(f.from_int(2), f.mul(pi, pi))),)
+            levels, e = (1,), -3
+        else:
+            p = parse_poly("x^2 + x*y + y*e + e", ("x", "y", "e"))
+            cells = {(f.zero(), f.zero()): coef}
+            levels, e, eta = (0, 1), -2, (f.add(pi, f.mul(pi, pi)),)
+        phi = SchwartzBruhat(f, dim, levels, cells)
+        phase = _Phase(f, p, dim, p.taylor(dim))
+        walk = _walk(f, phase, phi, eta, e, DEFAULT_CELL_BUDGET)
+        angles = _angles(f, walk, f.pow_uniformizer(e), depth)
+        assert any(values for _, _, values in walk)
+        if f.kind != "p-adic" and depth == 2:
+            # the second digit of u is read: some key has a nonzero x_{-1}
+            assert any(xs[1] for *_, hist in angles for xs in hist)
+        level = 1 - e
+        grids = [
+            (c, grid_values(f, p, ball.centers, ball.radii, level, eta))
+            for ball, c in phi.terms()
+        ]
+        for u in f.unit_classes(depth):
+            lam = f.mul(f.pow_uniformizer(e), f.residue_lift(u))
+            for (_, _, values), (_, _, den, hist) in zip(walk, angles):
+                want = Counter(f.psi_angle(f.mul(lam, v)) * den for v in values)
+                assert _twist(f, den, hist, u) == {int(a): k for a, k in want.items()}
+            want = CycloScalar.sum(
+                f.p, [c * riemann_sum(f, values, dim, level, lam) for c, values in grids]
+            )
+            assert _sum(f, dim, angles, u) == want
+            assert want == oscillatory_integral(p, phi, eta, lam)
+
+    def test_walks_keeping_no_value_sum_to_zero_and_are_counted(self, field):
+        # x*e on O with a unit eta: the gradient oscillates on every cell at
+        # every ord(lam) <= 0, so no walk keeps a value
+        f = field
+        p = parse_poly("x*e", ("x", "e"))
+        phi = indicator(f, (f.zero(),), 0)
+        V = unit_eta_ball(f)
+        etas = list(V.child_centers())[:4]
+        phase = _Phase(f, p, 1, p.taylor(1))
+        scales = [(-1, 2), (0, 1)]
+        for e, _ in scales:
+            for eta in etas:
+                walk = _walk(f, phase, phi, eta, e, DEFAULT_CELL_BUDGET)
+                assert [values for _, _, values in walk] == [[]]
+        got = list(
+            _unit_scale_integrals(f, phase, phi, etas, scales, DEFAULT_CELL_BUDGET)
+        )
+        want = [
+            (e, u, eta)
+            for e, depth in scales
+            for u in f.unit_classes(depth)
+            for eta in etas
+        ]
+        assert [(e, u, eta) for e, u, eta, _ in got] == want
+        assert all(val == CycloScalar.zero(f.p) for *_, val in got)
+        # the bound's verification runs exactly these scales: threshold 1,
+        # window 2 and every value of order >= 0 on supp x V
+        rep = stationary_phase_bound(p, phi, V, 1)
+        assert rep.verification["lambda_orders"] == [-1, 0]
+        assert rep.verification["integrals_checked"] == len(want)
+
+    def test_contradiction_witness_is_pi_e_times_the_unit(self, field, monkeypatch):
+        # skip the gradient certificate and claim delta = q (d0 = -1), so the
+        # threshold is 0 and the window is ord(lam) in {-2, -1}.  phi is
+        # 1_{B_2(0)} - 1_{B_2(1)}; for x*e at eta = 1, I(lam) at ord -1 is
+        # q^-2 (1 - psi(lam)), which over Q_p is nonzero at u = 1 but over
+        # F_p((t)) first at u = 1 + t, where lam = t^-1 + 1 has a t^0 digit
+        f = field
+        monkeypatch.setattr(phase_mod, "_certify_gradient", lambda *args: 1)
+        p = parse_poly("x*e", ("x", "e"))
+        phi = SchwartzBruhat(
+            f,
+            1,
+            (2,),
+            {(f.zero(),): CycloScalar.one(f.p), (f.one(),): CycloScalar.fraction(f.p, -1)},
+        )
+        with pytest.raises(PhaseCertificationError) as exc:
+            stationary_phase_bound(p, phi, unit_eta_ball(f), f.q, verify_eta_samples=1)
+        lam, eta, val = exc.value.witness
+        # the first nonzero integral in the loop order: unit depth 1 - e,
+        # every value on supp x V having order >= 0
+        def integrals():
+            for e in (-2, -1):
+                for u in f.unit_classes(1 - e):
+                    lam_u = f.mul(f.pow_uniformizer(e), f.residue_lift(u))
+                    yield lam_u, oscillatory_integral(p, phi, (f.one(),), lam_u)
+
+        lam_w, val_w = next((l, v) for l, v in integrals() if not v.is_zero())
+        assert f.is_zero(f.sub(lam, lam_w)) and eta == (f.one(),)
+        assert val == val_w and not val.is_zero()
+        unit = f.one() if f.kind == "p-adic" else f.add(f.one(), f.uniformizer())
+        assert lam == f.mul(f.pow_uniformizer(-1), unit)
 
 
 # (field, phase, variables, support centre, support radii, delta, options) and

@@ -262,6 +262,17 @@ def test_field_poly_shift_and_derivative():
     assert p.eval(Fraction(5)) == Fraction(25)
 
 
+def test_field_poly_ints_are_built_on_first_read():
+    # a quotient or gcd that is never evaluated never packs its coefficients
+    for field in (make_field("p-adic", 3), make_field("equal-characteristic", 3)):
+        p = FieldPoly.from_ints(field, [2, 0, 1])
+        assert p._ints is None
+        assert p.eval(field.from_int(4)) == field.from_int(18)
+        ints = p._ints
+        assert ints is not None and p.ints is ints
+        assert all(g._ints is None for g in divmod(p, FieldPoly.from_ints(field, [1, 1])))
+
+
 def test_sylvester_resultant_square():
     # [DERIVED] res_x(x^2 - y, 2x) = -4y
     a = [
