@@ -7,8 +7,10 @@ density at a regular value y is the finite sum
 
 the density of the image measure of phi |dx| under f with respect to |dy|.
 The engine behind it finds fiber points by adaptive refinement of residue
-cells, each decided exactly, followed by Newton lifting, with exact
-valuations of f' at every reported root.
+cells, each decided exactly, on integer codes of the cell centres: once a
+cell is known to hold one root, the walk descends through the one child
+that holds it down to the requested level (a Hensel descent), and reports
+the exact valuation of f' at every root.
 
 The critical-value set of f (zeros of the discriminant of f(x) - y in y) is
 where fibers collide; ``fiber_integrate`` refuses those y exactly.  Away
@@ -46,8 +48,6 @@ __all__ = [
     "level_measure",
     "poly_to_string",
 ]
-
-_NEWTON_CAP = 64
 
 
 class ClusterUnresolved(FieldError):
@@ -94,42 +94,13 @@ def poly_to_string(f: MultiPoly, var: str = "x") -> str:
 
 
 # ---------------------------------------------------------------------------
-# root finding: residue search + certified Newton lifting
+# root finding: residue search + certified Hensel descent
 # ---------------------------------------------------------------------------
 
 
 def _elem_sort_key(x):
     """Deterministic ordering key for canonical field elements."""
     return x.coeffs if hasattr(x, "coeffs") else x
-
-
-def _approx_invert(field: LocalField, a, prec: int):
-    """Inverse of a nonzero element, exact modulo uniformizer^prec."""
-    if field.kind == "p-adic":
-        return field.invert(a)
-    e = field.ord(a)
-    unit = field.mul(a, field.pow_uniformizer(-e))
-    inv_unit = field.unit_inverse_mod(unit, max(prec, 1))
-    return field.mul(inv_unit, field.pow_uniformizer(-e))
-
-
-def _newton_lift(field: LocalField, g, gp, a, vpa: int, k: int):
-    """Level-k truncation of the root of g in a certified cell around a.
-
-    Requires ord g(a) > 2*vpa with vpa = ord g'(a) (Hensel's condition),
-    which every decided cell meets; Newton iteration contracts
-    quadratically, and stops once g's valuation pins the root modulo
-    uniformizer^k.
-    """
-    prec = k + 2 * vpa + 4
-    x = a
-    for _ in range(_NEWTON_CAP):
-        gx = g.eval(x)
-        if field.ord(gx) >= k + vpa:
-            return field.canon_trunc(x, k)
-        step = field.mul(gx, _approx_invert(field, gp.eval(x), prec))
-        x = field.canon_trunc(field.sub(x, step), prec)
-    raise FieldError("Newton lifting did not converge")  # pragma: no cover
 
 
 def _unit_window_roots(field: LocalField, coeffs, k: int):
@@ -148,7 +119,14 @@ def _unit_window_roots(field: LocalField, coeffs, k: int):
     Raises ClusterUnresolved only when Res(g, g') = 0, i.e. g has a
     repeated root, and a cell is still undecided at level k.
 
-    The walk runs on ints (``FieldPoly.ints.cell_codes``): g and g' are
+    A decided cell that holds a root is followed down on codes too (a
+    Hensel descent): g maps each of its q children one-to-one onto a ball
+    of radius L + 1 + v', so exactly one child has ord g >= L + 1 + v', and
+    the walk descends through that child alone until level k.  The root's
+    level-k truncation is then that cell's centre, cut to its first k
+    digits when the cell was decided deeper than k.
+
+    The walk runs on ints (``cell_codes`` of ``field_ints``): g and g' are
     brought to integer coefficients once per search, and the level-L cells
     are integer codes a of their canonical centres, whose children are
     a + d * radix^L.  Over Q_p the code is the centre itself (radix p), and
@@ -160,25 +138,29 @@ def _unit_window_roots(field: LocalField, coeffs, k: int):
     does not divide (``packed_ord``).  W holds the codes of up to ``limit``
     digits, first k + 1; a search that must split a cell at that depth
     starts again with the limit ord Res(g, g') + 1, which no split exceeds.
-    Field elements are built only for found roots (Newton lifting) and for
-    the centre that ClusterUnresolved reports.
+    In both cases a mod radix^k is the code of the level-k truncation.
+    Field elements are built only for found roots and for the centre that
+    ClusterUnresolved reports.
     """
     if k < 1:
         raise FieldError("root precision must be at least 1")
     if all(field.is_zero(c) for c in coeffs):
         raise FieldError("the zero polynomial has no root locus")
+    coeffs = list(coeffs)
+    while field.is_zero(coeffs[-1]):
+        coeffs.pop()
     # scale to an integral polynomial with unit content; roots are unchanged
     content = min(field.ord(c) for c in coeffs if not field.is_zero(c))
     if content:
         coeffs = [field.mul(c, field.pow_uniformizer(-content)) for c in coeffs]
-    g = FieldPoly(field, coeffs)
     # the formal derivative keeps degree deg g - 1 for the resultant
-    dcoeffs = [field.mul(field.from_int(i), c) for i, c in enumerate(g.coeffs)][1:]
-    gp = FieldPoly(field, dcoeffs)
+    dcoeffs = [field.mul(field.from_int(i), c) for i, c in enumerate(coeffs)][1:]
+    g, gp = field_ints(field, coeffs), field_ints(field, dcoeffs)
+    q = field.q
     res_ord = None  # ord Res(g, g'), computed once a cell reaches level k
     found, cap = None, k + 1
     while found is None:
-        ord_g, ord_gp, radix, lift, limit = g.ints.cell_codes(gp.ints, cap)
+        ord_g, ord_gp, radix, lift, limit = g.cell_codes(gp, cap)
         found = []
         cells = [(0, 0, ord_g(0))]
         while cells:
@@ -186,17 +168,22 @@ def _unit_window_roots(field: LocalField, coeffs, k: int):
             vpa = ord_gp(a)
             if level > vpa:
                 if va >= level + vpa:
+                    while level < k:
+                        step = radix**level
+                        a = next(
+                            c
+                            for c in range(a, a + q * step, step)
+                            if ord_g(c) > level + vpa
+                        )
+                        level += 1
                     # dorder is the derivative order of the input coefficients
-                    root = _newton_lift(field, g, gp, lift(a), vpa, k)
-                    found.append((root, vpa + content))
+                    found.append((lift(a % radix**k), vpa + content))
                 continue
             if level >= k:
                 if res_ord is None:
                     zero = field.zero()
                     res = ring_det(
-                        sylvester_matrix(list(g.coeffs), dcoeffs, zero),
-                        zero,
-                        field.one(),
+                        sylvester_matrix(coeffs, dcoeffs, zero), zero, field.one()
                     )
                     res_ord = field.ord(res)
                 if res_ord == INF:
@@ -207,7 +194,7 @@ def _unit_window_roots(field: LocalField, coeffs, k: int):
                     found, cap = None, res_ord + 1
                     break
             step = radix**level
-            for d in range(field.q):
+            for d in range(q):
                 child = a + d * step
                 vc = ord_g(child)
                 if vc > level:

@@ -361,17 +361,14 @@ class OrbitRayCell:
         }
 
 
-def _trunc_unit(field, u: int, m: int) -> int:
-    """Reduce an encoded unit residue to depth m."""
-    return field.ac(field.residue_lift(u), m)
-
-
 def _lift_classes(field, sub: LambdaSubgroup, d: int, m: int) -> set:
     """Classes of ``sub`` presented at the finer invariants (d, m)."""
     out = set()
+    # a unit code's digits are base q, so its depth-m reduction is mod q^m
+    mod = field.q**sub.m
     for e in range(d):
         for u in field.unit_classes(m):
-            if sub.contains_class(e, _trunc_unit(field, u, sub.m)):
+            if sub.contains_class(e, u % mod):
                 out.add((e, u))
     return out
 

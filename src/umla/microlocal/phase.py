@@ -149,10 +149,10 @@ def _grad_ord_from_delta(field: LocalField, delta) -> int:
     return d0
 
 
-def _ball_coord_lo(field: LocalField, ball: Polyball) -> list:
+def _ball_coord_lo(field: LocalField, centers, radii) -> list:
     return [
         min(field.ord(c), r) if not field.is_zero(c) else r
-        for c, r in zip(ball.centers, ball.radii)
+        for c, r in zip(centers, radii)
     ]
 
 
@@ -351,9 +351,8 @@ def stationary_phase_bound(
         )
 
     # --- remainder profile ---------------------------------------------------
-    hull_lo = _ball_coord_lo(
-        field, _joint_ball(field, _ball_hull(field, cells), V)
-    )
+    hull = _joint_ball(field, _ball_hull(field, cells), V)
+    hull_lo = _ball_coord_lo(field, hull.centers, hull.radii)
     rest_orders = []
     for alpha, qpoly in phase.higher:
         lb = qpoly.ord_lower_bound(field, hull_lo)
@@ -515,26 +514,28 @@ def _walk(
     centres c that the skip rule keeps.
     """
     eta_lo = [field.ord(v) for v in eta]  # exact; INF for zero coordinates
+    levels = phi.levels
     out = []
-    for ball, coef in phi.terms():
-        coord_lo = _ball_coord_lo(field, ball) + eta_lo
+    # the cell keys are canonical centres already
+    for center, coef in phi.cells.items():
+        coord_lo = _ball_coord_lo(field, center, levels) + eta_lo
         steps = []
         for alpha, qpoly in phase.higher:
             lb = qpoly.ord_lower_bound(field, coord_lo)
             if lb != INF:
                 steps.append((lb, sum(alpha)))
-        level = max(ball.radii)
+        level = max(levels)
         if steps:
             while min(lb + w * level for lb, w in steps) + lam_ord < 1:
                 level += 1
-        cells = field.q ** sum(level - r for r in ball.radii)
+        cells = field.q ** sum(level - r for r in levels)
         check_budget("oscillatory integral", cells, budget)
         # walk the cell top-down: drop a subtree on which some lam * d_i p
         # has one valuation below 1 - level, split any other cell above the
         # level, and at the level keep p(c, eta) unless a gradient
         # coordinate oscillates
         values = []
-        stack = [(ball.centers, ball.radii)]
+        stack = [(center, levels)]
         while stack:
             centers, radii = stack.pop()
             ords = _OrdsAt(field, phase.tay, centers + eta)

@@ -260,11 +260,13 @@ class PrescribedDistribution:
             inv = f.unit_inverse_mod(x, depth)
             req = f.ac(f.mul(target, inv), depth)
             reqs.append((req, depth))
-        # pairwise consistency of the unit-residue requirements
+        # pairwise consistency of the unit-residue requirements; a unit
+        # code's digits are base q, so its depth-d reduction is mod q^d
+        q = f.q
         for i in range(len(reqs)):
             for j in range(i + 1, len(reqs)):
                 d = min(reqs[i][1], reqs[j][1])
-                if self._trunc(reqs[i][0], d) != self._trunc(reqs[j][0], d):
+                if reqs[i][0] % q**d != reqs[j][0] % q**d:
                     return False
         # compatibility with some subgroup class at valuation e
         m = self.subgroup.m
@@ -272,16 +274,12 @@ class PrescribedDistribution:
             ok = True
             for req, depth in reqs:
                 d = min(m, depth)
-                if self._trunc(u, d) != self._trunc(req, d):
+                if u % q**d != req % q**d:
                     ok = False
                     break
             if ok:
                 return True
         return False
-
-    def _trunc(self, code: int, depth: int) -> int:
-        f = self.field
-        return f.ac(f.residue_lift(code), depth)
 
     def off_cone_report(self, x0, xi0, lo: int, hi: int, loc_level: int = 0) -> dict:
         """Exact hit set for the ray over the valuation window [lo, hi)."""

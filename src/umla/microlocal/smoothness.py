@@ -229,8 +229,7 @@ def is_smooth_at(
         )
     s, threshold, _ = profiles[-1]
     if all(
-        not _reps_at_ord(subgroup, e, 1)
-        for e in range(-1, -1 - search_depth, -1)
+        not subgroup.units_at_ord(e) for e in range(-1, -1 - search_depth, -1)
     ):
         detail = "subgroup has no elements in the probed valuation window"
     else:

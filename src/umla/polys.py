@@ -21,10 +21,11 @@ For P of total degree m,
 is an integer (the homogenised form), and P(x) = N / (b * d^m).  This holds
 for every rational input, whatever its denominators, so no precision has to
 be chosen.  ``monomial_ints`` evaluates the sparse form with the powers of
-each n_i and of d shared between the monomials, ``horner_ints`` the dense
-one-variable form by Horner steps.  A caller builds at most one ``Fraction``
-from the ints; one that needs only the valuation takes ``int_ord`` of them
-instead.
+each n_i and of d shared between the monomials.  A caller builds at most
+one ``Fraction`` from the ints; one that needs only the valuation takes
+``int_ord`` of them instead.  The root search evaluates a dense
+one-variable polynomial with p-integral coefficients, b a p-unit, at
+integer cell codes (d = 1), by Horner steps (``horner_ints``).
 
 Over F_p((t)) the same kernel runs by Kronecker substitution.  Each
 coordinate is written x_i = n_i(t) / t^K with n_i in F_p[t], its digits
@@ -36,11 +37,12 @@ of them all,
     B = sum_e c_e prod_i l1(n_i)^(e_i),
 
 where l1(n) is the sum of the digits of n (l1(t^K) = 1).  Coefficients
-that are themselves elements (``FieldPoly``) are packed like the
-coordinates, over their own power of t, with l1 of their digits in place
-of c_e.  Evaluating at t = 2^W with W = bit_length(B) (at least 1) is a
-ring map Z[t] -> Z, so ``monomial_ints`` and ``horner_ints`` run unchanged
-on n_i(2^W) and d = 2^(W K), and every W-bit digit of the integer N(2^W)
+that are themselves elements (those of the root search's polynomials, at
+integral cell codes, so K = 0) are packed like the coordinates, with l1 of
+their digits in place of c_e.  Evaluating at t = 2^W with
+W = bit_length(B) (at least 1) is a ring map Z[t] -> Z, so
+``monomial_ints`` and ``horner_ints`` run unchanged on n_i(2^W) and
+d = 2^(W K), and every W-bit digit of the integer N(2^W)
 is exactly one coefficient of N(t), below 2^W, with no carry and no sign.
 Reducing the digits mod p decodes N(t) in F_p[t] (``unpack``), and
 P(x) = N(t) / t^(K m).  A caller that needs only the valuation reads it
@@ -69,16 +71,12 @@ def common_denominator(xs: Sequence) -> tuple[list[int], int]:
     return [x.numerator * (den // x.denominator) for x in xs], den
 
 
-def horner_ints(cs: Sequence[int], n: int, d: int = 1) -> tuple[int, int]:
-    """(N, d^m) with sum_k cs[k] (n/d)^k = N / d^m, m = len(cs) - 1.
-
-    Horner's rule on the homogenised form: N = sum_k cs[k] n^k d^(m - k).
-    """
-    acc, dk = 0, 1
+def horner_ints(cs: Sequence[int], n: int) -> int:
+    """sum_k cs[k] n^k, by Horner's rule."""
+    acc = 0
     for c in reversed(cs):
-        acc = acc * n + c * dk
-        dk *= d
-    return acc, dk // d if cs else 1
+        acc = acc * n + c
+    return acc
 
 
 def monomial_ints(coeffs: dict, nums: Sequence[int], d: int) -> tuple[int, int]:
@@ -156,8 +154,8 @@ class QpInts:
     """Elements x_i of Q_p brought to ints once: x_i = nums[i] / den.
 
     As a point, it evaluates integer-coefficient polynomials (``value``,
-    ``ord``); as a coefficient list, it is evaluated at an element by Horner's
-    rule (``horner``).
+    ``ord``); as a coefficient list, it gives the root search its integer
+    kernel (``cell_codes``).
     """
 
     __slots__ = ("p", "nums", "den", "den_ord")
@@ -178,11 +176,6 @@ class QpInts:
             return _vp(num, self.p) - self.den_ord * max(map(sum, coeffs))
         return int_ord(num, self.p)
 
-    def horner(self, x: Fraction) -> Fraction:
-        """sum_k x_k x^k, the elements taken as coefficients in degree order."""
-        num, den = horner_ints(self.nums, x.numerator, x.denominator)
-        return Fraction(num, self.den * den)
-
     def cell_codes(self, other: "QpInts", cap: int):
         """The root search's integer kernel for the polynomials with
         coefficients self and ``other``: (ord_self, ord_other, radix, lift,
@@ -192,8 +185,8 @@ class QpInts:
         p = self.p
         g, h = self.nums, other.nums
         return (
-            lambda a: int_ord(horner_ints(g, a)[0], p),
-            lambda a: int_ord(horner_ints(h, a)[0], p),
+            lambda a: int_ord(horner_ints(g, a), p),
+            lambda a: int_ord(horner_ints(h, a), p),
             p,
             Fraction,
             INF,
@@ -237,12 +230,6 @@ class LaurentInts:
         num, w, s = self._eval(coeffs)
         return packed_ord(num, w, self.p) - s
 
-    def horner(self, x: LaurentPoly) -> LaurentPoly:
-        pt = LaurentInts(self.p, (x,))
-        w = kronecker_width(horner_ints(self.sizes, pt.sizes[0])[0])
-        num, den = horner_ints(self.nums(w), pt.nums(w)[0], 1 << w * pt.shift)
-        return unpack(self.p, num, w, -self.shift - (den.bit_length() - 1) // w)
-
     def cell_codes(self, other: "LaurentInts", cap: int):
         """As ``QpInts.cell_codes``, for integral coefficients (shift 0).
 
@@ -254,12 +241,12 @@ class LaurentInts:
         p = self.p
         size = (p - 1) * cap
         w = kronecker_width(
-            max(horner_ints(self.sizes, size)[0], horner_ints(other.sizes, size)[0])
+            max(horner_ints(self.sizes, size), horner_ints(other.sizes, size))
         )
         g, h = self.nums(w), other.nums(w)
         return (
-            lambda a: packed_ord(horner_ints(g, a)[0], w, p),
-            lambda a: packed_ord(horner_ints(h, a)[0], w, p),
+            lambda a: packed_ord(horner_ints(g, a), w, p),
+            lambda a: packed_ord(horner_ints(h, a), w, p),
             1 << w,
             lambda a: unpack(p, a, w),
             cap,
@@ -522,17 +509,14 @@ def parse_poly(src: str, var_names: Sequence[str]) -> MultiPoly:
 
 
 class FieldPoly:
-    """Dense univariate polynomial with local-field coefficients.
+    """Dense univariate polynomial with local-field coefficients, in degree
+    order with trailing zeros dropped.
 
-    ``ints`` holds the coefficients brought to ints (``field_ints``): over
-    Q_p their numerators over one denominator, over F_p((t)) their digit
-    polynomials over one power of t, packed at each evaluation's width.  It
-    is built on its first read (by ``eval`` or the root search) and kept, so
-    a polynomial that is never evaluated, such as a quotient, remainder or
-    gcd inside ``squarefree_part``, never builds it.
+    It carries the algebra of ``squarefree_part`` (products, division with
+    remainder, gcds); the root search reads only its ``coeffs``.
     """
 
-    __slots__ = ("field", "coeffs", "_ints")
+    __slots__ = ("field", "coeffs")
 
     def __init__(self, field: LocalField, coeffs: Sequence):
         self.field = field
@@ -540,13 +524,6 @@ class FieldPoly:
         while cs and field.is_zero(cs[-1]):
             cs.pop()
         self.coeffs = tuple(cs)
-        self._ints = None
-
-    @property
-    def ints(self) -> QpInts | LaurentInts:
-        if self._ints is None:
-            self._ints = field_ints(self.field, self.coeffs)
-        return self._ints
 
     @classmethod
     def from_ints(cls, field: LocalField, coeffs: Sequence[int]) -> "FieldPoly":
@@ -568,17 +545,6 @@ class FieldPoly:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def eval(self, x):
-        """Exact value at a field element, by Horner's rule on ints.
-
-        Over Q_p, with the coefficients c_k = a_k / b and x = n / d, Horner's
-        rule on the homogenised form gives N = sum_k a_k n^k d^(m-k) and the
-        value N / (b * d^m), one ``Fraction``.  Over F_p((t)) the
-        coefficients and x are packed at t = 2^W with W from the digit sums
-        (the module docstring's rule) and the value is decoded from N.
-        """
-        return self.ints.horner(x)
-
     def derivative(self) -> "FieldPoly":
         field = self.field
         return FieldPoly(
@@ -588,19 +554,6 @@ class FieldPoly:
                 for k, c in enumerate(self.coeffs)
             ][1:],
         )
-
-    def shift(self, a) -> "FieldPoly":
-        """The polynomial x -> p(a + x)."""
-        field = self.field
-        out = [field.zero()] * len(self.coeffs)
-        for k, c in enumerate(self.coeffs):
-            # expand c*(a+x)^k
-            for j in range(k + 1):
-                w = field.mul(
-                    field.from_int(comb(k, j)), field.power(a, k - j)
-                )
-                out[j] = field.add(out[j], field.mul(c, w))
-        return FieldPoly(field, out)
 
     def __mul__(self, other: "FieldPoly") -> "FieldPoly":
         field = self.field

@@ -162,6 +162,15 @@ def eval_by_laurent(p: int, coeffs: dict, xs) -> LaurentPoly:
     return acc
 
 
+def eval_coeffs_at(field: LocalField, coeffs, x):
+    """sum_k coeffs[k] x^k for field-element coefficients in degree order,
+    by ``eval_by_fractions`` over Q_p and ``eval_by_laurent`` over F_p((t))."""
+    cs = {(k,): c for k, c in enumerate(coeffs)}
+    if field.kind == "p-adic":
+        return eval_by_fractions(cs, (x,))
+    return eval_by_laurent(field.p, cs, (x,))
+
+
 def riemann_integral(field: LocalField, fn, ball, level: int) -> CycloScalar:
     """Sum fn(center)*q^(-level*n) over the level-`level` cells of a polyball."""
     total = CycloScalar.zero(field.p)

@@ -18,17 +18,17 @@ from umla.fibers import (
     LevelReport,
     OnDiscriminant,
     _fiber_points,
-    _newton_lift,
     _unit_window_roots,
     fiber_integrate,
     level_measure,
     padic_roots,
     poly_to_string,
 )
-from umla.polys import FieldPoly, MultiPoly, parse_poly
+from umla.polys import MultiPoly, parse_poly
 from umla.schwartz import CellBudgetError, SchwartzBruhat
 
 from conftest import FIELDS, rng_for
+from oracles import eval_coeffs_at
 from test_schwartz import random_sb
 
 Q2 = FIELDS["Q2"]
@@ -90,16 +90,27 @@ def test_fiber_points_are_truncated_at_the_requested_level(key):
         assert all(dorder == two_ord for _, dorder in got)
 
 
-def test_newton_lift_stops_at_an_exact_root():
-    # [DERIVED] over F_3((t)) x^2 - 4 is x^2 + 2, and at x = 2 it packs to
-    # N = 6: nonzero, every digit divisible by 3, so g(2) = 0 (ord INF) and
-    # the lift returns at once; deep searches end on the same exact roots
-    g = FieldPoly.from_multipoly(F3T, parse_poly("x^2 - 4", ("x",)))
+def test_root_search_ends_on_exact_roots():
+    # [DERIVED] over F_3((t)) x^2 - 4 is x^2 + 2 = (x - 1)(x - 2), and at
+    # the codes of 1 and 2 it packs to nonzero integers whose every digit 3
+    # divides (ord INF); the descent below them keeps the digit 0, so deep
+    # searches end on the same exact roots
     two = F3T.from_int(2)
-    assert F3T.is_zero(g.eval(two))
-    assert _newton_lift(F3T, g, g.derivative(), two, 0, 12) == two
     for k in (1, 5, 12):
         assert padic_roots("x^2 - 4", F3T, k) == [F3T.one(), two]
+
+
+@pytest.mark.parametrize("key", ["Q3", "F3t"])
+def test_roots_agreeing_beyond_the_requested_level(key):
+    # [DERIVED] x^2 - pi^5 x = x (x - pi^5) has the simple roots 0 and pi^5,
+    # with g' = 2x - pi^5 of ord 5 at both.  Their cells are decided only at
+    # level 6, deeper than k = 2, and each is cut back to its level-2
+    # truncation 0; at k = 6 they part
+    f = FIELDS[key]
+    pi5 = f.pow_uniformizer(5)
+    coeffs = [f.zero(), f.neg(pi5), f.one()]
+    assert _unit_window_roots(f, coeffs, 2) == [(f.zero(), 5), (f.zero(), 5)]
+    assert _unit_window_roots(f, coeffs, 6) == [(f.zero(), 5), (pi5, 5)]
 
 
 @st.composite
@@ -636,8 +647,8 @@ def test_level_measure_shared_critical_value(field):
     assert rep.fit == (0, 0, 0)
     locus = prob.critical_locus(field)
     assert locus.degree() == 2
-    assert field.is_zero(locus.eval(field.zero()))
-    assert field.is_zero(locus.eval(field.from_int(-1)))
+    assert field.is_zero(eval_coeffs_at(field, locus.coeffs, field.zero()))
+    assert field.is_zero(eval_coeffs_at(field, locus.coeffs, field.from_int(-1)))
 
 
 def test_level_measure_discriminant_inseparable_mod_p():
@@ -660,7 +671,7 @@ def test_level_measure_discriminant_inseparable_mod_p():
     assert rep.fit_dominates()
     locus = prob.critical_locus(f2t)
     assert locus.degree() == 1
-    assert f2t.is_zero(locus.eval(f2t.zero()))
+    assert f2t.is_zero(eval_coeffs_at(f2t, locus.coeffs, f2t.zero()))
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ from umla.polys import (
 )
 
 from conftest import FIELDS, rng_for, sample_element
-from oracles import eval_by_fractions, eval_by_laurent
+from oracles import eval_by_fractions, eval_by_laurent, eval_coeffs_at
 
 
 def test_parse_and_eval():
@@ -58,8 +58,7 @@ def _rationals(draw, p: int):
 
 @st.composite
 def _qp_eval_cases(draw):
-    """(p, MultiPoly, point, FieldPoly coefficients, x): zero, constant and
-    random shapes for both polynomial kinds."""
+    """(p, MultiPoly, point): zero, constant and random shapes."""
     p = draw(st.sampled_from([2, 3, 5]))
     n = draw(st.integers(1, 3))
     shape = draw(st.sampled_from(["zero", "constant", "random"]))
@@ -71,24 +70,18 @@ def _qp_eval_cases(draw):
             expo = tuple(draw(st.integers(0, 3)) for _ in range(n))
             coeffs[expo] = draw(st.integers(-9, 9))
     point = tuple(draw(_rationals(p)) for _ in range(n))
-    length = {"zero": 0, "constant": 1, "random": draw(st.integers(2, 6))}[shape]
-    fcoeffs = [draw(_rationals(p)) for _ in range(length)]
-    return p, MultiPoly(n, coeffs), point, fcoeffs, draw(_rationals(p))
+    return p, MultiPoly(n, coeffs), point
 
 
 @settings(max_examples=400, derandomize=True, deadline=None)
 @given(_qp_eval_cases())
 def test_qp_evaluation_matches_fraction_reference(case):
     # the integer kernel against monomial-by-monomial Fraction evaluation
-    p, poly, point, fcoeffs, x = case
+    p, poly, point = case
     field = make_field("p-adic", p)
     got = poly.eval_field(field, point)
     assert type(got) is Fraction
     assert got == eval_by_fractions(poly.coeffs, point)
-    fpoly = FieldPoly(field, fcoeffs)
-    got = fpoly.eval(x)
-    assert type(got) is Fraction
-    assert got == eval_by_fractions({(k,): c for k, c in enumerate(fcoeffs)}, (x,))
 
 
 @st.composite
@@ -105,8 +98,8 @@ def _laurent_elements(draw, p: int):
 
 @st.composite
 def _laurent_eval_cases(draw):
-    """(p, MultiPoly, point, FieldPoly coefficients, x) over F_p((t)), with
-    negative integer coefficients.  Half the time the polynomial gets a
+    """(p, MultiPoly, point) over F_p((t)), with negative integer
+    coefficients.  Half the time the polynomial gets a
     factor x_0 - x_1 and the point has x_0 = x_1, so its value vanishes."""
     p = draw(st.sampled_from([2, 3, 5]))
     n = draw(st.integers(1, 3))
@@ -123,9 +116,7 @@ def _laurent_eval_cases(draw):
     if n > 1 and draw(st.booleans()):
         poly = poly * (MultiPoly.var(n, 0) - MultiPoly.var(n, 1))
         point[1] = point[0]
-    length = {"zero": 0, "constant": 1, "random": draw(st.integers(2, 6))}[shape]
-    fcoeffs = [draw(_laurent_elements(p)) for _ in range(length)]
-    return p, poly, tuple(point), fcoeffs, draw(_laurent_elements(p))
+    return p, poly, tuple(point)
 
 
 @settings(max_examples=400, derandomize=True, deadline=None)
@@ -133,7 +124,7 @@ def _laurent_eval_cases(draw):
 def test_laurent_evaluation_matches_element_reference(case):
     # the packed integer kernel against LaurentPoly arithmetic, element by
     # element: values, valuations read off the packed ints, Taylor ords
-    p, poly, point, fcoeffs, x = case
+    p, poly, point = case
     field = make_field("equal-characteristic", p)
     want = eval_by_laurent(p, poly.coeffs, point)
     assert poly.eval_field(field, point) == want
@@ -142,20 +133,20 @@ def test_laurent_evaluation_matches_element_reference(case):
     ords = _OrdsAt(field, tay, point)
     for a, q in tay.items():
         assert ords[a] == eval_by_laurent(p, q.coeffs, point).ord()
-    fpoly = FieldPoly(field, fcoeffs)
-    want = eval_by_laurent(p, {(k,): c for k, c in enumerate(fcoeffs)}, (x,))
-    assert fpoly.eval(x) == want
 
 
 def test_packed_zero_by_cancellation_has_infinite_ord():
     # x^2 - 1 at x = 1 over F_3((t)) packs to N = 3: nonzero, but its one
-    # digit is divisible by 3, so it is the zero element
+    # digit is divisible by 3, so it is the zero element; the root search's
+    # Horner kernel reads the same at the cell code of 1
     f3t = make_field("equal-characteristic", 3)
     poly = parse_poly("x^2 - 1", ("x",))
     one = f3t.one()
     assert field_ints(f3t, (one,)).ord(poly.coeffs) == INF
     assert f3t.is_zero(poly.eval_field(f3t, (one,)))
-    assert f3t.is_zero(FieldPoly.from_multipoly(f3t, poly).eval(one))
+    coeffs = FieldPoly.from_multipoly(f3t, poly).coeffs
+    ord_g, _, _, lift, _ = field_ints(f3t, coeffs).cell_codes(field_ints(f3t, ()), 1)
+    assert lift(1) == one and ord_g(1) == INF
     assert packed_ord(3, 2, 3) == INF
     # digits 3, 0, 6 at W = 3: every digit vanishes mod 3
     assert packed_ord(3 + (6 << 6), 3, 3) == INF
@@ -253,24 +244,10 @@ def test_ord_lower_bound_vanishing_coefficients():
     assert q.ord_lower_bound(field, [INF, 0]) == INF
 
 
-def test_field_poly_shift_and_derivative():
+def test_field_poly_derivative():
     field = make_field("p-adic", 3)
     p = FieldPoly.from_ints(field, [0, 0, 1])  # x^2
-    q = p.shift(Fraction(2))  # (2+x)^2 = 4 + 4x + x^2
-    assert [c for c in q.coeffs] == [Fraction(4), Fraction(4), Fraction(1)]
     assert [c for c in p.derivative().coeffs] == [Fraction(0), Fraction(2)]
-    assert p.eval(Fraction(5)) == Fraction(25)
-
-
-def test_field_poly_ints_are_built_on_first_read():
-    # a quotient or gcd that is never evaluated never packs its coefficients
-    for field in (make_field("p-adic", 3), make_field("equal-characteristic", 3)):
-        p = FieldPoly.from_ints(field, [2, 0, 1])
-        assert p._ints is None
-        assert p.eval(field.from_int(4)) == field.from_int(18)
-        ints = p._ints
-        assert ints is not None and p.ints is ints
-        assert all(g._ints is None for g in divmod(p, FieldPoly.from_ints(field, [1, 1])))
 
 
 def test_sylvester_resultant_square():
@@ -312,15 +289,15 @@ def test_squarefree_part():
     f3t = FIELDS["F3t"]
     got = FieldPoly.from_ints(f3t, [1, 0, 0, 1]).squarefree_part()
     assert got.degree() == 1
-    assert f3t.is_zero(got.eval(f3t.from_int(-1)))
+    assert f3t.is_zero(eval_coeffs_at(f3t, got.coeffs, f3t.from_int(-1)))
     # [DERIVED] (y^3 + 1)^2 * y over F_3((t)) = (y + 1)^6 * y: the factor of
     # multiplicity divisible by 3 survives only through the gcd
     cube = FieldPoly.from_ints(f3t, [1, 0, 0, 1])
     poly = cube * cube * FieldPoly.from_ints(f3t, [0, 1])
     got = poly.squarefree_part()
     assert got.degree() == 2
-    assert f3t.is_zero(got.eval(f3t.zero()))
-    assert f3t.is_zero(got.eval(f3t.from_int(-1)))
+    assert f3t.is_zero(eval_coeffs_at(f3t, got.coeffs, f3t.zero()))
+    assert f3t.is_zero(eval_coeffs_at(f3t, got.coeffs, f3t.from_int(-1)))
     # constants are their own squarefree part
     assert FieldPoly.from_ints(q3, [7]).squarefree_part().degree() == 0
 

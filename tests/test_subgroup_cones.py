@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from conftest import FIELDS, rng_for, sample_nonzero
-from umla.fields import FieldError
+from umla.fields import FieldError, make_field
 from umla.microlocal import (
     BaseBall,
     BaseFull,
@@ -87,6 +87,19 @@ class TestLambdaSubgroup:
         g = LambdaSubgroup.generate(field, 2, 1, [field.power(field.uniformizer(), 2)])
         assert g.units_at_ord(2) == g.units_at_ord(0)
         assert g.units_at_ord(1) == []
+
+
+@pytest.mark.parametrize("kind", ["p-adic", "equal-characteristic"])
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_unit_code_truncation_is_a_residue_mod_q_power(kind, p):
+    # unit codes hold base-q digits, so the depth-d reduction that the cone
+    # lattice and the prescription take as code mod q^d is the angular
+    # component of the lifted unit
+    field = make_field(kind, p)
+    for m in (1, 2, 3):
+        for u in field.unit_classes(m):
+            for d in range(1, m + 1):
+                assert u % field.q**d == field.ac(field.residue_lift(u), d)
 
 
 class TestTaggedCell:
