@@ -8,6 +8,17 @@ integers as Python ints with ``ord(0)`` represented by the infinite
 valuation, residues as canonical field representatives, and scalars as
 exact cyclotomic values.
 
+Scalars are evaluated on raw triples.  A scalar subterm evaluates to a list
+of raw ``(e2, angle, coef)`` triples, the input format of ``CycloScalar``,
+and ``evaluate`` builds the one ``CycloScalar`` of the whole term at the
+root; the canonical form is unique, so this gives the value per-node
+arithmetic would.  ``+``, ``-``, negation, ``sum`` and ``sumrf`` concatenate
+triple lists; a product multiplies them out term by term; a constant,
+``q^e``, ``psi``, ``ord`` and an indicator emit at most one triple, and never
+one with a zero coefficient.  ``e^k`` canonicalises its base and each
+partial power, so a power's triples are the canonical terms of its value
+and do not multiply out with k.
+
 Two conventions matter for totality:
 
 - Products are lazy: the factors of a scalar product are scanned with
@@ -15,7 +26,10 @@ Two conventions matter for totality:
   product is zero without evaluating the rest.  ``[cond] * e`` therefore
   never evaluates ``e`` outside the locus of the condition, which is what
   lets guarded terms mention ``ord`` or ``ac`` of expressions that vanish
-  elsewhere.
+  elsewhere.  The zero test canonicalises a factor only when it has two or
+  more triples: no triple has a zero coefficient, so one triple is never
+  zero and none is zero.  A canonicalised factor enters the product by its
+  canonical terms.
 - The infinite valuation is a legal value inside comparisons and as a range
   endpoint (an empty range), but an error anywhere a finite number is
   required: as a scalar, inside a q-exponent, or as the finite end of a
@@ -92,6 +106,9 @@ def _int_pow(a, k: int):
     return a**k
 
 
+_ONE = (0, 0, 1)
+
+
 def _residue_code(field: LocalField, elem, m: int) -> int:
     """Integer encoding of an integral element modulo uniformizer^m."""
     trunc = field.canon_trunc(elem, m)
@@ -109,56 +126,57 @@ class _Evaluator:
 
     # -- typed evaluation -------------------------------------------------
 
-    def scalar(self, node: Node) -> CycloScalar:
-        field = self.field
-        p = field.p
+    def scalar(self, node: Node) -> list:
+        """The raw (e2, angle, coef) triples of a scalar subterm.
+
+        See the module docstring for the raw-triple and zero-test rules.
+        """
         if isinstance(node, Const):
-            return CycloScalar.fraction(p, node.value)
+            return [(0, 0, node.value)] if node.value else []
         if isinstance(node, Var):
-            value = self.env[node.name]
-            return CycloScalar.fraction(p, Fraction(value))
+            c = self.env[node.name]
+            return [(0, 0, c)] if c else []
         if isinstance(node, Add):
             return self.scalar(node.lhs) + self.scalar(node.rhs)
         if isinstance(node, Sub):
-            return self.scalar(node.lhs) - self.scalar(node.rhs)
+            lhs = self.scalar(node.lhs)
+            return lhs + [(e2, a, -c) for e2, a, c in self.scalar(node.rhs)]
         if isinstance(node, Mul):
             return self.lazy_product(node)
         if isinstance(node, Neg):
-            return -self.scalar(node.arg)
+            return [(e2, a, -c) for e2, a, c in self.scalar(node.arg)]
         if isinstance(node, Pow):
-            out = CycloScalar.one(p)
-            base = None
-            for _ in range(node.k):
-                if base is None:
-                    base = self.scalar(node.base)
+            if node.k == 0:
+                return [_ONE]
+            base = CycloScalar(self.field.p, self.scalar(node.base))
+            out = base
+            for _ in range(node.k - 1):
                 out = out * base
-            return out
+            return list(out.terms)
         if isinstance(node, Ord):
             v = self.field.ord(self.fieldval(node.arg))
             if _is_inf(v):
                 raise EvalError("the valuation of zero has no scalar value")
-            return CycloScalar.fraction(p, Fraction(v))
+            return [(0, 0, v)] if v else []
         if isinstance(node, QPow):
             e = self.qexp(node.exponent)
             if e.denominator not in (1, 2):
                 raise EvalError(
                     f"q-exponent {e} is not an integer or half-integer"
                 )
-            return CycloScalar.q_pow(p, int(e * 2))
+            return [(int(e * 2), 0, 1)]
         if isinstance(node, Psi):
-            return field.psi(self.fieldval(node.arg))
+            return [(0, self.field.psi_angle(self.fieldval(node.arg)), 1)]
         if isinstance(node, SumZ):
             return self.sum_range(node)
         if isinstance(node, SumRF):
             return self.sum_residues(node)
         if isinstance(node, Indicator):
-            return (
-                CycloScalar.one(p) if self.truth(node.cond) else CycloScalar.zero(p)
-            )
+            return [_ONE] if self.truth(node.cond) else []
         raise EvalError(f"cannot evaluate {type(node).__name__} as a scalar")
 
-    def lazy_product(self, node: Mul) -> CycloScalar:
-        """Scalar product with indicator factors decided first.
+    def lazy_product(self, node: Mul) -> list:
+        """Raw triples of a scalar product, indicator factors decided first.
 
         A zero factor makes the product zero even when another factor has
         no value at the point, so ``[cond] * e`` restricts ``e`` to the
@@ -177,15 +195,21 @@ class _Evaluator:
             range(len(factors)),
             key=lambda i: 0 if isinstance(factors[i], Indicator) else 1,
         )
-        values: dict[int, CycloScalar] = {}
+        values: dict[int, list] = {}
         for i in ordered:
             value = self.scalar(factors[i])
-            if value.is_zero():
-                return CycloScalar.zero(self.field.p)
+            if len(value) > 1:
+                value = CycloScalar(self.field.p, value).terms
+            if not value:
+                return []
             values[i] = value
-        out = CycloScalar.one(self.field.p)
-        for i in range(len(factors)):
-            out = out * values[i]
+        out = values[0]
+        for i in range(1, len(factors)):
+            out = [
+                (e2 + f2, a + b, c * d)
+                for e2, a, c in out
+                for f2, b, d in values[i]
+            ]
         return out
 
     def intval(self, node: Node):
@@ -210,12 +234,12 @@ class _Evaluator:
             return 1 if self.truth(node.cond) else 0
         raise EvalError(f"cannot evaluate {type(node).__name__} as an integer")
 
-    def qexp(self, node: Node) -> Fraction:
-        """Evaluate a q-exponent to an exact rational."""
+    def qexp(self, node: Node):
+        """Evaluate a q-exponent to an exact rational, an int or a Fraction."""
         if isinstance(node, Const):
             return node.value
         if isinstance(node, Var):
-            return Fraction(self.env[node.name])
+            return self.env[node.name]
         if isinstance(node, Add):
             return self.qexp(node.lhs) + self.qexp(node.rhs)
         if isinstance(node, Sub):
@@ -232,7 +256,7 @@ class _Evaluator:
                 raise EvalError(
                     "the valuation of zero cannot appear in a q-exponent"
                 )
-            return Fraction(v)
+            return v
         raise EvalError(f"cannot evaluate {type(node).__name__} in a q-exponent")
 
     def fieldval(self, node: Node):
@@ -280,11 +304,11 @@ class _Evaluator:
 
     # -- summation ----------------------------------------------------------
 
-    def sum_range(self, node: SumZ) -> CycloScalar:
+    def sum_range(self, node: SumZ) -> list:
         lo = self.intval(node.lo)
         hi = self.intval(node.hi)
         if lo > hi:
-            return CycloScalar.zero(self.field.p)
+            return []
         if _is_inf(lo) or _is_inf(hi):
             raise EvalError("summation over an unbounded integer range")
         if hi - lo + 1 > self.range_budget:
@@ -299,13 +323,13 @@ class _Evaluator:
         try:
             for i in range(lo, hi + 1):
                 self.env[node.var] = i
-                terms.append(self.scalar(node.body))
+                terms += self.scalar(node.body)
         finally:
             _restore(self.env, node.var, saved)
             _restore(self.sorts, node.var, saved_sort)
-        return CycloScalar.sum(self.field.p, terms)
+        return terms
 
-    def sum_residues(self, node: SumRF) -> CycloScalar:
+    def sum_residues(self, node: SumRF) -> list:
         count = self.field.q**node.level
         if count > self.range_budget:
             raise EvalError(
@@ -319,11 +343,11 @@ class _Evaluator:
         try:
             for code in range(count):
                 self.env[node.var] = code
-                terms.append(self.scalar(node.body))
+                terms += self.scalar(node.body)
         finally:
             _restore(self.env, node.var, saved)
             _restore(self.sorts, node.var, saved_sort)
-        return CycloScalar.sum(self.field.p, terms)
+        return terms
 
     # -- conditions ------------------------------------------------------------
 
@@ -422,4 +446,4 @@ def evaluate(
         sorts = check(term, declared)
     work_env = _coerce_env(field, env, sorts)
     ev = _Evaluator(field, work_env, dict(sorts), range_budget)
-    return ev.scalar(term)
+    return CycloScalar(field.p, ev.scalar(term))

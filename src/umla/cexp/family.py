@@ -165,15 +165,15 @@ class DisSampleReport:
 
 
 def _random_point(field: LocalField, rng: random.Random, lo: int = -2, hi: int = 3):
-    """A field element with digits in the exponent window [lo, hi)."""
-    acc = field.zero()
-    for e in range(lo, hi):
-        d = rng.randrange(field.q)
-        if d:
-            acc = field.add(
-                acc, field.mul(field.from_int(d), field.pow_uniformizer(e))
-            )
-    return acc
+    """A field element with digits in the exponent window [lo, hi).
+
+    One ``rng.randrange(q)`` draw per exponent, lowest first, gives the
+    digit d_e; the element sum_e d_e pi^e is built at once, as the lift of
+    the residue code sum_e d_e q^(e - lo) times pi^lo.
+    """
+    q = field.q
+    code = sum(rng.randrange(q) * q**i for i in range(hi - lo))
+    return field.mul(field.residue_lift(code), field.pow_uniformizer(lo))
 
 
 def dis_sample(

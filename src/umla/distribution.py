@@ -586,9 +586,13 @@ def additivity_check(u, ball: Polyball) -> bool:
 
 
 def _ball_and_subcells(u, field: LocalField, xs, r: int):
-    """(value on B_r(xs), sum of the values on its q^n immediate subcells)."""
+    """(value on B_r(xs), sum of the values on its q^n immediate subcells).
+
+    The subcells are read at the canonical centre tuples of
+    ``Polyball.child_centers``; no child ``Polyball`` is built.
+    """
     parent = u.b_function(xs, r)
-    children = Polyball.ball(field, xs, r).children()
+    children = Polyball.ball(field, xs, r).child_centers()
     return parent, CycloScalar.sum(
-        field.p, [u.b_function(c.centers, r + 1) for c in children]
+        field.p, [u.b_function(cs, r + 1) for cs in children]
     )

@@ -10,6 +10,24 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from umla.cexp.syntax import (
+    Add,
+    And,
+    Cmp,
+    Const,
+    Indicator,
+    Mul,
+    Neg,
+    Not,
+    Or,
+    Ord,
+    Pow,
+    Psi,
+    QPow,
+    Sub,
+    SumZ,
+    Var,
+)
 from umla.cyclo import CycloScalar
 from umla.fields import LaurentPoly, LocalField
 
@@ -191,3 +209,134 @@ def riemann_fourier(field: LocalField, fn, support_ball, level: int, xi) -> Cycl
         return fn(center) * field.psi_pair(center, xi)
 
     return riemann_integral(field, integrand, support_ball, level)
+
+
+def point_by_digits(field: LocalField, rng, lo: int, hi: int):
+    """sum_e d_e pi^e over e in [lo, hi), one ``rng.randrange(q)`` draw per
+    digit from the lowest exponent up, added one monomial at a time."""
+    acc = field.zero()
+    for e in range(lo, hi):
+        d = rng.randrange(field.q)
+        if d:
+            acc = field.add(acc, field.mul(field.from_int(d), field.pow_uniformizer(e)))
+    return acc
+
+
+def eval_per_node(term, field: LocalField, env: dict) -> CycloScalar:
+    """Value of a scalar term with one ``CycloScalar`` operation per node.
+
+    Covers Const, Var, Ord, QPow (integer and half-integer exponents), Psi,
+    Indicator of integer comparisons (with and, or, not), +, -, negation,
+    * (eager: every factor is evaluated), ^ and ``sum`` over a range.  Field
+    variables are bound to field elements, integer ones to ints.  Each node
+    canonicalises its value, and a sum adds its terms with ``+`` one by one.
+    """
+    p = field.p
+
+    def fv(node):
+        if isinstance(node, Const):
+            return field.from_int(int(node.value))
+        if isinstance(node, Var):
+            return env[node.name]
+        if isinstance(node, (Add, Sub, Mul)):
+            op = {Add: field.add, Sub: field.sub, Mul: field.mul}[type(node)]
+            return op(fv(node.lhs), fv(node.rhs))
+        if isinstance(node, Neg):
+            return field.neg(fv(node.arg))
+        if isinstance(node, Pow):
+            return field.power(fv(node.base), node.k)
+        raise TypeError(f"no field value for {type(node).__name__}")
+
+    def num(node):
+        if isinstance(node, Const):
+            return node.value
+        if isinstance(node, Var):
+            return Fraction(env[node.name])
+        if isinstance(node, Ord):
+            return field.ord(fv(node.arg))
+        if isinstance(node, Add):
+            return num(node.lhs) + num(node.rhs)
+        if isinstance(node, Sub):
+            return num(node.lhs) - num(node.rhs)
+        if isinstance(node, Mul):
+            return num(node.lhs) * num(node.rhs)
+        if isinstance(node, Neg):
+            return -num(node.arg)
+        raise TypeError(f"no number for {type(node).__name__}")
+
+    def truth(node) -> bool:
+        if isinstance(node, And):
+            return truth(node.lhs) and truth(node.rhs)
+        if isinstance(node, Or):
+            return truth(node.lhs) or truth(node.rhs)
+        if isinstance(node, Not):
+            return not truth(node.arg)
+        a, b = num(node.lhs), num(node.rhs)
+        return {
+            "==": a == b,
+            "!=": a != b,
+            "<=": a <= b,
+            "<": a < b,
+            ">=": a >= b,
+            ">": a > b,
+        }[node.op]
+
+    def scalar(node) -> CycloScalar:
+        if isinstance(node, (Const, Var, Ord)):
+            return CycloScalar.fraction(p, num(node))
+        if isinstance(node, QPow):
+            e2 = 2 * num(node.exponent)
+            assert e2.denominator == 1, "q-exponent is not a half-integer"
+            return CycloScalar.q_pow(p, int(e2))
+        if isinstance(node, Psi):
+            return field.psi(fv(node.arg))
+        if isinstance(node, Indicator):
+            return CycloScalar.one(p) if truth(node.cond) else CycloScalar.zero(p)
+        if isinstance(node, Add):
+            return scalar(node.lhs) + scalar(node.rhs)
+        if isinstance(node, Sub):
+            return scalar(node.lhs) - scalar(node.rhs)
+        if isinstance(node, Mul):
+            return scalar(node.lhs) * scalar(node.rhs)
+        if isinstance(node, Neg):
+            return -scalar(node.arg)
+        if isinstance(node, Pow):
+            out = CycloScalar.one(p)
+            for _ in range(node.k):
+                out = out * scalar(node.base)
+            return out
+        if isinstance(node, SumZ):
+            saved = env.get(node.var)
+            total = CycloScalar.zero(p)
+            for i in range(int(num(node.lo)), int(num(node.hi)) + 1):
+                env[node.var] = i
+                total = total + scalar(node.body)
+            env.pop(node.var, None)
+            if saved is not None:
+                env[node.var] = saved
+            return total
+        raise TypeError(f"no scalar value for {type(node).__name__}")
+
+    env = dict(env)
+    return scalar(term)
+
+
+def quadratic_gauss_integral(field: LocalField, k: int, b: int) -> CycloScalar:
+    """integral over O of psi(pi^(-k) b x^2) dx, for odd p and b prime to p.
+
+    The classical evaluation by quadratic Gauss sums, for the character psi
+    trivial on pi*O and not on O.  With s = k + 1 it is 1 if s <= 0,
+    q^(-s/2) if s is even, and q^(-(s+1)/2) G(b) if s is odd, where
+    G(b) = sum_{x mod p} e(b x^2 / p) is kept as its p terms (``CycloScalar``
+    does not identify G(b) with a multiple of sqrt(p)).  The units of O add
+    nothing once s >= 2, so each step s -> s - 2 is a factor q^(-1); at
+    s = 1 the phase is constant on the cosets of pi*O.
+    """
+    p = field.p
+    assert p % 2 and b % p, "needs odd p and a unit b"
+    s = k + 1
+    if s <= 0:
+        return CycloScalar.one(p)
+    if s % 2 == 0:
+        return CycloScalar.q_pow(p, -s)
+    return CycloScalar(p, [(-(s + 1), Fraction(b * x * x % p, p), 1) for x in range(p)])

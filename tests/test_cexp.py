@@ -5,11 +5,13 @@ character values, residue counts); structural laws (round trips, sum
 splitting, substitution) run as seeded random property loops.
 """
 
+import hashlib
 import json
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from umla.cexp import (
     Ac,
@@ -48,11 +50,13 @@ from umla.cexp import (
     term_to_json,
     walk,
 )
+from umla.cexp.family import _random_point
 from umla.cyclo import CycloScalar
 from umla.distribution import MixedCellDistribution, additivity_check
 from umla.fields import Polyball, make_field
 
 from conftest import FIELDS, rng_for, sample_element, sample_nonzero
+from oracles import eval_per_node, point_by_digits
 from test_schwartz import random_sb
 
 Q2 = FIELDS["Q2"]
@@ -532,6 +536,90 @@ def test_eval_lazy_product_masks_undefined_factors():
     assert evaluate(parse("(1 - 1) * q^(ord(x))"), Q2, {"x": 0}).is_zero()
 
 
+def test_eval_zero_factor_of_two_triples_masks_undefined_factors():
+    # psi(x) - psi(x) is two raw triples that cancel; the zero test must
+    # canonicalise it, and q^(ord(x)) at x = 0 is then never evaluated
+    term = parse("(psi(x) - psi(x)) * q^(ord(x))")
+    for field in (Q2, Q3, F3):
+        assert evaluate(term, field, {"x": 0}) == CycloScalar.zero(field.p)
+
+
+# random scalar terms, total at every point with x and y nonzero: ord enters
+# q-exponents only through a variable, and comparisons accept ord(0)
+_XY = {"x": VF, "y": VF}
+
+
+@st.composite
+def _field_terms(draw, depth: int = 2):
+    if depth <= 0 or draw(st.booleans()):
+        return draw(st.sampled_from((Var("x"), Var("y"), Const(1), Const(2))))
+    op = draw(st.sampled_from((Add, Sub, Mul)))
+    return op(draw(_field_terms(depth - 1)), draw(_field_terms(depth - 1)))
+
+
+@st.composite
+def _qexps(draw, ints: tuple):
+    half = Const(Fraction(draw(st.integers(0, 5)), 2))
+    choices = [half, Neg(half), Ord(Var("x")), Neg(Ord(Var("y")))]
+    choices += [Add(Var(i), half) for i in ints]
+    return draw(st.sampled_from(choices))
+
+
+@st.composite
+def _conditions(draw, ints: tuple):
+    op = draw(st.sampled_from(("==", "!=", "<=", "<", ">=", ">")))
+    lhs = draw(st.sampled_from([Ord(draw(_field_terms(1)))] + [Var(i) for i in ints]))
+    cond = Cmp(op, lhs, Const(draw(st.integers(0, 3))))
+    if draw(st.integers(0, 3)) == 0:
+        cond = draw(st.sampled_from((Not(cond), And(cond, cond), Or(cond, Not(cond)))))
+    return cond
+
+
+@st.composite
+def _scalar_terms(draw, depth: int = 3, ints: tuple = ()):
+    if depth <= 0 or draw(st.integers(0, 3)) == 0:
+        pick = draw(st.integers(0, 4 if ints else 3))
+        if pick == 0:
+            return Const(Fraction(draw(st.integers(0, 4)), draw(st.integers(1, 3))))
+        if pick == 1:
+            return QPow(draw(_qexps(ints)))
+        if pick == 2:
+            return Psi(draw(_field_terms()))
+        if pick == 3:
+            return Indicator(draw(_conditions(ints)))
+        return Var(draw(st.sampled_from(ints)))
+    sub = _scalar_terms(depth - 1, ints)
+    pick = draw(st.integers(0, 6))
+    if pick == 0:
+        return Add(draw(sub), draw(sub))
+    if pick == 1:
+        return Sub(draw(sub), draw(sub))
+    if pick == 2:
+        return Mul(draw(sub), draw(sub))
+    if pick == 3:
+        return Neg(draw(sub))
+    if pick == 4:
+        return Pow(draw(sub), draw(st.integers(0, 3)))
+    if pick == 5:
+        # a zero factor of two or more raw triples
+        t = draw(sub)
+        return Mul(Sub(t, t), draw(sub))
+    var = f"i{len(ints)}"
+    lo = draw(st.integers(-2, 2))
+    lo_node = Neg(Const(-lo)) if lo < 0 else Const(lo)
+    hi = Const(max(lo, 0) + draw(st.integers(0, 2)))
+    return SumZ(var, lo_node, hi, draw(_scalar_terms(depth - 1, ints + (var,))))
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(st.sampled_from(("Q2", "Q3", "F3t")), _scalar_terms(), st.integers(0, 10**6))
+def test_evaluate_matches_per_node_arithmetic(name, term, seed):
+    field = FIELDS[name]
+    rng = random.Random(seed)
+    env = {"x": sample_nonzero(field, rng), "y": sample_nonzero(field, rng)}
+    assert evaluate(term, field, env, declared=_XY) == eval_per_node(term, field, env)
+
+
 def test_eval_errors_on_unguarded_vanishing():
     with pytest.raises(EvalError):
         evaluate(parse("ord(x)"), Q2, {"x": 0})
@@ -853,6 +941,73 @@ def test_dis_sample_flags_center_dependence():
     lhs = view.b_function(x, witness["r"])
     rhs = view.b_function(moved, witness["r"])
     assert not (lhs - rhs).is_zero()
+
+
+# (term, point variables, radius range, trials, {seed: (sha256 of the sorted
+# to_json text, [(additivity failures, center failures) per field])}) over
+# [Q_2, F_3((t))]: the four benchmark families, a center-dependent one and a
+# 2-D one.  Computed with per-node scalar arithmetic in the evaluator, a child
+# Polyball per subcell and digit-by-digit sample points.
+_DIS_SAMPLE_PINS = [
+    ("[ord(x - 1) >= r]", ("x",), (-2, 3), 8, {
+        1: ("f01b4ed454f0f051935254af7c7cc5786914f409c021caac20bbc5ebe7eb9efe", [(0, 0), (0, 0)]),
+        2: ("f01b4ed454f0f051935254af7c7cc5786914f409c021caac20bbc5ebe7eb9efe", [(0, 0), (0, 0)]),
+        3: ("f01b4ed454f0f051935254af7c7cc5786914f409c021caac20bbc5ebe7eb9efe", [(0, 0), (0, 0)]),
+    }),
+    ("q^(-r)", ("x",), (-2, 3), 8, {
+        1: ("888bfea6bdfc2fd78825bfbce6b676b0861282d3073e45a2b2cf905662f10136", [(0, 0), (0, 0)]),
+        2: ("888bfea6bdfc2fd78825bfbce6b676b0861282d3073e45a2b2cf905662f10136", [(0, 0), (0, 0)]),
+        3: ("888bfea6bdfc2fd78825bfbce6b676b0861282d3073e45a2b2cf905662f10136", [(0, 0), (0, 0)]),
+    }),
+    ("q^(-r) * psi(x)", ("x",), (-2, 3), 8, {
+        1: ("3682bd08c62a9536d3f9d85b15eb54c143676eeb5c1c32bcd32d963c494036d4", [(5, 0), (1, 0)]),
+        2: ("93bd553a4c9825c028a1057704aa583fa9ff900e1e5136524cd17be040ca6135", [(5, 0), (2, 0)]),
+        3: ("41896ff1ae193108b5b38d230b215bc62c3e7e52c7dc46cf0f8afef8a0bfa314", [(3, 0), (3, 0)]),
+    }),
+    ("q^(-r) + [r >= 0]", ("x",), (-2, 3), 8, {
+        1: ("dfc6d308ada9e9a0e7bacc75ddc3ec3f67e478cad97b2dee460fb71a7ad058e4", [(6, 0), (8, 0)]),
+        2: ("0e9a6dd5c6e53ed5f5b2dbcffd9452cc4677939ed40d33232f21995394dc0451", [(6, 0), (8, 0)]),
+        3: ("3083df40cd26bbcc6458eafd2512c198d409ea0bd9a48ec4861d57afb3cfcecf", [(7, 0), (8, 0)]),
+    }),
+    ("[ord(x) <= 10] * [ac[1](x) == 1]", ("x",), (0, 2), 40, {
+        1: ("47f2712ddc0424fb3a80a7a83da3cacbb5dd2d2c2bab2df522c5d33b488b6490", [(39, 0), (23, 0)]),
+        2: ("a7bece330f713e0c96318f785da52af377bd9ba1d4cd166fc802441763e0f963", [(38, 0), (18, 2)]),
+        3: ("a1ddc5dd4298d2f8d0eafc87fe5dc90c127e63e059617e1e9d4b8ba233cd9d9a", [(38, 0), (20, 0)]),
+    }),
+    ("q^(-2*r) * psi(x*y) * [ord(x - y) >= r]", ("x", "y"), (-1, 2), 6, {
+        1: ("b82a4925c0bea50bab5fb13651fa3aa34acbc7b8ba05b003071def10202e315e", [(1, 0), (0, 0)]),
+        2: ("6b0e4ef4ec445dd633b9c5bba25406306a7b5320b96c0e3130ad8dc33d8f0e2f", [(2, 0), (1, 0)]),
+        3: ("010d11ee85fc44852fcc6334fab8097c4df006efeabcecefebc468202e26d070", [(2, 0), (1, 0)]),
+    }),
+]
+
+
+@pytest.mark.parametrize("text, points, radii, trials, pins", _DIS_SAMPLE_PINS)
+def test_dis_sample_reports_are_pinned(text, points, radii, trials, pins):
+    family = FamilyDistribution(parse(text), points)
+    for seed, (digest, failures) in pins.items():
+        report = dis_sample(
+            family, ["Qp:2", "Fpt:3"], trials=trials, radius_range=radii, seed=seed
+        )
+        got = [(row.additivity_failures, row.center_failures) for row in report.rows]
+        assert got == failures, (text, seed)
+        packed = json.dumps(report.to_json(), sort_keys=True)
+        assert hashlib.sha256(packed.encode()).hexdigest() == digest, (text, seed)
+
+
+@pytest.mark.parametrize(
+    "field",
+    [make_field("p-adic", 2), Q3, make_field("equal-characteristic", 2), F3],
+    ids=str,
+)
+def test_random_point_is_the_digit_by_digit_sum(field):
+    # the same draws, in the same order, give the same element
+    for lo, hi in ((-2, 3), (0, 3), (-5, -1), (2, 6), (0, 0), (-1, 8)):
+        ours = random.Random(f"{field}:{lo}:{hi}")
+        ref = random.Random(f"{field}:{lo}:{hi}")
+        for _ in range(25):
+            assert _random_point(field, ours, lo, hi) == point_by_digits(field, ref, lo, hi)
+        assert ours.getstate() == ref.getstate()
 
 
 def test_dis_sample_reports_evaluation_errors():

@@ -10,8 +10,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import FIELDS, rng_for
+from oracles import quadratic_gauss_integral
 from umla.cyclo import CycloScalar
-from umla.fields import FieldError, LaurentPoly, Polyball
+from umla.fields import FieldError, LaurentPoly, Polyball, make_field
 from umla.microlocal import (
     PhaseCertificationError,
     oscillatory_integral,
@@ -233,6 +234,32 @@ class TestOscillatoryIntegral:
             oscillatory_integral(
                 p, phi, (f.one(),), f.pow_uniformizer(-8), budget=2
             )
+
+
+# the deepest ord(lam) at which the default budget admits the level-L cells
+# the quadratic term requests (q^L <= DEFAULT_CELL_BUDGET, L = ceil((1 - o)/2))
+_GAUSS_DEEPEST = {"Q3": -21, "Q5": -13, "Q7": -11, "F3t": -21}
+
+
+@pytest.mark.parametrize("name", sorted(_GAUSS_DEEPEST))
+def test_quadratic_phase_matches_the_gauss_sum_closed_form(name):
+    # integral_O psi(pi^(-k) u a x^2) dx for the form a x^2 at lam = pi^(-k) u,
+    # from ord(lam) = 1 down to where the default budget stops the walk
+    f = FIELDS.get(name) or make_field("p-adic", 7)
+    phi = indicator(f, (f.zero(),), 0)
+    for a in (1, 2):
+        p = parse_poly(f"{a}*x^2", ("x",))
+        for u in (1, 2):
+            deepest = None
+            for o in range(1, -41, -1):
+                lam = f.mul(f.pow_uniformizer(o), f.from_int(u))
+                try:
+                    got = oscillatory_integral(p, phi, (), lam)
+                except CellBudgetError:
+                    break
+                assert got == quadratic_gauss_integral(f, -o, u * a), (a, u, o)
+                deepest = o
+            assert deepest <= _GAUSS_DEEPEST[name], (a, u)
 
 
 class TestStationaryPhaseBound:
