@@ -43,7 +43,7 @@ from .syntax import (
     walk,
 )
 
-__all__ = ["SortError", "VF", "ZZ", "SC", "check", "classify_cmp", "CmpKind"]
+__all__ = ["SortError", "VF", "ZZ", "SC", "check", "classify_cmp"]
 
 VF = "field"
 ZZ = "int"
@@ -261,29 +261,18 @@ class _Checker:
             self.cond(node.arg, path + ("arg",))
             return
         if isinstance(node, Cmp):
-            kind = classify_cmp(node, self.lookup, path)
-            if kind.sort == VF or (
-                isinstance(kind.sort, tuple) and kind.sort[0] == "res"
-            ):
+            sort = classify_cmp(node, self.lookup, path)
+            if sort == VF or (isinstance(sort, tuple) and sort[0] == "res"):
                 if node.op not in ("==", "!="):
                     raise SortError(
                         f"order comparison {node.op!r} on "
-                        f"{sort_name(kind.sort)} operands",
+                        f"{sort_name(sort)} operands",
                         path,
                     )
-            self.expr(node.lhs, kind.sort, path + ("lhs",))
-            self.expr(node.rhs, kind.sort, path + ("rhs",))
+            self.expr(node.lhs, sort, path + ("lhs",))
+            self.expr(node.rhs, sort, path + ("rhs",))
             return
         raise SortError("expression node in condition position", path)
-
-
-class CmpKind:
-    """Classification of a comparison's operand sort."""
-
-    __slots__ = ("sort",)
-
-    def __init__(self, sort):
-        self.sort = sort
 
 
 def _cmp_evidence(node: Node, lookup, path, out: set) -> None:
@@ -323,8 +312,8 @@ def _cmp_evidence(node: Node, lookup, path, out: set) -> None:
     )
 
 
-def classify_cmp(node: Cmp, lookup, path: tuple = ()) -> CmpKind:
-    """Decide whether a comparison is integer, field, or residue sorted.
+def classify_cmp(node: Cmp, lookup, path: tuple = ()) -> str | tuple:
+    """The operand sort of a comparison: ``ZZ``, ``VF`` or ``RF(level)``.
 
     ``lookup`` maps a variable name to its known sort or None.  Residue
     evidence wins (all residue levels must agree); bare field evidence makes
@@ -348,12 +337,12 @@ def classify_cmp(node: Cmp, lookup, path: tuple = ()) -> CmpKind:
                 f"{', '.join(sort_name(s) for s in sorted(others, key=str))}",
                 path,
             )
-        return CmpKind(RF(level))
+        return RF(level)
     if VF in evidence:
         if ZZ in evidence:
             raise SortError("field and integer operands mixed in one comparison", path)
-        return CmpKind(VF)
-    return CmpKind(ZZ)
+        return VF
+    return ZZ
 
 
 def check(term: Node, declared=None) -> dict:

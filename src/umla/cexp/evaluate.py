@@ -359,8 +359,7 @@ class _Evaluator:
         if isinstance(node, Not):
             return not self.truth(node.arg)
         if isinstance(node, Cmp):
-            kind = classify_cmp(node, self.sorts.get)
-            sort = kind.sort
+            sort = classify_cmp(node, self.sorts.get)
             if sort == VF:
                 diff = self.field.sub(self.fieldval(node.lhs), self.fieldval(node.rhs))
                 eq = self.field.is_zero(diff)

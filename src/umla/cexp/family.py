@@ -227,13 +227,7 @@ def dis_sample(
                         continue
 
                     shifted = tuple(
-                        field.add(
-                            x,
-                            field.mul(
-                                _random_point(field, rng, 0, 3),
-                                field.pow_uniformizer(r),
-                            ),
-                        )
+                        field.add(x, _random_point(field, rng, r, r + 3))
                         for x in xs
                     )
                     moved = view.b_function(shifted, r)

@@ -9,6 +9,12 @@ uniformizer, and indicator factors ``[cond]`` whose conditions are boolean
 combinations of valuation comparisons, residue equalities, and polynomial
 equalities.
 
+Unary minus binds looser than ``^`` and tighter than ``*``: ``-x^2`` is
+``-(x^2)`` and ``2*-x`` is ``2*(-x)``.  The polynomial subset (integer
+constants, variables, ``+``, ``-``, ``*`` and ``^``) is also what
+``umla.polys.parse_poly`` reads, so integer polynomials have one grammar in
+the library.
+
 The printer is canonical: ``parse(render(t))`` reproduces ``t`` node for
 node.  Constants are kept non-negative (a leading minus parses as a ``Neg``
 node), which is what makes the round trip structural rather than merely

@@ -105,7 +105,7 @@ def _ray_profile(w: MixedCellDistribution, xi0):
     """
     f = w.field
     thresholds = []
-    survivors = {}
+    coefs = {}  # beta -> its terms' coefficients, betas in order of first use
     for coef, mod, fs in w.terms:
         kill = None  # widest vanishing window over the term's coordinates
         alive = True
@@ -132,9 +132,9 @@ def _ray_profile(w: MixedCellDistribution, xi0):
         beta = f.zero()
         for i in range(w.n):
             beta = f.add(beta, f.mul(mod[i], xi0[i]))
-        cur = survivors.get(beta)
-        survivors[beta] = coef if cur is None else cur + coef
-    survivors = {b: c for b, c in survivors.items() if not c.is_zero()}
+        coefs.setdefault(beta, []).append(coef)
+    sums = ((b, CycloScalar.sum(f.p, cs)) for b, cs in coefs.items())
+    survivors = {b: c for b, c in sums if not c.is_zero()}
     threshold = min(thresholds) if thresholds else None
     return threshold, survivors
 

@@ -6,6 +6,11 @@ Taylor expansion of p(c + e) as polynomials-in-c indexed by e-monomials, exact
 evaluation over a local field, and ultrametric lower bounds for the valuation
 of the values taken where each coordinate has a given valuation lower bound.
 
+``parse_poly`` reads the polynomial subset of the term language of
+``umla.cexp.syntax`` (integer constants, variables, +, -, *, ^), so the
+text of a polynomial means the same there as in a C^exp term: unary minus
+binds looser than ^, and -x^2 is -(x^2).
+
 ``FieldPoly`` is a dense univariate polynomial with local-field coefficients.
 ``sylvester_resultant`` works over the ring Z[y] (one-variable ``MultiPoly``
 entries) via exact Laplace expansion, which is plenty for the small degrees
@@ -61,6 +66,19 @@ from itertools import product
 from math import comb, lcm, prod
 from typing import Sequence
 
+from .cexp.syntax import (
+    Add,
+    CexpSyntaxError,
+    Const,
+    Mul,
+    Neg,
+    Node,
+    Pow,
+    Sub,
+    Var,
+    parse,
+    render,
+)
 from .fields import INF, FieldError, LaurentPoly, LocalField, _vp
 
 
@@ -418,94 +436,46 @@ class MultiPoly:
 
 
 def parse_poly(src: str, var_names: Sequence[str]) -> MultiPoly:
-    """Parse +, -, *, ^ integer-coefficient polynomials over named variables."""
+    """Read an integer polynomial over named variables.
+
+    ``src`` is parsed by ``cexp.syntax.parse`` and its tree folded into a
+    ``MultiPoly``: integer constants, the names in ``var_names``, +, -, *,
+    unary minus and ^ with a non-negative integer exponent.  Any other term,
+    a non-integer constant, an unknown name or unparseable text raises
+    ``FieldError``; so does a variable named by a keyword of the term
+    language (q, ord, ac, psi, sum, sumrf, and, or, not).
+    """
+    try:
+        tree = parse(src)
+    except CexpSyntaxError as exc:
+        raise FieldError(f"polynomial {exc}") from None
     n = len(var_names)
-    pos = 0
 
-    def error(msg):
-        return FieldError(f"polynomial syntax error at offset {pos}: {msg}")
+    def fold(node: Node) -> MultiPoly:
+        if isinstance(node, Const):
+            if node.value.denominator != 1:
+                raise FieldError(f"non-integer coefficient {node.value}")
+            return MultiPoly.const(n, node.value.numerator)
+        if isinstance(node, Var):
+            if node.name not in var_names:
+                raise FieldError(
+                    f"unknown variable {node.name!r}, expected one of "
+                    f"{', '.join(var_names)}"
+                )
+            return MultiPoly.var(n, var_names.index(node.name))
+        if isinstance(node, Neg):
+            return -fold(node.arg)
+        if isinstance(node, Pow):
+            return fold(node.base) ** node.k
+        if isinstance(node, Add):
+            return fold(node.lhs) + fold(node.rhs)
+        if isinstance(node, Sub):
+            return fold(node.lhs) - fold(node.rhs)
+        if isinstance(node, Mul):
+            return fold(node.lhs) * fold(node.rhs)
+        raise FieldError(f"not a polynomial term: {render(node)}")
 
-    def skip_ws():
-        nonlocal pos
-        while pos < len(src) and src[pos].isspace():
-            pos += 1
-
-    def parse_sum():
-        nonlocal pos
-        total = parse_product()
-        while True:
-            skip_ws()
-            if pos < len(src) and src[pos] in "+-":
-                op = src[pos]
-                pos += 1
-                rhs = parse_product()
-                total = total + rhs if op == "+" else total - rhs
-            else:
-                return total
-
-    def parse_product():
-        nonlocal pos
-        total = parse_power()
-        while True:
-            skip_ws()
-            if pos < len(src) and src[pos] == "*":
-                pos += 1
-                total = total * parse_power()
-            else:
-                return total
-
-    def parse_power():
-        nonlocal pos
-        base = parse_atom()
-        skip_ws()
-        if pos < len(src) and src[pos] == "^":
-            pos += 1
-            skip_ws()
-            start = pos
-            while pos < len(src) and src[pos].isdigit():
-                pos += 1
-            if start == pos:
-                raise error("expected an integer exponent")
-            return base ** int(src[start:pos])
-        return base
-
-    def parse_atom():
-        nonlocal pos
-        skip_ws()
-        if pos >= len(src):
-            raise error("unexpected end of input")
-        ch = src[pos]
-        if ch == "(":
-            pos += 1
-            inner = parse_sum()
-            skip_ws()
-            if pos >= len(src) or src[pos] != ")":
-                raise error("expected ')'")
-            pos += 1
-            return inner
-        if ch == "-":
-            pos += 1
-            return -parse_atom()
-        if ch.isdigit():
-            start = pos
-            while pos < len(src) and src[pos].isdigit():
-                pos += 1
-            return MultiPoly.const(n, int(src[start:pos]))
-        for i, name in enumerate(var_names):
-            if src.startswith(name, pos):
-                follow = pos + len(name)
-                if follow >= len(src) or not (
-                    src[follow].isalnum() or src[follow] == "_"
-                ):
-                    pos = follow
-                    return MultiPoly.var(n, i)
-        raise error(f"expected a variable ({', '.join(var_names)}) or number")
-
-    result = parse_sum()
-    skip_ws()
-    if pos != len(src):
-        raise error("trailing input")
-    return result
+    return fold(tree)
 
 
 class FieldPoly:

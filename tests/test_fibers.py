@@ -699,6 +699,18 @@ def test_poly_rendering_round_trip():
         assert parse_poly(text, ("x",)) == poly, text
 
 
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(
+    st.lists(st.integers(-9, 9), min_size=1, max_size=5),
+    st.integers(-9, 9).filter(bool),
+)
+def test_poly_text_round_trips_with_negative_leading_coefficients(low, lead):
+    poly = MultiPoly(1, {(e,): c for e, c in enumerate(low + [lead])})
+    assert parse_poly(poly_to_string(poly), ("x",)) == poly
+    problem = FiberProblem(poly)
+    assert FiberProblem.from_json(problem.to_json()) == problem
+
+
 def test_poly_rendering_examples():
     # [TRIVIAL]
     assert poly_to_string(parse_poly("x^2", ("x",))) == "x^2"

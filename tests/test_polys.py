@@ -40,6 +40,42 @@ def test_parse_matches_manual_construction():
     assert parse_poly("x^2*y - 3*y + 1", ("x", "y")) == want
 
 
+_X = MultiPoly.var(1, 0)
+_ONE = MultiPoly.const(1, 1)
+
+
+@pytest.mark.parametrize(
+    "src, want",
+    [
+        ("-x^2", -(_X * _X)),
+        ("-(x+1)^2", -((_X + _ONE) * (_X + _ONE))),
+        ("2*-x", _X.scale(-2)),
+        ("3 - -x^2", _ONE.scale(3) + _X * _X),
+        ("x^0", _ONE),
+    ],
+)
+def test_unary_minus_binds_looser_than_power(src, want):
+    # the term grammar of umla.cexp.syntax: -x^2 is -(x^2)
+    assert parse_poly(src, ("x",)) == want
+
+
+@pytest.mark.parametrize(
+    "src, names",
+    [
+        ("1/2*x", ("x",)),
+        ("ord(x)", ("x",)),
+        ("psi(x)", ("x",)),
+        ("[x == 0]", ("x",)),
+        ("2x", ("x",)),
+        ("", ("x",)),
+        ("q^2", ("q",)),
+    ],
+)
+def test_non_polynomial_text_raises_field_error(src, names):
+    with pytest.raises(FieldError):
+        parse_poly(src, names)
+
+
 @st.composite
 def _rationals(draw, p: int):
     """Zero, integers, p-power denominators, denominators prime to p, and
