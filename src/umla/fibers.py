@@ -122,22 +122,29 @@ def _unit_window_roots(field: LocalField, coeffs, k: int):
     A decided cell that holds a root is followed down on codes too (a
     Hensel descent): g maps each of its q children one-to-one onto a ball
     of radius L + 1 + v', so exactly one child has ord g >= L + 1 + v', and
-    the walk descends through that child alone until level k.  The root's
-    level-k truncation is then that cell's centre, cut to its first k
-    digits when the cell was decided deeper than k.
+    the walk descends through that child alone until level k.  One Hensel
+    step names it: g(a + d pi^L) = g(a) + g'(a) d pi^L mod pi^(2L), and
+    2L >= L + 1 + v', so its digit is
+    d = -(g(a) / pi^(L+v')) (g'(a) / pi^v')^(-1) mod pi, one evaluation of
+    g per level; g'(a) / pi^v' mod pi is the same on every deeper cell, so
+    it is inverted once per root.  The root's level-k truncation is then
+    that cell's centre, cut to its first k digits when the cell was decided
+    deeper than k.
 
-    The walk runs on ints (``cell_codes`` of ``field_ints``): g and g' are
-    brought to integer coefficients once per search, and the level-L cells
-    are integer codes a of their canonical centres, whose children are
-    a + d * radix^L.  Over Q_p the code is the centre itself (radix p), and
-    ord g(a) = v_p(G(a)) for G = D*g with integer coefficients over their
-    common denominator D: the content scaling makes every coefficient of g,
-    and so of g', p-integral, so D is a p-unit and the valuation is exact
-    for every input.  Over F_p((t)) the code packs the centre's digits at
-    t = 2^W (radix 2^W), and ord g(a) is the first digit of G(a) that p
-    does not divide (``packed_ord``).  W holds the codes of up to ``limit``
-    digits, first k + 1; a search that must split a cell at that depth
-    starts again with the limit ord Res(g, g') + 1, which no split exceeds.
+    The walk runs on ints (``cell_codes`` of ``field_ints``): g is brought
+    to integer coefficients once per search, g' is read off them
+    (``derivative``), and the level-L cells are integer codes a of their
+    canonical centres, whose children are a + d * radix^L.  Over Q_p the
+    code is the centre itself (radix p), and ord g(a) = v_p(G(a)) for
+    G = D*g with integer coefficients over their common denominator D: the
+    content scaling makes every coefficient of g, and so of g', p-integral,
+    so D is a p-unit and the valuation is exact for every input.  Over
+    F_p((t)) the code packs the centre's digits at t = 2^W (radix 2^W),
+    and ord g(a) is the first digit of G(a) that p does not divide
+    (``packed_ord``).  The residues of the Hensel step are read on the same
+    ints.  W holds the codes of up to ``limit`` digits, first k + 1; a
+    search that must split a cell at that depth starts again with the
+    limit ord Res(g, g') + 1, which no split exceeds.
     In both cases a mod radix^k is the code of the level-k truncation.
     Field elements are built only for found roots and for the centre that
     ClusterUnresolved reports.
@@ -153,14 +160,13 @@ def _unit_window_roots(field: LocalField, coeffs, k: int):
     content = min(field.ord(c) for c in coeffs if not field.is_zero(c))
     if content:
         coeffs = [field.mul(c, field.pow_uniformizer(-content)) for c in coeffs]
-    # the formal derivative keeps degree deg g - 1 for the resultant
-    dcoeffs = [field.mul(field.from_int(i), c) for i, c in enumerate(coeffs)][1:]
-    g, gp = field_ints(field, coeffs), field_ints(field, dcoeffs)
+    g = field_ints(field, coeffs)
+    gp = g.derivative()
     q = field.q
     res_ord = None  # ord Res(g, g'), computed once a cell reaches level k
     found, cap = None, k + 1
     while found is None:
-        ord_g, ord_gp, radix, lift, limit = g.cell_codes(gp, cap)
+        ord_g, ord_gp, digit_g, digit_gp, radix, lift, limit = g.cell_codes(gp, cap)
         found = []
         cells = [(0, 0, ord_g(0))]
         while cells:
@@ -168,19 +174,21 @@ def _unit_window_roots(field: LocalField, coeffs, k: int):
             vpa = ord_gp(a)
             if level > vpa:
                 if va >= level + vpa:
+                    if level < k:
+                        # g'(a) / pi^v' mod pi is the same on every deeper cell
+                        inv = pow(digit_gp(a, vpa), -1, q)
                     while level < k:
-                        step = radix**level
-                        a = next(
-                            c
-                            for c in range(a, a + q * step, step)
-                            if ord_g(c) > level + vpa
-                        )
+                        a += -digit_g(a, level + vpa) * inv % q * radix**level
                         level += 1
                     # dorder is the derivative order of the input coefficients
                     found.append((lift(a % radix**k), vpa + content))
                 continue
             if level >= k:
                 if res_ord is None:
+                    # the formal derivative keeps degree deg g - 1 here
+                    dcoeffs = [
+                        field.mul(field.from_int(i), c) for i, c in enumerate(coeffs)
+                    ][1:]
                     zero = field.zero()
                     res = ring_det(
                         sylvester_matrix(coeffs, dcoeffs, zero), zero, field.one()
@@ -282,7 +290,7 @@ class FiberProblem:
         return cls(parse_poly(src, ("x",)))
 
     def is_critical_value(self, field: LocalField, y) -> bool:
-        return field_ints(field, (y,)).ord(self.disc.coeffs) == INF
+        return self.disc.ord_field(field, (y,)) == INF
 
     def critical_locus(self, field: LocalField) -> FieldPoly:
         """Squarefree part of ``disc`` over ``field``, kept per field.

@@ -65,6 +65,24 @@ makes every decision, and keeps, per support cell, the phase values
 counts, once per walk, what psi reads from ``m * p(c, eta)`` for a
 multiplier ``m`` of order ``ord(lam)``, and ``_sum`` adds
 ``q^(-n L) psi(u m p(c, eta))`` for a unit ``u`` from those counts alone.
+
+From the split to the psi angle a walk runs on integer codes, in one
+format per walk (``polys.walk_codes``): every coordinate of a cell, centre
+and ``eta`` alike, is one int; a child is its parent's code plus a step;
+``_OrdsAt`` reads each ord, and ``_walk`` each kept value, off
+``monomial_ints`` on the codes of the point.  A kept value stays an int
+N: over Q_p, p(c, eta) = N / D^m, D the walk's denominator and m the
+degree of p; over F_p((t)), N packs the digits v_k of p(c, eta) at 2^W,
+v_k the digit k + K m of N mod p, K the walk's shift.  The angle rule on
+ints: over Q_p, for ``mult = a / b`` write T = b D^m p = p^t T' with T'
+prime to p; then ``psi_angle(mult * N / D^m) = j / p^t`` with
+j = a N T'^(-1) mod p^t, one modular inverse per walk.  Over F_p((t)),
+the digits of w = mult * v that psi reads are
+w_{-i} = sum_j mult_j v_{-i-j} mod p, read off the digits of N.  No field
+element is built between a split and its angle: elements are built only
+for the ``eta`` samples of :func:`stationary_phase_bound`, which it
+reports, and for the witness of a :class:`PhaseCertificationError`.
+
 With psi as in ``fields.psi_angle`` (trivial on ``pi O`` over Q_p; the
 ``t^0`` digit over F_p((t))), the twist rule is: over Q_p, a unit code
 ``u`` is an integer, so psi(u w) = psi(w)^u, and an angle ``j / p^K`` of
@@ -85,10 +103,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice, product
 from operator import mul
+from typing import Iterator, NamedTuple
 
 from ..cyclo import CycloScalar
-from ..fields import INF, FieldError, LocalField, Polyball
-from ..polys import MultiPoly, field_ints
+from ..fields import INF, FieldError, LocalField, Polyball, _vp
+from ..polys import LaurentCodes, MultiPoly, QpCodes, int_form, walk_codes
 from ..schwartz import DEFAULT_CELL_BUDGET, SchwartzBruhat, check_budget
 
 
@@ -191,13 +210,17 @@ class _Phase:
         d_i p(c + e) = sum_b (b_i + 1) q_{b + e_i}(c) e^b,
 
     so ``terms`` lists (b, ord(b_i + 1), b + e_i) for every b != 0 there.
+    ``forms`` holds the ``int_form`` of each q_a and ``pform`` that of p,
+    which a walk evaluates on its codes.
     """
 
-    __slots__ = ("p", "tay", "higher", "grads")
+    __slots__ = ("p", "tay", "higher", "grads", "forms", "pform")
 
     def __init__(self, field: LocalField, p: MultiPoly, n: int, tay: dict):
         self.p = p
         self.tay = tay
+        self.forms = {a: int_form(field, q.coeffs) for a, q in tay.items()}
+        self.pform = int_form(field, p.coeffs)
         self.higher = [(a, qpoly) for a, qpoly in tay.items() if sum(a) >= 2]
         self.grads = []
         for ei in tay:
@@ -213,30 +236,25 @@ class _Phase:
 
 
 class _OrdsAt(dict):
-    """ord q_a(point) for the Taylor coefficients of a phase, on demand.
-
-    The point is brought to ints once (``field_ints``), and each ord is
-    read off the integer kernel without building an element: over Q_p,
-    with x = n / d and (N, d^m) = ``monomial_ints`` of q_a at (n, d),
-    ord q_a(x) = v_p(N) - m v_p(d); over F_p((t)), the first digit of the
-    packed value that p does not divide, less the shift of the point's
-    denominator (``packed_ord``).
+    """ord q_a at a point for the Taylor coefficients of a phase, on demand,
+    read off the integer codes ``nums`` of the point (module docstring):
+    ``codes.ord`` of the ``int_form`` of q_a, with no element built.
     """
 
-    __slots__ = ("tay", "point", "ints")
+    __slots__ = ("codes", "forms", "nums")
 
-    def __init__(self, field: LocalField, tay: dict, point: tuple):
+    def __init__(self, codes: QpCodes | LaurentCodes, forms: dict, nums: tuple):
         super().__init__()
-        self.tay, self.point = tay, point
-        self.ints = field_ints(field, point)
+        self.codes, self.forms, self.nums = codes, forms, nums
 
     def __missing__(self, a):
-        o = self[a] = self.ints.ord(self.tay[a].coeffs)
+        o = self[a] = self.codes.ord(self.forms[a], self.nums)
         return o
 
 
 def _dominant(grads: list, ords: _OrdsAt, radii, cap) -> bool:
-    """Dominant-term test on the cell of the given radii around ``ords.point``.
+    """Dominant-term test on the cell of the given radii around the point of
+    ``ords``, read on its codes (module docstring).
 
     True when some gradient coordinate d_i p has ord <= ``cap`` at the center
     and every other term of its expansion there is strictly larger over the
@@ -254,6 +272,15 @@ def _dominant(grads: list, ords: _OrdsAt, radii, cap) -> bool:
     return False
 
 
+def _subcells(
+    codes: QpCodes | LaurentCodes, nums: tuple, radii, levels
+) -> Iterator[tuple]:
+    """Codes of the subcells at per-coordinate ``levels`` of the cell with
+    codes ``nums``, in the order of ``Polyball`` (the last coordinate
+    varies fastest)."""
+    return product(*map(codes.child_codes, nums, radii, levels))
+
+
 def _certify_gradient(
     field: LocalField, cert: _Phase, cell: Polyball, d0: int, budget: int
 ) -> int:
@@ -265,24 +292,45 @@ def _certify_gradient(
     is the witness of the :class:`PhaseCertificationError` raised; any other
     cell is subdivided one level in every coordinate, at most ``budget``
     cells in all.  Returns the number of cells certified.
+
+    The cells are integer codes (module docstring).  Over F_p((t)) the codes
+    hold the digits down to a depth fixed in advance; a cell that must split
+    deeper starts the walk again with codes holding twice as many levels
+    below the cell, and the walk visits the same cells in the same order.
     """
-    stack = [cell]
-    done = 0
-    spent = 0
-    while stack:
-        cur = stack.pop()
-        spent += 1
-        check_budget("gradient certificate", spent, budget)
-        ords = _OrdsAt(field, cert.tay, cur.centers)
-        if _dominant(cert.grads, ords, cur.radii, d0):
-            done += 1
-        elif all(ords[ei] > d0 for ei, _ in cert.grads):
-            raise PhaseCertificationError(
-                "gradient bound fails at a cell center", witness=cur.centers
-            )
+    extra = 8  # levels below the cell that the first codes hold
+    while True:
+        codes = walk_codes(
+            field,
+            cell.centers,
+            min(cell.radii),
+            max(cell.radii) + extra,
+            cert.forms.values(),
+        )
+        stack = [(tuple(map(codes.code, cell.centers)), cell.radii)]
+        done = 0
+        spent = 0
+        while stack:
+            nums, radii = stack.pop()
+            spent += 1
+            check_budget("gradient certificate", spent, budget)
+            ords = _OrdsAt(codes, cert.forms, nums)
+            if _dominant(cert.grads, ords, radii, d0):
+                done += 1
+            elif all(ords[ei] > d0 for ei, _ in cert.grads):
+                raise PhaseCertificationError(
+                    "gradient bound fails at a cell center",
+                    witness=tuple(map(codes.element, nums)),
+                )
+            elif max(radii) < codes.limit:
+                split = tuple(r + 1 for r in radii)
+                kids = _subcells(codes, nums, radii, split)
+                stack.extend((sub, split) for sub in kids)
+            else:
+                break  # the children would not fit the codes
         else:
-            stack.extend(cur.children())
-    return done
+            return done
+        extra *= 2
 
 
 def stationary_phase_bound(
@@ -386,7 +434,16 @@ def stationary_phase_bound(
                 all_orders.append(lb)
     p_min_ord = min(all_orders) if all_orders else 0
 
-    etas = list(islice(V.child_centers(), verify_eta_samples))
+    # the first children of V, on codes; only the samples become elements
+    vcodes = walk_codes(
+        field, V.centers, min(V.radii, default=0), max(V.radii, default=0) + 1, ()
+    )
+    vnums = tuple(map(vcodes.code, V.centers))
+    samples = _subcells(vcodes, vnums, V.radii, [r + 1 for r in V.radii])
+    etas = [
+        tuple(map(vcodes.element, nums))
+        for nums in islice(samples, verify_eta_samples)
+    ]
     scales = []
     depth_capped = False
     for e_ord in range(threshold - verify_window, threshold):
@@ -498,6 +555,17 @@ def _unit_scale_integrals(
                 yield e_ord, ucode, eta, _sum(field, phi.n, counts[i], ucode)
 
 
+class _Walk(NamedTuple):
+    """What a walk keeps: its ``codes`` (``polys.walk_codes``), the degree
+    ``deg`` of the phase's ``int_form``, and per support cell (coef, L,
+    values), the kept values as ints (module docstring); the value N of a
+    cell is ``codes.element(N, deg)``."""
+
+    codes: QpCodes | LaurentCodes
+    deg: int
+    cells: list
+
+
 def _walk(
     field: LocalField,
     phase: _Phase,
@@ -505,17 +573,20 @@ def _walk(
     eta: tuple,
     lam_ord: int,
     budget: int,
-) -> list:
+) -> _Walk:
     """The cell walk of :func:`oscillatory_integral` for every lam of order
     ``lam_ord``, on phase data expanded in x alone.
 
-    Returns, per support cell of ``phi``, (coef, L, values): the cell's
+    Keeps, per support cell of ``phi``, (coef, L, values): the cell's
     coefficient, its level L and the phase values p(c, eta) at the level-L
-    centres c that the skip rule keeps.
+    centres c that the skip rule keeps.  Every level and budget check comes
+    first, since the deepest level fixes the walk's codes; the cells are
+    then split and the values kept on codes alone (module docstring).
     """
     eta_lo = [field.ord(v) for v in eta]  # exact; INF for zero coordinates
     levels = phi.levels
-    out = []
+    todo = []
+    deepest = max(levels)
     # the cell keys are canonical centres already
     for center, coef in phi.cells.items():
         coord_lo = _ball_coord_lo(field, center, levels) + eta_lo
@@ -530,51 +601,72 @@ def _walk(
                 level += 1
         cells = field.q ** sum(level - r for r in levels)
         check_budget("oscillatory integral", cells, budget)
+        todo.append((center, coef, level))
+        deepest = max(deepest, level)
+    xs = [x for center in phi.cells for x in center] + list(eta)
+    codes = walk_codes(field, xs, min(levels), deepest, phase.forms.values())
+    eta_codes = tuple(map(codes.code, eta))
+    out = []
+    for center, coef, level in todo:
         # walk the cell top-down: drop a subtree on which some lam * d_i p
         # has one valuation below 1 - level, split any other cell above the
         # level, and at the level keep p(c, eta) unless a gradient
         # coordinate oscillates
         values = []
-        stack = [(center, levels)]
+        stack = [(tuple(map(codes.code, center)), levels)]
         while stack:
-            centers, radii = stack.pop()
-            ords = _OrdsAt(field, phase.tay, centers + eta)
+            nums, radii = stack.pop()
+            point = nums + eta_codes
+            ords = _OrdsAt(codes, phase.forms, point)
             if min(radii) == level:
                 if all(ords[ei] + lam_ord >= 1 - level for ei, _ in phase.grads):
-                    values.append(ords.ints.value(phase.p.coeffs))
+                    values.append(codes.value(phase.pform, point))
             elif not _dominant(phase.grads, ords, radii, -level - lam_ord):
                 split = tuple(min(r + 1, level) for r in radii)
-                axes = (
-                    field.cell_reps(c, r, r1) for c, r, r1 in zip(centers, radii, split)
-                )
-                stack.extend((sub, split) for sub in product(*axes))
+                kids = _subcells(codes, nums, radii, split)
+                stack.extend((sub, split) for sub in kids)
         out.append((coef, level, values))
-    return out
+    return _Walk(codes, phase.pform[1], out)
 
 
-def _angles(field: LocalField, walk: list, mult, depth: int) -> list:
+def _angles(field: LocalField, walk: _Walk, mult, depth: int) -> list:
     """What psi reads from ``mult`` times each kept value of a walk, counted
-    once per support cell: (coef, L, den, hist) per cell.
+    once per support cell: (coef, L, den, hist) per cell, read on the ints
+    by the angle rule of the module docstring.
 
     Over Q_p, ``hist`` counts the numerators (j,) of the angles
-    ``psi_angle(mult v) = j / den``, den = p^K the largest denominator.
+    ``psi_angle(mult v) = j / den``, den = p^t for T = b D^m p = p^t T'.
     Over F_p((t)), it counts the digit vectors (w_0, w_{-1}, ...,
-    w_{1-depth}) of w = mult v, and den = p.
+    w_{1-depth}) of w = mult v, and den = p.  A walk that keeps no value
+    counts nothing.
     """
-    out = []
-    for coef, level, values in walk:
-        ws = [field.mul(mult, v) for v in values]
-        if field.kind == "p-adic":
-            angles = Counter(field.psi_angle(w) for w in ws)
-            den = max((a.denominator for a in angles), default=1)
-            hist = {
-                (a.numerator * (den // a.denominator),): k for a, k in angles.items()
-            }
-        else:
-            den = field.p
-            hist = Counter(tuple(w.coeff(-i) for i in range(depth)) for w in ws)
-        out.append((coef, level, den, hist))
-    return out
+    codes, deg, cells = walk
+    p = field.p
+    if not any(values for _, _, values in cells):
+        return [(coef, level, p, {}) for coef, level, _ in cells]
+    if field.kind == "p-adic":
+        scale = mult.denominator * codes.den**deg * p
+        den = p ** _vp(scale, p)
+        # one inverse per walk: j = a N T'^(-1) mod p^t
+        factor = mult.numerator * pow(scale // den, -1, den) % den
+        return [
+            (coef, level, den, Counter((v * factor % den,) for v in values))
+            for coef, level, values in cells
+        ]
+    width, low = codes.width, codes.shift * deg
+    mask = (1 << width) - 1
+    # w_{-i} = sum_j mult_j v_{-i-j}, v_k the digit k + low of N
+    reads = [
+        [(c, width * (low - i - j)) for j, c in mult.coeffs if low - i - j >= 0]
+        for i in range(depth)
+    ]
+
+    def digits(v: int) -> tuple:
+        return tuple(sum(c * (v >> at & mask) for c, at in row) % p for row in reads)
+
+    return [
+        (coef, level, p, Counter(map(digits, values))) for coef, level, values in cells
+    ]
 
 
 def _twist(field: LocalField, den: int, hist: dict, ucode: int) -> dict:

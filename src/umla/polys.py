@@ -54,9 +54,29 @@ P(x) = N(t) / t^(K m).  A caller that needs only the valuation reads it
 without decoding (``packed_ord``): ord N(t) is the index of the first digit
 that p does not divide.  A nonzero integer whose every digit p divides
 packs the zero element, as x^2 - 1 at x = 1 over F_3((t)) packs to 3, so
-its ord is INF.  ``field_ints`` brings a tuple of elements of either field
-to ints once: ``QpInts`` as above, ``LaurentInts`` at the width W that
-each evaluation needs.
+its ord is INF.
+
+Points are brought to ints as codes (``walk_codes``), in a format fixed
+once for a whole cell walk, or for the one point of
+``MultiPoly.eval_field``; walks split and evaluate cells on codes alone,
+with no element built in between.  Over Q_p (``QpCodes``) a code is a
+numerator over one denominator D per walk: the lcm of the denominators of
+the elements the walk starts from, times p^(-lo) when the least radius lo
+is negative, so the child c + k p^r of a canonical centre c of B_r is the
+code n + k p^r D.  Over F_p((t)) (``LaurentCodes``) a code packs the
+digits of x = n(t) / t^K at one width W: K is the largest pole order of
+those elements and -lo, and a child adds k's base-p digits packed at 2^W,
+shifted to digit r + K.  At the deepest level hi of the walk, every
+coordinate that splits has digit sum at most s = (p - 1)(hi + K), and one
+that does not has its own, at most s when s is the larger; a polynomial of
+degree m in its ``int_form`` (coefficients c_e reduced into [0, p)) then
+packs to at most (sum_e c_e) s^m, and W is the width for the largest of
+these bounds over the polynomials the walk evaluates, so no evaluation
+chooses a width of its own.  Children come in the order of
+``LocalField.cell_reps``, k = 0, 1, ..., and ``element`` decodes a code,
+or a value, only where a caller returns or reports it.  ``field_ints``
+brings the coefficients of the root search's polynomials to ints once, as
+``QpInts`` or ``LaurentInts``, for its Horner kernel (``cell_codes``).
 """
 
 from __future__ import annotations
@@ -169,42 +189,35 @@ def unpack(p: int, v: int, w: int, low: int = 0) -> LaurentPoly:
 
 
 class QpInts:
-    """Elements x_i of Q_p brought to ints once: x_i = nums[i] / den.
-
-    As a point, it evaluates integer-coefficient polynomials (``value``,
-    ``ord``); as a coefficient list, it gives the root search its integer
-    kernel (``cell_codes``).
+    """The coefficients c_k of a one-variable polynomial over Q_p brought to
+    ints once, c_k = nums[k] / den: the root search's integer kernel
+    (``cell_codes``).
     """
 
-    __slots__ = ("p", "nums", "den", "den_ord")
+    __slots__ = ("p", "nums", "den")
 
-    def __init__(self, p: int, xs: Sequence):
-        self.p = p
-        self.nums, self.den = common_denominator(xs)
-        self.den_ord = _vp(self.den, p)
+    def __init__(self, p: int, nums: list[int], den: int):
+        self.p, self.nums, self.den = p, nums, den
 
-    def value(self, coeffs: dict) -> Fraction:
-        """sum_e c_e x^e for an exponent-to-int dict ``coeffs``."""
-        return Fraction(*monomial_ints(coeffs, self.nums, self.den))
-
-    def ord(self, coeffs: dict):
-        """ord of sum_e c_e x^e: v_p(N) - m v_p(den), read on ints."""
-        num, _ = monomial_ints(coeffs, self.nums, self.den)
-        if num and self.den_ord:
-            return _vp(num, self.p) - self.den_ord * max(map(sum, coeffs))
-        return int_ord(num, self.p)
+    def derivative(self) -> "QpInts":
+        """The formal derivative's coefficients k c_k, over the same den."""
+        return QpInts(self.p, [k * n for k, n in enumerate(self.nums)][1:], self.den)
 
     def cell_codes(self, other: "QpInts", cap: int):
-        """The root search's integer kernel for the polynomials with
-        coefficients self and ``other``: (ord_self, ord_other, radix, lift,
-        limit).  A cell code is the integer centre itself, in base p; every
-        width of code is valid (limit INF).  The valuations are exact when
-        den and other.den are p-units."""
+        """The root search's integer kernel for the polynomials g and h with
+        coefficients self and ``other``: (ord_g, ord_h, digit_g, digit_h,
+        radix, lift, limit).  A cell code is the integer centre itself, in
+        base p; every width of code is valid (limit INF).  ord_g(a) is
+        ord g(a), and digit_g(a, j) the residue of g(a) / p^j mod p, for
+        ord g(a) >= j; likewise for h.  Both are exact when den and
+        other.den are p-units."""
         p = self.p
-        g, h = self.nums, other.nums
+        g, h, dg, dh = self.nums, other.nums, self.den, other.den
         return (
             lambda a: int_ord(horner_ints(g, a), p),
             lambda a: int_ord(horner_ints(h, a), p),
+            lambda a, j: horner_ints(g, a) // p**j * pow(dg, -1, p) % p,
+            lambda a, j: horner_ints(h, a) // p**j * pow(dh, -1, p) % p,
             p,
             Fraction,
             INF,
@@ -212,49 +225,41 @@ class QpInts:
 
 
 class LaurentInts:
-    """Elements x_i of F_p((t)) brought to ints: x_i = n_i(t) / t^shift,
-    with the digit sums ``sizes`` = l1(n_i) that fix the width W.
-
-    n_i(2^W) is built per width (``nums``).  The methods mirror ``QpInts``;
-    each evaluation takes the W of the module docstring for its own
-    polynomial and decodes, or reads ord from, the packed result.
+    """The coefficients x_k of a one-variable polynomial over F_p((t)), in
+    the ring of integers, as their digits ((e, c), ...), x_k = n_k(t), with
+    the digit sums ``sizes`` = l1(n_k) that fix the width W of
+    ``cell_codes``.
     """
 
-    __slots__ = ("p", "xs", "shift", "sizes")
+    __slots__ = ("p", "digits", "sizes")
 
-    def __init__(self, p: int, xs: Sequence):
-        self.p, self.xs = p, xs
-        self.shift = max([-x.coeffs[0][0] for x in xs if x.coeffs] + [0])
-        self.sizes = [sum(c for _, c in x.coeffs) for x in xs]
+    def __init__(self, p: int, digits: list[tuple]):
+        self.p, self.digits = p, digits
+        self.sizes = [sum(c for _, c in d) for d in digits]
+
+    def derivative(self) -> "LaurentInts":
+        """The formal derivative's coefficients k x_k, digit by digit mod p."""
+        p = self.p
+        return LaurentInts(
+            p,
+            [
+                tuple((e, k * c % p) for e, c in d if k * c % p)
+                for k, d in enumerate(self.digits)
+            ][1:],
+        )
 
     def nums(self, w: int) -> list[int]:
-        """n_i(2^w) for every element."""
-        k = self.shift
-        return [sum(c << w * (e + k) for e, c in x.coeffs) for x in self.xs]
-
-    def _eval(self, coeffs: dict) -> tuple[int, int, int]:
-        """(N, w, s): sum_e c_e x^e packs as N at t = 2^w, divided by t^s."""
-        p = self.p
-        cs = {e: c % p for e, c in coeffs.items() if c % p}
-        w = kronecker_width(monomial_ints(cs, self.sizes, 1)[0])
-        num, den = monomial_ints(cs, self.nums(w), 1 << w * self.shift)
-        return num, w, (den.bit_length() - 1) // w
-
-    def value(self, coeffs: dict) -> LaurentPoly:
-        num, w, s = self._eval(coeffs)
-        return unpack(self.p, num, w, -s)
-
-    def ord(self, coeffs: dict):
-        num, w, s = self._eval(coeffs)
-        return packed_ord(num, w, self.p) - s
+        """n_k(2^w) for every coefficient."""
+        return [sum(c << w * e for e, c in d) for d in self.digits]
 
     def cell_codes(self, other: "LaurentInts", cap: int):
-        """As ``QpInts.cell_codes``, for integral coefficients (shift 0).
+        """As ``QpInts.cell_codes``.
 
         A cell code packs the centre's digits at t = 2^W, so the radix is
         2^W, and the codes of at most ``cap`` digits (the limit) have digit
         sum at most (p - 1) cap; W is the width for that bound on both
-        polynomials.
+        polynomials.  digit_g(a, j) is the W-bit digit j of the packed
+        g(a), mod p.
         """
         p = self.p
         size = (p - 1) * cap
@@ -262,9 +267,12 @@ class LaurentInts:
             max(horner_ints(self.sizes, size), horner_ints(other.sizes, size))
         )
         g, h = self.nums(w), other.nums(w)
+        mask = (1 << w) - 1
         return (
             lambda a: packed_ord(horner_ints(g, a), w, p),
             lambda a: packed_ord(horner_ints(h, a), w, p),
+            lambda a, j: (horner_ints(g, a) >> w * j & mask) % p,
+            lambda a, j: (horner_ints(h, a) >> w * j & mask) % p,
             1 << w,
             lambda a: unpack(p, a, w),
             cap,
@@ -272,10 +280,125 @@ class LaurentInts:
 
 
 def field_ints(field: LocalField, xs: Sequence) -> QpInts | LaurentInts:
-    """Elements of ``field`` brought to ints once (see the module docstring)."""
+    """The coefficients of a root search's polynomial brought to ints once
+    (see the module docstring)."""
     if field.kind == "p-adic":
-        return QpInts(field.p, xs)
-    return LaurentInts(field.p, xs)
+        return QpInts(field.p, *common_denominator(xs))
+    return LaurentInts(field.p, [x.coeffs for x in xs])
+
+
+def int_form(field: LocalField, coeffs: dict) -> tuple[dict, int]:
+    """(cs, m): the coefficients a walk evaluates on its codes, and their
+    total degree m.  Over F_p((t)) they are reduced mod p into [0, p), as
+    the packed kernel needs (see the module docstring)."""
+    if field.kind != "p-adic":
+        p = field.p
+        coeffs = {e: c % p for e, c in coeffs.items() if c % p}
+    return coeffs, max(map(sum, coeffs), default=0)
+
+
+class QpCodes:
+    """The coordinates of one cell walk over Q_p as integer codes: x = n / D
+    with one denominator D per walk (see the module docstring).
+
+    The value of a form (cs, m) at codes n is N / D^m, N from
+    ``monomial_ints``; its ord is v_p(N) - m v_p(D).  Every code depth is
+    valid (``limit`` INF).
+    """
+
+    __slots__ = ("p", "den", "den_ord", "limit")
+
+    def __init__(self, p: int, xs: Sequence, lo: int):
+        den = lcm(*[x.denominator for x in xs])
+        if lo < 0:
+            den *= p**-lo
+        self.p, self.den, self.den_ord, self.limit = p, den, _vp(den, p), INF
+
+    def code(self, x: Fraction) -> int:
+        return x.numerator * (self.den // x.denominator)
+
+    def element(self, n: int, m: int = 1) -> Fraction:
+        """The element of code n, or the value N / D^m of a degree-m form."""
+        return Fraction(n, self.den**m)
+
+    def child_codes(self, n: int, r: int, level: int) -> list[int]:
+        """The codes c + k p^r D of the level-``level`` subcells of B_r(c),
+        c = n / D canonical, for k = 0, 1, ... (the order of ``cell_reps``)."""
+        p = self.p
+        step = self.den * p**r if r >= 0 else self.den // p**-r
+        return [n + k * step for k in range(p ** (level - r))]
+
+    def value(self, form: tuple, nums: Sequence[int]) -> int:
+        return monomial_ints(form[0], nums, self.den)[0]
+
+    def ord(self, form: tuple, nums: Sequence[int]):
+        num = monomial_ints(form[0], nums, self.den)[0]
+        if num and self.den_ord:
+            return _vp(num, self.p) - self.den_ord * form[1]
+        return int_ord(num, self.p)
+
+
+class LaurentCodes:
+    """The coordinates of one cell walk over F_p((t)) as integer codes: x =
+    n(t) / t^K with one shift K and one width W per walk, the code n(2^W)
+    (see the module docstring).
+
+    The value of a form (cs, m) at codes n packs as N at t = 2^W, divided by
+    t^(K m).  Codes hold the digits below ``limit``.
+    """
+
+    __slots__ = ("p", "shift", "width", "limit")
+
+    def __init__(self, p: int, xs: Sequence, lo: int, hi: int, forms):
+        shift = max([-x.coeffs[0][0] for x in xs if x.coeffs] + [-lo, 0])
+        # every coordinate: its own digits, or digits at [-K, hi) when split;
+        # a form of degree m then packs at most sum(cs) * size^m
+        size = max(
+            [(p - 1) * (hi + shift), 1] + [sum(c for _, c in x.coeffs) for x in xs]
+        )
+        bound = max([size] + [sum(cs.values()) * size**m for cs, m in forms])
+        self.p, self.shift, self.limit = p, shift, hi
+        self.width = kronecker_width(bound)
+
+    def code(self, x: LaurentPoly) -> int:
+        w, k = self.width, self.shift
+        return sum(c << w * (e + k) for e, c in x.coeffs)
+
+    def element(self, n: int, m: int = 1) -> LaurentPoly:
+        """The element of code n, or the value N / t^(K m) of a degree-m form."""
+        return unpack(self.p, n, self.width, -self.shift * m)
+
+    def child_codes(self, n: int, r: int, level: int) -> list[int]:
+        """The codes of the level-``level`` subcells of B_r(c), c canonical:
+        k's base-p digits packed at 2^W and shifted to digit r, added to n,
+        for k = 0, 1, ... (the order of ``cell_reps``)."""
+        steps = [0]
+        for i in range(r, level):
+            at = self.width * (i + self.shift)
+            steps = [s + (d << at) for d in range(self.p) for s in steps]
+        return [n + s for s in steps]
+
+    def value(self, form: tuple, nums: Sequence[int]) -> int:
+        return monomial_ints(form[0], nums, 1 << self.width * self.shift)[0]
+
+    def ord(self, form: tuple, nums: Sequence[int]):
+        num = self.value(form, nums)
+        return packed_ord(num, self.width, self.p) - self.shift * form[1]
+
+
+def walk_codes(
+    field: LocalField, xs: Sequence, lo: int, hi: int, forms
+) -> QpCodes | LaurentCodes:
+    """The integer codes of one cell walk (see the module docstring).
+
+    ``xs`` are the elements the walk starts from (canonical cell centres and
+    fixed coordinates), ``lo`` the least radius of a cell and ``hi`` the
+    deepest level it splits to; ``forms`` are the ``int_form`` of every
+    polynomial it evaluates, which fix W over F_p((t)).
+    """
+    if field.kind == "p-adic":
+        return QpCodes(field.p, xs, lo)
+    return LaurentCodes(field.p, xs, lo, hi, forms)
 
 
 class MultiPoly:
@@ -392,17 +515,30 @@ class MultiPoly:
                 result[alpha] = poly
         return result
 
+    def _codes_at(self, field: LocalField, xs: Sequence) -> tuple:
+        """(codes, nums, form): one point's codes for this polynomial."""
+        if len(xs) != self.n:
+            raise FieldError("wrong number of coordinates")
+        form = int_form(field, self.coeffs)
+        codes = walk_codes(field, xs, 0, 0, (form,))
+        return codes, [codes.code(x) for x in xs], form
+
     def eval_field(self, field: LocalField, xs: Sequence):
         """Exact value at a point with local-field coordinates.
 
-        The point is brought to ints once (``field_ints``) and the
+        The point is brought to codes once (``walk_codes``) and the
         homogenised form is summed there by ``monomial_ints``: over Q_p one
         ``Fraction`` is built from the result, over F_p((t)) one
         ``LaurentPoly`` is decoded from it (see the module docstring).
         """
-        if len(xs) != self.n:
-            raise FieldError("wrong number of coordinates")
-        return field_ints(field, xs).value(self.coeffs)
+        codes, nums, form = self._codes_at(field, xs)
+        return codes.element(codes.value(form, nums), form[1])
+
+    def ord_field(self, field: LocalField, xs: Sequence):
+        """ord of the value at a point, read on its codes with no element
+        built (INF for a zero value)."""
+        codes, nums, form = self._codes_at(field, xs)
+        return codes.ord(form, nums)
 
     def ord_lower_bound(self, field: LocalField, coord_lo: Sequence):
         """A valid lower bound for ord(p(x)) over all x with ord(x_i) >= coord_lo[i].

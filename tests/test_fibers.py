@@ -127,13 +127,10 @@ def _close_roots(draw):
     return p, sorted(roots, key=lambda r: r.coeffs), draw(st.integers(1, 6))
 
 
-@settings(max_examples=150, derandomize=True, deadline=None)
-@given(_close_roots())
-def test_laurent_root_search_finds_planted_roots(case):
-    # g = prod (x - r_i): one pair (r_i mod t^k, ord g'(r_i)) per root, with
-    # g'(r_i) = prod_{j != i} (r_i - r_j)
-    p, roots, k = case
-    field = make_field("equal-characteristic", p)
+def _planted(field, roots, k):
+    """(coefficients of g = prod (x - r_i), the root search's pairs
+    (r_i mod t^k, ord g'(r_i)) sorted), with g'(r_i) = prod_{j != i}
+    (r_i - r_j)."""
     coeffs = [field.one()]
     for r in roots:
         shifted = [field.zero()] + coeffs
@@ -150,7 +147,67 @@ def test_laurent_root_search_finds_planted_roots(case):
         ),
         key=lambda item: (item[0].coeffs, item[1]),
     )
+    return coeffs, want
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(_close_roots())
+def test_laurent_root_search_finds_planted_roots(case):
+    # g = prod (x - r_i): one pair (r_i mod t^k, ord g'(r_i)) per root
+    p, roots, k = case
+    field = make_field("equal-characteristic", p)
+    coeffs, want = _planted(field, roots, k)
     assert _unit_window_roots(field, coeffs, k) == want
+
+
+def _descend_by_children(field, coeffs, a, level, k):
+    """The level-k truncation below a decided cell B_level(a), found on
+    elements by trying its children in turn: the one child with
+    ord g >= level + 1 + v', v' = ord g'(a), at every level."""
+    dcoeffs = [field.mul(field.from_int(i), c) for i, c in enumerate(coeffs)][1:]
+    vp = field.ord(eval_coeffs_at(field, dcoeffs, a))
+    while level < k:
+        step = field.pow_uniformizer(level)
+        children = (
+            field.add(a, field.mul(field.residue_lift(d), step)) for d in range(field.q)
+        )
+        a = next(
+            c
+            for c in children
+            if field.ord(eval_coeffs_at(field, coeffs, c)) >= level + 1 + vp
+        )
+        level += 1
+    return a
+
+
+def test_hensel_step_lifts_a_fourth_root_of_two_in_q7_to_level_40():
+    # [DERIVED] x^4 = 2 mod 7 at x = 2, 5 (2^4 = 16), where g' = 4x^3 is a
+    # unit, so both cells are decided at level 1; one Hensel step per level
+    # names the child that trying every child finds
+    f = make_field("p-adic", 7)
+    coeffs = [f.from_int(c) for c in (-2, 0, 0, 0, 1)]
+    got = padic_roots("x^4 - 2", f, 40)
+    want = [_descend_by_children(f, coeffs, f.from_int(a), 1, 40) for a in (2, 5)]
+    assert got == sorted(want)
+    for r in got:
+        assert f.ord(eval_coeffs_at(f, coeffs, r)) >= 40
+
+
+def test_hensel_step_finds_planted_laurent_roots_at_level_40():
+    # three roots of 45 digits over F_7((t)), two sharing their first three
+    # digits (ord g' >= 3 there), cut at level 40
+    f = make_field("equal-characteristic", 7)
+    rng = rng_for("fibers:hensel")
+    head = [rng.randrange(7) for _ in range(3)]
+    tails = [[rng.randrange(7) for _ in range(42)] for _ in range(2)]
+    roots = [LaurentPoly(7, enumerate(head + tail)) for tail in tails]
+    roots.append(LaurentPoly(7, [(i, rng.randrange(7)) for i in range(45)]))
+    assert len(set(roots)) == 3
+    coeffs, want = _planted(f, roots, 40)
+    got = _unit_window_roots(f, coeffs, 40)
+    assert got == want
+    for trunc, _ in got:
+        assert f.ord(eval_coeffs_at(f, coeffs, trunc)) >= 40
 
 
 def test_roots_with_negative_window():

@@ -10,7 +10,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import FIELDS, rng_for
-from oracles import quadratic_gauss_integral
+from oracles import (
+    eval_by_fractions,
+    eval_by_laurent,
+    psi_by_digits,
+    quadratic_gauss_integral,
+)
 from umla.cyclo import CycloScalar
 from umla.fields import FieldError, LaurentPoly, Polyball, make_field
 from umla.microlocal import (
@@ -23,12 +28,14 @@ from umla.microlocal.phase import (
     _OrdsAt,
     _Phase,
     _angles,
+    _certify_gradient,
+    _dominant,
     _sum,
     _twist,
     _unit_scale_integrals,
     _walk,
 )
-from umla.polys import MultiPoly, parse_poly
+from umla.polys import MultiPoly, int_form, parse_poly, walk_codes
 from umla.schwartz import DEFAULT_CELL_BUDGET, CellBudgetError, SchwartzBruhat
 
 
@@ -403,6 +410,101 @@ class TestStationaryPhaseBound:
         assert isinstance(obj["rest_profile"], list)
 
 
+def riemann_by_digits(field, p, phi, eta, lam, level):
+    """integral of phi(x) psi(lam p(x, eta)) dx as the Riemann sum over the
+    level-``level`` cells of each support cell, with the values summed
+    monomial by monomial on elements (``oracles.eval_by_fractions`` or
+    ``eval_by_laurent``) and psi read off their digits
+    (``oracles.psi_by_digits``); exact once psi(lam p) is constant on
+    every cell."""
+    terms = []
+    for ball, coef in phi.terms():
+        hist = Counter()
+        for c in ball.cells_at_level(level):
+            point = tuple(c) + tuple(eta)
+            if field.kind == "p-adic":
+                v = eval_by_fractions(p.coeffs, point)
+            else:
+                v = eval_by_laurent(field.p, p.coeffs, point)
+            hist[psi_by_digits(field, field.mul(lam, v))] += 1
+        e2 = -2 * level * phi.n
+        terms.append(coef * CycloScalar(field.p, [(e2, a, k) for a, k in hist.items()]))
+    return CycloScalar.sum(field.p, terms)
+
+
+@pytest.mark.parametrize(
+    "key, eta, o, unit",
+    [
+        ("Q3", (1, 1), -3, (1, 2)),
+        ("F3t", (1, 1), -3, (1, 2)),
+        ("Q3", Fraction(1, 2), -2, (2, 1)),
+    ],
+    ids=["Q3", "F3t", "Q3-eta-1/2"],
+)
+def test_integer_angles_match_riemann_sums_by_digits(key, eta, o, unit):
+    # lam = pi^o u with u = u_0 + u_1 pi (two nonzero digits), so the angles
+    # read several digits of lam p(c, eta) and twist them by both digits of
+    # u.  eta is 1 + pi, or 1/2 in Q_3, a denominator prime to 3 that
+    # enters the walk's D.  Every Taylor term of degree
+    # >= 1 of x^2*e + x*e + e^2 is integral on O x {eta}, so psi(lam p) is
+    # constant on the cells of level 1 - o, where the Riemann sum is exact.
+    # The support cells carry a root of unity and a sqrt(q)
+    f = FIELDS[key]
+
+    def two_digits(d0, d1):
+        return f.add(f.from_int(d0), f.mul(f.from_int(d1), f.uniformizer()))
+
+    eta_el = (eta,) if isinstance(eta, Fraction) else (two_digits(*eta),)
+    lam = f.mul(f.pow_uniformizer(o), two_digits(*unit))
+    p = parse_poly("x^2*e + x*e + e^2", ("x", "e"))
+    coef = CycloScalar(f.p, [(1, Fraction(1, f.p**2), Fraction(2, 3))])
+    phi = SchwartzBruhat(
+        f, 1, (1,), {(f.zero(),): coef, (f.one(),): CycloScalar.one(f.p)}
+    )
+    got = oscillatory_integral(p, phi, eta_el, lam)
+    assert got == riemann_by_digits(f, p, phi, eta_el, lam, 1 - o)
+    assert not got.is_zero()
+
+
+def certify_by_elements(field, cert, cell, d0):
+    """(cells certified, cells visited) of the gradient certificate walked
+    on field elements: each centre's ords by ``eval_field``, each split by
+    ``Polyball.children``."""
+    stack, done, spent = [cell], 0, 0
+    while stack:
+        cur = stack.pop()
+        spent += 1
+        ords = {
+            a: field.ord(q.eval_field(field, cur.centers)) for a, q in cert.tay.items()
+        }
+        if _dominant(cert.grads, ords, cur.radii, d0):
+            done += 1
+        else:
+            assert not all(ords[ei] > d0 for ei, _ in cert.grads)
+            stack.extend(cur.children())
+    return done, spent
+
+
+def test_certificate_deeper_than_its_first_codes_matches_the_element_walk():
+    # [DERIVED] over F_2((t)), d_x (x^3 + x*e) = x^2 + e.  On O x B_18(t^17)
+    # with d0 = 17, a cell whose centre has x = 0 has ord(x^2 + e) = 17 and
+    # passes the dominant-term test only once 17 < 2 r_x: nine splits, one
+    # more than the first codes hold, so the walk starts again with deeper
+    # codes.  It must certify and visit the same cells as the element walk,
+    # and overrun a budget one short of them with the same count
+    f = make_field("equal-characteristic", 2)
+    p = parse_poly("x^3 + x*e", ("x", "e"))
+    cert = _Phase(f, p, 1, p.taylor())
+    cell = Polyball(f, (f.zero(), f.pow_uniformizer(17)), (0, 18))
+    done, spent = certify_by_elements(f, cert, cell, 17)
+    assert _certify_gradient(f, cert, cell, 17, DEFAULT_CELL_BUDGET) == done
+    with pytest.raises(
+        CellBudgetError,
+        match=f"gradient certificate: {spent} cells requested, {spent - 1} allowed",
+    ):
+        _certify_gradient(f, cert, cell, 17, spent - 1)
+
+
 class TestOneWalkPerScale:
     """The cell walk reads lam only through ord(lam): one walk per (scale
     order, eta) serves every unit class of that order."""
@@ -474,7 +576,12 @@ class TestOneWalkPerScale:
         phase = _Phase(f, p, dim, p.taylor(dim))
         walk = _walk(f, phase, phi, eta, e, DEFAULT_CELL_BUDGET)
         angles = _angles(f, walk, f.pow_uniformizer(e), depth)
-        assert any(values for _, _, values in walk)
+        # the kept values are ints; decode them to elements
+        kept = [
+            [walk.codes.element(v, walk.deg) for v in values]
+            for _, _, values in walk.cells
+        ]
+        assert any(kept)
         if f.kind != "p-adic" and depth == 2:
             # the second digit of u is read: some key has a nonzero x_{-1}
             assert any(xs[1] for *_, hist in angles for xs in hist)
@@ -485,7 +592,7 @@ class TestOneWalkPerScale:
         ]
         for u in f.unit_classes(depth):
             lam = f.mul(f.pow_uniformizer(e), f.residue_lift(u))
-            for (_, _, values), (_, _, den, hist) in zip(walk, angles):
+            for values, (_, _, den, hist) in zip(kept, angles):
                 want = Counter(f.psi_angle(f.mul(lam, v)) * den for v in values)
                 assert _twist(f, den, hist, u) == {int(a): k for a, k in want.items()}
             want = CycloScalar.sum(
@@ -507,7 +614,7 @@ class TestOneWalkPerScale:
         for e, _ in scales:
             for eta in etas:
                 walk = _walk(f, phase, phi, eta, e, DEFAULT_CELL_BUDGET)
-                assert [values for _, _, values in walk] == [[]]
+                assert [values for _, _, values in walk.cells] == [[]]
         got = list(
             _unit_scale_integrals(f, phase, phi, etas, scales, DEFAULT_CELL_BUDGET)
         )
@@ -812,6 +919,8 @@ def _ords_cases(draw):
 def test_ords_at_matches_field_valuations(case):
     key, tay, point = case
     f = FIELDS[key]
-    ords = _OrdsAt(f, tay, point)
+    forms = {a: int_form(f, q.coeffs) for a, q in tay.items()}
+    codes = walk_codes(f, point, 0, 0, forms.values())
+    ords = _OrdsAt(codes, forms, tuple(map(codes.code, point)))
     for a, q in tay.items():
         assert ords[a] == f.ord(q.eval_field(f, point))

@@ -1,6 +1,7 @@
 """Polynomial utilities: parsing, Taylor data, valuation bounds, resultants."""
 
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,10 +13,12 @@ from umla.polys import (
     MultiPoly,
     critical_value_locus,
     field_ints,
+    int_form,
     packed_ord,
     parse_poly,
     sylvester_resultant,
     unpack,
+    walk_codes,
 )
 
 from conftest import FIELDS, rng_for, sample_element
@@ -118,6 +121,7 @@ def test_qp_evaluation_matches_fraction_reference(case):
     got = poly.eval_field(field, point)
     assert type(got) is Fraction
     assert got == eval_by_fractions(poly.coeffs, point)
+    assert poly.ord_field(field, point) == field.ord(got)
 
 
 @st.composite
@@ -164,9 +168,11 @@ def test_laurent_evaluation_matches_element_reference(case):
     field = make_field("equal-characteristic", p)
     want = eval_by_laurent(p, poly.coeffs, point)
     assert poly.eval_field(field, point) == want
-    assert field_ints(field, point).ord(poly.coeffs) == want.ord()
+    assert poly.ord_field(field, point) == want.ord()
     tay = poly.taylor()
-    ords = _OrdsAt(field, tay, point)
+    forms = {a: int_form(field, q.coeffs) for a, q in tay.items()}
+    codes = walk_codes(field, point, 0, 0, forms.values())
+    ords = _OrdsAt(codes, forms, tuple(map(codes.code, point)))
     for a, q in tay.items():
         assert ords[a] == eval_by_laurent(p, q.coeffs, point).ord()
 
@@ -178,11 +184,12 @@ def test_packed_zero_by_cancellation_has_infinite_ord():
     f3t = make_field("equal-characteristic", 3)
     poly = parse_poly("x^2 - 1", ("x",))
     one = f3t.one()
-    assert field_ints(f3t, (one,)).ord(poly.coeffs) == INF
+    assert poly.ord_field(f3t, (one,)) == INF
     assert f3t.is_zero(poly.eval_field(f3t, (one,)))
     coeffs = FieldPoly.from_multipoly(f3t, poly).coeffs
-    ord_g, _, _, lift, _ = field_ints(f3t, coeffs).cell_codes(field_ints(f3t, ()), 1)
-    assert lift(1) == one and ord_g(1) == INF
+    kernel = field_ints(f3t, coeffs).cell_codes(field_ints(f3t, ()), 1)
+    ord_g, _, digit_g, _, _, lift, _ = kernel
+    assert lift(1) == one and ord_g(1) == INF and digit_g(1, 0) == 0
     assert packed_ord(3, 2, 3) == INF
     # digits 3, 0, 6 at W = 3: every digit vanishes mod 3
     assert packed_ord(3 + (6 << 6), 3, 3) == INF
@@ -351,3 +358,53 @@ def test_resultant_vanishes_iff_common_root():
         b = [MultiPoly.const(1, -r3), MultiPoly.const(1, 1)]
         res = sylvester_resultant(a, b)
         assert res.is_zero() == (r3 in (r1, r2))
+
+
+# the code enumerator of the cell walks against LocalField.cell_reps
+CODE_FIELDS = [
+    make_field(kind, p)
+    for kind, p in [("p-adic", 2), ("p-adic", 3), ("p-adic", 5)]
+    + [("equal-characteristic", 2), ("equal-characteristic", 3)]
+]
+
+
+@st.composite
+def _code_walk_cases(draw):
+    """(field, polyball, per-coordinate levels, fixed coordinates): radii
+    -3 to 4, one to three coordinates, at most q^4 subcells, and fixed
+    coordinates such as 1/2 in Q_3, whose denominators are not powers of p
+    (over F_p((t)): elements with poles)."""
+    field = draw(st.sampled_from(CODE_FIELDS))
+    p = field.p
+    n = draw(st.integers(1, 3))
+    radii = [draw(st.integers(-3, 4)) for _ in range(n)]
+    depth = draw(st.integers(0, 4))
+    levels = [r + draw(st.integers(0, depth)) for r in radii]
+    while sum(lv - r for lv, r in zip(levels, radii)) > 4:
+        levels[max(range(n), key=lambda i: levels[i] - radii[i])] -= 1
+    if field.kind == "p-adic":
+        centers = [draw(_rationals(p)) for _ in range(n)]
+        fixed = [draw(_rationals(p)) for _ in range(draw(st.integers(0, 2)))]
+    else:
+        centers = [draw(_laurent_elements(p)) for _ in range(n)]
+        fixed = [draw(_laurent_elements(p)) for _ in range(draw(st.integers(0, 2)))]
+    return field, Polyball(field, tuple(centers), tuple(radii)), levels, fixed
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(_code_walk_cases())
+def test_walk_codes_enumerate_the_children_of_cell_reps(case):
+    # decoded children equal cell_reps element for element, in its order,
+    # per coordinate and over the whole ball; fixed coordinates decode back
+    field, ball, levels, fixed = case
+    codes = walk_codes(
+        field, ball.centers + tuple(fixed), min(ball.radii), max(levels), ()
+    )
+    axes = []
+    for c, r, level in zip(ball.centers, ball.radii, levels):
+        kids = codes.child_codes(codes.code(c), r, level)
+        assert [codes.element(k) for k in kids] == field.cell_reps(c, r, level)
+        axes.append(kids)
+    got = [tuple(map(codes.element, nums)) for nums in product(*axes)]
+    assert got == list(ball._subcells(levels))
+    assert [codes.element(codes.code(x)) for x in fixed] == fixed
