@@ -168,12 +168,12 @@ def _random_point(field: LocalField, rng: random.Random, lo: int = -2, hi: int =
     """A field element with digits in the exponent window [lo, hi).
 
     One ``rng.randrange(q)`` draw per exponent, lowest first, gives the
-    digit d_e; the element sum_e d_e pi^e is built at once, as the lift of
-    the residue code sum_e d_e q^(e - lo) times pi^lo.
+    digit d_e; the element sum_e d_e pi^e is built at once from the residue
+    code sum_e d_e q^(e - lo), as ``residue_lift(code, lo)``.
     """
     q = field.q
     code = sum(rng.randrange(q) * q**i for i in range(hi - lo))
-    return field.mul(field.residue_lift(code), field.pow_uniformizer(lo))
+    return field.residue_lift(code, lo)
 
 
 def dis_sample(

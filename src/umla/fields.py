@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import chain, product
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from .cyclo import CycloScalar
@@ -85,6 +85,15 @@ class LaurentPoly:
         object.__setattr__(
             self, "coeffs", tuple(sorted((e, c) for e, c in cleaned.items() if c))
         )
+
+    @classmethod
+    def _trusted(cls, p: int, coeffs: tuple) -> "LaurentPoly":
+        """From (exponent, digit) pairs already sorted by exponent, with
+        every digit in [1, p) (internal fast path)."""
+        obj = object.__new__(cls)
+        object.__setattr__(obj, "p", p)
+        object.__setattr__(obj, "coeffs", coeffs)
+        return obj
 
     def __setattr__(self, *a):  # pragma: no cover - immutability guard
         raise AttributeError("LaurentPoly is immutable")
@@ -247,8 +256,9 @@ class LocalField:
     def residue_mul(self, a: int, b: int, m: int) -> int:
         raise NotImplementedError
 
-    def residue_lift(self, a: int) -> Element:
-        """Canonical element representing an encoded residue."""
+    def residue_lift(self, a: int, e: int = 0) -> Element:
+        """Canonical element sum_i a_i pi^(e + i), a_i the base-q digits of
+        a >= 0; at e = 0 the element representing an encoded residue."""
         raise NotImplementedError
 
     def unit_inverse_mod(self, a, m: int) -> Element:
@@ -258,15 +268,29 @@ class LocalField:
     # -- cells --------------------------------------------------------------
 
     def cell_reps(self, center, r: int, level: int) -> list[Element]:
-        """Canonical centers of the level-`level` subcells of B_r(center)."""
+        """Canonical centers of the level-`level` subcells of B_r(center).
+
+        Child k is canon_trunc(c0 + k pi^r, level) for k = 0, 1, ...,
+        q^(level - r) - 1, where c0 is the center cut at `level` and k pi^r
+        means the element whose digits from r upward are the base-q digits
+        of k.  So the list starts at c0's own child and is rotated: the
+        digits of child k at [r, level) are c0's plus k's, and its digits
+        below r are c0's.  Each child is built from one integer code, with
+        no field operation:
+          * over Q_p, write c0 = N / D with D a power of p and p^r D an
+            integer, and N = low + high p^r D with 0 <= low < p^r D; child k
+            is (low + ((high + k) mod p^(level - r)) p^r D) / D;
+          * over F_p((t)), child k has digit (d_i + k_i) mod p at each i in
+            [r, level), d_i the digit of c0 and k_i the (i - r)-th base-p
+            digit of k.
+        """
         if level < r:
             raise ValueError("refinement level must be at least the radius")
-        c0 = self.canon_trunc(center, level)
-        step = self.pow_uniformizer(r)
-        return [
-            self.canon_trunc(self.add(c0, self.mul(self.residue_lift(k), step)), level)
-            for k in range(self.q ** (level - r))
-        ]
+        return self._cell_children(self.canon_trunc(center, level), r, level)
+
+    def _cell_children(self, c0, r: int, level: int) -> list[Element]:
+        """The children of :meth:`cell_reps`, c0 canonical at `level`."""
+        raise NotImplementedError
 
     def from_digit(self, d: int) -> Element:
         """Same as :meth:`from_int`; the library no longer calls it, but
@@ -378,8 +402,20 @@ class PAdicField(LocalField):
     def residue_mul(self, a: int, b: int, m: int) -> int:
         return a * b % self.p**m
 
-    def residue_lift(self, a: int) -> Fraction:
-        return Fraction(a)
+    def residue_lift(self, a: int, e: int = 0) -> Fraction:
+        return Fraction(a * self.p**e) if e >= 0 else Fraction(a, self.p**-e)
+
+    def _cell_children(self, c0: Fraction, r: int, level: int) -> list[Fraction]:
+        p, den = self.p, c0.denominator
+        if r < 0 and den < p**-r:
+            den = p**-r
+        step = den * p**r if r >= 0 else den // p**-r
+        high, low = divmod(c0.numerator * (den // c0.denominator), step)
+        size = p ** (level - r)
+        order = chain(range(high, size), range(high))
+        if den == 1:
+            return [Fraction(low + j * step) for j in order]
+        return [Fraction(low + j * step, den) for j in order]
 
     def unit_inverse_mod(self, a: Fraction, m: int) -> Fraction:
         if self.ord(a) != 0:
@@ -468,14 +504,26 @@ class LaurentField(LocalField):
         prod = self._decode(a, m) * self._decode(b, m)
         return self._encode(prod.truncate(m), m)
 
-    def residue_lift(self, a: int) -> LaurentPoly:
+    def residue_lift(self, a: int, e: int = 0) -> LaurentPoly:
         digits = []
-        i = 0
         while a:
-            digits.append((i, a % self.p))
-            a //= self.p
-            i += 1
-        return LaurentPoly(self.p, digits)
+            a, d = divmod(a, self.p)
+            if d:
+                digits.append((e, d))
+            e += 1
+        return LaurentPoly._trusted(self.p, tuple(digits))
+
+    def _cell_children(self, c0: LaurentPoly, r: int, level: int) -> list[LaurentPoly]:
+        p = self.p
+        low = tuple(t for t in c0.coeffs if t[0] < r)
+        digit = dict(t for t in c0.coeffs if t[0] >= r)
+        # child k's digits below i, for k = 0, 1, ..., p^(i - r) - 1
+        tails = [low]
+        for i in range(r, level):
+            d = digit.get(i, 0)
+            terms = [((i, v),) if v else () for v in ((d + j) % p for j in range(p))]
+            tails = [tail + term for term in terms for tail in tails]
+        return [LaurentPoly._trusted(p, tail) for tail in tails]
 
     def unit_inverse_mod(self, a: LaurentPoly, m: int) -> LaurentPoly:
         if a.ord() != 0:
@@ -623,13 +671,6 @@ class Polyball:
     def child_centers(self) -> Iterator[tuple]:
         """Canonical center tuples of the children, lazily, in their order."""
         return self._subcells(tuple(r + 1 for r in self.radii))
-
-    def children(self) -> list["Polyball"]:
-        """The q^n disjoint sub-polyballs with every radius increased by one."""
-        radii = tuple(r + 1 for r in self.radii)
-        return [
-            Polyball(self.field, centers, radii) for centers in self.child_centers()
-        ]
 
     def cells_at_level(self, level: int) -> Iterator[tuple]:
         """Canonical center tuples of the level-`level` cells covering self."""

@@ -458,7 +458,7 @@ def stationary_phase_bound(
     ):
         checked += 1
         if not val.is_zero():
-            lam = field.mul(field.pow_uniformizer(e_ord), field.residue_lift(ucode))
+            lam = field.residue_lift(ucode, e_ord)
             raise PhaseCertificationError(
                 "certified bound contradicted by exact integration",
                 witness=(lam, eta, val),

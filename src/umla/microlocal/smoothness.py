@@ -240,4 +240,4 @@ def is_smooth_at(
 def _reps_at_ord(subgroup: LambdaSubgroup, e: int, cap: int):
     f = subgroup.field
     units = subgroup.units_at_ord(e)[:cap]
-    return [f.mul(f.pow_uniformizer(e), f.residue_lift(u)) for u in units]
+    return [f.residue_lift(u, e) for u in units]

@@ -117,7 +117,7 @@ class LambdaSubgroup:
         if not units:
             raise FieldError(f"no subgroup element has valuation {e}")
         f = self.field
-        return f.mul(f.pow_uniformizer(e), f.residue_lift(units[0]))
+        return f.residue_lift(units[0], e)
 
     # -- serialization ------------------------------------------------------
 

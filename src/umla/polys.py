@@ -72,8 +72,9 @@ that does not has its own, at most s when s is the larger; a polynomial of
 degree m in its ``int_form`` (coefficients c_e reduced into [0, p)) then
 packs to at most (sum_e c_e) s^m, and W is the width for the largest of
 these bounds over the polynomials the walk evaluates, so no evaluation
-chooses a width of its own.  Children come in the order of
-``LocalField.cell_reps``, k = 0, 1, ..., and ``element`` decodes a code,
+chooses a width of its own.  Children come in the order that the
+``LocalField.cell_reps`` docstring states, k = 0, 1, ..., with no rotation
+since the centres are canonical, and ``element`` decodes a code,
 or a value, only where a caller returns or reports it.  ``field_ints``
 brings the coefficients of the root search's polynomials to ints once, as
 ``QpInts`` or ``LaurentInts``, for its Horner kernel (``cell_codes``).

@@ -297,7 +297,15 @@ class SchwartzBruhat:
         transform of a level-r decomposition is supported on B_{1-r}(0) and is
         constant on cells of radius 1-a, where a bounds the support.
         ``budget`` (default the shared ``DEFAULT_CELL_BUDGET``) bounds the
-        (cell, frequency) pairs scanned for each coordinate.
+        (cell, frequency) pairs scanned for each coordinate; it is checked
+        before any frequency is built.
+
+        The frequencies are the ``cell_reps`` children xi_k = sum_d k_d
+        pi^(s+d) of B_s(0) at level 1-a, s = 1-r and k_d the base-q digits
+        of k < q^L, L = r-a.  psi is additive, so the angle of center*xi_k
+        is sum_d k_d theta_d mod 1, from the L base angles theta_d =
+        psi_angle(center*pi^(s+d)); it is summed on integer numerators over
+        the largest denominator of the theta_d (see ``_grid_angles``).
         """
         field, n, p = self.field, self.n, self.field.p
         g = self.normalized()
@@ -313,15 +321,16 @@ class SchwartzBruhat:
                 min(field.ord(c[i]), r) if not field.is_zero(c[i]) else r
                 for c in cells
             )
+            check_budget("Fourier transform", len(cells) * field.q ** (r - a), budget)
             grid = field.cell_reps(field.zero(), 1 - r, 1 - a)
-            check_budget("Fourier transform", len(cells) * len(grid), budget)
+            base = [field.pow_uniformizer(1 - r + d) for d in range(r - a)]
             raw: dict = {}
             for center, coef in cells.items():
                 ci = center[i]
                 pre = center[:i]
                 post = center[i + 1 :]
-                for xi in grid:
-                    angle = field.psi_angle(field.mul(ci, xi))
+                thetas = [field.psi_angle(field.mul(ci, b)) for b in base]
+                for xi, angle in zip(grid, _grid_angles(p, thetas)):
                     key = pre + (xi,) + post
                     bucket = raw.setdefault(key, [])
                     for e2, ang, c in coef:
@@ -394,6 +403,19 @@ class SchwartzBruhat:
             f"SchwartzBruhat({self.field!r}, n={self.n}, levels={self.levels}, "
             f"cells={len(self.cells)})"
         )
+
+
+def _grid_angles(p: int, thetas: Sequence[Fraction]) -> list[Fraction]:
+    """The angles sum_d k_d theta_d mod 1 for k = 0, 1, ..., p^L - 1, k_d the
+    base-p digits of k and L = len(thetas), each theta_d of p-power
+    denominator: integer numerators over the largest of those denominators,
+    then one reduced ``Fraction`` per k."""
+    den = max((t.denominator for t in thetas), default=1)
+    nums = [0]
+    for t in thetas:
+        step = t.numerator * (den // t.denominator)
+        nums = [(a + j * step) % den for j in range(p) for a in nums]
+    return [Fraction(a, den) for a in nums]
 
 
 def make_sb(pairs) -> SchwartzBruhat:

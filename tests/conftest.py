@@ -17,6 +17,13 @@ FIELDS = {
     "F3t": make_field("equal-characteristic", 3),
 }
 
+# the fields of the cell-enumeration property tests: Q_2, Q_3, Q_5, F_2((t)), F_3((t))
+CELL_FIELDS = [
+    make_field(kind, p)
+    for kind, p in [("p-adic", 2), ("p-adic", 3), ("p-adic", 5)]
+    + [("equal-characteristic", 2), ("equal-characteristic", 3)]
+]
+
 
 @pytest.fixture(params=sorted(FIELDS))
 def field(request) -> LocalField:

@@ -9,6 +9,7 @@ rules. Oracles are deliberately slow and simple.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import product
 
 from umla.cexp.syntax import (
     Add,
@@ -29,7 +30,7 @@ from umla.cexp.syntax import (
     Var,
 )
 from umla.cyclo import CycloScalar
-from umla.fields import LaurentPoly, LocalField
+from umla.fields import LaurentPoly, LocalField, Polyball
 
 
 def digits(field: LocalField, x, lo: int, hi: int) -> list[int]:
@@ -187,6 +188,56 @@ def eval_coeffs_at(field: LocalField, coeffs, x):
     if field.kind == "p-adic":
         return eval_by_fractions(cs, (x,))
     return eval_by_laurent(field.p, cs, (x,))
+
+
+def cell_reps_by_field_ops(field: LocalField, center, r: int, level: int) -> list:
+    """The level-`level` subcell centres of B_r(center) in the order of
+    ``LocalField.cell_reps``, each built by field operations:
+    canon_trunc(c0 + residue_lift(k) * pi^r, level), c0 the centre cut at
+    `level`."""
+    if level < r:
+        raise ValueError("refinement level must be at least the radius")
+    c0 = field.canon_trunc(center, level)
+    step = field.pow_uniformizer(r)
+    return [
+        field.canon_trunc(field.add(c0, field.mul(field.residue_lift(k), step)), level)
+        for k in range(field.q ** (level - r))
+    ]
+
+
+def children_by_field_ops(ball: Polyball) -> list[Polyball]:
+    """The q^n sub-polyballs of every radius plus one, their centres from
+    ``cell_reps_by_field_ops``, the last coordinate varying fastest."""
+    radii = tuple(r + 1 for r in ball.radii)
+    axes = [
+        cell_reps_by_field_ops(ball.field, c, r, r + 1)
+        for c, r in zip(ball.centers, ball.radii)
+    ]
+    return [Polyball(ball.field, cs, radii) for cs in product(*axes)]
+
+
+def fourier_by_pairs(f) -> tuple[tuple, dict]:
+    """(levels, cells) of ``SchwartzBruhat.fourier`` of f, the angle of
+    every (cell, frequency) pair read as psi_angle(center * xi), the
+    frequencies xi from ``cell_reps_by_field_ops``."""
+    field, p = f.field, f.field.p
+    g = f.normalized()
+    levels, cells = list(g.levels), g.cells
+    for i in range(g.n):
+        r = levels[i]
+        a = min([r] + [field.ord(c[i]) for c in cells if not field.is_zero(c[i])])
+        raw: dict = {}
+        for center, coef in cells.items():
+            for xi in cell_reps_by_field_ops(field, field.zero(), 1 - r, 1 - a):
+                angle = field.psi_angle(field.mul(center[i], xi))
+                key = center[:i] + (xi,) + center[i + 1 :]
+                raw.setdefault(key, []).extend(
+                    (e2 - 2 * r, ang + angle, c) for e2, ang, c in coef
+                )
+        cells = {k: CycloScalar(p, b) for k, b in raw.items()}
+        cells = {k: v for k, v in cells.items() if not v.is_zero()}
+        levels[i] = 1 - a
+    return tuple(levels), cells
 
 
 def riemann_integral(field: LocalField, fn, ball, level: int) -> CycloScalar:

@@ -3,8 +3,15 @@
 from fractions import Fraction
 
 import pytest
-from conftest import FIELDS, rng_for, sample_element, sample_nonzero
-from oracles import ac_by_digits, digits, psi_by_digits
+from conftest import CELL_FIELDS, FIELDS, rng_for, sample_element, sample_nonzero
+from hypothesis import given, settings, strategies as st
+from oracles import (
+    ac_by_digits,
+    cell_reps_by_field_ops,
+    children_by_field_ops,
+    digits,
+    psi_by_digits,
+)
 
 from umla.cyclo import CycloScalar
 from umla.fields import (
@@ -160,7 +167,7 @@ def test_unit_inverse_mod():
 
 def test_coset_children_example():
     ball = Polyball.ball(Q5, (Fraction(3),), 2)
-    kids = ball.children()
+    kids = children_by_field_ops(ball)
     centers = sorted(k.centers[0] for k in kids)
     assert centers == [Fraction(c) for c in (3, 28, 53, 78, 103)]
     assert all(k.radii == (3,) for k in kids)
@@ -174,7 +181,7 @@ def test_children_partition_bulk():
             center = tuple(sample_element(field, rng) for _ in range(n))
             radii = tuple(rng.randrange(-2, 3) for _ in range(n))
             ball = Polyball(field, center, radii)
-            kids = ball.children()
+            kids = children_by_field_ops(ball)
             assert len(kids) == field.q**n
             # a random point of the ball lies in exactly one child
             x = tuple(
@@ -183,8 +190,43 @@ def test_children_partition_bulk():
             )
             assert ball.contains(x)
             assert sum(1 for k in kids if k.contains(x)) == 1
-            # the lazy child centres are the children's, in the same order
+            # the lazy child centres are the reference's, in the same order
             assert list(ball.child_centers()) == [k.centers for k in kids]
+
+
+@st.composite
+def _cell_reps_cases(draw):
+    """(field, center, r, level): radii -3 to 3, depths 0 to 3, and centres
+    canonical at r (digits below r only), with digits at [r, level) and
+    beyond (a rotated list), or, over Q_p, with a denominator prime to p
+    (infinitely many digits)."""
+    field = draw(st.sampled_from(CELL_FIELDS))
+    p = field.p
+    r = draw(st.integers(-3, 3))
+    level = r + draw(st.integers(0, 3))
+    kind = draw(st.sampled_from(["canonical", "digits", "prime-to-p"]))
+    top = r if kind == "canonical" else level + 2
+    center = field.zero()
+    for e in range(-5, top):
+        d = draw(st.integers(0, p - 1))
+        center = field.add(center, field.mul(field.from_int(d), field.pow_uniformizer(e)))
+    if kind == "prime-to-p" and field.kind == "p-adic":
+        unit = draw(st.sampled_from([u for u in (3, 7, 11) if u % p]))
+        center += Fraction(draw(st.integers(-60, 60)), unit * p ** draw(st.integers(0, 4)))
+    return field, center, r, level
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(_cell_reps_cases())
+def test_cell_reps_match_the_field_operation_reference(case):
+    # the integer child rule builds the reference's canonical elements, of
+    # the same type, in the same (rotated) order
+    field, center, r, level = case
+    got = field.cell_reps(center, r, level)
+    want = cell_reps_by_field_ops(field, center, r, level)
+    assert got == want
+    assert [type(x) for x in got] == [type(x) for x in want]
+    assert all(field.canon_trunc(x, level) == x for x in got)
 
 
 def test_polyball_intersection_nested_or_disjoint():

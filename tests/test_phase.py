@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import FIELDS, rng_for
 from oracles import (
+    children_by_field_ops,
     eval_by_fractions,
     eval_by_laurent,
     psi_by_digits,
@@ -469,7 +470,7 @@ def test_integer_angles_match_riemann_sums_by_digits(key, eta, o, unit):
 def certify_by_elements(field, cert, cell, d0):
     """(cells certified, cells visited) of the gradient certificate walked
     on field elements: each centre's ords by ``eval_field``, each split by
-    ``Polyball.children``."""
+    ``children_by_field_ops``."""
     stack, done, spent = [cell], 0, 0
     while stack:
         cur = stack.pop()
@@ -481,7 +482,7 @@ def certify_by_elements(field, cert, cell, d0):
             done += 1
         else:
             assert not all(ords[ei] > d0 for ei, _ in cert.grads)
-            stack.extend(cur.children())
+            stack.extend(children_by_field_ops(cur))
     return done, spent
 
 

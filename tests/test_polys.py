@@ -21,8 +21,13 @@ from umla.polys import (
     walk_codes,
 )
 
-from conftest import FIELDS, rng_for, sample_element
-from oracles import eval_by_fractions, eval_by_laurent, eval_coeffs_at
+from conftest import CELL_FIELDS, FIELDS, rng_for, sample_element
+from oracles import (
+    cell_reps_by_field_ops,
+    eval_by_fractions,
+    eval_by_laurent,
+    eval_coeffs_at,
+)
 
 
 def test_parse_and_eval():
@@ -360,12 +365,7 @@ def test_resultant_vanishes_iff_common_root():
         assert res.is_zero() == (r3 in (r1, r2))
 
 
-# the code enumerator of the cell walks against LocalField.cell_reps
-CODE_FIELDS = [
-    make_field(kind, p)
-    for kind, p in [("p-adic", 2), ("p-adic", 3), ("p-adic", 5)]
-    + [("equal-characteristic", 2), ("equal-characteristic", 3)]
-]
+# the code enumerator of the cell walks against the reference of LocalField.cell_reps
 
 
 @st.composite
@@ -374,7 +374,7 @@ def _code_walk_cases(draw):
     -3 to 4, one to three coordinates, at most q^4 subcells, and fixed
     coordinates such as 1/2 in Q_3, whose denominators are not powers of p
     (over F_p((t)): elements with poles)."""
-    field = draw(st.sampled_from(CODE_FIELDS))
+    field = draw(st.sampled_from(CELL_FIELDS))
     p = field.p
     n = draw(st.integers(1, 3))
     radii = [draw(st.integers(-3, 4)) for _ in range(n)]
@@ -394,17 +394,19 @@ def _code_walk_cases(draw):
 @settings(max_examples=300, derandomize=True, deadline=None)
 @given(_code_walk_cases())
 def test_walk_codes_enumerate_the_children_of_cell_reps(case):
-    # decoded children equal cell_reps element for element, in its order,
-    # per coordinate and over the whole ball; fixed coordinates decode back
+    # decoded children equal the field-operation reference of cell_reps
+    # element for element, in its order, per coordinate and over the whole
+    # ball; fixed coordinates decode back
     field, ball, levels, fixed = case
     codes = walk_codes(
         field, ball.centers + tuple(fixed), min(ball.radii), max(levels), ()
     )
-    axes = []
+    axes, want = [], []
     for c, r, level in zip(ball.centers, ball.radii, levels):
         kids = codes.child_codes(codes.code(c), r, level)
-        assert [codes.element(k) for k in kids] == field.cell_reps(c, r, level)
+        want.append(cell_reps_by_field_ops(field, c, r, level))
+        assert [codes.element(k) for k in kids] == want[-1]
         axes.append(kids)
     got = [tuple(map(codes.element, nums)) for nums in product(*axes)]
-    assert got == list(ball._subcells(levels))
+    assert got == list(product(*want))
     assert [codes.element(codes.code(x)) for x in fixed] == fixed

@@ -4,16 +4,23 @@ Transform and convolution results are pinned against brute-force Riemann-sum
 oracles; structural identities run as seeded random property loops.
 """
 
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from umla.cyclo import CycloScalar
-from umla.fields import FieldError, Polyball, make_field, vec_add
+from umla.fields import FieldError, LocalField, Polyball, make_field, vec_add
 from umla.schwartz import CellBudgetError, SchwartzBruhat, make_sb
 
-from conftest import FIELDS, rng_for, sample_element
-from oracles import riemann_fourier, riemann_integral
+from conftest import CELL_FIELDS, FIELDS, rng_for, sample_element, sample_scalar
+from oracles import (
+    children_by_field_ops,
+    fourier_by_pairs,
+    riemann_fourier,
+    riemann_integral,
+)
 
 
 def spread(field):
@@ -96,11 +103,45 @@ def test_integrate_laurent_big_ball():
 def test_normalized_merges_full_sibling_sets():
     field = make_field("p-adic", 5)
     parent = Polyball.ball(field, (Fraction(2),), 1)
-    f = make_sb((child, Fraction(3, 7)) for child in parent.children())
+    f = make_sb((child, Fraction(3, 7)) for child in children_by_field_ops(parent))
     g = f.normalized()
     assert g.levels == (1,)
     assert g.equals(SchwartzBruhat.indicator(parent, Fraction(3, 7)))
     assert f.alpha_bounds() == (0, 1)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(
+    st.sampled_from(CELL_FIELDS), st.sampled_from([1, 2]), st.integers(0, 10**6)
+)
+def test_fourier_additive_angles_match_the_per_pair_angles(field, n, seed):
+    # cells with centres of negative ord and coefficients with angles of
+    # their own: the grid angles read by additivity of psi give the same
+    # transform as psi_angle(center * xi) for every (cell, frequency) pair;
+    # at most q^2 frequencies per cell and coordinate
+    rng = random.Random(seed)
+    levels = tuple(rng.randrange(0, 2) for _ in range(n))
+    cells = {}
+    for _ in range(rng.randrange(1, 4)):
+        center = tuple(sample_element(field, rng, -1, max(levels) + 1) for _ in range(n))
+        cells[center] = sample_scalar(field.p, rng)
+    f = SchwartzBruhat(field, n, levels, cells)
+    g = f.fourier()
+    assert (g.levels, g.cells) == fourier_by_pairs(f)
+
+
+def test_fourier_budget_overrun_raises_before_building_the_grid(monkeypatch):
+    # one Q_2 cell at level 2 centred at 2^-18: 2^20 frequencies against a
+    # budget of 2^18, refused before a single frequency is built
+    field = make_field("p-adic", 2)
+    f = SchwartzBruhat.indicator(Polyball.ball(field, (Fraction(1, 2**18),), 2))
+
+    def no_grid(*args):
+        raise AssertionError("the frequency grid was built")
+
+    monkeypatch.setattr(LocalField, "cell_reps", no_grid)
+    with pytest.raises(CellBudgetError, match="1048576 cells requested, 262144 allowed"):
+        f.fourier()
 
 
 def test_refine_budget_guard():
