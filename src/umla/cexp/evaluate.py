@@ -1,23 +1,43 @@
 """Exact evaluation of terms over a concrete local field.
 
-``evaluate`` takes a term, a field, and an environment binding the free
-variables, and produces a ``CycloScalar``.  Evaluation is sort-directed:
-the checker runs first (or a pre-computed sort table is supplied), and each
-subterm is then evaluated at its sort — field elements as field elements,
-integers as Python ints with ``ord(0)`` represented by the infinite
-valuation, residues as canonical field representatives, and scalars as
-exact cyclotomic values.
+A term is compiled once, then called.  ``compile_term(term, field, sorts,
+range_budget)`` turns a sort-checked term into a function from a binding (a
+dict of variable values, as ``coerce_env`` returns it) to the raw
+``(e2, angle, coef)`` triples of its value; ``evaluate`` is ``check`` (unless
+the sorts are given), ``compile_term``, ``coerce_env`` and one call, and it
+builds the one ``CycloScalar`` of the term at the root.  The term, its sorts,
+the field and the budget are fixed at compile time, so one compiled function
+serves every point of a probe (``instantiate_b_function`` compiles once per
+view).
 
-Scalars are evaluated on raw triples.  A scalar subterm evaluates to a list
-of raw ``(e2, angle, coef)`` triples, the input format of ``CycloScalar``,
-and ``evaluate`` builds the one ``CycloScalar`` of the whole term at the
-root; the canonical form is unique, so this gives the value per-node
-arithmetic would.  ``+``, ``-``, negation, ``sum`` and ``sumrf`` concatenate
-triple lists; a product multiplies them out term by term; a constant,
-``q^e``, ``psi``, ``ord`` and an indicator emit at most one triple, and never
-one with a zero coefficient.  ``e^k`` canonicalises its base and each
-partial power, so a power's triples are the canonical terms of its value
-and do not multiply out with k.
+Every node becomes one closure, chosen once.  A subterm compiles at its
+sort: field elements as field elements, integers as Python ints with
+``ord(0)`` represented by the infinite valuation, residues as canonical field
+representatives, q-exponents as exact rationals, and scalars as lists of raw
+triples.  The sort class of each comparison (integer, field or residue) is
+fixed at compile time, with the variables that ``sum`` and ``sumrf`` bind
+sorted in their scope; a constant becomes its raw triple or its field
+element once.  The closures hold only their operands' closures and
+constants, so a compiled term holds no reference cycle.
+
+Scalars are carried as raw triples, the input format of ``CycloScalar``;
+the canonical form is unique, so one canonicalisation at the root gives the
+value per-node arithmetic would.  ``+``, ``-``, negation, ``sum`` and
+``sumrf`` concatenate triple lists; a product multiplies them out term by
+term; a constant, ``q^e``, ``psi``, ``ord`` and an indicator emit at most one
+triple, and never one with a zero coefficient.  ``e^k`` canonicalises its
+base and each partial power, so a power's triples are the canonical terms of
+its value and do not multiply out with k.
+
+Errors.  ``SortError`` is raised by ``check`` (or by compiling against
+sorts that do not fit the term), before any value is computed.
+``EvalError`` is never raised by compiling; it is raised on each call that
+meets it, even when it does not depend on the point.  ``coerce_env`` raises
+it for a variable with no value or with a value of the wrong kind (a
+``bool`` at any sort; an ``int`` bound to a field variable is lifted to the
+field), and the compiled function for ``ord(0)`` where a finite number is
+required, ``ac`` of 0, and a ``sum`` or ``sumrf`` that would add more than
+``range_budget`` terms.
 
 Two conventions matter for totality:
 
@@ -38,6 +58,7 @@ Two conventions matter for totality:
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 
 from ..cyclo import CycloScalar
@@ -66,31 +87,23 @@ from .syntax import (
     Var,
 )
 
-__all__ = ["EvalError", "evaluate"]
+__all__ = ["EvalError", "coerce_env", "coerce_value", "compile_term", "evaluate"]
 
 
 class EvalError(FieldError):
     """The term has no value at this point of the environment."""
 
 
-def _is_inf(v) -> bool:
-    return isinstance(v, float)
-
-
 def _int_add(a, b):
-    if _is_inf(a) or _is_inf(b):
-        if _is_inf(a) and _is_inf(b) and (a > 0) != (b > 0):
+    if isinstance(a, float) or isinstance(b, float):
+        if isinstance(a, float) and isinstance(b, float) and (a > 0) != (b > 0):
             raise EvalError("indeterminate sum of opposite infinite valuations")
-        return a if _is_inf(a) else b
+        return a if isinstance(a, float) else b
     return a + b
 
 
-def _int_neg(a):
-    return -a
-
-
 def _int_mul(a, b):
-    if _is_inf(a) or _is_inf(b):
+    if isinstance(a, float) or isinstance(b, float):
         if a == 0 or b == 0:
             raise EvalError("indeterminate product of zero and an infinite valuation")
         sign = (1 if a > 0 else -1) * (1 if b > 0 else -1)
@@ -101,12 +114,16 @@ def _int_mul(a, b):
 def _int_pow(a, k: int):
     if k == 0:
         return 1
-    if _is_inf(a):
+    if isinstance(a, float):
         return a if (a > 0 or k % 2 == 1) else INF
     return a**k
 
 
 _ONE = (0, 0, 1)
+# exact on ints and Fractions alike, so q-exponents use them too
+_INT_OPS = (_int_add, lambda a, b: _int_add(a, -b), _int_mul, operator.neg, _int_pow)
+_CMP_OPS = {"==": operator.eq, "!=": operator.ne, "<=": operator.le}
+_CMP_OPS.update({"<": operator.lt, ">=": operator.ge, ">": operator.gt})
 
 
 def _residue_code(field: LocalField, elem, m: int) -> int:
@@ -117,308 +134,318 @@ def _residue_code(field: LocalField, elem, m: int) -> int:
     return sum(c * field.p**e for e, c in trunc.coeffs)
 
 
-class _Evaluator:
-    def __init__(self, field: LocalField, env: dict, sorts: dict, range_budget: int):
-        self.field = field
-        self.env = env
-        self.sorts = sorts
-        self.range_budget = range_budget
+def _fail(message: str):
+    """A closure that raises ``EvalError(message)`` when it is called."""
 
-    # -- typed evaluation -------------------------------------------------
+    def fail(env):
+        raise EvalError(message)
 
-    def scalar(self, node: Node) -> list:
-        """The raw (e2, angle, coef) triples of a scalar subterm.
+    return fail
 
-        See the module docstring for the raw-triple and zero-test rules.
-        """
-        if isinstance(node, Const):
-            return [(0, 0, node.value)] if node.value else []
+
+def _constant(value):
+    return lambda env: value
+
+
+def _ring(node: Node, sub, ops):
+    """The closure of a +, -, *, negation or power node over ``ops``, its
+    operands compiled by ``sub``; None for any other node."""
+    add, subtract, mul, neg, power = ops
+    op = {Add: add, Sub: subtract, Mul: mul}.get(type(node))
+    if op is not None:
+        lhs, rhs = sub(node.lhs), sub(node.rhs)
+        return lambda env: op(lhs(env), rhs(env))
+    if isinstance(node, Neg):
+        arg = sub(node.arg)
+        return lambda env: neg(arg(env))
+    if isinstance(node, Pow):
+        base, k = sub(node.base), node.k
+        return lambda env: power(base(env), k)
+    return None
+
+
+def _finite_ord(node: Ord, field: LocalField, where: str):
+    """The closure of ``ord(arg)`` where ord(0) has no value."""
+    val, arg = field.ord, _field(node.arg, field)
+
+    def finite_ord(env):
+        v = val(arg(env))
+        if isinstance(v, float):
+            raise EvalError(f"the valuation of zero {where}")
+        return v
+
+    return finite_ord
+
+
+# -- one compiler per sort: each returns a closure of the binding -------------
+
+
+def _scalar(node: Node, field: LocalField, sorts: dict, budget: int):
+    """The closure of a scalar subterm: its list of raw triples.
+
+    The lists are never mutated, so a constant's list is shared.  See the
+    module docstring for the raw-triple and zero-test rules.
+    """
+    p = field.p
+    if isinstance(node, Const):
+        return _constant([(0, 0, node.value)] if node.value else [])
+    if isinstance(node, (Var, Ord)):
         if isinstance(node, Var):
-            c = self.env[node.name]
-            return [(0, 0, c)] if c else []
-        if isinstance(node, Add):
-            return self.scalar(node.lhs) + self.scalar(node.rhs)
-        if isinstance(node, Sub):
-            lhs = self.scalar(node.lhs)
-            return lhs + [(e2, a, -c) for e2, a, c in self.scalar(node.rhs)]
-        if isinstance(node, Mul):
-            return self.lazy_product(node)
-        if isinstance(node, Neg):
-            return [(e2, a, -c) for e2, a, c in self.scalar(node.arg)]
-        if isinstance(node, Pow):
-            if node.k == 0:
-                return [_ONE]
-            base = CycloScalar(self.field.p, self.scalar(node.base))
-            out = base
-            for _ in range(node.k - 1):
-                out = out * base
+            get = operator.itemgetter(node.name)
+        else:
+            get = _finite_ord(node, field, "has no scalar value")
+        return lambda env: [(0, 0, c)] if (c := get(env)) else []
+    if isinstance(node, Neg):
+        arg = _scalar(node.arg, field, sorts, budget)
+        return lambda env: [(e2, a, -c) for e2, a, c in arg(env)]
+    if isinstance(node, (Add, Sub)):
+        rhs = node.rhs if isinstance(node, Add) else Neg(node.rhs)
+        lhs, rhs = _scalar(node.lhs, field, sorts, budget), _scalar(rhs, field, sorts, budget)
+        return lambda env: lhs(env) + rhs(env)
+    if isinstance(node, Mul):
+        return _lazy_product(node, field, sorts, budget)
+    if isinstance(node, Pow):
+        if node.k == 0:
+            return _constant([_ONE])
+        base, k = _scalar(node.base, field, sorts, budget), node.k
+
+        def power(env):
+            out = one = CycloScalar(p, base(env))
+            for _ in range(k - 1):
+                out = out * one
             return list(out.terms)
-        if isinstance(node, Ord):
-            v = self.field.ord(self.fieldval(node.arg))
-            if _is_inf(v):
-                raise EvalError("the valuation of zero has no scalar value")
-            return [(0, 0, v)] if v else []
-        if isinstance(node, QPow):
-            e = self.qexp(node.exponent)
-            if e.denominator not in (1, 2):
-                raise EvalError(
-                    f"q-exponent {e} is not an integer or half-integer"
-                )
-            return [(int(e * 2), 0, 1)]
-        if isinstance(node, Psi):
-            return [(0, self.field.psi_angle(self.fieldval(node.arg)), 1)]
-        if isinstance(node, SumZ):
-            return self.sum_range(node)
-        if isinstance(node, SumRF):
-            return self.sum_residues(node)
-        if isinstance(node, Indicator):
-            return [_ONE] if self.truth(node.cond) else []
-        raise EvalError(f"cannot evaluate {type(node).__name__} as a scalar")
 
-    def lazy_product(self, node: Mul) -> list:
-        """Raw triples of a scalar product, indicator factors decided first.
+        return power
+    if isinstance(node, QPow):
+        return _q_power(node.exponent, field, sorts)
+    if isinstance(node, Psi):
+        angle, arg = field.psi_angle, _field(node.arg, field)
+        return lambda env: [(0, angle(arg(env)), 1)]
+    if isinstance(node, (SumZ, SumRF)):
+        return _sum(node, field, sorts, budget)
+    if isinstance(node, Indicator):
+        cond, one, none = _truth(node.cond, field, sorts), [_ONE], []
+        return lambda env: one if cond(env) else none
+    return _fail(f"cannot evaluate {type(node).__name__} as a scalar")
 
-        A zero factor makes the product zero even when another factor has
-        no value at the point, so ``[cond] * e`` restricts ``e`` to the
-        condition's locus.
-        """
-        factors: list[Node] = []
-        stack = [node]
-        while stack:
-            cur = stack.pop()
-            if isinstance(cur, Mul):
-                stack.append(cur.rhs)
-                stack.append(cur.lhs)
-            else:
-                factors.append(cur)
-        ordered = sorted(
-            range(len(factors)),
-            key=lambda i: 0 if isinstance(factors[i], Indicator) else 1,
-        )
-        values: dict[int, list] = {}
-        for i in ordered:
-            value = self.scalar(factors[i])
+
+def _q_power(exponent: Node, field: LocalField, sorts: dict):
+    """q^e: the one triple (2e, 0, 1)."""
+    exp = _int(exponent, field, sorts, q_exp=True)
+
+    def q_power(env):
+        e = exp(env)
+        if e.denominator not in (1, 2):
+            raise EvalError(f"q-exponent {e} is not an integer or half-integer")
+        return [(int(e * 2), 0, 1)]
+
+    return q_power
+
+
+def _lazy_product(node: Mul, field: LocalField, sorts: dict, budget: int):
+    """Raw triples of a scalar product, indicator factors decided first.
+
+    A zero factor makes the product zero even when another factor has
+    no value at the point, so ``[cond] * e`` restricts ``e`` to the
+    condition's locus.
+    """
+    nodes: list[Node] = []
+    stack = [node]
+    while stack:
+        cur = stack.pop()
+        if isinstance(cur, Mul):
+            stack += (cur.rhs, cur.lhs)
+        else:
+            nodes.append(cur)
+    nodes.sort(key=lambda f: 0 if isinstance(f, Indicator) else 1)
+    factors = tuple(_scalar(f, field, sorts, budget) for f in nodes)
+    p = field.p
+
+    def product(env):
+        out = None
+        for factor in factors:
+            value = factor(env)
             if len(value) > 1:
-                value = CycloScalar(self.field.p, value).terms
+                value = CycloScalar(p, value).terms
             if not value:
                 return []
-            values[i] = value
-        out = values[0]
-        for i in range(1, len(factors)):
-            out = [
-                (e2 + f2, a + b, c * d)
-                for e2, a, c in out
-                for f2, b, d in values[i]
+            out = value if out is None else [
+                (e2 + f2, a + b, c * d) for e2, a, c in out for f2, b, d in value
             ]
         return out
 
-    def intval(self, node: Node):
-        """Evaluate at the integer sort; returns int or the infinite valuation."""
-        if isinstance(node, Const):
-            return int(node.value)
-        if isinstance(node, Var):
-            return self.env[node.name]
-        if isinstance(node, Add):
-            return _int_add(self.intval(node.lhs), self.intval(node.rhs))
-        if isinstance(node, Sub):
-            return _int_add(self.intval(node.lhs), _int_neg(self.intval(node.rhs)))
-        if isinstance(node, Mul):
-            return _int_mul(self.intval(node.lhs), self.intval(node.rhs))
-        if isinstance(node, Neg):
-            return _int_neg(self.intval(node.arg))
-        if isinstance(node, Pow):
-            return _int_pow(self.intval(node.base), node.k)
-        if isinstance(node, Ord):
-            return self.field.ord(self.fieldval(node.arg))
-        if isinstance(node, Indicator):
-            return 1 if self.truth(node.cond) else 0
-        raise EvalError(f"cannot evaluate {type(node).__name__} as an integer")
+    return product
 
-    def qexp(self, node: Node):
-        """Evaluate a q-exponent to an exact rational, an int or a Fraction."""
-        if isinstance(node, Const):
-            return node.value
-        if isinstance(node, Var):
-            return self.env[node.name]
-        if isinstance(node, Add):
-            return self.qexp(node.lhs) + self.qexp(node.rhs)
-        if isinstance(node, Sub):
-            return self.qexp(node.lhs) - self.qexp(node.rhs)
-        if isinstance(node, Mul):
-            return self.qexp(node.lhs) * self.qexp(node.rhs)
-        if isinstance(node, Neg):
-            return -self.qexp(node.arg)
-        if isinstance(node, Pow):
-            return self.qexp(node.base) ** node.k
-        if isinstance(node, Ord):
-            v = self.field.ord(self.fieldval(node.arg))
-            if _is_inf(v):
-                raise EvalError(
-                    "the valuation of zero cannot appear in a q-exponent"
-                )
-            return v
-        raise EvalError(f"cannot evaluate {type(node).__name__} in a q-exponent")
 
-    def fieldval(self, node: Node):
-        """Evaluate at the field sort; returns a field element."""
-        field = self.field
-        if isinstance(node, Const):
-            return field.from_int(int(node.value))
-        if isinstance(node, Var):
-            return self.env[node.name]
-        if isinstance(node, Add):
-            return field.add(self.fieldval(node.lhs), self.fieldval(node.rhs))
-        if isinstance(node, Sub):
-            return field.sub(self.fieldval(node.lhs), self.fieldval(node.rhs))
-        if isinstance(node, Mul):
-            return field.mul(self.fieldval(node.lhs), self.fieldval(node.rhs))
-        if isinstance(node, Neg):
-            return field.neg(self.fieldval(node.arg))
-        if isinstance(node, Pow):
-            return field.power(self.fieldval(node.base), node.k)
-        raise EvalError(f"cannot evaluate {type(node).__name__} as a field element")
+def _sum(node, field: LocalField, sorts: dict, budget: int):
+    """``sum`` over an integer range or ``sumrf`` over the residues of a
+    level, the bound variable sorted in the body's scope."""
+    var = node.var
+    if isinstance(node, SumRF):
+        count = field.q**node.level
+        if count > budget:
+            return _fail(f"summation over {count} residues exceeds the budget of {budget}")
+        codes = range(count)
+        span = lambda env: codes
+        sorts = {**sorts, var: ("res", node.level)}
+    else:
+        lo, hi = _int(node.lo, field, sorts), _int(node.hi, field, sorts)
 
-    def resval(self, node: Node, m: int):
-        """Evaluate at the level-m residue sort; returns an integral element."""
-        field = self.field
-        if isinstance(node, Const):
-            return field.from_int(int(node.value))
-        if isinstance(node, Var):
-            return field.residue_lift(self.env[node.name])
-        if isinstance(node, Add):
-            return field.add(self.resval(node.lhs, m), self.resval(node.rhs, m))
-        if isinstance(node, Sub):
-            return field.sub(self.resval(node.lhs, m), self.resval(node.rhs, m))
-        if isinstance(node, Mul):
-            return field.mul(self.resval(node.lhs, m), self.resval(node.rhs, m))
-        if isinstance(node, Neg):
-            return field.neg(self.resval(node.arg, m))
-        if isinstance(node, Pow):
-            return field.power(self.resval(node.base, m), node.k)
-        if isinstance(node, Ac):
-            elem = self.fieldval(node.arg)
+        def span(env):
+            a, b = lo(env), hi(env)
+            if a > b:
+                return ()
+            if isinstance(a, float) or isinstance(b, float):
+                raise EvalError("summation over an unbounded integer range")
+            if b - a + 1 > budget:
+                raise EvalError(f"summation range of {b - a + 1} exceeds the budget of {budget}")
+            return range(a, b + 1)
+
+        sorts = {**sorts, var: ZZ}
+    body = _scalar(node.body, field, sorts, budget)
+
+    def total(env):
+        inner, terms = dict(env), []
+        for i in span(env):
+            inner[var] = i
+            terms += body(inner)
+        return terms
+
+    return total
+
+
+def _int(node: Node, field: LocalField, sorts: dict, q_exp: bool = False):
+    """The closure of an integer subterm, an int or the infinite valuation;
+    with ``q_exp``, of a q-exponent, an exact rational where ord(0) has no
+    value."""
+    if isinstance(node, Const):
+        return _constant(node.value if q_exp else int(node.value))
+    if isinstance(node, Var):
+        return operator.itemgetter(node.name)
+    if isinstance(node, Ord):
+        if q_exp:
+            return _finite_ord(node, field, "cannot appear in a q-exponent")
+        val, arg = field.ord, _field(node.arg, field)
+        return lambda env: val(arg(env))
+    if isinstance(node, Indicator) and not q_exp:
+        cond = _truth(node.cond, field, sorts)
+        return lambda env: 1 if cond(env) else 0
+    sub = lambda n: _int(n, field, sorts, q_exp)
+    return _ring(node, sub, _INT_OPS) or _fail(
+        f"cannot evaluate {type(node).__name__} "
+        + ("in a q-exponent" if q_exp else "as an integer")
+    )
+
+
+def _field(node: Node, field: LocalField, residue: bool = False):
+    """The closure of a field subterm, a field element; with ``residue``,
+    of a residue subterm, an integral representative."""
+    if isinstance(node, Const):
+        return _constant(field.from_int(int(node.value)))
+    if isinstance(node, Var):
+        get = operator.itemgetter(node.name)
+        if not residue:
+            return get
+        lift = field.residue_lift
+        return lambda env: lift(get(env))
+    if isinstance(node, Ac) and residue:
+        arg, ac, lift, k = _field(node.arg, field), field.ac, field.residue_lift, node.level
+
+        def ac_lift(env):
+            elem = arg(env)
             if field.is_zero(elem):
                 raise EvalError("ac of zero has no value")
-            return field.residue_lift(field.ac(elem, node.level))
-        raise EvalError(f"cannot evaluate {type(node).__name__} as a residue")
+            return lift(ac(elem, k))
 
-    # -- summation ----------------------------------------------------------
+        return ac_lift
+    ops = (field.add, field.sub, field.mul, field.neg, field.power)
+    return _ring(node, lambda n: _field(n, field, residue), ops) or _fail(
+        f"cannot evaluate {type(node).__name__} "
+        + ("as a residue" if residue else "as a field element")
+    )
 
-    def sum_range(self, node: SumZ) -> list:
-        lo = self.intval(node.lo)
-        hi = self.intval(node.hi)
-        if lo > hi:
-            return []
-        if _is_inf(lo) or _is_inf(hi):
-            raise EvalError("summation over an unbounded integer range")
-        if hi - lo + 1 > self.range_budget:
-            raise EvalError(
-                f"summation range of {hi - lo + 1} exceeds the budget of "
-                f"{self.range_budget}"
-            )
-        saved = self.env.get(node.var, _MISSING)
-        saved_sort = self.sorts.get(node.var, _MISSING)
-        self.sorts[node.var] = ZZ
-        terms = []
-        try:
-            for i in range(lo, hi + 1):
-                self.env[node.var] = i
-                terms += self.scalar(node.body)
-        finally:
-            _restore(self.env, node.var, saved)
-            _restore(self.sorts, node.var, saved_sort)
-        return terms
 
-    def sum_residues(self, node: SumRF) -> list:
-        count = self.field.q**node.level
-        if count > self.range_budget:
-            raise EvalError(
-                f"summation over {count} residues exceeds the budget of "
-                f"{self.range_budget}"
-            )
-        saved = self.env.get(node.var, _MISSING)
-        saved_sort = self.sorts.get(node.var, _MISSING)
-        self.sorts[node.var] = ("res", node.level)
-        terms = []
-        try:
-            for code in range(count):
-                self.env[node.var] = code
-                terms += self.scalar(node.body)
-        finally:
-            _restore(self.env, node.var, saved)
-            _restore(self.sorts, node.var, saved_sort)
-        return terms
-
-    # -- conditions ------------------------------------------------------------
-
-    def truth(self, node: Node) -> bool:
+def _truth(node: Node, field: LocalField, sorts: dict):
+    """The closure of a condition, each comparison's sort fixed here."""
+    if isinstance(node, (And, Or)):
+        lhs, rhs = _truth(node.lhs, field, sorts), _truth(node.rhs, field, sorts)
         if isinstance(node, And):
-            return self.truth(node.lhs) and self.truth(node.rhs)
-        if isinstance(node, Or):
-            return self.truth(node.lhs) or self.truth(node.rhs)
-        if isinstance(node, Not):
-            return not self.truth(node.arg)
-        if isinstance(node, Cmp):
-            sort = classify_cmp(node, self.sorts.get)
-            if sort == VF:
-                diff = self.field.sub(self.fieldval(node.lhs), self.fieldval(node.rhs))
-                eq = self.field.is_zero(diff)
-                return eq if node.op == "==" else not eq
-            if isinstance(sort, tuple):
-                m = sort[1]
-                lc = _residue_code(self.field, self.resval(node.lhs, m), m)
-                rc = _residue_code(self.field, self.resval(node.rhs, m), m)
-                return (lc == rc) if node.op == "==" else (lc != rc)
-            lhs = self.intval(node.lhs)
-            rhs = self.intval(node.rhs)
-            return {
-                "==": lhs == rhs,
-                "!=": lhs != rhs,
-                "<=": lhs <= rhs,
-                "<": lhs < rhs,
-                ">=": lhs >= rhs,
-                ">": lhs > rhs,
-            }[node.op]
-        raise EvalError(f"cannot evaluate {type(node).__name__} as a condition")
+            return lambda env: lhs(env) and rhs(env)
+        return lambda env: lhs(env) or rhs(env)
+    if isinstance(node, Not):
+        arg = _truth(node.arg, field, sorts)
+        return lambda env: not arg(env)
+    if not isinstance(node, Cmp):
+        return _fail(f"cannot evaluate {type(node).__name__} as a condition")
+    sort, want = classify_cmp(node, sorts.get), node.op == "=="
+    if sort == VF:
+        lhs, rhs = _field(node.lhs, field), _field(node.rhs, field)
+        sub, is_zero = field.sub, field.is_zero
+        return lambda env: is_zero(sub(lhs(env), rhs(env))) == want
+    if isinstance(sort, tuple):
+        m = sort[1]
+        lhs, rhs = _field(node.lhs, field, True), _field(node.rhs, field, True)
+        return lambda env: (
+            _residue_code(field, lhs(env), m) == _residue_code(field, rhs(env), m)
+        ) == want
+    op, lhs, rhs = _CMP_OPS[node.op], _int(node.lhs, field, sorts), _int(node.rhs, field, sorts)
+    return lambda env: op(lhs(env), rhs(env))
 
 
-_MISSING = object()
+# -- the public entry points --------------------------------------------------
 
 
-def _restore(mapping: dict, key: str, saved) -> None:
-    if saved is _MISSING:
-        mapping.pop(key, None)
-    else:
-        mapping[key] = saved
+def compile_term(
+    term: Node, field: LocalField, sorts: dict, range_budget: int = DEFAULT_CELL_BUDGET
+):
+    """The term as a function from a binding to its raw scalar triples.
+
+    ``sorts`` maps every free variable to its sort (as ``check`` returns
+    it); the binding maps every free variable to its value as
+    ``coerce_env`` returns it.  ``CycloScalar(field.p, run(binding))`` is
+    the value of the term.  Raises ``SortError`` only when ``sorts`` do not
+    fit the term; every ``EvalError`` is raised by the call.
+    """
+    return _scalar(term, field, dict(sorts), range_budget)
 
 
-def _coerce_env(field: LocalField, env, sorts) -> dict:
+_SORT_WORDS = {VF: "field", ZZ: "integer"}
+
+
+def coerce_value(field: LocalField, name: str, sort, value):
+    """The value of variable ``name`` at its sort, or ``EvalError``.
+
+    Field variables take field elements (ints are lifted), integer ones
+    ints (or integral Fractions), residue ones their codes in [0, q^m).
+    A ``bool`` is rejected at every sort.
+    """
+    if isinstance(value, bool):
+        raise EvalError(f"{_SORT_WORDS.get(sort, 'residue')} variable {name!r} bound to bool")
+    if sort == VF:
+        return field.from_int(value) if isinstance(value, int) else value
+    if sort == ZZ:
+        if isinstance(value, Fraction):
+            if value.denominator != 1:
+                raise EvalError(f"integer variable {name!r} bound to {value}")
+            value = int(value)
+        if not isinstance(value, int):
+            raise EvalError(f"integer variable {name!r} bound to {type(value).__name__}")
+        return value
+    m = sort[1]
+    if not isinstance(value, int) or not 0 <= value < field.q**m:
+        raise EvalError(f"residue variable {name!r} needs a code in [0, q^{m})")
+    return value
+
+
+def coerce_env(field: LocalField, env, sorts) -> dict:
+    """The binding of every variable in ``sorts``, by ``coerce_value``;
+    ``EvalError`` names the first variable with no value."""
+    env = env or {}
     out = {}
     for name, sort in sorts.items():
-        if name not in (env or {}):
+        if name not in env:
             raise EvalError(f"no value supplied for variable {name!r}")
-        value = env[name]
-        if sort == VF:
-            if isinstance(value, int):
-                value = field.from_int(value)
-            out[name] = value
-        elif sort == ZZ:
-            if isinstance(value, Fraction):
-                if value.denominator != 1:
-                    raise EvalError(f"integer variable {name!r} bound to {value}")
-                value = int(value)
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise EvalError(
-                    f"integer variable {name!r} bound to {type(value).__name__}"
-                )
-            out[name] = value
-        else:
-            m = sort[1]
-            if not isinstance(value, int) or not 0 <= value < field.q**m:
-                raise EvalError(
-                    f"residue variable {name!r} needs a code in [0, q^{m})"
-                )
-            out[name] = value
+        out[name] = coerce_value(field, name, sort, env[name])
     return out
 
 
@@ -430,7 +457,7 @@ def evaluate(
     range_budget: int = DEFAULT_CELL_BUDGET,
     sorts=None,
 ) -> CycloScalar:
-    """Evaluate a term to an exact scalar.
+    """Evaluate a term to an exact scalar: compile it, then call it once.
 
     ``env`` binds free variables: field variables to field elements (ints
     are lifted), integer variables to ints, residue variables to their
@@ -443,6 +470,5 @@ def evaluate(
     """
     if sorts is None:
         sorts = check(term, declared)
-    work_env = _coerce_env(field, env, sorts)
-    ev = _Evaluator(field, work_env, dict(sorts), range_budget)
-    return CycloScalar(field.p, ev.scalar(term))
+    run = compile_term(term, field, sorts, range_budget)
+    return CycloScalar(field.p, run(coerce_env(field, env, sorts)))

@@ -19,10 +19,11 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field as dc_field
 
+from ..cyclo import CycloScalar
 from ..distribution import BFunctionView, _ball_and_subcells
 from ..fields import FieldError, LocalField, field_spec, parse_field_spec
 from .check import VF, ZZ, check
-from .evaluate import evaluate
+from .evaluate import EvalError, coerce_env, coerce_value, compile_term
 from .syntax import Node, parse, render
 
 __all__ = [
@@ -91,18 +92,38 @@ class FamilyDistribution:
 def instantiate_b_function(
     family: FamilyDistribution, field: LocalField, params=None
 ) -> BFunctionView:
-    """The family member at one field and parameter choice, as a ball view."""
+    """The family member at one field and parameter choice, as a ball view.
+
+    The term is compiled once for the view and the parameters are coerced
+    once (``cexp.evaluate``); each ball value then binds only the radius and
+    the point, calls the compiled term and canonicalises its triples once.
+    A missing parameter raises ``FieldError`` here.  A parameter of the
+    wrong kind, like any other ``EvalError``, is raised by every ball value,
+    so ``dis_sample`` reports it as the row's error.
+    """
     params = dict(params or {})
     missing = set(family.param_vars) - set(params)
     if missing:
         raise FieldError(f"no values supplied for parameters {sorted(missing)}")
+    run = compile_term(family.term, field, family.sorts)
+    param_sorts = {
+        name: sort for name, sort in family.sorts.items() if name in family.param_vars
+    }
+    error = ""
+    try:
+        bound = coerce_env(field, params, param_sorts)
+    except EvalError as exc:
+        error = str(exc)
+    points, radius, p = family.point_vars, family.radius_var, field.p
 
     def fn(xs, r):
-        env = dict(params)
-        env[family.radius_var] = int(r)
-        for name, x in zip(family.point_vars, xs, strict=True):
-            env[name] = x
-        return evaluate(family.term, field, env, sorts=family.sorts)
+        if error:
+            raise EvalError(error)
+        env = dict(bound)
+        env[radius] = int(r)
+        for name, x in zip(points, xs, strict=True):
+            env[name] = coerce_value(field, name, VF, x) if isinstance(x, int) else x
+        return CycloScalar(p, run(env))
 
     return BFunctionView(field, family.n, fn, label=render(family.term))
 

@@ -34,9 +34,9 @@ loop of ``+``: each ``+`` re-canonicalises the whole running sum, so a loop
 of N additions costs O(N^2) ``Fraction`` work where one canonicalisation of
 the concatenated terms costs O(N).  A character sum sum_x psi(f(x)) is best
 built from the histogram {psi_angle(f(x)): count} as one raw-triple scalar.
-The term evaluator works the same way: the ``umla.cexp.evaluate`` module
-docstring states how it carries a term's value as raw triples and
-canonicalises once at the root.
+The term evaluator works the same way: a term compiled by
+``umla.cexp.evaluate.compile_term`` returns its value as raw triples, one
+closure per node, and the caller canonicalises once at the root.
 """
 
 from __future__ import annotations

@@ -5,6 +5,7 @@ character values, residue counts); structural laws (round trips, sum
 splitting, substitution) run as seeded random property loops.
 """
 
+import gc
 import hashlib
 import json
 import random
@@ -53,7 +54,7 @@ from umla.cexp import (
 from umla.cexp.family import _random_point
 from umla.cyclo import CycloScalar
 from umla.distribution import MixedCellDistribution, additivity_check
-from umla.fields import Polyball, make_field
+from umla.fields import FieldError, Polyball, make_field
 
 from conftest import FIELDS, rng_for, sample_element, sample_nonzero
 from oracles import children_by_field_ops, eval_per_node, point_by_digits
@@ -1017,3 +1018,57 @@ def test_dis_sample_reports_evaluation_errors():
     assert not report.passed
     assert report.rows[0].error
     assert "error" in report.rows[0].to_json()
+
+
+def test_binding_errors_surface_per_call_through_a_view():
+    # a parameter that fails its sort instantiates; each ball value raises
+    family = FamilyDistribution(
+        parse("[ord(x - a) >= r] * q^(n)"), ("x",), param_vars=("a", "n")
+    )
+    params = {"a": 1, "n": Fraction(1, 2)}
+    view = instantiate_b_function(family, Q3, params)
+    message = "integer variable 'n' bound to 1/2"
+    for _ in range(2):
+        with pytest.raises(EvalError, match=message):
+            view.b_function((Q3.one(),), 0)
+    report = dis_sample(family, [Q3], [params], trials=5, seed=1)
+    assert report.rows[0].error == message
+    assert not report.passed
+    # a missing parameter is caught when the view is made
+    with pytest.raises(FieldError, match="no values supplied"):
+        instantiate_b_function(family, Q3, {"a": 1})
+    # a residue sum over the range budget raises on every call
+    over = FamilyDistribution(parse("q^(-r) * sumrf(u, 12, 1)"), ("x",))
+    view = instantiate_b_function(over, Q3)
+    for _ in range(2):
+        with pytest.raises(EvalError, match="exceeds the budget"):
+            view.b_function((Q3.one(),), 0)
+    assert "exceeds the budget" in dis_sample(over, [Q3], trials=3).rows[0].error
+
+
+def test_bool_bindings_are_rejected_at_every_sort():
+    cases = [
+        ("[x == 1]", {"x": VF}),
+        ("q^(-n0)", {"n0": ZZ}),
+        ("sumrf(u, 1, [u == v])", None),
+    ]
+    for text, declared in cases:
+        term = parse(text)
+        (name,) = set(check(term, declared))
+        with pytest.raises(EvalError, match=f"variable '{name}' bound to bool"):
+            evaluate(term, Q3, {name: True}, declared=declared)
+
+
+def test_views_leave_no_cyclic_garbage():
+    family = FamilyDistribution(parse("q^(-r) * psi(x)"), ("x",))
+    xs = (Q3.from_int(5),)
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in range(100):
+            view = instantiate_b_function(family, Q3)
+            assert not view.b_function(xs, 1).is_zero()
+            del view
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

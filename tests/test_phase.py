@@ -246,14 +246,19 @@ class TestOscillatoryIntegral:
 
 # the deepest ord(lam) at which the default budget admits the level-L cells
 # the quadratic term requests (q^L <= DEFAULT_CELL_BUDGET, L = ceil((1 - o)/2))
-_GAUSS_DEEPEST = {"Q3": -21, "Q5": -13, "Q7": -11, "F3t": -21}
+_GAUSS_DEEPEST = {"Q3": -21, "Q5": -13, "Q7": -11, "F3t": -21, "F5t": -13}
+_GAUSS_FIELDS = {"Q7": ("p-adic", 7), "F5t": ("equal-characteristic", 5)}
+
+
+def _gauss_field(name):
+    return FIELDS.get(name) or make_field(*_GAUSS_FIELDS[name])
 
 
 @pytest.mark.parametrize("name", sorted(_GAUSS_DEEPEST))
 def test_quadratic_phase_matches_the_gauss_sum_closed_form(name):
     # integral_O psi(pi^(-k) u a x^2) dx for the form a x^2 at lam = pi^(-k) u,
     # from ord(lam) = 1 down to where the default budget stops the walk
-    f = FIELDS.get(name) or make_field("p-adic", 7)
+    f = _gauss_field(name)
     phi = indicator(f, (f.zero(),), 0)
     for a in (1, 2):
         p = parse_poly(f"{a}*x^2", ("x",))
@@ -268,6 +273,29 @@ def test_quadratic_phase_matches_the_gauss_sum_closed_form(name):
                 assert got == quadratic_gauss_integral(f, -o, u * a), (a, u, o)
                 deepest = o
             assert deepest <= _GAUSS_DEEPEST[name], (a, u)
+
+
+# the order each diagonal form must at least reach; where the budget stops
+# the walk below it is left open (the budget may come to count visited cells)
+_GAUSS_2D_DEEPEST = {"Q3": -9, "Q5": -5, "Q7": -5, "F3t": -9, "F5t": -5}
+
+
+@pytest.mark.parametrize("name", sorted(_GAUSS_2D_DEEPEST))
+def test_diagonal_quadratic_phase_is_the_product_of_gauss_sums(name):
+    # x^2 + 2 y^2 on O^2 factors into the 1-D integrals of x^2 and 2 y^2
+    f = _gauss_field(name)
+    phi = indicator(f, (f.zero(), f.zero()), 0)
+    p = parse_poly("x^2 + 2*y^2", ("x", "y"))
+    deepest = None
+    for o in range(1, -41, -1):
+        try:
+            got = oscillatory_integral(p, phi, (), f.pow_uniformizer(o))
+        except CellBudgetError:
+            break
+        want = quadratic_gauss_integral(f, -o, 1) * quadratic_gauss_integral(f, -o, 2)
+        assert got == want, o
+        deepest = o
+    assert deepest <= _GAUSS_2D_DEEPEST[name]
 
 
 class TestStationaryPhaseBound:
