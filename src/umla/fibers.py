@@ -17,13 +17,39 @@ where fibers collide; ``fiber_integrate`` refuses those y exactly.  Away
 from it, f_!(phi) is locally constant, and ``level_measure`` measures how
 the level of local constancy depends on the distance to the critical values
 and on the refinement of phi, reporting the measurements together with a
-dominating affine bound.
+dominating affine bound.  Both run one kernel for the value at a regular y
+(``_pushforward_value``); ``level_measure`` sets it up once per restriction
+of phi.
+
+The root search needs ord Res(g, g') only for a cell still undecided at its
+precision, and at a base point y it reads it off ord disc(y).  Let n = deg f
+and h = f - y.  ``FiberProblem.disc`` is the Sylvester determinant of
+f(x) - y and f'(x) over Z[y] at the degrees (n, n - 1), and a determinant
+commutes with the ring map Z[y] -> K that fixes y, so disc(y) = Res(h, h')
+at the formal degrees (n, n - 1) over K, also where K kills n lc(f) and the
+zero leading entry of h' stays in the matrix.  (Res(h, h') and disc h
+differ only by +-lc(h); Cohen, A Course in Computational Algebraic Number
+Theory, 1993, 3.3.2.)  The search runs on g(u) = pi^(-c) h(pi^w u), with w
+the window and c the content of h(pi^w u), so g'(u) = pi^(w-c) h'(pi^w u).
+At formal degrees (m, k) the Sylvester determinant is homogeneous of degree
+k in the first polynomial's coefficients and of degree m in the second's,
+and Res(A(s x), B(s x)) = s^(m k) Res(A, B); both are identities of the
+determinant, so they hold at formal degrees.  With (m, k) = (n, n - 1):
+
+    Res(g, g') = pi^(-c (n - 1)) pi^((w - c) n) pi^(w n (n - 1)) disc(y),
+    ord Res(g, g') = ord disc(y) + w n^2 - c (2 n - 1).
+
+Where the field drops the degree of f (p divides lc(f) over F_p((t))), the
+search strips the zero leading coefficient, its Sylvester matrix is smaller
+than disc's, and it computes Res(g, g') with ``ring_det``; so does
+``padic_roots``, which has no discriminant.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
+from functools import partial
 
 from .cyclo import CycloScalar
 from .fields import INF, FieldError, LocalField, Polyball, field_from_json
@@ -103,7 +129,7 @@ def _elem_sort_key(x):
     return x.coeffs if hasattr(x, "coeffs") else x
 
 
-def _unit_window_roots(field: LocalField, coeffs, k: int):
+def _unit_window_roots(field: LocalField, coeffs, k: int, res_ord=None):
     """Roots in the ring of integers, as (truncation, ord of derivative).
 
     ``coeffs`` are field elements (degree order, any valuations, not all
@@ -117,7 +143,12 @@ def _unit_window_roots(field: LocalField, coeffs, k: int):
     and none otherwise.  Since Res(g, g') = u*g + v*g' with u and v
     integral, every surviving cell deeper than ord Res(g, g') is decided.
     Raises ClusterUnresolved only when Res(g, g') = 0, i.e. g has a
-    repeated root, and a cell is still undecided at level k.
+    repeated root, and a cell is still undecided at level k.  Only then is
+    ord Res(g, g') needed: ``res_ord``, when given, returns ord Res(h, h')
+    of the input polynomial h at its formal degrees (deg h, deg h - 1), and
+    the search shifts it by the content (see the module docstring); without
+    it, or when the leading input coefficient is zero, the search computes
+    Res(g, g') with ``ring_det``.
 
     A decided cell that holds a root is followed down on codes too (a
     Hensel descent): g maps each of its q children one-to-one onto a ball
@@ -154,8 +185,11 @@ def _unit_window_roots(field: LocalField, coeffs, k: int):
     if all(field.is_zero(c) for c in coeffs):
         raise FieldError("the zero polynomial has no root locus")
     coeffs = list(coeffs)
-    while field.is_zero(coeffs[-1]):
-        coeffs.pop()
+    if field.is_zero(coeffs[-1]):
+        # a smaller Sylvester matrix than the one res_ord reads
+        res_ord = None
+        while field.is_zero(coeffs[-1]):
+            coeffs.pop()
     # scale to an integral polynomial with unit content; roots are unchanged
     content = min(field.ord(c) for c in coeffs if not field.is_zero(c))
     if content:
@@ -163,7 +197,7 @@ def _unit_window_roots(field: LocalField, coeffs, k: int):
     g = field_ints(field, coeffs)
     gp = g.derivative()
     q = field.q
-    res_ord = None  # ord Res(g, g'), computed once a cell reaches level k
+    res = None  # ord Res(g, g'), computed once a cell reaches level k
     found, cap = None, k + 1
     while found is None:
         ord_g, ord_gp, digit_g, digit_gp, radix, lift, limit = g.cell_codes(gp, cap)
@@ -180,26 +214,18 @@ def _unit_window_roots(field: LocalField, coeffs, k: int):
                     while level < k:
                         a += -digit_g(a, level + vpa) * inv % q * radix**level
                         level += 1
-                    # dorder is the derivative order of the input coefficients
+                    # ord h'(root) of the input h: ord g'(a) plus the content
                     found.append((lift(a % radix**k), vpa + content))
                 continue
             if level >= k:
-                if res_ord is None:
-                    # the formal derivative keeps degree deg g - 1 here
-                    dcoeffs = [
-                        field.mul(field.from_int(i), c) for i, c in enumerate(coeffs)
-                    ][1:]
-                    zero = field.zero()
-                    res = ring_det(
-                        sylvester_matrix(coeffs, dcoeffs, zero), zero, field.one()
-                    )
-                    res_ord = field.ord(res)
-                if res_ord == INF:
+                if res is None:
+                    res = _ord_resultant(field, coeffs, content, res_ord)
+                if res == INF:
                     raise ClusterUnresolved(field, lift(a), level)
                 if level >= limit:
                     # the children need level + 1 digits; no cell deeper
                     # than ord Res splits, so the new limit holds them all
-                    found, cap = None, res_ord + 1
+                    found, cap = None, res + 1
                     break
             step = radix**level
             for d in range(q):
@@ -210,22 +236,46 @@ def _unit_window_roots(field: LocalField, coeffs, k: int):
     return sorted(found, key=lambda item: (_elem_sort_key(item[0]), item[1]))
 
 
-def _window_roots(field: LocalField, coeffs, window: int, k: int):
+def _ord_resultant(field: LocalField, coeffs, content: int, res_ord):
+    """ord Res(g, g') for g = pi^(-content) h with coefficients ``coeffs``:
+    from ``res_ord`` (ord Res(h, h'), see ``_unit_window_roots``) when
+    given, else by ``ring_det``."""
+    n = len(coeffs) - 1
+    if res_ord is not None:
+        return res_ord() - content * (2 * n - 1)
+    # the formal derivative has degree n - 1, with a zero leading
+    # coefficient where the field kills n
+    dcoeffs = [field.mul(field.from_int(i), c) for i, c in enumerate(coeffs)][1:]
+    zero = field.zero()
+    res = ring_det(sylvester_matrix(coeffs, dcoeffs, zero), zero, field.one())
+    return field.ord(res)
+
+
+def _window_roots(field: LocalField, coeffs, window: int, k: int, res_ord=None):
     """One (level-k truncation, ord f') pair per root of valuation >= window.
 
-    Requires k > window.
+    Requires k > window.  ``res_ord`` is as for ``_unit_window_roots``, for
+    the input coefficients.
     """
     if k <= window:
         raise FieldError("precision must exceed the search window")
     if window == 0:
-        return _unit_window_roots(field, coeffs, k)
+        return _unit_window_roots(field, coeffs, k, res_ord)
     # substitute x = uniformizer^window * u and search over integral u
     shifted = [
         field.mul(c, field.pow_uniformizer(window * i))
         for i, c in enumerate(coeffs)
     ]
+    shifted_res = None
+    if res_ord is not None:
+        n = len(coeffs) - 1
+
+        def shifted_res():
+            # Res(h(pi^w u), d/du h(pi^w u)) = pi^(w n^2) Res(h, h')
+            return res_ord() + window * n * n
+
     out = []
-    for trunc_u, dorder in _unit_window_roots(field, shifted, k - window):
+    for trunc_u, dorder in _unit_window_roots(field, shifted, k - window, shifted_res):
         root = field.canon_trunc(
             field.mul(trunc_u, field.pow_uniformizer(window)), k
         )
@@ -314,38 +364,35 @@ class FiberProblem:
         return cls.from_string(obj["f"])
 
 
-def _fiber_points(problem: FiberProblem, field: LocalField, y, support: int, k: int):
+def _fiber_points(
+    problem: FiberProblem, field: LocalField, y, support: int, k: int, disc_ord
+):
     """(truncated root, ord f' there) for fiber points inside the window
-    ord x >= min(support, 0), ``support`` the support radius of phi."""
+    ord x >= min(support, 0), ``support`` the support radius of phi;
+    ``disc_ord`` returns ord disc(y), read only if the root search needs it."""
     f = problem.f
     coeffs = [field.zero()] * (f.degree_in(0) + 1)
     for (i,), c in f.coeffs.items():
         coeffs[i] = field.from_int(c)
     coeffs[0] = field.sub(coeffs[0], y)
-    return _window_roots(field, coeffs, min(support, 0), max(k, min(support, 0) + 1))
+    window = min(support, 0)
+    return _window_roots(field, coeffs, window, max(k, window + 1), disc_ord)
 
 
-def fiber_integrate(problem: FiberProblem, phi: SchwartzBruhat, y) -> CycloScalar:
-    """Exact value of f_!(phi) at a regular value y.
+def _pushforward_value(problem: FiberProblem, phi: SchwartzBruhat, bounds, y, disc_ord):
+    """f_!(phi)(y) at a regular value y, for phi nonzero with
+    ``bounds`` = phi.alpha_bounds() = (support, constancy).
 
-    Sums phi(x)/|f'(x)| over the fiber points x with f(x) = y inside the
-    support of phi.  Raises OnDiscriminant when y is a critical value.
     Root precision is the constancy level of phi, so phi and |f'| are both
     exact on the truncations; the root search counts every fiber point
-    once, and since f - y is squarefree away from the critical values it
-    never meets a repeated root (ClusterUnresolved).
+    once, and since f - y is squarefree at a regular value it never meets a
+    repeated root (ClusterUnresolved).  ``disc_ord`` returns ord disc(y).
     """
-    if phi.n != 1:
-        raise FieldError("fiber integration works along one-variable charts")
     field = phi.field
-    if isinstance(y, int):
-        y = field.from_int(y)
-    if problem.is_critical_value(field, y):
-        raise OnDiscriminant(field, y)
-    if phi.is_zero():
-        return CycloScalar.zero(field.p)
-    support, constancy = phi.alpha_bounds()
-    points = _fiber_points(problem, field, y, support, max(constancy, support + 1, 1))
+    support, constancy = bounds
+    points = _fiber_points(
+        problem, field, y, support, max(constancy, support + 1, 1), disc_ord
+    )
     # 1/|f'(x)| = q^(ord f'(x)), with the doubled-exponent encoding; one
     # raw-triple construction canonicalises the shifted terms of every point
     return CycloScalar(
@@ -356,6 +403,26 @@ def fiber_integrate(problem: FiberProblem, phi: SchwartzBruhat, y) -> CycloScala
             for e2, angle, coef in phi.eval_at((root,)).terms
         ],
     )
+
+
+def fiber_integrate(problem: FiberProblem, phi: SchwartzBruhat, y) -> CycloScalar:
+    """Exact value of f_!(phi) at a regular value y.
+
+    Sums phi(x)/|f'(x)| over the fiber points x with f(x) = y inside the
+    support of phi.  Raises OnDiscriminant when y is a critical value.
+    """
+    if phi.n != 1:
+        raise FieldError("fiber integration works along one-variable charts")
+    field = phi.field
+    if isinstance(y, int):
+        y = field.from_int(y)
+    # the critical-value test reads ord disc(y); the root search reuses it
+    disc_ord = problem.disc.ord_field(field, (y,))
+    if disc_ord == INF:
+        raise OnDiscriminant(field, y)
+    if phi.is_zero():
+        return CycloScalar.zero(field.p)
+    return _pushforward_value(problem, phi, phi.alpha_bounds(), y, lambda: disc_ord)
 
 
 # ---------------------------------------------------------------------------
@@ -484,6 +551,15 @@ def level_measure(
     across the region, checked exhaustively at the working resolution.
     ``cell_budget`` (default the shared ``DEFAULT_CELL_BUDGET``) bounds the
     number of cells of the scanned window at that resolution.
+
+    Every scanned centre is a regular value, so the scan calls the value
+    kernel with no critical-value test.  A centre is a canonical truncation
+    at the resolution R, with no digit at R or beyond.  The root search
+    finds every critical value of valuation at least min(window, 0), cut at
+    R, and a centre y is scanned only if ord(y - z) <= eps < R for each such
+    cut z, so y differs from each of those critical values in a digit below
+    R.  Any other critical value has valuation below min(window, 0), and
+    every centre has valuation at least the window.
     """
     if phi.n != 1:
         raise FieldError("level measurement works along one-variable charts")
@@ -514,13 +590,9 @@ def level_measure(
 
     # critical values at the working precision; only those of valuation
     # above some eps can exclude scanned cells
+    lo = min(window, 0)
     locus = problem.critical_locus(field)
-    critical = [
-        z
-        for z, _ in _window_roots(
-            field, list(locus.coeffs), min(window, 0), resolution
-        )
-    ]
+    critical = [z for z, _ in _window_roots(field, list(locus.coeffs), lo, resolution)]
 
     region = Polyball.ball(field, (field.zero(),), window)
     centers = [c for (c,) in region.cells_at_level(resolution)]
@@ -531,40 +603,42 @@ def level_measure(
             d = field.ord(field.sub(c, z))
             best = d if best is None else max(best, d)
         prox[c] = best
-
-    restricted = {
-        m: phi.restrict(Polyball.ball(field, (x0,), m)) for m in m_values
+    included = {
+        eps: [c for c in centers if prox[c] is None or prox[c] <= eps]
+        for eps in eps_values
     }
-    values: dict = {m: {} for m in m_values}
+
+    # the regions grow with eps, so the last one holds every scanned centre
+    zero = CycloScalar.zero(field.p)
+    restricted = []
+    for m in m_values:
+        local = phi.restrict(Polyball.ball(field, (x0,), m))
+        restricted.append((local, None if local.is_zero() else local.alpha_bounds()))
+    values = [{} for _ in m_values]
+    for c in included[eps_values[-1]]:
+        disc_ord = _once(partial(problem.disc.ord_field, field, (c,)))
+        for table, (local, bounds) in zip(values, restricted):
+            table[c] = (
+                zero
+                if bounds is None
+                else _pushforward_value(problem, local, bounds, c, disc_ord)
+            )
+
     rows = {}
     cells = {}
     for eps in eps_values:
-        included = [
-            c for c in centers if prox[c] is None or prox[c] <= eps
-        ]
-        for m in m_values:
-            table = values[m]
-            for c in included:
-                if c not in table:
-                    table[c] = fiber_integrate(problem, restricted[m], c)
+        for m, table in zip(m_values, values):
             mu = resolution
-            for cand in range(min(window, 0), resolution + 1):
+            for cand in range(lo, resolution + 1):
                 groups: dict = {}
-                pure = True
-                for c in included:
-                    parent = field.canon_trunc(c, cand)
-                    value = table[c]
-                    if parent in groups:
-                        if groups[parent] != value:
-                            pure = False
-                            break
-                    else:
-                        groups[parent] = value
-                if pure:
+                if all(
+                    groups.setdefault(field.canon_trunc(c, cand), table[c]) == table[c]
+                    for c in included[eps]
+                ):
                     mu = cand
                     break
             rows[(eps, m)] = mu
-            cells[(eps, m)] = len(included)
+            cells[(eps, m)] = len(included[eps])
 
     return LevelReport(
         f_text=poly_to_string(problem.f),
@@ -582,3 +656,15 @@ def level_measure(
 
 def _int_ord(field: LocalField, coef: int):
     return field.ord(field.from_int(coef))
+
+
+def _once(read):
+    """A function returning read(), which it calls at most once."""
+    got = []
+
+    def value():
+        if not got:
+            got.append(read())
+        return got[0]
+
+    return value

@@ -30,6 +30,7 @@ from umla.cexp.syntax import (
     Var,
 )
 from umla.cyclo import CycloScalar
+from umla.fibers import _window_roots, fiber_integrate
 from umla.fields import LaurentPoly, LocalField, Polyball
 
 
@@ -260,6 +261,48 @@ def riemann_fourier(field: LocalField, fn, support_ball, level: int, xi) -> Cycl
         return fn(center) * field.psi_pair(center, xi)
 
     return riemann_integral(field, integrand, support_ball, level)
+
+
+def level_rows_by_fiber_integrate(problem, phi, report) -> tuple[dict, dict]:
+    """(rows, cells) of ``level_measure`` for phi, with the resolution, the
+    window, the eps and m values and x0 of ``report``, by the per-centre
+    loop: one public ``fiber_integrate`` per scanned centre and level-m
+    restriction, proximities by field subtraction, and each level's groups
+    keyed on ``canon_trunc`` of the centre.  ``fiber_integrate`` raises
+    OnDiscriminant at a critical value, so a scan that reaches one fails."""
+    field = phi.field
+    resolution, window = report.resolution, report.window
+    lo = min(window, 0)
+    locus = problem.critical_locus(field)
+    critical = [z for z, _ in _window_roots(field, list(locus.coeffs), lo, resolution)]
+    region = Polyball.ball(field, (field.zero(),), window)
+    centers = [c for (c,) in region.cells_at_level(resolution)]
+    prox = {}
+    for c in centers:
+        ords = [field.ord(field.sub(c, z)) for z in critical]
+        prox[c] = max(ords) if ords else None
+    x0 = field.element_from_json(report.x0_json)
+    rows, cells = {}, {}
+    for m in report.m_values:
+        local = phi.restrict(Polyball.ball(field, (x0,), m))
+        values = {}
+        for eps in report.eps_values:
+            included = [c for c in centers if prox[c] is None or prox[c] <= eps]
+            for c in included:
+                if c not in values:
+                    values[c] = fiber_integrate(problem, local, c)
+            mu = resolution
+            for cand in range(lo, resolution + 1):
+                groups: dict = {}
+                if all(
+                    groups.setdefault(field.canon_trunc(c, cand), values[c]) == values[c]
+                    for c in included
+                ):
+                    mu = cand
+                    break
+            rows[(eps, m)] = mu
+            cells[(eps, m)] = len(included)
+    return rows, cells
 
 
 def point_by_digits(field: LocalField, rng, lo: int, hi: int):

@@ -10,8 +10,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from umla import fibers
 from umla.cyclo import CycloScalar
-from umla.fields import FieldError, LaurentPoly, Polyball, make_field
+from umla.fields import INF, FieldError, LaurentPoly, Polyball, make_field
 from umla.fibers import (
     ClusterUnresolved,
     FiberProblem,
@@ -28,7 +29,7 @@ from umla.polys import MultiPoly, parse_poly
 from umla.schwartz import CellBudgetError, SchwartzBruhat
 
 from conftest import FIELDS, rng_for
-from oracles import eval_coeffs_at
+from oracles import eval_coeffs_at, level_rows_by_fiber_integrate, point_by_digits
 from test_schwartz import random_sb
 
 Q2 = FIELDS["Q2"]
@@ -84,7 +85,7 @@ def test_fiber_points_are_truncated_at_the_requested_level(key):
     prob = FiberProblem.from_string("x^2")
     two_ord = f.ord(f.from_int(2))
     for k in (2, 3, 5):
-        got = _fiber_points(prob, f, f.one(), 0, k)
+        got = _fiber_points(prob, f, f.one(), 0, k, lambda: prob.disc.ord_field(f, (f.one(),)))
         roots = {f.canon_trunc(r, k) for r in (f.one(), f.from_int(-1))}
         assert {root for root, _ in got} == roots
         assert all(dorder == two_ord for _, dorder in got)
@@ -358,6 +359,70 @@ def test_roots_planted_below_unit_window():
         assert set(got) == expected
         # none are integral, since every planted residue is a unit
         assert padic_roots(scaled, field, 2, window=0) == []
+
+
+# ---------------------------------------------------------------------------
+# root search: ord Res(g, g') read off ord disc(y)
+# ---------------------------------------------------------------------------
+
+# the fiber workload's maps and x^2 + b (b = 7, 13 as the level scans draw
+# it); x^3 + x^2, whose f' drops to 2x over F_3((t)) while the Sylvester
+# shapes stay those of disc; and two maps whose leading coefficient 3
+# vanishes over F_3((t)), where the search's Sylvester matrix is smaller
+# than disc's and it must compute Res with ring_det
+RES_MAPS = [
+    "x^2", "x^3 - x", "x^2 + 3*x", "x^3 + 2*x", "x^2 + 7", "x^2 + 13",
+    "x^3 + x^2", "3*x^2 + x", "3*x^3 + x^2",
+]
+
+
+@pytest.mark.parametrize("key", ["Q2", "Q3", "Q5", "F3t"])
+def test_resultant_order_from_the_discriminant_matches_ring_det(key, monkeypatch):
+    # every ord Res(g, g') that the search needs at a regular y = f(x0), x0
+    # in every residue class (so also where f' vanishes mod pi and a cell is
+    # still undecided at the root precision), with the windows 0, -1 and -2
+    # (where the content of g is nonzero), is checked against ring_det on
+    # the same g
+    field = FIELDS[key]
+    rng = rng_for(f"fibers:res-from-disc:{key}")
+    real = fibers._ord_resultant
+    seen = []  # (map, read off disc(y), content) per resultant the search needed
+
+    def checked(field_, coeffs, content, res_ord):
+        got = real(field_, coeffs, content, res_ord)
+        assert got == real(field_, coeffs, content, None), (src, y, support)
+        seen.append((src, res_ord is not None, content))
+        return got
+
+    monkeypatch.setattr(fibers, "_ord_resultant", checked)
+    # where the field drops the degree of f, its disc vanishes identically
+    # (the first column of the Sylvester matrix is zero), and the search of
+    # f - y, squarefree for y != 0, must not read it
+    drops = {"3*x^2 + x", "3*x^3 + x^2"} if key == "F3t" else set()
+    for src in RES_MAPS:
+        problem = FiberProblem.from_string(src)
+        for r in range(field.q):
+            x0 = field.add(field.from_int(r), point_by_digits(field, rng, 1, 4))
+            y = problem.f.eval_field(field, (x0,))
+            if r % 2:
+                y = field.add(y, point_by_digits(field, rng, 3, 5))
+            disc_ord = problem.disc.ord_field(field, (y,))
+            if src in drops:
+                assert disc_ord == INF
+                disc_ord = None if field.is_zero(y) else "unread"
+            if disc_ord in (INF, None):
+                continue
+            for support in (0, -1, -2):
+                reads = []
+                _fiber_points(
+                    problem, field, y, support, 1, lambda: reads.append(y) or disc_ord
+                )
+                assert len(reads) <= (src not in drops)
+    assert all(from_disc == (src not in drops) for src, from_disc, _ in seen)
+    assert sum(from_disc for _, from_disc, _ in seen) >= 10
+    assert any(content for _, from_disc, content in seen if from_disc)
+    if key == "F3t":
+        assert {"x^3 + x^2", "3*x^3 + x^2"} <= {src for src, _, _ in seen}
 
 
 # ---------------------------------------------------------------------------
@@ -729,6 +794,68 @@ def test_level_measure_discriminant_inseparable_mod_p():
     locus = prob.critical_locus(f2t)
     assert locus.degree() == 1
     assert f2t.is_zero(eval_coeffs_at(f2t, locus.coeffs, f2t.zero()))
+
+
+F2T = make_field("equal-characteristic", 2)
+
+# (field, map, support radius of phi, eps values, m values): the inputs of
+# the level_measure tests above, the fiber workload's x^2 + b for every b it
+# draws (b = r p + s, 0 < r < p, 0 <= s < p), phi on B_{-1}(0), and m up to 2
+LEVEL_SCANS = (
+    [
+        (Q3, "x^2", 0, (0, 1, 2), (0, 1)),
+        (Q3, "x^2", 0, (0, 1, 2, 3), (0,)),
+        (Q3, "x^2", 0, (0, 1), (0, 1)),
+        (F3T, "x^3 - x", 0, (0, 1, 2), (0,)),
+        (Q3, "x^4 - 2*x^2", 0, (0, 1), (0,)),
+        (F3T, "x^4 - 2*x^2", 0, (0, 1), (0,)),
+        (F2T, "x^3 - 3*x", 0, (0, 1, 2), (0,)),
+    ]
+    + [
+        (field, f"x^2 + {r * field.p + s}", 0, eps, (0,))
+        for field, eps in ((Q2, (0, 1, 2)), (Q3, (0, 1, 2)), (F3T, (0, 1, 2)), (Q5, (0, 1)))
+        for r in range(1, field.p)
+        for s in range(field.p)
+    ]
+    + [
+        (Q3, "x^2", -1, (0, 1, 2), (0, 1, 2)),
+        (F3T, "x^2", -1, (0, 1), (0, 1, 2)),
+        (Q2, "x^3 - x", -1, (0, 1), (0, 2)),
+        (Q2, "x^2 + 3*x", 0, (0, 1, 2), (0, 1, 2)),
+        (Q5, "x^3 + 2*x", 0, (0, 1), (0, 1, 2)),
+        (F3T, "x^2 + 3*x", 0, (0, 1, 2), (0, 1, 2)),
+    ]
+)
+
+
+@pytest.mark.parametrize(
+    "field, src, radius, eps, ms",
+    LEVEL_SCANS,
+    ids=[f"{f!r}:{src}:r{r}:m{max(ms)}" for f, src, r, _, ms in LEVEL_SCANS],
+)
+def test_level_scan_matches_the_per_centre_reference(field, src, radius, eps, ms, monkeypatch):
+    # the reference calls the public fiber_integrate at every scanned centre,
+    # so it raises OnDiscriminant if the scan reaches a critical value; the
+    # scan itself reads ord disc(y) at most once per centre
+    problem = FiberProblem.from_string(src)
+    phi = SchwartzBruhat.indicator(Polyball.ball(field, (field.zero(),), radius))
+    reads: dict = {}
+    once = fibers._once
+
+    def counted_once(read):
+        key = len(reads)
+        reads[key] = 0
+
+        def counted():
+            reads[key] += 1
+            return read()
+
+        return once(counted)
+
+    monkeypatch.setattr(fibers, "_once", counted_once)
+    rep = level_measure(problem, phi, eps_values=eps, m_values=ms)
+    assert (rep.rows, rep.cells) == level_rows_by_fiber_integrate(problem, phi, rep)
+    assert max(reads.values(), default=0) <= 1
 
 
 # ---------------------------------------------------------------------------
