@@ -21,28 +21,37 @@ dominating affine bound.  Both run one kernel for the value at a regular y
 (``_pushforward_value``); ``level_measure`` sets it up once per restriction
 of phi.
 
+The critical-value data is read in the field.  Over F_p((t)) the map is f
+with its coefficients reduced mod p, and it has a lower degree where p
+divides lc(f): 3x^2 + x is the etale map x over F_3((t)).  So
+``FiberProblem.reduced`` keeps, per field K, the map f_K (f itself over
+Q_p; over F_p((t)) its coefficients mod p with the zero leading ones
+stripped) and its discriminant disc_K, and every critical-value test, the
+critical locus and the root search read disc_K.
+
 The root search needs ord Res(g, g') only for a cell still undecided at its
-precision, and at a base point y it reads it off ord disc(y).  Let n = deg f
-and h = f - y.  ``FiberProblem.disc`` is the Sylvester determinant of
-f(x) - y and f'(x) over Z[y] at the degrees (n, n - 1), and a determinant
-commutes with the ring map Z[y] -> K that fixes y, so disc(y) = Res(h, h')
-at the formal degrees (n, n - 1) over K, also where K kills n lc(f) and the
-zero leading entry of h' stays in the matrix.  (Res(h, h') and disc h
-differ only by +-lc(h); Cohen, A Course in Computational Algebraic Number
-Theory, 1993, 3.3.2.)  The search runs on g(u) = pi^(-c) h(pi^w u), with w
-the window and c the content of h(pi^w u), so g'(u) = pi^(w-c) h'(pi^w u).
+precision, and at a base point y it reads it off ord disc_K(y).  Let
+n = deg f_K and h = f_K - y.  disc_K is the Sylvester determinant of
+f_K(x) - y and f_K'(x) over Z[y] at the degrees (n, n - 1), and a
+determinant commutes with the ring map Z[y] -> K that fixes y, so
+disc_K(y) = Res(h, h') at the formal degrees (n, n - 1) over K, also where
+K kills n and the zero leading entry of h' stays in the matrix.
+(Res(h, h') and disc h differ only by +-lc(h); Cohen, A Course in
+Computational Algebraic Number Theory, 1993, 3.3.2.)  The search runs on
+g(u) = pi^(-c) h(pi^w u), with w the window and c the content of
+h(pi^w u), so g'(u) = pi^(w-c) h'(pi^w u).
 At formal degrees (m, k) the Sylvester determinant is homogeneous of degree
 k in the first polynomial's coefficients and of degree m in the second's,
 and Res(A(s x), B(s x)) = s^(m k) Res(A, B); both are identities of the
 determinant, so they hold at formal degrees.  With (m, k) = (n, n - 1):
 
-    Res(g, g') = pi^(-c (n - 1)) pi^((w - c) n) pi^(w n (n - 1)) disc(y),
-    ord Res(g, g') = ord disc(y) + w n^2 - c (2 n - 1).
+    Res(g, g') = pi^(-c (n - 1)) pi^((w - c) n) pi^(w n (n - 1)) disc_K(y),
+    ord Res(g, g') = ord disc_K(y) + w n^2 - c (2 n - 1).
 
-Where the field drops the degree of f (p divides lc(f) over F_p((t))), the
-search strips the zero leading coefficient, its Sylvester matrix is smaller
-than disc's, and it computes Res(g, g') with ``ring_det``; so does
-``padic_roots``, which has no discriminant.
+``padic_roots`` of g reads the same discriminant of g_K at y = 0, and
+``level_measure`` finds the critical values as the roots of an integer
+polynomial (``_critical_values``), so every search reads its resultant off
+a discriminant, at the degree of its polynomial in the field.
 """
 
 from __future__ import annotations
@@ -56,11 +65,11 @@ from .fields import INF, FieldError, LocalField, Polyball, field_from_json
 from .polys import (
     FieldPoly,
     MultiPoly,
+    common_denominator,
     critical_value_locus,
+    field_int_ord,
     field_ints,
     parse_poly,
-    ring_det,
-    sylvester_matrix,
 )
 from .schwartz import DEFAULT_CELL_BUDGET, SchwartzBruhat, check_budget
 
@@ -129,13 +138,13 @@ def _elem_sort_key(x):
     return x.coeffs if hasattr(x, "coeffs") else x
 
 
-def _unit_window_roots(field: LocalField, coeffs, k: int, res_ord=None):
+def _unit_window_roots(field: LocalField, coeffs, k: int, res_ord):
     """Roots in the ring of integers, as (truncation, ord of derivative).
 
-    ``coeffs`` are field elements (degree order, any valuations, not all
-    zero).  Returns one pair per integral root: its level-k truncation
-    (distinct roots may share one) and the exact valuation of the
-    derivative of the input polynomial there, sorted by truncation.
+    ``coeffs`` are field elements (degree order, any valuations, the
+    leading one nonzero).  Returns one pair per integral root: its level-k
+    truncation (distinct roots may share one) and the exact valuation of
+    the derivative of the input polynomial there, sorted by truncation.
 
     Residue cells are refined adaptively.  A cell B_L(a) survives while
     ord g(a) >= L; once L > ord g'(a) =: v', g maps it bijectively onto
@@ -144,11 +153,9 @@ def _unit_window_roots(field: LocalField, coeffs, k: int, res_ord=None):
     integral, every surviving cell deeper than ord Res(g, g') is decided.
     Raises ClusterUnresolved only when Res(g, g') = 0, i.e. g has a
     repeated root, and a cell is still undecided at level k.  Only then is
-    ord Res(g, g') needed: ``res_ord``, when given, returns ord Res(h, h')
-    of the input polynomial h at its formal degrees (deg h, deg h - 1), and
-    the search shifts it by the content (see the module docstring); without
-    it, or when the leading input coefficient is zero, the search computes
-    Res(g, g') with ``ring_det``.
+    ord Res(g, g') needed: ``res_ord`` returns ord Res(h, h') of the input
+    polynomial h at its formal degrees (deg h, deg h - 1), and the search
+    shifts it by the content (see the module docstring).
 
     A decided cell that holds a root is followed down on codes too (a
     Hensel descent): g maps each of its q children one-to-one onto a ball
@@ -184,12 +191,6 @@ def _unit_window_roots(field: LocalField, coeffs, k: int, res_ord=None):
         raise FieldError("root precision must be at least 1")
     if all(field.is_zero(c) for c in coeffs):
         raise FieldError("the zero polynomial has no root locus")
-    coeffs = list(coeffs)
-    if field.is_zero(coeffs[-1]):
-        # a smaller Sylvester matrix than the one res_ord reads
-        res_ord = None
-        while field.is_zero(coeffs[-1]):
-            coeffs.pop()
     # scale to an integral polynomial with unit content; roots are unchanged
     content = min(field.ord(c) for c in coeffs if not field.is_zero(c))
     if content:
@@ -219,7 +220,7 @@ def _unit_window_roots(field: LocalField, coeffs, k: int, res_ord=None):
                 continue
             if level >= k:
                 if res is None:
-                    res = _ord_resultant(field, coeffs, content, res_ord)
+                    res = _ord_resultant(coeffs, content, res_ord)
                 if res == INF:
                     raise ClusterUnresolved(field, lift(a), level)
                 if level >= limit:
@@ -236,22 +237,14 @@ def _unit_window_roots(field: LocalField, coeffs, k: int, res_ord=None):
     return sorted(found, key=lambda item: (_elem_sort_key(item[0]), item[1]))
 
 
-def _ord_resultant(field: LocalField, coeffs, content: int, res_ord):
-    """ord Res(g, g') for g = pi^(-content) h with coefficients ``coeffs``:
-    from ``res_ord`` (ord Res(h, h'), see ``_unit_window_roots``) when
-    given, else by ``ring_det``."""
+def _ord_resultant(coeffs, content: int, res_ord) -> int:
+    """ord Res(g, g') for g = pi^(-content) h with coefficients ``coeffs``,
+    from ``res_ord`` (ord Res(h, h'), see ``_unit_window_roots``)."""
     n = len(coeffs) - 1
-    if res_ord is not None:
-        return res_ord() - content * (2 * n - 1)
-    # the formal derivative has degree n - 1, with a zero leading
-    # coefficient where the field kills n
-    dcoeffs = [field.mul(field.from_int(i), c) for i, c in enumerate(coeffs)][1:]
-    zero = field.zero()
-    res = ring_det(sylvester_matrix(coeffs, dcoeffs, zero), zero, field.one())
-    return field.ord(res)
+    return res_ord() - content * (2 * n - 1)
 
 
-def _window_roots(field: LocalField, coeffs, window: int, k: int, res_ord=None):
+def _window_roots(field: LocalField, coeffs, window: int, k: int, res_ord):
     """One (level-k truncation, ord f') pair per root of valuation >= window.
 
     Requires k > window.  ``res_ord`` is as for ``_unit_window_roots``, for
@@ -266,13 +259,11 @@ def _window_roots(field: LocalField, coeffs, window: int, k: int, res_ord=None):
         field.mul(c, field.pow_uniformizer(window * i))
         for i, c in enumerate(coeffs)
     ]
-    shifted_res = None
-    if res_ord is not None:
-        n = len(coeffs) - 1
+    n = len(coeffs) - 1
 
-        def shifted_res():
-            # Res(h(pi^w u), d/du h(pi^w u)) = pi^(w n^2) Res(h, h')
-            return res_ord() + window * n * n
+    def shifted_res():
+        # Res(h(pi^w u), d/du h(pi^w u)) = pi^(w n^2) Res(h, h')
+        return res_ord() + window * n * n
 
     out = []
     for trunc_u, dorder in _unit_window_roots(field, shifted, k - window, shifted_res):
@@ -302,11 +293,18 @@ def padic_roots(g, field: LocalField, k: int, window: int = 0) -> list:
     a parseable string, or a coefficient sequence).  The result lists the
     canonical level-k truncations, deduplicated and deterministically
     ordered.  Raises ClusterUnresolved when g has a repeated root whose
-    residue cell cannot be certified at level k.
+    residue cell cannot be certified at level k.  The search reads its
+    resultant, if it needs it, off the discriminant of g in the field at
+    y = 0 (see the module docstring).
     """
     poly = _coerce_poly(g)
     fp = FieldPoly.from_multipoly(field, poly)
-    roots = _window_roots(field, list(fp.coeffs), window, k)
+
+    def res_ord():
+        disc = critical_value_locus(_reduce(field, poly))
+        return field_int_ord(field, disc.coeffs.get((0,), 0))
+
+    roots = _window_roots(field, list(fp.coeffs), window, k, res_ord)
     # one entry per truncation, in the sorted order of the pairs
     return list(dict.fromkeys(root for root, _ in roots))
 
@@ -322,12 +320,14 @@ class FiberProblem:
 
     ``f`` maps the line to the line; both sides carry the standard additive
     volume form.  ``disc`` is a polynomial in the base coordinate whose
-    zeros are exactly the critical values of f — the set away from which
-    every fiber is finite with f' nonzero at each point.
+    zeros in Q_p are exactly the critical values of f — the set away from
+    which every fiber is finite with f' nonzero at each point.  A field
+    reads its own discriminant, of f reduced there (``reduced``).
     """
 
     f: MultiPoly
     disc: MultiPoly = dc_field(init=False, compare=False)
+    _reduced: dict = dc_field(default_factory=dict, init=False, compare=False, repr=False)
     _loci: dict = dc_field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
@@ -339,20 +339,36 @@ class FiberProblem:
     def from_string(cls, src: str) -> "FiberProblem":
         return cls(parse_poly(src, ("x",)))
 
+    def reduced(self, field: LocalField) -> tuple[MultiPoly, MultiPoly]:
+        """(f_K, disc_K), kept per field: f reduced into ``field`` and the
+        discriminant of f_K(x) - y in y (see the module docstring).
+
+        Over Q_p they are f and ``disc``.  Over F_p((t)) f_K holds the
+        coefficients of f mod p, with the zero leading ones stripped;
+        FieldError when it is constant there.
+        """
+        got = self._reduced.get(field)
+        if got is None:
+            f_k = _reduce(field, self.f)
+            disc = self.disc if f_k is self.f else critical_value_locus(f_k)
+            got = self._reduced[field] = f_k, disc
+        return got
+
     def is_critical_value(self, field: LocalField, y) -> bool:
-        return self.disc.ord_field(field, (y,)) == INF
+        return self.reduced(field)[1].ord_field(field, (y,)) == INF
 
     def critical_locus(self, field: LocalField) -> FieldPoly:
-        """Squarefree part of ``disc`` over ``field``, kept per field.
+        """Squarefree part of disc_K over ``field``, kept per field.
 
         Its roots are the critical values, each simple, so the root search
         never meets a cluster there.  Squarefreeness is decided over the
-        field: ``disc`` has a repeated root whenever two critical points
+        field: disc_K has a repeated root whenever two critical points
         share a critical value, and its reduction mod p can gain more.
         """
         locus = self._loci.get(field)
         if locus is None:
-            locus = FieldPoly.from_multipoly(field, self.disc).squarefree_part()
+            disc = self.reduced(field)[1]
+            locus = FieldPoly.from_multipoly(field, disc).squarefree_part()
             self._loci[field] = locus
         return locus
 
@@ -364,13 +380,11 @@ class FiberProblem:
         return cls.from_string(obj["f"])
 
 
-def _fiber_points(
-    problem: FiberProblem, field: LocalField, y, support: int, k: int, disc_ord
-):
-    """(truncated root, ord f' there) for fiber points inside the window
-    ord x >= min(support, 0), ``support`` the support radius of phi;
-    ``disc_ord`` returns ord disc(y), read only if the root search needs it."""
-    f = problem.f
+def _fiber_points(f: MultiPoly, field: LocalField, y, support: int, k: int, disc_ord):
+    """(truncated root, ord f' there) for the fiber points of the map f_K = f
+    (``FiberProblem.reduced``) inside the window ord x >= min(support, 0),
+    ``support`` the support radius of phi; ``disc_ord`` returns
+    ord disc_K(y), read only if the root search needs it."""
     coeffs = [field.zero()] * (f.degree_in(0) + 1)
     for (i,), c in f.coeffs.items():
         coeffs[i] = field.from_int(c)
@@ -379,19 +393,20 @@ def _fiber_points(
     return _window_roots(field, coeffs, window, max(k, window + 1), disc_ord)
 
 
-def _pushforward_value(problem: FiberProblem, phi: SchwartzBruhat, bounds, y, disc_ord):
-    """f_!(phi)(y) at a regular value y, for phi nonzero with
-    ``bounds`` = phi.alpha_bounds() = (support, constancy).
+def _pushforward_value(f: MultiPoly, phi: SchwartzBruhat, bounds, y, disc_ord):
+    """f_!(phi)(y) at a regular value y, for the map f_K = f in phi's field
+    and phi nonzero with ``bounds`` = phi.alpha_bounds() = (support,
+    constancy).
 
     Root precision is the constancy level of phi, so phi and |f'| are both
     exact on the truncations; the root search counts every fiber point
     once, and since f - y is squarefree at a regular value it never meets a
-    repeated root (ClusterUnresolved).  ``disc_ord`` returns ord disc(y).
+    repeated root (ClusterUnresolved).  ``disc_ord`` returns ord disc_K(y).
     """
     field = phi.field
     support, constancy = bounds
     points = _fiber_points(
-        problem, field, y, support, max(constancy, support + 1, 1), disc_ord
+        f, field, y, support, max(constancy, support + 1, 1), disc_ord
     )
     # 1/|f'(x)| = q^(ord f'(x)), with the doubled-exponent encoding; one
     # raw-triple construction canonicalises the shifted terms of every point
@@ -416,13 +431,14 @@ def fiber_integrate(problem: FiberProblem, phi: SchwartzBruhat, y) -> CycloScala
     field = phi.field
     if isinstance(y, int):
         y = field.from_int(y)
-    # the critical-value test reads ord disc(y); the root search reuses it
-    disc_ord = problem.disc.ord_field(field, (y,))
+    # the critical-value test reads ord disc_K(y); the root search reuses it
+    f, disc = problem.reduced(field)
+    disc_ord = disc.ord_field(field, (y,))
     if disc_ord == INF:
         raise OnDiscriminant(field, y)
     if phi.is_zero():
         return CycloScalar.zero(field.p)
-    return _pushforward_value(problem, phi, phi.alpha_bounds(), y, lambda: disc_ord)
+    return _pushforward_value(f, phi, phi.alpha_bounds(), y, lambda: disc_ord)
 
 
 # ---------------------------------------------------------------------------
@@ -574,9 +590,10 @@ def level_measure(
     support, _ = phi.alpha_bounds()
     # ord f(x) >= window on the support of phi, so the pushforward
     # vanishes at any y below this valuation window
+    f, disc = problem.reduced(field)
     window = min(
-        _int_ord(field, coef) + exps[0] * support
-        for exps, coef in problem.f.coeffs.items()
+        field_int_ord(field, coef) + exps[0] * support
+        for exps, coef in f.coeffs.items()
     )
     if resolution is None:
         resolution = max(
@@ -591,8 +608,7 @@ def level_measure(
     # critical values at the working precision; only those of valuation
     # above some eps can exclude scanned cells
     lo = min(window, 0)
-    locus = problem.critical_locus(field)
-    critical = [z for z, _ in _window_roots(field, list(locus.coeffs), lo, resolution)]
+    critical = _critical_values(problem, field, lo, resolution)
 
     region = Polyball.ball(field, (field.zero(),), window)
     centers = [c for (c,) in region.cells_at_level(resolution)]
@@ -616,12 +632,12 @@ def level_measure(
         restricted.append((local, None if local.is_zero() else local.alpha_bounds()))
     values = [{} for _ in m_values]
     for c in included[eps_values[-1]]:
-        disc_ord = _once(partial(problem.disc.ord_field, field, (c,)))
+        disc_ord = _once(partial(disc.ord_field, field, (c,)))
         for table, (local, bounds) in zip(values, restricted):
             table[c] = (
                 zero
                 if bounds is None
-                else _pushforward_value(problem, local, bounds, c, disc_ord)
+                else _pushforward_value(f, local, bounds, c, disc_ord)
             )
 
     rows = {}
@@ -654,8 +670,26 @@ def level_measure(
     )
 
 
-def _int_ord(field: LocalField, coef: int):
-    return field.ord(field.from_int(coef))
+def _reduce(field: LocalField, f: MultiPoly) -> MultiPoly:
+    """f with its coefficients reduced into ``field``: f itself over Q_p,
+    mod p over F_p((t)), where the zero ones drop out."""
+    if field.kind == "p-adic":
+        return f
+    return MultiPoly(f.n, {e: c % field.p for e, c in f.coeffs.items()})
+
+
+def _critical_values(problem: FiberProblem, field: LocalField, window: int, k: int):
+    """The critical values of valuation >= window, cut at level k: the roots
+    of ``critical_locus``.  Its coefficients lie in the prime field, so they
+    are brought to an integer polynomial with the same roots (over their
+    common denominator over Q_p, as their digits in [0, p) over F_p((t))),
+    and ``padic_roots`` reads its discriminant."""
+    coeffs = problem.critical_locus(field).coeffs
+    if field.kind == "p-adic":
+        ints = common_denominator(coeffs)[0]
+    else:
+        ints = [c.coeff(0) for c in coeffs]
+    return padic_roots(ints, field, k, window)
 
 
 def _once(read):

@@ -57,6 +57,13 @@ included, before the walk starts.  The dominant-term test is the one that
 certifies the gradient bound in :func:`stationary_phase_bound`; both read
 the gradient and its Taylor coefficients off one Taylor expansion of ``p``.
 
+The phase is fixed while ``lam``, ``eta`` and ``phi`` vary, so the
+expansions live on ``p`` itself: ``MultiPoly.taylor`` builds each once, on
+its first call, and every later call of either entry point reads it there.
+A call builds only what depends on its field, ``_Phase``: the ``int_form``
+of each Taylor coefficient and the orders of the gradient's Taylor weights,
+read on ints (``polys.field_int_ord``).
+
 Every decision of the walk reads ``lam`` only through ``ord(lam)``: the
 level ``L``, the budget check, the dropped subtrees and the skip rule.  The
 integral is therefore computed in two steps.  ``_walk`` takes ``ord(lam)``,
@@ -107,7 +114,14 @@ from typing import Iterator, NamedTuple
 
 from ..cyclo import CycloScalar
 from ..fields import INF, FieldError, LocalField, Polyball, _vp
-from ..polys import LaurentCodes, MultiPoly, QpCodes, int_form, walk_codes
+from ..polys import (
+    LaurentCodes,
+    MultiPoly,
+    QpCodes,
+    field_int_ord,
+    int_form,
+    walk_codes,
+)
 from ..schwartz import DEFAULT_CELL_BUDGET, SchwartzBruhat, check_budget
 
 
@@ -228,7 +242,7 @@ class _Phase:
                 continue
             i = ei.index(1)
             terms = [
-                (a[:i] + (a[i] - 1,) + a[i + 1 :], field.ord(field.from_int(a[i])), a)
+                (a[:i] + (a[i] - 1,) + a[i + 1 :], field_int_ord(field, a[i]), a)
                 for a in tay
                 if a[i] and a != ei
             ]
@@ -380,8 +394,9 @@ def stationary_phase_bound(
     s_min = max(max(b.radii) for b in cells)
 
     # --- gradient certification over every support cell x V -----------------
-    # one expansion of p in all its variables; restricting it to the terms
-    # constant in the parameters gives the expansion in x alone
+    # the expansion of p in all its variables certifies the gradient; the
+    # walks read the expansion in x alone, p.taylor(n), which is that one
+    # restricted to the terms constant in the parameters
     cert = _Phase(field, p, n, p.taylor())
     if not cert.grads:
         raise PhaseCertificationError(
@@ -389,9 +404,7 @@ def stationary_phase_bound(
             "variables",
             witness=None,
         )
-    phase = _Phase(
-        field, p, n, {a[:n]: q for a, q in cert.tay.items() if not any(a[n:])}
-    )
+    phase = _Phase(field, p, n, p.taylor(n))
     certified = 0
     for ball in cells:
         certified += _certify_gradient(

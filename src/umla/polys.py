@@ -2,7 +2,8 @@
 
 ``MultiPoly`` is a sparse multivariate polynomial with integer coefficients.
 It supports the pieces the analytic layers need: formal derivatives, the
-Taylor expansion of p(c + e) as polynomials-in-c indexed by e-monomials, exact
+Taylor expansion of p(c + e) as polynomials-in-c indexed by e-monomials
+(built once per polynomial and kept on it, as it needs no field), exact
 evaluation over a local field, and ultrametric lower bounds for the valuation
 of the values taken where each coordinate has a given valuation lower bound.
 
@@ -149,6 +150,15 @@ def monomial_ints(coeffs: dict, nums: Sequence[int], d: int) -> tuple[int, int]:
 def int_ord(v: int, p: int):
     """p-adic valuation of an integer; INF for 0."""
     return INF if v == 0 else _vp(v, p)
+
+
+def field_int_ord(field: LocalField, c: int):
+    """ord of the integer c as an element of ``field``, read on the int: v_p(c)
+    over Q_p; over F_p((t)), 0 when p does not divide c and INF when it does
+    (c is then 0 there)."""
+    if field.kind == "p-adic":
+        return int_ord(c, field.p)
+    return INF if c % field.p == 0 else 0
 
 
 def kronecker_width(bound: int) -> int:
@@ -405,10 +415,11 @@ def walk_codes(
 class MultiPoly:
     """Sparse polynomial in n variables with integer coefficients."""
 
-    __slots__ = ("n", "coeffs")
+    __slots__ = ("n", "coeffs", "_taylor")
 
     def __init__(self, n: int, coeffs: dict | None = None):
         self.n = n
+        self._taylor = None  # {k: taylor(k)}, filled on demand
         clean = {}
         for expo, c in (coeffs or {}).items():
             expo = tuple(int(e) for e in expo)
@@ -499,8 +510,19 @@ class MultiPoly:
         polynomial in all n variables (c, y), such that
         p(c + e, y) = sum q_alpha(c, y) e^alpha, expanded exactly over the
         integers.
+
+        The expansion depends on p and k alone, not on a field, so it is
+        built once per k, on the first call, and kept on the polynomial:
+        every later call, by any caller, returns the same dict.  It is
+        shared, so it is read-only; a caller must not change it or its
+        polynomials.  Equality and hashing never read it.
         """
         k = self.n if k is None else k
+        if self._taylor is None:
+            self._taylor = {}
+        got = self._taylor.get(k)
+        if got is not None:
+            return got
         out: dict = {}
         for beta, c in self.coeffs.items():
             head, tail = beta[:k], beta[k:]
@@ -514,6 +536,7 @@ class MultiPoly:
             poly = MultiPoly(self.n, coeffs)
             if not poly.is_zero():
                 result[alpha] = poly
+        self._taylor[k] = result
         return result
 
     def _codes_at(self, field: LocalField, xs: Sequence) -> tuple:
@@ -551,7 +574,7 @@ class MultiPoly:
             raise FieldError("wrong number of coordinate bounds")
         best = INF
         for e, c in self.coeffs.items():
-            bound = field.ord(field.from_int(c))
+            bound = field_int_ord(field, c)
             for k, lo in zip(e, coord_lo):
                 if k:  # skipped when 0, as 0 * INF is nan
                     bound += k * lo

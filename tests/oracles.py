@@ -30,8 +30,9 @@ from umla.cexp.syntax import (
     Var,
 )
 from umla.cyclo import CycloScalar
-from umla.fibers import _window_roots, fiber_integrate
+from umla.fibers import _critical_values, fiber_integrate
 from umla.fields import LaurentPoly, LocalField, Polyball
+from umla.polys import ring_det, sylvester_matrix
 
 
 def digits(field: LocalField, x, lo: int, hi: int) -> list[int]:
@@ -273,8 +274,7 @@ def level_rows_by_fiber_integrate(problem, phi, report) -> tuple[dict, dict]:
     field = phi.field
     resolution, window = report.resolution, report.window
     lo = min(window, 0)
-    locus = problem.critical_locus(field)
-    critical = [z for z, _ in _window_roots(field, list(locus.coeffs), lo, resolution)]
+    critical = _critical_values(problem, field, lo, resolution)
     region = Polyball.ball(field, (field.zero(),), window)
     centers = [c for (c,) in region.cells_at_level(resolution)]
     prox = {}
@@ -303,6 +303,40 @@ def level_rows_by_fiber_integrate(problem, phi, report) -> tuple[dict, dict]:
             rows[(eps, m)] = mu
             cells[(eps, m)] = len(included)
     return rows, cells
+
+
+def pushforward_by_counting(problem, phi, y, level: int) -> CycloScalar:
+    """f_!(phi)(y) by counting the solutions of f(x) = y mod pi^level: the
+    sum of phi(c) over the level-``level`` cells c of the support of phi
+    with ord(f(c) - y) >= level, that is q^level times the phi-weighted
+    volume of {x : ord(f(x) - y) >= level}.
+
+    At a regular value y this equals the sum of phi(x) / |f'(x)| over the
+    fiber once the level is deep enough: phi constant on the cells around
+    each fiber point x, on which f is a bijection scaled by |f'(x)|.  f is
+    evaluated as its integer coefficients give it, by ``eval_coeffs_at`` on
+    their images in the field, with no reduction of its own.
+    """
+    field = phi.field
+    f = problem.f
+    coeffs = [field.from_int(f.coeffs.get((i,), 0)) for i in range(f.degree_in(0) + 1)]
+    (radius,) = phi.levels
+    total = CycloScalar.zero(field.p)
+    for (center,), coef in phi.cells.items():
+        for (c,) in Polyball.ball(field, (center,), radius).cells_at_level(level):
+            if field.ord(field.sub(eval_coeffs_at(field, coeffs, c), y)) >= level:
+                total += coef
+    return total
+
+
+def ord_resultant_by_ring_det(field: LocalField, coeffs) -> int:
+    """ord Res(h, h') for the polynomial h with field-element coefficients
+    ``coeffs`` (degree order), at its formal degrees (n, n - 1): ``ring_det``
+    of the Sylvester matrix over the field, the formal derivative keeping a
+    zero leading coefficient where the field kills n."""
+    dcoeffs = [field.mul(field.from_int(i), c) for i, c in enumerate(coeffs)][1:]
+    zero = field.zero()
+    return field.ord(ring_det(sylvester_matrix(coeffs, dcoeffs, zero), zero, field.one()))
 
 
 def point_by_digits(field: LocalField, rng, lo: int, hi: int):

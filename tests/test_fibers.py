@@ -29,7 +29,13 @@ from umla.polys import MultiPoly, parse_poly
 from umla.schwartz import CellBudgetError, SchwartzBruhat
 
 from conftest import FIELDS, rng_for
-from oracles import eval_coeffs_at, level_rows_by_fiber_integrate, point_by_digits
+from oracles import (
+    eval_coeffs_at,
+    level_rows_by_fiber_integrate,
+    ord_resultant_by_ring_det,
+    point_by_digits,
+    pushforward_by_counting,
+)
 from test_schwartz import random_sb
 
 Q2 = FIELDS["Q2"]
@@ -44,6 +50,14 @@ def unit_ball_indicator(field):
 
 def scalar(field, value):
     return CycloScalar.fraction(field.p, Fraction(value))
+
+
+def roots_by_search(field, coeffs, k):
+    """The root search on field-element coefficients, with ord Res(h, h')
+    from ``ring_det`` over the field, as no discriminant exists for them."""
+    return _unit_window_roots(
+        field, coeffs, k, lambda: ord_resultant_by_ring_det(field, coeffs)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -85,7 +99,7 @@ def test_fiber_points_are_truncated_at_the_requested_level(key):
     prob = FiberProblem.from_string("x^2")
     two_ord = f.ord(f.from_int(2))
     for k in (2, 3, 5):
-        got = _fiber_points(prob, f, f.one(), 0, k, lambda: prob.disc.ord_field(f, (f.one(),)))
+        got = _fiber_points(prob.f, f, f.one(), 0, k, lambda: prob.disc.ord_field(f, (f.one(),)))
         roots = {f.canon_trunc(r, k) for r in (f.one(), f.from_int(-1))}
         assert {root for root, _ in got} == roots
         assert all(dorder == two_ord for _, dorder in got)
@@ -110,8 +124,8 @@ def test_roots_agreeing_beyond_the_requested_level(key):
     f = FIELDS[key]
     pi5 = f.pow_uniformizer(5)
     coeffs = [f.zero(), f.neg(pi5), f.one()]
-    assert _unit_window_roots(f, coeffs, 2) == [(f.zero(), 5), (f.zero(), 5)]
-    assert _unit_window_roots(f, coeffs, 6) == [(f.zero(), 5), (pi5, 5)]
+    assert roots_by_search(f, coeffs, 2) == [(f.zero(), 5), (f.zero(), 5)]
+    assert roots_by_search(f, coeffs, 6) == [(f.zero(), 5), (pi5, 5)]
 
 
 @st.composite
@@ -158,7 +172,7 @@ def test_laurent_root_search_finds_planted_roots(case):
     p, roots, k = case
     field = make_field("equal-characteristic", p)
     coeffs, want = _planted(field, roots, k)
-    assert _unit_window_roots(field, coeffs, k) == want
+    assert roots_by_search(field, coeffs, k) == want
 
 
 def _descend_by_children(field, coeffs, a, level, k):
@@ -205,7 +219,7 @@ def test_hensel_step_finds_planted_laurent_roots_at_level_40():
     roots.append(LaurentPoly(7, [(i, rng.randrange(7)) for i in range(45)]))
     assert len(set(roots)) == 3
     coeffs, want = _planted(f, roots, 40)
-    got = _unit_window_roots(f, coeffs, 40)
+    got = roots_by_search(f, coeffs, 40)
     assert got == want
     for trunc, _ in got:
         assert f.ord(eval_coeffs_at(f, coeffs, trunc)) >= 40
@@ -368,8 +382,8 @@ def test_roots_planted_below_unit_window():
 # the fiber workload's maps and x^2 + b (b = 7, 13 as the level scans draw
 # it); x^3 + x^2, whose f' drops to 2x over F_3((t)) while the Sylvester
 # shapes stay those of disc; and two maps whose leading coefficient 3
-# vanishes over F_3((t)), where the search's Sylvester matrix is smaller
-# than disc's and it must compute Res with ring_det
+# vanishes over F_3((t)), where the map in the field has a lower degree and
+# the search reads the discriminant of that map
 RES_MAPS = [
     "x^2", "x^3 - x", "x^2 + 3*x", "x^3 + 2*x", "x^2 + 7", "x^2 + 13",
     "x^3 + x^2", "3*x^2 + x", "3*x^3 + x^2",
@@ -381,48 +395,50 @@ def test_resultant_order_from_the_discriminant_matches_ring_det(key, monkeypatch
     # every ord Res(g, g') that the search needs at a regular y = f(x0), x0
     # in every residue class (so also where f' vanishes mod pi and a cell is
     # still undecided at the root precision), with the windows 0, -1 and -2
-    # (where the content of g is nonzero), is checked against ring_det on
-    # the same g
+    # (where the content of g is nonzero), is read off ord disc_K(y) and
+    # checked against ring_det on the same g
     field = FIELDS[key]
     rng = rng_for(f"fibers:res-from-disc:{key}")
     real = fibers._ord_resultant
-    seen = []  # (map, read off disc(y), content) per resultant the search needed
+    seen = []  # (map, content) per resultant the search needed
 
-    def checked(field_, coeffs, content, res_ord):
-        got = real(field_, coeffs, content, res_ord)
-        assert got == real(field_, coeffs, content, None), (src, y, support)
-        seen.append((src, res_ord is not None, content))
+    def checked(coeffs, content, res_ord):
+        got = real(coeffs, content, res_ord)
+        assert got == ord_resultant_by_ring_det(field, coeffs), (src, y, support)
+        seen.append((src, content))
         return got
 
     monkeypatch.setattr(fibers, "_ord_resultant", checked)
-    # where the field drops the degree of f, its disc vanishes identically
-    # (the first column of the Sylvester matrix is zero), and the search of
-    # f - y, squarefree for y != 0, must not read it
+    # where the field drops the degree of f, the discriminant over Z
+    # vanishes identically there (the first column of its Sylvester matrix
+    # is zero), while that of the map in the field does not
     drops = {"3*x^2 + x", "3*x^3 + x^2"} if key == "F3t" else set()
+    reads = []
     for src in RES_MAPS:
         problem = FiberProblem.from_string(src)
+        f_k, disc = problem.reduced(field)
         for r in range(field.q):
             x0 = field.add(field.from_int(r), point_by_digits(field, rng, 1, 4))
             y = problem.f.eval_field(field, (x0,))
             if r % 2:
                 y = field.add(y, point_by_digits(field, rng, 3, 5))
-            disc_ord = problem.disc.ord_field(field, (y,))
+            disc_ord = disc.ord_field(field, (y,))
             if src in drops:
-                assert disc_ord == INF
-                disc_ord = None if field.is_zero(y) else "unread"
-            if disc_ord in (INF, None):
+                assert problem.disc.ord_field(field, (y,)) == INF
+                assert disc_ord != INF or field.is_zero(y)
+            if disc_ord == INF:
                 continue
             for support in (0, -1, -2):
-                reads = []
+                before = len(reads)
                 _fiber_points(
-                    problem, field, y, support, 1, lambda: reads.append(y) or disc_ord
+                    f_k, field, y, support, 1, lambda: reads.append(y) or disc_ord
                 )
-                assert len(reads) <= (src not in drops)
-    assert all(from_disc == (src not in drops) for src, from_disc, _ in seen)
-    assert sum(from_disc for _, from_disc, _ in seen) >= 10
-    assert any(content for _, from_disc, content in seen if from_disc)
+                assert len(reads) - before <= 1
+    # every resultant the search needed came from one read of disc_K(y)
+    assert len(reads) == len(seen) >= 10
+    assert any(content for _, content in seen)
     if key == "F3t":
-        assert {"x^3 + x^2", "3*x^3 + x^2"} <= {src for src, _, _ in seen}
+        assert {"x^3 + x^2", "3*x^3 + x^2"} <= {src for src, _ in seen}
 
 
 # ---------------------------------------------------------------------------
@@ -555,6 +571,75 @@ def test_pushforward_inseparable_map_is_all_critical():
     phi = unit_ball_indicator(F3T)
     with pytest.raises(OnDiscriminant):
         fiber_integrate(prob, phi, F3T.one())
+
+
+# maps whose leading coefficient 3 vanishes over F_3((t)): there 3x^2 + x is
+# the etale map x, and 3x^3 + x^2 is x^2, critical at 0 alone
+DROPPED_DEGREE_MAPS = ["3*x^2 + x", "3*x^3 + x^2"]
+
+
+@pytest.mark.parametrize("src", DROPPED_DEGREE_MAPS)
+def test_pushforward_where_the_field_drops_the_degree(src):
+    # the values are the pushforwards of the maps in the field, checked
+    # against counting the solutions of f(x) = y mod t^L at two levels
+    problem = FiberProblem.from_string(src)
+    t = F3T.uniformizer()
+    phi = unit_ball_indicator(F3T)
+    two_cells = SchwartzBruhat.indicator(
+        Polyball.ball(F3T, (F3T.one(),), 1)
+    ) + SchwartzBruhat.indicator(Polyball.ball(F3T, (F3T.mul(t, t),), 2), 3)
+    ys = [F3T.from_int(1), F3T.from_int(2), t, F3T.add(t, F3T.one()), F3T.mul(t, t)]
+    nonzero = 0
+    for g in (phi, two_cells):
+        for y in ys:
+            got = fiber_integrate(problem, g, y)
+            for level in (5, 6):
+                assert (got - pushforward_by_counting(problem, g, y, level)).is_zero(), (
+                    src,
+                    y,
+                    level,
+                )
+            nonzero += not got.is_zero()
+    assert nonzero >= 5
+    # 0 is critical for x^2 alone
+    assert problem.is_critical_value(F3T, F3T.zero()) == (src == "3*x^3 + x^2")
+    assert not problem.is_critical_value(F3T, F3T.one())
+    assert padic_roots(f"{src} - 1", F3T, 3) == padic_roots(
+        poly_to_string(problem.reduced(F3T)[0]) + " - 1", F3T, 3
+    )
+
+
+def test_pushforward_where_the_field_drops_the_degree_values():
+    # [DERIVED] 3x^2 + x is x over F_3((t)): f_!(1_O)(y) = 1 for integral y.
+    # 3x^3 + x^2 is x^2: y = 1 has the fiber {1, -1}, |f'| = |2x| = 1, so
+    # 2; y = t^2 has {t, -t}, |f'| = 1/3, so 6; y = t is no square, so 0;
+    # y = 0 is the critical value
+    phi = unit_ball_indicator(F3T)
+    t = F3T.uniformizer()
+    etale = FiberProblem.from_string("3*x^2 + x")
+    for y in (F3T.one(), F3T.from_int(2), t, F3T.zero()):
+        assert (fiber_integrate(etale, phi, y) - scalar(F3T, 1)).is_zero()
+    square = FiberProblem.from_string("3*x^3 + x^2")
+    assert square.reduced(F3T)[0] == parse_poly("x^2", ("x",))
+    assert (fiber_integrate(square, phi, F3T.one()) - scalar(F3T, 2)).is_zero()
+    assert (fiber_integrate(square, phi, F3T.mul(t, t)) - scalar(F3T, 6)).is_zero()
+    assert fiber_integrate(square, phi, t).is_zero()
+    with pytest.raises(OnDiscriminant):
+        fiber_integrate(square, phi, F3T.zero())
+    # over Q_3 the degree stays, and so does the discriminant over Z
+    assert square.reduced(Q3) == (square.f, square.disc)
+
+
+def test_reduced_map_must_stay_nonconstant():
+    # [DERIVED] 3x^2 + 3x is 0 over F_3((t)), and 3x^2 + 1 the constant 1.
+    # Over Q_3 both keep degree 2: 3x^2 + 3x = 6 at x = 1, -2 with
+    # |f'| = |+-9| = 1/9, so 18; 3x^2 + 1 = 4 at x = +-1 with |6x| = 1/3, so 6
+    for src, y, want in (("3*x^2 + 3*x", 6, 18), ("3*x^2 + 1", 4, 6)):
+        problem = FiberProblem.from_string(src)
+        with pytest.raises(FieldError, match="non-constant"):
+            fiber_integrate(problem, unit_ball_indicator(F3T), F3T.one())
+        got = fiber_integrate(problem, unit_ball_indicator(Q3), y)
+        assert (got - scalar(Q3, want)).is_zero()
 
 
 def test_pushforward_zero_function():
@@ -825,6 +910,8 @@ LEVEL_SCANS = (
         (Q5, "x^3 + 2*x", 0, (0, 1), (0, 1, 2)),
         (F3T, "x^2 + 3*x", 0, (0, 1, 2), (0, 1, 2)),
     ]
+    # maps whose degree drops over F_3((t)), which level_measure once refused
+    + [(F3T, src, 0, (0, 1, 2), (0, 1)) for src in DROPPED_DEGREE_MAPS]
 )
 
 

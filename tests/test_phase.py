@@ -904,6 +904,31 @@ def test_stationary_phase_reports_are_pinned(case, want):
     assert stationary_phase_bound(p, phi, V, delta, **options).to_json() == want
 
 
+def test_one_phase_over_several_fields_matches_fresh_phases():
+    # the expansion kept on p holds no field data: one MultiPoly used in
+    # turn over Q_3, F_3((t)) and Q_3 gives what a fresh equal one gives.
+    # The terms divisible by 3 count over Q_3 and vanish over F_3((t)), so
+    # the integrals at the stationary point 0 differ between the fields
+    src, names = "x^2*e + 3*x^3 + 3*x*e", ("x", "e")
+    shared = parse_poly(src, names)
+    values = {}
+    for key in ("Q3", "F3t", "Q3"):
+        f = FIELDS[key]
+        phi = indicator(f, (f.zero(),), 0)
+        for o in (-1, -2, -3):
+            lam = f.mul(f.pow_uniformizer(o), f.from_int(2))
+            for eta in ((f.one(),), (f.add(f.one(), f.uniformizer()),)):
+                got = oscillatory_integral(shared, phi, eta, lam)
+                assert got == oscillatory_integral(parse_poly(src, names), phi, eta, lam)
+                values.setdefault(key, []).append(got)
+        # away from 0 the gradient 2xe + 9x^2 + 3e is a unit
+        phi, V = indicator(f, (f.one(),), 1), unit_eta_ball(f)
+        want = stationary_phase_bound(parse_poly(src, names), phi, V, 1).to_json()
+        assert stationary_phase_bound(shared, phi, V, 1).to_json() == want
+    assert values["Q3"][:6] == values["Q3"][6:] != values["F3t"]
+    assert set(shared._taylor) == {1, 2}
+
+
 @st.composite
 def _elements(draw, key):
     """Zero, integers, and elements with p-power, prime-to-p and mixed

@@ -245,6 +245,60 @@ def test_taylor_identity_random():
             assert field.is_zero(field.sub(total, want))
 
 
+@st.composite
+def _taylor_cases(draw):
+    """(MultiPoly in 1 to 3 variables, zero included, the orders k in
+    0..n in a drawn sequence)."""
+    n = draw(st.integers(1, 3))
+    coeffs = {}
+    for _ in range(draw(st.integers(0, 5))):
+        expo = tuple(draw(st.integers(0, 3)) for _ in range(n))
+        coeffs[expo] = draw(st.integers(-9, 9))
+    return MultiPoly(n, coeffs), draw(st.permutations(range(n + 1)))
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(_taylor_cases())
+def test_kept_taylor_expansion_equals_a_fresh_one(case):
+    # taylor(k) of a polynomial equals taylor(k) of a fresh equal one, for
+    # every k, on its first call and on repeat calls in another order
+    poly, ks = case
+    for k in ks:
+        first = poly.taylor(k)
+        assert first == MultiPoly(poly.n, poly.coeffs).taylor(k)
+        assert poly.taylor(k) is first
+    for k in reversed(ks):
+        assert poly.taylor(k) == MultiPoly(poly.n, poly.coeffs).taylor(k)
+    assert poly.taylor() is poly.taylor(poly.n)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(_taylor_cases())
+def test_full_taylor_expansion_restricts_to_the_first_variables(case):
+    # setting the increments of the last n - k variables to 0 in
+    # p(c + e, d + f) gives p(c + e, d): the terms of taylor() constant in
+    # those increments are taylor(k)
+    poly, ks = case
+    full = poly.taylor()
+    for k in ks:
+        restricted = {a[:k]: q for a, q in full.items() if not any(a[k:])}
+        assert restricted == MultiPoly(poly.n, poly.coeffs).taylor(k)
+
+
+def test_equality_and_hash_do_not_read_the_kept_expansion():
+    p = parse_poly("3*x^2*e + x*e^2 - 5", ("x", "e"))
+    q = parse_poly("x*e^2 + 3*x^2*e - 5", ("x", "e"))
+    before = hash(p)
+    assert p._taylor is None
+    p.taylor()
+    p.taylor(1)
+    assert p._taylor is not None and q._taylor is None
+    assert p == q and q == p
+    assert hash(p) == hash(q) == before
+    assert {q: "kept"}[p] == "kept"
+    assert p != parse_poly("3*x^2*e + x*e^2 - 4", ("x", "e"))
+
+
 def test_ord_lower_bound_is_valid():
     for field in FIELDS.values():
         rng = rng_for(f"poly-ord:{field!r}")
