@@ -29,29 +29,51 @@ Q_p; over F_p((t)) its coefficients mod p with the zero leading ones
 stripped) and its discriminant disc_K, and every critical-value test, the
 critical locus and the root search read disc_K.
 
-The root search needs ord Res(g, g') only for a cell still undecided at its
-precision, and at a base point y it reads it off ord disc_K(y).  Let
-n = deg f_K and h = f_K - y.  disc_K is the Sylvester determinant of
+The root search works in x-coordinates.  It finds the roots x of
+h = f_K - y with ord x >= w, the window, on cells B_L(a) with L >= w.  Let
+h_i be the coefficients of h, n = deg h, and c = min_i (ord h_i + i w) the
+least ord of a term h_i x^i on the window.  Every Taylor coefficient
+h^(i)(a) / i! = sum_j C(j, i) h_j a^(j-i) has ord >= c - i w, so for
+ord e >= L the terms of degree i >= 2 of h(a + e) have ord
+>= c + 2 (L - w).  Write v' = ord h'(a).
+
+- A cell that holds a root a + e has ord h(a) >= c + L - w, the least ord
+  of the terms of degree >= 1; the search keeps only such cells.
+- Once L - 2 w + c > v', h(a + e) = h(a) + h'(a) e modulo terms of
+  ord > L + v', so h maps B_L(a) one-to-one onto B_{L+v'}(h(a)): the cell
+  is decided, and it holds one root exactly when ord h(a) >= L + v'.
+- Deep enough, every kept cell is decided.  g(u) = pi^(-c) h(pi^w u) has
+  integral coefficients, so Res(g, g') = U g + V g' with U and V integral.
+  At a kept undecided cell, u = a / pi^w, ord g(u) = ord h(a) - c and
+  ord g'(u) = v' + w - c are both at least L - w, so
+  L - w <= ord Res(g, g').
+
+At w = 0 and c = 0 these are the classical tests: ord h(a) >= L, and
+L > v'.  The search needs the bound only for a cell still undecided at its
+precision, and at a base point y it reads ord Res(g, g') off
+ord disc_K(y); g is never built.  disc_K is the Sylvester determinant of
 f_K(x) - y and f_K'(x) over Z[y] at the degrees (n, n - 1), and a
 determinant commutes with the ring map Z[y] -> K that fixes y, so
 disc_K(y) = Res(h, h') at the formal degrees (n, n - 1) over K, also where
 K kills n and the zero leading entry of h' stays in the matrix.
 (Res(h, h') and disc h differ only by +-lc(h); Cohen, A Course in
-Computational Algebraic Number Theory, 1993, 3.3.2.)  The search runs on
-g(u) = pi^(-c) h(pi^w u), with w the window and c the content of
-h(pi^w u), so g'(u) = pi^(w-c) h'(pi^w u).
-At formal degrees (m, k) the Sylvester determinant is homogeneous of degree
-k in the first polynomial's coefficients and of degree m in the second's,
-and Res(A(s x), B(s x)) = s^(m k) Res(A, B); both are identities of the
+Computational Algebraic Number Theory, 1993, 3.3.2.)  With
+g'(u) = pi^(w-c) h'(pi^w u): at formal degrees (m, k) the Sylvester
+determinant is homogeneous of degree k in the first polynomial's
+coefficients and of degree m in the second's, and
+Res(A(s x), B(s x)) = s^(m k) Res(A, B); both are identities of the
 determinant, so they hold at formal degrees.  With (m, k) = (n, n - 1):
 
     Res(g, g') = pi^(-c (n - 1)) pi^((w - c) n) pi^(w n (n - 1)) disc_K(y),
-    ord Res(g, g') = ord disc_K(y) + w n^2 - c (2 n - 1).
+    ord Res(g, g') = ord disc_K(y) + w n^2 - c (2 n - 1),
 
-``padic_roots`` of g reads the same discriminant of g_K at y = 0, and
-``level_measure`` finds the critical values as the roots of an integer
-polynomial (``_critical_values``), so every search reads its resultant off
-a discriminant, at the degree of its polynomial in the field.
+and every kept cell deeper than w + ord Res(g, g') is decided.
+
+``padic_roots`` searches its own integer polynomial as h and reads the
+same discriminant of its reduction at y = 0, and ``level_measure`` finds
+the critical values as the roots of an integer polynomial
+(``_critical_values``), so every search reads its resultant off a
+discriminant, at the degree of its polynomial in the field.
 """
 
 from __future__ import annotations
@@ -68,8 +90,9 @@ from .polys import (
     common_denominator,
     critical_value_locus,
     field_int_ord,
-    field_ints,
+    int_form,
     parse_poly,
+    walk_codes,
 )
 from .schwartz import DEFAULT_CELL_BUDGET, SchwartzBruhat, check_budget
 
@@ -138,141 +161,122 @@ def _elem_sort_key(x):
     return x.coeffs if hasattr(x, "coeffs") else x
 
 
-def _unit_window_roots(field: LocalField, coeffs, k: int, res_ord):
-    """Roots in the ring of integers, as (truncation, ord of derivative).
+def _fold(codes, form: tuple, fixed: tuple) -> tuple[list, int]:
+    """``form``, an ``int_form`` in (x, *fixed) of total degree m, at the
+    codes ``fixed`` of the fixed coordinates: the dense form in x alone
+    (``polys._Codes``), whose entry i, for i <= m, sums
+    c_e fixed^rest(e) d^(m - |e|) over the exponents e = (i, *rest), d the
+    walk's ``den``."""
+    cs, m = form
+    dpow = [1]
+    for _ in range(m):
+        dpow.append(dpow[-1] * codes.den)
+    out = [0] * (m + 1)
+    for e, c in cs.items():
+        k = m - e[0]
+        for x, j in zip(fixed, e[1:]):
+            if j:
+                c *= x**j
+                k -= j
+        out[e[0]] += c * dpow[k]
+    return out, m
 
-    ``coeffs`` are field elements (degree order, any valuations, the
-    leading one nonzero).  Returns one pair per integral root: its level-k
-    truncation (distinct roots may share one) and the exact valuation of
-    the derivative of the input polynomial there, sorted by truncation.
 
-    Residue cells are refined adaptively.  A cell B_L(a) survives while
-    ord g(a) >= L; once L > ord g'(a) =: v', g maps it bijectively onto
-    B_{L+v'}(g(a)), so it holds one root exactly when ord g(a) >= L + v'
-    and none otherwise.  Since Res(g, g') = u*g + v*g' with u and v
-    integral, every surviving cell deeper than ord Res(g, g') is decided.
-    Raises ClusterUnresolved only when Res(g, g') = 0, i.e. g has a
+def _window_roots(field: LocalField, forms, fixed, window: int, k: int, res_ord):
+    """Roots x of h with ord x >= window, as (truncation, ord h'(x)).
+
+    ``forms`` are the ``int_form`` of h(x, *fixed) and of dh/dx, integer
+    forms in x and the fixed coordinates, which take the elements
+    ``fixed``.  Returns one pair per root: its level-k truncation (distinct
+    roots may share one) and the exact valuation of h' there, sorted by
+    truncation.  Requires k > window.
+
+    The cells B_L(a), L >= window, are refined from B_window(0), kept and
+    decided by the tests of the module docstring, which read the content c
+    off the coefficients of h.  A decided cell holds one root exactly when
+    ord h(a) >= L + v', and a cell that holds one is followed down to level
+    k through the one child that holds it (a Hensel descent):
+    h(a + d pi^L) = h(a) + h'(a) d pi^L modulo terms of ord > L + v', so
+    the child's digit is
+    d = -(h(a) / pi^(L+v')) (h'(a) / pi^v')^(-1) mod pi, one ``digit`` of
+    each; h'(a) / pi^v' mod pi is the same on every deeper cell, so it is
+    inverted once per root.  The root's level-k truncation is that cell's
+    centre, cut to level k when the cell was decided deeper than k.
+    Raises ClusterUnresolved only when Res(h, h') = 0, i.e. h has a
     repeated root, and a cell is still undecided at level k.  Only then is
-    ord Res(g, g') needed: ``res_ord`` returns ord Res(h, h') of the input
-    polynomial h at its formal degrees (deg h, deg h - 1), and the search
-    shifts it by the content (see the module docstring).
+    the bound on the undecided cells needed: ``res_ord`` returns
+    ord Res(h, h') at the formal degrees (n, n - 1), n = deg h in the field
+    (see ``_ord_resultant``).
 
-    A decided cell that holds a root is followed down on codes too (a
-    Hensel descent): g maps each of its q children one-to-one onto a ball
-    of radius L + 1 + v', so exactly one child has ord g >= L + 1 + v', and
-    the walk descends through that child alone until level k.  One Hensel
-    step names it: g(a + d pi^L) = g(a) + g'(a) d pi^L mod pi^(2L), and
-    2L >= L + 1 + v', so its digit is
-    d = -(g(a) / pi^(L+v')) (g'(a) / pi^v')^(-1) mod pi, one evaluation of
-    g per level; g'(a) / pi^v' mod pi is the same on every deeper cell, so
-    it is inverted once per root.  The root's level-k truncation is then
-    that cell's centre, cut to its first k digits when the cell was decided
-    deeper than k.
-
-    The walk runs on ints (``cell_codes`` of ``field_ints``): g is brought
-    to integer coefficients once per search, g' is read off them
-    (``derivative``), and the level-L cells are integer codes a of their
-    canonical centres, whose children are a + d * radix^L.  Over Q_p the
-    code is the centre itself (radix p), and ord g(a) = v_p(G(a)) for
-    G = D*g with integer coefficients over their common denominator D: the
-    content scaling makes every coefficient of g, and so of g', p-integral,
-    so D is a p-unit and the valuation is exact for every input.  Over
-    F_p((t)) the code packs the centre's digits at t = 2^W (radix 2^W),
-    and ord g(a) is the first digit of G(a) that p does not divide
-    (``packed_ord``).  The residues of the Hensel step are read on the same
-    ints.  W holds the codes of up to ``limit`` digits, first k + 1; a
-    search that must split a cell at that depth starts again with the
-    limit ord Res(g, g') + 1, which no split exceeds.
-    In both cases a mod radix^k is the code of the level-k truncation.
-    Field elements are built only for found roots and for the centre that
-    ClusterUnresolved reports.
-    """
-    if k < 1:
-        raise FieldError("root precision must be at least 1")
-    if all(field.is_zero(c) for c in coeffs):
-        raise FieldError("the zero polynomial has no root locus")
-    # scale to an integral polynomial with unit content; roots are unchanged
-    content = min(field.ord(c) for c in coeffs if not field.is_zero(c))
-    if content:
-        coeffs = [field.mul(c, field.pow_uniformizer(-content)) for c in coeffs]
-    g = field_ints(field, coeffs)
-    gp = g.derivative()
-    q = field.q
-    res = None  # ord Res(g, g'), computed once a cell reaches level k
-    found, cap = None, k + 1
-    while found is None:
-        ord_g, ord_gp, digit_g, digit_gp, radix, lift, limit = g.cell_codes(gp, cap)
-        found = []
-        cells = [(0, 0, ord_g(0))]
-        while cells:
-            a, level, va = cells.pop()
-            vpa = ord_gp(a)
-            if level > vpa:
-                if va >= level + vpa:
-                    if level < k:
-                        # g'(a) / pi^v' mod pi is the same on every deeper cell
-                        inv = pow(digit_gp(a, vpa), -1, q)
-                    while level < k:
-                        a += -digit_g(a, level + vpa) * inv % q * radix**level
-                        level += 1
-                    # ord h'(root) of the input h: ord g'(a) plus the content
-                    found.append((lift(a % radix**k), vpa + content))
-                continue
-            if level >= k:
-                if res is None:
-                    res = _ord_resultant(coeffs, content, res_ord)
-                if res == INF:
-                    raise ClusterUnresolved(field, lift(a), level)
-                if level >= limit:
-                    # the children need level + 1 digits; no cell deeper
-                    # than ord Res splits, so the new limit holds them all
-                    found, cap = None, res + 1
-                    break
-            step = radix**level
-            for d in range(q):
-                child = a + d * step
-                vc = ord_g(child)
-                if vc > level:
-                    cells.append((child, level + 1, vc))
-    return sorted(found, key=lambda item: (_elem_sort_key(item[0]), item[1]))
-
-
-def _ord_resultant(coeffs, content: int, res_ord) -> int:
-    """ord Res(g, g') for g = pi^(-content) h with coefficients ``coeffs``,
-    from ``res_ord`` (ord Res(h, h'), see ``_unit_window_roots``)."""
-    n = len(coeffs) - 1
-    return res_ord() - content * (2 * n - 1)
-
-
-def _window_roots(field: LocalField, coeffs, window: int, k: int, res_ord):
-    """One (level-k truncation, ord f') pair per root of valuation >= window.
-
-    Requires k > window.  ``res_ord`` is as for ``_unit_window_roots``, for
-    the input coefficients.
+    The walk runs on the codes of one ``walk_codes`` format, with least
+    radius the window and deepest level k + 1.  The fixed coordinates are
+    folded into both forms once (``_fold``), so every cell evaluates a
+    dense form in x by Horner steps, and the codes read each ord and each
+    Hensel ``digit`` off one such evaluation.  Over F_p((t)) the codes
+    hold the digits below their ``limit``; a search that must split a cell
+    at that depth starts again with codes that reach the bound on the
+    undecided cells, which no split exceeds.  Field elements are built
+    only for found roots and for the centre that ClusterUnresolved
+    reports.
     """
     if k <= window:
         raise FieldError("precision must exceed the search window")
-    if window == 0:
-        return _unit_window_roots(field, coeffs, k, res_ord)
-    # substitute x = uniformizer^window * u and search over integral u
-    shifted = [
-        field.mul(c, field.pow_uniformizer(window * i))
-        for i, c in enumerate(coeffs)
-    ]
-    n = len(coeffs) - 1
+    q = field.q
+    res = None  # the ord Res bound, read once a cell reaches level k
+    hi = k + 1
+    while True:
+        codes = walk_codes(field, fixed, window, hi, forms)
+        nums = tuple(map(codes.code, fixed))
+        g, gp = _fold(codes, forms[0], nums), _fold(codes, forms[1], nums)
+        # ord h_i: the entry i of g, a constant form of degree m - i, has
+        # the value h_i; n = deg h and c, the least ord of a term h_i x^i
+        # on the window
+        ords = [codes.ord(([c], g[1] - i), (0,)) for i, c in enumerate(g[0])]
+        n = max((i for i, o in enumerate(ords) if o != INF), default=None)
+        if n is None:
+            raise FieldError("the zero polynomial has no root locus")
+        content = min(o + i * window for i, o in enumerate(ords))
+        decided = content - 2 * window  # B_L(a) is decided once L + this > v'
+        survives = content - window  # a root in B_L(a) needs ord h(a) >= L + this
+        found = []
+        cells = [(0, window, codes.ord(g, (0,)))]
+        while cells:
+            a, level, va = cells.pop()
+            vpa = codes.ord(gp, (a,))
+            if level + decided > vpa:
+                if va >= level + vpa:
+                    if level < k:
+                        inv = pow(codes.digit(gp, (a,), vpa), -1, q)
+                    while level < k:
+                        d = -codes.digit(g, (a,), level + vpa) * inv % q
+                        a = codes.child_codes(a, level, level + 1)[d]
+                        level += 1
+                    root = codes.element(a)
+                    if level > k:
+                        root = field.canon_trunc(root, k)
+                    found.append((root, vpa))
+                continue
+            if level >= k:
+                if res is None:
+                    res = _ord_resultant(n, window, content, res_ord)
+                if res == INF:
+                    raise ClusterUnresolved(field, codes.element(a), level)
+                if level >= codes.limit:
+                    # no cell deeper than window + res splits
+                    hi = window + res + 1
+                    break
+            for child in codes.child_codes(a, level, level + 1):
+                vc = codes.ord(g, (child,))
+                if vc >= level + 1 + survives:
+                    cells.append((child, level + 1, vc))
+        else:
+            return sorted(found, key=lambda item: (_elem_sort_key(item[0]), item[1]))
 
-    def shifted_res():
-        # Res(h(pi^w u), d/du h(pi^w u)) = pi^(w n^2) Res(h, h')
-        return res_ord() + window * n * n
 
-    out = []
-    for trunc_u, dorder in _unit_window_roots(field, shifted, k - window, shifted_res):
-        root = field.canon_trunc(
-            field.mul(trunc_u, field.pow_uniformizer(window)), k
-        )
-        # the substituted derivative picks up one factor of the shift
-        out.append((root, dorder - window))
-    return out
+def _ord_resultant(n: int, window: int, content: int, res_ord) -> int:
+    """ord Res(g, g') for g(u) = pi^(-content) h(pi^window u), h of degree
+    n, from ``res_ord`` (ord Res(h, h'); see the module docstring)."""
+    return res_ord() + window * n * n - content * (2 * n - 1)
 
 
 def _coerce_poly(g) -> MultiPoly:
@@ -298,13 +302,13 @@ def padic_roots(g, field: LocalField, k: int, window: int = 0) -> list:
     y = 0 (see the module docstring).
     """
     poly = _coerce_poly(g)
-    fp = FieldPoly.from_multipoly(field, poly)
+    forms = _search_forms(field, poly)
 
     def res_ord():
         disc = critical_value_locus(_reduce(field, poly))
         return field_int_ord(field, disc.coeffs.get((0,), 0))
 
-    roots = _window_roots(field, list(fp.coeffs), window, k, res_ord)
+    roots = _window_roots(field, forms, (), window, k, res_ord)
     # one entry per truncation, in the sorted order of the pairs
     return list(dict.fromkeys(root for root, _ in roots))
 
@@ -339,37 +343,49 @@ class FiberProblem:
     def from_string(cls, src: str) -> "FiberProblem":
         return cls(parse_poly(src, ("x",)))
 
-    def reduced(self, field: LocalField) -> tuple[MultiPoly, MultiPoly]:
-        """(f_K, disc_K), kept per field: f reduced into ``field`` and the
-        discriminant of f_K(x) - y in y (see the module docstring).
+    def reduced(self, field: LocalField) -> tuple[MultiPoly, MultiPoly, tuple]:
+        """(f_K, disc_K, forms), kept per field: f reduced into ``field``,
+        the discriminant of f_K(x) - y in y (see the module docstring), and
+        the ``int_form`` of f_K(x) - y and of f_K'(x) in (x, y), which the
+        root search evaluates at every base point y.
 
-        Over Q_p they are f and ``disc``.  Over F_p((t)) f_K holds the
-        coefficients of f mod p, with the zero leading ones stripped;
+        Over Q_p f_K and disc_K are f and ``disc``.  Over F_p((t)) f_K holds
+        the coefficients of f mod p, with the zero leading ones stripped;
         FieldError when it is constant there.
         """
         got = self._reduced.get(field)
         if got is None:
             f_k = _reduce(field, self.f)
             disc = self.disc if f_k is self.f else critical_value_locus(f_k)
-            got = self._reduced[field] = f_k, disc
+            h = MultiPoly(2, {(i, 0): c for (i,), c in f_k.coeffs.items()})
+            forms = _search_forms(field, h - MultiPoly.var(2, 1))
+            got = self._reduced[field] = f_k, disc, forms
         return got
 
     def is_critical_value(self, field: LocalField, y) -> bool:
         return self.reduced(field)[1].ord_field(field, (y,)) == INF
 
-    def critical_locus(self, field: LocalField) -> FieldPoly:
-        """Squarefree part of disc_K over ``field``, kept per field.
+    def critical_locus(self, field: LocalField) -> MultiPoly:
+        """Squarefree part of disc_K over ``field``, as an integer
+        polynomial, kept per field.
 
         Its roots are the critical values, each simple, so the root search
         never meets a cluster there.  Squarefreeness is decided over the
         field: disc_K has a repeated root whenever two critical points
-        share a critical value, and its reduction mod p can gain more.
+        share a critical value, and its reduction mod p can gain more.  The
+        part's coefficients lie in the prime field, so they are brought to
+        integers with the same roots once: over their common denominator
+        over Q_p, as their digits in [0, p) over F_p((t)).
         """
         locus = self._loci.get(field)
         if locus is None:
             disc = self.reduced(field)[1]
-            locus = FieldPoly.from_multipoly(field, disc).squarefree_part()
-            self._loci[field] = locus
+            coeffs = FieldPoly.from_multipoly(field, disc).squarefree_part().coeffs
+            if field.kind == "p-adic":
+                ints = common_denominator(coeffs)[0]
+            else:
+                ints = [c.coeff(0) for c in coeffs]
+            locus = self._loci[field] = _coerce_poly(ints)
         return locus
 
     def to_json(self) -> dict:
@@ -380,23 +396,20 @@ class FiberProblem:
         return cls.from_string(obj["f"])
 
 
-def _fiber_points(f: MultiPoly, field: LocalField, y, support: int, k: int, disc_ord):
-    """(truncated root, ord f' there) for the fiber points of the map f_K = f
-    (``FiberProblem.reduced``) inside the window ord x >= min(support, 0),
-    ``support`` the support radius of phi; ``disc_ord`` returns
-    ord disc_K(y), read only if the root search needs it."""
-    coeffs = [field.zero()] * (f.degree_in(0) + 1)
-    for (i,), c in f.coeffs.items():
-        coeffs[i] = field.from_int(c)
-    coeffs[0] = field.sub(coeffs[0], y)
+def _fiber_points(forms, field: LocalField, y, support: int, k: int, disc_ord):
+    """(truncated root, ord f' there) for the fiber points of the map f_K
+    with the search ``forms`` of ``FiberProblem.reduced`` inside the window
+    ord x >= min(support, 0), ``support`` the support radius of phi;
+    ``disc_ord`` returns ord disc_K(y), read only if the root search needs
+    it."""
     window = min(support, 0)
-    return _window_roots(field, coeffs, window, max(k, window + 1), disc_ord)
+    return _window_roots(field, forms, (y,), window, max(k, window + 1), disc_ord)
 
 
-def _pushforward_value(f: MultiPoly, phi: SchwartzBruhat, bounds, y, disc_ord):
-    """f_!(phi)(y) at a regular value y, for the map f_K = f in phi's field
-    and phi nonzero with ``bounds`` = phi.alpha_bounds() = (support,
-    constancy).
+def _pushforward_value(forms, phi: SchwartzBruhat, bounds, y, disc_ord):
+    """f_!(phi)(y) at a regular value y, for the map f_K in phi's field with
+    the search ``forms`` of ``FiberProblem.reduced``, and phi nonzero with
+    ``bounds`` = phi.alpha_bounds() = (support, constancy).
 
     Root precision is the constancy level of phi, so phi and |f'| are both
     exact on the truncations; the root search counts every fiber point
@@ -406,7 +419,7 @@ def _pushforward_value(f: MultiPoly, phi: SchwartzBruhat, bounds, y, disc_ord):
     field = phi.field
     support, constancy = bounds
     points = _fiber_points(
-        f, field, y, support, max(constancy, support + 1, 1), disc_ord
+        forms, field, y, support, max(constancy, support + 1, 1), disc_ord
     )
     # 1/|f'(x)| = q^(ord f'(x)), with the doubled-exponent encoding; one
     # raw-triple construction canonicalises the shifted terms of every point
@@ -432,13 +445,13 @@ def fiber_integrate(problem: FiberProblem, phi: SchwartzBruhat, y) -> CycloScala
     if isinstance(y, int):
         y = field.from_int(y)
     # the critical-value test reads ord disc_K(y); the root search reuses it
-    f, disc = problem.reduced(field)
+    _, disc, forms = problem.reduced(field)
     disc_ord = disc.ord_field(field, (y,))
     if disc_ord == INF:
         raise OnDiscriminant(field, y)
     if phi.is_zero():
         return CycloScalar.zero(field.p)
-    return _pushforward_value(f, phi, phi.alpha_bounds(), y, lambda: disc_ord)
+    return _pushforward_value(forms, phi, phi.alpha_bounds(), y, lambda: disc_ord)
 
 
 # ---------------------------------------------------------------------------
@@ -590,7 +603,7 @@ def level_measure(
     support, _ = phi.alpha_bounds()
     # ord f(x) >= window on the support of phi, so the pushforward
     # vanishes at any y below this valuation window
-    f, disc = problem.reduced(field)
+    f, disc, forms = problem.reduced(field)
     window = min(
         field_int_ord(field, coef) + exps[0] * support
         for exps, coef in f.coeffs.items()
@@ -637,7 +650,7 @@ def level_measure(
             table[c] = (
                 zero
                 if bounds is None
-                else _pushforward_value(f, local, bounds, c, disc_ord)
+                else _pushforward_value(forms, local, bounds, c, disc_ord)
             )
 
     rows = {}
@@ -680,16 +693,15 @@ def _reduce(field: LocalField, f: MultiPoly) -> MultiPoly:
 
 def _critical_values(problem: FiberProblem, field: LocalField, window: int, k: int):
     """The critical values of valuation >= window, cut at level k: the roots
-    of ``critical_locus``.  Its coefficients lie in the prime field, so they
-    are brought to an integer polynomial with the same roots (over their
-    common denominator over Q_p, as their digits in [0, p) over F_p((t))),
-    and ``padic_roots`` reads its discriminant."""
-    coeffs = problem.critical_locus(field).coeffs
-    if field.kind == "p-adic":
-        ints = common_denominator(coeffs)[0]
-    else:
-        ints = [c.coeff(0) for c in coeffs]
-    return padic_roots(ints, field, k, window)
+    of the integer polynomial ``critical_locus``, whose discriminant
+    ``padic_roots`` reads."""
+    return padic_roots(problem.critical_locus(field), field, k, window)
+
+
+def _search_forms(field: LocalField, h: MultiPoly) -> tuple:
+    """The ``int_form`` of h and of dh/dx, x its first variable: what the
+    root search evaluates."""
+    return int_form(field, h.coeffs), int_form(field, h.derivative(0).coeffs)
 
 
 def _once(read):

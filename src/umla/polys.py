@@ -18,20 +18,17 @@ entries) via exact Laplace expansion, which is plenty for the small degrees
 used here.
 
 Over Q_p every evaluation runs on Python ints.  The point is brought to
-integer numerators over one common denominator, x_i = n_i / d, and the
-coefficients to numerators c_e over theirs, b (b = 1 for ``MultiPoly``).
-For P of total degree m,
+integer numerators over one common denominator, x_i = n_i / d.  For P of
+total degree m with integer coefficients c_e,
 
-    N = b * d^m * P(n / d) = sum_e c_e * n^e * d^(m - |e|)
+    N = d^m * P(n / d) = sum_e c_e * n^e * d^(m - |e|)
 
-is an integer (the homogenised form), and P(x) = N / (b * d^m).  This holds
+is an integer (the homogenised form), and P(x) = N / d^m.  This holds
 for every rational input, whatever its denominators, so no precision has to
 be chosen.  ``monomial_ints`` evaluates the sparse form with the powers of
 each n_i and of d shared between the monomials.  A caller builds at most
 one ``Fraction`` from the ints; one that needs only the valuation takes
-``int_ord`` of them instead.  The root search evaluates a dense
-one-variable polynomial with p-integral coefficients, b a p-unit, at
-integer cell codes (d = 1), by Horner steps (``horner_ints``).
+``int_ord`` of them instead.
 
 Over F_p((t)) the same kernel runs by Kronecker substitution.  Each
 coordinate is written x_i = n_i(t) / t^K with n_i in F_p[t], its digits
@@ -42,14 +39,11 @@ of them all,
 
     B = sum_e c_e prod_i l1(n_i)^(e_i),
 
-where l1(n) is the sum of the digits of n (l1(t^K) = 1).  Coefficients
-that are themselves elements (those of the root search's polynomials, at
-integral cell codes, so K = 0) are packed like the coordinates, with l1 of
-their digits in place of c_e.  Evaluating at t = 2^W with
-W = bit_length(B) (at least 1) is a ring map Z[t] -> Z, so
+where l1(n) is the sum of the digits of n (l1(t^K) = 1).  Evaluating at
+t = 2^W with W = bit_length(B) (at least 1) is a ring map Z[t] -> Z, so
 ``monomial_ints`` and ``horner_ints`` run unchanged on n_i(2^W) and
-d = 2^(W K), and every W-bit digit of the integer N(2^W)
-is exactly one coefficient of N(t), below 2^W, with no carry and no sign.
+d = 2^(W K), and every W-bit digit of the integer N(2^W) is exactly one
+coefficient of N(t), below 2^W, with no carry and no sign.
 Reducing the digits mod p decodes N(t) in F_p[t] (``unpack``), and
 P(x) = N(t) / t^(K m).  A caller that needs only the valuation reads it
 without decoding (``packed_ord``): ord N(t) is the index of the first digit
@@ -76,9 +70,13 @@ these bounds over the polynomials the walk evaluates, so no evaluation
 chooses a width of its own.  Children come in the order that the
 ``LocalField.cell_reps`` docstring states, k = 0, 1, ..., with no rotation
 since the centres are canonical, and ``element`` decodes a code,
-or a value, only where a caller returns or reports it.  ``field_ints``
-brings the coefficients of the root search's polynomials to ints once, as
-``QpInts`` or ``LaurentInts``, for its Horner kernel (``cell_codes``).
+or a value, only where a caller returns or reports it.  A walk that splits
+one coordinate and holds the others fixed (the root search) may fold the
+fixed codes and the powers of d into its forms once: what is left is a
+dense form in one variable, evaluated by Horner steps (``horner_ints``).
+``digit`` reads one digit of a value off N, for the Hensel step: over Q_p
+the residue of N / p^(j + m v_p(D)) over the unit part of D^m, over
+F_p((t)) the W-bit digit j + K m of N mod p.
 """
 
 from __future__ import annotations
@@ -199,105 +197,6 @@ def unpack(p: int, v: int, w: int, low: int = 0) -> LaurentPoly:
     return LaurentPoly(p, digits)
 
 
-class QpInts:
-    """The coefficients c_k of a one-variable polynomial over Q_p brought to
-    ints once, c_k = nums[k] / den: the root search's integer kernel
-    (``cell_codes``).
-    """
-
-    __slots__ = ("p", "nums", "den")
-
-    def __init__(self, p: int, nums: list[int], den: int):
-        self.p, self.nums, self.den = p, nums, den
-
-    def derivative(self) -> "QpInts":
-        """The formal derivative's coefficients k c_k, over the same den."""
-        return QpInts(self.p, [k * n for k, n in enumerate(self.nums)][1:], self.den)
-
-    def cell_codes(self, other: "QpInts", cap: int):
-        """The root search's integer kernel for the polynomials g and h with
-        coefficients self and ``other``: (ord_g, ord_h, digit_g, digit_h,
-        radix, lift, limit).  A cell code is the integer centre itself, in
-        base p; every width of code is valid (limit INF).  ord_g(a) is
-        ord g(a), and digit_g(a, j) the residue of g(a) / p^j mod p, for
-        ord g(a) >= j; likewise for h.  Both are exact when den and
-        other.den are p-units."""
-        p = self.p
-        g, h, dg, dh = self.nums, other.nums, self.den, other.den
-        return (
-            lambda a: int_ord(horner_ints(g, a), p),
-            lambda a: int_ord(horner_ints(h, a), p),
-            lambda a, j: horner_ints(g, a) // p**j * pow(dg, -1, p) % p,
-            lambda a, j: horner_ints(h, a) // p**j * pow(dh, -1, p) % p,
-            p,
-            Fraction,
-            INF,
-        )
-
-
-class LaurentInts:
-    """The coefficients x_k of a one-variable polynomial over F_p((t)), in
-    the ring of integers, as their digits ((e, c), ...), x_k = n_k(t), with
-    the digit sums ``sizes`` = l1(n_k) that fix the width W of
-    ``cell_codes``.
-    """
-
-    __slots__ = ("p", "digits", "sizes")
-
-    def __init__(self, p: int, digits: list[tuple]):
-        self.p, self.digits = p, digits
-        self.sizes = [sum(c for _, c in d) for d in digits]
-
-    def derivative(self) -> "LaurentInts":
-        """The formal derivative's coefficients k x_k, digit by digit mod p."""
-        p = self.p
-        return LaurentInts(
-            p,
-            [
-                tuple((e, k * c % p) for e, c in d if k * c % p)
-                for k, d in enumerate(self.digits)
-            ][1:],
-        )
-
-    def nums(self, w: int) -> list[int]:
-        """n_k(2^w) for every coefficient."""
-        return [sum(c << w * e for e, c in d) for d in self.digits]
-
-    def cell_codes(self, other: "LaurentInts", cap: int):
-        """As ``QpInts.cell_codes``.
-
-        A cell code packs the centre's digits at t = 2^W, so the radix is
-        2^W, and the codes of at most ``cap`` digits (the limit) have digit
-        sum at most (p - 1) cap; W is the width for that bound on both
-        polynomials.  digit_g(a, j) is the W-bit digit j of the packed
-        g(a), mod p.
-        """
-        p = self.p
-        size = (p - 1) * cap
-        w = kronecker_width(
-            max(horner_ints(self.sizes, size), horner_ints(other.sizes, size))
-        )
-        g, h = self.nums(w), other.nums(w)
-        mask = (1 << w) - 1
-        return (
-            lambda a: packed_ord(horner_ints(g, a), w, p),
-            lambda a: packed_ord(horner_ints(h, a), w, p),
-            lambda a, j: (horner_ints(g, a) >> w * j & mask) % p,
-            lambda a, j: (horner_ints(h, a) >> w * j & mask) % p,
-            1 << w,
-            lambda a: unpack(p, a, w),
-            cap,
-        )
-
-
-def field_ints(field: LocalField, xs: Sequence) -> QpInts | LaurentInts:
-    """The coefficients of a root search's polynomial brought to ints once
-    (see the module docstring)."""
-    if field.kind == "p-adic":
-        return QpInts(field.p, *common_denominator(xs))
-    return LaurentInts(field.p, [x.coeffs for x in xs])
-
-
 def int_form(field: LocalField, coeffs: dict) -> tuple[dict, int]:
     """(cs, m): the coefficients a walk evaluates on its codes, and their
     total degree m.  Over F_p((t)) they are reduced mod p into [0, p), as
@@ -308,13 +207,32 @@ def int_form(field: LocalField, coeffs: dict) -> tuple[dict, int]:
     return coeffs, max(map(sum, coeffs), default=0)
 
 
-class QpCodes:
+class _Codes:
+    """What the two code formats share: the value of a form at codes.
+
+    A form is (cs, m), m its total degree.  Either cs maps exponent tuples
+    to ints (an ``int_form``) and N = sum_e c_e n^e d^(m - |e|) is summed by
+    ``monomial_ints``, with d = ``den``; or cs is a dense list of one
+    variable whose entries already hold the powers of d and of any fixed
+    coordinates (a form with those coordinates folded in), and
+    N = sum_i cs[i] n^i by ``horner_ints``.  The value is N / d^m.
+    """
+
+    __slots__ = ()
+
+    def value(self, form: tuple, nums: Sequence[int]) -> int:
+        cs = form[0]
+        if isinstance(cs, list):
+            return horner_ints(cs, nums[0])
+        return monomial_ints(cs, nums, self.den)[0]
+
+
+class QpCodes(_Codes):
     """The coordinates of one cell walk over Q_p as integer codes: x = n / D
     with one denominator D per walk (see the module docstring).
 
-    The value of a form (cs, m) at codes n is N / D^m, N from
-    ``monomial_ints``; its ord is v_p(N) - m v_p(D).  Every code depth is
-    valid (``limit`` INF).
+    The value of a form (cs, m) at codes n is N / D^m; its ord is
+    v_p(N) - m v_p(D).  Every code depth is valid (``limit`` INF).
     """
 
     __slots__ = ("p", "den", "den_ord", "limit")
@@ -339,26 +257,31 @@ class QpCodes:
         step = self.den * p**r if r >= 0 else self.den // p**-r
         return [n + k * step for k in range(p ** (level - r))]
 
-    def value(self, form: tuple, nums: Sequence[int]) -> int:
-        return monomial_ints(form[0], nums, self.den)[0]
-
     def ord(self, form: tuple, nums: Sequence[int]):
-        num = monomial_ints(form[0], nums, self.den)[0]
+        num = self.value(form, nums)
         if num and self.den_ord:
             return _vp(num, self.p) - self.den_ord * form[1]
         return int_ord(num, self.p)
 
+    def digit(self, form: tuple, nums: Sequence[int], j: int) -> int:
+        """The residue mod p of the value over p^j, for a value of ord >= j:
+        N / p^(j + m v_p(D)) over the unit part of D^m."""
+        p, m, dv = self.p, form[1], self.den_ord
+        unit = pow(self.den // p**dv, -m, p)
+        return self.value(form, nums) // p ** (j + dv * m) * unit % p
 
-class LaurentCodes:
+
+class LaurentCodes(_Codes):
     """The coordinates of one cell walk over F_p((t)) as integer codes: x =
     n(t) / t^K with one shift K and one width W per walk, the code n(2^W)
     (see the module docstring).
 
     The value of a form (cs, m) at codes n packs as N at t = 2^W, divided by
-    t^(K m).  Codes hold the digits below ``limit``.
+    t^(K m) (``den`` = 2^(W K) packs t^K).  Codes hold the digits below
+    ``limit``.
     """
 
-    __slots__ = ("p", "shift", "width", "limit")
+    __slots__ = ("p", "shift", "width", "den", "limit")
 
     def __init__(self, p: int, xs: Sequence, lo: int, hi: int, forms):
         shift = max([-x.coeffs[0][0] for x in xs if x.coeffs] + [-lo, 0])
@@ -370,6 +293,7 @@ class LaurentCodes:
         bound = max([size] + [sum(cs.values()) * size**m for cs, m in forms])
         self.p, self.shift, self.limit = p, shift, hi
         self.width = kronecker_width(bound)
+        self.den = 1 << self.width * shift
 
     def code(self, x: LaurentPoly) -> int:
         w, k = self.width, self.shift
@@ -389,12 +313,15 @@ class LaurentCodes:
             steps = [s + (d << at) for d in range(self.p) for s in steps]
         return [n + s for s in steps]
 
-    def value(self, form: tuple, nums: Sequence[int]) -> int:
-        return monomial_ints(form[0], nums, 1 << self.width * self.shift)[0]
-
     def ord(self, form: tuple, nums: Sequence[int]):
         num = self.value(form, nums)
         return packed_ord(num, self.width, self.p) - self.shift * form[1]
+
+    def digit(self, form: tuple, nums: Sequence[int], j: int) -> int:
+        """The t^j digit of the value: the W-bit digit j + K m of N, mod p."""
+        w = self.width
+        at = w * (j + self.shift * form[1])
+        return (self.value(form, nums) >> at & (1 << w) - 1) % self.p
 
 
 def walk_codes(

@@ -30,7 +30,7 @@ from umla.cexp.syntax import (
     Var,
 )
 from umla.cyclo import CycloScalar
-from umla.fibers import _critical_values, fiber_integrate
+from umla.fibers import _critical_values, _fiber_points, fiber_integrate
 from umla.fields import LaurentPoly, LocalField, Polyball
 from umla.polys import ring_det, sylvester_matrix
 
@@ -264,6 +264,22 @@ def riemann_fourier(field: LocalField, fn, support_ball, level: int, xi) -> Cycl
     return riemann_integral(field, integrand, support_ball, level)
 
 
+def _scanned_centres(problem, field: LocalField, report) -> dict:
+    """{eps: the centres ``level_measure`` scans at eps} for the resolution,
+    the window and the eps values of ``report``, with the proximities to
+    the critical values taken by field subtraction."""
+    critical = _critical_values(problem, field, min(report.window, 0), report.resolution)
+    region = Polyball.ball(field, (field.zero(),), report.window)
+    prox = {}
+    for (c,) in region.cells_at_level(report.resolution):
+        ords = [field.ord(field.sub(c, z)) for z in critical]
+        prox[c] = max(ords) if ords else None
+    return {
+        eps: [c for c, d in prox.items() if d is None or d <= eps]
+        for eps in report.eps_values
+    }
+
+
 def level_rows_by_fiber_integrate(problem, phi, report) -> tuple[dict, dict]:
     """(rows, cells) of ``level_measure`` for phi, with the resolution, the
     window, the eps and m values and x0 of ``report``, by the per-centre
@@ -272,22 +288,16 @@ def level_rows_by_fiber_integrate(problem, phi, report) -> tuple[dict, dict]:
     keyed on ``canon_trunc`` of the centre.  ``fiber_integrate`` raises
     OnDiscriminant at a critical value, so a scan that reaches one fails."""
     field = phi.field
-    resolution, window = report.resolution, report.window
-    lo = min(window, 0)
-    critical = _critical_values(problem, field, lo, resolution)
-    region = Polyball.ball(field, (field.zero(),), window)
-    centers = [c for (c,) in region.cells_at_level(resolution)]
-    prox = {}
-    for c in centers:
-        ords = [field.ord(field.sub(c, z)) for z in critical]
-        prox[c] = max(ords) if ords else None
+    resolution = report.resolution
+    lo = min(report.window, 0)
+    scanned = _scanned_centres(problem, field, report)
     x0 = field.element_from_json(report.x0_json)
     rows, cells = {}, {}
     for m in report.m_values:
         local = phi.restrict(Polyball.ball(field, (x0,), m))
         values = {}
         for eps in report.eps_values:
-            included = [c for c in centers if prox[c] is None or prox[c] <= eps]
+            included = scanned[eps]
             for c in included:
                 if c not in values:
                     values[c] = fiber_integrate(problem, local, c)
@@ -305,17 +315,63 @@ def level_rows_by_fiber_integrate(problem, phi, report) -> tuple[dict, dict]:
     return rows, cells
 
 
-def pushforward_by_counting(problem, phi, y, level: int) -> CycloScalar:
+def level_bounds_by_fiber_points(problem, phi, report) -> dict:
+    """{(eps, m): the a-priori bound on the row's mu} for ``level_measure``
+    of phi with the settings of ``report``: the largest
+    max(L, v_i + 1) + v_i over the fiber points x_i in the support of the
+    level-m restriction of phi of every centre scanned at eps, with
+    v_i = ord f'(x_i) and L the restriction's constancy level, and at least
+    the least level the scan tries, min(window, 0).  The fiber points come
+    from ``_fiber_points`` at the restriction's constancy level."""
+    field = phi.field
+    lo = min(report.window, 0)
+    scanned = _scanned_centres(problem, field, report)
+    _, disc, forms = problem.reduced(field)
+    x0 = field.element_from_json(report.x0_json)
+    bounds = {}
+    for m in report.m_values:
+        local = phi.restrict(Polyball.ball(field, (x0,), m))
+        per_centre = {}
+        if not local.is_zero():
+            support, level = local.alpha_bounds()
+            for c in scanned[report.eps_values[-1]]:
+                points = _fiber_points(
+                    forms,
+                    field,
+                    c,
+                    support,
+                    max(level, support + 1, 1),
+                    lambda: disc.ord_field(field, (c,)),
+                )
+                per_centre[c] = max(
+                    [lo]
+                    + [
+                        max(level, v + 1) + v
+                        for x, v in points
+                        if not local.eval_at((x,)).is_zero()
+                    ]
+                )
+        for eps in report.eps_values:
+            bounds[(eps, m)] = max(
+                [per_centre[c] for c in scanned[eps] if c in per_centre], default=lo
+            )
+    return bounds
+
+
+def pushforward_by_counting(problem, phi, y, level: int, finer: int = 0) -> CycloScalar:
     """f_!(phi)(y) by counting the solutions of f(x) = y mod pi^level: the
-    sum of phi(c) over the level-``level`` cells c of the support of phi
-    with ord(f(c) - y) >= level, that is q^level times the phi-weighted
-    volume of {x : ord(f(x) - y) >= level}.
+    sum of phi(c) over the level-(level + finer) cells c of the support of
+    phi with ord(f(c) - y) >= level, times q^(-finer), that is q^level
+    times the phi-weighted volume of {x : ord(f(x) - y) >= level}.
 
     At a regular value y this equals the sum of phi(x) / |f'(x)| over the
     fiber once the level is deep enough: phi constant on the cells around
-    each fiber point x, on which f is a bijection scaled by |f'(x)|.  f is
-    evaluated as its integer coefficients give it, by ``eval_coeffs_at`` on
-    their images in the field, with no reduction of its own.
+    each fiber point x, on which f is a bijection scaled by |f'(x)|.  The
+    count reads that volume exactly when f maps each cell around a fiber
+    point into one level-``level`` ball, which holds where ord f' >= -finer.
+    f is evaluated as its integer coefficients give it, by
+    ``eval_coeffs_at`` on their images in the field, with no reduction of
+    its own.
     """
     field = phi.field
     f = problem.f
@@ -323,10 +379,11 @@ def pushforward_by_counting(problem, phi, y, level: int) -> CycloScalar:
     (radius,) = phi.levels
     total = CycloScalar.zero(field.p)
     for (center,), coef in phi.cells.items():
-        for (c,) in Polyball.ball(field, (center,), radius).cells_at_level(level):
+        ball = Polyball.ball(field, (center,), radius)
+        for (c,) in ball.cells_at_level(level + finer):
             if field.ord(field.sub(eval_coeffs_at(field, coeffs, c), y)) >= level:
                 total += coef
-    return total
+    return total.q_shift(-2 * finer)
 
 
 def ord_resultant_by_ring_det(field: LocalField, coeffs) -> int:

@@ -19,7 +19,8 @@ from umla.fibers import (
     LevelReport,
     OnDiscriminant,
     _fiber_points,
-    _unit_window_roots,
+    _search_forms,
+    _window_roots,
     fiber_integrate,
     level_measure,
     padic_roots,
@@ -30,7 +31,10 @@ from umla.schwartz import CellBudgetError, SchwartzBruhat
 
 from conftest import FIELDS, rng_for
 from oracles import (
+    eval_by_fractions,
+    eval_by_laurent,
     eval_coeffs_at,
+    level_bounds_by_fiber_points,
     level_rows_by_fiber_integrate,
     ord_resultant_by_ring_det,
     point_by_digits,
@@ -42,6 +46,7 @@ Q2 = FIELDS["Q2"]
 Q3 = FIELDS["Q3"]
 Q5 = FIELDS["Q5"]
 F3T = FIELDS["F3t"]
+F2T = make_field("equal-characteristic", 2)
 
 
 def unit_ball_indicator(field):
@@ -52,12 +57,42 @@ def scalar(field, value):
     return CycloScalar.fraction(field.p, Fraction(value))
 
 
-def roots_by_search(field, coeffs, k):
-    """The root search on field-element coefficients, with ord Res(h, h')
-    from ``ring_det`` over the field, as no discriminant exists for them."""
-    return _unit_window_roots(
-        field, coeffs, k, lambda: ord_resultant_by_ring_det(field, coeffs)
+def x_coeffs_at(field, poly, fixed):
+    """The coefficients in x, as field elements, of poly(x, *fixed): each
+    one's polynomial in the fixed coordinates evaluated element by element
+    (``eval_by_fractions``, ``eval_by_laurent``)."""
+    coeffs = []
+    for i in range(poly.degree_in(0) + 1):
+        part = {e[1:]: c for e, c in poly.coeffs.items() if e[0] == i}
+        if field.kind == "p-adic":
+            coeffs.append(eval_by_fractions(part, fixed))
+        else:
+            coeffs.append(eval_by_laurent(field.p, part, fixed))
+    return coeffs
+
+
+def roots_by_search(field, poly, fixed, k):
+    """The root search on the integer form poly(x, *fixed) with the window
+    0, with ord Res(h, h') of h = poly(x, *fixed) from ``ring_det`` over
+    the field, as no discriminant is at hand for such forms."""
+    coeffs = x_coeffs_at(field, poly, fixed)
+    return _window_roots(
+        field,
+        _search_forms(field, poly),
+        tuple(fixed),
+        0,
+        k,
+        lambda: ord_resultant_by_ring_det(field, coeffs),
     )
+
+
+def product_form(r):
+    """prod_i (x - y_i) for i = 1..r, a form in (x, y_1, ..., y_r)."""
+    n = r + 1
+    poly = MultiPoly.const(n, 1)
+    for i in range(1, n):
+        poly = poly * (MultiPoly.var(n, 0) - MultiPoly.var(n, i))
+    return poly
 
 
 # ---------------------------------------------------------------------------
@@ -99,7 +134,8 @@ def test_fiber_points_are_truncated_at_the_requested_level(key):
     prob = FiberProblem.from_string("x^2")
     two_ord = f.ord(f.from_int(2))
     for k in (2, 3, 5):
-        got = _fiber_points(prob.f, f, f.one(), 0, k, lambda: prob.disc.ord_field(f, (f.one(),)))
+        forms = prob.reduced(f)[2]
+        got = _fiber_points(forms, f, f.one(), 0, k, lambda: prob.disc.ord_field(f, (f.one(),)))
         roots = {f.canon_trunc(r, k) for r in (f.one(), f.from_int(-1))}
         assert {root for root, _ in got} == roots
         assert all(dorder == two_ord for _, dorder in got)
@@ -117,15 +153,15 @@ def test_root_search_ends_on_exact_roots():
 
 @pytest.mark.parametrize("key", ["Q3", "F3t"])
 def test_roots_agreeing_beyond_the_requested_level(key):
-    # [DERIVED] x^2 - pi^5 x = x (x - pi^5) has the simple roots 0 and pi^5,
-    # with g' = 2x - pi^5 of ord 5 at both.  Their cells are decided only at
-    # level 6, deeper than k = 2, and each is cut back to its level-2
-    # truncation 0; at k = 6 they part
+    # [DERIVED] x^2 - y x at y = pi^5 is x (x - pi^5), with the simple roots
+    # 0 and pi^5 and g' = 2x - pi^5 of ord 5 at both.  Their cells are
+    # decided only at level 6, deeper than k = 2, and each is cut back to
+    # its level-2 truncation 0; at k = 6 they part
     f = FIELDS[key]
     pi5 = f.pow_uniformizer(5)
-    coeffs = [f.zero(), f.neg(pi5), f.one()]
-    assert roots_by_search(f, coeffs, 2) == [(f.zero(), 5), (f.zero(), 5)]
-    assert roots_by_search(f, coeffs, 6) == [(f.zero(), 5), (pi5, 5)]
+    poly = parse_poly("x^2 - y*x", ("x", "y"))
+    assert roots_by_search(f, poly, (pi5,), 2) == [(f.zero(), 5), (f.zero(), 5)]
+    assert roots_by_search(f, poly, (pi5,), 6) == [(f.zero(), 5), (pi5, 5)]
 
 
 @st.composite
@@ -171,8 +207,8 @@ def test_laurent_root_search_finds_planted_roots(case):
     # g = prod (x - r_i): one pair (r_i mod t^k, ord g'(r_i)) per root
     p, roots, k = case
     field = make_field("equal-characteristic", p)
-    coeffs, want = _planted(field, roots, k)
-    assert roots_by_search(field, coeffs, k) == want
+    _, want = _planted(field, roots, k)
+    assert roots_by_search(field, product_form(len(roots)), roots, k) == want
 
 
 def _descend_by_children(field, coeffs, a, level, k):
@@ -219,7 +255,7 @@ def test_hensel_step_finds_planted_laurent_roots_at_level_40():
     roots.append(LaurentPoly(7, [(i, rng.randrange(7)) for i in range(45)]))
     assert len(set(roots)) == 3
     coeffs, want = _planted(f, roots, 40)
-    got = roots_by_search(f, coeffs, 40)
+    got = roots_by_search(f, product_form(len(roots)), roots, 40)
     assert got == want
     for trunc, _ in got:
         assert f.ord(eval_coeffs_at(f, coeffs, trunc)) >= 40
@@ -237,6 +273,14 @@ def test_roots_multiple_root_raises_cluster():
     # (x-1)^2 has a double root: no precision can certify a unique root.
     with pytest.raises(ClusterUnresolved):
         padic_roots("x^2 - 2*x + 1", Q3, 2)
+    # [DERIVED] below the integers the undecided cell is named in x: the
+    # double root 1/3 of (3x - 1)^2 over Q_3, and 1 of x^2 + x + 1 =
+    # (x - 1)^2 over F_3((t)), each in its level-2 cell
+    cases = ((Q3, "9*x^2 - 6*x + 1", Fraction(1, 3)), (F3T, [1, 1, 1], F3T.one()))
+    for field, g, center in cases:
+        with pytest.raises(ClusterUnresolved) as err:
+            padic_roots(g, field, 2, window=-1)
+        assert (err.value.center, err.value.level) == (center, 2)
 
 
 def test_roots_input_forms_and_validation():
@@ -396,15 +440,23 @@ def test_resultant_order_from_the_discriminant_matches_ring_det(key, monkeypatch
     # in every residue class (so also where f' vanishes mod pi and a cell is
     # still undecided at the root precision), with the windows 0, -1 and -2
     # (where the content of g is nonzero), is read off ord disc_K(y) and
-    # checked against ring_det on the same g
+    # checked against ring_det on g(u) = pi^(-content) h(pi^window u), h =
+    # f_K - y, built on elements
     field = FIELDS[key]
     rng = rng_for(f"fibers:res-from-disc:{key}")
     real = fibers._ord_resultant
     seen = []  # (map, content) per resultant the search needed
 
-    def checked(coeffs, content, res_ord):
-        got = real(coeffs, content, res_ord)
-        assert got == ord_resultant_by_ring_det(field, coeffs), (src, y, support)
+    def checked(n, window, content, res_ord):
+        got = real(n, window, content, res_ord)
+        h = [field.from_int(f_k.coeffs.get((i,), 0)) for i in range(n + 1)]
+        h[0] = field.sub(h[0], y)
+        g = [
+            field.mul(c, field.pow_uniformizer(i * window - content))
+            for i, c in enumerate(h)
+        ]
+        assert n == f_k.degree_in(0) and window == support
+        assert got == ord_resultant_by_ring_det(field, g), (src, y, support)
         seen.append((src, content))
         return got
 
@@ -416,7 +468,7 @@ def test_resultant_order_from_the_discriminant_matches_ring_det(key, monkeypatch
     reads = []
     for src in RES_MAPS:
         problem = FiberProblem.from_string(src)
-        f_k, disc = problem.reduced(field)
+        f_k, disc, forms = problem.reduced(field)
         for r in range(field.q):
             x0 = field.add(field.from_int(r), point_by_digits(field, rng, 1, 4))
             y = problem.f.eval_field(field, (x0,))
@@ -431,7 +483,7 @@ def test_resultant_order_from_the_discriminant_matches_ring_det(key, monkeypatch
             for support in (0, -1, -2):
                 before = len(reads)
                 _fiber_points(
-                    f_k, field, y, support, 1, lambda: reads.append(y) or disc_ord
+                    forms, field, y, support, 1, lambda: reads.append(y) or disc_ord
                 )
                 assert len(reads) - before <= 1
     # every resultant the search needed came from one read of disc_K(y)
@@ -513,10 +565,12 @@ def test_pushforward_square_map_negative_support():
 
 
 # Non-integral input to the integer root walk: y with a denominator prime to
-# p, and phi supported on B_{-1}(0), so that _window_roots substitutes
-# x = u/p and scales the coefficients by powers of p.  Each value is a
-# Hensel count by hand; the umlabench fiber oracle (on h(u) = p^d f(u/p) at
-# p^d y for the B_{-1} rows) gives the same numbers.
+# p (a pole over F_p((t))), and phi supported on B_{-1}(0) or B_{-2}(0), so
+# that the walk starts at a negative radius, the codes carry y's
+# denominator, and the content c of the search is nonzero.  Each value is a
+# Hensel count by hand, checked again by counting solutions mod pi^3 on
+# cells two levels finer; y is a rational over Q_p and its (exponent,
+# digit) pairs over F_p((t)).
 NON_INTEGRAL_FIBERS = [
     # [DERIVED] 1/7 = 1 mod 3 is a unit square: roots +-1/sqrt(7), |2x| = 1.
     ("Q3", "x^2", 0, "1/7", 2),
@@ -544,15 +598,52 @@ NON_INTEGRAL_FIBERS = [
     # = 4 mod 5, and cubing is a bijection mod 5 with unit derivative at the
     # root u = 4: one root, |3x^2 - 1| = 25.
     ("Q5", "x^3 - x", -1, "8/875", Fraction(1, 25)),
+    # [DERIVED] y = t^-2: roots +-t^-1 of ord -1, |2x| = 3: 1/3 each.
+    ("F3t", "x^2", -1, ((-2, 1),), Fraction(2, 3)),
+    # [DERIVED] y = 2 t^-2: 2 is no square mod 3, so no root.
+    ("F3t", "x^2", -1, ((-2, 2),), 0),
+    # [DERIVED] y = t^-4 (1 + t), 1 + t a unit square: roots of ord -2,
+    # |2x| = 9: 1/9 each.
+    ("F3t", "x^2", -2, ((-4, 1), (-3, 1)), Fraction(2, 9)),
+    # [DERIVED] y = t^-4: the roots +-t^-2 lie outside B_{-1}.
+    ("F3t", "x^2", -1, ((-4, 1),), 0),
+    # [DERIVED] y = t^-3 - t^-1 = f(t^-1), and f(x + r) = f(x) for r in F_3,
+    # so the roots are t^-1 + r, r = 0, 1, 2; f' = 3x^2 - 1 = -1: 1 each.
+    ("F3t", "x^3 - x", -1, ((-3, 1), (-1, 2)), 3),
+    # [DERIVED] y = t^-3 forces ord x = -1, x = t^-1 + z with z^3 - z =
+    # t^-1, which has no solution (ord z^3 - z is 3 ord z < 0 or >= 0).
+    ("F3t", "x^3 - x", -2, ((-3, 1),), 0),
+    # [DERIVED] x^2 + x over F_2((t)) has f' = 1.  y = t^-2 + t^-1 =
+    # f(t^-1), and the other root is t^-1 + 1: 1 each.
+    ("F2t", "x^2 + x", -1, ((-2, 1), (-1, 1)), 2),
+    # [DERIVED] y = t^-1: ord f(x) is 2 ord x < 0 or >= 0, never -1.
+    ("F2t", "x^2 + x", -1, ((-1, 1),), 0),
+    # [DERIVED] y = t^-4 + t^-2 = f(t^-2): roots t^-2 and t^-2 + 1.
+    ("F2t", "x^2 + x", -2, ((-4, 1), (-2, 1)), 2),
+    # [DERIVED] the same roots have ord -2, outside B_{-1}.
+    ("F2t", "x^2 + x", -1, ((-4, 1), (-2, 1)), 0),
+    # [DERIVED] y = t^-3 + t^-1 = f(t^-1) for f = x^3 + x, and
+    # f - y = (x - a)(x^2 + a x + a^2 + 1), a = t^-1, whose quadratic is
+    # a^2 (z^2 + z + 1 + t^2) at x = a z, with no root mod t: one root,
+    # f' = x^2 + 1 of ord -2 there, |f'| = 4.
+    ("F2t", "x^3 + x", -1, ((-3, 1), (-1, 1)), Fraction(1, 4)),
+    ("F2t", "x^3 + x", -2, ((-3, 1), (-1, 1)), Fraction(1, 4)),
 ]
+
+
+def _base_point(field, y):
+    return Fraction(y) if field.kind == "p-adic" else LaurentPoly(field.p, y)
 
 
 @pytest.mark.parametrize("fname, f, radius, y, want", NON_INTEGRAL_FIBERS)
 def test_pushforward_non_integral_base_points_and_windows(fname, f, radius, y, want):
-    field = FIELDS[fname]
+    field = {**FIELDS, "F2t": F2T}[fname]
     prob = FiberProblem.from_string(f)
     phi = SchwartzBruhat.indicator(Polyball.ball(field, (field.zero(),), radius))
-    assert fiber_integrate(prob, phi, Fraction(y)) == scalar(field, want)
+    y = _base_point(field, y)
+    assert fiber_integrate(prob, phi, y) == scalar(field, want)
+    # every fiber point here has ord f' >= -2
+    assert pushforward_by_counting(prob, phi, y, 3, 2) == scalar(field, want)
 
 
 def test_pushforward_cube_map():
@@ -627,7 +718,7 @@ def test_pushforward_where_the_field_drops_the_degree_values():
     with pytest.raises(OnDiscriminant):
         fiber_integrate(square, phi, F3T.zero())
     # over Q_3 the degree stays, and so does the discriminant over Z
-    assert square.reduced(Q3) == (square.f, square.disc)
+    assert square.reduced(Q3)[:2] == (square.f, square.disc)
 
 
 def test_reduced_map_must_stay_nonconstant():
@@ -853,9 +944,10 @@ def test_level_measure_shared_critical_value(field):
     assert rep.cells == {(0, 0): 9, (1, 0): 21}
     assert rep.fit == (0, 0, 0)
     locus = prob.critical_locus(field)
-    assert locus.degree() == 2
-    assert field.is_zero(eval_coeffs_at(field, locus.coeffs, field.zero()))
-    assert field.is_zero(eval_coeffs_at(field, locus.coeffs, field.from_int(-1)))
+    assert locus.degree_in(0) == 2
+    coeffs = x_coeffs_at(field, locus, ())
+    assert field.is_zero(eval_coeffs_at(field, coeffs, field.zero()))
+    assert field.is_zero(eval_coeffs_at(field, coeffs, field.from_int(-1)))
 
 
 def test_level_measure_discriminant_inseparable_mod_p():
@@ -877,11 +969,10 @@ def test_level_measure_discriminant_inseparable_mod_p():
     assert rep.cells == {(0, 0): 8, (1, 0): 12, (2, 0): 14}
     assert rep.fit_dominates()
     locus = prob.critical_locus(f2t)
-    assert locus.degree() == 1
-    assert f2t.is_zero(eval_coeffs_at(f2t, locus.coeffs, f2t.zero()))
+    assert locus.degree_in(0) == 1
+    coeffs = x_coeffs_at(f2t, locus, ())
+    assert f2t.is_zero(eval_coeffs_at(f2t, coeffs, f2t.zero()))
 
-
-F2T = make_field("equal-characteristic", 2)
 
 # (field, map, support radius of phi, eps values, m values): the inputs of
 # the level_measure tests above, the fiber workload's x^2 + b for every b it
@@ -943,6 +1034,45 @@ def test_level_scan_matches_the_per_centre_reference(field, src, radius, eps, ms
     rep = level_measure(problem, phi, eps_values=eps, m_values=ms)
     assert (rep.rows, rep.cells) == level_rows_by_fiber_integrate(problem, phi, rep)
     assert max(reads.values(), default=0) <= 1
+
+
+@pytest.mark.parametrize(
+    "field, src, radius, eps, ms",
+    LEVEL_SCANS,
+    ids=[f"{f!r}:{src}:r{r}:m{max(ms)}" for f, src, r, _, ms in LEVEL_SCANS],
+)
+def test_level_rows_are_within_the_a_priori_bound(field, src, radius, eps, ms):
+    """Every measured row of ``level_measure`` is at most the bound of
+    ``oracles.level_bounds_by_fiber_points``.
+
+    The bound.  Let y be a regular value, x_i its fiber points in the
+    support of phi, v_i = ord f'(x_i), L the constancy level of phi and
+    L_i = max(L, v_i + 1).  For integral x_i the Taylor coefficients of f
+    at x_i are integral, so for ord e >= L_i > v_i the terms of degree
+    >= 2 of f(x_i + e) have ord >= 2 L_i > L_i + v_i, and f maps
+    B_{L_i}(x_i) one-to-one onto B_{L_i+v_i}(y): the decided-cell test of
+    the ``fibers`` module docstring at w = c = 0, which the root search
+    rests on.  On that ball phi is constant (L_i >= L) and ord f' = v_i
+    (L_i > v_i).  So every y' in B_M(y), M = max_i (L_i + v_i), has one
+    fiber point in each B_{L_i}(x_i) with the weight phi / |f'| of x_i,
+    and f_!(phi)(y') = f_!(phi)(y) as long as no further fiber point of y'
+    lies in the support.  Then f_!(phi) is constant on every level-B cell
+    of the scanned region, B the largest M over its centres: a cell with a
+    centre y that has fiber points lies in B_M(y), and a cell with none
+    holds the value 0 at each centre.  Hence mu <= max(B, min(window, 0)),
+    the least level the scan tries.
+
+    The test checks the premise too: where phi reaches below the integers
+    the fiber points need not be integral, and a fiber point entering the
+    support from outside those balls would break the bound.
+    """
+    problem = FiberProblem.from_string(src)
+    phi = SchwartzBruhat.indicator(Polyball.ball(field, (field.zero(),), radius))
+    rep = level_measure(problem, phi, eps_values=eps, m_values=ms)
+    bounds = level_bounds_by_fiber_points(problem, phi, rep)
+    assert bounds.keys() == rep.rows.keys()
+    over = {key: (mu, bounds[key]) for key, mu in rep.rows.items() if mu > bounds[key]}
+    assert not over, over
 
 
 # ---------------------------------------------------------------------------

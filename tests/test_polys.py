@@ -6,13 +6,13 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from umla.fibers import _fold
 from umla.fields import INF, FieldError, LaurentPoly, Polyball, make_field
 from umla.microlocal.phase import _OrdsAt
 from umla.polys import (
     FieldPoly,
     MultiPoly,
     critical_value_locus,
-    field_ints,
     int_form,
     packed_ord,
     parse_poly,
@@ -184,17 +184,22 @@ def test_laurent_evaluation_matches_element_reference(case):
 
 def test_packed_zero_by_cancellation_has_infinite_ord():
     # x^2 - 1 at x = 1 over F_3((t)) packs to N = 3: nonzero, but its one
-    # digit is divisible by 3, so it is the zero element; the root search's
-    # Horner kernel reads the same at the cell code of 1
+    # digit is divisible by 3, so it is the zero element; the root search
+    # reads the same at the cell code of 1, on its codes and on the form
+    # folded to the dense Horner form, whose Hensel digit is 0
     f3t = make_field("equal-characteristic", 3)
     poly = parse_poly("x^2 - 1", ("x",))
     one = f3t.one()
     assert poly.ord_field(f3t, (one,)) == INF
     assert f3t.is_zero(poly.eval_field(f3t, (one,)))
-    coeffs = FieldPoly.from_multipoly(f3t, poly).coeffs
-    kernel = field_ints(f3t, coeffs).cell_codes(field_ints(f3t, ()), 1)
-    ord_g, _, digit_g, _, _, lift, _ = kernel
-    assert lift(1) == one and ord_g(1) == INF and digit_g(1, 0) == 0
+    form = int_form(f3t, poly.coeffs)
+    codes = walk_codes(f3t, (), 0, 1, (form,))
+    dense = _fold(codes, form, ())
+    assert dense == ([2, 0, 1], 2)
+    assert codes.code(one) == 1 and codes.element(1) == one
+    for g in (form, dense):
+        assert codes.value(g, (1,)) == 3
+        assert codes.ord(g, (1,)) == INF and codes.digit(g, (1,), 0) == 0
     assert packed_ord(3, 2, 3) == INF
     # digits 3, 0, 6 at W = 3: every digit vanishes mod 3
     assert packed_ord(3 + (6 << 6), 3, 3) == INF
