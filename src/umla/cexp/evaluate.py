@@ -2,32 +2,34 @@
 
 A term is compiled once, then called.  ``compile_term(term, field, sorts,
 range_budget)`` turns a sort-checked term into a function from a binding (a
-dict of variable values, as ``coerce_env`` returns it) to the raw
-``(e2, angle, coef)`` triples of its value; ``evaluate`` is ``check`` (unless
-the sorts are given), ``compile_term``, ``coerce_env`` and one call, and it
-builds the one ``CycloScalar`` of the term at the root.  The term, its sorts,
-the field and the budget are fixed at compile time, so one compiled function
-serves every point of a probe (``instantiate_b_function`` compiles once per
-view).
+dict of variable values, as ``coerce_env`` returns it) to the integer raw
+terms ``(e2, j, pK, n, D)`` of its value (``umla.cyclo``); ``evaluate`` is
+``check`` (unless the sorts are given), ``compile_term``, ``coerce_env`` and
+one call, and it builds the one ``CycloScalar`` of the term at the root.
+The term, its sorts, the field and the budget are fixed at compile time, so
+one compiled function serves every point of a probe
+(``instantiate_b_function`` compiles once per view).
 
 Every node becomes one closure, chosen once.  A subterm compiles at its
 sort: field elements as field elements, integers as Python ints with
 ``ord(0)`` represented by the infinite valuation, residues as canonical field
 representatives, q-exponents as exact rationals, and scalars as lists of raw
-triples.  The sort class of each comparison (integer, field or residue) is
+terms.  The sort class of each comparison (integer, field or residue) is
 fixed at compile time, with the variables that ``sum`` and ``sumrf`` bind
-sorted in their scope; a constant becomes its raw triple or its field
+sorted in their scope; a constant becomes its raw term or its field
 element once.  The closures hold only their operands' closures and
 constants, so a compiled term holds no reference cycle.
 
-Scalars are carried as raw triples, the input format of ``CycloScalar``;
-the canonical form is unique, so one canonicalisation at the root gives the
-value per-node arithmetic would.  ``+``, ``-``, negation, ``sum`` and
-``sumrf`` concatenate triple lists; a product multiplies them out term by
-term; a constant, ``q^e``, ``psi``, ``ord`` and an indicator emit at most one
-triple, and never one with a zero coefficient.  ``e^k`` canonicalises its
-base and each partial power, so a power's triples are the canonical terms of
-its value and do not multiply out with k.
+Scalars are carried as integer raw terms, an input format of
+``CycloScalar``: coefficient n / D and angle j / pK on ints, so no node
+builds a ``Fraction``.  The canonical form is unique, so one
+canonicalisation at the root gives the value per-node arithmetic would.
+``+``, ``-``, negation, ``sum`` and ``sumrf`` concatenate term lists; a
+product multiplies them out term by term on the larger level of its two
+operands; a constant, ``q^e``, ``psi``, ``ord`` and an indicator emit at
+most one term, and never one with a zero coefficient.  ``e^k``
+canonicalises its base and each partial power, so a power's terms are the
+canonical terms of its value and do not multiply out with k.
 
 Errors.  ``SortError`` is raised by ``check`` (or by compiling against
 sorts that do not fit the term), before any value is computed.
@@ -47,7 +49,7 @@ Two conventions matter for totality:
   never evaluates ``e`` outside the locus of the condition, which is what
   lets guarded terms mention ``ord`` or ``ac`` of expressions that vanish
   elsewhere.  The zero test canonicalises a factor only when it has two or
-  more triples: no triple has a zero coefficient, so one triple is never
+  more terms: no term has a zero coefficient, so one term is never
   zero and none is zero.  A canonicalised factor enters the product by its
   canonical terms.
 - The infinite valuation is a legal value inside comparisons and as a range
@@ -119,7 +121,7 @@ def _int_pow(a, k: int):
     return a**k
 
 
-_ONE = (0, 0, 1)
+_ONE = (0, 0, 1, 1, 1)
 # exact on ints and Fractions alike, so q-exponents use them too
 _INT_OPS = (_int_add, lambda a, b: _int_add(a, -b), _int_mul, operator.neg, _int_pow)
 _CMP_OPS = {"==": operator.eq, "!=": operator.ne, "<=": operator.le}
@@ -181,23 +183,24 @@ def _finite_ord(node: Ord, field: LocalField, where: str):
 
 
 def _scalar(node: Node, field: LocalField, sorts: dict, budget: int):
-    """The closure of a scalar subterm: its list of raw triples.
+    """The closure of a scalar subterm: its list of integer raw terms.
 
     The lists are never mutated, so a constant's list is shared.  See the
-    module docstring for the raw-triple and zero-test rules.
+    module docstring for the raw-term and zero-test rules.
     """
     p = field.p
     if isinstance(node, Const):
-        return _constant([(0, 0, node.value)] if node.value else [])
+        c = node.value
+        return _constant([(0, 0, 1, c.numerator, c.denominator)] if c else [])
     if isinstance(node, (Var, Ord)):
         if isinstance(node, Var):
             get = operator.itemgetter(node.name)
         else:
             get = _finite_ord(node, field, "has no scalar value")
-        return lambda env: [(0, 0, c)] if (c := get(env)) else []
+        return lambda env: [(0, 0, 1, c, 1)] if (c := get(env)) else []
     if isinstance(node, Neg):
         arg = _scalar(node.arg, field, sorts, budget)
-        return lambda env: [(e2, a, -c) for e2, a, c in arg(env)]
+        return lambda env: [(e2, j, pk, -n, d) for e2, j, pk, n, d in arg(env)]
     if isinstance(node, (Add, Sub)):
         rhs = node.rhs if isinstance(node, Add) else Neg(node.rhs)
         lhs, rhs = _scalar(node.lhs, field, sorts, budget), _scalar(rhs, field, sorts, budget)
@@ -213,14 +216,19 @@ def _scalar(node: Node, field: LocalField, sorts: dict, budget: int):
             out = one = CycloScalar(p, base(env))
             for _ in range(k - 1):
                 out = out * one
-            return list(out.terms)
+            return out.raw()
 
         return power
     if isinstance(node, QPow):
         return _q_power(node.exponent, field, sorts)
     if isinstance(node, Psi):
         angle, arg = field.psi_angle, _field(node.arg, field)
-        return lambda env: [(0, angle(arg(env)), 1)]
+
+        def psi(env):
+            a = angle(arg(env))
+            return [(0, a.numerator, a.denominator, 1, 1)]
+
+        return psi
     if isinstance(node, (SumZ, SumRF)):
         return _sum(node, field, sorts, budget)
     if isinstance(node, Indicator):
@@ -230,20 +238,20 @@ def _scalar(node: Node, field: LocalField, sorts: dict, budget: int):
 
 
 def _q_power(exponent: Node, field: LocalField, sorts: dict):
-    """q^e: the one triple (2e, 0, 1)."""
+    """q^e: the one raw term (2e, 0, 1, 1, 1)."""
     exp = _int(exponent, field, sorts, q_exp=True)
 
     def q_power(env):
         e = exp(env)
         if e.denominator not in (1, 2):
             raise EvalError(f"q-exponent {e} is not an integer or half-integer")
-        return [(int(e * 2), 0, 1)]
+        return [(int(e * 2), 0, 1, 1, 1)]
 
     return q_power
 
 
 def _lazy_product(node: Mul, field: LocalField, sorts: dict, budget: int):
-    """Raw triples of a scalar product, indicator factors decided first.
+    """Raw terms of a scalar product, indicator factors decided first.
 
     A zero factor makes the product zero even when another factor has
     no value at the point, so ``[cond] * e`` restricts ``e`` to the
@@ -266,15 +274,25 @@ def _lazy_product(node: Mul, field: LocalField, sorts: dict, budget: int):
         for factor in factors:
             value = factor(env)
             if len(value) > 1:
-                value = CycloScalar(p, value).terms
+                value = CycloScalar(p, value).raw()
             if not value:
                 return []
-            out = value if out is None else [
-                (e2 + f2, a + b, c * d) for e2, a, c in out for f2, b, d in value
-            ]
+            out = value if out is None else _multiply(out, value)
         return out
 
     return product
+
+
+def _multiply(xs: list, ys: list) -> list:
+    """The raw terms of the product of two raw-term lists, on the largest
+    level pK of their terms (all pK are powers of p)."""
+    level = max(t[2] for t in xs + ys)
+    xs = [(e2, j * (level // pk), n, d) for e2, j, pk, n, d in xs]
+    return [
+        (e2 + f2, i + j * (level // pk), level, n * m, d * e)
+        for f2, j, pk, m, e in ys
+        for e2, i, n, d in xs
+    ]
 
 
 def _sum(node, field: LocalField, sorts: dict, budget: int):
@@ -398,7 +416,7 @@ def _truth(node: Node, field: LocalField, sorts: dict):
 def compile_term(
     term: Node, field: LocalField, sorts: dict, range_budget: int = DEFAULT_CELL_BUDGET
 ):
-    """The term as a function from a binding to its raw scalar triples.
+    """The term as a function from a binding to its integer raw terms.
 
     ``sorts`` maps every free variable to its sort (as ``check`` returns
     it); the binding maps every free variable to its value as

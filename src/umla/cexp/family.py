@@ -96,7 +96,7 @@ def instantiate_b_function(
 
     The term is compiled once for the view and the parameters are coerced
     once (``cexp.evaluate``); each ball value then binds only the radius and
-    the point, calls the compiled term and canonicalises its triples once.
+    the point, calls the compiled term and canonicalises its raw terms once.
     A missing parameter raises ``FieldError`` here.  A parameter of the
     wrong kind, like any other ``EvalError``, is raised by every ball value,
     so ``dis_sample`` reports it as the row's error.

@@ -40,7 +40,6 @@ coordinate by coordinate, with ``a`` the coordinate's modulation:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
 from .cyclo import CycloScalar
@@ -302,7 +301,7 @@ class MixedCellDistribution:
         raw = []
         for coef, mod, fs in self.terms:
             for center, cphi in phi.cells.items():
-                e2, angle = 0, Fraction(0)
+                e2, angle = 0, 0
                 for a, f, z, lev in zip(mod, fs, center, phi.levels):
                     g = f.meet(field, z, lev)
                     got = None if g is None else g.mass(field, a)
@@ -311,8 +310,7 @@ class MixedCellDistribution:
                     e2 += got[0]
                     angle += got[1]
                 else:
-                    for f2, ang, c in coef * cphi:
-                        raw.append((f2 + e2, ang + angle, c))
+                    raw += (coef * cphi).raw(e2, angle.numerator, angle.denominator)
         return CycloScalar(field.p, raw)
 
     def pointwise_eval(self, xs: Sequence) -> CycloScalar:

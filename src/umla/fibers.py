@@ -422,15 +422,11 @@ def _pushforward_value(forms, phi: SchwartzBruhat, bounds, y, disc_ord):
         forms, field, y, support, max(constancy, support + 1, 1), disc_ord
     )
     # 1/|f'(x)| = q^(ord f'(x)), with the doubled-exponent encoding; one
-    # raw-triple construction canonicalises the shifted terms of every point
-    return CycloScalar(
-        field.p,
-        [
-            (e2 + 2 * dorder, angle, coef)
-            for root, dorder in points
-            for e2, angle, coef in phi.eval_at((root,)).terms
-        ],
-    )
+    # construction canonicalises the shifted raw terms of every point
+    raw = []
+    for root, dorder in points:
+        raw += phi.eval_at((root,)).raw(2 * dorder)
+    return CycloScalar(field.p, raw)
 
 
 def fiber_integrate(problem: FiberProblem, phi: SchwartzBruhat, y) -> CycloScalar:

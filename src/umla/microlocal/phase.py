@@ -714,12 +714,12 @@ def _sum(field: LocalField, n: int, angles: list, ucode: int) -> CycloScalar:
     psi as in ``fields.psi_angle``, j / p^K becomes u j mod p^K over Q_p,
     and (w_0, ..., w_{1-d}) becomes sum_i u_i w_{-i} mod p over F_p((t)).
     The twisted counts, the cell coefficient and the q-shift of every cell
-    fold into the raw triples of one scalar, canonicalised once.
+    fold into the integer raw terms of one scalar (``CycloScalar.raw``: the
+    count times the coefficient, rotated by j / den), canonicalised once.
     """
     raw = []
     for coef, level, den, hist in angles:
         shift = -2 * n * level
         for j, k in _twist(field, den, hist, ucode).items():
-            a = Fraction(j, den)
-            raw.extend((f2 + shift, a + b, c * k) for f2, b, c in coef)
+            raw += coef.raw(shift, j, den, k)
     return CycloScalar(field.p, raw)

@@ -144,7 +144,7 @@ def _ray_value(f, survivors: dict, lam) -> CycloScalar:
     raw = []
     for beta, c in survivors.items():
         angle = f.psi_angle(f.mul(beta, lam))
-        raw.extend((e2, a + angle, k) for e2, a, k in c)
+        raw += c.raw(0, angle.numerator, angle.denominator)
     return CycloScalar(f.p, raw)
 
 

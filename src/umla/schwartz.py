@@ -304,8 +304,11 @@ class SchwartzBruhat:
         pi^(s+d) of B_s(0) at level 1-a, s = 1-r and k_d the base-q digits
         of k < q^L, L = r-a.  psi is additive, so the angle of center*xi_k
         is sum_d k_d theta_d mod 1, from the L base angles theta_d =
-        psi_angle(center*pi^(s+d)); it is summed on integer numerators over
-        the largest denominator of the theta_d (see ``_grid_angles``).
+        psi_angle(center*pi^(s+d)); it is summed on integer numerators j over
+        the largest denominator den of the theta_d (see ``_grid_angles``).
+        Each (cell, frequency) pair adds j / den to the angle indices of the
+        cell's coefficient on ints (``CycloScalar.raw``), and every output
+        cell's integer raw terms are canonicalised once.
         """
         field, n, p = self.field, self.n, self.field.p
         g = self.normalized()
@@ -330,11 +333,10 @@ class SchwartzBruhat:
                 pre = center[:i]
                 post = center[i + 1 :]
                 thetas = [field.psi_angle(field.mul(ci, b)) for b in base]
-                for xi, angle in zip(grid, _grid_angles(p, thetas)):
+                den, nums = _grid_angles(p, thetas)
+                for xi, j in zip(grid, nums):
                     key = pre + (xi,) + post
-                    bucket = raw.setdefault(key, [])
-                    for e2, ang, c in coef:
-                        bucket.append((e2 - 2 * r, ang + angle, c))
+                    raw.setdefault(key, []).extend(coef.raw(-2 * r, j, den))
             new_cells = {}
             for key, bucket in raw.items():
                 val = CycloScalar(p, bucket)
@@ -358,10 +360,7 @@ class SchwartzBruhat:
         for c1, v1 in f.cells.items():
             for c2, v2 in g.cells.items():
                 key = vec_add(field, c1, c2)
-                prod_val = v1 * v2
-                bucket = raw.setdefault(key, [])
-                for e2, ang, c in prod_val:
-                    bucket.append((e2 + shift, ang, c))
+                raw.setdefault(key, []).extend((v1 * v2).raw(shift))
         cells = {}
         for key, bucket in raw.items():
             val = CycloScalar(p, bucket)
@@ -405,17 +404,17 @@ class SchwartzBruhat:
         )
 
 
-def _grid_angles(p: int, thetas: Sequence[Fraction]) -> list[Fraction]:
+def _grid_angles(p: int, thetas: Sequence[Fraction]) -> tuple[int, list[int]]:
     """The angles sum_d k_d theta_d mod 1 for k = 0, 1, ..., p^L - 1, k_d the
     base-p digits of k and L = len(thetas), each theta_d of p-power
-    denominator: integer numerators over the largest of those denominators,
-    then one reduced ``Fraction`` per k."""
+    denominator: (den, [numerator of angle k over den, for each k]), den the
+    largest of those denominators."""
     den = max((t.denominator for t in thetas), default=1)
     nums = [0]
     for t in thetas:
         step = t.numerator * (den // t.denominator)
         nums = [(a + j * step) % den for j in range(p) for a in nums]
-    return [Fraction(a, den) for a in nums]
+    return den, nums
 
 
 def make_sb(pairs) -> SchwartzBruhat:

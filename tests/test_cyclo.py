@@ -1,10 +1,11 @@
 """Exact-scalar arithmetic: canonical reduction, ring laws, zero test."""
 
+import json
 from fractions import Fraction
 from functools import reduce
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import rng_for, sample_scalar
 from oracles import canonical_terms
@@ -138,16 +139,145 @@ def _raw_triples(draw, p=None):
     return p, raw + draw(repeats)
 
 
+# a full 27th-root orbit that cancels beside a level-9 term: K must shrink to 2
+_SHRINK = (
+    3,
+    [(0, Fraction(1, 27) + Fraction(j, 3), 2) for j in range(3)] + [(0, Fraction(1, 9), 1)],
+)
+# coefficients over 6 whose sum is over 2 (rational slice) and over 1 (sqrt(q) slice)
+_CANCEL = (2, [(0, Fraction(1, 4), Fraction(1, 6)), (0, Fraction(1, 4), Fraction(1, 3)),
+               (1, 0, Fraction(5, 6)), (1, 0, Fraction(1, 6))])
+
+
 @settings(max_examples=500, derandomize=True, deadline=None)
-@given(_raw_triples())
-def test_canonical_matches_fraction_reference(case):
+@given(
+    _raw_triples(),
+    st.integers(-3, 3),
+    st.integers(0, 3),
+    st.integers(-20, 20),
+    st.builds(Fraction, st.integers(1, 6), st.integers(1, 6)),
+    st.booleans(),
+)
+@example(_SHRINK, 1, 2, 1, Fraction(3, 2), False)
+@example(_SHRINK, 0, 0, 0, Fraction(1), False)
+@example(_CANCEL, -1, 3, 5, Fraction(6), True)
+def test_canonical_matches_fraction_reference(case, e2, k, num, c, negate):
+    """One value built four ways: one raw constructor, ``sum`` of the
+    singletons, a left fold of ``+``, and ``rotate``/``q_shift``/``times``
+    undone by their inverses; all agree with the Fraction-only reference."""
     p, raw = case
-    got = CycloScalar(p, raw).terms
-    assert got == canonical_terms(p, raw)
-    for e2, ang, coef in got:
+    direct = CycloScalar(p, raw)
+    singles = [CycloScalar(p, [t]) for t in raw]
+    angle, c = Fraction(num, p**k), -c if negate else c
+    moved = direct.rotate(angle).q_shift(e2).times(c)
+    built = [
+        direct,
+        CycloScalar.sum(p, singles),
+        reduce(lambda a, b: a + b, singles, CycloScalar.zero(p)),
+        moved.times(1 / c).q_shift(-e2).rotate(-angle),
+    ]
+    want = canonical_terms(p, raw)
+    for s in built:
+        assert s == direct and hash(s) == hash(direct)
+        assert s.terms == want
+    for e2, ang, coef in want:
         assert type(e2) is int and e2 in (0, 1)
         assert type(ang) is Fraction and 0 <= ang < 1
         assert type(coef) is Fraction and coef != 0
+
+
+# -- the text the benchmark digest hashes -------------------------------------
+
+# (p, raw, json.dumps(to_json(), sort_keys=True), repr): both slices, angle
+# denominators up to p^4, a cancelling top level (the 81st roots), negative
+# and non-integral coefficients, a negative odd q-exponent, and zero
+_PINNED = [
+    (2, [], '[]', '0'),
+    (2, [(0, 0, Fraction(-7, 3))], '[{"angle": "0", "coef": "-7/3", "qpow": 0}]', '-7/3'),
+    (
+        2,
+        [(1, Fraction(3, 16), Fraction(5, 2))],
+        '[{"angle": "3/16", "coef": "5/2", "qpow": 1}]',
+        '5/2*q^(1/2)*e(3/16)',
+    ),
+    (
+        2,
+        [(-3, Fraction(1, 8), 1), (0, Fraction(5, 16), Fraction(-1, 4))],
+        '[{"angle": "5/16", "coef": "-1/4", "qpow": 0}, {"angle": "1/8", "coef": "1/4", "qpow": 1}]',
+        '-1/4*e(5/16) + 1/4*q^(1/2)*e(1/8)',
+    ),
+    (
+        2,
+        [(1, Fraction(1, 2), 3), (0, Fraction(1, 4), Fraction(2, 3))],
+        '[{"angle": "1/4", "coef": "2/3", "qpow": 0}, {"angle": "0", "coef": "-3", "qpow": 1}]',
+        '2/3*e(1/4) + -3*q^(1/2)',
+    ),
+    (
+        3,
+        [(0, Fraction(1, 3), 1), (0, Fraction(2, 3), 1)],
+        '[{"angle": "0", "coef": "-1", "qpow": 0}]',
+        '-1',
+    ),
+    (
+        3,
+        [(0, Fraction(1, 81), 2), (0, Fraction(28, 81), 2), (0, Fraction(55, 81), 2),
+         (0, Fraction(4, 27), Fraction(1, 2))],
+        '[{"angle": "4/27", "coef": "1/2", "qpow": 0}]',
+        '1/2*e(4/27)',
+    ),
+    (
+        3,
+        [(1, Fraction(7, 9), Fraction(-3, 4)), (2, Fraction(2, 27), 1),
+         (-1, Fraction(26, 27), Fraction(1, 5))],
+        '[{"angle": "2/27", "coef": "3", "qpow": 0}, {"angle": "1/9", "coef": "3/4", "qpow": 1}, '
+        '{"angle": "8/27", "coef": "-1/15", "qpow": 1}, {"angle": "4/9", "coef": "3/4", "qpow": 1}, '
+        '{"angle": "17/27", "coef": "-1/15", "qpow": 1}]',
+        '3*e(2/27) + 3/4*q^(1/2)*e(1/9) + -1/15*q^(1/2)*e(8/27) + 3/4*q^(1/2)*e(4/9) '
+        '+ -1/15*q^(1/2)*e(17/27)',
+    ),
+    (
+        3,
+        [(4, Fraction(1, 9), Fraction(-1, 6)), (0, Fraction(8, 9), 2)],
+        '[{"angle": "1/9", "coef": "-3/2", "qpow": 0}, {"angle": "2/9", "coef": "-2", "qpow": 0}, '
+        '{"angle": "5/9", "coef": "-2", "qpow": 0}]',
+        '-3/2*e(1/9) + -2*e(2/9) + -2*e(5/9)',
+    ),
+    (
+        5,
+        [(0, Fraction(4, 5), 1)],
+        '[{"angle": "0", "coef": "-1", "qpow": 0}, {"angle": "1/5", "coef": "-1", "qpow": 0}, '
+        '{"angle": "2/5", "coef": "-1", "qpow": 0}, {"angle": "3/5", "coef": "-1", "qpow": 0}]',
+        '-1 + -1*e(1/5) + -1*e(2/5) + -1*e(3/5)',
+    ),
+    (
+        5,
+        [(1, Fraction(13, 625), Fraction(-2, 7)), (0, Fraction(3, 25), 6)],
+        '[{"angle": "3/25", "coef": "6", "qpow": 0}, {"angle": "13/625", "coef": "-2/7", "qpow": 1}]',
+        '6*e(3/25) + -2/7*q^(1/2)*e(13/625)',
+    ),
+    (
+        5,
+        [(-5, Fraction(1, 125), Fraction(9, 4)), (-5, 0, Fraction(1, 3))],
+        '[{"angle": "0", "coef": "1/375", "qpow": 1}, {"angle": "1/125", "coef": "9/500", "qpow": 1}]',
+        '1/375*q^(1/2) + 9/500*q^(1/2)*e(1/125)',
+    ),
+]
+
+
+@pytest.mark.parametrize("p, raw, text, shown", _PINNED)
+def test_json_and_repr_text_is_pinned(p, raw, text, shown):
+    s = CycloScalar(p, raw)
+    assert json.dumps(s.to_json(), sort_keys=True) == text
+    assert repr(s) == shown
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(_raw_triples())
+def test_json_round_trip_keeps_value_and_hash(case):
+    p, raw = case
+    s = CycloScalar(p, raw)
+    back = CycloScalar.from_json(p, json.loads(json.dumps(s.to_json())))
+    assert back == s and hash(back) == hash(s)
 
 
 def test_non_p_power_angles_raise():
