@@ -25,8 +25,8 @@ Scalars are carried as integer raw terms, an input format of
 builds a ``Fraction``.  The canonical form is unique, so one
 canonicalisation at the root gives the value per-node arithmetic would.
 ``+``, ``-``, negation, ``sum`` and ``sumrf`` concatenate term lists; a
-product multiplies them out term by term on the larger level of its two
-operands; a constant, ``q^e``, ``psi``, ``ord`` and an indicator emit at
+product canonicalises each factor and multiplies them with ``*``, whose
+terms it returns; a constant, ``q^e``, ``psi``, ``ord`` and an indicator emit at
 most one term, and never one with a zero coefficient.  ``e^k``
 canonicalises its base and each partial power, so a power's terms are the
 canonical terms of its value and do not multiply out with k.
@@ -48,10 +48,7 @@ Two conventions matter for totality:
   product is zero without evaluating the rest.  ``[cond] * e`` therefore
   never evaluates ``e`` outside the locus of the condition, which is what
   lets guarded terms mention ``ord`` or ``ac`` of expressions that vanish
-  elsewhere.  The zero test canonicalises a factor only when it has two or
-  more terms: no term has a zero coefficient, so one term is never
-  zero and none is zero.  A canonicalised factor enters the product by its
-  canonical terms.
+  elsewhere.  A factor is zero exactly when its canonical scalar is.
 - The infinite valuation is a legal value inside comparisons and as a range
   endpoint (an empty range), but an error anywhere a finite number is
   required: as a scalar, inside a q-exponent, or as the finite end of a
@@ -272,27 +269,13 @@ def _lazy_product(node: Mul, field: LocalField, sorts: dict, budget: int):
     def product(env):
         out = None
         for factor in factors:
-            value = factor(env)
-            if len(value) > 1:
-                value = CycloScalar(p, value).raw()
+            value = CycloScalar(p, factor(env))
             if not value:
                 return []
-            out = value if out is None else _multiply(out, value)
-        return out
+            out = value if out is None else out * value
+        return out.raw()
 
     return product
-
-
-def _multiply(xs: list, ys: list) -> list:
-    """The raw terms of the product of two raw-term lists, on the largest
-    level pK of their terms (all pK are powers of p)."""
-    level = max(t[2] for t in xs + ys)
-    xs = [(e2, j * (level // pk), n, d) for e2, j, pk, n, d in xs]
-    return [
-        (e2 + f2, i + j * (level // pk), level, n * m, d * e)
-        for f2, j, pk, m, e in ys
-        for e2, i, n, d in xs
-    ]
 
 
 def _sum(node, field: LocalField, sorts: dict, budget: int):

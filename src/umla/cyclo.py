@@ -338,6 +338,9 @@ class CycloScalar:
             parts.append(s)
         return " + ".join(parts)
 
+    def __reduce__(self):
+        return CycloScalar, (self.p, self.raw())
+
     def _check(self, other: "CycloScalar") -> None:
         if self.p != other.p:
             raise ValueError(f"mixed residue cardinalities {self.p} and {other.p}")
@@ -346,4 +349,7 @@ class CycloScalar:
 def _ratio(text: str) -> tuple[int, int]:
     """(numerator, denominator) of a rational written as ``str(Fraction)``."""
     num, _, den = text.partition("/")
-    return int(num), int(den or 1)
+    num, den = int(num), int(den or 1)
+    if den <= 0:
+        raise ValueError(f"invalid rational {text!r}: the denominator must be positive")
+    return num, den

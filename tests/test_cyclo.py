@@ -1,6 +1,8 @@
 """Exact-scalar arithmetic: canonical reduction, ring laws, zero test."""
 
+import copy
 import json
+import pickle
 from fractions import Fraction
 from functools import reduce
 
@@ -180,10 +182,10 @@ def test_canonical_matches_fraction_reference(case, e2, k, num, c, negate):
     for s in built:
         assert s == direct and hash(s) == hash(direct)
         assert s.terms == want
-    for e2, ang, coef in want:
-        assert type(e2) is int and e2 in (0, 1)
-        assert type(ang) is Fraction and 0 <= ang < 1
-        assert type(coef) is Fraction and coef != 0
+        for e2, ang, coef in s.terms:
+            assert type(e2) is int and e2 in (0, 1)
+            assert type(ang) is Fraction and 0 <= ang < 1
+            assert type(coef) is Fraction and coef != 0
 
 
 # -- the text the benchmark digest hashes -------------------------------------
@@ -278,6 +280,22 @@ def test_json_round_trip_keeps_value_and_hash(case):
     s = CycloScalar(p, raw)
     back = CycloScalar.from_json(p, json.loads(json.dumps(s.to_json())))
     assert back == s and hash(back) == hash(s)
+
+
+@pytest.mark.parametrize("text", ["1/-2", "-1/-2", "1/0", "0.5", "1/2/3"])
+def test_from_json_rejects_malformed_rationals(text):
+    with pytest.raises(ValueError):
+        CycloScalar.from_json(2, [{"qpow": 0, "angle": "0", "coef": text}])
+    with pytest.raises(ValueError):
+        CycloScalar.from_json(2, [{"qpow": 0, "angle": text, "coef": "1"}])
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(_raw_triples())
+def test_copy_and_pickle_keep_value_and_hash(case):
+    s = CycloScalar(*case)
+    for back in (copy.copy(s), copy.deepcopy(s), pickle.loads(pickle.dumps(s))):
+        assert back == s and hash(back) == hash(s) and back.terms == s.terms
 
 
 def test_non_p_power_angles_raise():
