@@ -57,12 +57,14 @@ included, before the walk starts.  The dominant-term test is the one that
 certifies the gradient bound in :func:`stationary_phase_bound`; both read
 the gradient and its Taylor coefficients off one Taylor expansion of ``p``.
 
-The phase is fixed while ``lam``, ``eta`` and ``phi`` vary, so the
-expansions live on ``p`` itself: ``MultiPoly.taylor`` builds each once, on
-its first call, and every later call of either entry point reads it there.
-A call builds only what depends on its field, ``_Phase``: the ``int_form``
-of each Taylor coefficient and the orders of the gradient's Taylor weights,
-read on ints (``polys.field_int_ord``).
+The phase is fixed while ``lam``, ``eta`` and ``phi`` vary, so what is
+read off it lives on ``p`` itself and is built once, on first use:
+``MultiPoly.taylor`` keeps the expansion in the first k variables, which
+needs no field, and ``_Phase.of`` keeps, per field and k, the ``int_form``
+of each Taylor coefficient and the gradient's Taylor terms with the orders
+of their weights, read on ints (``polys.field_int_ord``).  A call reads two
+of them: the certificate the one in all variables, the walks the one in
+x alone.  The key is the field itself, since Q_p and F_p((t)) share p.
 
 Every decision of the walk reads ``lam`` only through ``ord(lam)``: the
 level ``L``, the budget check, the dropped subtrees and the skip rule.  The
@@ -213,12 +215,12 @@ def _joint_ball(field: LocalField, xball: Polyball, vball: Polyball) -> Polyball
 
 
 class _Phase:
-    """Taylor data of a phase p, read off one expansion ``tay`` of p in its
-    first k >= n variables (``p.taylor(k)``).
+    """Taylor data of a phase p over one field, read off its expansion
+    ``tay`` in its first k variables (``p.taylor(k)``).
 
     ``tay`` is the expansion {a: q_a} with p(c + e) = sum_a q_a(c) e^a, and
-    ``higher`` lists its terms of degree |a| >= 2.  For each integration
-    coordinate i < n with a nonzero derivative, ``grads`` holds (e_i, terms):
+    ``higher`` lists its terms of degree |a| >= 2.  For each expanded
+    coordinate i < k with a nonzero derivative, ``grads`` holds (e_i, terms):
     d_i p = q_{e_i} and
 
         d_i p(c + e) = sum_b (b_i + 1) q_{b + e_i}(c) e^b,
@@ -226,19 +228,21 @@ class _Phase:
     so ``terms`` lists (b, ord(b_i + 1), b + e_i) for every b != 0 there.
     ``forms`` holds the ``int_form`` of each q_a and ``pform`` that of p,
     which a walk evaluates on its codes.
+
+    The data depends on p, the field and k alone, not on lam, eta or phi, so
+    :meth:`of` builds it once per (field, k) and keeps it on p.
     """
 
-    __slots__ = ("p", "tay", "higher", "grads", "forms", "pform")
+    __slots__ = ("tay", "higher", "grads", "forms", "pform")
 
-    def __init__(self, field: LocalField, p: MultiPoly, n: int, tay: dict):
-        self.p = p
-        self.tay = tay
+    def __init__(self, field: LocalField, p: MultiPoly, k: int):
+        self.tay = tay = p.taylor(k)
         self.forms = {a: int_form(field, q.coeffs) for a, q in tay.items()}
         self.pform = int_form(field, p.coeffs)
         self.higher = [(a, qpoly) for a, qpoly in tay.items() if sum(a) >= 2]
         self.grads = []
         for ei in tay:
-            if sum(ei) != 1 or ei.index(1) >= n:
+            if sum(ei) != 1:
                 continue
             i = ei.index(1)
             terms = [
@@ -247,6 +251,23 @@ class _Phase:
                 if a[i] and a != ei
             ]
             self.grads.append((ei, terms))
+
+    @classmethod
+    def of(cls, field: LocalField, p: MultiPoly, k: int) -> "_Phase":
+        """The data of p over ``field`` expanded in its first k variables,
+        built on the first call and kept on p (``MultiPoly._phases``).  The
+        key is the field itself, not p: Q_3 and F_3((t)) share p = 3."""
+        kept = p._phases
+        if kept is None:
+            kept = p._phases = {}
+        got = kept.get((field, k))
+        if got is None:
+            got = kept[field, k] = cls(field, p, k)
+        return got
+
+    def grads_in(self, n: int) -> list:
+        """The entries of ``grads`` for the first n coordinates."""
+        return [(ei, terms) for ei, terms in self.grads if ei.index(1) < n]
 
 
 class _OrdsAt(dict):
@@ -296,11 +317,12 @@ def _subcells(
 
 
 def _certify_gradient(
-    field: LocalField, cert: _Phase, cell: Polyball, d0: int, budget: int
+    field: LocalField, cert: _Phase, n: int, cell: Polyball, d0: int, budget: int
 ) -> int:
-    """Certify min_i ord(grad_i) <= d0 over every point of the cell.
+    """Certify min_i ord(grad_i) <= d0 over every point of the cell, i < n.
 
-    ``cert`` holds the expansion of the phase in all its variables.  A cell
+    ``cert`` holds the expansion of the phase in all its variables, and the
+    gradient is that of its first n, the integration variables.  A cell
     passing the dominant-term test at its center with cap ``d0`` is
     certified.  A center with every ord(grad_i) > d0 refutes the bound, and
     is the witness of the :class:`PhaseCertificationError` raised; any other
@@ -312,6 +334,7 @@ def _certify_gradient(
     deeper starts the walk again with codes holding twice as many levels
     below the cell, and the walk visits the same cells in the same order.
     """
+    grads = cert.grads_in(n)
     extra = 8  # levels below the cell that the first codes hold
     while True:
         codes = walk_codes(
@@ -329,9 +352,9 @@ def _certify_gradient(
             spent += 1
             check_budget("gradient certificate", spent, budget)
             ords = _OrdsAt(codes, cert.forms, nums)
-            if _dominant(cert.grads, ords, radii, d0):
+            if _dominant(grads, ords, radii, d0):
                 done += 1
-            elif all(ords[ei] > d0 for ei, _ in cert.grads):
+            elif all(ords[ei] > d0 for ei, _ in grads):
                 raise PhaseCertificationError(
                     "gradient bound fails at a cell center",
                     witness=tuple(map(codes.element, nums)),
@@ -397,18 +420,18 @@ def stationary_phase_bound(
     # the expansion of p in all its variables certifies the gradient; the
     # walks read the expansion in x alone, p.taylor(n), which is that one
     # restricted to the terms constant in the parameters
-    cert = _Phase(field, p, n, p.taylor())
-    if not cert.grads:
+    cert = _Phase.of(field, p, p.n)
+    if not cert.grads_in(n):
         raise PhaseCertificationError(
             "phase has identically vanishing gradient in the integration "
             "variables",
             witness=None,
         )
-    phase = _Phase(field, p, n, p.taylor(n))
+    phase = _Phase.of(field, p, n)
     certified = 0
     for ball in cells:
         certified += _certify_gradient(
-            field, cert, _joint_ball(field, ball, V), d0, budget
+            field, cert, n, _joint_ball(field, ball, V), d0, budget
         )
 
     # --- remainder profile ---------------------------------------------------
@@ -533,7 +556,7 @@ def oscillatory_integral(
         raise FieldError("phase has wrong number of variables")
     if field.is_zero(lam):
         return phi.integrate()
-    phase = _Phase(field, p, phi.n, p.taylor(phi.n))
+    phase = _Phase.of(field, p, phi.n)
     walk = _walk(field, phase, phi, eta, field.ord(lam), budget)
     return _sum(field, phi.n, _angles(field, walk, lam, 1), 1)
 

@@ -342,11 +342,14 @@ def walk_codes(
 class MultiPoly:
     """Sparse polynomial in n variables with integer coefficients."""
 
-    __slots__ = ("n", "coeffs", "_taylor")
+    __slots__ = ("n", "coeffs", "_taylor", "_phases")
 
     def __init__(self, n: int, coeffs: dict | None = None):
         self.n = n
         self._taylor = None  # {k: taylor(k)}, filled on demand
+        # {(field, k): the phase data of microlocal.phase}, filled on demand
+        # there; like _taylor, read-only and never read by == or hash
+        self._phases = None
         clean = {}
         for expo, c in (coeffs or {}).items():
             expo = tuple(int(e) for e in expo)

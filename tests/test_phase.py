@@ -495,10 +495,11 @@ def test_integer_angles_match_riemann_sums_by_digits(key, eta, o, unit):
     assert not got.is_zero()
 
 
-def certify_by_elements(field, cert, cell, d0):
-    """(cells certified, cells visited) of the gradient certificate walked
-    on field elements: each centre's ords by ``eval_field``, each split by
-    ``children_by_field_ops``."""
+def certify_by_elements(field, cert, n, cell, d0):
+    """(cells certified, cells visited) of the gradient certificate in the
+    first n variables walked on field elements: each centre's ords by
+    ``eval_field``, each split by ``children_by_field_ops``."""
+    grads = cert.grads_in(n)
     stack, done, spent = [cell], 0, 0
     while stack:
         cur = stack.pop()
@@ -506,10 +507,10 @@ def certify_by_elements(field, cert, cell, d0):
         ords = {
             a: field.ord(q.eval_field(field, cur.centers)) for a, q in cert.tay.items()
         }
-        if _dominant(cert.grads, ords, cur.radii, d0):
+        if _dominant(grads, ords, cur.radii, d0):
             done += 1
         else:
-            assert not all(ords[ei] > d0 for ei, _ in cert.grads)
+            assert not all(ords[ei] > d0 for ei, _ in grads)
             stack.extend(children_by_field_ops(cur))
     return done, spent
 
@@ -523,15 +524,15 @@ def test_certificate_deeper_than_its_first_codes_matches_the_element_walk():
     # and overrun a budget one short of them with the same count
     f = make_field("equal-characteristic", 2)
     p = parse_poly("x^3 + x*e", ("x", "e"))
-    cert = _Phase(f, p, 1, p.taylor())
+    cert = _Phase.of(f, p, 2)
     cell = Polyball(f, (f.zero(), f.pow_uniformizer(17)), (0, 18))
-    done, spent = certify_by_elements(f, cert, cell, 17)
-    assert _certify_gradient(f, cert, cell, 17, DEFAULT_CELL_BUDGET) == done
+    done, spent = certify_by_elements(f, cert, 1, cell, 17)
+    assert _certify_gradient(f, cert, 1, cell, 17, DEFAULT_CELL_BUDGET) == done
     with pytest.raises(
         CellBudgetError,
         match=f"gradient certificate: {spent} cells requested, {spent - 1} allowed",
     ):
-        _certify_gradient(f, cert, cell, 17, spent - 1)
+        _certify_gradient(f, cert, 1, cell, 17, spent - 1)
 
 
 class TestOneWalkPerScale:
@@ -555,7 +556,7 @@ class TestOneWalkPerScale:
             center, radii, e = (f.zero(), f.zero()), (0, 1), -2
             etas = [(pi,), (f.add(pi, f.mul(pi, pi)),)]
         phi = SchwartzBruhat.indicator(Polyball(f, center, radii))
-        phase = _Phase(f, p, dim, p.taylor(dim))
+        phase = _Phase.of(f, p, dim)
         scales = [(e, 1), (e, 2), (e + 1, 2)]
         got = list(
             _unit_scale_integrals(f, phase, phi, etas, scales, DEFAULT_CELL_BUDGET)
@@ -602,7 +603,7 @@ class TestOneWalkPerScale:
             cells = {(f.zero(), f.zero()): coef}
             levels, e, eta = (0, 1), -2, (f.add(pi, f.mul(pi, pi)),)
         phi = SchwartzBruhat(f, dim, levels, cells)
-        phase = _Phase(f, p, dim, p.taylor(dim))
+        phase = _Phase.of(f, p, dim)
         walk = _walk(f, phase, phi, eta, e, DEFAULT_CELL_BUDGET)
         angles = _angles(f, walk, f.pow_uniformizer(e), depth)
         # the kept values are ints; decode them to elements
@@ -638,7 +639,7 @@ class TestOneWalkPerScale:
         phi = indicator(f, (f.zero(),), 0)
         V = unit_eta_ball(f)
         etas = list(V.child_centers())[:4]
-        phase = _Phase(f, p, 1, p.taylor(1))
+        phase = _Phase.of(f, p, 1)
         scales = [(-1, 2), (0, 1)]
         for e, _ in scales:
             for eta in etas:
@@ -908,10 +909,15 @@ def test_one_phase_over_several_fields_matches_fresh_phases():
     # the expansion kept on p holds no field data: one MultiPoly used in
     # turn over Q_3, F_3((t)) and Q_3 gives what a fresh equal one gives.
     # The terms divisible by 3 count over Q_3 and vanish over F_3((t)), so
-    # the integrals at the stationary point 0 differ between the fields
+    # the integrals at the stationary point 0 differ between the fields.
+    # The phase data is kept per field, keyed by the field and not by p:
+    # the second Q_3 pass reads the objects of the first, F_3((t)) has its
+    # own, and neither hash nor == reads them
     src, names = "x^2*e + 3*x^3 + 3*x*e", ("x", "e")
     shared = parse_poly(src, names)
+    fresh_hash = hash(shared)
     values = {}
+    kept = []
     for key in ("Q3", "F3t", "Q3"):
         f = FIELDS[key]
         phi = indicator(f, (f.zero(),), 0)
@@ -925,8 +931,16 @@ def test_one_phase_over_several_fields_matches_fresh_phases():
         phi, V = indicator(f, (f.one(),), 1), unit_eta_ball(f)
         want = stationary_phase_bound(parse_poly(src, names), phi, V, 1).to_json()
         assert stationary_phase_bound(shared, phi, V, 1).to_json() == want
+        kept.append({k: shared._phases[f, k] for k in (1, 2)})
     assert values["Q3"][:6] == values["Q3"][6:] != values["F3t"]
     assert set(shared._taylor) == {1, 2}
+    q3, f3t, q3_again = kept
+    assert all(q3_again[k] is q3[k] for k in (1, 2))
+    assert all(f3t[k] is not q3[k] for k in (1, 2))
+    assert set(shared._phases) == {(FIELDS[key], k) for key in ("Q3", "F3t") for k in (1, 2)}
+    assert hash(shared) == fresh_hash == hash(parse_poly(src, names))
+    assert shared == parse_poly(src, names) and parse_poly(src, names) == shared
+    assert shared != parse_poly("x^2*e", names)
 
 
 @st.composite
