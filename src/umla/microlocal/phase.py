@@ -77,13 +77,18 @@ multiplier ``m`` of order ``ord(lam)``, and ``_sum`` adds
 
 From the split to the psi angle a walk runs on integer codes, in one
 format per walk (``polys.walk_codes``): every coordinate of a cell, centre
-and ``eta`` alike, is one int; a child is its parent's code plus a step;
-``_OrdsAt`` reads each ord, and ``_walk`` each kept value, off
-``monomial_ints`` on the codes of the point.  A kept value stays an int
-N: over Q_p, p(c, eta) = N / D^m, D the walk's denominator and m the
-degree of p; over F_p((t)), N packs the digits v_k of p(c, eta) at 2^W,
-v_k the digit k + K m of N mod p, K the walk's shift.  The angle rule on
-ints: over Q_p, for ``mult = a / b`` write T = b D^m p = p^t T' with T'
+and ``eta`` alike, is one int; a child is its parent's code plus a step.
+At each point, ``_OrdsAt`` builds one power table of its codes and of the
+walk's denominator, up to the largest degree of the phase's forms, on its
+first read (``polys.power_table``).  Every form read at the point is
+summed off that table: the ords of the gradient and of its Taylor terms
+for the dominant-term test, those of the skip rule, and the kept value.
+Each form is homogenised with its own degree, so its N is the one that
+``monomial_ints`` gives, and ``codes.value_ord`` reads its ord.  A kept
+value stays an int N: over Q_p, p(c, eta) = N / D^m, D the walk's
+denominator and m the degree of p; over F_p((t)), N packs the digits v_k
+of p(c, eta) at 2^W, v_k the digit k + K m of N mod p, K the walk's
+shift.  The angle rule on ints: over Q_p, for ``mult = a / b`` write T = b D^m p = p^t T' with T'
 prime to p; then ``psi_angle(mult * N / D^m) = j / p^t`` with
 j = a N T'^(-1) mod p^t, one modular inverse per walk.  Over F_p((t)),
 the digits of w = mult * v that psi reads are
@@ -122,6 +127,8 @@ from ..polys import (
     QpCodes,
     field_int_ord,
     int_form,
+    power_table,
+    table_ints,
     walk_codes,
 )
 from ..schwartz import DEFAULT_CELL_BUDGET, SchwartzBruhat, check_budget
@@ -227,18 +234,20 @@ class _Phase:
 
     so ``terms`` lists (b, ord(b_i + 1), b + e_i) for every b != 0 there.
     ``forms`` holds the ``int_form`` of each q_a and ``pform`` that of p,
-    which a walk evaluates on its codes.
+    which a walk evaluates on its codes, and ``deg`` the largest of their
+    degrees, that of the power table of a point (``_OrdsAt``).
 
     The data depends on p, the field and k alone, not on lam, eta or phi, so
     :meth:`of` builds it once per (field, k) and keeps it on p.
     """
 
-    __slots__ = ("tay", "higher", "grads", "forms", "pform")
+    __slots__ = ("tay", "higher", "grads", "forms", "pform", "deg")
 
     def __init__(self, field: LocalField, p: MultiPoly, k: int):
         self.tay = tay = p.taylor(k)
         self.forms = {a: int_form(field, q.coeffs) for a, q in tay.items()}
         self.pform = int_form(field, p.coeffs)
+        self.deg = max(m for _, m in [self.pform, *self.forms.values()])
         self.higher = [(a, qpoly) for a, qpoly in tay.items() if sum(a) >= 2]
         self.grads = []
         for ei in tay:
@@ -272,18 +281,33 @@ class _Phase:
 
 class _OrdsAt(dict):
     """ord q_a at a point for the Taylor coefficients of a phase, on demand,
-    read off the integer codes ``nums`` of the point (module docstring):
-    ``codes.ord`` of the ``int_form`` of q_a, with no element built.
+    read off the integer codes ``nums`` of the point (module docstring).
+
+    The first read builds one ``power_table`` of the point's codes and of
+    the walk's den, up to ``deg``, the largest degree of the forms read
+    there; every form, ``value`` of the kept phase value included, is then
+    summed off that table, homogenised with its own degree, and its ord read
+    by ``codes.value_ord``.  No element is built.
     """
 
-    __slots__ = ("codes", "forms", "nums")
+    __slots__ = ("codes", "forms", "nums", "deg", "table")
 
-    def __init__(self, codes: QpCodes | LaurentCodes, forms: dict, nums: tuple):
+    def __init__(
+        self, codes: QpCodes | LaurentCodes, forms: dict, nums: tuple, deg: int
+    ):
         super().__init__()
-        self.codes, self.forms, self.nums = codes, forms, nums
+        self.codes, self.forms, self.nums, self.deg = codes, forms, nums, deg
+        self.table = None
+
+    def value(self, form: tuple) -> int:
+        """N of an ``int_form`` of degree <= ``deg`` at the point."""
+        if self.table is None:
+            self.table = power_table(self.nums, self.codes.den, self.deg)
+        return table_ints(form[0], form[1], self.table)
 
     def __missing__(self, a):
-        o = self[a] = self.codes.ord(self.forms[a], self.nums)
+        form = self.forms[a]
+        o = self[a] = self.codes.value_ord(self.value(form), form[1])
         return o
 
 
@@ -351,7 +375,7 @@ def _certify_gradient(
             nums, radii = stack.pop()
             spent += 1
             check_budget("gradient certificate", spent, budget)
-            ords = _OrdsAt(codes, cert.forms, nums)
+            ords = _OrdsAt(codes, cert.forms, nums, cert.deg)
             if _dominant(grads, ords, radii, d0):
                 done += 1
             elif all(ords[ei] > d0 for ei, _ in grads):
@@ -653,10 +677,10 @@ def _walk(
         while stack:
             nums, radii = stack.pop()
             point = nums + eta_codes
-            ords = _OrdsAt(codes, phase.forms, point)
+            ords = _OrdsAt(codes, phase.forms, point, phase.deg)
             if min(radii) == level:
                 if all(ords[ei] + lam_ord >= 1 - level for ei, _ in phase.grads):
-                    values.append(codes.value(phase.pform, point))
+                    values.append(ords.value(phase.pform))
             elif not _dominant(phase.grads, ords, radii, -level - lam_ord):
                 split = tuple(min(r + 1, level) for r in radii)
                 kids = _subcells(codes, nums, radii, split)

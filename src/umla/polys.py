@@ -25,10 +25,14 @@ total degree m with integer coefficients c_e,
 
 is an integer (the homogenised form), and P(x) = N / d^m.  This holds
 for every rational input, whatever its denominators, so no precision has to
-be chosen.  ``monomial_ints`` evaluates the sparse form with the powers of
-each n_i and of d shared between the monomials.  A caller builds at most
-one ``Fraction`` from the ints; one that needs only the valuation takes
-``int_ord`` of them instead.
+be chosen.  The powers come from one table per point (``power_table``): the
+powers of each n_i and of d up to a degree, built once.  ``table_ints``
+sums a form of degree m at most that degree off it, homogenised with its
+own m, so one table serves every form read at a point, whatever their
+degrees.  ``monomial_ints`` is the one-shot use, a table of the form's own
+degree read once.  A caller builds at most one ``Fraction`` from the ints;
+one that needs only the valuation reads it off N and m instead
+(``value_ord`` of the codes below).
 
 Over F_p((t)) the same kernel runs by Kronecker substitution.  Each
 coordinate is written x_i = n_i(t) / t^K with n_i in F_p[t], its digits
@@ -41,7 +45,7 @@ of them all,
 
 where l1(n) is the sum of the digits of n (l1(t^K) = 1).  Evaluating at
 t = 2^W with W = bit_length(B) (at least 1) is a ring map Z[t] -> Z, so
-``monomial_ints`` and ``horner_ints`` run unchanged on n_i(2^W) and
+the table kernel and ``horner_ints`` run unchanged on n_i(2^W) and
 d = 2^(W K), and every W-bit digit of the integer N(2^W) is exactly one
 coefficient of N(t), below 2^W, with no carry and no sign.
 Reducing the digits mod p decodes N(t) in F_p[t] (``unpack``), and
@@ -117,32 +121,47 @@ def horner_ints(cs: Sequence[int], n: int) -> int:
     return acc
 
 
-def monomial_ints(coeffs: dict, nums: Sequence[int], d: int) -> tuple[int, int]:
-    """(N, d^m) with sum_e c_e (nums/d)^e = N / d^m, m the total degree.
-
-    ``coeffs`` maps exponent tuples to ints.  Each monomial multiplies
-    entries of one power table per coordinate and of d, each built once.
-    """
-    m = max(map(sum, coeffs), default=0)
-    tables = []
+def power_table(nums: Sequence[int], d: int, m: int) -> tuple[list, list | None]:
+    """The powers of one point that ``table_ints`` sums forms of degree <= m
+    off: (rows, dpow), rows[i][k] = nums[i]^k and dpow[k] = d^k for k <= m,
+    dpow None when d = 1."""
+    rows = []
     for x in nums:
         row = [1]
         for _ in range(m):
             row.append(row[-1] * x)
-        tables.append(row)
-    dpow = [1]
+        rows.append(row)
+    dpow = None
     if d != 1:
+        dpow = [1]
         for _ in range(m):
             dpow.append(dpow[-1] * d)
+    return rows, dpow
+
+
+def table_ints(coeffs: dict, m: int, table: tuple) -> int:
+    """N = sum_e c_e n^e d^(m - |e|) for a form of total degree m, with n^e
+    and d^(m - |e|) read off a ``power_table`` of degree at least m: the
+    form is homogenised with its own degree, not the table's."""
+    rows, dpow = table
     total = 0
     for e, c in coeffs.items():
-        for row, k in zip(tables, e):
+        for row, k in zip(rows, e):
             if k:
                 c *= row[k]
-        if d != 1:
+        if dpow is not None:
             c *= dpow[m - sum(e)]
         total += c
-    return total, dpow[-1]
+    return total
+
+
+def monomial_ints(coeffs: dict, nums: Sequence[int], d: int) -> tuple[int, int]:
+    """(N, d^m) with sum_e c_e (nums/d)^e = N / d^m, m the total degree: one
+    ``power_table`` of degree m, read once by ``table_ints``."""
+    m = max(map(sum, coeffs), default=0)
+    table = power_table(nums, d, m)
+    dpow = table[1]
+    return table_ints(coeffs, m, table), dpow[m] if dpow else 1
 
 
 def int_ord(v: int, p: int):
@@ -208,14 +227,17 @@ def int_form(field: LocalField, coeffs: dict) -> tuple[dict, int]:
 
 
 class _Codes:
-    """What the two code formats share: the value of a form at codes.
+    """What the two code formats share: the value of a form at codes, and
+    its ord.
 
     A form is (cs, m), m its total degree.  Either cs maps exponent tuples
     to ints (an ``int_form``) and N = sum_e c_e n^e d^(m - |e|) is summed by
     ``monomial_ints``, with d = ``den``; or cs is a dense list of one
     variable whose entries already hold the powers of d and of any fixed
     coordinates (a form with those coordinates folded in), and
-    N = sum_i cs[i] n^i by ``horner_ints``.  The value is N / d^m.
+    N = sum_i cs[i] n^i by ``horner_ints``.  The value is N / d^m, and
+    ``value_ord`` reads its ord off N and m, here and for the forms that a
+    caller sums off one ``power_table`` of a point.
     """
 
     __slots__ = ()
@@ -225,6 +247,9 @@ class _Codes:
         if isinstance(cs, list):
             return horner_ints(cs, nums[0])
         return monomial_ints(cs, nums, self.den)[0]
+
+    def ord(self, form: tuple, nums: Sequence[int]):
+        return self.value_ord(self.value(form, nums), form[1])
 
 
 class QpCodes(_Codes):
@@ -257,10 +282,10 @@ class QpCodes(_Codes):
         step = self.den * p**r if r >= 0 else self.den // p**-r
         return [n + k * step for k in range(p ** (level - r))]
 
-    def ord(self, form: tuple, nums: Sequence[int]):
-        num = self.value(form, nums)
+    def value_ord(self, num: int, m: int):
+        """ord of the value N / D^m of a degree-m form: v_p(N) - m v_p(D)."""
         if num and self.den_ord:
-            return _vp(num, self.p) - self.den_ord * form[1]
+            return _vp(num, self.p) - self.den_ord * m
         return int_ord(num, self.p)
 
     def digit(self, form: tuple, nums: Sequence[int], j: int) -> int:
@@ -313,9 +338,9 @@ class LaurentCodes(_Codes):
             steps = [s + (d << at) for d in range(self.p) for s in steps]
         return [n + s for s in steps]
 
-    def ord(self, form: tuple, nums: Sequence[int]):
-        num = self.value(form, nums)
-        return packed_ord(num, self.width, self.p) - self.shift * form[1]
+    def value_ord(self, num: int, m: int):
+        """ord of the value N / t^(K m) of a degree-m form, N packed."""
+        return packed_ord(num, self.width, self.p) - self.shift * m
 
     def digit(self, form: tuple, nums: Sequence[int], j: int) -> int:
         """The t^j digit of the value: the W-bit digit j + K m of N, mod p."""

@@ -36,7 +36,7 @@ from umla.microlocal.phase import (
     _unit_scale_integrals,
     _walk,
 )
-from umla.polys import MultiPoly, int_form, parse_poly, walk_codes
+from umla.polys import MultiPoly, int_form, monomial_ints, parse_poly, walk_codes
 from umla.schwartz import DEFAULT_CELL_BUDGET, CellBudgetError, SchwartzBruhat
 
 
@@ -989,6 +989,71 @@ def test_ords_at_matches_field_valuations(case):
     f = FIELDS[key]
     forms = {a: int_form(f, q.coeffs) for a, q in tay.items()}
     codes = walk_codes(f, point, 0, 0, forms.values())
-    ords = _OrdsAt(codes, forms, tuple(map(codes.code, point)))
+    deg = max((m for _, m in forms.values()), default=0)
+    ords = _OrdsAt(codes, forms, tuple(map(codes.code, point)), deg)
     for a, q in tay.items():
         assert ords[a] == f.ord(q.eval_field(f, point))
+
+
+TABLE_FIELDS = [
+    make_field(kind, p)
+    for kind in ("p-adic", "equal-characteristic")
+    for p in (2, 3)
+]
+
+
+@st.composite
+def _table_cases(draw):
+    """(field, polynomials, point, lo): two to four polynomials of distinct
+    total degree read at one point.  Coordinates may be zero or carry
+    denominators (poles over F_p((t))), and the walk's least radius lo may
+    be negative, so the codes often have den > 1.  Some coefficients are
+    multiples of p, and some polynomials are p times another, so over
+    F_p((t)) a form may drop in degree or be zero."""
+    f = draw(st.sampled_from(TABLE_FIELDS))
+    p, n = f.p, draw(st.integers(1, 3))
+    polys = []
+    for deg in draw(st.lists(st.integers(0, 4), min_size=2, max_size=4, unique=True)):
+        cuts = sorted(draw(st.lists(st.integers(0, deg), min_size=n - 1, max_size=n - 1)))
+        top = tuple(b - a for a, b in zip([0] + cuts, cuts + [deg]))
+        coeffs = {top: draw(st.integers(1, 9)) * draw(st.sampled_from([1, -1]))}
+        for _ in range(draw(st.integers(0, 4))):
+            expo = tuple(draw(st.integers(0, deg)) for _ in range(n))
+            if sum(expo) <= deg:
+                coeffs[expo] = draw(st.integers(-9, 9))
+        poly = MultiPoly(n, coeffs)
+        polys.append(poly.scale(p) if draw(st.integers(0, 3)) == 0 else poly)
+    point = []
+    for _ in range(n):
+        if draw(st.booleans()) and draw(st.booleans()):
+            point.append(f.zero())
+        elif f.kind == "p-adic":
+            den = p ** draw(st.integers(0, 3)) * draw(st.sampled_from([1, 5, 7]))
+            point.append(Fraction(draw(st.integers(-40, 40)), den))
+        else:
+            lo = draw(st.integers(-3, 0))
+            digits = draw(st.lists(st.integers(0, p - 1), min_size=1, max_size=4))
+            point.append(LaurentPoly(p, [(lo + i, d) for i, d in enumerate(digits)]))
+    return f, polys, tuple(point), draw(st.integers(-2, 0))
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(_table_cases())
+def test_point_table_reads_every_form_as_its_own_evaluation(case):
+    # one power table of the point, built to the largest degree, serves
+    # every form: each is homogenised with its own degree, so its N is that
+    # of the one-shot kernel, its value that of eval_field and its ord that
+    # of the field, whatever the table's degree and the walk's den
+    f, polys, point, lo = case
+    forms = {i: int_form(f, poly.coeffs) for i, poly in enumerate(polys)}
+    codes = walk_codes(f, point, lo, 1, forms.values())
+    nums = tuple(map(codes.code, point))
+    deg = max((m for _, m in forms.values()), default=0)
+    ords = _OrdsAt(codes, forms, nums, deg)
+    for i, poly in enumerate(polys):
+        cs, m = forms[i]
+        num = ords.value(forms[i])
+        want = poly.eval_field(f, point)
+        assert num == monomial_ints(cs, nums, codes.den)[0]
+        assert codes.element(num, m) == want
+        assert ords[i] == codes.ord(forms[i], nums) == f.ord(want)

@@ -177,7 +177,8 @@ def test_laurent_evaluation_matches_element_reference(case):
     tay = poly.taylor()
     forms = {a: int_form(field, q.coeffs) for a, q in tay.items()}
     codes = walk_codes(field, point, 0, 0, forms.values())
-    ords = _OrdsAt(codes, forms, tuple(map(codes.code, point)))
+    deg = max((m for _, m in forms.values()), default=0)
+    ords = _OrdsAt(codes, forms, tuple(map(codes.code, point)), deg)
     for a, q in tay.items():
         assert ords[a] == eval_by_laurent(p, q.coeffs, point).ord()
 
