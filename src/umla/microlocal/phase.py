@@ -414,7 +414,9 @@ def stationary_phase_bound(
     of lam -> I_eta(lam) is contained in the ball of valuative radius -r,
     i.e. the integral vanishes whenever ord(lam) < -r.  The bound is then
     confirmed by exhaustive exact integration over ``verify_window`` scale
-    orders below the threshold at the exact unit depth, for sampled eta.
+    orders below the threshold at the exact unit depth, for
+    ``verify_eta_samples`` sampled eta; both must be at least 1, or
+    :class:`FieldError` is raised, as a check of nothing is no confirmation.
     The cell walk of an integral reads lam only through ord(lam), so the
     verification makes one walk per (scale order e, eta), when the first
     unit class of that order needs it, counts once what psi reads from
@@ -433,6 +435,12 @@ def stationary_phase_bound(
     n, r_par = phi.n, V.n
     if p.n != n + r_par:
         raise FieldError("phase has wrong number of variables")
+    for name, count in (
+        ("verify_window", verify_window),
+        ("verify_eta_samples", verify_eta_samples),
+    ):
+        if count < 1:
+            raise FieldError(f"{name} must be at least 1, got {count}")
     d0 = _grad_ord_from_delta(field, delta)
 
     cells = [ball for ball, _ in phi.terms()]

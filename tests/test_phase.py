@@ -408,6 +408,26 @@ class TestStationaryPhaseBound:
         with pytest.raises(FieldError):
             stationary_phase_bound(p, indicator(f, (f.zero(),), 0), unit_eta_ball(f), 0)
 
+    @pytest.mark.parametrize(
+        "option, count",
+        [
+            ("verify_window", 0),
+            ("verify_window", -2),
+            ("verify_eta_samples", 0),
+            ("verify_eta_samples", -1),
+        ],
+    )
+    def test_verification_that_checks_nothing_is_rejected(self, field, option, count):
+        # an empty scale window or no eta sample would check no integral
+        # and still report all_zero; a negative window would report an
+        # inverted lambda_orders range
+        f = field
+        p = parse_poly("x*e", ("x", "e"))
+        phi = indicator(f, (f.zero(),), 0)
+        with pytest.raises(FieldError, match=f"{option} must be at least 1, got {count}"):
+            stationary_phase_bound(p, phi, unit_eta_ball(f), 1, **{option: count})
+        assert stationary_phase_bound(p, phi, unit_eta_ball(f), 1, **{option: 1})
+
     def test_certified_window_spot_checks(self, field):
         # independent re-check of the certificate: random scalings strictly
         # below the threshold integrate to zero for every sampled parameter
