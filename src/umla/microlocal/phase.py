@@ -88,9 +88,10 @@ Each form is homogenised with its own degree, so its N is the one that
 value stays an int N: over Q_p, p(c, eta) = N / D^m, D the walk's
 denominator and m the degree of p; over F_p((t)), N packs the digits v_k
 of p(c, eta) at 2^W, v_k the digit k + K m of N mod p, K the walk's
-shift.  The angle rule on ints: over Q_p, for ``mult = a / b`` write T = b D^m p = p^t T' with T'
-prime to p; then ``psi_angle(mult * N / D^m) = j / p^t`` with
-j = a N T'^(-1) mod p^t, one modular inverse per walk.  Over F_p((t)),
+shift.  The angle rule on ints: over Q_p, for ``mult = a / b`` write
+T = b D^m p = p^t T' with T' prime to p; then
+``psi_angle(mult * N / D^m) = j / p^t`` with j = a N T'^(-1) mod p^t, one
+modular inverse per walk.  Over F_p((t)),
 the digits of w = mult * v that psi reads are
 w_{-i} = sum_j mult_j v_{-i-j} mod p, read off the digits of N.  No field
 element is built between a split and its angle: elements are built only

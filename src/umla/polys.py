@@ -155,13 +155,11 @@ def table_ints(coeffs: dict, m: int, table: tuple) -> int:
     return total
 
 
-def monomial_ints(coeffs: dict, nums: Sequence[int], d: int) -> tuple[int, int]:
-    """(N, d^m) with sum_e c_e (nums/d)^e = N / d^m, m the total degree: one
+def monomial_ints(coeffs: dict, nums: Sequence[int], d: int) -> int:
+    """N with sum_e c_e (nums/d)^e = N / d^m, m the total degree: one
     ``power_table`` of degree m, read once by ``table_ints``."""
     m = max(map(sum, coeffs), default=0)
-    table = power_table(nums, d, m)
-    dpow = table[1]
-    return table_ints(coeffs, m, table), dpow[m] if dpow else 1
+    return table_ints(coeffs, m, power_table(nums, d, m))
 
 
 def int_ord(v: int, p: int):
@@ -246,7 +244,7 @@ class _Codes:
         cs = form[0]
         if isinstance(cs, list):
             return horner_ints(cs, nums[0])
-        return monomial_ints(cs, nums, self.den)[0]
+        return monomial_ints(cs, nums, self.den)
 
     def ord(self, form: tuple, nums: Sequence[int]):
         return self.value_ord(self.value(form, nums), form[1])
