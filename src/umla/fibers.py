@@ -18,8 +18,14 @@ from it, f_!(phi) is locally constant, and ``level_measure`` measures how
 the level of local constancy depends on the distance to the critical values
 and on the refinement of phi, reporting the measurements together with a
 dominating affine bound.  Both run one kernel for the value at a regular y
-(``_pushforward_value``); ``level_measure`` sets it up once per restriction
-of phi.
+(``_pushforward_value``) on a root search (``_Search``) that holds what
+does not depend on y: the codes format, the folds of f_K' and of the
+y-free part of f_K - y, and the ords of the coefficients of f_K - y of
+degree >= 1.  ``fiber_integrate`` builds a search for its one y,
+``level_measure`` one per restriction of phi for all its scanned centres;
+each base point then adds only its term -y and reads the ord of the
+constant coefficient.  phi's support and constancy level are read off its
+normal form, which phi keeps (``SchwartzBruhat.normalized``).
 
 The critical-value data is read in the field.  Over F_p((t)) the map is f
 with its coefficients reduced mod p, and it has a lower degree where p
@@ -161,116 +167,174 @@ def _elem_sort_key(x):
     return x.coeffs if hasattr(x, "coeffs") else x
 
 
-def _fold(codes, form: tuple, fixed: tuple) -> tuple[list, int]:
-    """``form``, an ``int_form`` in (x, *fixed) of total degree m, at the
-    codes ``fixed`` of the fixed coordinates: the dense form in x alone
-    (``polys._Codes``), whose entry i, for i <= m, sums
-    c_e fixed^rest(e) d^(m - |e|) over the exponents e = (i, *rest), d the
-    walk's ``den``."""
+def _fold_split(codes, form: tuple) -> tuple[list, list]:
+    """``form``, an ``int_form`` in (x, *fixed) of total degree m, with the
+    powers of the walk's ``den`` d multiplied in: (free, terms).  ``free``
+    is the dense form in x (``polys._Codes``) of the terms free of the fixed
+    coordinates, entry i summing c_e d^(m - i) over the exponents
+    e = (i, 0, ..., 0); ``terms`` lists the others as (i, c_e d^(m - |e|),
+    rest(e)), e = (i, *rest(e)).  Neither depends on the fixed codes."""
     cs, m = form
     dpow = [1]
     for _ in range(m):
         dpow.append(dpow[-1] * codes.den)
-    out = [0] * (m + 1)
+    free = [0] * (m + 1)
+    terms = []
     for e, c in cs.items():
-        k = m - e[0]
-        for x, j in zip(fixed, e[1:]):
+        c *= dpow[m - sum(e)]
+        if any(e[1:]):
+            terms.append((e[0], c, e[1:]))
+        else:
+            free[e[0]] += c
+    return free, terms
+
+
+def _fold_at(free: list, terms: list, fixed: tuple) -> list:
+    """The fold of a ``_fold_split`` form at the codes ``fixed`` of the
+    fixed coordinates: the dense form in x whose entry i sums
+    c_e fixed^rest(e) d^(m - |e|) over the exponents e = (i, *rest)."""
+    if not terms:
+        return free
+    out = list(free)
+    for i, c, rest in terms:
+        for x, j in zip(fixed, rest):
             if j:
                 c *= x**j
-                k -= j
-        out[e[0]] += c * dpow[k]
-    return out, m
+        out[i] += c
+    return out
 
 
-def _window_roots(field: LocalField, forms, fixed, window: int, k: int, res_ord):
-    """Roots x of h with ord x >= window, as (truncation, ord h'(x)).
+class _Search:
+    """The root search of h = ``forms[0]`` (see ``roots``) at the base
+    points ``bases``, each a tuple of elements for the fixed coordinates.
 
     ``forms`` are the ``int_form`` of h(x, *fixed) and of dh/dx, integer
-    forms in x and the fixed coordinates, which take the elements
-    ``fixed``.  Returns one pair per root: its level-k truncation (distinct
-    roots may share one) and the exact valuation of h' there, sorted by
-    truncation.  Requires k > window.
+    forms in x and the fixed coordinates.  Roots are sought with
+    ord x >= ``window`` and truncated at level ``k`` > window.
 
-    The cells B_L(a), L >= window, are refined from B_window(0), kept and
-    decided by the tests of the module docstring, which read the content c
-    off the coefficients of h.  A decided cell holds one root exactly when
-    ord h(a) >= L + v', and a cell that holds one is followed down to level
-    k through the one child that holds it (a Hensel descent):
-    h(a + d pi^L) = h(a) + h'(a) d pi^L modulo terms of ord > L + v', so
-    the child's digit is
-    d = -(h(a) / pi^(L+v')) (h'(a) / pi^v')^(-1) mod pi, one ``digit`` of
-    each; h'(a) / pi^v' mod pi is the same on every deeper cell, so it is
-    inverted once per root.  The root's level-k truncation is that cell's
-    centre, cut to level k when the cell was decided deeper than k.
-    Raises ClusterUnresolved only when Res(h, h') = 0, i.e. h has a
-    repeated root, and a cell is still undecided at level k.  Only then is
-    the bound on the undecided cells needed: ``res_ord`` returns
-    ord Res(h, h') at the formal degrees (n, n - 1), n = deg h in the field
-    (see ``_ord_resultant``).
-
-    The walk runs on the codes of one ``walk_codes`` format, with least
-    radius the window and deepest level k + 1.  The fixed coordinates are
-    folded into both forms once (``_fold``), so every cell evaluates a
-    dense form in x by Horner steps, and the codes read each ord and each
-    Hensel ``digit`` off one such evaluation.  Over F_p((t)) the codes
-    hold the digits below their ``limit``; a search that must split a cell
-    at that depth starts again with codes that reach the bound on the
-    undecided cells, which no split exceeds.  Field elements are built
-    only for found roots and for the centre that ClusterUnresolved
-    reports.
+    What does not depend on the base point is set up once, for all of
+    them: one ``walk_codes`` format, with least radius the window and
+    deepest level k + 1, that holds the codes of every base point; each
+    form split at its ``den`` (``_fold_split``) into its dense part free of
+    the fixed coordinates and its other terms; and the ords of the entries
+    of h that no fixed coordinate reaches.  A base point then adds only
+    its own terms (``_fold_at``) and reads the ords of the entries they
+    reach.  For h = f_K(x) - y that is the one term -y of entry 0, and
+    dh/dx = f_K' holds no fixed coordinate at all.  A level scan builds
+    one search for all its centres, ``fiber_integrate`` and ``padic_roots``
+    a one-point search.
     """
-    if k <= window:
-        raise FieldError("precision must exceed the search window")
-    q = field.q
-    res = None  # the ord Res bound, read once a cell reaches level k
-    hi = k + 1
-    while True:
-        codes = walk_codes(field, fixed, window, hi, forms)
-        nums = tuple(map(codes.code, fixed))
-        g, gp = _fold(codes, forms[0], nums), _fold(codes, forms[1], nums)
-        # ord h_i: the entry i of g, a constant form of degree m - i, has
-        # the value h_i; n = deg h and c, the least ord of a term h_i x^i
-        # on the window
-        ords = [codes.ord(([c], g[1] - i), (0,)) for i, c in enumerate(g[0])]
-        n = max((i for i, o in enumerate(ords) if o != INF), default=None)
-        if n is None:
-            raise FieldError("the zero polynomial has no root locus")
-        content = min(o + i * window for i, o in enumerate(ords))
-        decided = content - 2 * window  # B_L(a) is decided once L + this > v'
-        survives = content - window  # a root in B_L(a) needs ord h(a) >= L + this
-        found = []
-        cells = [(0, window, codes.ord(g, (0,)))]
-        while cells:
-            a, level, va = cells.pop()
-            vpa = codes.ord(gp, (a,))
-            if level + decided > vpa:
-                if va >= level + vpa:
-                    if level < k:
-                        inv = pow(codes.digit(gp, (a,), vpa), -1, q)
-                    while level < k:
-                        d = -codes.digit(g, (a,), level + vpa) * inv % q
-                        a = codes.child_codes(a, level, level + 1)[d]
-                        level += 1
-                    root = codes.element(a)
-                    if level > k:
-                        root = field.canon_trunc(root, k)
-                    found.append((root, vpa))
-                continue
-            if level >= k:
-                if res is None:
-                    res = _ord_resultant(n, window, content, res_ord)
-                if res == INF:
-                    raise ClusterUnresolved(field, codes.element(a), level)
-                if level >= codes.limit:
-                    # no cell deeper than window + res splits
-                    hi = window + res + 1
-                    break
-            for child in codes.child_codes(a, level, level + 1):
-                vc = codes.ord(g, (child,))
-                if vc >= level + 1 + survives:
-                    cells.append((child, level + 1, vc))
-        else:
-            return sorted(found, key=lambda item: (_elem_sort_key(item[0]), item[1]))
+
+    __slots__ = ("field", "forms", "window", "k", "codes", "shared")
+
+    def __init__(self, field: LocalField, forms, bases, window: int, k: int):
+        if k <= window:
+            raise FieldError("precision must exceed the search window")
+        self.field, self.forms, self.window, self.k = field, forms, window, k
+        fixed = [x for base in bases for x in base]
+        self.codes = walk_codes(field, fixed, window, k + 1, forms)
+        self.shared = self._shared(self.codes)
+
+    def _shared(self, codes) -> tuple:
+        """(split h, split dh/dx, ords of the entries of h): the part of the
+        search that depends on the codes' format alone.  Entry i of h is a
+        constant form of degree m - i; the ords of those that a fixed term
+        reaches are left for the base point."""
+        (g, terms), gp = (_fold_split(codes, form) for form in self.forms)
+        m = self.forms[0][1]
+        ords = [codes.value_ord(c, m - i) for i, c in enumerate(g)]
+        return (g, terms), gp, ords
+
+    def roots(self, base: tuple, res_ord) -> list:
+        """Roots x of h(x, *base) with ord x >= window, as (truncation,
+        ord h'(x)); ``base`` is one of the search's base points.
+
+        Returns one pair per root: its level-k truncation (distinct roots
+        may share one) and the exact valuation of h' there, sorted by
+        truncation.
+
+        The cells B_L(a), L >= window, are refined from B_window(0), kept
+        and decided by the tests of the module docstring, which read the
+        content c off the coefficients of h.  A decided cell holds one root
+        exactly when ord h(a) >= L + v', and a cell that holds one is
+        followed down to level k through the one child that holds it (a
+        Hensel descent): h(a + d pi^L) = h(a) + h'(a) d pi^L modulo terms
+        of ord > L + v', so the child's digit is
+        d = -(h(a) / pi^(L+v')) (h'(a) / pi^v')^(-1) mod pi, one ``digit``
+        of each; h'(a) / pi^v' mod pi is the same on every deeper cell, so
+        it is inverted once per root.  The root's level-k truncation is
+        that cell's centre, cut to level k when the cell was decided deeper
+        than k.  Raises ClusterUnresolved only when Res(h, h') = 0, i.e. h
+        has a repeated root, and a cell is still undecided at level k.
+        Only then is the bound on the undecided cells needed: ``res_ord``
+        returns ord Res(h, h') at the formal degrees (n, n - 1), n = deg h
+        in the field (see ``_ord_resultant``).
+
+        Every cell evaluates a dense form in x by Horner steps, and the
+        codes read each ord and each Hensel ``digit`` off one such
+        evaluation.  Over F_p((t)) the codes hold the digits below their
+        ``limit``; a base point whose search must split a cell at that
+        depth starts again, alone, with codes that reach the bound on the
+        undecided cells, which no split exceeds.  Field elements are built
+        only for found roots and for the centre that ClusterUnresolved
+        reports.
+        """
+        field, window, k, forms = self.field, self.window, self.k, self.forms
+        q, m = field.q, forms[0][1]
+        codes, shared = self.codes, self.shared
+        res = None  # the ord Res bound, read once a cell reaches level k
+        while True:
+            (free, terms), gp_split, ords = shared
+            nums = tuple(map(codes.code, base))
+            g = (_fold_at(free, terms, nums), m)
+            gp = (_fold_at(*gp_split, nums), forms[1][1])
+            # ord h_i for the entries this base point reaches; n = deg h
+            # and c, the least ord of a term h_i x^i on the window
+            if terms:
+                ords = list(ords)
+                for i, _, _ in terms:
+                    ords[i] = codes.value_ord(g[0][i], m - i)
+            n = max((i for i, o in enumerate(ords) if o != INF), default=None)
+            if n is None:
+                raise FieldError("the zero polynomial has no root locus")
+            content = min(o + i * window for i, o in enumerate(ords))
+            decided = content - 2 * window  # B_L(a) is decided once L + this > v'
+            survives = content - window  # a root in B_L(a) needs ord h(a) >= L + this
+            found = []
+            cells = [(0, window, codes.ord(g, (0,)))]
+            while cells:
+                a, level, va = cells.pop()
+                vpa = codes.ord(gp, (a,))
+                if level + decided > vpa:
+                    if va >= level + vpa:
+                        if level < k:
+                            inv = pow(codes.digit(gp, (a,), vpa), -1, q)
+                        while level < k:
+                            d = -codes.digit(g, (a,), level + vpa) * inv % q
+                            a = codes.child_codes(a, level, level + 1)[d]
+                            level += 1
+                        root = codes.element(a)
+                        if level > k:
+                            root = field.canon_trunc(root, k)
+                        found.append((root, vpa))
+                    continue
+                if level >= k:
+                    if res is None:
+                        res = _ord_resultant(n, window, content, res_ord)
+                    if res == INF:
+                        raise ClusterUnresolved(field, codes.element(a), level)
+                    if level >= codes.limit:
+                        # no cell deeper than window + res splits
+                        hi = window + res + 1
+                        codes = walk_codes(field, base, window, hi, forms)
+                        shared = self._shared(codes)
+                        break
+                for child in codes.child_codes(a, level, level + 1):
+                    vc = codes.ord(g, (child,))
+                    if vc >= level + 1 + survives:
+                        cells.append((child, level + 1, vc))
+            else:
+                return sorted(found, key=lambda item: (_elem_sort_key(item[0]), item[1]))
 
 
 def _ord_resultant(n: int, window: int, content: int, res_ord) -> int:
@@ -308,7 +372,7 @@ def padic_roots(g, field: LocalField, k: int, window: int = 0) -> list:
         disc = critical_value_locus(_reduce(field, poly))
         return field_int_ord(field, disc.coeffs.get((0,), 0))
 
-    roots = _window_roots(field, forms, (), window, k, res_ord)
+    roots = _Search(field, forms, [()], window, k).roots((), res_ord)
     # one entry per truncation, in the sorted order of the pairs
     return list(dict.fromkeys(root for root, _ in roots))
 
@@ -396,37 +460,40 @@ class FiberProblem:
         return cls.from_string(obj["f"])
 
 
-def _fiber_points(forms, field: LocalField, y, support: int, k: int, disc_ord):
-    """(truncated root, ord f' there) for the fiber points of the map f_K
-    with the search ``forms`` of ``FiberProblem.reduced`` inside the window
-    ord x >= min(support, 0), ``support`` the support radius of phi;
-    ``disc_ord`` returns ord disc_K(y), read only if the root search needs
-    it."""
-    window = min(support, 0)
-    return _window_roots(field, forms, (y,), window, max(k, window + 1), disc_ord)
+def _value_search(forms, phi: SchwartzBruhat, ys) -> _Search:
+    """The root search of the value kernel for phi, nonzero, at the base
+    points ``ys``, for the map f_K in phi's field with the search ``forms``
+    of ``FiberProblem.reduced``: fiber points in the window
+    ord x >= min(support, 0), truncated at max(constancy, support + 1, 1),
+    with (support, constancy) = phi.alpha_bounds().
 
-
-def _pushforward_value(forms, phi: SchwartzBruhat, bounds, y, disc_ord):
-    """f_!(phi)(y) at a regular value y, for the map f_K in phi's field with
-    the search ``forms`` of ``FiberProblem.reduced``, and phi nonzero with
-    ``bounds`` = phi.alpha_bounds() = (support, constancy).
-
-    Root precision is the constancy level of phi, so phi and |f'| are both
-    exact on the truncations; the root search counts every fiber point
-    once, and since f - y is squarefree at a regular value it never meets a
-    repeated root (ClusterUnresolved).  ``disc_ord`` returns ord disc_K(y).
+    At that precision phi and |f'| are both exact on the truncations; the
+    search counts every fiber point once, and since f - y is squarefree at
+    a regular value it never meets a repeated root (ClusterUnresolved).
     """
-    field = phi.field
-    support, constancy = bounds
-    points = _fiber_points(
-        forms, field, y, support, max(constancy, support + 1, 1), disc_ord
-    )
+    support, constancy = phi.alpha_bounds()
+    window = min(support, 0)
+    k = max(constancy, support + 1, 1)
+    return _Search(phi.field, forms, [(y,) for y in ys], window, k)
+
+
+def _fiber_points(search: _Search, y, disc_ord) -> list:
+    """(truncated root, ord f' there) for the fiber points over y, one of
+    the base points of ``search``; ``disc_ord`` returns ord disc_K(y), read
+    only if the root search needs it."""
+    return search.roots((y,), disc_ord)
+
+
+def _pushforward_value(search: _Search, phi: SchwartzBruhat, y, disc_ord):
+    """f_!(phi)(y) at a regular value y; ``search`` is the
+    ``_value_search`` of phi, y one of its base points, and ``disc_ord``
+    returns ord disc_K(y)."""
     # 1/|f'(x)| = q^(ord f'(x)), with the doubled-exponent encoding; one
     # construction canonicalises the shifted raw terms of every point
     raw = []
-    for root, dorder in points:
+    for root, dorder in _fiber_points(search, y, disc_ord):
         raw += phi.eval_at((root,)).raw(2 * dorder)
-    return CycloScalar(field.p, raw)
+    return CycloScalar(phi.field.p, raw)
 
 
 def fiber_integrate(problem: FiberProblem, phi: SchwartzBruhat, y) -> CycloScalar:
@@ -447,7 +514,8 @@ def fiber_integrate(problem: FiberProblem, phi: SchwartzBruhat, y) -> CycloScala
         raise OnDiscriminant(field, y)
     if phi.is_zero():
         return CycloScalar.zero(field.p)
-    return _pushforward_value(forms, phi, phi.alpha_bounds(), y, lambda: disc_ord)
+    search = _value_search(forms, phi, [y])
+    return _pushforward_value(search, phi, y, lambda: disc_ord)
 
 
 # ---------------------------------------------------------------------------
@@ -571,20 +639,29 @@ def level_measure(
     For each eps, the scanned region consists of the base points y with
     ord(y) at least the image window bound of phi and valuative proximity
     to every critical value at most eps; for each m, phi is restricted to
-    the level-m ball at ``x0`` (the unit point by default).  The measured
+    the level-m ball at ``x0`` (the unit point by default; an int is read
+    as ``field.from_int(x0)``, as ``fiber_integrate`` reads y).  The measured
     mu is the minimal level at which the pushforward is constant per cell
     across the region, checked exhaustively at the working resolution.
     ``cell_budget`` (default the shared ``DEFAULT_CELL_BUDGET``) bounds the
     number of cells of the scanned window at that resolution.
 
     Every scanned centre is a regular value, so the scan calls the value
-    kernel with no critical-value test.  A centre is a canonical truncation
-    at the resolution R, with no digit at R or beyond.  The root search
-    finds every critical value of valuation at least min(window, 0), cut at
-    R, and a centre y is scanned only if ord(y - z) <= eps < R for each such
-    cut z, so y differs from each of those critical values in a digit below
-    R.  Any other critical value has valuation below min(window, 0), and
-    every centre has valuation at least the window.
+    kernel with no critical-value test.  Per restriction of phi it builds
+    one root search over all scanned centres (``_Search``), which holds the
+    codes format of every centre, the folds of f_K' and of the y-free part
+    of f_K - y and the ords of the coefficients of degree >= 1; per centre
+    the search adds only the term -y, reads the ord of the constant
+    coefficient and walks, and ord disc_K(y) is read at most once, only if
+    a search needs it.
+
+    A centre is a canonical truncation at the resolution R, with no digit
+    at R or beyond.  The root search finds every critical value of
+    valuation at least min(window, 0), cut at R, and a centre y is scanned
+    only if ord(y - z) <= eps < R for each such cut z, so y differs from
+    each of those critical values in a digit below R.  Any other critical
+    value has valuation below min(window, 0), and every centre has
+    valuation at least the window.
     """
     if phi.n != 1:
         raise FieldError("level measurement works along one-variable charts")
@@ -595,6 +672,8 @@ def level_measure(
         raise FieldError("need at least one eps and one m value")
     if x0 is None:
         x0 = field.one()
+    elif isinstance(x0, int):
+        x0 = field.from_int(x0)
 
     support, _ = phi.alpha_bounds()
     # ord f(x) >= window on the support of phi, so the pushforward
@@ -633,20 +712,24 @@ def level_measure(
         for eps in eps_values
     }
 
-    # the regions grow with eps, so the last one holds every scanned centre
+    # the regions grow with eps, so the last one holds every scanned centre;
+    # one root search per restriction serves them all
+    scanned = included[eps_values[-1]]
     zero = CycloScalar.zero(field.p)
     restricted = []
     for m in m_values:
         local = phi.restrict(Polyball.ball(field, (x0,), m))
-        restricted.append((local, None if local.is_zero() else local.alpha_bounds()))
+        restricted.append(
+            (local, None if local.is_zero() else _value_search(forms, local, scanned))
+        )
     values = [{} for _ in m_values]
-    for c in included[eps_values[-1]]:
+    for c in scanned:
         disc_ord = _once(partial(disc.ord_field, field, (c,)))
-        for table, (local, bounds) in zip(values, restricted):
+        for table, (local, search) in zip(values, restricted):
             table[c] = (
                 zero
-                if bounds is None
-                else _pushforward_value(forms, local, bounds, c, disc_ord)
+                if search is None
+                else _pushforward_value(search, local, c, disc_ord)
             )
 
     rows = {}

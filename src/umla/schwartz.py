@@ -35,17 +35,22 @@ def check_budget(what: str, cells: int, budget: int) -> None:
 
 
 def coerce_scalar(p: int, value) -> CycloScalar:
+    """``value`` as an exact scalar of residue characteristic p: a
+    ``CycloScalar`` of that p as it is, an int or a ``Fraction`` as a
+    rational one; FieldError for anything else."""
     if isinstance(value, CycloScalar):
         if value.p != p:
             raise FieldError("scalar belongs to a different residue characteristic")
         return value
+    if not isinstance(value, (int, Fraction)):
+        raise FieldError(f"a {type(value).__name__} is not an exact scalar")
     return CycloScalar.fraction(p, Fraction(value))
 
 
 class SchwartzBruhat:
     """Finite exact cell decomposition of a test function on K^n."""
 
-    __slots__ = ("field", "n", "levels", "cells")
+    __slots__ = ("field", "n", "levels", "cells", "_normal")
 
     def __init__(self, field: LocalField, n: int, levels, cells: dict):
         if n < 1:
@@ -53,8 +58,11 @@ class SchwartzBruhat:
         self.field = field
         self.n = n
         self.levels = self._levels_tuple(n, levels)
+        # the normal form, filled by the first ``normalized`` call; read-only
+        self._normal = None
         canon: dict = {}
         for center, coef in cells.items():
+            coef = coerce_scalar(field.p, coef)
             key = tuple(
                 field.canon_trunc(c, r) for c, r in zip(center, self.levels)
             )
@@ -83,6 +91,7 @@ class SchwartzBruhat:
         obj.n = n
         obj.levels = levels if isinstance(levels, tuple) else cls._levels_tuple(n, levels)
         obj.cells = {k: v for k, v in cells.items() if not v.is_zero()}
+        obj._normal = None
         return obj
 
     # -- constructors --------------------------------------------------------
@@ -246,7 +255,19 @@ class SchwartzBruhat:
     # -- canonical coarsening and alpha data ------------------------------------
 
     def normalized(self) -> "SchwartzBruhat":
-        """Coarsen each coordinate to its minimal constancy level."""
+        """Coarsen each coordinate to its minimal constancy level.
+
+        The normal form is built on the first call and kept in the private
+        slot ``_normal``, so every later call returns the same object, and
+        the normal form's own slot holds itself.  It is shared, so it is
+        read-only, like the function itself.
+        """
+        if self._normal is None:
+            self._normal = self._coarsened()
+            self._normal._normal = self._normal
+        return self._normal
+
+    def _coarsened(self) -> "SchwartzBruhat":
         if not self.cells:
             return self
         field, q = self.field, self.field.q
@@ -270,10 +291,12 @@ class SchwartzBruhat:
                     cells = {key: members[0] for key, members in groups.items()}
                     levels[i] -= 1
                     changed = True
+        if tuple(levels) == self.levels:
+            return self
         return SchwartzBruhat._trusted(field, self.n, tuple(levels), cells)
 
     def alpha_bounds(self) -> tuple[int, int]:
-        """(support radius, constancy level) of the normalized representation."""
+        """(support radius, constancy level), read off the normal form."""
         if not self.cells:
             raise FieldError("alpha bounds of the zero function are undefined")
         g = self.normalized()

@@ -30,7 +30,7 @@ from umla.cexp.syntax import (
     Var,
 )
 from umla.cyclo import CycloScalar
-from umla.fibers import _critical_values, _fiber_points, fiber_integrate
+from umla.fibers import _Search, _critical_values, _fiber_points, fiber_integrate
 from umla.fields import LaurentPoly, LocalField, Polyball
 from umla.polys import ring_det, sylvester_matrix
 
@@ -335,14 +335,10 @@ def level_bounds_by_fiber_points(problem, phi, report) -> dict:
         if not local.is_zero():
             support, level = local.alpha_bounds()
             for c in scanned[report.eps_values[-1]]:
-                points = _fiber_points(
-                    forms,
-                    field,
-                    c,
-                    support,
-                    max(level, support + 1, 1),
-                    lambda: disc.ord_field(field, (c,)),
+                search = _Search(
+                    field, forms, [(c,)], min(support, 0), max(level, support + 1, 1)
                 )
+                points = _fiber_points(search, c, lambda: disc.ord_field(field, (c,)))
                 per_centre[c] = max(
                     [lo]
                     + [

@@ -18,9 +18,9 @@ from umla.fibers import (
     FiberProblem,
     LevelReport,
     OnDiscriminant,
+    _Search,
     _fiber_points,
     _search_forms,
-    _window_roots,
     fiber_integrate,
     level_measure,
     padic_roots,
@@ -76,14 +76,9 @@ def roots_by_search(field, poly, fixed, k):
     0, with ord Res(h, h') of h = poly(x, *fixed) from ``ring_det`` over
     the field, as no discriminant is at hand for such forms."""
     coeffs = x_coeffs_at(field, poly, fixed)
-    return _window_roots(
-        field,
-        _search_forms(field, poly),
-        tuple(fixed),
-        0,
-        k,
-        lambda: ord_resultant_by_ring_det(field, coeffs),
-    )
+    base = tuple(fixed)
+    search = _Search(field, _search_forms(field, poly), [base], 0, k)
+    return search.roots(base, lambda: ord_resultant_by_ring_det(field, coeffs))
 
 
 def product_form(r):
@@ -135,7 +130,8 @@ def test_fiber_points_are_truncated_at_the_requested_level(key):
     two_ord = f.ord(f.from_int(2))
     for k in (2, 3, 5):
         forms = prob.reduced(f)[2]
-        got = _fiber_points(forms, f, f.one(), 0, k, lambda: prob.disc.ord_field(f, (f.one(),)))
+        search = _Search(f, forms, [(f.one(),)], 0, k)
+        got = _fiber_points(search, f.one(), lambda: prob.disc.ord_field(f, (f.one(),)))
         roots = {f.canon_trunc(r, k) for r in (f.one(), f.from_int(-1))}
         assert {root for root, _ in got} == roots
         assert all(dorder == two_ord for _, dorder in got)
@@ -483,7 +479,9 @@ def test_resultant_order_from_the_discriminant_matches_ring_det(key, monkeypatch
             for support in (0, -1, -2):
                 before = len(reads)
                 _fiber_points(
-                    forms, field, y, support, 1, lambda: reads.append(y) or disc_ord
+                    _Search(field, forms, [(y,)], support, 1),
+                    y,
+                    lambda: reads.append(y) or disc_ord,
                 )
                 assert len(reads) - before <= 1
     # every resultant the search needed came from one read of disc_K(y)
@@ -1073,6 +1071,70 @@ def test_level_rows_are_within_the_a_priori_bound(field, src, radius, eps, ms):
     assert bounds.keys() == rep.rows.keys()
     over = {key: (mu, bounds[key]) for key, mu in rep.rows.items() if mu > bounds[key]}
     assert not over, over
+
+
+# (field, map, support radius of phi): scans whose searches share one codes
+# format over many centres; over F_3((t)) and F_2((t)) some centres take the
+# restart past the codes' limit
+SHARED_SCANS = [
+    (Q3, "x^2 + 1", 0),
+    (Q2, "x^3 - x", -1),
+    (F3T, "x^2", 0),
+    (F2T, "x^3 - x", 0),
+]
+
+
+@pytest.mark.parametrize(
+    "field, src, radius", SHARED_SCANS, ids=[f"{f!r}:{s}:r{r}" for f, s, r in SHARED_SCANS]
+)
+def test_scan_shared_search_matches_one_point_searches(field, src, radius, monkeypatch):
+    # every root search that level_measure runs on its scan-shared search
+    # returns the (root, ord f') pairs of a search built for that centre
+    # alone; the F_p((t)) scans include centres whose search restarts with
+    # codes for that centre alone (a walk_codes call inside ``roots``)
+    problem = FiberProblem.from_string(src)
+    phi = SchwartzBruhat.indicator(Polyball.ball(field, (field.zero(),), radius))
+    disc = problem.reduced(field)[1]
+    real_roots, real_codes = _Search.roots, fibers.walk_codes
+    runs, inside = [], []
+
+    def recorded(self, base, res_ord):
+        inside.append(0)
+        got = real_roots(self, base, res_ord)
+        runs.append((self, base, got, inside.pop()))
+        return got
+
+    def counted(*args):
+        if inside:
+            inside[-1] += 1
+        return real_codes(*args)
+
+    monkeypatch.setattr(_Search, "roots", recorded)
+    monkeypatch.setattr(fibers, "walk_codes", counted)
+    level_measure(problem, phi, eps_values=(0, 1, 2), m_values=(0, 1))
+    per_search: dict = {}
+    for run in runs:
+        per_search[id(run[0])] = per_search.get(id(run[0]), 0) + 1
+    scan = [run for run in runs if per_search[id(run[0])] > 1]
+    assert len(scan) >= field.q**2
+    for search, base, got, _ in scan:
+        alone = _Search(field, search.forms, [base], search.window, search.k)
+        assert alone.roots(base, lambda: disc.ord_field(field, base)) == got
+    restarts = sum(1 for *_, codes in scan if codes)
+    if field.kind != "p-adic":
+        assert restarts >= 1
+    assert all(codes <= 1 for *_, codes in scan)
+
+
+@pytest.mark.parametrize("field", [Q3, F2T, F3T], ids=repr)
+def test_level_measure_takes_an_int_x0(field):
+    # an int x0 is the element from_int(x0), as y is in fiber_integrate
+    problem = FiberProblem.from_string("x^3 - x")
+    phi = unit_ball_indicator(field)
+    for x0 in (3, 1, -2):
+        got = level_measure(problem, phi, (0, 1), (0, 1), x0=x0)
+        want = level_measure(problem, phi, (0, 1), (0, 1), x0=field.from_int(x0))
+        assert got.to_json() == want.to_json()
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from umla.fibers import _fold
+from umla.fibers import _fold_at, _fold_split
 from umla.fields import INF, FieldError, LaurentPoly, Polyball, make_field
 from umla.microlocal.phase import _OrdsAt
 from umla.polys import (
@@ -195,7 +195,7 @@ def test_packed_zero_by_cancellation_has_infinite_ord():
     assert f3t.is_zero(poly.eval_field(f3t, (one,)))
     form = int_form(f3t, poly.coeffs)
     codes = walk_codes(f3t, (), 0, 1, (form,))
-    dense = _fold(codes, form, ())
+    dense = (_fold_at(*_fold_split(codes, form), ()), 2)
     assert dense == ([2, 0, 1], 2)
     assert codes.code(one) == 1 and codes.element(1) == one
     for g in (form, dense):

@@ -110,6 +110,66 @@ def test_normalized_merges_full_sibling_sets():
     assert f.alpha_bounds() == (0, 1)
 
 
+NORMAL_FIELDS = [
+    make_field(kind, p)
+    for kind, p in [("p-adic", 2), ("p-adic", 3)]
+    + [("equal-characteristic", 2), ("equal-characteristic", 3)]
+]
+
+
+@pytest.mark.parametrize("field", NORMAL_FIELDS, ids=repr)
+def test_normal_form_is_kept_and_matches_a_fresh_function(field):
+    # random functions refined one or two levels past their own, so the
+    # normal form coarsens; the kept normal form, its bounds and the
+    # transform that reads it equal those of a freshly built equal function
+    rng = rng_for(f"schwartz:normal-form:{field!r}")
+    coarsened = 0
+    for _ in range(25):
+        f = random_sb(field, rng, n=rng.choice([1, 2]))
+        if f.is_zero():
+            continue
+        f = f.refine(tuple(r + rng.randrange(0, 3) for r in f.levels))
+        g = f.normalized()
+        assert f.normalized() is g
+        assert g.normalized() is g
+        assert f.alpha_bounds() == g.alpha_bounds()
+        fresh = SchwartzBruhat(field, f.n, f.levels, dict(f.cells))
+        want = fresh.normalized()
+        assert (g.levels, g.cells) == (want.levels, want.cells)
+        assert f.alpha_bounds() == fresh.alpha_bounds()
+        assert f.fourier().cells == fresh.fourier().cells
+        assert f.normalized() is g
+        coarsened += g.levels != f.levels
+    assert coarsened >= 10
+
+
+def test_normal_form_of_a_normal_or_zero_function_is_itself():
+    field = make_field("p-adic", 3)
+    f = SchwartzBruhat.indicator(Polyball.ball(field, (Fraction(1),), 2))
+    assert f.normalized() is f
+    zero = SchwartzBruhat.zero(field, 2)
+    assert zero.normalized() is zero
+
+
+@pytest.mark.parametrize("field", NORMAL_FIELDS, ids=repr)
+def test_cell_coefficients_are_coerced(field):
+    # ints and Fractions become rational scalars, as in ``indicator``
+    zero = (field.zero(),)
+    f = SchwartzBruhat(field, 1, 0, {zero: 1})
+    assert f.cells == {zero: CycloScalar.fraction(field.p, Fraction(1))}
+    g = SchwartzBruhat(field, 1, 0, {zero: Fraction(-2, 3), (field.one(),): 0})
+    assert g.cells == {zero: CycloScalar.fraction(field.p, Fraction(-2, 3))}
+    assert f.equals(SchwartzBruhat.indicator(Polyball.ball(field, zero, 0)))
+
+
+def test_cell_coefficients_of_other_types_are_refused():
+    field = make_field("p-adic", 3)
+    assert SchwartzBruhat(field, 1, 0, {(0,): 1}).integrate().as_fraction() == 1
+    for bad in (0.5, "1", None, CycloScalar.fraction(2, Fraction(1))):
+        with pytest.raises(FieldError):
+            SchwartzBruhat(field, 1, 0, {(0,): bad})
+
+
 @settings(max_examples=200, derandomize=True, deadline=None)
 @given(
     st.sampled_from(CELL_FIELDS), st.sampled_from([1, 2]), st.integers(0, 10**6)
