@@ -67,10 +67,15 @@ class BallF:
 
     def canonical(self, field, a):
         """Centre truncated to the radius, modulation to the conductor 1 - r;
-        the discarded digits of a are constant on the ball."""
+        the discarded digits of a are constant on the ball.  A canonical
+        centre or modulation comes back as it is, with angle 0: its
+        discarded digits are empty."""
         z = field.canon_trunc(self.center, self.r)
+        ball = self if z == self.center else BallF(z, self.r)
         a2 = field.canon_trunc(a, 1 - self.r)
-        return 0, field.psi_angle(field.mul(field.sub(a, a2), z)), a2, BallF(z, self.r)
+        if a2 == a:
+            return 0, 0, a, ball
+        return 0, field.psi_angle(field.mul(field.sub(a, a2), z)), a2, ball
 
     def push(self, field, s, b):
         center = field.add(field.mul(s, self.center), b)
@@ -135,7 +140,10 @@ class DeltaF:
         return field.is_zero(field.sub(x, self.point))
 
     def canonical(self, field, a):
-        """The character is a constant on a point mass: absorb it."""
+        """The character is a constant on a point mass: absorb it.  A zero
+        modulation gives angle 0: its absorbed digits are empty."""
+        if field.is_zero(a):
+            return 0, 0, a, self
         return 0, field.psi_angle(field.mul(a, self.point)), field.zero(), self
 
     def push(self, field, s, b):

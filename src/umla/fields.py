@@ -5,6 +5,11 @@ produced by the operations here stays rational).  Elements of F_p((t)) are
 `LaurentPoly` instances: finite Laurent polynomials over Z/p, which is the
 exact fragment all operations below stay inside.
 
+Reads of a Q_p element work on ints.  ``ord``, ``ac``, ``canon_trunc``,
+``psi_angle`` and ``unit_inverse_mod`` write a = p^v * num/den with p dividing
+neither num nor den (``PAdicField._split``), and then take at most one modular
+inverse mod a power of p; they divide or raise no `Fraction`.
+
 Conventions (shared by everything downstream):
   * ord is the normalized valuation, ord(uniformizer) = 1, ord(0) = +inf;
   * |x| = q^(-ord x) with q = p the residue cardinality;
@@ -114,7 +119,8 @@ class LaurentPoly:
         return LaurentPoly(self.p, list(self.coeffs) + list(other.coeffs))
 
     def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly(self.p, [(e, -c) for e, c in self.coeffs])
+        p = self.p
+        return LaurentPoly._trusted(p, tuple((e, p - c) for e, c in self.coeffs))
 
     def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
         return self + (-other)
@@ -133,7 +139,9 @@ class LaurentPoly:
 
     def truncate(self, r: int) -> "LaurentPoly":
         """Drop all terms of exponent >= r."""
-        return LaurentPoly(self.p, [(e, c) for e, c in self.coeffs if e < r])
+        if not self.coeffs or self.coeffs[-1][0] < r:
+            return self
+        return LaurentPoly._trusted(self.p, tuple(t for t in self.coeffs if t[0] < r))
 
     def __eq__(self, other) -> bool:
         return (
@@ -351,50 +359,55 @@ class PAdicField(LocalField):
         return 1 / a
 
     def ord(self, a: Fraction):
-        if a == 0:
+        if not a.numerator:
             return INF
-        return _vp(a.numerator, self.p) - _vp(a.denominator, self.p)
+        return self._split(a)[0]
 
-    def _unit_parts(self, a: Fraction) -> tuple[int, int, int]:
-        """(v, num, den) with a = p^v * num/den and p dividing neither."""
-        v = self.ord(a)
-        u = a / Fraction(self.p) ** v
-        return v, u.numerator, u.denominator
+    def _split(self, a: Fraction) -> tuple[int, int, int]:
+        """(v, num, den) with a = p^v * num/den and p dividing neither; a != 0.
+        The numerator and the denominator are stripped of p on ints."""
+        p, num, den = self.p, a.numerator, a.denominator
+        v = 0
+        while num % p == 0:
+            num //= p
+            v += 1
+        while den % p == 0:
+            den //= p
+            v -= 1
+        return v, num, den
 
     def ac(self, a: Fraction, m: int) -> int:
-        if a == 0:
+        if not a.numerator:
             raise FieldError("ac of zero undefined")
         if m < 1:
             raise ValueError("ac level must be positive")
-        _, num, den = self._unit_parts(a)
+        _, num, den = self._split(a)
         mod = self.p**m
         return num * pow(den, -1, mod) % mod
 
     def canon_trunc(self, a: Fraction, r: int) -> Fraction:
+        p, num = self.p, a.numerator
         if a.denominator == 1 and r >= 0:
             # an integer's digits below r are its residue mod p^r
-            return Fraction(a.numerator % self.p**r)
-        if a == 0:
+            return Fraction(num % p**r)
+        if not num:
             return Fraction(0)
-        v = self.ord(a)
+        v, num, den = self._split(a)
         if v >= r:
             return Fraction(0)
-        m = r - v
-        _, num, den = self._unit_parts(a)
-        w = num * pow(den, -1, self.p**m) % self.p**m
-        return w * Fraction(self.p) ** v
+        mod = p ** (r - v)
+        w = num * pow(den, -1, mod) % mod
+        return Fraction(w * p**v) if v >= 0 else Fraction(w, p**-v)
 
     def psi_angle(self, a: Fraction) -> Fraction:
-        y = a / self.p
-        if y == 0:
+        if not a.numerator:
             return Fraction(0)
-        v = self.ord(y)
-        if v >= 0:
+        v, num, den = self._split(a)
+        if v >= 1:
             return Fraction(0)
-        m = -v
-        z = y * self.p**m
-        mod = self.p**m
-        return Fraction(z.numerator * pow(z.denominator, -1, mod) % mod, mod)
+        # psi(a) = e(frac(a / p)), and a / p = p^(v - 1) num/den
+        mod = self.p ** (1 - v)
+        return Fraction(num * pow(den, -1, mod) % mod, mod)
 
     def unit_classes(self, m: int) -> list[int]:
         return [a for a in range(1, self.p**m) if a % self.p]
@@ -418,9 +431,12 @@ class PAdicField(LocalField):
         return [Fraction(low + j * step, den) for j in order]
 
     def unit_inverse_mod(self, a: Fraction, m: int) -> Fraction:
-        if self.ord(a) != 0:
+        if not a.numerator or self._split(a)[0] != 0:
             raise FieldDivisionError("unit inversion needs a unit")
-        return Fraction(pow(self.ac(a, m), -1, self.p**m))
+        if m < 1:
+            raise ValueError("ac level must be positive")
+        mod = self.p**m
+        return Fraction(a.denominator * pow(a.numerator, -1, mod) % mod)
 
     def element_to_json(self, a: Fraction) -> str:
         return str(a)

@@ -58,7 +58,8 @@ class SchwartzBruhat:
         self.field = field
         self.n = n
         self.levels = self._levels_tuple(n, levels)
-        # the normal form, filled by the first ``normalized`` call; read-only
+        # (normal form, alpha bounds), filled by the first ``normalized`` call;
+        # read-only
         self._normal = None
         canon: dict = {}
         for center, coef in cells.items():
@@ -257,15 +258,17 @@ class SchwartzBruhat:
     def normalized(self) -> "SchwartzBruhat":
         """Coarsen each coordinate to its minimal constancy level.
 
-        The normal form is built on the first call and kept in the private
-        slot ``_normal``, so every later call returns the same object, and
-        the normal form's own slot holds itself.  It is shared, so it is
-        read-only, like the function itself.
+        The normal form is built on the first call and kept, with the
+        alpha bounds read off it, in the private slot ``_normal``, so every
+        later call returns the same object, and the normal form's own slot
+        holds the same pair.  It is shared, so it is read-only, like the
+        function itself.
         """
         if self._normal is None:
-            self._normal = self._coarsened()
-            self._normal._normal = self._normal
-        return self._normal
+            g = self._coarsened()
+            bounds = (min(g.support_radii()), max(g.levels)) if g.cells else None
+            self._normal = g._normal = (g, bounds)
+        return self._normal[0]
 
     def _coarsened(self) -> "SchwartzBruhat":
         if not self.cells:
@@ -299,10 +302,8 @@ class SchwartzBruhat:
         """(support radius, constancy level), read off the normal form."""
         if not self.cells:
             raise FieldError("alpha bounds of the zero function are undefined")
-        g = self.normalized()
-        alpha_plus = max(g.levels)
-        alpha_minus = min(g.support_radii())
-        return alpha_minus, alpha_plus
+        self.normalized()
+        return self._normal[1]
 
     def equals(self, other: "SchwartzBruhat") -> bool:
         f, g = self.common_refinement(other)

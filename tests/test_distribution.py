@@ -21,7 +21,7 @@ from umla.distribution import (
 from umla.fields import FieldError, Polyball, make_field
 from umla.schwartz import SchwartzBruhat
 
-from conftest import FIELDS, rng_for, sample_element, sample_nonzero
+from conftest import CELL_FIELDS, FIELDS, rng_for, sample_element, sample_nonzero
 from oracles import children_by_field_ops, riemann_integral
 from test_schwartz import random_sb
 
@@ -434,3 +434,64 @@ def test_ball_mass_matches_riemann_sum(field):
         else:
             e2, angle = got
             assert CycloScalar.q_pow(field.p, e2).rotate(angle) == want
+
+
+@pytest.mark.parametrize("field", CELL_FIELDS, ids=repr)
+def test_canonical_fast_cases_equal_the_full_rule(field):
+    # the full rules: a ball truncates its centre at r and its modulation at
+    # 1 - r, and gains psi of the discarded modulation times the centre; a
+    # point mass absorbs psi(a * point)
+    rng = rng_for(f"factor-canonical:{field!r}")
+    zero = field.zero()
+    fast = 0
+    for _ in range(60):
+        r = rng.randrange(-1, 3)
+        a = sample_element(field, rng, -2, 4) if rng.random() < 0.8 else zero
+        ball = BallF(sample_element(field, rng, -1, 4), r)
+        z = field.canon_trunc(ball.center, r)
+        a2 = field.canon_trunc(a, 1 - r)
+        angle = field.psi_angle(field.mul(field.sub(a, a2), z))
+        assert ball.canonical(field, a) == (0, angle, a2, BallF(z, r))
+        delta = DeltaF(sample_element(field, rng, -1, 4))
+        want = (0, field.psi_angle(field.mul(a, delta.point)), zero, delta)
+        assert delta.canonical(field, a) == want
+        # canonical inputs come back as the same objects, with angle 0
+        canon = BallF(z, r)
+        e2, angle, got_a, got = canon.canonical(field, a2)
+        assert (e2, angle, got_a) == (0, 0, a2) and got is canon
+        e2, angle, got_a, got = delta.canonical(field, zero)
+        assert (e2, angle, got_a) == (0, 0, zero) and got is delta
+        fast += ball.center == z or a == a2
+    assert 0 < fast < 60
+
+
+@pytest.mark.parametrize("field", CELL_FIELDS, ids=repr)
+def test_canonical_terms_build_the_same_distribution_as_shifted_copies(field):
+    # each canonical term is shifted off its canonical form, by digits that
+    # the ball drops in its centre and in its modulation and by a modulation
+    # on a point mass; the coefficient undoes the angle the full rule adds
+    rng = rng_for(f"dist-shifted-copies:{field!r}")
+    moved = 0
+    for _ in range(10):
+        u = random_dist(field, rng, n=2, max_terms=3)
+        shifted = []
+        for coef, mod, fs in u.terms:
+            mod2, fs2 = [], []
+            for a, f in zip(mod, fs):
+                if isinstance(f, BallF):
+                    d = sample_element(field, rng, 1 - f.r, 3 - f.r)
+                    e = sample_element(field, rng, f.r, f.r + 2)
+                    coef = coef * field.psi(field.neg(field.mul(d, f.center)))
+                    a, f = field.add(a, d), BallF(field.add(f.center, e), f.r)
+                elif isinstance(f, DeltaF):
+                    d = sample_element(field, rng, -2, 3)
+                    coef = coef * field.psi(field.neg(field.mul(d, f.point)))
+                    a = field.add(a, d)
+                mod2.append(a)
+                fs2.append(f)
+            shifted.append((coef, tuple(mod2), tuple(fs2)))
+            moved += (tuple(mod2), tuple(fs2)) != (mod, fs)
+        v = MixedCellDistribution(field, 2, shifted)
+        w = MixedCellDistribution(field, 2, u.terms)
+        assert v.to_json() == w.to_json() == u.to_json()
+    assert moved >= 5

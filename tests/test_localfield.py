@@ -165,6 +165,32 @@ def test_unit_inverse_mod():
             assert field.ord(field.sub(prod, field.one())) >= m
 
 
+def test_padic_reads_off_the_sampled_range():
+    # sample_element makes p-power denominators only; these elements are
+    # negative or have denominators prime to p, where the reads invert den
+    assert Q2.canon_trunc(Fraction(1, 3), 3) == 3  # 3 * 3 = 1 mod 8
+    assert Q2.psi_angle(Fraction(1, 3)) == Fraction(1, 2)
+    assert Q5.canon_trunc(Fraction(-5, 7), 2) == 10  # -1/7 = 2 mod 5
+    assert Q5.psi_angle(Fraction(-5, 7)) == 0
+    rng = rng_for("padic-reads-off-range")
+    for field in (Q2, Q3, Q5, make_field("p-adic", 7)):
+        p = field.p
+        dens = [d for d in range(1, 30) if d % p]
+        for _ in range(120):
+            x = Fraction(
+                rng.choice((-1, 1)) * rng.randrange(1, 200), rng.choice(dens)
+            ) * Fraction(p) ** rng.randrange(-3, 4)
+            v = field.ord(x)
+            for r in range(-4, 6):
+                got = field.canon_trunc(x, r)
+                ds = digits(field, x, v, r) if v < r else []
+                want = sum(d * Fraction(p) ** (v + i) for i, d in enumerate(ds))
+                assert type(got) is Fraction and got == want, (field, x, r)
+            assert field.psi_angle(x) == psi_by_digits(field, x), (field, x)
+            for m in (1, 2, 3):
+                assert field.ac(x, m) == ac_by_digits(field, x, m), (field, x, m)
+
+
 def test_coset_children_example():
     ball = Polyball.ball(Q5, (Fraction(3),), 2)
     kids = children_by_field_ops(ball)
