@@ -258,8 +258,9 @@ class LocalField:
     # -- residue classes ----------------------------------------------------
 
     def unit_classes(self, m: int) -> list[int]:
-        """Encodings of (O/uniformizer^m)^*, sorted."""
-        raise NotImplementedError
+        """Encodings of (O/uniformizer^m)^*, sorted: the codes in [1, p^m)
+        prime to p."""
+        return [a for a in range(1, self.p**m) if a % self.p]
 
     def residue_mul(self, a: int, b: int, m: int) -> int:
         raise NotImplementedError
@@ -409,9 +410,6 @@ class PAdicField(LocalField):
         mod = self.p ** (1 - v)
         return Fraction(num * pow(den, -1, mod) % mod, mod)
 
-    def unit_classes(self, m: int) -> list[int]:
-        return [a for a in range(1, self.p**m) if a % self.p]
-
     def residue_mul(self, a: int, b: int, m: int) -> int:
         return a * b % self.p**m
 
@@ -498,13 +496,6 @@ class LaurentField(LocalField):
 
     def psi_angle(self, a: LaurentPoly) -> Fraction:
         return Fraction(a.coeff(0), self.p)
-
-    def unit_classes(self, m: int) -> list[int]:
-        out = []
-        for code in range(self.p**m):
-            if code % self.p:
-                out.append(code)
-        return out
 
     def _decode(self, code: int, m: int) -> LaurentPoly:
         digits = []

@@ -29,12 +29,19 @@ the wavefront collision test: the product is formed only when no singular
 pair of one factor opposes a singular pair of the other.
 
 The per-coordinate rules live on the factor classes of ``umla.distribution``
-(see its docstring).  A monomial map y_i = s_i x_perm(i) + b_i pushes the
-factor of coordinate perm(i) by ``push(field, s_i, b_i)``, which moves it by
-x -> s_i x + b_i and multiplies a density by |s_i|^-1; pullback pushes along
-the inverse and multiplies by |det|^-1.  Integrating a coordinate out takes
-the factor's ``mass``, restriction and products its ``contains`` and
-``meet``.
+(see its docstring).  Every shape but the non-monomial isomorphism has
+output rows that each read at most one input coordinate, no coordinate
+read twice (``AffineMap.coordinate_parts``), so both directions run one
+loop over the rows.  A row y_i = s x_j + b_i pushes the factor of x_j by
+``push(field, s, b_i)``, which moves it by x -> s x + b_i and multiplies a
+density by |s|^-1, and divides its modulation by s; pullback pushes the
+factor of y_i along the inverse, multiplies its modulation by s and the
+term by |s|^-1, so a density is composed with the row and a point mass
+gains |s|^-1.  A constant row y_i = b_i puts a point mass at b_i under
+pushforward; pullback reads the factor of y_i at b_i with ``contains``.
+An input coordinate that no row reads is integrated out (the factor's
+``mass``) by pushforward and is the full line under pullback.  Products
+use ``meet``.
 """
 
 from __future__ import annotations
@@ -43,7 +50,7 @@ from dataclasses import dataclass
 
 from ..cyclo import CycloScalar
 from ..distribution import FULL, BallF, DeltaF, FullF, MixedCellDistribution, _term
-from ..fields import FieldError, LocalField, Polyball, vec_add, vec_neg
+from ..fields import FieldError, LocalField, Polyball, vec_add
 from ..polys import ring_det
 from ..schwartz import DEFAULT_CELL_BUDGET, check_budget
 from .cones import BaseFull, BasePoint, LambdaCone, OrbitRayCell, TaggedCell
@@ -85,7 +92,11 @@ class WFCollision(MapError):
 
 @dataclass(frozen=True)
 class AffineMap:
-    """x |-> A x + b from n_in to n_out coordinates, entries exact."""
+    """x |-> A x + b from n_in to n_out coordinates, entries exact.
+
+    ``coordinate_parts`` reads the matrix row by row; ``classify``,
+    ``inverse``, ``normal_cone``, ``pullback`` and ``pushforward`` read it.
+    """
 
     field: LocalField
     rows: tuple  # n_out rows, each a tuple of n_in field elements
@@ -139,79 +150,38 @@ class AffineMap:
         f = self.field
         return ring_det([list(r) for r in self.rows], f.zero(), f.one())
 
-    def is_monomial(self) -> bool:
-        """One nonzero entry in every row and every column (square only)."""
+    def coordinate_parts(self):
+        """Per output row, ``(j, s)`` when y_i = s x_j + b_i and None when the
+        row is zero (y_i = b_i); None for the whole map when a row reads two
+        coordinates or two rows read the same one."""
         f = self.field
-        if self.n_in != self.n_out:
-            return False
-        seen_cols = set()
-        for row in self.rows:
-            nz = [j for j, e in enumerate(row) if not f.is_zero(e)]
-            if len(nz) != 1 or nz[0] in seen_cols:
-                return False
-            seen_cols.add(nz[0])
-        return len(seen_cols) == self.n_in
-
-    def monomial_parts(self):
-        """(perm, scales) with f(x)_i = scales[i] * x[perm[i]] + shift[i]."""
-        if not self.is_monomial():
-            raise UnsupportedMap("matrix is not monomial")
-        f = self.field
-        perm, scales = [], []
-        for row in self.rows:
-            j = next(j for j, e in enumerate(row) if not f.is_zero(e))
-            perm.append(j)
-            scales.append(row[j])
-        return tuple(perm), tuple(scales)
-
-    def projection_parts(self):
-        """Kept input coordinate per output row, for a coordinate projection."""
-        f = self.field
-        if self.n_out >= self.n_in:
-            return None
-        keep = []
-        for row in self.rows:
-            nz = [j for j, e in enumerate(row) if not f.is_zero(e)]
-            if len(nz) != 1 or not f.is_zero(f.sub(row[nz[0]], f.one())):
-                return None
-            keep.append(nz[0])
-        if len(set(keep)) != len(keep):
-            return None
-        return tuple(keep)
-
-    def inclusion_parts(self):
-        """Per output row: input coordinate index or None (constant row)."""
-        f = self.field
-        if self.n_out <= self.n_in:
-            return None
-        src = []
-        used = set()
+        parts, used = [], set()
         for row in self.rows:
             nz = [j for j, e in enumerate(row) if not f.is_zero(e)]
             if not nz:
-                src.append(None)
+                parts.append(None)
                 continue
-            if len(nz) != 1 or nz[0] in used:
-                return None
-            if not f.is_zero(f.sub(row[nz[0]], f.one())):
+            if len(nz) > 1 or nz[0] in used:
                 return None
             used.add(nz[0])
-            src.append(nz[0])
-        if len(used) != self.n_in:
-            return None
-        return tuple(src)
+            parts.append((nz[0], row[nz[0]]))
+        return tuple(parts)
 
     def classify(self) -> str:
         if self.is_zero_matrix():
             return "constant"
+        f = self.field
+        parts = self.coordinate_parts()
+        read = [] if parts is None else [p for p in parts if p is not None]
         if self.n_in == self.n_out:
-            if not self.field.is_zero(self.det()):
+            if len(read) == self.n_in or not f.is_zero(self.det()):
                 return "iso"
             raise UnsupportedMap("square matrix is singular")
-        if self.projection_parts() is not None:
-            return "projection"
-        if self.inclusion_parts() is not None:
-            return "inclusion"
+        if parts is not None and all(f.is_zero(f.sub(s, f.one())) for _, s in read):
+            if self.n_out < self.n_in and len(read) == self.n_out:
+                return "projection"
+            if self.n_out > self.n_in and len(read) == self.n_in:
+                return "inclusion"
         raise UnsupportedMap(
             "rectangular maps must be coordinate projections or inclusions"
         )
@@ -221,15 +191,15 @@ class AffineMap:
         f = self.field
         if self.n_in != self.n_out:
             raise UnsupportedMap("only square maps invert")
-        if self.is_monomial():
-            perm, scales = self.monomial_parts()
-            n = self.n_in
+        parts = self.coordinate_parts()
+        n = self.n_in
+        if parts is not None and None not in parts:
             rows = [[f.zero()] * n for _ in range(n)]
             shift = [f.zero()] * n
-            for i in range(n):
-                inv = f.invert(scales[i])
-                rows[perm[i]][i] = inv
-                shift[perm[i]] = f.neg(f.mul(inv, self.shift[i]))
+            for i, (j, s) in enumerate(parts):
+                inv = f.invert(s)
+                rows[j][i] = inv
+                shift[j] = f.neg(f.mul(inv, self.shift[i]))
             return AffineMap(f, tuple(tuple(r) for r in rows), tuple(shift))
         if f.kind != "p-adic":
             raise UnsupportedMap(
@@ -239,7 +209,6 @@ class AffineMap:
         det = self.det()
         if f.is_zero(det):
             raise UnsupportedMap("square matrix is singular")
-        n = self.n_in
         adj = [[None] * n for _ in range(n)]
         for i in range(n):
             for j in range(n):
@@ -284,29 +253,21 @@ def normal_cone(f_map: AffineMap) -> LambdaCone:
     """The conormal cone of the map, as a cone on the target space.
 
     Isomorphisms and projections have conormal equal to the zero section,
-    returned as the empty cone.  A coordinate inclusion is conormal over its
-    image in the codirections vanishing on the kept coordinates; a constant
-    map is conormal over its value point in every codirection.
+    returned as the empty cone.  A coordinate inclusion or a constant map is
+    conormal over its image in the codirections vanishing on the rows that
+    read a coordinate: free on the constant rows, over their values.
     """
     f = f_map.field
-    kind = f_map.classify()
     n = f_map.n_out
-    if kind in ("iso", "projection"):
+    if f_map.classify() in ("iso", "projection"):
         return LambdaCone.empty(f, n)
-    if kind == "constant":
-        base = tuple(BasePoint(c) for c in f_map.shift)
-        return LambdaCone(f, n, (TaggedCell(f, base, tuple([True] * n)),))
-    src = f_map.inclusion_parts()
-    base = []
-    cofree = []
-    for row, b in zip(src, f_map.shift):
-        if row is None:
-            base.append(BasePoint(b))
-            cofree.append(True)
-        else:
-            base.append(BaseFull())
-            cofree.append(False)
-    return LambdaCone(f, n, (TaggedCell(f, tuple(base), tuple(cofree)),))
+    parts = f_map.coordinate_parts()
+    base = tuple(
+        BasePoint(b) if part is None else BaseFull()
+        for part, b in zip(parts, f_map.shift)
+    )
+    cofree = tuple(part is None for part in parts)
+    return LambdaCone(f, n, (TaggedCell(f, base, cofree),))
 
 
 def _check_conormal(f_map: AffineMap, u: MixedCellDistribution) -> None:
@@ -335,59 +296,46 @@ def pullback(
     f = f_map.field
     if u.field != f or u.n != f_map.n_out:
         raise FieldError("operand lives on a different space than the target")
-    kind = f_map.classify()
+    f_map.classify()  # raises UnsupportedMap on an unsupported shape
     _check_conormal(f_map, u)
-    if kind == "iso":
-        return _pullback_iso(f_map, u, budget)
-    if kind == "projection":
-        keep = f_map.projection_parts()
-        v = u.translate(vec_neg(f, f_map.shift)) if _nonzero_vec(f, f_map.shift) else u
-        out = []
-        for coef, mod, fs in v.terms:
-            nmod = [f.zero()] * f_map.n_in
-            nfs = [FULL] * f_map.n_in
-            for row, j in enumerate(keep):
-                nmod[j] = mod[row]
-                nfs[j] = fs[row]
-            out.append((coef, tuple(nmod), tuple(nfs)))
-        return MixedCellDistribution(f, f_map.n_in, out)
-    if kind == "inclusion":
-        src = f_map.inclusion_parts()
-        v = u.translate(vec_neg(f, f_map.shift)) if _nonzero_vec(f, f_map.shift) else u
-        zero = f.zero()
-        out = []
-        for coef, mod, fs in v.terms:
-            nmod = [None] * f_map.n_in
-            nfs = [None] * f_map.n_in
-            dead = False
-            for row, j in enumerate(src):
-                if j is not None:
-                    nmod[j] = mod[row]
-                    nfs[j] = fs[row]
-                    continue
-                # the dropped coordinate is evaluated at 0 after the shift,
-                # so the modulation contributes psi(a * 0) = 1
-                if not fs[row].contains(f, zero):
-                    dead = True
-                    break
-                if isinstance(fs[row], DeltaF):
-                    # guarded by the conormal check; defensive
-                    raise NfIntersectsWF(
-                        "restriction meets a point mass in a dropped coordinate"
-                    )
-            if not dead:
-                out.append((coef, tuple(nmod), tuple(nfs)))
-        return MixedCellDistribution(f, f_map.n_in, out)
-    # constant map: the value at the point scales the constant function
-    val = _value_at(u, f_map.shift)
-    return MixedCellDistribution.constant(f, f_map.n_in, 1).scale(val)
+    parts = f_map.coordinate_parts()
+    if parts is None:
+        return _pullback_general(f_map, u, budget)
+    undo = []  # per row that reads x_j: s^-1, -b s^-1 and 2 ord(s)
+    for part, b in zip(parts, f_map.shift):
+        if part is None:
+            undo.append(None)
+            continue
+        si = f.invert(part[1])
+        undo.append((si, f.neg(f.mul(b, si)), 2 * f.ord(part[1])))
+    full = (0, 0, f.zero(), FULL)
+    out = []
+    for coef, mod, fs in u.terms:
+        nparts = [full] * f_map.n_in
+        angle = 0
+        for part, back, a, fac, b in zip(parts, undo, mod, fs, f_map.shift):
+            if part is not None:
+                j, s = part
+                si, nb, e2 = back
+                nfac, de2 = fac.push(f, si, nb)
+                nparts[j] = (de2 + e2, f.psi_angle(f.mul(a, b)), f.mul(a, s), nfac)
+                continue
+            if not fac.contains(f, b):
+                break
+            if isinstance(fac, DeltaF):
+                # guarded by the conormal check; defensive
+                raise NfIntersectsWF("a constant row meets a point mass")
+            angle += f.psi_angle(f.mul(a, b))
+        else:
+            out.append(_term(coef.rotate(angle), nparts))
+    return MixedCellDistribution(f, f_map.n_in, out)
 
 
-def _pullback_iso(f_map, u, budget) -> MixedCellDistribution:
+def _pullback_general(f_map, u, budget) -> MixedCellDistribution:
+    """Pullback along an invertible map over Q_p whose matrix is not
+    monomial: point masses move to the preimage point and products of balls
+    to the cells of their preimage."""
     f = f_map.field
-    if f_map.is_monomial():
-        # push along the inverse, times |det|^-1
-        return _push_monomial(f_map.inverse(), u, 2 * f.ord(f_map.det()))
     if f.kind != "p-adic":
         raise UnsupportedMap(
             "over equal-characteristic fields only monomial matrices are supported"
@@ -423,27 +371,6 @@ def _pullback_iso(f_map, u, budget) -> MixedCellDistribution:
                 "terms mixing point masses and densities need a monomial matrix"
             )
     return MixedCellDistribution(f, f_map.n_in, out_terms)
-
-
-def _push_monomial(f_map, u, e2: int) -> MixedCellDistribution:
-    """The image of u under the monomial map, times q^(e2/2).
-
-    Output coordinate i is s x_perm[i] + b, so the factor of input
-    coordinate perm[i] is pushed by (s, b), and psi(a x) = psi(-a b / s)
-    psi((a / s) y) on y = s x + b.
-    """
-    f = f_map.field
-    perm, scales = f_map.monomial_parts()
-    inv = [f.invert(s) for s in scales]
-    out = []
-    for coef, mod, fs in u.terms:
-        parts = []
-        for j, s, si, b in zip(perm, scales, inv, f_map.shift):
-            na = f.mul(mod[j], si)
-            fac, de2 = fs[j].push(f, s, b)
-            parts.append((de2, -f.psi_angle(f.mul(na, b)), na, fac))
-        out.append(_term(coef.q_shift(e2), parts))
-    return MixedCellDistribution(f, f_map.n_in, out)
 
 
 def _transpose_apply(f_map, vec):
@@ -510,27 +437,6 @@ def _preimage_cells(f_map, fs, budget):
     return out
 
 
-def _nonzero_vec(f, vec) -> bool:
-    return any(not f.is_zero(c) for c in vec)
-
-
-def _value_at(u: MixedCellDistribution, point) -> CycloScalar:
-    """Pointwise value at a point where u carries no atom."""
-    f = u.field
-    values = []
-    for coef, mod, fs in u.terms:
-        dead = False
-        for x, fac in zip(point, fs):
-            if not fac.contains(f, x):
-                dead = True
-                break
-            if isinstance(fac, DeltaF):
-                raise NfIntersectsWF("the distribution has an atom at the point")
-        if not dead:
-            values.append(coef * f.psi_pair(mod, point))
-    return CycloScalar.sum(f.p, values)
-
-
 # ---------------------------------------------------------------------------
 # pushforward
 # ---------------------------------------------------------------------------
@@ -543,69 +449,38 @@ def pushforward(
 ) -> MixedCellDistribution:
     """Image distribution: pairs with phi as u pairs with phi composed with the map.
 
-    ``budget`` (default the shared ``DEFAULT_CELL_BUDGET``) is passed to
-    :func:`pullback` along the inverse of an invertible map.
+    ``budget`` (default the shared ``DEFAULT_CELL_BUDGET``) bounds the cells
+    visited when a non-monomial invertible map subdivides a preimage.
     """
     f = f_map.field
     if u.field != f or u.n != f_map.n_in:
         raise FieldError("operand lives on a different space than the source")
-    kind = f_map.classify()
-    if kind == "iso":
-        return _pushforward_iso(f_map, u, budget)
-    if kind == "projection":
-        keep = f_map.projection_parts()
-        dropped = [j for j in range(f_map.n_in) if j not in keep]
-        out = []
-        for coef, mod, fs in u.terms:
-            c2 = _integrate_out(f, coef, mod, fs, dropped)
-            if c2 is not None:
-                nmod = tuple(mod[j] for j in keep)
-                nfs = tuple(fs[j] for j in keep)
-                out.append((c2, nmod, nfs))
-        res = MixedCellDistribution(f, f_map.n_out, out)
-        if _nonzero_vec(f, f_map.shift):
-            res = res.translate(f_map.shift)
-        return res
-    if kind == "inclusion":
-        src = f_map.inclusion_parts()
-        out = []
-        for coef, mod, fs in u.terms:
-            nmod = []
-            nfs = []
-            for row, j in enumerate(src):
-                if j is None:
-                    nmod.append(f.zero())
-                    nfs.append(DeltaF(f_map.shift[row]))
-                else:
-                    nmod.append(mod[j])
-                    nfs.append(fs[j])
-            out.append((coef, tuple(nmod), tuple(nfs)))
-        res = MixedCellDistribution(f, f_map.n_out, out)
-        if any(
-            j is not None and not f.is_zero(f_map.shift[row])
-            for row, j in enumerate(src)
-        ):
-            shift = tuple(
-                f_map.shift[row] if j is not None else f.zero()
-                for row, j in enumerate(src)
-            )
-            res = res.translate(shift)
-        return res
-    # constant map: total mass at the value point
-    mass = _total_mass(u)
-    point = tuple(f_map.shift)
-    return MixedCellDistribution.delta(f, point).scale(mass)
-
-
-def _pushforward_iso(f_map, u, budget) -> MixedCellDistribution:
-    f = f_map.field
-    if f_map.is_monomial():
-        return _push_monomial(f_map, u, 0)
-    # general invertible: push along f = pull along the inverse, scaled by
-    # the inverse Jacobian modulus
-    inv = f_map.inverse()
-    pulled = pullback(inv, u, budget)
-    return pulled.scale(CycloScalar.q_pow(f.p, 2 * f.ord(f_map.det())))
+    f_map.classify()  # raises UnsupportedMap on an unsupported shape
+    parts = f_map.coordinate_parts()
+    if parts is None:
+        # pull along the inverse, times the inverse Jacobian modulus
+        pulled = _pullback_general(f_map.inverse(), u, budget)
+        return pulled.scale(CycloScalar.q_pow(f.p, 2 * f.ord(f_map.det())))
+    inv = [None if part is None else f.invert(part[1]) for part in parts]
+    read = {part[0] for part in parts if part is not None}
+    unread = [j for j in range(f_map.n_in) if j not in read]
+    zero = f.zero()
+    out = []
+    for coef, mod, fs in u.terms:
+        coef = _integrate_out(f, coef, mod, fs, unread)
+        if coef is None:
+            continue
+        nparts = []
+        for part, si, b in zip(parts, inv, f_map.shift):
+            if part is None:
+                nparts.append((0, 0, zero, DeltaF(b)))
+                continue
+            j, s = part
+            na = f.mul(mod[j], si)
+            fac, de2 = fs[j].push(f, s, b)
+            nparts.append((de2, -f.psi_angle(f.mul(na, b)), na, fac))
+        out.append(_term(coef, nparts))
+    return MixedCellDistribution(f, f_map.n_out, out)
 
 
 def _integrate_out(f, coef, mod, fs, coords):
@@ -623,12 +498,6 @@ def _integrate_out(f, coef, mod, fs, coords):
         e2 += got[0]
         angle += got[1]
     return coef.q_shift(e2).rotate(angle)
-
-
-def _total_mass(u: MixedCellDistribution) -> CycloScalar:
-    f = u.field
-    masses = (_integrate_out(f, c, mod, fs, range(u.n)) for c, mod, fs in u.terms)
-    return CycloScalar.sum(f.p, [m for m in masses if m is not None])
 
 
 # ---------------------------------------------------------------------------

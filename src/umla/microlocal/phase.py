@@ -193,10 +193,7 @@ def _grad_ord_from_delta(field: LocalField, delta) -> int:
 
 
 def _ball_coord_lo(field: LocalField, centers, radii) -> list:
-    return [
-        min(field.ord(c), r) if not field.is_zero(c) else r
-        for c, r in zip(centers, radii)
-    ]
+    return [min(field.ord(c), r) for c, r in zip(centers, radii)]
 
 
 def _ball_hull(field: LocalField, balls) -> Polyball:
@@ -206,11 +203,7 @@ def _ball_hull(field: LocalField, balls) -> Polyball:
     radii = list(balls[0].radii)
     for b in balls[1:]:
         for i, (c, r) in enumerate(zip(b.centers, b.radii)):
-            d = field.sub(c, centers[i])
-            lim = min(radii[i], r)
-            if not field.is_zero(d):
-                lim = min(lim, field.ord(d))
-            radii[i] = lim
+            radii[i] = min(radii[i], r, field.ord(field.sub(c, centers[i])))
     return Polyball(field, tuple(centers), tuple(int(r) for r in radii))
 
 

@@ -118,9 +118,7 @@ def _ray_profile(w: MixedCellDistribution, xi0):
                         alive = False
                         break
                 else:
-                    oc = f.ord(c)  # INF when c == 0
-                    lim = radius if oc >= radius else min(oc, radius)
-                    t = lim - f.ord(xi0[i])
+                    t = min(f.ord(c), radius) - f.ord(xi0[i])
                     kill = t if kill is None else max(kill, t)
             # FullF factors restrict to unit-modulus characters; DeltaF cannot
             # appear in the transform of a compactly supported localization.

@@ -119,17 +119,11 @@ class SchwartzBruhat:
         """Per-coordinate radii a_i with support contained in prod B_{a_i}(0)."""
         if not self.cells:
             return None
-        out = []
-        for i in range(self.n):
-            out.append(
-                min(
-                    min(self.field.ord(c[i]), self.levels[i])
-                    if not self.field.is_zero(c[i])
-                    else self.levels[i]
-                    for c in self.cells
-                )
-            )
-        return tuple(out)
+        ord_ = self.field.ord  # INF at 0, so min(ord c, r) is r there
+        return tuple(
+            min(r, *(ord_(c[i]) for c in self.cells))
+            for i, r in enumerate(self.levels)
+        )
 
     def refine(self, levels, budget: int = DEFAULT_CELL_BUDGET) -> "SchwartzBruhat":
         """The same function on finer levels.  ``budget`` bounds the refined
@@ -344,10 +338,7 @@ class SchwartzBruhat:
         cells = g.cells
         for i in range(n):
             r = levels[i]
-            a = min(
-                min(field.ord(c[i]), r) if not field.is_zero(c[i]) else r
-                for c in cells
-            )
+            a = min(r, *(field.ord(c[i]) for c in cells))
             check_budget("Fourier transform", len(cells) * field.q ** (r - a), budget)
             grid = field.cell_reps(field.zero(), 1 - r, 1 - a)
             base = [field.pow_uniformizer(1 - r + d) for d in range(r - a)]

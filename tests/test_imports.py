@@ -3,9 +3,9 @@
 An AST scan of each module under ``src/umla`` (package ``__init__`` files
 re-export, so they are skipped): a name bound by an import must be read
 somewhere in the module or be listed in its ``__all__``.  A second scan
-covers the whole package: every module-level private name (one leading
-underscore) must be read somewhere in it, so a refactor cannot leave a
-helper without callers.
+covers the whole package: every module-level private name and every
+private method of a class (one leading underscore) must be read somewhere
+in it, so a refactor cannot leave a helper without callers.
 """
 
 import ast
@@ -60,10 +60,23 @@ def test_module_uses_its_imports(path):
     assert not unused, f"{path.name}: unused imports {unused}"
 
 
+def _private(name: str) -> bool:
+    return name.startswith("_") and not name.startswith("__")
+
+
 def _private_definitions(tree: ast.Module) -> dict:
-    """Module-level private name -> line, for defs, classes and assignments."""
+    """Private name -> line, for module-level defs, classes and assignments,
+    and ``Class._method`` -> line for the private methods of classes."""
     out = {}
     for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            for item in ast.walk(node):
+                if isinstance(item, ast.ClassDef):
+                    for meth in item.body:
+                        if isinstance(
+                            meth, (ast.FunctionDef, ast.AsyncFunctionDef)
+                        ) and _private(meth.name):
+                            out[f"{item.name}.{meth.name}"] = meth.lineno
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             targets = [node.name]
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
@@ -72,7 +85,7 @@ def _private_definitions(tree: ast.Module) -> dict:
         else:
             continue
         for name in targets:
-            if name.startswith("_") and not name.startswith("__"):
+            if _private(name):
                 out[name] = node.lineno
     return out
 
@@ -95,6 +108,6 @@ def test_private_names_have_readers():
         f"{path.relative_to(SRC)}:{line} {name}"
         for path in sorted(SRC.rglob("*.py"))
         for name, line in _private_definitions(ast.parse(path.read_text())).items()
-        if name not in reads
+        if name.rsplit(".", 1)[-1] not in reads
     ]
     assert not unread, f"private names nothing reads: {unread}"

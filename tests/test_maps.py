@@ -6,7 +6,7 @@ import pytest
 
 from conftest import rng_for, sample_element, sample_nonzero
 from umla.cyclo import CycloScalar
-from umla.distribution import DeltaF, MixedCellDistribution
+from umla.distribution import BallF, DeltaF, FULL, MixedCellDistribution
 from umla.fields import FieldError, Polyball, make_field
 from umla.microlocal import (
     AffineMap,
@@ -50,6 +50,35 @@ def indicator(field, center, r):
 def scale_shift_map(field, e: int, shift) -> AffineMap:
     return AffineMap(
         field, ((field.pow_uniformizer(e),),), (shift,)
+    )
+
+
+def swap_scale_map(field) -> AffineMap:
+    """The permuted, scaled map (x, y) -> (pi y + 1 + pi, pi^2 x + pi^-1)."""
+    f = field
+    zero, pi = f.zero(), f.uniformizer()
+    return AffineMap(
+        f,
+        ((zero, pi), (f.pow_uniformizer(2), zero)),
+        (f.add(f.one(), pi), f.pow_uniformizer(-1)),
+    )
+
+
+def mixed_plane_sample(field):
+    """A point mass times a ball, plus a ball times a ball under a character."""
+    f = field
+    zero, pi = f.zero(), f.uniformizer()
+    return MixedCellDistribution(
+        f,
+        2,
+        [
+            (1, (zero, zero), (DeltaF(f.one()), BallF(zero, 1))),
+            (
+                1,
+                (f.pow_uniformizer(-1), f.pow_uniformizer(-3)),
+                (BallF(zero, 0), BallF(pi, 2)),
+            ),
+        ],
     )
 
 
@@ -210,8 +239,13 @@ class TestPullback:
     def test_constant_pullback_evaluates_at_point(self, field):
         f = field
         cmap = AffineMap(f, ((f.zero(),),), (f.one(),))
-        u = MixedCellDistribution.from_sb(indicator(f, (f.zero(),), 0)) + (
-            MixedCellDistribution.modulated_constant(f, (f.uniformizer(),))
+        u = (
+            MixedCellDistribution.from_sb(indicator(f, (f.zero(),), 0))
+            + MixedCellDistribution.modulated_constant(f, (f.uniformizer(),))
+            # psi(1 + pi^-1) at the point is not 1
+            + MixedCellDistribution.modulated_constant(
+                f, (f.add(f.one(), f.pow_uniformizer(-1)),)
+            )
         )
         got = pullback(cmap, u)
         val = u.pointwise_eval((f.one(),))
@@ -401,11 +435,88 @@ class TestPushforward:
 
     def test_round_trip_scales_by_jacobian_modulus(self, field):
         f = field
-        m = scale_shift_map(f, 1, f.one())
-        w = mixed_sample(f)
-        want = w.scale(CycloScalar.q_pow(f.p, 2))  # |det|^{-1} = q
-        assert (pullback(m, pushforward(m, w)) - want).is_zero()
-        assert (pushforward(m, pullback(m, w)) - want).is_zero()
+        for m, w in (
+            (scale_shift_map(f, 1, f.one()), mixed_sample(f)),
+            (swap_scale_map(f), mixed_plane_sample(f)),
+        ):
+            want = w.scale(CycloScalar.q_pow(f.p, 2 * f.ord(m.det())))  # |det|^-1
+            assert (pullback(m, pushforward(m, w)) - want).is_zero()
+            assert (pushforward(m, pullback(m, w)) - want).is_zero()
+
+    def test_shifted_projection_is_translated_projection(self, field):
+        # (x0, x1, x2) -> (x2 + b0, x0 + b1) is the unshifted projection
+        # followed by the translation by b
+        f = field
+        zero, one, pi = f.zero(), f.one(), f.uniformizer()
+        b = (f.add(one, pi), f.pow_uniformizer(-1))
+        rows = ((zero, zero, one), (one, zero, zero))
+        proj_b = AffineMap(f, rows, b)
+        proj_0 = AffineMap(f, rows, (zero, zero))
+        u = MixedCellDistribution(
+            f,
+            3,
+            [
+                (1, (f.pow_uniformizer(-1), zero, zero),
+                 (BallF(zero, 0), DeltaF(pi), BallF(one, 1))),
+                (2, (zero, zero, f.pow_uniformizer(-2)),
+                 (DeltaF(one), BallF(pi, 1), BallF(zero, 0))),
+                # a character on the integrated ball: no mass
+                (1, (zero, f.pow_uniformizer(-1), zero),
+                 (BallF(zero, 0), BallF(zero, 0), BallF(zero, 0))),
+            ],
+        )
+        got = pushforward(proj_b, u)
+        assert not got.is_zero()
+        assert (got - pushforward(proj_0, u).translate(b)).is_zero()
+        v = MixedCellDistribution(
+            f,
+            2,
+            [
+                (1, (f.pow_uniformizer(-1), zero), (BallF(pi, 0), DeltaF(one))),
+                (1, (one, f.pow_uniformizer(-2)), (FULL, BallF(zero, 1))),
+            ],
+        )
+        got = pullback(proj_b, v)
+        assert not got.is_zero()
+        assert (got - pullback(proj_0, v.translate(tuple(f.neg(c) for c in b)))).is_zero()
+
+    def test_shifted_inclusion_is_translated_inclusion(self, field):
+        # x -> (x + b, pi^-1) is the inclusion at (0, pi^-1) followed by the
+        # translation by (b, 0)
+        f = field
+        zero, one, pi = f.zero(), f.one(), f.uniformizer()
+        b, c = f.add(one, pi), f.pow_uniformizer(-1)
+        incl_b = AffineMap(f, ((one,), (zero,)), (b, c))
+        incl_0 = AffineMap(f, ((one,), (zero,)), (zero, c))
+        u = mixed_sample(f)
+        got = pushforward(incl_b, u)
+        assert not got.is_zero()
+        assert (got - pushforward(incl_0, u).translate((b, zero))).is_zero()
+        v = MixedCellDistribution(
+            f,
+            2,
+            [
+                # the constant row reads the character at pi^-1
+                (1, (f.pow_uniformizer(-1), f.pow_uniformizer(-2)),
+                 (BallF(pi, 0), BallF(c, 1))),
+                (1, (zero, one), (DeltaF(one), FULL)),
+                # terms that miss the line y = pi^-1
+                (1, (zero, zero), (BallF(zero, 0), BallF(zero, 0))),
+                (1, (zero, zero), (FULL, DeltaF(zero))),
+            ],
+        )
+        got = pullback(incl_b, v)
+        assert len(got.terms) == 2
+        assert (got - pullback(incl_0, v.translate((f.neg(b), zero)))).is_zero()
+
+    def test_constant_map_cancelling_masses(self, field):
+        f = field
+        cmap = AffineMap(f, ((f.zero(),),), (f.one(),))
+        u = MixedCellDistribution.from_sb(
+            indicator(f, (f.zero(),), 1)
+        ) - MixedCellDistribution.from_sb(indicator(f, (f.one(),), 1))
+        assert not u.is_zero()
+        assert pushforward(cmap, u).is_zero()
 
     def test_general_round_trip_via_pairings(self):
         f = make_field("p-adic", 3)
