@@ -116,7 +116,30 @@ class LaurentPoly:
         return 0
 
     def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
-        return LaurentPoly(self.p, list(self.coeffs) + list(other.coeffs))
+        """Merge the two sorted digit lists, adding the digits of a shared
+        exponent mod p."""
+        p, a, b = self.p, self.coeffs, other.coeffs
+        if not a:
+            return other
+        if not b:
+            return self
+        out = []
+        i = j = 0
+        while i < len(a) and j < len(b):
+            (ea, ca), (eb, cb) = a[i], b[j]
+            if ea < eb:
+                out.append(a[i])
+                i += 1
+            elif eb < ea:
+                out.append(b[j])
+                j += 1
+            else:
+                c = (ca + cb) % p
+                if c:
+                    out.append((ea, c))
+                i += 1
+                j += 1
+        return LaurentPoly._trusted(p, tuple(out) + a[i:] + b[j:])
 
     def __neg__(self) -> "LaurentPoly":
         p = self.p
@@ -126,12 +149,13 @@ class LaurentPoly:
         return self + (-other)
 
     def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
+        p = self.p
         out: dict[int, int] = {}
         for e1, c1 in self.coeffs:
             for e2, c2 in other.coeffs:
                 e = e1 + e2
-                out[e] = (out.get(e, 0) + c1 * c2) % self.p
-        return LaurentPoly(self.p, out.items())
+                out[e] = (out.get(e, 0) + c1 * c2) % p
+        return LaurentPoly._trusted(p, tuple(sorted(t for t in out.items() if t[1])))
 
     def shift(self, e: int) -> "LaurentPoly":
         """Multiply by t^e."""
@@ -265,9 +289,22 @@ class LocalField:
     def residue_mul(self, a: int, b: int, m: int) -> int:
         raise NotImplementedError
 
+    def residue_add(self, a: int, b: int, m: int) -> int:
+        """The code of the sum of two encoded residues mod uniformizer^m."""
+        raise NotImplementedError
+
     def residue_lift(self, a: int, e: int = 0) -> Element:
         """Canonical element sum_i a_i pi^(e + i), a_i the base-q digits of
-        a >= 0; at e = 0 the element representing an encoded residue."""
+        a >= 0; at e = 0 the element representing an encoded residue.  It
+        decodes the cell codes of ``SchwartzBruhat`` (origin e), and
+        :meth:`residue_code` is its inverse."""
+        raise NotImplementedError
+
+    def residue_code(self, a, e: int) -> Optional[int]:
+        """The int that :meth:`residue_lift` decodes to a at e: sum_i a_i
+        q^i, a_i the digit of a at pi^(e + i), for a canonical a (finitely
+        many digits, as ``canon_trunc`` returns); None if a has a nonzero
+        digit below e."""
         raise NotImplementedError
 
     def unit_inverse_mod(self, a, m: int) -> Element:
@@ -413,8 +450,20 @@ class PAdicField(LocalField):
     def residue_mul(self, a: int, b: int, m: int) -> int:
         return a * b % self.p**m
 
+    def residue_add(self, a: int, b: int, m: int) -> int:
+        return (a + b) % self.p**m
+
     def residue_lift(self, a: int, e: int = 0) -> Fraction:
         return Fraction(a * self.p**e) if e >= 0 else Fraction(a, self.p**-e)
+
+    def residue_code(self, a: Fraction, e: int) -> Optional[int]:
+        # a canonical a is num / den with num >= 0 and den a power of p
+        num, den = a.numerator, a.denominator
+        if e >= 0:
+            pe = self.p**e
+            return num // pe if den == 1 and num % pe == 0 else None
+        pe = self.p**-e
+        return num * (pe // den) if pe % den == 0 else None
 
     def _cell_children(self, c0: Fraction, r: int, level: int) -> list[Fraction]:
         p, den = self.p, c0.denominator
@@ -510,6 +559,26 @@ class LaurentField(LocalField):
     def residue_mul(self, a: int, b: int, m: int) -> int:
         prod = self._decode(a, m) * self._decode(b, m)
         return self._encode(prod.truncate(m), m)
+
+    def residue_add(self, a: int, b: int, m: int) -> int:
+        # digit by digit mod p: no carry, so the sum stays below p^m
+        p = self.p
+        if p == 2:
+            return a ^ b
+        out, place = 0, 1
+        while a or b:
+            a, x = divmod(a, p)
+            b, y = divmod(b, p)
+            out += (x + y) % p * place
+            place *= p
+        return out
+
+    def residue_code(self, a: LaurentPoly, e: int) -> Optional[int]:
+        co = a.coeffs
+        if co and co[0][0] < e:
+            return None
+        p = self.p
+        return sum(c * p ** (x - e) for x, c in co)
 
     def residue_lift(self, a: int, e: int = 0) -> LaurentPoly:
         digits = []

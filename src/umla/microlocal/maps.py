@@ -50,7 +50,7 @@ from dataclasses import dataclass
 
 from ..cyclo import CycloScalar
 from ..distribution import FULL, BallF, DeltaF, FullF, MixedCellDistribution, _term
-from ..fields import FieldError, LocalField, Polyball, vec_add
+from ..fields import FieldDivisionError, FieldError, LocalField, Polyball, vec_add
 from ..polys import ring_det
 from ..schwartz import DEFAULT_CELL_BUDGET, check_budget
 from .cones import BaseFull, BasePoint, LambdaCone, OrbitRayCell, TaggedCell
@@ -197,7 +197,7 @@ class AffineMap:
             rows = [[f.zero()] * n for _ in range(n)]
             shift = [f.zero()] * n
             for i, (j, s) in enumerate(parts):
-                inv = f.invert(s)
+                inv = _invert_scale(f, s)
                 rows[j][i] = inv
                 shift[j] = f.neg(f.mul(inv, self.shift[i]))
             return AffineMap(f, tuple(tuple(r) for r in rows), tuple(shift))
@@ -242,6 +242,18 @@ class AffineMap:
             ),
             tuple(field.element_from_json(e) for e in obj["shift"]),
         )
+
+
+def _invert_scale(f: LocalField, s):
+    """1/s for the scale of a coordinate row; UnsupportedMap when s has no
+    exact inverse (over F_p((t)) only monomials invert, so y = (1 + t) x is
+    classified "iso" but is outside the calculus)."""
+    try:
+        return f.invert(s)
+    except FieldDivisionError:
+        raise UnsupportedMap(
+            f"the scale {s!r} of a coordinate row has no exact inverse"
+        ) from None
 
 
 # ---------------------------------------------------------------------------
@@ -300,13 +312,17 @@ def pullback(
     _check_conormal(f_map, u)
     parts = f_map.coordinate_parts()
     if parts is None:
-        return _pullback_general(f_map, u, budget)
+        if f.kind != "p-adic":
+            raise UnsupportedMap(
+                "over equal-characteristic fields only monomial matrices are supported"
+            )
+        return _pullback_general(f_map, f_map.inverse(), u, budget)
     undo = []  # per row that reads x_j: s^-1, -b s^-1 and 2 ord(s)
     for part, b in zip(parts, f_map.shift):
         if part is None:
             undo.append(None)
             continue
-        si = f.invert(part[1])
+        si = _invert_scale(f, part[1])
         undo.append((si, f.neg(f.mul(b, si)), 2 * f.ord(part[1])))
     full = (0, 0, f.zero(), FULL)
     out = []
@@ -331,16 +347,11 @@ def pullback(
     return MixedCellDistribution(f, f_map.n_in, out)
 
 
-def _pullback_general(f_map, u, budget) -> MixedCellDistribution:
+def _pullback_general(f_map, inv, u, budget) -> MixedCellDistribution:
     """Pullback along an invertible map over Q_p whose matrix is not
-    monomial: point masses move to the preimage point and products of balls
-    to the cells of their preimage."""
+    monomial, ``inv`` its inverse: point masses move to the preimage point
+    and products of balls to the cells of their preimage."""
     f = f_map.field
-    if f.kind != "p-adic":
-        raise UnsupportedMap(
-            "over equal-characteristic fields only monomial matrices are supported"
-        )
-    inv = f_map.inverse()
     # |det|^{-1}, the scale of every pulled-back point mass
     scale = CycloScalar.q_pow(f.p, 2 * f.ord(f_map.det()))
     out_terms = []
@@ -363,7 +374,7 @@ def _pullback_general(f_map, u, budget) -> MixedCellDistribution:
                     "monomial matrix"
                 )
             else:
-                for center, level in _preimage_cells(f_map, fs, budget):
+                for center, level in _preimage_cells(f_map, inv, fs, budget):
                     nfs = tuple(BallF(c, level) for c in center)
                     out_terms.append((coef * rot, nmod, nfs))
         else:
@@ -388,8 +399,9 @@ def _dot(f, xs, ys):
     return acc
 
 
-def _preimage_cells(f_map, fs, budget):
-    """Exact cell decomposition of the preimage of a product of balls.
+def _preimage_cells(f_map, inv, fs, budget):
+    """Exact cell decomposition of the preimage of a product of balls under
+    the map, ``inv`` its inverse.
 
     Full-line factors pass through an invertible map to the full space, so
     they only relax the target; balls constrain it.  The preimage of the
@@ -398,7 +410,6 @@ def _preimage_cells(f_map, fs, budget):
     """
     f = f_map.field
     radii = [fac.r for fac in fs]
-    inv = f_map.inverse()
     centers = [fac.center for fac in fs]
     z0 = inv.apply(centers)
     vmin = min(
@@ -459,9 +470,9 @@ def pushforward(
     parts = f_map.coordinate_parts()
     if parts is None:
         # pull along the inverse, times the inverse Jacobian modulus
-        pulled = _pullback_general(f_map.inverse(), u, budget)
+        pulled = _pullback_general(f_map.inverse(), f_map, u, budget)
         return pulled.scale(CycloScalar.q_pow(f.p, 2 * f.ord(f_map.det())))
-    inv = [None if part is None else f.invert(part[1]) for part in parts]
+    inv = [None if part is None else _invert_scale(f, part[1]) for part in parts]
     read = {part[0] for part in parts if part is not None}
     unread = [j for j in range(f_map.n_in) if j not in read]
     zero = f.zero()

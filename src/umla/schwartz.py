@@ -8,16 +8,44 @@ dictionary is a canonical representation once zero coefficients are dropped.
 
 Coefficients are exact cyclotomic scalars, so additive-character values and
 half-integer powers of q coming from transforms never lose precision.
+
+Cells are keyed by integer codes, one per coordinate.  Each coordinate i has
+an origin lo_i at or below its level r_i and at or below the ord of every
+centre (the support radius when the codes are first made).  A centre c,
+canonical at level r, has the code sum_{lo <= e < r} d_e q^(e - lo), d_e its
+digit at pi^e, so 0 <= code < q^(r - lo); ``LocalField.residue_lift(code,
+lo)`` decodes it and ``LocalField.residue_code(c, lo)`` encodes it.  Over
+Q_p the code is the integer c p^(-lo).  The integer rules are the same for
+both field kinds:
+
+  * ord c = lo + v_p(code), and the support radius of the coordinate is
+    min(r, lo + v_p(gcd of its codes));
+  * re-basing to a lower origin lo' multiplies the code by q^(lo - lo');
+  * the parent code at level L - 1 is code mod q^(L - 1 - lo).
+
+Sums differ by kind (``LocalField.residue_add``): over Q_p the code of a sum
+is (a + b) mod p^(r - lo), and over F_p((t)) the digits add mod p, with no
+carry.  In ``fourier`` the frequency of grid index k has code k at origin
+1 - r, and with the centre's code at origin a (the support radius) and
+L = r - a the angle of centre * xi_k is (code * k mod p^L) / p^L over Q_p
+and (sum_i d_i k_(L-1-i) mod p) / p over F_p((t)), d_i and k_j the base-p
+digits of the code and of k.
+
+The element dict ``cells`` is a view, built from the codes when it is first
+read and then kept; a function built from elements keeps the canonical dict
+it was given as that view and makes its codes only when an operation on
+codes first needs them.  Both dicts list the cells in the same order.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
+from math import gcd
 from typing import Iterator, Sequence
 
 from .cyclo import CycloScalar
-from .fields import FieldError, LocalField, Polyball, vec_add, vec_neg
+from .fields import FieldError, LocalField, Polyball, _vp, vec_add, vec_neg
 
 # the one cell budget: every cell-enumerating operation and every cexp
 # summation range defaults to it, and every cell guard calls check_budget
@@ -50,7 +78,9 @@ def coerce_scalar(p: int, value) -> CycloScalar:
 class SchwartzBruhat:
     """Finite exact cell decomposition of a test function on K^n."""
 
-    __slots__ = ("field", "n", "levels", "cells", "_normal")
+    # _cells: the element view or None; _lo and _codes: the origins and the
+    # code-keyed cells, or None until first needed; at least one dict is set
+    __slots__ = ("field", "n", "levels", "_cells", "_lo", "_codes", "_normal")
 
     def __init__(self, field: LocalField, n: int, levels, cells: dict):
         if n < 1:
@@ -73,7 +103,8 @@ class SchwartzBruhat:
                 canon[key] = canon[key] + coef
             else:
                 canon[key] = coef
-        self.cells = {k: v for k, v in canon.items() if not v.is_zero()}
+        self._cells = {k: v for k, v in canon.items() if not v.is_zero()}
+        self._lo = self._codes = None
 
     @staticmethod
     def _levels_tuple(n: int, levels) -> tuple[int, ...]:
@@ -85,15 +116,68 @@ class SchwartzBruhat:
         return out
 
     @classmethod
-    def _trusted(cls, field, n, levels, cells) -> "SchwartzBruhat":
-        """Construct from already-canonical centers (internal fast path)."""
+    def _trusted(cls, field, n, levels: tuple, cells=None, lo=None, codes=None):
+        """Construct from already-canonical cells (internal fast path): the
+        element dict ``cells``, or the ``codes`` at the origins ``lo``."""
         obj = object.__new__(cls)
-        obj.field = field
-        obj.n = n
-        obj.levels = levels if isinstance(levels, tuple) else cls._levels_tuple(n, levels)
-        obj.cells = {k: v for k, v in cells.items() if not v.is_zero()}
-        obj._normal = None
+        obj.field, obj.n, obj.levels, obj._lo, obj._normal = field, n, levels, lo, None
+        obj._cells = obj._codes = None
+        if cells is not None:
+            obj._cells = {k: v for k, v in cells.items() if not v.is_zero()}
+        else:
+            obj._codes = {k: v for k, v in codes.items() if not v.is_zero()}
         return obj
+
+    # -- the two views of the cells ----------------------------------------------
+
+    @property
+    def cells(self) -> dict:
+        """The cells keyed by canonical centre tuples (read-only)."""
+        if self._cells is None:
+            lift = self.field.residue_lift
+            lo = self._lo
+            self._cells = {
+                tuple(lift(c, e) for c, e in zip(key, lo)): v
+                for key, v in self._codes.items()
+            }
+        return self._cells
+
+    def _coded(self) -> tuple[tuple, dict]:
+        """(origins, code-keyed cells), made on the first call (module
+        docstring); the origins are the support radii then."""
+        if self._codes is None:
+            field, cells = self.field, self._cells
+            lo = tuple(
+                min([r] + [field.ord(c[i]) for c in cells if not field.is_zero(c[i])])
+                for i, r in enumerate(self.levels)
+            )
+            code = field.residue_code
+            self._codes = {
+                tuple(code(x, e) for x, e in zip(center, lo)): v
+                for center, v in cells.items()
+            }
+            self._lo = lo
+        return self._lo, self._codes
+
+    def _any_cells(self) -> dict:
+        """Whichever cell dict is built: same values, same order."""
+        return self._cells if self._cells is not None else self._codes
+
+    def _rebased(self, lo: tuple) -> dict:
+        """The code-keyed cells at the origins ``lo``, each at or below this
+        function's own."""
+        old, codes = self._coded()
+        if old == lo:
+            return codes
+        q = self.field.q
+        mult = tuple(q ** (a - b) for a, b in zip(old, lo))
+        return {tuple(c * m for c, m in zip(key, mult)): v for key, v in codes.items()}
+
+    @staticmethod
+    def _common_codes(f: "SchwartzBruhat", g: "SchwartzBruhat"):
+        """(origins, codes of f, codes of g) on common origins."""
+        lo = tuple(map(min, f._coded()[0], g._coded()[0]))
+        return lo, f._rebased(lo), g._rebased(lo)
 
     # -- constructors --------------------------------------------------------
 
@@ -109,7 +193,7 @@ class SchwartzBruhat:
     # -- basic structure -----------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.cells
+        return not self._any_cells()
 
     def terms(self) -> Iterator[tuple[Polyball, CycloScalar]]:
         for center, coef in self.cells.items():
@@ -117,18 +201,22 @@ class SchwartzBruhat:
 
     def support_radii(self):
         """Per-coordinate radii a_i with support contained in prod B_{a_i}(0)."""
-        if not self.cells:
+        lo, codes = self._coded()
+        if not codes:
             return None
-        ord_ = self.field.ord  # INF at 0, so min(ord c, r) is r there
+        q = self.field.q
         return tuple(
-            min(r, *(ord_(c[i]) for c in self.cells))
-            for i, r in enumerate(self.levels)
+            _radius(q, r, e, [key[i] for key in codes])
+            for i, (r, e) in enumerate(zip(self.levels, lo))
         )
 
     def refine(self, levels, budget: int = DEFAULT_CELL_BUDGET) -> "SchwartzBruhat":
         """The same function on finer levels.  ``budget`` bounds the refined
         cells (default the shared ``DEFAULT_CELL_BUDGET``), here and in
-        ``common_refinement``, ``modulate`` and ``restrict``."""
+        ``common_refinement``, ``modulate`` and ``restrict``.
+
+        The children of each cell and coordinate are the ``cell_reps`` of its
+        centre, encoded at the unchanged origins."""
         levels = self._levels_tuple(self.n, levels)
         if levels == self.levels:
             return self
@@ -137,17 +225,20 @@ class SchwartzBruhat:
             if new < old:
                 raise FieldError("refinement must not coarsen any coordinate")
             fan *= self.field.q ** (new - old)
-        check_budget("refinement", len(self.cells) * fan, budget)
+        check_budget("refinement", len(self._any_cells()) * fan, budget)
         field = self.field
+        reps, code = field.cell_reps, field.residue_code
+        lo = self._coded()[0]
+        axes = tuple(zip(self.levels, levels, lo))
         new_cells: dict = {}
         for center, coef in self.cells.items():
             per = [
-                field.cell_reps(center[i], self.levels[i], levels[i])
-                for i in range(self.n)
+                [code(x, e) for x in reps(c, r, s)]
+                for c, (r, s, e) in zip(center, axes)
             ]
             for combo in product(*per):
                 new_cells[combo] = coef
-        return SchwartzBruhat._trusted(field, self.n, levels, new_cells)
+        return SchwartzBruhat._trusted(field, self.n, levels, lo=lo, codes=new_cells)
 
     def common_refinement(self, other: "SchwartzBruhat", budget=DEFAULT_CELL_BUDGET):
         if self.field != other.field or self.n != other.n:
@@ -159,10 +250,11 @@ class SchwartzBruhat:
 
     def __add__(self, other: "SchwartzBruhat") -> "SchwartzBruhat":
         f, g = self.common_refinement(other)
-        cells = dict(f.cells)
-        for key, coef in g.cells.items():
+        lo, fc, gc = self._common_codes(f, g)
+        cells = dict(fc)
+        for key, coef in gc.items():
             cells[key] = cells[key] + coef if key in cells else coef
-        return SchwartzBruhat._trusted(f.field, f.n, f.levels, cells)
+        return SchwartzBruhat._trusted(f.field, f.n, f.levels, lo=lo, codes=cells)
 
     def __neg__(self) -> "SchwartzBruhat":
         return self.scale(-1)
@@ -172,20 +264,16 @@ class SchwartzBruhat:
 
     def scale(self, value) -> "SchwartzBruhat":
         c = coerce_scalar(self.field.p, value)
-        if c.is_zero():
-            return SchwartzBruhat._trusted(self.field, self.n, self.levels, {})
-        return SchwartzBruhat._trusted(
-            self.field, self.n, self.levels,
-            {k: v * c for k, v in self.cells.items()},
-        )
+        lo, codes = self._coded()
+        cells = {k: v * c for k, v in codes.items()}  # all dropped when c is 0
+        return SchwartzBruhat._trusted(self.field, self.n, self.levels, lo=lo, codes=cells)
 
     def mul(self, other: "SchwartzBruhat") -> "SchwartzBruhat":
         """Pointwise product."""
         f, g = self.common_refinement(other)
-        cells = {
-            key: coef * g.cells[key] for key, coef in f.cells.items() if key in g.cells
-        }
-        return SchwartzBruhat._trusted(f.field, f.n, f.levels, cells)
+        lo, fc, gc = self._common_codes(f, g)
+        cells = {key: coef * gc[key] for key, coef in fc.items() if key in gc}
+        return SchwartzBruhat._trusted(f.field, f.n, f.levels, lo=lo, codes=cells)
 
     def translate(self, v: Sequence) -> "SchwartzBruhat":
         """x -> f(x - v), support moves by +v."""
@@ -225,26 +313,31 @@ class SchwartzBruhat:
         """Outer product f(x) g(y) on the concatenated coordinates."""
         if self.field != other.field:
             raise FieldError("operands live over different fields")
+        lo1, codes1 = self._coded()
+        lo2, codes2 = other._coded()
         cells = {
-            c1 + c2: v1 * v2
-            for c1, v1 in self.cells.items()
-            for c2, v2 in other.cells.items()
+            c1 + c2: v1 * v2 for c1, v1 in codes1.items() for c2, v2 in codes2.items()
         }
         return SchwartzBruhat._trusted(
-            self.field, self.n + other.n, self.levels + other.levels, cells
+            self.field, self.n + other.n, self.levels + other.levels, lo=lo1 + lo2, codes=cells
         )
 
     # -- evaluation and integration -------------------------------------------
 
     def eval_at(self, xs: Sequence) -> CycloScalar:
-        key = tuple(
-            self.field.canon_trunc(x, r) for x, r in zip(xs, self.levels)
-        )
-        got = self.cells.get(key)
-        return got if got is not None else CycloScalar.zero(self.field.p)
+        field = self.field
+        lo, codes = self._coded()
+        key = []
+        for x, r, e in zip(xs, self.levels, lo):
+            c = field.residue_code(field.canon_trunc(x, r), e)
+            if c is None:  # a digit below the origin: outside every cell
+                return CycloScalar.zero(field.p)
+            key.append(c)
+        got = codes.get(tuple(key))
+        return got if got is not None else CycloScalar.zero(field.p)
 
     def integrate(self) -> CycloScalar:
-        total = CycloScalar.sum(self.field.p, self.cells.values())
+        total = CycloScalar.sum(self.field.p, self._any_cells().values())
         return total.q_shift(-2 * sum(self.levels))
 
     # -- canonical coarsening and alpha data ------------------------------------
@@ -260,26 +353,28 @@ class SchwartzBruhat:
         """
         if self._normal is None:
             g = self._coarsened()
-            bounds = (min(g.support_radii()), max(g.levels)) if g.cells else None
+            bounds = (min(g.support_radii()), max(g.levels)) if g._any_cells() else None
             self._normal = g._normal = (g, bounds)
         return self._normal[0]
 
     def _coarsened(self) -> "SchwartzBruhat":
-        if not self.cells:
+        if not self._any_cells():
             return self
-        field, q = self.field, self.field.q
+        q = self.field.q
         levels = list(self.levels)
-        cells = dict(self.cells)
+        lo, cells = self._coded()
         changed = True
         while changed:
             changed = False
             for i in range(self.n):
+                if lo[i] == levels[i]:
+                    continue  # every code is 0: one cell per parent, no merge
+                mod = q ** (levels[i] - 1 - lo[i])
                 groups: dict = {}
                 ok = True
-                for center, coef in cells.items():
-                    parent = field.canon_trunc(center[i], levels[i] - 1)
-                    key = center[:i] + (parent,) + center[i + 1 :]
-                    groups.setdefault(key, []).append(coef)
+                for key, coef in cells.items():
+                    parent = key[:i] + (key[i] % mod,) + key[i + 1 :]
+                    groups.setdefault(parent, []).append(coef)
                 for members in groups.values():
                     if len(members) != q or any(c != members[0] for c in members[1:]):
                         ok = False
@@ -290,20 +385,21 @@ class SchwartzBruhat:
                     changed = True
         if tuple(levels) == self.levels:
             return self
-        return SchwartzBruhat._trusted(field, self.n, tuple(levels), cells)
+        return SchwartzBruhat._trusted(self.field, self.n, tuple(levels), lo=lo, codes=cells)
 
     def alpha_bounds(self) -> tuple[int, int]:
         """(support radius, constancy level), read off the normal form."""
-        if not self.cells:
+        if not self._any_cells():
             raise FieldError("alpha bounds of the zero function are undefined")
         self.normalized()
         return self._normal[1]
 
     def equals(self, other: "SchwartzBruhat") -> bool:
         f, g = self.common_refinement(other)
-        if set(f.cells) != set(g.cells):
+        _, fc, gc = self._common_codes(f, g)
+        if fc.keys() != gc.keys():
             return False
-        return all(coef == g.cells[k] for k, coef in f.cells.items())
+        return all(coef == gc[k] for k, coef in fc.items())
 
     # -- transforms --------------------------------------------------------------
 
@@ -320,68 +416,71 @@ class SchwartzBruhat:
 
         The frequencies are the ``cell_reps`` children xi_k = sum_d k_d
         pi^(s+d) of B_s(0) at level 1-a, s = 1-r and k_d the base-q digits
-        of k < q^L, L = r-a.  psi is additive, so the angle of center*xi_k
-        is sum_d k_d theta_d mod 1, from the L base angles theta_d =
-        psi_angle(center*pi^(s+d)); it is summed on integer numerators j over
-        the largest denominator den of the theta_d (see ``_grid_angles``).
-        Each (cell, frequency) pair adds j / den to the angle indices of the
-        cell's coefficient on ints (``CycloScalar.raw``), and every output
-        cell's integer raw terms are canonicalised once.
+        of k < q^L, L = r-a, encoded at origin s (code k).  psi is additive,
+        so the angle of center*xi_k is sum_d k_d theta_d mod 1, from the L
+        base angles theta_d = j_d / den of center*pi^(s+d), read off the
+        centre's code (module docstring and ``_angle_steps``) and summed on
+        integer numerators (``_grid_angles``).  Each (cell, frequency) pair
+        adds j / den to the angle indices of the cell's coefficient on ints
+        (``CycloScalar.raw``), and every output cell's integer raw terms are
+        canonicalised once.
         """
-        field, n, p = self.field, self.n, self.field.p
+        field, n, p, q = self.field, self.n, self.field.p, self.field.q
         g = self.normalized()
-        if not g.cells:
+        if not g._any_cells():
             return SchwartzBruhat._trusted(
                 field, n, tuple(1 - r for r in g.levels), {}
             )
         levels = list(g.levels)
-        cells = g.cells
+        lo, cells = g._coded()
+        lo = list(lo)
         for i in range(n):
-            r = levels[i]
-            a = min(r, *(field.ord(c[i]) for c in cells))
-            check_budget("Fourier transform", len(cells) * field.q ** (r - a), budget)
-            grid = field.cell_reps(field.zero(), 1 - r, 1 - a)
-            base = [field.pow_uniformizer(1 - r + d) for d in range(r - a)]
+            r, e = levels[i], lo[i]
+            a = _radius(q, r, e, [key[i] for key in cells])
+            check_budget("Fourier transform", len(cells) * q ** (r - a), budget)
+            s = 1 - r
+            ks = [field.residue_code(xi, s) for xi in field.cell_reps(field.zero(), s, 1 - a)]
+            shift, e2 = q ** (a - e), -2 * r
             raw: dict = {}
-            for center, coef in cells.items():
-                ci = center[i]
-                pre = center[:i]
-                post = center[i + 1 :]
-                thetas = [field.psi_angle(field.mul(ci, b)) for b in base]
-                den, nums = _grid_angles(p, thetas)
-                for xi, j in zip(grid, nums):
-                    key = pre + (xi,) + post
-                    raw.setdefault(key, []).extend(coef.raw(-2 * r, j, den))
+            for key, coef in cells.items():
+                den, steps = _angle_steps(field, key[i] // shift, r - a)
+                pre, post, terms = key[:i], key[i + 1 :], coef.raw
+                for k, j in zip(ks, _grid_angles(p, den, steps)):
+                    raw.setdefault(pre + (k,) + post, []).extend(terms(e2, j, den))
             new_cells = {}
             for key, bucket in raw.items():
                 val = CycloScalar(p, bucket)
                 if not val.is_zero():
                     new_cells[key] = val
             cells = new_cells
-            levels[i] = 1 - a
-        return SchwartzBruhat._trusted(field, n, tuple(levels), cells)
+            levels[i], lo[i] = 1 - a, s
+        return SchwartzBruhat._trusted(field, n, tuple(levels), lo=tuple(lo), codes=cells)
 
     def convolve(self, other: "SchwartzBruhat", budget=DEFAULT_CELL_BUDGET):
         """Additive convolution with respect to the self-dual measure.
 
         ``budget`` (default the shared ``DEFAULT_CELL_BUDGET``) bounds the
-        refined cells of each operand and the cell pairs scanned.
+        refined cells of each operand and the cell pairs scanned.  The cell
+        of a pair of centres is their sum, added on codes at common origins.
         """
         f, g = self.common_refinement(other, budget)
-        check_budget("convolution", len(f.cells) * len(g.cells), budget)
+        check_budget("convolution", len(f._any_cells()) * len(g._any_cells()), budget)
+        lo, fc, gc = self._common_codes(f, g)
         field, p = f.field, f.field.p
+        add = field.residue_add
+        widths = tuple(r - e for r, e in zip(f.levels, lo))
         shift = -2 * sum(f.levels)
         raw: dict = {}
-        for c1, v1 in f.cells.items():
-            for c2, v2 in g.cells.items():
-                key = vec_add(field, c1, c2)
+        for c1, v1 in fc.items():
+            for c2, v2 in gc.items():
+                key = tuple(map(add, c1, c2, widths))
                 raw.setdefault(key, []).extend((v1 * v2).raw(shift))
         cells = {}
         for key, bucket in raw.items():
             val = CycloScalar(p, bucket)
             if not val.is_zero():
                 cells[key] = val
-        return SchwartzBruhat(field, f.n, f.levels, cells)
+        return SchwartzBruhat._trusted(field, f.n, f.levels, lo=lo, codes=cells)
 
     # -- serialization --------------------------------------------------------------
 
@@ -415,21 +514,38 @@ class SchwartzBruhat:
     def __repr__(self) -> str:
         return (
             f"SchwartzBruhat({self.field!r}, n={self.n}, levels={self.levels}, "
-            f"cells={len(self.cells)})"
+            f"cells={len(self._any_cells())})"
         )
 
 
-def _grid_angles(p: int, thetas: Sequence[Fraction]) -> tuple[int, list[int]]:
-    """The angles sum_d k_d theta_d mod 1 for k = 0, 1, ..., p^L - 1, k_d the
-    base-p digits of k and L = len(thetas), each theta_d of p-power
-    denominator: (den, [numerator of angle k over den, for each k]), den the
-    largest of those denominators."""
-    den = max((t.denominator for t in thetas), default=1)
+def _radius(q: int, r: int, e: int, codes: Sequence[int]) -> int:
+    """The support radius min(r, ord of every centre) of one coordinate at
+    level r from its codes at origin e: ord c = e + v_p(code), and the least
+    v_p of the codes is v_p of their gcd."""
+    w = gcd(*codes)
+    return min(r, e + _vp(w, q)) if w else r
+
+
+def _angle_steps(field: LocalField, code: int, L: int) -> tuple[int, list[int]]:
+    """(den, [j_d for d < L]): the angle of center * pi^(1-r+d) is j_d / den,
+    for a centre of code ``code`` at origin a, canonical at level r = a + L.
+    Over Q_p den = p^L and j_d = code p^d mod p^L; over F_p((t)) den = p and
+    j_d is the digit L-1-d of the code."""
+    p = field.p
+    if field.kind == "p-adic":
+        den = p**L
+        return den, [code * p**d % den for d in range(L)]
+    return p, [code // p ** (L - 1 - d) % p for d in range(L)]
+
+
+def _grid_angles(p: int, den: int, steps: Sequence[int]) -> list[int]:
+    """The numerators over den of the angles sum_d k_d theta_d mod 1, for
+    k = 0, 1, ..., p^L - 1, k_d the base-p digits of k, L = len(steps) and
+    theta_d = steps[d] / den."""
     nums = [0]
-    for t in thetas:
-        step = t.numerator * (den // t.denominator)
+    for step in steps:
         nums = [(a + j * step) % den for j in range(p) for a in nums]
-    return den, nums
+    return nums
 
 
 def make_sb(pairs) -> SchwartzBruhat:

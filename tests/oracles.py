@@ -242,6 +242,41 @@ def fourier_by_pairs(f) -> tuple[tuple, dict]:
     return tuple(levels), cells
 
 
+def refine_by_field_ops(f, levels) -> dict:
+    """The cells of f refined to ``levels``, keyed by element tuples: the
+    children of each cell from ``cell_reps_by_field_ops``, per coordinate."""
+    out = {}
+    for center, coef in f.cells.items():
+        axes = [
+            cell_reps_by_field_ops(f.field, c, r, s)
+            for c, r, s in zip(center, f.levels, levels)
+        ]
+        for combo in product(*axes):
+            out[combo] = coef
+    return out
+
+
+def convolve_by_pairs(f, g) -> tuple[tuple, dict]:
+    """(levels, cells) of ``SchwartzBruhat.convolve`` of f and g: both
+    refined by ``refine_by_field_ops`` to the common levels, the cell of a
+    pair of centres their field sum cut by ``canon_trunc``, its coefficient
+    the product times the cell volume q^(-sum levels)."""
+    field = f.field
+    levels = tuple(max(a, b) for a, b in zip(f.levels, g.levels))
+    fine_g = refine_by_field_ops(g, levels)
+    raw: dict = {}
+    for c1, v1 in refine_by_field_ops(f, levels).items():
+        for c2, v2 in fine_g.items():
+            key = tuple(
+                field.canon_trunc(field.add(x, y), r) for x, y, r in zip(c1, c2, levels)
+            )
+            raw.setdefault(key, []).extend(
+                (e2 - 2 * sum(levels), ang, c) for e2, ang, c in v1 * v2
+            )
+    cells = {k: CycloScalar(field.p, b) for k, b in raw.items()}
+    return levels, {k: v for k, v in cells.items() if not v.is_zero()}
+
+
 def riemann_integral(field: LocalField, fn, ball, level: int) -> CycloScalar:
     """Sum fn(center)*q^(-level*n) over the level-`level` cells of a polyball."""
     total = CycloScalar.zero(field.p)
@@ -521,3 +556,26 @@ def quadratic_gauss_integral(field: LocalField, k: int, b: int) -> CycloScalar:
     if s % 2 == 0:
         return CycloScalar.q_pow(p, -s)
     return CycloScalar(p, [(-(s + 1), Fraction(b * x * x % p, p), 1) for x in range(p)])
+
+
+def quadratic_gauss_integral_q2(k: int, a: int) -> CycloScalar:
+    """integral over Z_2 of psi(2^(1-k) a x^2) dx, for odd a: the Q_2 case
+    that ``quadratic_gauss_integral`` leaves out.
+
+    psi(2^(1-k) y) = e(y / 2^k), so for k >= 1 the integral is
+    2^(-k) G(a; 2^k), G(a; 2^k) = sum_{x mod 2^k} e(a x^2 / 2^k) the
+    quadratic Gauss sum: 0 for k = 1, (1 + i^a) 2^(k/2) for even k, and
+    e(a/8) 2^((k+1)/2) for odd k >= 3 (Berndt, Evans and Williams, *Gauss
+    and Jacobi Sums*, 1998, ch. 1).  For k <= 0 the phase is trivial on Z_2
+    and the integral is 1.  i and e(1/8) are 2-power roots of unity, so the
+    value is exact: (1 + i^a) 2^(-k/2) for even k and e(a/8) 2^((1-k)/2)
+    for odd k >= 3.
+    """
+    assert a % 2, "needs odd a"
+    if k <= 0:
+        return CycloScalar.one(2)
+    if k == 1:
+        return CycloScalar.zero(2)
+    if k % 2 == 0:
+        return CycloScalar(2, [(-k, Fraction(0), 1), (-k, Fraction(a % 4, 4), 1)])
+    return CycloScalar(2, [(1 - k, Fraction(a % 8, 8), 1)])

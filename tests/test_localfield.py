@@ -293,3 +293,31 @@ def test_element_hashability():
     y = LaurentPoly(3, [(2, 2), (0, 1)])
     assert hash(x) == hash(y) and x == y
     assert len({x, y}) == 1
+
+
+@st.composite
+def _laurent_pairs(draw):
+    """(p, a, b): two Laurent polynomials over Z/p, p in {2, 3, 5}, with
+    exponents -4 to 4, shared exponents and zero operands included."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    terms = st.lists(st.tuples(st.integers(-4, 4), st.integers(0, p - 1)), max_size=6)
+    return p, LaurentPoly(p, draw(terms)), LaurentPoly(p, draw(terms))
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(_laurent_pairs())
+def test_laurent_sum_and_product_match_the_normalising_constructor(case):
+    # the merged sum and the product built without normalising equal the
+    # constructor's result on the concatenated or multiplied-out digits,
+    # and are normal themselves: sorted exponents, digits in [1, p)
+    p, a, b = case
+    want_sum = LaurentPoly(p, list(a.coeffs) + list(b.coeffs))
+    want_prod = LaurentPoly(
+        p, [(e1 + e2, c1 * c2) for e1, c1 in a.coeffs for e2, c2 in b.coeffs]
+    )
+    for got, want in ((a + b, want_sum), (a * b, want_prod), (a - b, a + (-b))):
+        assert got == want and hash(got) == hash(want)
+        assert list(got.coeffs) == sorted(got.coeffs)
+        assert len({e for e, _ in got.coeffs}) == len(got.coeffs)
+        assert isinstance(got.coeffs, tuple)
+        assert all(isinstance(t, tuple) and 0 < t[1] < p for t in got.coeffs)

@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
+from fractions import Fraction
+
 import pytest
 
 from conftest import rng_for, sample_element, sample_nonzero
@@ -603,3 +607,76 @@ class TestNormalCone:
         assert cone.contains((f.uniformizer(), zero), (zero, one))
         assert not cone.contains((zero, one), (zero, one))
         assert not cone.contains((zero, zero), (one, zero))
+
+
+class TestScalesOutsideTheFragment:
+    """y = (1 + t) x over F_3((t)): a monomial matrix that ``classify`` calls
+    "iso", whose scale has no inverse among Laurent polynomials."""
+
+    def _map(self):
+        f = make_field("equal-characteristic", 3)
+        return f, AffineMap(f, ((f.add(f.one(), f.uniformizer()),),), (f.zero(),))
+
+    def test_classified_as_iso(self):
+        _, m = self._map()
+        assert m.classify() == "iso"
+
+    def test_inverse_raises_unsupported_map(self):
+        _, m = self._map()
+        with pytest.raises(UnsupportedMap, match="no exact inverse"):
+            m.inverse()
+
+    def test_pullback_raises_unsupported_map(self):
+        f, m = self._map()
+        with pytest.raises(UnsupportedMap, match="no exact inverse"):
+            pullback(m, MixedCellDistribution.delta(f, (f.one(),)))
+
+    def test_pushforward_raises_unsupported_map(self):
+        f, m = self._map()
+        with pytest.raises(UnsupportedMap, match="no exact inverse"):
+            pushforward(m, MixedCellDistribution.delta(f, (f.one(),)))
+
+
+def _three_balls_q3():
+    """The map [[3, 1], [0, 1]] over Q_3 and a sum of three ball densities."""
+    f = make_field("p-adic", 3)
+    m = AffineMap.from_ints(f, [[3, 1], [0, 1]], [0, 0])
+    u = MixedCellDistribution.zero(f, 2)
+    for center, radii in [((0, 0), (0, 0)), ((1, 2), (1, 1)), ((Fraction(1, 3), 0), (0, 2))]:
+        ball = Polyball(f, tuple(map(Fraction, center)), radii)
+        u = u + MixedCellDistribution.from_sb(SchwartzBruhat.indicator(ball))
+    return f, m, u
+
+
+def _sorted_json_digest(u) -> str:
+    obj = u.to_json()
+    obj["terms"] = sorted(obj["terms"], key=lambda t: json.dumps(t, sort_keys=True))
+    return hashlib.sha256(json.dumps(obj, sort_keys=True).encode()).hexdigest()
+
+
+@pytest.mark.parametrize(
+    "entry, digest",
+    [
+        (pullback, "5919e4427353ddece8556f586ebf26722f146c5d0bd10a18f9b8918d07354985"),
+        (pushforward, "56b1d13b83840618be06cc24334d74adabcd497624d4c42ed8f79558279013fb"),
+    ],
+    ids=["pullback", "pushforward"],
+)
+def test_general_matrix_inverts_once_per_call(monkeypatch, entry, digest):
+    # one inverse() per call, not one more per ball term; the result's JSON
+    # text (terms sorted) is the one the per-term inversions gave
+    f, m, u = _three_balls_q3()
+    calls = []
+    inverse = AffineMap.inverse
+
+    def counted(self):
+        calls.append(self)
+        return inverse(self)
+
+    monkeypatch.setattr(AffineMap, "inverse", counted)
+    got = entry(m, u)
+    assert len(calls) == 1
+    assert _sorted_json_digest(got) == digest
+    x = (Fraction(1, 3), Fraction(5))
+    if entry is pullback:
+        assert got.pointwise_eval(x) == u.pointwise_eval(m.apply(x))

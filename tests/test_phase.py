@@ -16,6 +16,7 @@ from oracles import (
     eval_by_laurent,
     psi_by_digits,
     quadratic_gauss_integral,
+    quadratic_gauss_integral_q2,
 )
 from umla.cyclo import CycloScalar
 from umla.fields import FieldError, LaurentPoly, Polyball, make_field
@@ -273,6 +274,22 @@ def test_quadratic_phase_matches_the_gauss_sum_closed_form(name):
                 assert got == quadratic_gauss_integral(f, -o, u * a), (a, u, o)
                 deepest = o
             assert deepest <= _GAUSS_DEEPEST[name], (a, u)
+
+
+@pytest.mark.parametrize("a", [1, 3, 5, 7])
+def test_quadratic_phase_over_q2_matches_the_gauss_sum_closed_form(a):
+    # integral_{Z_2} psi(lam a x^2) dx at lam = 2^o, k = 1 - o: the closed
+    # form of the Gauss sum G(a; 2^k), itself checked against the plain sum
+    # over x mod 2^k for k <= 10
+    f = make_field("p-adic", 2)
+    phi = indicator(f, (f.zero(),), 0)
+    p = parse_poly(f"{a}*x^2", ("x",))
+    for k in range(1, 11):
+        plain = CycloScalar(2, [(-2 * k, Fraction(a * x * x % 2**k, 2**k), 1) for x in range(2**k)])
+        assert plain == quadratic_gauss_integral_q2(k, a), k
+    for o in range(1, -25, -1):
+        got = oscillatory_integral(p, phi, (), f.pow_uniformizer(o))
+        assert got == quadratic_gauss_integral_q2(1 - o, a), o
 
 
 # the order each diagonal form must at least reach; where the budget stops

@@ -17,7 +17,9 @@ from umla.schwartz import CellBudgetError, SchwartzBruhat, make_sb
 from conftest import CELL_FIELDS, FIELDS, rng_for, sample_element, sample_scalar
 from oracles import (
     children_by_field_ops,
+    convolve_by_pairs,
     fourier_by_pairs,
+    refine_by_field_ops,
     riemann_fourier,
     riemann_integral,
 )
@@ -371,3 +373,126 @@ def test_eval_agrees_after_refinement_and_translation():
             shifted = f.translate(v)
             y = vec_add(field, x, v)
             assert (shifted.eval_at(y) - f.eval_at(x)).is_zero()
+
+
+# ---------------------------------------------------------------------------
+# code-keyed cells (module docstring of umla.schwartz)
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def _code_cases(draw):
+    """(field, f, g): two cell functions on K^n, n <= 2, over a field of
+    ``CELL_FIELDS``, with levels from -3 up and centres of ord at least a
+    base b <= every level, so a transform scans at most q^d frequencies per
+    cell and coordinate (d = 2, or 1 for q = 5)."""
+    field = draw(st.sampled_from(CELL_FIELDS))
+    n = draw(st.sampled_from([1, 2]))
+    d = 1 if field.q >= 5 else 2
+
+    def function():
+        b = draw(st.integers(-3, 1))
+        levels = tuple(b + draw(st.integers(0, d)) for _ in range(n))
+        cells = {}
+        for _ in range(draw(st.integers(0, 3))):
+            center = []
+            for _ in range(n):
+                x = field.zero()
+                for e in range(b, max(levels)):
+                    digit = field.from_int(draw(st.integers(0, field.p - 1)))
+                    x = field.add(x, field.mul(digit, field.pow_uniformizer(e)))
+                center.append(x)
+            coef = Fraction(draw(st.integers(-3, 3)), draw(st.integers(1, 3)))
+            cells[tuple(center)] = CycloScalar.fraction(field.p, coef)
+        return SchwartzBruhat(field, n, levels, cells)
+
+    return field, function(), function()
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(_code_cases())
+def test_cell_codes_round_trip_and_decode_to_the_element_dict(case):
+    field, f, _ = case
+    lo, codes = f._coded()
+    assert all(e <= r for e, r in zip(lo, f.levels))
+    # each code decodes to its centre, and the centre encodes to it
+    assert list(codes.values()) == list(f.cells.values())
+    for key, center in zip(codes, f.cells):
+        assert tuple(map(field.residue_lift, key, lo)) == center
+        assert tuple(map(field.residue_code, center, lo)) == key
+    # a function built from codes decodes to the dict the element
+    # constructor builds, in the same order, and keeps that view
+    coded = SchwartzBruhat._trusted(field, f.n, f.levels, lo=lo, codes=codes)
+    fresh = SchwartzBruhat(field, f.n, f.levels, dict(coded.cells))
+    assert list(coded.cells.items()) == list(fresh.cells.items())
+    assert coded.cells is coded.cells
+    assert fresh._coded() == (lo, codes)
+    assert coded.support_radii() == fresh.support_radii() == f.support_radii()
+    if f.cells:
+        radii = [
+            min([r] + [field.ord(c[i]) for c in f.cells if not field.is_zero(c[i])])
+            for i, r in enumerate(f.levels)
+        ]
+        assert f.support_radii() == tuple(radii)
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(_code_cases())
+def test_refine_fourier_and_convolve_on_codes_match_the_element_references(case):
+    field, f, g = case
+    fine = tuple(r + 1 for r in f.levels)
+    got = f.refine(fine)
+    assert got.levels == fine
+    assert got.cells == refine_by_field_ops(f, fine)
+    h = f.fourier()
+    assert (h.levels, h.cells) == fourier_by_pairs(f)
+    # a function built from codes transforms as its element copy does
+    copy = SchwartzBruhat(field, got.n, got.levels, dict(got.cells))
+    assert got.fourier().cells == copy.fourier().cells == h.cells
+    c = f.convolve(g)
+    assert (c.levels, c.cells) == convolve_by_pairs(f, g)
+    assert f.equals(copy) and (f - copy).is_zero()
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(_code_cases(), st.integers(0, 10**6))
+def test_fourier_inversion_on_codes(case, seed):
+    # F(F phi)(x) = q^(-n) phi(-x), at the centres of phi and at points
+    # drawn around its support
+    field, f, _ = case
+    gg = f.fourier().fourier()
+    scale = CycloScalar.q_pow(field.p, -2 * f.n)
+    rng = random.Random(seed)
+    points = list(f.cells) + [
+        tuple(sample_element(field, rng, -4, 3) for _ in range(f.n)) for _ in range(4)
+    ]
+    for x in points:
+        minus = tuple(field.neg(c) for c in x)
+        assert gg.eval_at(x) == f.eval_at(minus) * scale
+    assert gg.equals(f.reflect().scale(Fraction(1, field.q ** f.n)))
+
+
+def test_cell_reps_children_of_a_fixed_refine_and_fourier(monkeypatch):
+    # the transform path enumerates cells through LocalField.cell_reps: a
+    # refinement calls it once per cell and coordinate, a transform once per
+    # coordinate for its frequency grid.  Over Q_3, three level-1 cells with
+    # unit coordinates: refining to level 2 lists 3 cells x 2 coordinates x
+    # 3 children; the transform's grids at r - a = 1 list 3 frequencies each
+    field = make_field("p-adic", 3)
+    cells = {(1, 0): 1, (0, 2): 2, (2, 1): Fraction(1, 3)}
+    f = SchwartzBruhat(field, 2, 1, {tuple(map(Fraction, c)): v for c, v in cells.items()})
+    counted = []
+    cell_reps = LocalField.cell_reps
+
+    def counting(self, *args):
+        out = cell_reps(self, *args)
+        counted.append(len(out))
+        return out
+
+    monkeypatch.setattr(LocalField, "cell_reps", counting)
+    f.refine(2)
+    assert (len(counted), sum(counted)) == (6, 18)
+    counted.clear()
+    g = f.fourier()
+    assert g.levels == (1, 1)
+    assert (len(counted), sum(counted)) == (2, 6)
