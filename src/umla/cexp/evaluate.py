@@ -125,14 +125,6 @@ _CMP_OPS = {"==": operator.eq, "!=": operator.ne, "<=": operator.le}
 _CMP_OPS.update({"<": operator.lt, ">=": operator.ge, ">": operator.gt})
 
 
-def _residue_code(field: LocalField, elem, m: int) -> int:
-    """Integer encoding of an integral element modulo uniformizer^m."""
-    trunc = field.canon_trunc(elem, m)
-    if isinstance(trunc, Fraction):
-        return int(trunc)
-    return sum(c * field.p**e for e, c in trunc.coeffs)
-
-
 def _fail(message: str):
     """A closure that raises ``EvalError(message)`` when it is called."""
 
@@ -386,8 +378,9 @@ def _truth(node: Node, field: LocalField, sorts: dict):
     if isinstance(sort, tuple):
         m = sort[1]
         lhs, rhs = _field(node.lhs, field, True), _field(node.rhs, field, True)
+        code, trunc = field.residue_code, field.canon_trunc
         return lambda env: (
-            _residue_code(field, lhs(env), m) == _residue_code(field, rhs(env), m)
+            code(trunc(lhs(env), m), 0) == code(trunc(rhs(env), m), 0)
         ) == want
     op, lhs, rhs = _CMP_OPS[node.op], _int(node.lhs, field, sorts), _int(node.rhs, field, sorts)
     return lambda env: op(lhs(env), rhs(env))

@@ -307,6 +307,14 @@ class LocalField:
         digit below e."""
         raise NotImplementedError
 
+    def code_angle_steps(self, code: int, L: int) -> tuple[int, list[int]]:
+        """(den, [j_d for d < L]): the angle of centre * pi^(1-r+d) is
+        j_d / den, for a centre of residue code ``code`` at origin a,
+        canonical at level r = a + L.  Over Q_p den = p^L and j_d = code p^d
+        mod p^L; over F_p((t)) den = p and j_d is the digit L-1-d of the
+        code."""
+        raise NotImplementedError
+
     def unit_inverse_mod(self, a, m: int) -> Element:
         """Inverse of the unit a modulo uniformizer^m (exact representative)."""
         raise NotImplementedError
@@ -465,6 +473,10 @@ class PAdicField(LocalField):
         pe = self.p**-e
         return num * (pe // den) if pe % den == 0 else None
 
+    def code_angle_steps(self, code: int, L: int) -> tuple[int, list[int]]:
+        den = self.p**L
+        return den, [code * self.p**d % den for d in range(L)]
+
     def _cell_children(self, c0: Fraction, r: int, level: int) -> list[Fraction]:
         p, den = self.p, c0.denominator
         if r < 0 and den < p**-r:
@@ -553,18 +565,13 @@ class LaurentField(LocalField):
             code //= self.p
         return LaurentPoly(self.p, digits)
 
-    def _encode(self, a: LaurentPoly, m: int) -> int:
-        return sum(c * self.p**e for e, c in a.coeffs if 0 <= e < m)
-
     def residue_mul(self, a: int, b: int, m: int) -> int:
         prod = self._decode(a, m) * self._decode(b, m)
-        return self._encode(prod.truncate(m), m)
+        return self.residue_code(prod.truncate(m), 0)
 
     def residue_add(self, a: int, b: int, m: int) -> int:
         # digit by digit mod p: no carry, so the sum stays below p^m
         p = self.p
-        if p == 2:
-            return a ^ b
         out, place = 0, 1
         while a or b:
             a, x = divmod(a, p)
@@ -588,6 +595,11 @@ class LaurentField(LocalField):
                 digits.append((e, d))
             e += 1
         return LaurentPoly._trusted(self.p, tuple(digits))
+
+    def code_angle_steps(self, code: int, L: int) -> tuple[int, list[int]]:
+        # only the digit at pi^-1 of centre * pi^(1-r+d) counts: digit L-1-d
+        p = self.p
+        return p, [code // p ** (L - 1 - d) % p for d in range(L)]
 
     def _cell_children(self, c0: LaurentPoly, r: int, level: int) -> list[LaurentPoly]:
         p = self.p

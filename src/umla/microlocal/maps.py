@@ -312,10 +312,6 @@ def pullback(
     _check_conormal(f_map, u)
     parts = f_map.coordinate_parts()
     if parts is None:
-        if f.kind != "p-adic":
-            raise UnsupportedMap(
-                "over equal-characteristic fields only monomial matrices are supported"
-            )
         return _pullback_general(f_map, f_map.inverse(), u, budget)
     undo = []  # per row that reads x_j: s^-1, -b s^-1 and 2 ord(s)
     for part, b in zip(parts, f_map.shift):

@@ -27,9 +27,9 @@ Sums differ by kind (``LocalField.residue_add``): over Q_p the code of a sum
 is (a + b) mod p^(r - lo), and over F_p((t)) the digits add mod p, with no
 carry.  In ``fourier`` the frequency of grid index k has code k at origin
 1 - r, and with the centre's code at origin a (the support radius) and
-L = r - a the angle of centre * xi_k is (code * k mod p^L) / p^L over Q_p
-and (sum_i d_i k_(L-1-i) mod p) / p over F_p((t)), d_i and k_j the base-p
-digits of the code and of k.
+L = r - a the angle of centre * xi_k (``LocalField.code_angle_steps``) is
+(code * k mod p^L) / p^L over Q_p and (sum_i d_i k_(L-1-i) mod p) / p over
+F_p((t)), d_i and k_j the base-p digits of the code and of k.
 
 The element dict ``cells`` is a view, built from the codes when it is first
 read and then kept; a function built from elements keeps the canonical dict
@@ -419,7 +419,7 @@ class SchwartzBruhat:
         of k < q^L, L = r-a, encoded at origin s (code k).  psi is additive,
         so the angle of center*xi_k is sum_d k_d theta_d mod 1, from the L
         base angles theta_d = j_d / den of center*pi^(s+d), read off the
-        centre's code (module docstring and ``_angle_steps``) and summed on
+        centre's code (``LocalField.code_angle_steps``) and summed on
         integer numerators (``_grid_angles``).  Each (cell, frequency) pair
         adds j / den to the angle indices of the cell's coefficient on ints
         (``CycloScalar.raw``), and every output cell's integer raw terms are
@@ -434,6 +434,7 @@ class SchwartzBruhat:
         levels = list(g.levels)
         lo, cells = g._coded()
         lo = list(lo)
+        angle_steps = field.code_angle_steps
         for i in range(n):
             r, e = levels[i], lo[i]
             a = _radius(q, r, e, [key[i] for key in cells])
@@ -443,7 +444,7 @@ class SchwartzBruhat:
             shift, e2 = q ** (a - e), -2 * r
             raw: dict = {}
             for key, coef in cells.items():
-                den, steps = _angle_steps(field, key[i] // shift, r - a)
+                den, steps = angle_steps(key[i] // shift, r - a)
                 pre, post, terms = key[:i], key[i + 1 :], coef.raw
                 for k, j in zip(ks, _grid_angles(p, den, steps)):
                     raw.setdefault(pre + (k,) + post, []).extend(terms(e2, j, den))
@@ -524,18 +525,6 @@ def _radius(q: int, r: int, e: int, codes: Sequence[int]) -> int:
     v_p of the codes is v_p of their gcd."""
     w = gcd(*codes)
     return min(r, e + _vp(w, q)) if w else r
-
-
-def _angle_steps(field: LocalField, code: int, L: int) -> tuple[int, list[int]]:
-    """(den, [j_d for d < L]): the angle of center * pi^(1-r+d) is j_d / den,
-    for a centre of code ``code`` at origin a, canonical at level r = a + L.
-    Over Q_p den = p^L and j_d = code p^d mod p^L; over F_p((t)) den = p and
-    j_d is the digit L-1-d of the code."""
-    p = field.p
-    if field.kind == "p-adic":
-        den = p**L
-        return den, [code * p**d % den for d in range(L)]
-    return p, [code // p ** (L - 1 - d) % p for d in range(L)]
 
 
 def _grid_angles(p: int, den: int, steps: Sequence[int]) -> list[int]:
