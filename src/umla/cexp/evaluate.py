@@ -25,11 +25,15 @@ Scalars are carried as integer raw terms, an input format of
 builds a ``Fraction``.  The canonical form is unique, so one
 canonicalisation at the root gives the value per-node arithmetic would.
 ``+``, ``-``, negation, ``sum`` and ``sumrf`` concatenate term lists; a
-product canonicalises each factor and multiplies them with ``*``, whose
-terms it returns; a constant, ``q^e``, ``psi``, ``ord`` and an indicator emit at
-most one term, and never one with a zero coefficient.  ``e^k``
-canonicalises its base and each partial power, so a power's terms are the
-canonical terms of its value and do not multiply out with k.
+constant, ``q^e``, ``psi``, ``ord`` and an indicator emit at most one term,
+and no node emits a one-term list with a zero coefficient.  A product
+multiplies its one-term factors as raw terms: q-exponents add, angles add
+on the larger p-power level, and numerators and denominators multiply.  It
+canonicalises each factor of several terms, multiplies those with ``*``
+and returns their terms times the product of the one-term factors, so a
+product of k sums does not grow to the product of their term counts.
+``e^k`` canonicalises its base and each partial power, so a power's terms
+are the canonical terms of its value and do not multiply out with k.
 
 Errors.  ``SortError`` is raised by ``check`` (or by compiling against
 sorts that do not fit the term), before any value is computed.
@@ -48,7 +52,9 @@ Two conventions matter for totality:
   product is zero without evaluating the rest.  ``[cond] * e`` therefore
   never evaluates ``e`` outside the locus of the condition, which is what
   lets guarded terms mention ``ord`` or ``ac`` of expressions that vanish
-  elsewhere.  A factor is zero exactly when its canonical scalar is.
+  elsewhere.  A factor is zero exactly when its canonical scalar is: an
+  empty list always is, a single term never is, and a factor of several
+  terms is canonicalised to tell.
 - The infinite valuation is a legal value inside comparisons and as a range
   endpoint (an empty range), but an error anywhere a finite number is
   required: as a scalar, inside a q-exponent, or as the finite end of a
@@ -259,15 +265,32 @@ def _lazy_product(node: Mul, field: LocalField, sorts: dict, budget: int):
     p = field.p
 
     def product(env):
-        out = None
+        # the canonical product of the factors of several terms, and the
+        # raw product of the one-term factors
+        out, mono = None, _ONE
         for factor in factors:
-            value = CycloScalar(p, factor(env))
+            terms = factor(env)
+            if len(terms) == 1:
+                mono = _times(mono, terms[0])
+                continue
+            value = CycloScalar(p, terms)
             if not value:
                 return []
             out = value if out is None else out * value
-        return out.raw()
+        if out is None:
+            return [mono]
+        return [_times(t, mono) for t in out.raw()]
 
     return product
+
+
+def _times(s: tuple, t: tuple) -> tuple:
+    """The raw term s * t: q-exponents add, angles add on the larger p-power
+    level, and numerators and denominators multiply."""
+    e2, j, pk, n, d = s
+    f, i, qk, m, c = t
+    level = max(pk, qk)
+    return e2 + f, j * (level // pk) + i * (level // qk), level, n * m, d * c
 
 
 def _sum(node, field: LocalField, sorts: dict, budget: int):

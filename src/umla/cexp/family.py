@@ -20,8 +20,8 @@ import random
 from dataclasses import dataclass, field as dc_field
 
 from ..cyclo import CycloScalar
-from ..distribution import BFunctionView, _ball_and_subcells
-from ..fields import FieldError, LocalField, field_spec, parse_field_spec
+from ..distribution import BFunctionView
+from ..fields import FieldError, LocalField, Polyball, field_spec, parse_field_spec
 from .check import VF, ZZ, check
 from .evaluate import EvalError, coerce_env, coerce_value, compile_term
 from .syntax import Node, parse, render
@@ -94,12 +94,28 @@ def instantiate_b_function(
 ) -> BFunctionView:
     """The family member at one field and parameter choice, as a ball view.
 
-    The term is compiled once for the view and the parameters are coerced
-    once (``cexp.evaluate``); each ball value then binds only the radius and
-    the point, calls the compiled term and canonicalises its raw terms once.
-    A missing parameter raises ``FieldError`` here.  A parameter of the
-    wrong kind, like any other ``EvalError``, is raised by every ball value,
-    so ``dis_sample`` reports it as the row's error.
+    The view's ball value is ``CycloScalar(p, raw(xs, r))`` over the raw
+    terms of ``_ball_raw``, the one evaluation path that ``dis_sample``
+    reads too: the term is compiled once for the view, and each ball value
+    canonicalises its raw terms once.  A missing parameter raises
+    ``FieldError`` here.  A parameter of the wrong kind, like any other
+    ``EvalError``, is raised by every ball value, so ``dis_sample`` reports
+    it as the row's error.
+    """
+    raw, p = _ball_raw(family, field, params), field.p
+    return BFunctionView(
+        field, family.n, lambda xs, r: CycloScalar(p, raw(xs, r)), label=render(family.term)
+    )
+
+
+def _ball_raw(family: FamilyDistribution, field: LocalField, params):
+    """The compiled ball function ``raw(xs, r)``: the integer raw terms of
+    the family's value on B_r(xs), ``umla.cyclo``'s input format.
+
+    The term is compiled and the parameters are coerced once
+    (``cexp.evaluate``); each call binds only the radius and the point.
+    Raises ``FieldError`` for a missing parameter; a parameter of the wrong
+    kind raises its ``EvalError`` on every call.
     """
     params = dict(params or {})
     missing = set(family.param_vars) - set(params)
@@ -114,18 +130,18 @@ def instantiate_b_function(
         bound = coerce_env(field, params, param_sorts)
     except EvalError as exc:
         error = str(exc)
-    points, radius, p = family.point_vars, family.radius_var, field.p
+    points, radius = family.point_vars, family.radius_var
 
-    def fn(xs, r):
+    def raw(xs, r):
         if error:
             raise EvalError(error)
         env = dict(bound)
         env[radius] = int(r)
         for name, x in zip(points, xs, strict=True):
             env[name] = coerce_value(field, name, VF, x) if isinstance(x, int) else x
-        return CycloScalar(p, run(env))
+        return run(env)
 
-    return BFunctionView(field, family.n, fn, label=render(family.term))
+    return raw
 
 
 # ---------------------------------------------------------------------------
@@ -211,19 +227,25 @@ def dis_sample(
     For each field (a ``LocalField`` or a spec string) and each parameter
     assignment, random balls are tested for the two ball-function laws:
     the value on a ball must equal the sum of the values on its immediate
-    subcells, and it must not change when the center is moved within the
-    ball.  Failures are counted and up to ``max_witnesses`` exact witnesses
-    per law and row are kept, each re-checkable by evaluating the family at
-    the recorded centers and radii.
+    subcells (read at ``Polyball.child_centers``), and it must not change
+    when the center is moved within the ball.  Both laws are checked on the
+    raw terms of ``_ball_raw``, the evaluation path of
+    ``instantiate_b_function``'s view: each is one zero test of
+    ``CycloScalar(p, lhs + negated rhs)``, and the center law needs none
+    when the moved point gives the parent's raw terms.  Canonical scalars
+    are built only for a witness's text.  Failures are counted and up to
+    ``max_witnesses`` exact witnesses per law and row are kept, each
+    re-checkable by evaluating the family at the recorded centers and radii.
     """
     resolved = [
         f if isinstance(f, LocalField) else parse_field_spec(f) for f in fields
     ]
     rows = []
     for f_index, field in enumerate(resolved):
+        p = field.p
         for p_index, params in enumerate(param_sets or [{}]):
             rng = random.Random(f"{seed}:{f_index}:{p_index}")
-            view = instantiate_b_function(family, field, params)
+            raw = _ball_raw(family, field, params)
             add_fail = 0
             center_fail = 0
             witnesses: list[dict] = []
@@ -232,8 +254,13 @@ def dis_sample(
                 for _ in range(trials):
                     r = rng.randrange(radius_range[0], radius_range[1] + 1)
                     xs = tuple(_random_point(field, rng) for _ in range(family.n))
-                    parent, total = _ball_and_subcells(view, field, xs, r)
-                    if parent != total:
+                    parent = raw(xs, r)
+                    children = [
+                        t
+                        for cs in Polyball.ball(field, xs, r).child_centers()
+                        for t in raw(cs, r + 1)
+                    ]
+                    if CycloScalar(p, parent + _negated(children)):
                         add_fail += 1
                         if add_fail <= max_witnesses:
                             witnesses.append(
@@ -241,8 +268,8 @@ def dis_sample(
                                     "law": "additivity",
                                     "x": [field.element_to_json(x) for x in xs],
                                     "r": r,
-                                    "ball_value": repr(parent),
-                                    "subcell_sum": repr(total),
+                                    "ball_value": repr(CycloScalar(p, parent)),
+                                    "subcell_sum": repr(CycloScalar(p, children)),
                                 }
                             )
                         continue
@@ -251,8 +278,8 @@ def dis_sample(
                         field.add(x, _random_point(field, rng, r, r + 3))
                         for x in xs
                     )
-                    moved = view.b_function(shifted, r)
-                    if parent != moved:
+                    moved = raw(shifted, r)
+                    if moved != parent and CycloScalar(p, parent + _negated(moved)):
                         center_fail += 1
                         if center_fail <= max_witnesses:
                             witnesses.append(
@@ -263,8 +290,8 @@ def dis_sample(
                                         field.element_to_json(x) for x in shifted
                                     ],
                                     "r": r,
-                                    "value_at_x": repr(parent),
-                                    "value_at_moved": repr(moved),
+                                    "value_at_x": repr(CycloScalar(p, parent)),
+                                    "value_at_moved": repr(CycloScalar(p, moved)),
                                 }
                             )
             except FieldError as exc:
@@ -281,3 +308,8 @@ def dis_sample(
                 )
             )
     return DisSampleReport(family=family, rows=tuple(rows))
+
+
+def _negated(terms: list) -> list:
+    """The raw terms of minus their sum."""
+    return [(e2, j, pk, -n, d) for e2, j, pk, n, d in terms]

@@ -25,10 +25,15 @@ K = 0.  (Lifting a reduced level-(K-1) vector to level K multiplies every
 index by p and gives a reduced level-K vector, so the basis coordinates do
 not depend on K, and the least K is the one where the indices are not all
 multiples of p.)  So ``a == b`` compares ``ints`` and is the exact equality
-test; callers use it rather than the zero test of ``a - b``, which
-canonicalises twice more (a negation and a sum).  The ring operations run
-on ``ints``; ``terms``, the (e2, Fraction angle, Fraction coef) triples of
-the form, is built only when read.
+test of two canonical scalars; callers use it rather than the zero test of
+``a - b``, which canonicalises twice more (a negation and a sum).  Values
+still held as raw terms are compared the other way round: a ball-law check
+in ``umla.cexp.family.dis_sample`` is one zero test over the concatenated
+terms of both sides, one side negated, one canonicalisation where a
+canonical scalar per side and ``==`` would take two or more.  The ring
+operations run on ``ints``; ``*`` returns the other operand, with no
+canonicalisation, when one side is 1.  ``terms``, the (e2, Fraction angle,
+Fraction coef) triples of the form, is built only when read.
 
 ``_canonical`` reads raw terms in two formats, mixed freely: the public
 triples (e2, angle, coef) with int or Fraction angle and coefficient, and
@@ -57,6 +62,8 @@ from math import gcd, lcm
 from typing import Iterable, Iterator
 
 __all__ = ["CycloScalar"]
+
+_ONE = (1, 1, ((0, 0, 1),))  # the ``ints`` of 1
 
 
 def _canonical(p: int, raw: Iterable[tuple]) -> "CycloScalar":
@@ -217,6 +224,10 @@ class CycloScalar:
 
     def __mul__(self, other: "CycloScalar") -> "CycloScalar":
         self._check(other)
+        if other.ints == _ONE:
+            return self
+        if self.ints == _ONE:
+            return other
         pk, d, ts = self.ints
         qk, e, us = other.ints
         level = max(pk, qk)

@@ -580,25 +580,18 @@ def additivity_check(u, ball: Polyball) -> bool:
     """Does the ball function split across the coset partition of the ball?
 
     Compares the value on the ball with the sum of the values on its
-    q^n immediate subcells.  ``u`` is anything with a ``b_function``
-    method; the ball must have equal radii in all coordinates so that the
-    subcells are again polyballs of a single radius.
+    q^n immediate subcells, read at the centre tuples of
+    ``Polyball.child_centers`` (no child ``Polyball`` is built).  ``u`` is
+    anything with a ``b_function`` method; the ball must have equal radii
+    in all coordinates so that the subcells are again polyballs of a
+    single radius.
     """
     radii = set(ball.radii)
     if len(radii) != 1:
         raise FieldError("additivity check needs a ball with uniform radii")
-    parent, total = _ball_and_subcells(u, ball.field, ball.centers, next(iter(radii)))
-    return parent == total
-
-
-def _ball_and_subcells(u, field: LocalField, xs, r: int):
-    """(value on B_r(xs), sum of the values on its q^n immediate subcells).
-
-    The subcells are read at the canonical centre tuples of
-    ``Polyball.child_centers``; no child ``Polyball`` is built.
-    """
-    parent = u.b_function(xs, r)
-    children = Polyball.ball(field, xs, r).child_centers()
-    return parent, CycloScalar.sum(
-        field.p, [u.b_function(cs, r + 1) for cs in children]
+    r = radii.pop()
+    parent = u.b_function(ball.centers, r)
+    total = CycloScalar.sum(
+        ball.field.p, [u.b_function(cs, r + 1) for cs in ball.child_centers()]
     )
+    return parent == total

@@ -51,7 +51,7 @@ from umla.cexp import (
     term_to_json,
     walk,
 )
-from umla.cexp.family import _random_point
+from umla.cexp.family import _ball_raw, _random_point
 from umla.cyclo import CycloScalar
 from umla.distribution import MixedCellDistribution, additivity_check
 from umla.fields import FieldError, Polyball, make_field
@@ -909,6 +909,9 @@ def test_dis_sample_rejects_non_additive_family_with_witness():
     for child in children_by_field_ops(ball):
         total = total + view.b_function(child.centers, witness["r"] + 1)
     assert not (view.b_function(x, witness["r"]) - total).is_zero()
+    # the witness text is the view's canonical values
+    assert witness["ball_value"] == repr(view.b_function(x, witness["r"]))
+    assert witness["subcell_sum"] == repr(total)
 
 
 def test_dis_sample_rejects_modulated_family_at_radius_zero():
@@ -942,6 +945,26 @@ def test_dis_sample_flags_center_dependence():
     lhs = view.b_function(x, witness["r"])
     rhs = view.b_function(moved, witness["r"])
     assert not (lhs - rhs).is_zero()
+    assert witness["value_at_x"] == repr(lhs)
+    assert witness["value_at_moved"] == repr(rhs)
+
+
+def test_dis_sample_decides_each_law_by_the_zero_test():
+    # psi(x) - psi(x) + q^(-r) has the value of q^(-r) on every ball, but its
+    # raw terms carry psi at the chosen point: at a moved centre the raw term
+    # lists differ while the values agree.  List equality is only the center
+    # law's fast path, so both families get the same rows.
+    plain = FamilyDistribution(parse("q^(-r)"), ("x",))
+    padded = FamilyDistribution(parse("psi(x) - psi(x) + q^(-r)"), ("x",))
+    for seed in (1, 5):
+        want = dis_sample(plain, [Q2, Q3, F3], trials=30, seed=seed)
+        got = dis_sample(padded, [Q2, Q3, F3], trials=30, seed=seed)
+        assert want.passed and got.passed
+        assert [row.to_json() for row in got.rows] == [row.to_json() for row in want.rows]
+    raw = _ball_raw(padded, Q3, {})
+    x, moved = Fraction(1, 9), Fraction(4, 9)  # one ball of radius -1 over Q_3
+    assert raw((x,), -1) != raw((moved,), -1)
+    assert CycloScalar(3, raw((x,), -1)) == CycloScalar(3, raw((moved,), -1))
 
 
 # (term, point variables, radius range, trials, {seed: (sha256 of the sorted

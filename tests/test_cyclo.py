@@ -33,6 +33,28 @@ def test_fourth_root_squares_to_minus_one_at_p2():
     assert i * i == CycloScalar.fraction(2, -1)
 
 
+@pytest.mark.parametrize(
+    "a",
+    [
+        CycloScalar.zero(3),
+        CycloScalar(3, [(1, Fraction(1, 9), Fraction(2, 3)), (1, 0, -1), (0, 0, 5)]),
+    ],
+    ids=["zero", "sqrt-q-slice"],
+)
+def test_multiplying_by_one_returns_the_other_factor(a):
+    one = CycloScalar.one(3)
+    for product in (a * one, one * a):
+        assert product == a
+        assert hash(product) == hash(a)
+        assert product.ints == CycloScalar(3, a.raw()).ints
+    assert one * one == one
+    # the residue cardinalities are checked before the shortcut
+    with pytest.raises(ValueError):
+        a * CycloScalar.one(5)
+    with pytest.raises(ValueError):
+        CycloScalar.one(5) * a
+
+
 def test_ninth_roots_reduce_against_cube_roots():
     # zeta_9^3 = zeta_3; the canonical form must identify them.
     z9cubed = CycloScalar.root(3, Fraction(3, 9))
