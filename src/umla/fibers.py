@@ -80,6 +80,33 @@ same discriminant of its reduction at y = 0, and ``level_measure`` finds
 the critical values as the roots of an integer polynomial
 (``_critical_values``), so every search reads its resultant off a
 discriminant, at the degree of its polynomial in the field.
+
+``level_measure`` runs its scan on integer codes.  Its centres are the
+canonical truncations at the resolution R of the window, and the critical
+values of ord >= lo = min(window, 0) are cut at R, so all of them have
+their digits in [lo, R).  Each gets its code
+``field.residue_code(c, lo)`` = sum_i c_i q^(i - lo) once, the base-q
+digit string of c read from lo, for both field kinds.  On codes:
+
+- the truncation of c at a level L >= lo has the code code_c mod q^(L - lo);
+- ord(c - z) = lo + v_p(code_c - code_z).  Over Q_p, c - z is
+  (code_c - code_z) p^lo.  Over F_p((t)), c and z agree in their digits
+  below the first one that differs, lo + i, so code_c - code_z is p^i times
+  an integer congruent to c_(lo+i) - z_(lo+i), not 0, mod p: the carries of
+  the integer subtraction only reach the digits above.  So c is at
+  proximity <= eps from z exactly when code_c and code_z differ mod
+  q^(eps + 1 - lo), the exponent clamped at 0: for eps < lo, every such z
+  is at proximity >= lo > eps from every centre;
+- a critical value z of ord < lo is at proximity ord z from every centre,
+  whose ord is at least the window, so the largest such ord excludes every
+  centre at each eps below it and none at or above it.
+
+The value tables and the search for the level mu are keyed by the centre's
+index and code: mu is the least level L >= lo at which the groups of
+code mod q^(L - lo) each hold one value.  ord disc_K(y) is read on the codes
+that the scan's first root search holds for y (``_Search.ord_at``), with the
+disc's ``int_form`` among the search's forms so that it fixes the codes'
+width too.
 """
 
 from __future__ import annotations
@@ -209,7 +236,9 @@ class _Search:
     points ``bases``, each a tuple of elements for the fixed coordinates.
 
     ``forms`` are the ``int_form`` of h(x, *fixed) and of dh/dx, integer
-    forms in x and the fixed coordinates.  Roots are sought with
+    forms in x and the fixed coordinates, and of any polynomial in the fixed
+    coordinates alone that a caller reads at the base points (``ord_at``);
+    every form fixes the codes' width over F_p((t)).  Roots are sought with
     ord x >= ``window`` and truncated at level ``k`` > window.
 
     What does not depend on the base point is set up once, for all of
@@ -240,7 +269,7 @@ class _Search:
         search that depends on the codes' format alone.  Entry i of h is a
         constant form of degree m - i; the ords of those that a fixed term
         reaches are left for the base point."""
-        (g, terms), gp = (_fold_split(codes, form) for form in self.forms)
+        (g, terms), gp = (_fold_split(codes, form) for form in self.forms[:2])
         m = self.forms[0][1]
         ords = [codes.value_ord(c, m - i) for i, c in enumerate(g)]
         return (g, terms), gp, ords
@@ -335,6 +364,13 @@ class _Search:
                         cells.append((child, level + 1, vc))
             else:
                 return sorted(found, key=lambda item: (_elem_sort_key(item[0]), item[1]))
+
+    def ord_at(self, form: tuple, base: tuple):
+        """ord of ``form``, one of ``forms`` past the first two, an
+        ``int_form`` in the fixed coordinates alone, at the base point
+        ``base``, read on the search's codes."""
+        codes = self.codes
+        return codes.ord(form, tuple(map(codes.code, base)))
 
 
 def _ord_resultant(n: int, window: int, content: int, res_ord) -> int:
@@ -657,11 +693,27 @@ def level_measure(
 
     A centre is a canonical truncation at the resolution R, with no digit
     at R or beyond.  The root search finds every critical value of
-    valuation at least min(window, 0), cut at R, and a centre y is scanned
-    only if ord(y - z) <= eps < R for each such cut z, so y differs from
-    each of those critical values in a digit below R.  Any other critical
-    value has valuation below min(window, 0), and every centre has
-    valuation at least the window.
+    valuation at least min(window, 0, least eps + 1), cut at R, and a
+    centre y is scanned only if ord(y - z) <= eps < R for each such cut z,
+    so y differs from each of those critical values in a digit below R.
+    Any other critical value has valuation at most the least eps, so
+    ord(y - z) = ord z <= eps from every centre.
+
+    The scan runs on integer codes (see the module docstring).  With
+    lo = min(window, 0), every centre c and every critical value z of
+    ord >= lo has the code ``residue_code(., lo)``, its base-q digit string
+    from lo.  c is scanned at eps exactly when its code mod q^(eps + 1 - lo)
+    is none of the critical codes mod the same power, the exponent clamped
+    at 0, so that for eps < lo no centre is scanned if there is a critical
+    value of ord >= lo; a critical value of ord < lo excludes every centre
+    at each eps below its ord.  The level-L truncation of c has the code
+    code_c mod q^(L - lo), so the search for mu groups the centres by that
+    residue, with no field element truncated.  ord disc_K(y) is read on the
+    codes that the first root search holds for y.
+
+    Raises FieldError when disc_K vanishes identically (f_K' = 0, as for
+    x^p over F_p((t))): every value is then critical, and
+    ``fiber_integrate`` raises OnDiscriminant at every y.
     """
     if phi.n != 1:
         raise FieldError("level measurement works along one-variable charts")
@@ -679,6 +731,13 @@ def level_measure(
     # ord f(x) >= window on the support of phi, so the pushforward
     # vanishes at any y below this valuation window
     f, disc, forms = problem.reduced(field)
+    disc_form = int_form(field, disc.coeffs)
+    if not disc_form[0]:
+        # f_K' = 0, as for x^p over F_p((t)): every fiber is inseparable
+        raise FieldError(
+            f"the discriminant of {poly_to_string(f)} vanishes identically "
+            f"over {field!r}: every value is critical"
+        )
     window = min(
         field_int_ord(field, coef) + exps[0] * support
         for exps, coef in f.coeffs.items()
@@ -693,60 +752,63 @@ def level_measure(
         )
     check_budget("level scan", field.q ** (resolution - window), cell_budget)
 
-    # critical values at the working precision; only those of valuation
-    # above some eps can exclude scanned cells
+    # the digit codes at the origin lo of every centre and of the critical
+    # values of ord >= lo, cut at R; one of lower ord is at proximity its
+    # ord from every centre, so only the largest such ord counts, and only
+    # if it exceeds the least eps (see the docstring)
     lo = min(window, 0)
-    critical = _critical_values(problem, field, lo, resolution)
-
+    q = field.q
+    cut = _critical_values(problem, field, min(lo, eps_values[0] + 1), resolution)
+    coded = [(z, field.residue_code(z, lo)) for z in cut]
+    critical = [n for _, n in coded if n is not None]
+    below = max((field.ord(z) for z, n in coded if n is None), default=-INF)
     region = Polyball.ball(field, (field.zero(),), window)
     centers = [c for (c,) in region.cells_at_level(resolution)]
-    prox = {}
-    for c in centers:
-        best = None
-        for z in critical:
-            d = field.ord(field.sub(c, z))
-            best = d if best is None else max(best, d)
-        prox[c] = best
-    included = {
-        eps: [c for c in centers if prox[c] is None or prox[c] <= eps]
-        for eps in eps_values
-    }
+    codes = [field.residue_code(c, lo) for c in centers]
+    included = {}
+    for eps in eps_values:
+        mod = q ** max(eps + 1 - lo, 0)
+        near = {z % mod for z in critical}
+        included[eps] = [
+            i for i, n in enumerate(codes) if below <= eps and n % mod not in near
+        ]
 
     # the regions grow with eps, so the last one holds every scanned centre;
-    # one root search per restriction serves them all
-    scanned = included[eps_values[-1]]
+    # one root search per restriction serves them all, and the first one
+    # reads ord disc_K(y) on its codes
+    scanned = [centers[i] for i in included[eps_values[-1]]]
+    scan_forms = forms + (disc_form,)
     zero = CycloScalar.zero(field.p)
     restricted = []
     for m in m_values:
         local = phi.restrict(Polyball.ball(field, (x0,), m))
         restricted.append(
-            (local, None if local.is_zero() else _value_search(forms, local, scanned))
+            (local, None if local.is_zero() else _value_search(scan_forms, local, scanned))
         )
-    values = [{} for _ in m_values]
-    for c in scanned:
-        disc_ord = _once(partial(disc.ord_field, field, (c,)))
+    reader = next((search for _, search in restricted if search is not None), None)
+    # per restriction, the value at each scanned centre, by index into
+    # ``centers``
+    values = [[None] * len(centers) for _ in m_values]
+    for i in included[eps_values[-1]]:
+        c = centers[i]
+        disc_ord = reader and _once(partial(reader.ord_at, disc_form, (c,)))
         for table, (local, search) in zip(values, restricted):
-            table[c] = (
-                zero
-                if search is None
-                else _pushforward_value(search, local, c, disc_ord)
-            )
+            table[i] = zero if search is None else _pushforward_value(search, local, c, disc_ord)
 
     rows = {}
     cells = {}
     for eps in eps_values:
         for m, table in zip(m_values, values):
+            pairs = [(codes[i], table[i]) for i in included[eps]]
             mu = resolution
             for cand in range(lo, resolution + 1):
+                mod = q ** (cand - lo)
                 groups: dict = {}
-                if all(
-                    groups.setdefault(field.canon_trunc(c, cand), table[c]) == table[c]
-                    for c in included[eps]
-                ):
+                if all(groups.setdefault(n % mod, v) == v for n, v in pairs):
                     mu = cand
                     break
             rows[(eps, m)] = mu
-            cells[(eps, m)] = len(included[eps])
+            cells[(eps, m)] = len(pairs)
 
     return LevelReport(
         f_text=poly_to_string(problem.f),

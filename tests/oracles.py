@@ -302,8 +302,11 @@ def riemann_fourier(field: LocalField, fn, support_ball, level: int, xi) -> Cycl
 def _scanned_centres(problem, field: LocalField, report) -> dict:
     """{eps: the centres ``level_measure`` scans at eps} for the resolution,
     the window and the eps values of ``report``, with the proximities to
-    the critical values taken by field subtraction."""
-    critical = _critical_values(problem, field, min(report.window, 0), report.resolution)
+    the critical values taken by field subtraction.  A critical value of
+    ord at most the least eps is at proximity <= eps from every centre, so
+    the critical values of ord above it are enough."""
+    lowest = min(report.window, 0, report.eps_values[0] + 1)
+    critical = _critical_values(problem, field, lowest, report.resolution)
     region = Polyball.ball(field, (field.zero(),), report.window)
     prox = {}
     for (c,) in region.cells_at_level(report.resolution):

@@ -26,7 +26,7 @@ from umla.fibers import (
     padic_roots,
     poly_to_string,
 )
-from umla.polys import MultiPoly, parse_poly
+from umla.polys import MultiPoly, int_form, parse_poly
 from umla.schwartz import CellBudgetError, SchwartzBruhat
 
 from conftest import FIELDS, rng_for
@@ -1001,6 +1001,14 @@ LEVEL_SCANS = (
     ]
     # maps whose degree drops over F_3((t)), which level_measure once refused
     + [(F3T, src, 0, (0, 1, 2), (0, 1)) for src in DROPPED_DEGREE_MAPS]
+    # eps below lo = min(window, 0), where no centre is at proximity <= eps
+    # from a critical value, and a negative window over F_2((t))
+    + [
+        (Q3, "x^2", -1, (-4, -3, -2, 0), (0,)),
+        (F3T, "x^2", -1, (-4, -3, -2, 0), (0,)),
+        (F2T, "x^3 - x", -1, (-4, -3, 1), (0, 1)),
+        (Q3, "3*x^2 - 2*x", 0, (-2, -1, 0, 1), (0,)),
+    ]
 )
 
 
@@ -1124,6 +1132,97 @@ def test_scan_shared_search_matches_one_point_searches(field, src, radius, monke
     if field.kind != "p-adic":
         assert restarts >= 1
     assert all(codes <= 1 for *_, codes in scan)
+
+
+@pytest.mark.parametrize("field", [Q3, F3T], ids=repr)
+def test_level_measure_eps_below_the_window(field):
+    # [DERIVED] x^2 maps the support B_{-1}(0) of phi into B_{-2}(0):
+    # window -2 and resolution 3, so 3^5 = 243 centres with digits in
+    # [-2, 3).  Every one is at proximity >= -2 from the critical value 0,
+    # so eps = -4 and eps = -3 scan none, and mu is the least level tried,
+    # -2.  At m = 0 phi is restricted to B_0(1) = O, which x^2 maps into O:
+    # the 162 centres of ord -2 that eps = -2 keeps all have the value 0.
+    # eps = 0 adds the 54 centres of ord -1, also of value 0, and the 18
+    # units, where the value is 2 on the squares (1 mod pi) and 0 on the
+    # others, so mu = 1.
+    problem = FiberProblem.from_string("x^2")
+    phi = SchwartzBruhat.indicator(Polyball.ball(field, (field.zero(),), -1))
+    rep = level_measure(problem, phi, eps_values=(-4, -3, -2, 0))
+    assert (rep.window, rep.resolution) == (-2, 3)
+    assert rep.rows == {(-4, 0): -2, (-3, 0): -2, (-2, 0): -2, (0, 0): 1}
+    assert rep.cells == {(-4, 0): 0, (-3, 0): 0, (-2, 0): 162, (0, 0): 234}
+
+
+def test_level_measure_critical_value_below_the_window():
+    # [DERIVED] f = 3x^2 - 2x over Q_3 has its critical point at 1/3 and
+    # its critical value f(1/3) = -1/3, of ord -1, below the window 0 of
+    # phi = 1_O.  Every centre y in O is at proximity ord(y + 1/3) = -1
+    # from it, so eps = -2 scans none of the 27 centres and eps >= -1 all
+    # of them.  f'(x) = 6x - 2 is a unit on O and f(x) - f(x') =
+    # (x - x')(3(x + x') - 2), so f maps O one-to-one onto O with |f'| = 1:
+    # the pushforward is 1 on O, constant at the least level tried, 0.
+    problem = FiberProblem.from_string("3*x^2 - 2*x")
+    rep = level_measure(problem, unit_ball_indicator(Q3), eps_values=(-2, -1, 0, 1))
+    assert (rep.window, rep.resolution) == (0, 3)
+    assert rep.cells == {(-2, 0): 0, (-1, 0): 27, (0, 0): 27, (1, 0): 27}
+    assert set(rep.rows.values()) == {0}
+    assert fiber_integrate(problem, unit_ball_indicator(Q3), 5) == scalar(Q3, 1)
+
+
+@pytest.mark.parametrize("src, field", [("x^2", F2T), ("x^3", F3T)], ids=["x^2:F2t", "x^3:F3t"])
+def test_level_measure_refuses_an_identically_vanishing_discriminant(src, field):
+    # f' = 0 in the field, so every value is critical (fiber_integrate
+    # raises OnDiscriminant at any y); the scan says so before it searches
+    # for critical values
+    problem = FiberProblem.from_string(src)
+    phi = unit_ball_indicator(field)
+    with pytest.raises(OnDiscriminant):
+        fiber_integrate(problem, phi, field.one())
+    with pytest.raises(FieldError, match="discriminant of .* vanishes identically"):
+        level_measure(problem, phi, eps_values=(0, 1))
+
+
+# the Q_3 and F_3((t)) scans of 1_O under x^2 + 7 and x^2 + 4 at eps 0, 1, 2
+# (78 centres, 3 mu rows): canon_trunc calls at every level the scan works
+# on integer codes; a mu search that truncates the centres per candidate
+# level makes over 300
+TRUNCATIONS = [(Q3, "x^2 + 7", 69), (F3T, "x^2 + 4", 75)]
+
+
+@pytest.mark.parametrize("field, src, calls", TRUNCATIONS, ids=["Q3", "F3t"])
+def test_level_scan_truncation_count(field, src, calls, monkeypatch):
+    kind = type(field)
+    real = kind.canon_trunc
+    count = []
+
+    def counted(self, a, r):
+        count.append(r)
+        return real(self, a, r)
+
+    problem = FiberProblem.from_string(src)
+    phi = unit_ball_indicator(field)
+    monkeypatch.setattr(kind, "canon_trunc", counted)
+    rep = level_measure(problem, phi, eps_values=(0, 1, 2))
+    assert rep.cells == {(0, 0): 54, (1, 0): 72, (2, 0): 78}
+    assert len(count) == calls
+
+
+@pytest.mark.parametrize(
+    "field, src, radius", SHARED_SCANS, ids=[f"{f!r}:{s}:r{r}" for f, s, r in SHARED_SCANS]
+)
+def test_scan_search_reads_ord_disc_on_its_codes(field, src, radius):
+    # a search built, as the level scan builds it, with the discriminant's
+    # int_form among its forms reads ord disc_K(y) at each of its base
+    # points as the polynomial's own evaluation does (INF at a critical
+    # value, such as 1 for x^2 + 1 over Q_3 or 0 for x^2 over F_3((t)))
+    problem = FiberProblem.from_string(src)
+    _, disc, forms = problem.reduced(field)
+    disc_form = int_form(field, disc.coeffs)
+    phi = SchwartzBruhat.indicator(Polyball.ball(field, (field.zero(),), radius))
+    ys = [c for (c,) in Polyball.ball(field, (field.zero(),), -2).cells_at_level(2)]
+    search = fibers._value_search(forms + (disc_form,), phi, ys)
+    got = [search.ord_at(disc_form, (y,)) for y in ys]
+    assert got == [disc.ord_field(field, (y,)) for y in ys]
 
 
 @pytest.mark.parametrize("field", [Q3, F2T, F3T], ids=repr)
