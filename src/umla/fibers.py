@@ -24,7 +24,10 @@ y-free part of f_K - y, and the ords of the coefficients of f_K - y of
 degree >= 1.  ``fiber_integrate`` builds a search for its one y,
 ``level_measure`` one per restriction of phi for all its scanned centres;
 each base point then adds only its term -y and reads the ord of the
-constant coefficient.  phi's support and constancy level are read off its
+constant coefficient.  Both value paths read ord disc_K(y), which refuses a
+critical y and bounds the search's depth, the same way: on the search's
+codes for y (``_Search.ord_at``), from the ``int_form`` of disc_K that
+``FiberProblem.reduced`` keeps as the third of its forms.  phi's support and constancy level are read off its
 normal form, which phi keeps (``SchwartzBruhat.normalized``).
 
 The critical-value data is read in the field.  Over F_p((t)) the map is f
@@ -104,9 +107,8 @@ digit string of c read from lo, for both field kinds.  On codes:
 The value tables and the search for the level mu are keyed by the centre's
 index and code: mu is the least level L >= lo at which the groups of
 code mod q^(L - lo) each hold one value.  ord disc_K(y) is read on the codes
-that the scan's first root search holds for y (``_Search.ord_at``), with the
-disc's ``int_form`` among the search's forms so that it fixes the codes'
-width too.
+that the scan's first root search holds for y, the disc's ``int_form``
+being among the search's forms so that it fixes the codes' width too.
 """
 
 from __future__ import annotations
@@ -118,13 +120,12 @@ from functools import partial
 from .cyclo import CycloScalar
 from .fields import INF, FieldError, LocalField, Polyball, field_from_json
 from .polys import (
-    FieldPoly,
     MultiPoly,
-    common_denominator,
     critical_value_locus,
     field_int_ord,
     int_form,
     parse_poly,
+    squarefree_ints,
     walk_codes,
 )
 from .schwartz import DEFAULT_CELL_BUDGET, SchwartzBruhat, check_budget
@@ -446,8 +447,10 @@ class FiberProblem:
     def reduced(self, field: LocalField) -> tuple[MultiPoly, MultiPoly, tuple]:
         """(f_K, disc_K, forms), kept per field: f reduced into ``field``,
         the discriminant of f_K(x) - y in y (see the module docstring), and
-        the ``int_form`` of f_K(x) - y and of f_K'(x) in (x, y), which the
-        root search evaluates at every base point y.
+        three ``int_form``s: of f_K(x) - y and of f_K'(x) in (x, y), which
+        the root search evaluates at every base point y, and of disc_K(y),
+        which the value paths read at a base point on the search's codes
+        (``_Search.ord_at``).
 
         Over Q_p f_K and disc_K are f and ``disc``.  Over F_p((t)) f_K holds
         the coefficients of f mod p, with the zero leading ones stripped;
@@ -459,33 +462,36 @@ class FiberProblem:
             disc = self.disc if f_k is self.f else critical_value_locus(f_k)
             h = MultiPoly(2, {(i, 0): c for (i,), c in f_k.coeffs.items()})
             forms = _search_forms(field, h - MultiPoly.var(2, 1))
+            forms += (int_form(field, disc.coeffs),)
             got = self._reduced[field] = f_k, disc, forms
         return got
 
     def is_critical_value(self, field: LocalField, y) -> bool:
+        """Whether disc_K(y) = 0; an int y is read as ``field.from_int(y)``."""
+        if isinstance(y, int):
+            y = field.from_int(y)
         return self.reduced(field)[1].ord_field(field, (y,)) == INF
 
     def critical_locus(self, field: LocalField) -> MultiPoly:
-        """Squarefree part of disc_K over ``field``, as an integer
-        polynomial, kept per field.
+        """Squarefree part of disc_K over the prime field of ``field`` (Q
+        or F_p), as an integer polynomial, kept per field
+        (``squarefree_ints``).
 
         Its roots are the critical values, each simple, so the root search
         never meets a cluster there.  Squarefreeness is decided over the
         field: disc_K has a repeated root whenever two critical points
-        share a critical value, and its reduction mod p can gain more.  The
-        part's coefficients lie in the prime field, so they are brought to
-        integers with the same roots once: over their common denominator
-        over Q_p, as their digits in [0, p) over F_p((t)).
+        share a critical value, and its reduction mod p can gain more.
+        disc_K has integer coefficients, so its part has coefficients in
+        the prime field, and it is taken there on integers: over Q its
+        numerators over their least common denominator, over F_p its
+        residues in [0, p).
         """
         locus = self._loci.get(field)
         if locus is None:
             disc = self.reduced(field)[1]
-            coeffs = FieldPoly.from_multipoly(field, disc).squarefree_part().coeffs
-            if field.kind == "p-adic":
-                ints = common_denominator(coeffs)[0]
-            else:
-                ints = [c.coeff(0) for c in coeffs]
-            locus = self._loci[field] = _coerce_poly(ints)
+            coeffs = [disc.coeffs.get((i,), 0) for i in range(disc.degree_in(0) + 1)]
+            char = 0 if field.kind == "p-adic" else field.p
+            locus = self._loci[field] = _coerce_poly(squarefree_ints(coeffs, char))
         return locus
 
     def to_json(self) -> dict:
@@ -543,14 +549,17 @@ def fiber_integrate(problem: FiberProblem, phi: SchwartzBruhat, y) -> CycloScala
     field = phi.field
     if isinstance(y, int):
         y = field.from_int(y)
-    # the critical-value test reads ord disc_K(y); the root search reuses it
-    _, disc, forms = problem.reduced(field)
-    disc_ord = disc.ord_field(field, (y,))
+    if phi.is_zero():
+        if problem.is_critical_value(field, y):
+            raise OnDiscriminant(field, y)
+        return CycloScalar.zero(field.p)
+    # the critical-value test reads ord disc_K(y) on the search's codes;
+    # the root search reuses it
+    forms = problem.reduced(field)[2]
+    search = _value_search(forms, phi, [y])
+    disc_ord = search.ord_at(forms[2], (y,))
     if disc_ord == INF:
         raise OnDiscriminant(field, y)
-    if phi.is_zero():
-        return CycloScalar.zero(field.p)
-    search = _value_search(forms, phi, [y])
     return _pushforward_value(search, phi, y, lambda: disc_ord)
 
 
@@ -730,9 +739,8 @@ def level_measure(
     support, _ = phi.alpha_bounds()
     # ord f(x) >= window on the support of phi, so the pushforward
     # vanishes at any y below this valuation window
-    f, disc, forms = problem.reduced(field)
-    disc_form = int_form(field, disc.coeffs)
-    if not disc_form[0]:
+    f, _, forms = problem.reduced(field)
+    if not forms[2][0]:
         # f_K' = 0, as for x^p over F_p((t)): every fiber is inseparable
         raise FieldError(
             f"the discriminant of {poly_to_string(f)} vanishes identically "
@@ -777,13 +785,12 @@ def level_measure(
     # one root search per restriction serves them all, and the first one
     # reads ord disc_K(y) on its codes
     scanned = [centers[i] for i in included[eps_values[-1]]]
-    scan_forms = forms + (disc_form,)
     zero = CycloScalar.zero(field.p)
     restricted = []
     for m in m_values:
         local = phi.restrict(Polyball.ball(field, (x0,), m))
         restricted.append(
-            (local, None if local.is_zero() else _value_search(scan_forms, local, scanned))
+            (local, None if local.is_zero() else _value_search(forms, local, scanned))
         )
     reader = next((search for _, search in restricted if search is not None), None)
     # per restriction, the value at each scanned centre, by index into
@@ -791,7 +798,7 @@ def level_measure(
     values = [[None] * len(centers) for _ in m_values]
     for i in included[eps_values[-1]]:
         c = centers[i]
-        disc_ord = reader and _once(partial(reader.ord_at, disc_form, (c,)))
+        disc_ord = reader and _once(partial(reader.ord_at, forms[2], (c,)))
         for table, (local, search) in zip(values, restricted):
             table[i] = zero if search is None else _pushforward_value(search, local, c, disc_ord)
 

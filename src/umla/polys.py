@@ -12,10 +12,13 @@ of the values taken where each coordinate has a given valuation lower bound.
 text of a polynomial means the same there as in a C^exp term: unary minus
 binds looser than ^, and -x^2 is -(x^2).
 
-``FieldPoly`` is a dense univariate polynomial with local-field coefficients.
-``sylvester_resultant`` works over the ring Z[y] (one-variable ``MultiPoly``
-entries) via exact Laplace expansion, which is plenty for the small degrees
-used here.
+``squarefree_ints`` takes the squarefree part of an integer polynomial in
+one variable over the prime field, on integers: over Q by gcds of
+``Fraction`` polynomials, returned as the numerators over their least
+common denominator; over F_p on residues mod p, with the p-th-root step
+where the derivative vanishes.  ``sylvester_resultant`` works over the ring
+Z[y] (one-variable ``MultiPoly`` entries) via exact Laplace expansion, which
+is plenty for the small degrees used here.
 
 Over Q_p every evaluation runs on Python ints.  The point is brought to
 integer numerators over one common denominator, x_i = n_i / d.  For P of
@@ -104,13 +107,6 @@ from .cexp.syntax import (
     render,
 )
 from .fields import INF, FieldError, LaurentPoly, LocalField, _vp
-
-
-def common_denominator(xs: Sequence) -> tuple[list[int], int]:
-    """Integer numerators of the rationals ``xs`` over their least common
-    denominator, and that denominator."""
-    den = lcm(*(x.denominator for x in xs))
-    return [x.numerator * (den // x.denominator) for x in xs], den
 
 
 def horner_ints(cs: Sequence[int], n: int) -> int:
@@ -591,108 +587,71 @@ def parse_poly(src: str, var_names: Sequence[str]) -> MultiPoly:
     return fold(tree)
 
 
-class FieldPoly:
-    """Dense univariate polynomial with local-field coefficients, in degree
-    order with trailing zeros dropped.
+def squarefree_ints(coeffs: Sequence[int], p: int) -> list[int]:
+    """Squarefree part of the integer polynomial sum_i coeffs[i] y^i over
+    Q (p = 0) or over F_p (p > 0), as integer coefficients in degree order
+    with the trailing zeros dropped: the product of its distinct
+    irreducible factors, up to a constant (Cohen 1993, 3.4).
 
-    It carries the algebra of ``squarefree_part`` (products, division with
-    remainder, gcds); the root search reads only its ``coeffs``.
+    With g = gcd(f, f') and w = f / g, the part is lcm(w, rad g), rad g
+    found the same way; w alone misses the factors whose multiplicity p
+    divides.  In characteristic p a vanishing derivative does not make f
+    squarefree: then f(y) = h(y^p) = h(y)^p, and the part is that of h.
+    Over Q the steps run on ``Fraction``s and the result is their
+    numerators over their least common denominator; over F_p they run mod
+    p and the result is the residues in [0, p).
     """
+    if p:
+        norm, inv = (lambda c: c % p), (lambda c: pow(c, -1, p))
+    else:
+        norm, inv = Fraction, (lambda c: 1 / c)
 
-    __slots__ = ("field", "coeffs")
-
-    def __init__(self, field: LocalField, coeffs: Sequence):
-        self.field = field
-        cs = list(coeffs)
-        while cs and field.is_zero(cs[-1]):
+    def poly(cs) -> list:
+        cs = [norm(c) for c in cs]
+        while cs and not cs[-1]:
             cs.pop()
-        self.coeffs = tuple(cs)
+        return cs
 
-    @classmethod
-    def from_ints(cls, field: LocalField, coeffs: Sequence[int]) -> "FieldPoly":
-        return cls(field, [field.from_int(c) for c in coeffs])
+    def mul(a, b) -> list:
+        out = [0] * max(len(a) + len(b) - 1, 0)
+        for i, x in enumerate(a):
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+        return poly(out)
 
-    @classmethod
-    def from_multipoly(cls, field: LocalField, poly: MultiPoly) -> "FieldPoly":
-        if poly.n != 1:
-            raise FieldError("expected a univariate polynomial")
-        deg = poly.degree_in(0)
-        cs = [field.zero()] * (deg + 1)
-        for (k,), c in poly.coeffs.items():
-            cs[k] = field.from_int(c)
-        return cls(field, cs)
-
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def derivative(self) -> "FieldPoly":
-        field = self.field
-        return FieldPoly(
-            field,
-            [
-                field.mul(field.from_int(k), c)
-                for k, c in enumerate(self.coeffs)
-            ][1:],
-        )
-
-    def __mul__(self, other: "FieldPoly") -> "FieldPoly":
-        field = self.field
-        out = [field.zero()] * max(len(self.coeffs) + len(other.coeffs) - 1, 0)
-        for i, a in enumerate(self.coeffs):
-            for j, b in enumerate(other.coeffs):
-                out[i + j] = field.add(out[i + j], field.mul(a, b))
-        return FieldPoly(field, out)
-
-    def __divmod__(self, other: "FieldPoly") -> tuple["FieldPoly", "FieldPoly"]:
-        """Quotient and remainder by a nonzero polynomial.
-
-        Exact when the divisor's leading coefficient is exactly invertible,
-        as every nonzero constant is.
-        """
-        field = self.field
-        rem = list(self.coeffs)
-        quo = [field.zero()] * max(len(rem) - len(other.coeffs) + 1, 0)
-        lead = field.invert(other.coeffs[-1])
+    def quo_rem(a, b) -> tuple[list, list]:
+        rem, n = list(a), len(b) - 1
+        quo = [0] * max(len(a) - n, 0)
+        lead = inv(b[-1])
         for i in reversed(range(len(quo))):
-            c = quo[i] = field.mul(rem[i + len(other.coeffs) - 1], lead)
-            for j, b in enumerate(other.coeffs):
-                rem[i + j] = field.sub(rem[i + j], field.mul(c, b))
-        return FieldPoly(field, quo), FieldPoly(field, rem)
+            c = quo[i] = norm(rem[i + n] * lead)
+            for j, x in enumerate(b):
+                rem[i + j] = norm(rem[i + j] - c * x)
+        return poly(quo), poly(rem)
 
-    def gcd(self, other: "FieldPoly") -> "FieldPoly":
-        a, b = self, other
-        while not b.is_zero():
-            a, b = b, divmod(a, b)[1]
+    def gcd(a, b) -> list:
+        while b:
+            a, b = b, quo_rem(a, b)[1]
         return a
 
-    def squarefree_part(self) -> "FieldPoly":
-        """Product of the distinct irreducible factors, up to a constant.
-
-        The coefficients must lie in the prime field (Q, or F_p for
-        F_p((t))), as those of integer polynomials do.  In characteristic p
-        a vanishing derivative does not make the polynomial squarefree:
-        then f(y) = h(y^p) = h(y)^p, and f' = 0 says nothing about h.
-        """
-        if self.degree() < 1:
-            return self
-        d = self.derivative()
-        if d.is_zero():
-            return FieldPoly(self.field, self.coeffs[:: self.field.p]).squarefree_part()
-        g = self.gcd(d)
-        # the factors whose multiplicity is prime to the characteristic
-        w = divmod(self, g)[0]
-        if g.degree() < 1:
+    def part(f) -> list:
+        if len(f) < 2:
+            return f
+        d = poly([k * c for k, c in enumerate(f)][1:])
+        if not d:
+            return part(f[::p])
+        g = gcd(f, d)
+        w = quo_rem(f, g)[0]
+        if len(g) < 2:
             return w
-        # g holds every repeated factor, w may miss those of multiplicity
-        # divisible by p: take lcm(w, rad g)
-        r = g.squarefree_part()
-        return divmod(w * r, w.gcd(r))[0]
+        r = part(g)
+        return quo_rem(mul(w, r), gcd(w, r))[0]
 
-    def __repr__(self) -> str:
-        return f"FieldPoly({self.field!r}, deg={self.degree()})"
+    out = part(poly(coeffs))
+    if p:
+        return out
+    den = lcm(*(c.denominator for c in out))
+    return [c.numerator * (den // c.denominator) for c in out]
 
 
 def ring_det(rows: list[list], zero, one):

@@ -738,6 +738,58 @@ def test_pushforward_zero_function():
     assert fiber_integrate(prob, zero, 1).is_zero()
 
 
+@pytest.mark.parametrize("field", [Q3, F3T], ids=repr)
+def test_pushforward_zero_function_still_refuses_critical_values(field):
+    # a zero phi has no root search to read ord disc_K(y) on, yet y = 0 is
+    # still the critical value of x^2, and y = 1 a regular one
+    prob = FiberProblem.from_string("x^2")
+    zero = SchwartzBruhat.zero(field, 1)
+    with pytest.raises(OnDiscriminant):
+        fiber_integrate(prob, zero, 0)
+    with pytest.raises(OnDiscriminant):
+        fiber_integrate(prob, zero, field.zero())
+    assert fiber_integrate(prob, zero, 1).is_zero()
+    assert fiber_integrate(prob, zero, field.one()).is_zero()
+
+
+@pytest.mark.parametrize("field", [Q3, F3T], ids=repr)
+def test_is_critical_value_takes_an_int(field):
+    # an int y is the element from_int(y), as in fiber_integrate; for x^2
+    # only y = 0 is critical
+    prob = FiberProblem.from_string("x^2")
+    for y, want in ((0, True), (1, False), (4, False)):
+        assert prob.is_critical_value(field, y) is want
+        assert prob.is_critical_value(field, field.from_int(y)) is want
+
+
+# (field, map, its critical values among the ints 0..5 in that field)
+DISC_READS = [
+    (Q3, "x^3 - 3*x", {2}),
+    (F2T, "x^3 - 3*x", {0, 2, 4}),
+    (F3T, "x^4 - 2*x^2", {0, 2, 3, 5}),
+]
+
+
+@pytest.mark.parametrize("field, src, critical", DISC_READS, ids=repr)
+def test_value_paths_read_ord_disc_on_the_search_codes(field, src, critical, monkeypatch):
+    # fiber_integrate with a nonzero phi and level_measure read ord disc_K(y)
+    # through the root search's codes (_Search.ord_at), never by evaluating
+    # disc_K on fresh codes of their own (MultiPoly.ord_field)
+    def refused(*args):
+        raise AssertionError("a value path evaluated disc_K with ord_field")
+
+    monkeypatch.setattr(MultiPoly, "ord_field", refused)
+    prob = FiberProblem.from_string(src)
+    phi = unit_ball_indicator(field)
+    for y in range(6):
+        if y in critical:
+            with pytest.raises(OnDiscriminant):
+                fiber_integrate(prob, phi, y)
+        else:
+            fiber_integrate(prob, phi, y)
+    level_measure(prob, phi, eps_values=(0, 1))
+
+
 def test_pushforward_dimension_check():
     prob = FiberProblem.from_string("x^2")
     two_dim = SchwartzBruhat.indicator(
@@ -970,6 +1022,33 @@ def test_level_measure_discriminant_inseparable_mod_p():
     assert locus.degree_in(0) == 1
     coeffs = x_coeffs_at(f2t, locus, ())
     assert f2t.is_zero(eval_coeffs_at(f2t, coeffs, f2t.zero()))
+
+
+# the critical loci the element-level squarefree algebra printed, pinned as
+# exact integer polynomials: the locus is the same polynomial, not just one
+# with the same roots.  An empty dict is the zero polynomial, where disc_K
+# vanishes identically (f_K' = 0).
+CRITICAL_LOCI = {
+    ("x^4 - 2*x^2", "Q3"): {1: -9, 2: -9},
+    ("x^4 - 2*x^2", "F2t"): {},
+    ("x^4 - 2*x^2", "F3t"): {1: 1, 2: 1},
+    ("x^3 - 3*x", "Q3"): {0: 4, 2: -1},
+    ("x^3 - 3*x", "F2t"): {1: 1},
+    ("x^3 - 3*x", "F3t"): {},
+    ("x^3 - x", "Q3"): {0: 4, 2: -27},
+    ("x^3 - x", "F2t"): {1: 1},
+    ("x^3 - x", "F3t"): {0: 2},
+    ("x^2", "Q3"): {1: 1},
+    ("x^2", "F2t"): {},
+    ("x^2", "F3t"): {1: 1},
+}
+
+
+@pytest.mark.parametrize("src, key", CRITICAL_LOCI, ids=[f"{s}:{k}" for s, k in CRITICAL_LOCI])
+def test_critical_locus_pins(src, key):
+    field = {"Q3": Q3, "F2t": F2T, "F3t": F3T}[key]
+    locus = FiberProblem.from_string(src).critical_locus(field)
+    assert locus == MultiPoly(1, {(i,): c for i, c in CRITICAL_LOCI[src, key].items()})
 
 
 # (field, map, support radius of phi, eps values, m values): the inputs of
@@ -1211,17 +1290,18 @@ def test_level_scan_truncation_count(field, src, calls, monkeypatch):
     "field, src, radius", SHARED_SCANS, ids=[f"{f!r}:{s}:r{r}" for f, s, r in SHARED_SCANS]
 )
 def test_scan_search_reads_ord_disc_on_its_codes(field, src, radius):
-    # a search built, as the level scan builds it, with the discriminant's
-    # int_form among its forms reads ord disc_K(y) at each of its base
-    # points as the polynomial's own evaluation does (INF at a critical
-    # value, such as 1 for x^2 + 1 over Q_3 or 0 for x^2 over F_3((t)))
+    # a search built, as both value paths build it, on the forms of
+    # FiberProblem.reduced, whose third is the discriminant's int_form,
+    # reads ord disc_K(y) at each of its base points as the polynomial's
+    # own evaluation does (INF at a critical value, such as 1 for x^2 + 1
+    # over Q_3 or 0 for x^2 over F_3((t)))
     problem = FiberProblem.from_string(src)
     _, disc, forms = problem.reduced(field)
-    disc_form = int_form(field, disc.coeffs)
+    assert forms[2] == int_form(field, disc.coeffs)
     phi = SchwartzBruhat.indicator(Polyball.ball(field, (field.zero(),), radius))
     ys = [c for (c,) in Polyball.ball(field, (field.zero(),), -2).cells_at_level(2)]
-    search = fibers._value_search(forms + (disc_form,), phi, ys)
-    got = [search.ord_at(disc_form, (y,)) for y in ys]
+    search = fibers._value_search(forms, phi, ys)
+    got = [search.ord_at(forms[2], (y,)) for y in ys]
     assert got == [disc.ord_field(field, (y,)) for y in ys]
 
 

@@ -10,12 +10,12 @@ from umla.fibers import _fold_at, _fold_split
 from umla.fields import INF, FieldError, LaurentPoly, Polyball, make_field
 from umla.microlocal.phase import _OrdsAt
 from umla.polys import (
-    FieldPoly,
     MultiPoly,
     critical_value_locus,
     int_form,
     packed_ord,
     parse_poly,
+    squarefree_ints,
     sylvester_resultant,
     unpack,
     walk_codes,
@@ -352,12 +352,6 @@ def test_ord_lower_bound_vanishing_coefficients():
     assert q.ord_lower_bound(field, [INF, 0]) == INF
 
 
-def test_field_poly_derivative():
-    field = make_field("p-adic", 3)
-    p = FieldPoly.from_ints(field, [0, 0, 1])  # x^2
-    assert [c for c in p.derivative().coeffs] == [Fraction(0), Fraction(2)]
-
-
 def test_sylvester_resultant_square():
     # [DERIVED] res_x(x^2 - y, 2x) = -4y
     a = [
@@ -386,28 +380,89 @@ def test_critical_value_locus_examples():
     assert len(ratios) == 1
 
 
+def int_poly_mul(a, b):
+    """The product of two integer polynomials in degree order."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
 def test_squarefree_part():
-    # [DERIVED] over Q_3, y*(y + 1)^2 -> y*(y + 1), up to a constant
-    q3 = FIELDS["Q3"]
-    got = FieldPoly.from_ints(q3, [0, 1, 2, 1]).squarefree_part()
-    lead = got.coeffs[-1]
-    assert [c / lead for c in got.coeffs] == [0, 1, 1]
-    # [DERIVED] over F_3((t)), y^3 + 1 = (y + 1)^3 has derivative 3y^2 = 0,
-    # yet it is no square-free polynomial: its part is y + 1
+    # [DERIVED] over Q, y*(y + 1)^2 -> y*(y + 1), up to a constant
+    got = squarefree_ints([0, 1, 2, 1], 0)
+    assert [Fraction(c, got[-1]) for c in got] == [0, 1, 1]
+    # [DERIVED] over F_3, y^3 + 1 = (y + 1)^3 has derivative 3y^2 = 0, yet
+    # it is no square-free polynomial: its part is y + 1
     f3t = FIELDS["F3t"]
-    got = FieldPoly.from_ints(f3t, [1, 0, 0, 1]).squarefree_part()
-    assert got.degree() == 1
-    assert f3t.is_zero(eval_coeffs_at(f3t, got.coeffs, f3t.from_int(-1)))
-    # [DERIVED] (y^3 + 1)^2 * y over F_3((t)) = (y + 1)^6 * y: the factor of
+    got = squarefree_ints([1, 0, 0, 1], 3)
+    assert len(got) - 1 == 1
+    coeffs = [f3t.from_int(c) for c in got]
+    assert f3t.is_zero(eval_coeffs_at(f3t, coeffs, f3t.from_int(-1)))
+    # [DERIVED] (y^3 + 1)^2 * y over F_3 = (y + 1)^6 * y: the factor of
     # multiplicity divisible by 3 survives only through the gcd
-    cube = FieldPoly.from_ints(f3t, [1, 0, 0, 1])
-    poly = cube * cube * FieldPoly.from_ints(f3t, [0, 1])
-    got = poly.squarefree_part()
-    assert got.degree() == 2
-    assert f3t.is_zero(eval_coeffs_at(f3t, got.coeffs, f3t.zero()))
-    assert f3t.is_zero(eval_coeffs_at(f3t, got.coeffs, f3t.from_int(-1)))
+    cube = [1, 0, 0, 1]
+    got = squarefree_ints(int_poly_mul(int_poly_mul(cube, cube), [0, 1]), 3)
+    assert len(got) - 1 == 2
+    coeffs = [f3t.from_int(c) for c in got]
+    assert f3t.is_zero(eval_coeffs_at(f3t, coeffs, f3t.zero()))
+    assert f3t.is_zero(eval_coeffs_at(f3t, coeffs, f3t.from_int(-1)))
     # constants are their own squarefree part
-    assert FieldPoly.from_ints(q3, [7]).squarefree_part().degree() == 0
+    assert len(squarefree_ints([7], 0)) - 1 == 0
+
+
+def monic(coeffs, p):
+    """coeffs divided by their leading one, over Q (p = 0) or mod p."""
+    if p:
+        inv = pow(coeffs[-1], -1, p)
+        return [c * inv % p for c in coeffs]
+    return [Fraction(c, coeffs[-1]) for c in coeffs]
+
+
+@pytest.mark.parametrize("p", [0, 2, 3, 5])
+def test_squarefree_ints_of_random_products(p):
+    # [DERIVED] prod (y - a_i)^(m_i) * e, with distinct a_i (mod p) and e an
+    # optional extra factor: a nonzero constant, or an irreducible quadratic
+    # of its own multiplicity, so that the part is prod (y - a_i), times the
+    # quadratic when there is one, up to a unit.  Multiplicities divisible by
+    # p leave the factor out of f / gcd(f, f') and need the gcd's own part,
+    # and a product of p-th powers alone has f' = 0 and needs the p-th root
+    rng = rng_for(f"poly-squarefree:{p}")
+    # y^2 + 1 is irreducible over Q and F_3; y^2 + y + 1 over F_2 and F_5
+    quadratic = [1, 1, 1] if p in (2, 5) else [1, 0, 1]
+    mults = range(1, 2 * p + 2) if p else range(1, 5)
+    seen = set()
+    for _ in range(40):
+        pool = range(p) if p else range(-6, 7)
+        roots = rng.sample(pool, rng.randint(1, min(len(pool), 4)))
+        ms = [rng.choice(mults) for _ in roots]
+        if p and rng.random() < 0.3:
+            ms = [p * rng.randint(1, 2) for _ in roots]
+        f, want = [1], [1]
+        for a, m in zip(roots, ms):
+            want = int_poly_mul(want, [-a, 1])
+            for _ in range(m):
+                f = int_poly_mul(f, [-a, 1])
+        extra = rng.choice(["none", "unit", "quadratic"])
+        if extra == "unit":
+            unit = rng.choice([u for u in (2, -3, 7) if not p or u % p])
+            f = [c * unit for c in f]
+        elif extra == "quadratic":
+            for _ in range(rng.randint(1, 3)):
+                f = int_poly_mul(f, quadratic)
+            want = int_poly_mul(want, quadratic)
+        got = squarefree_ints(f, p)
+        assert all(isinstance(c, int) for c in got)
+        if p:
+            assert all(0 <= c < p for c in got)
+        assert monic(got, p) == monic([c % p if p else c for c in want], p), (f, p)
+        seen.add((p > 0 and all(m % p == 0 for m in ms), extra))
+    # the seeded draws reach every kind of input above
+    kinds = {extra for _, extra in seen}
+    assert kinds == {"none", "unit", "quadratic"}
+    if p:
+        assert (True, "none") in seen or (True, "unit") in seen
 
 
 def test_resultant_vanishes_iff_common_root():

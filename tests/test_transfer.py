@@ -14,12 +14,19 @@ in F_p, and each such residue lifts to exactly one root, at which
 F_p((t)), with the same residues mod pi, and for g = f - y the pushforward
 f_!(1_O)(y) is that number on both sides.  Both sides are also checked
 against the roots of the reduction, counted in F_p.
+
+For f = x^2 and p odd, f_!(1_O)(y) = 2 q^(ord y / 2) when y is a nonzero
+square in O and 0 elsewhere, on both sides: y = u pi^k with u a unit is a
+square exactly when k is even and u is a square mod p, and then its two
+square roots +-x have ord x = k / 2 and |f'(x)| = |2x| = q^(-k/2).  That
+test reads only the parity of ord y and the residue of ac y, so the levels
+that ``level_measure`` finds agree too.
 """
 
 import pytest
 
 from umla.cyclo import CycloScalar
-from umla.fibers import FiberProblem, fiber_integrate, padic_roots
+from umla.fibers import FiberProblem, fiber_integrate, level_measure, padic_roots
 from umla.fields import Polyball, make_field
 from umla.polys import MultiPoly, ring_det, sylvester_matrix
 from umla.schwartz import SchwartzBruhat
@@ -97,3 +104,44 @@ def test_fiber_values_agree(p):
             checked += 1
             nonzero += not want.is_zero()
     assert checked >= 100 and nonzero >= 30
+
+
+# [DERIVED] x^2 with phi = 1_O and eps (0, 1) at the default resolution 3:
+# the region is O mod pi^3, the one critical value is 0, and eps keeps the
+# q^3 - q^(2 - eps) cells with ord y <= eps.  The value at a unit y is 2 or
+# 0 by whether y is a square mod p, and 0 at ord y = 1 (odd), so it is
+# constant on the level-1 cells and not on O: mu = 1 at both eps.
+LEVEL_CELLS = {7: (294, 336), 11: (1210, 1320), 13: (2028, 2184)}
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_square_map_levels_agree(p):
+    problem = FiberProblem.from_string("x^2")
+    reports = []
+    for field in FIELD_PAIRS[p]:
+        one = SchwartzBruhat.indicator(Polyball.ball(field, (field.zero(),), 0))
+        reports.append(level_measure(problem, one, eps_values=(0, 1)))
+    qp_rep, fpt_rep = reports
+    assert (qp_rep.rows, qp_rep.cells, qp_rep.fit) == (fpt_rep.rows, fpt_rep.cells, fpt_rep.fit)
+    assert qp_rep.rows == {(0, 0): 1, (1, 0): 1}
+    assert tuple(qp_rep.cells[eps, 0] for eps in (0, 1)) == LEVEL_CELLS[p]
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_square_map_values_agree(p):
+    problem = FiberProblem.from_string("x^2")
+    squares = {r * r % p for r in range(1, p)}
+    checked = nonzero = 0
+    for field in FIELD_PAIRS[p]:
+        one = SchwartzBruhat.indicator(Polyball.ball(field, (field.zero(),), 0))
+        for k in (-2, -1, 0, 1, 2, 3):
+            for u in (1, 2, 3, p - 1):
+                y = field.mul(field.from_int(u), field.pow_uniformizer(k))
+                if k >= 0 and k % 2 == 0 and u in squares:
+                    want = CycloScalar.fraction(p, 2 * p ** (k // 2))
+                else:
+                    want = CycloScalar.zero(p)
+                assert fiber_integrate(problem, one, y) == want, (field, k, u)
+                checked += 1
+                nonzero += not want.is_zero()
+    assert checked == 48 and nonzero >= 8
