@@ -24,11 +24,17 @@ y-free part of f_K - y, and the ords of the coefficients of f_K - y of
 degree >= 1.  ``fiber_integrate`` builds a search for its one y,
 ``level_measure`` one per restriction of phi for all its scanned centres;
 each base point then adds only its term -y and reads the ord of the
-constant coefficient.  Both value paths read ord disc_K(y), which refuses a
-critical y and bounds the search's depth, the same way: on the search's
-codes for y (``_Search.ord_at``), from the ``int_form`` of disc_K that
-``FiberProblem.reduced`` keeps as the third of its forms.  phi's support and constancy level are read off its
-normal form, which phi keeps (``SchwartzBruhat.normalized``).
+constant coefficient.  The search hands the kernel each root as an integer
+walk code (``_Search.root_codes``), and the kernel reads phi's cell code
+straight off it (``residue_code`` of the codes, the bridge of the ``polys``
+module docstring): field elements of roots are built only for
+``padic_roots`` and for the centre that ClusterUnresolved reports.  Both
+value paths read ord disc_K(y), which refuses a critical y and bounds the
+search's depth, the same way: on the search's codes for y
+(``_Search.ord_at``), from the ``int_form`` of disc_K that
+``FiberProblem.reduced`` keeps as the third of its forms.  phi's support
+and constancy level are read off its normal form, which phi keeps
+(``SchwartzBruhat.normalized``).
 
 The critical-value data is read in the field.  Over F_p((t)) the map is f
 with its coefficients reduced mod p, and it has a lower degree where p
@@ -281,7 +287,25 @@ class _Search:
 
         Returns one pair per root: its level-k truncation (distinct roots
         may share one) and the exact valuation of h' there, sorted by
-        truncation.
+        truncation.  The roots are those of ``root_codes``, decoded; this
+        and the centre that ClusterUnresolved reports are the only field
+        elements a search builds.
+        """
+        field, k = self.field, self.k
+        found = []
+        for codes, a, level, vpa in self.root_codes(base, res_ord):
+            root = codes.element(a)
+            if level > k:
+                root = field.canon_trunc(root, k)
+            found.append((root, vpa))
+        return sorted(found, key=lambda item: (_elem_sort_key(item[0]), item[1]))
+
+    def root_codes(self, base: tuple, res_ord) -> list:
+        """The roots of ``roots`` on codes, in no set order: one
+        (codes, code, level, ord h'(x)) per root, ``code`` the centre of the
+        level-``level`` cell that holds it, level >= k, canonical in the
+        format ``codes``.  Each root carries its format, since a search
+        over F_p((t)) may start again on codes of its own (below).
 
         The cells B_L(a), L >= window, are refined from B_window(0), kept
         and decided by the tests of the module docstring, which read the
@@ -292,9 +316,9 @@ class _Search:
         of ord > L + v', so the child's digit is
         d = -(h(a) / pi^(L+v')) (h'(a) / pi^v')^(-1) mod pi, one ``digit``
         of each; h'(a) / pi^v' mod pi is the same on every deeper cell, so
-        it is inverted once per root.  The root's level-k truncation is
-        that cell's centre, cut to level k when the cell was decided deeper
-        than k.  Raises ClusterUnresolved only when Res(h, h') = 0, i.e. h
+        it is inverted once per root.  A cell decided deeper than k is
+        returned at its own level, and its level-k truncation is the root's.
+        Raises ClusterUnresolved only when Res(h, h') = 0, i.e. h
         has a repeated root, and a cell is still undecided at level k.
         Only then is the bound on the undecided cells needed: ``res_ord``
         returns ord Res(h, h') at the formal degrees (n, n - 1), n = deg h
@@ -305,9 +329,7 @@ class _Search:
         evaluation.  Over F_p((t)) the codes hold the digits below their
         ``limit``; a base point whose search must split a cell at that
         depth starts again, alone, with codes that reach the bound on the
-        undecided cells, which no split exceeds.  Field elements are built
-        only for found roots and for the centre that ClusterUnresolved
-        reports.
+        undecided cells, which no split exceeds.
         """
         field, window, k, forms = self.field, self.window, self.k, self.forms
         q, m = field.q, forms[0][1]
@@ -343,10 +365,7 @@ class _Search:
                             d = -codes.digit(g, (a,), level + vpa) * inv % q
                             a = codes.child_codes(a, level, level + 1)[d]
                             level += 1
-                        root = codes.element(a)
-                        if level > k:
-                            root = field.canon_trunc(root, k)
-                        found.append((root, vpa))
+                        found.append((codes, a, level, vpa))
                     continue
                 if level >= k:
                     if res is None:
@@ -364,7 +383,7 @@ class _Search:
                     if vc >= level + 1 + survives:
                         cells.append((child, level + 1, vc))
             else:
-                return sorted(found, key=lambda item: (_elem_sort_key(item[0]), item[1]))
+                return found
 
     def ord_at(self, form: tuple, base: tuple):
         """ord of ``form``, one of ``forms`` past the first two, an
@@ -519,23 +538,37 @@ def _value_search(forms, phi: SchwartzBruhat, ys) -> _Search:
     return _Search(phi.field, forms, [(y,) for y in ys], window, k)
 
 
-def _fiber_points(search: _Search, y, disc_ord) -> list:
-    """(truncated root, ord f' there) for the fiber points over y, one of
-    the base points of ``search``; ``disc_ord`` returns ord disc_K(y), read
-    only if the root search needs it."""
-    return search.roots((y,), disc_ord)
+def _phi_cells(phi: SchwartzBruhat) -> tuple:
+    """(e, r, cells): the origin, the level and the code-keyed cells of the
+    normal form of phi, one-variable and nonzero, which the value kernel
+    reads phi by."""
+    g = phi.normalized()
+    (e,), cells = g._coded()
+    return e, g.levels[0], cells
 
 
-def _pushforward_value(search: _Search, phi: SchwartzBruhat, y, disc_ord):
+def _pushforward_value(search: _Search, phi_cells: tuple, y, disc_ord):
     """f_!(phi)(y) at a regular value y; ``search`` is the
-    ``_value_search`` of phi, y one of its base points, and ``disc_ord``
-    returns ord disc_K(y)."""
+    ``_value_search`` of phi, ``phi_cells`` its ``_phi_cells``, y one of the
+    search's base points, and ``disc_ord`` returns ord disc_K(y).
+
+    Each root comes as a walk code (``_Search.root_codes``), and phi's cell
+    there is looked up at the residue code read off the walk code
+    (``residue_code`` of the codes, the bridge of the ``polys`` module
+    docstring).  The normal form's level r is at most the search's
+    precision k, so the walk code's digits below r are the root's; a root
+    with a digit below the origin e, or in no cell, adds nothing.  No field
+    element is built, and the sum is canonical, so the roots need no
+    order."""
+    e, r, cells = phi_cells
     # 1/|f'(x)| = q^(ord f'(x)), with the doubled-exponent encoding; one
     # construction canonicalises the shifted raw terms of every point
     raw = []
-    for root, dorder in _fiber_points(search, y, disc_ord):
-        raw += phi.eval_at((root,)).raw(2 * dorder)
-    return CycloScalar(phi.field.p, raw)
+    for codes, a, _, dorder in search.root_codes((y,), disc_ord):
+        coef = cells.get((codes.residue_code(a, e, r),))
+        if coef is not None:
+            raw += coef.raw(2 * dorder)
+    return CycloScalar(search.field.p, raw)
 
 
 def fiber_integrate(problem: FiberProblem, phi: SchwartzBruhat, y) -> CycloScalar:
@@ -560,7 +593,7 @@ def fiber_integrate(problem: FiberProblem, phi: SchwartzBruhat, y) -> CycloScala
     disc_ord = search.ord_at(forms[2], (y,))
     if disc_ord == INF:
         raise OnDiscriminant(field, y)
-    return _pushforward_value(search, phi, y, lambda: disc_ord)
+    return _pushforward_value(search, _phi_cells(phi), y, lambda: disc_ord)
 
 
 # ---------------------------------------------------------------------------
@@ -786,21 +819,22 @@ def level_measure(
     # reads ord disc_K(y) on its codes
     scanned = [centers[i] for i in included[eps_values[-1]]]
     zero = CycloScalar.zero(field.p)
-    restricted = []
+    restricted = []  # (search, phi cells) per restriction, None for a zero one
     for m in m_values:
         local = phi.restrict(Polyball.ball(field, (x0,), m))
-        restricted.append(
-            (local, None if local.is_zero() else _value_search(forms, local, scanned))
-        )
-    reader = next((search for _, search in restricted if search is not None), None)
+        kernel = None
+        if not local.is_zero():
+            kernel = _value_search(forms, local, scanned), _phi_cells(local)
+        restricted.append(kernel)
+    reader = next((kernel[0] for kernel in restricted if kernel is not None), None)
     # per restriction, the value at each scanned centre, by index into
     # ``centers``
     values = [[None] * len(centers) for _ in m_values]
     for i in included[eps_values[-1]]:
         c = centers[i]
         disc_ord = reader and _once(partial(reader.ord_at, forms[2], (c,)))
-        for table, (local, search) in zip(values, restricted):
-            table[i] = zero if search is None else _pushforward_value(search, local, c, disc_ord)
+        for table, kernel in zip(values, restricted):
+            table[i] = zero if kernel is None else _pushforward_value(*kernel, c, disc_ord)
 
     rows = {}
     cells = {}

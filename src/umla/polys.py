@@ -84,6 +84,18 @@ dense form in one variable, evaluated by Horner steps (``horner_ints``).
 ``digit`` reads one digit of a value off N, for the Hensel step: over Q_p
 the residue of N / p^(j + m v_p(D)) over the unit part of D^m, over
 F_p((t)) the W-bit digit j + K m of N mod p.
+
+``residue_code`` is the bridge from a walk code to the cell codes of
+``SchwartzBruhat``: for a canonical code n, the code of a canonical element
+or of one of its children, it reads the ``LocalField.residue_code`` at
+origin e of the element's level-r truncation, e <= r, with no element
+built.  Over Q_p n / D is the element itself, whose denominator is a power
+of p, so the code is n p^(-e) / D mod p^(r - e), and None when
+n p^(-e) / D is not an integer: the element has a nonzero digit below e.
+Over F_p((t)) every W-bit digit of a canonical code is the element's digit
+there, in [0, p), with no carry, so the code is the W-bit digits of n at
+t^e, ..., t^(r - 1), packed base p, and None when a digit below t^e is
+nonzero.
 """
 
 from __future__ import annotations
@@ -289,6 +301,18 @@ class QpCodes(_Codes):
         unit = pow(self.den // p**dv, -m, p)
         return self.value(form, nums) // p ** (j + dv * m) * unit % p
 
+    def residue_code(self, n: int, e: int, r: int):
+        """The ``LocalField.residue_code`` at origin e <= r of the level-r
+        truncation of the element n / D, n a canonical code:
+        n p^(-e) / D mod p^(r - e), None when that is not an integer."""
+        p, den = self.p, self.den
+        if e >= 0:
+            den *= p**e
+        else:
+            n *= p**-e
+        code, rest = divmod(n, den)
+        return None if rest else code % p ** (r - e)
+
 
 class LaurentCodes(_Codes):
     """The coordinates of one cell walk over F_p((t)) as integer codes: x =
@@ -341,6 +365,27 @@ class LaurentCodes(_Codes):
         w = self.width
         at = w * (j + self.shift * form[1])
         return (self.value(form, nums) >> at & (1 << w) - 1) % self.p
+
+    def residue_code(self, n: int, e: int, r: int):
+        """The ``LocalField.residue_code`` at origin e <= r of the level-r
+        truncation of the element of n, a canonical code: its W-bit digits
+        at t^e, ..., t^(r - 1), packed base p, None when a digit below t^e
+        is nonzero."""
+        w = self.width
+        at = w * (e + self.shift)
+        if at > 0:
+            if n & (1 << at) - 1:
+                return None
+            n >>= at
+        else:
+            n <<= -at  # the digits from t^e to t^(-K - 1) are 0
+        mask, p = (1 << w) - 1, self.p
+        code, place = 0, 1
+        for _ in range(r - e):
+            code += (n & mask) * place
+            n >>= w
+            place *= p
+        return code
 
 
 def walk_codes(

@@ -14,7 +14,9 @@ an origin lo_i at or below its level r_i and at or below the ord of every
 centre (the support radius when the codes are first made).  A centre c,
 canonical at level r, has the code sum_{lo <= e < r} d_e q^(e - lo), d_e its
 digit at pi^e, so 0 <= code < q^(r - lo); ``LocalField.residue_lift(code,
-lo)`` decodes it and ``LocalField.residue_code(c, lo)`` encodes it.  Over
+lo)`` decodes it and ``LocalField.residue_code(c, lo)`` encodes it; the
+fiber value kernel reads the same code straight off a root search's walk
+code (``residue_code`` of the ``polys`` codes), with no element built.  Over
 Q_p the code is the integer c p^(-lo).  The integer rules are the same for
 both field kinds:
 

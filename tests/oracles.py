@@ -30,7 +30,7 @@ from umla.cexp.syntax import (
     Var,
 )
 from umla.cyclo import CycloScalar
-from umla.fibers import _Search, _critical_values, _fiber_points, fiber_integrate
+from umla.fibers import _Search, _critical_values, fiber_integrate
 from umla.fields import LaurentPoly, LocalField, Polyball
 from umla.polys import ring_det, sylvester_matrix
 
@@ -360,7 +360,7 @@ def level_bounds_by_fiber_points(problem, phi, report) -> dict:
     level-m restriction of phi of every centre scanned at eps, with
     v_i = ord f'(x_i) and L the restriction's constancy level, and at least
     the least level the scan tries, min(window, 0).  The fiber points come
-    from ``_fiber_points`` at the restriction's constancy level."""
+    from ``_Search.roots`` at the restriction's constancy level."""
     field = phi.field
     lo = min(report.window, 0)
     scanned = _scanned_centres(problem, field, report)
@@ -376,7 +376,7 @@ def level_bounds_by_fiber_points(problem, phi, report) -> dict:
                 search = _Search(
                     field, forms, [(c,)], min(support, 0), max(level, support + 1, 1)
                 )
-                points = _fiber_points(search, c, lambda: disc.ord_field(field, (c,)))
+                points = search.roots((c,), lambda: disc.ord_field(field, (c,)))
                 per_centre[c] = max(
                     [lo]
                     + [

@@ -21,7 +21,7 @@ from umla.distribution import (
 from umla.fields import FieldError, Polyball, make_field
 from umla.schwartz import SchwartzBruhat
 
-from conftest import CELL_FIELDS, FIELDS, rng_for, sample_element, sample_nonzero
+from conftest import CELL_FIELDS, rng_for, sample_element, sample_nonzero
 from oracles import children_by_field_ops, riemann_integral
 from test_schwartz import random_sb
 
@@ -91,7 +91,7 @@ def test_mean_of_modulated_constant_vanishes_q2():
 
 def test_transform_of_constant_is_scaled_point_mass():
     # [DERIVED] the transform of dx on K^n is q^(-n) delta_0.
-    for field in FIELDS.values():
+    for field in CELL_FIELDS:
         for n in (1, 2):
             u = MixedCellDistribution.constant(field, n)
             g = u.fourier_dist()
@@ -156,7 +156,7 @@ def test_wavelet_normalization():
 
 
 def test_density_pairing_matches_cell_integration():
-    for field in FIELDS.values():
+    for field in CELL_FIELDS:
         rng = rng_for(f"dist-pair:{field!r}")
         for _ in range(15):
             f = random_sb(field, rng, n=2)
@@ -167,7 +167,7 @@ def test_density_pairing_matches_cell_integration():
 
 
 def test_transform_adjoint_identity():
-    for field in FIELDS.values():
+    for field in CELL_FIELDS:
         rng = rng_for(f"dist-adj:{field!r}")
         for _ in range(15):
             n = rng.choice([1, 2])
@@ -179,7 +179,7 @@ def test_transform_adjoint_identity():
 
 
 def test_double_transform_is_scaled_reflection():
-    for field in FIELDS.values():
+    for field in CELL_FIELDS:
         rng = rng_for(f"dist-inv:{field!r}")
         for _ in range(20):
             n = rng.choice([1, 2])
@@ -190,7 +190,7 @@ def test_double_transform_is_scaled_reflection():
 
 
 def test_convolution_matches_cell_layer():
-    for field in FIELDS.values():
+    for field in CELL_FIELDS:
         rng = rng_for(f"dist-conv:{field!r}")
         for _ in range(10):
             f = random_sb(field, rng, max_cells=2)
@@ -204,7 +204,7 @@ def test_convolution_matches_cell_layer():
 
 
 def test_point_mass_convolution_is_translation():
-    for field in FIELDS.values():
+    for field in CELL_FIELDS:
         rng = rng_for(f"dist-delta-conv:{field!r}")
         for _ in range(10):
             u = random_dist(field, rng)
@@ -214,7 +214,7 @@ def test_point_mass_convolution_is_translation():
 
 
 def test_localization_is_adjoint_to_cell_product():
-    for field in FIELDS.values():
+    for field in CELL_FIELDS:
         rng = rng_for(f"dist-mul:{field!r}")
         for _ in range(12):
             u = random_dist(field, rng)
@@ -226,7 +226,7 @@ def test_localization_is_adjoint_to_cell_product():
 
 
 def test_tensor_pairing_factorizes():
-    for field in FIELDS.values():
+    for field in CELL_FIELDS:
         rng = rng_for(f"dist-tensor:{field!r}")
         for _ in range(10):
             u1 = random_dist(field, rng)
@@ -239,7 +239,7 @@ def test_tensor_pairing_factorizes():
 
 
 def test_translation_adjoint():
-    for field in FIELDS.values():
+    for field in CELL_FIELDS:
         rng = rng_for(f"dist-shift:{field!r}")
         for _ in range(10):
             u = random_dist(field, rng)
@@ -256,7 +256,7 @@ def test_translation_adjoint():
 
 
 def test_ball_pairing_additivity():
-    for field in FIELDS.values():
+    for field in CELL_FIELDS:
         rng = rng_for(f"dist-addit:{field!r}")
         for _ in range(10):
             n = rng.choice([1, 2])
@@ -274,7 +274,7 @@ def test_ball_pairing_additivity():
 def test_mollification_stabilizes_at_constancy_level():
     # convolving with the normalized indicator of B_l(0) leaves pairings
     # unchanged exactly once l reaches the test function's constancy level
-    for field in FIELDS.values():
+    for field in CELL_FIELDS:
         rng = rng_for(f"dist-mollify:{field!r}")
         for _ in range(10):
             u = random_dist(field, rng)
@@ -295,7 +295,7 @@ def test_mollification_stabilizes_at_constancy_level():
 
 
 def test_convolution_associativity():
-    for field in FIELDS.values():
+    for field in CELL_FIELDS:
         rng = rng_for(f"dist-assoc:{field!r}")
         for _ in range(8):
             f = random_sb(field, rng, max_cells=2)
@@ -331,7 +331,7 @@ def test_series_distribution_partial_sums():
 
 
 def test_json_round_trip():
-    for field in FIELDS.values():
+    for field in CELL_FIELDS:
         rng = rng_for(f"dist-json:{field!r}")
         for _ in range(8):
             u = random_dist(field, rng, n=2)

@@ -19,7 +19,6 @@ from umla.fibers import (
     LevelReport,
     OnDiscriminant,
     _Search,
-    _fiber_points,
     _search_forms,
     fiber_integrate,
     level_measure,
@@ -131,7 +130,7 @@ def test_fiber_points_are_truncated_at_the_requested_level(key):
     for k in (2, 3, 5):
         forms = prob.reduced(f)[2]
         search = _Search(f, forms, [(f.one(),)], 0, k)
-        got = _fiber_points(search, f.one(), lambda: prob.disc.ord_field(f, (f.one(),)))
+        got = search.roots((f.one(),), lambda: prob.disc.ord_field(f, (f.one(),)))
         roots = {f.canon_trunc(r, k) for r in (f.one(), f.from_int(-1))}
         assert {root for root, _ in got} == roots
         assert all(dorder == two_ord for _, dorder in got)
@@ -478,10 +477,8 @@ def test_resultant_order_from_the_discriminant_matches_ring_det(key, monkeypatch
                 continue
             for support in (0, -1, -2):
                 before = len(reads)
-                _fiber_points(
-                    _Search(field, forms, [(y,)], support, 1),
-                    y,
-                    lambda: reads.append(y) or disc_ord,
+                _Search(field, forms, [(y,)], support, 1).roots(
+                    (y,), lambda: reads.append(y) or disc_ord
                 )
                 assert len(reads) - before <= 1
     # every resultant the search needed came from one read of disc_K(y)
@@ -525,6 +522,22 @@ def test_pushforward_cubic_q2_three_roots():
     prob = FiberProblem.from_string("x^3 - x")
     phi = unit_ball_indicator(Q2)
     assert (fiber_integrate(prob, phi, 336) - scalar(Q2, 5)).is_zero()
+
+
+@pytest.mark.parametrize("field", [Q3, F3T], ids=repr)
+def test_pushforward_reads_phi_from_its_cell_origin(field):
+    # [DERIVED] f = x and phi = indicator of B_2(pi), whose cell codes start
+    # at the origin 1 while the root search's window is 0.  The root
+    # 1 + pi has the digit 1 at pi^0, below the origin, so it lies outside
+    # the support: value 0, although its digit at pi^1 is phi's.  The roots
+    # pi and pi + 2 pi^2 lie in B_2(pi): value 1.
+    prob = FiberProblem.from_string("x")
+    pi = field.pow_uniformizer(1)
+    phi = SchwartzBruhat.indicator(Polyball.ball(field, (pi,), 2))
+    one, two_pi2 = field.one(), field.mul(field.from_int(2), field.pow_uniformizer(2))
+    assert fiber_integrate(prob, phi, field.add(one, pi)).is_zero()
+    assert fiber_integrate(prob, phi, pi) == scalar(field, 1)
+    assert fiber_integrate(prob, phi, field.add(pi, two_pi2)) == scalar(field, 1)
 
 
 def test_pushforward_rejects_critical_value():
@@ -1176,13 +1189,14 @@ SHARED_SCANS = [
 )
 def test_scan_shared_search_matches_one_point_searches(field, src, radius, monkeypatch):
     # every root search that level_measure runs on its scan-shared search
-    # returns the (root, ord f') pairs of a search built for that centre
-    # alone; the F_p((t)) scans include centres whose search restarts with
-    # codes for that centre alone (a walk_codes call inside ``roots``)
+    # returns, once its root codes are decoded and truncated at k, the
+    # (root, ord f') pairs of a search built for that centre alone; the
+    # F_p((t)) scans include centres whose search restarts with codes for
+    # that centre alone (a walk_codes call inside ``root_codes``)
     problem = FiberProblem.from_string(src)
     phi = SchwartzBruhat.indicator(Polyball.ball(field, (field.zero(),), radius))
     disc = problem.reduced(field)[1]
-    real_roots, real_codes = _Search.roots, fibers.walk_codes
+    real_roots, real_codes = _Search.root_codes, fibers.walk_codes
     runs, inside = [], []
 
     def recorded(self, base, res_ord):
@@ -1196,7 +1210,7 @@ def test_scan_shared_search_matches_one_point_searches(field, src, radius, monke
             inside[-1] += 1
         return real_codes(*args)
 
-    monkeypatch.setattr(_Search, "roots", recorded)
+    monkeypatch.setattr(_Search, "root_codes", recorded)
     monkeypatch.setattr(fibers, "walk_codes", counted)
     level_measure(problem, phi, eps_values=(0, 1, 2), m_values=(0, 1))
     per_search: dict = {}
@@ -1204,9 +1218,15 @@ def test_scan_shared_search_matches_one_point_searches(field, src, radius, monke
         per_search[id(run[0])] = per_search.get(id(run[0]), 0) + 1
     scan = [run for run in runs if per_search[id(run[0])] > 1]
     assert len(scan) >= field.q**2
+    monkeypatch.setattr(_Search, "root_codes", real_roots)
     for search, base, got, _ in scan:
+        decoded = [
+            (field.canon_trunc(codes.element(a), search.k), v) for codes, a, _, v in got
+        ]
         alone = _Search(field, search.forms, [base], search.window, search.k)
-        assert alone.roots(base, lambda: disc.ord_field(field, base)) == got
+        want = alone.roots(base, lambda: disc.ord_field(field, base))
+        decoded.sort(key=lambda pair: (fibers._elem_sort_key(pair[0]), pair[1]))
+        assert decoded == want
     restarts = sum(1 for *_, codes in scan if codes)
     if field.kind != "p-adic":
         assert restarts >= 1
@@ -1263,9 +1283,10 @@ def test_level_measure_refuses_an_identically_vanishing_discriminant(src, field)
 
 # the Q_3 and F_3((t)) scans of 1_O under x^2 + 7 and x^2 + 4 at eps 0, 1, 2
 # (78 centres, 3 mu rows): canon_trunc calls at every level the scan works
-# on integer codes; a mu search that truncates the centres per candidate
-# level makes over 300
-TRUNCATIONS = [(Q3, "x^2 + 7", 69), (F3T, "x^2 + 4", 75)]
+# on integer codes and the value kernel reads phi off the roots' walk codes;
+# a kernel that truncates each root as an element makes 69 and 75, and a mu
+# search that truncates the centres per candidate level over 300
+TRUNCATIONS = [(Q3, "x^2 + 7", 3), (F3T, "x^2 + 4", 3)]
 
 
 @pytest.mark.parametrize("field, src, calls", TRUNCATIONS, ids=["Q3", "F3t"])

@@ -525,3 +525,45 @@ def test_walk_codes_enumerate_the_children_of_cell_reps(case):
     got = [tuple(map(codes.element, nums)) for nums in product(*axes)]
     assert got == list(product(*want))
     assert [codes.element(codes.code(x)) for x in fixed] == fixed
+
+
+# the bridge from walk codes to cell codes against the reference of
+# LocalField.residue_code on the decoded, truncated element
+
+
+@st.composite
+def _bridge_cases(draw):
+    """(field, codes, walk codes, origin e, level r): a canonical element
+    with digits from pi^-4 on, its code and the codes of the children of
+    its truncation at a radius, in a format with fixed coordinates whose
+    denominators are not powers of p (over F_p((t)): poles) and a window
+    down to -5; origins from -6 to 4, and e <= r."""
+    field = draw(st.sampled_from(CELL_FIELDS))
+    p = field.p
+    lo = draw(st.integers(-4, 3))
+    digits = draw(st.lists(st.integers(0, p - 1), max_size=6))
+    if field.kind == "p-adic":
+        x = sum((d * Fraction(p) ** (lo + i) for i, d in enumerate(digits)), Fraction(0))
+        fixed = [draw(_rationals(p)) for _ in range(draw(st.integers(0, 2)))]
+    else:
+        x = LaurentPoly(p, [(lo + i, d) for i, d in enumerate(digits)])
+        fixed = [draw(_laurent_elements(p)) for _ in range(draw(st.integers(0, 2)))]
+    window = draw(st.integers(-5, 2))
+    radius = draw(st.integers(window, 4))
+    deep = radius + draw(st.integers(0, 2))
+    codes = walk_codes(field, [x] + fixed, window, deep + 1, ())
+    top = codes.code(field.canon_trunc(x, radius))
+    nums = [codes.code(x)] + codes.child_codes(top, radius, deep)
+    e = draw(st.integers(-6, 4))
+    return field, codes, nums, e, e + draw(st.integers(0, 5))
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(_bridge_cases())
+def test_walk_code_bridge_reads_the_residue_code_of_the_truncation(case):
+    # residue_code of the codes equals residue_code(canon_trunc(element, r),
+    # e) of the field, None included (a nonzero digit below e)
+    field, codes, nums, e, r = case
+    for n in nums:
+        want = field.residue_code(field.canon_trunc(codes.element(n), r), e)
+        assert codes.residue_code(n, e, r) == want, (n, e, r)
