@@ -44,7 +44,7 @@ from typing import Sequence
 
 from .cyclo import CycloScalar
 from .fields import INF, FieldError, LocalField, Polyball, ball_intersect_1d, vec_neg
-from .schwartz import SchwartzBruhat, coerce_scalar
+from .schwartz import SchwartzBruhat, _coords, coerce_scalar
 
 
 class ConvolutionDivergence(FieldError):
@@ -566,14 +566,6 @@ def _fineness(f) -> float:
     if isinstance(f, BallF):
         return f.r
     return INF if isinstance(f, DeltaF) else -INF
-
-
-def _coords(n: int, xs: Sequence) -> tuple:
-    """The point xs as a tuple; FieldError unless it has n coordinates."""
-    xs = tuple(xs)
-    if len(xs) != n:
-        raise FieldError(f"expected {n} coordinates, got {len(xs)}")
-    return xs
 
 
 def additivity_check(u, ball: Polyball) -> bool:

@@ -196,23 +196,12 @@ def _ball_coord_lo(field: LocalField, centers, radii) -> list:
     return [min(field.ord(c), r) for c, r in zip(centers, radii)]
 
 
-def _ball_hull(field: LocalField, balls) -> Polyball:
-    """Smallest polyball containing each given polyball, per coordinate."""
-    balls = list(balls)
-    centers = list(balls[0].centers)
-    radii = list(balls[0].radii)
-    for b in balls[1:]:
-        for i, (c, r) in enumerate(zip(b.centers, b.radii)):
-            radii[i] = min(radii[i], r, field.ord(field.sub(c, centers[i])))
-    return Polyball(field, tuple(centers), tuple(int(r) for r in radii))
-
-
-def _joint_ball(field: LocalField, xball: Polyball, vball: Polyball) -> Polyball:
-    return Polyball(
-        field,
-        tuple(xball.centers) + tuple(vball.centers),
-        tuple(xball.radii) + tuple(vball.radii),
-    )
+def _term_bounds(field: LocalField, terms, coord_lo) -> list:
+    """(lb, |a|) for each Taylor term (a, q_a) of ``terms`` whose lower bound
+    lb on ord q_a, for coordinates of ord at least ``coord_lo``
+    (``MultiPoly.ord_lower_bound``), is finite."""
+    bounds = ((q.ord_lower_bound(field, coord_lo), sum(a)) for a, q in terms)
+    return [(lb, w) for lb, w in bounds if lb != INF]
 
 
 class _Phase:
@@ -335,17 +324,21 @@ def _subcells(
 
 
 def _certify_gradient(
-    field: LocalField, cert: _Phase, n: int, cell: Polyball, d0: int, budget: int
+    field: LocalField, cert: _Phase, n: int, centers, levels, d0: int, budget: int
 ) -> int:
     """Certify min_i ord(grad_i) <= d0 over every point of the cell, i < n.
 
-    ``cert`` holds the expansion of the phase in all its variables, and the
-    gradient is that of its first n, the integration variables.  A cell
-    passing the dominant-term test at its center with cap ``d0`` is
-    certified.  A center with every ord(grad_i) > d0 refutes the bound, and
-    is the witness of the :class:`PhaseCertificationError` raised; any other
-    cell is subdivided one level in every coordinate, at most ``budget``
-    cells in all.  Returns the number of cells certified.
+    The cell is the product of the balls of radii ``levels`` around the
+    canonical ``centers``; :func:`stationary_phase_bound` passes each support
+    cell of phi joined with V as the tuples (centre + V.centers, phi.levels +
+    V.radii), with no ``Polyball`` built.  ``cert`` holds the expansion of
+    the phase in all its variables, and the gradient is that of its first n,
+    the integration variables.  A cell passing the dominant-term test at its
+    center with cap ``d0`` is certified.  A center with every ord(grad_i) >
+    d0 refutes the bound, and is the witness of the
+    :class:`PhaseCertificationError` raised; any other cell is subdivided one
+    level in every coordinate, at most ``budget`` cells in all.  Returns the
+    number of cells certified.
 
     The cells are integer codes (module docstring).  Over F_p((t)) the codes
     hold the digits down to a depth fixed in advance; a cell that must split
@@ -356,13 +349,9 @@ def _certify_gradient(
     extra = 8  # levels below the cell that the first codes hold
     while True:
         codes = walk_codes(
-            field,
-            cell.centers,
-            min(cell.radii),
-            max(cell.radii) + extra,
-            cert.forms.values(),
+            field, centers, min(levels), max(levels) + extra, cert.forms.values()
         )
-        stack = [(tuple(map(codes.code, cell.centers)), cell.radii)]
+        stack = [(tuple(map(codes.code, centers)), levels)]
         done = 0
         spent = 0
         while stack:
@@ -420,6 +409,10 @@ def stationary_phase_bound(
     (w_0, ..., w_{1-d}) becomes sum_i u_i w_{-i} mod p.  lam = pi^e u is
     built as a field element only for the witness of a contradiction.
 
+    The threshold reads the Taylor terms' ord bounds at the coordinate
+    bounds of supp(phi) x V: over x ``phi.support_radii()``, the least
+    min(ord c_i, r_i) over the support cells, and over eta min(ord c, r) of V.
+
     One ``budget`` (default the shared ``DEFAULT_CELL_BUDGET``) bounds both
     the cells the gradient certificate visits per support cell and, as in
     :func:`oscillatory_integral`, the cells of each verification integral;
@@ -437,10 +430,10 @@ def stationary_phase_bound(
             raise FieldError(f"{name} must be at least 1, got {count}")
     d0 = _grad_ord_from_delta(field, delta)
 
-    cells = [ball for ball, _ in phi.terms()]
-    if not cells:
+    if phi.is_zero():
         raise FieldError("cell function has empty support")
-    s_min = max(max(b.radii) for b in cells)
+    levels = phi.levels
+    s_min = max(levels)
 
     # --- gradient certification over every support cell x V -----------------
     # the expansion of p in all its variables certifies the gradient; the
@@ -455,19 +448,17 @@ def stationary_phase_bound(
         )
     phase = _Phase.of(field, p, n)
     certified = 0
-    for ball in cells:
+    for center in phi.cells:
         certified += _certify_gradient(
-            field, cert, n, _joint_ball(field, ball, V), d0, budget
+            field, cert, n, center + V.centers, levels + V.radii, d0, budget
         )
 
     # --- remainder profile ---------------------------------------------------
-    hull = _joint_ball(field, _ball_hull(field, cells), V)
-    hull_lo = _ball_coord_lo(field, hull.centers, hull.radii)
-    rest_orders = []
-    for alpha, qpoly in phase.higher:
-        lb = qpoly.ord_lower_bound(field, hull_lo)
-        if lb != INF:
-            rest_orders.append((lb, sum(alpha)))
+    # ord bounds of the Taylor terms over supp(phi) x V: per x coordinate the
+    # least min(ord c_i, r_i) over the support cells, the support radius
+    coord_lo = list(phi.support_radii()) + _ball_coord_lo(field, V.centers, V.radii)
+    bounds = _term_bounds(field, phase.tay.items(), coord_lo)
+    rest_orders = [(lb, w) for lb, w in bounds if w >= 2]
 
     def rest_bound(s: int):
         if not rest_orders:
@@ -488,13 +479,7 @@ def stationary_phase_bound(
     # --- exhaustive confirmation over a scale window -------------------------
     # orders of p-values over supp x V bound the exact unit depth needed for
     # lam-orbit exhaustiveness at each scale order.
-    all_orders = [lb for lb, _ in rest_orders]
-    for alpha, qpoly in phase.tay.items():
-        if sum(alpha) < 2:
-            lb = qpoly.ord_lower_bound(field, hull_lo)
-            if lb != INF:
-                all_orders.append(lb)
-    p_min_ord = min(all_orders) if all_orders else 0
+    p_min_ord = min((lb for lb, _ in bounds), default=0)
 
     # the first children of V, on codes; only the samples become elements
     vcodes = walk_codes(
@@ -652,11 +637,7 @@ def _walk(
     # the cell keys are canonical centres already
     for center, coef in phi.cells.items():
         coord_lo = _ball_coord_lo(field, center, levels) + eta_lo
-        steps = []
-        for alpha, qpoly in phase.higher:
-            lb = qpoly.ord_lower_bound(field, coord_lo)
-            if lb != INF:
-                steps.append((lb, sum(alpha)))
+        steps = _term_bounds(field, phase.higher, coord_lo)
         level = max(levels)
         if steps:
             while min(lb + w * level for lb, w in steps) + lam_ord < 1:

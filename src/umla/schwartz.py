@@ -77,6 +77,14 @@ def coerce_scalar(p: int, value) -> CycloScalar:
     return CycloScalar.fraction(p, Fraction(value))
 
 
+def _coords(n: int, xs: Sequence) -> tuple:
+    """The point xs as a tuple; FieldError unless it has n coordinates."""
+    xs = tuple(xs)
+    if len(xs) != n:
+        raise FieldError(f"expected {n} coordinates, got {len(xs)}")
+    return xs
+
+
 class SchwartzBruhat:
     """Finite exact cell decomposition of a test function on K^n."""
 
@@ -97,10 +105,9 @@ class SchwartzBruhat:
         for center, coef in cells.items():
             coef = coerce_scalar(field.p, coef)
             key = tuple(
-                field.canon_trunc(c, r) for c, r in zip(center, self.levels)
+                field.canon_trunc(c, r)
+                for c, r in zip(_coords(n, center), self.levels)
             )
-            if len(key) != n:
-                raise FieldError("cell center has wrong dimension")
             if key in canon:
                 canon[key] = canon[key] + coef
             else:
@@ -280,6 +287,7 @@ class SchwartzBruhat:
     def translate(self, v: Sequence) -> "SchwartzBruhat":
         """x -> f(x - v), support moves by +v."""
         field = self.field
+        v = _coords(self.n, v)
         cells = {vec_add(field, key, v): coef for key, coef in self.cells.items()}
         return SchwartzBruhat(field, self.n, self.levels, cells)
 
@@ -292,6 +300,7 @@ class SchwartzBruhat:
     def modulate(self, a: Sequence, budget=DEFAULT_CELL_BUDGET) -> "SchwartzBruhat":
         """Multiply by the additive character of the pairing with a."""
         field = self.field
+        a = _coords(self.n, a)
         levels = []
         for i in range(self.n):
             need = self.levels[i]
@@ -306,6 +315,8 @@ class SchwartzBruhat:
 
     def restrict(self, ball: Polyball, budget=DEFAULT_CELL_BUDGET) -> "SchwartzBruhat":
         """Pointwise product with the indicator of a polyball."""
+        if ball.field != self.field or ball.n != self.n:
+            raise FieldError("ball lives on a different space")
         levels = tuple(max(a, b) for a, b in zip(self.levels, ball.radii))
         fine = self.refine(levels, budget)
         cells = {k: v for k, v in fine.cells.items() if ball.contains(k)}
@@ -330,7 +341,7 @@ class SchwartzBruhat:
         field = self.field
         lo, codes = self._coded()
         key = []
-        for x, r, e in zip(xs, self.levels, lo):
+        for x, r, e in zip(_coords(self.n, xs), self.levels, lo):
             c = field.residue_code(field.canon_trunc(x, r), e)
             if c is None:  # a digit below the origin: outside every cell
                 return CycloScalar.zero(field.p)

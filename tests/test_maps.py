@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import rng_for, sample_element, sample_nonzero
+from conftest import CELL_FIELDS, rng_for, sample_element, sample_nonzero
 from umla.cyclo import CycloScalar
 from umla.distribution import BallF, DeltaF, FULL, MixedCellDistribution
 from umla.fields import FieldError, Polyball, make_field
@@ -543,6 +543,89 @@ class TestPushforward:
         ):
             for phi in probes:
                 assert got.evaluate(phi) == want.evaluate(phi)
+
+
+def random_monomial_map(field, rng) -> AffineMap:
+    """(x, y) -> permuted (pi^k u x, pi^l v y) plus a shift, u and v units
+    that invert exactly: integers prime to p over Q_p, nonzero constants
+    over F_p((t))."""
+    f = field
+    bound = 3 * f.p if f.kind == "p-adic" else f.p
+    units = [a for a in range(1, bound) if a % f.p]
+    scales = [
+        f.mul(f.pow_uniformizer(rng.randrange(-2, 3)), f.from_int(rng.choice(units)))
+        for _ in range(2)
+    ]
+    rows = [[f.zero(), f.zero()], [f.zero(), f.zero()]]
+    perm = rng.choice([(0, 1), (1, 0)])
+    for i, j in enumerate(perm):
+        rows[i][j] = scales[i]
+    shift = tuple(sample_element(f, rng, -1, 2) for _ in range(2))
+    return AffineMap(f, tuple(map(tuple, rows)), shift)
+
+
+def random_integer_map(field, rng) -> AffineMap:
+    """An invertible 2 x 2 integer matrix with small entries and shift."""
+    while True:
+        rows = [[rng.randrange(-3, 4) for _ in range(2)] for _ in range(2)]
+        if rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]:
+            shift = [rng.randrange(-2, 3) for _ in range(2)]
+            return AffineMap.from_ints(field, rows, shift)
+
+
+def random_plane_distribution(field, rng) -> MixedCellDistribution:
+    """A sum of one to three ball densities with small integer weights, and
+    in one case of two a point mass."""
+    f = field
+    u = MixedCellDistribution.zero(f, 2)
+    for _ in range(rng.randrange(1, 4)):
+        center = tuple(sample_element(f, rng, -1, 2) for _ in range(2))
+        radii = tuple(rng.randrange(-1, 2) for _ in range(2))
+        ball = SchwartzBruhat.indicator(Polyball(f, center, radii))
+        u = u + MixedCellDistribution.from_sb(ball.scale(rng.randrange(1, 4)))
+    if rng.randrange(2):
+        point = tuple(sample_element(f, rng, -1, 2) for _ in range(2))
+        u = u + MixedCellDistribution.delta(f, point)
+    return u
+
+
+def random_probes(field, rng, count: int) -> list:
+    """Indicators of balls of mixed radii around sampled centres."""
+    f = field
+    return [
+        SchwartzBruhat.indicator(
+            Polyball(
+                f,
+                tuple(sample_element(f, rng, -1, 2) for _ in range(2)),
+                tuple(rng.randrange(-2, 3) for _ in range(2)),
+            )
+        )
+        for _ in range(count)
+    ]
+
+
+@pytest.mark.parametrize(
+    "field, kind",
+    [(f, "monomial") for f in CELL_FIELDS]
+    + [(f, "integer") for f in CELL_FIELDS if f.kind == "p-adic"],
+    ids=repr,
+)
+def test_round_trips_on_random_maps_pair_as_the_jacobian_modulus(field, kind):
+    # pullback after pushforward, and pushforward after pullback, along an
+    # invertible affine map m pair with every probe as q^(ord det m) u does:
+    # seeded monomial maps over every field of the cell tests, and seeded
+    # integer matrices over Q_p, which go through the preimage subdivision
+    f = field
+    rng = rng_for(f"maps-round-trip:{f!r}:{kind}")
+    make_map = random_monomial_map if kind == "monomial" else random_integer_map
+    for _ in range(20):
+        m = make_map(f, rng)
+        u = random_plane_distribution(f, rng)
+        jac = CycloScalar.q_pow(f.p, 2 * f.ord(m.det()))
+        probes = random_probes(f, rng, 6)
+        want = [u.evaluate(phi) * jac for phi in probes]
+        for got in (pullback(m, pushforward(m, u)), pushforward(m, pullback(m, u))):
+            assert [got.evaluate(phi) for phi in probes] == want
 
 
 class TestProducts:

@@ -564,12 +564,14 @@ def test_certificate_deeper_than_its_first_codes_matches_the_element_walk():
     cert = _Phase.of(f, p, 2)
     cell = Polyball(f, (f.zero(), f.pow_uniformizer(17)), (0, 18))
     done, spent = certify_by_elements(f, cert, 1, cell, 17)
-    assert _certify_gradient(f, cert, 1, cell, 17, DEFAULT_CELL_BUDGET) == done
+    assert _certify_gradient(
+        f, cert, 1, cell.centers, cell.radii, 17, DEFAULT_CELL_BUDGET
+    ) == done
     with pytest.raises(
         CellBudgetError,
         match=f"gradient certificate: {spent} cells requested, {spent - 1} allowed",
     ):
-        _certify_gradient(f, cert, 1, cell, 17, spent - 1)
+        _certify_gradient(f, cert, 1, cell.centers, cell.radii, 17, spent - 1)
 
 
 class TestOneWalkPerScale:
@@ -940,6 +942,41 @@ def test_stationary_phase_reports_are_pinned(case, want):
     phi = SchwartzBruhat.indicator(Polyball(f, tuple(map(f.from_int, center)), radii))
     V = Polyball.ball(f, (f.one(),), 1)
     assert stationary_phase_bound(p, phi, V, delta, **options).to_json() == want
+
+
+# the report of x^4 + x*e on the two-cell support 1_{B_2(1)} + 1_{B_2(pi)},
+# captured while the x bounds of the remainder profile were read off the
+# hull of the support cells.  The centres have ords 0 and 1, so the support
+# radius is 0 and B(2) is 5 over Q_3 (6 x^2 and 4 x at ord x >= 0) and 6
+# over F_3((t)) (4 x); the cell B_2(pi) alone would give 7 on both
+TWO_CELL_PIN = {
+    'r': 1,
+    'threshold': -1,
+    'cell_level': 2,
+    'grad_ord_bound': 0,
+    'certified_cells': 2,
+    'verification': {'lambda_orders': [-3, -2],
+                     'eta_samples': 3,
+                     'integrals_checked': 216,
+                     'unit_depth_capped': False,
+                     'all_zero': True},
+    'detail': 'windows chain downward from level 2; gradient valuation bound 0 '
+              'certified on 2 cell(s)',
+}
+TWO_CELL_PROFILES = {
+    'Q3': [[2, 5, -1], [3, 7, -2], [4, 9, -3], [5, 11, -4]],
+    'F3t': [[2, 6, -1], [3, 9, -2], [4, 12, -3], [5, 15, -4]],
+}
+
+
+@pytest.mark.parametrize("key", sorted(TWO_CELL_PROFILES))
+def test_stationary_phase_report_on_two_support_cells_is_pinned(key):
+    f = FIELDS[key]
+    p = parse_poly("x^4 + x*e", ("x", "e"))
+    phi = indicator(f, (f.one(),), 2) + indicator(f, (f.uniformizer(),), 2)
+    assert len(phi.cells) == 2 and phi.support_radii() == (0,)
+    want = dict(TWO_CELL_PIN, rest_profile=TWO_CELL_PROFILES[key])
+    assert stationary_phase_bound(p, phi, unit_eta_ball(f), 1).to_json() == want
 
 
 def test_one_phase_over_several_fields_matches_fresh_phases():

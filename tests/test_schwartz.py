@@ -172,6 +172,34 @@ def test_cell_coefficients_of_other_types_are_refused():
             SchwartzBruhat(field, 1, 0, {(0,): bad})
 
 
+@pytest.mark.parametrize("key", ["Q3", "F3t"])
+def test_points_and_balls_of_another_space_are_refused(key):
+    # a 2-D function refuses points and cell centres of 1 or 3 coordinates,
+    # where zip would read a truncated point, and balls over the other field
+    # of the same p or of another dimension
+    field = FIELDS[key]
+    other = FIELDS["F3t" if key == "Q3" else "Q3"]
+    zero, one = field.zero(), field.one()
+    f = SchwartzBruhat.indicator(Polyball.ball(field, (zero, zero), 0))
+    for xs in ((zero,), (zero, zero, zero)):
+        with pytest.raises(FieldError, match="expected 2 coordinates"):
+            SchwartzBruhat(field, 2, 0, {xs: 1})
+        for op in (f.eval_at, f.translate, f.modulate):
+            with pytest.raises(FieldError, match="expected 2 coordinates"):
+                op(xs)
+    for ball in (
+        Polyball.ball(other, (other.zero(), other.zero()), 0),
+        Polyball.ball(field, (zero,), 0),
+        Polyball.ball(field, (zero, zero, zero), 0),
+    ):
+        with pytest.raises(FieldError, match="different space"):
+            f.restrict(ball)
+    assert f.eval_at([one, zero]) == f.eval_at((zero, one)) == CycloScalar.one(3)
+    # the ball B_1(1) x B_1(0) inside the unit polydisc, of measure q^-2
+    ball = Polyball.ball(field, (one, zero), 1)
+    assert f.restrict(ball).integrate() == CycloScalar.fraction(3, Fraction(1, 9))
+
+
 @settings(max_examples=200, derandomize=True, deadline=None)
 @given(
     st.sampled_from(CELL_FIELDS), st.sampled_from([1, 2]), st.integers(0, 10**6)
