@@ -239,6 +239,23 @@ class CycloScalar:
         ]
         return _canonical(self.p, raw)
 
+    def raw_times(self, other: "CycloScalar", e2: int = 0, j: int = 0, den: int = 1) -> list:
+        """The integer raw terms of q^(e2/2) * exp(2*pi*i*j/den) * self * other,
+        ``den`` a power of p, on the largest of the three levels: the terms
+        of ``*`` before canonicalisation, shifted.  ``*`` keeps its own
+        loop, without the shift, since the charsum and fiber paths multiply
+        scalars in their inner loops."""
+        pk, d, ts = self.ints
+        qk, e, us = other.ints
+        level = max(pk, qk, den)
+        f, g, de = level // pk, level // qk, d * e
+        j *= level // den
+        return [
+            (r + s + e2, i * f + u * g + j, level, n * m, de)
+            for r, i, n in ts
+            for s, u, m in us
+        ]
+
     def times(self, c) -> "CycloScalar":
         """c * self, for c an int or a Fraction."""
         pk, d, ts = self.ints

@@ -315,6 +315,19 @@ class LocalField:
         code."""
         raise NotImplementedError
 
+    def code_angle(self, a: int, b: int, e: int) -> tuple[int, int]:
+        """(j, den): psi(x * y) = exp(2 pi i j / den) for x and y the
+        elements of codes a and b (as ``residue_lift`` decodes them) at
+        origins that sum to e.  Over Q_p x y = a b p^e and den = p^(1-e);
+        over F_p((t)) den = p and j is the digit at t^0 of x y, the sum of
+        a_i b_(-e-i) over the base-p digits of the codes.  A product of ord
+        at least 1 gives (0, 1)."""
+        raise NotImplementedError
+
+    def residue_neg(self, a: int, m: int) -> int:
+        """The code of minus the encoded residue a mod uniformizer^m."""
+        raise NotImplementedError
+
     def unit_inverse_mod(self, a, m: int) -> Element:
         """Inverse of the unit a modulo uniformizer^m (exact representative)."""
         raise NotImplementedError
@@ -477,6 +490,15 @@ class PAdicField(LocalField):
         den = self.p**L
         return den, [code * self.p**d % den for d in range(L)]
 
+    def code_angle(self, a: int, b: int, e: int) -> tuple[int, int]:
+        if e >= 1:
+            return 0, 1
+        den = self.p ** (1 - e)
+        return a * b % den, den
+
+    def residue_neg(self, a: int, m: int) -> int:
+        return -a % self.p**m if m > 0 else 0
+
     def _cell_children(self, c0: Fraction, r: int, level: int) -> list[Fraction]:
         p, den = self.p, c0.denominator
         if r < 0 and den < p**-r:
@@ -600,6 +622,29 @@ class LaurentField(LocalField):
         # only the digit at pi^-1 of centre * pi^(1-r+d) counts: digit L-1-d
         p = self.p
         return p, [code // p ** (L - 1 - d) % p for d in range(L)]
+
+    def code_angle(self, a: int, b: int, e: int) -> tuple[int, int]:
+        if e > 0 or not a or not b:
+            return 0, 1
+        p, k, j = self.p, -e, 0
+        for i in range(k + 1):
+            if not a:
+                break
+            a, d = divmod(a, p)
+            if d:
+                j += d * (b // p ** (k - i) % p)
+        return j % p, p
+
+    def residue_neg(self, a: int, m: int) -> int:
+        # digit by digit mod p, as in residue_add
+        p = self.p
+        out, place = 0, 1
+        while a:
+            a, d = divmod(a, p)
+            if d:
+                out += (p - d) * place
+            place *= p
+        return out
 
     def _cell_children(self, c0: LaurentPoly, r: int, level: int) -> list[LaurentPoly]:
         p = self.p

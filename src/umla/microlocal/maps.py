@@ -28,20 +28,20 @@ Supported map shapes, classified from the matrix:
 the wavefront collision test: the product is formed only when no singular
 pair of one factor opposes a singular pair of the other.
 
-The per-coordinate rules live on the factor classes of ``umla.distribution``
-(see its docstring).  Every shape but the non-monomial isomorphism has
-output rows that each read at most one input coordinate, no coordinate
-read twice (``AffineMap.coordinate_parts``), so both directions run one
-loop over the rows.  A row y_i = s x_j + b_i pushes the factor of x_j by
-``push(field, s, b_i)``, which moves it by x -> s x + b_i and multiplies a
-density by |s|^-1, and divides its modulation by s; pullback pushes the
-factor of y_i along the inverse, multiplies its modulation by s and the
-term by |s|^-1, so a density is composed with the row and a point mass
+The per-coordinate rules are the coded rules of ``umla.distribution`` (see
+its docstring), run on the terms' integer codes.  Every shape but the
+non-monomial isomorphism has output rows that each read at most one input
+coordinate, no coordinate read twice (``AffineMap.coordinate_parts``), so
+both directions run one loop over the rows.  A row y_i = s x_j + b_i
+transports the entry of x_j by x -> s x + b_i (``_transport``): it moves the
+factor, multiplies a density by |s|^-1 and divides the modulation by s.
+Pullback transports the entry of y_i along the inverse row and multiplies
+the term by |s|^-1, so a density is composed with the row and a point mass
 gains |s|^-1.  A constant row y_i = b_i puts a point mass at b_i under
-pushforward; pullback reads the factor of y_i at b_i with ``contains``.
-An input coordinate that no row reads is integrated out (the factor's
-``mass``) by pushforward and is the full line under pullback.  Products
-use ``meet``.
+pushforward; pullback reads the entry of y_i at b_i (``_contains``).  An
+input coordinate that no row reads is integrated out (``_mass``) by
+pushforward and is the full line under pullback.  Products meet the
+entries (``_meet``) and add their modulations.
 """
 
 from __future__ import annotations
@@ -49,8 +49,27 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..cyclo import CycloScalar
-from ..distribution import FULL, BallF, DeltaF, FullF, MixedCellDistribution, _term
-from ..fields import FieldDivisionError, FieldError, LocalField, Polyball, vec_add
+from ..distribution import (
+    BALL,
+    LINE,
+    POINT,
+    BallF,
+    DeltaF,
+    FullF,
+    MixedCellDistribution,
+    _add_angle,
+    _angle_with,
+    _build,
+    _canonical_ball,
+    _contains,
+    _encode,
+    _mass,
+    _meet,
+    _psi,
+    _transport,
+    _transport_plan,
+)
+from ..fields import FieldDivisionError, FieldError, LocalField, Polyball
 from ..polys import ring_det
 from ..schwartz import DEFAULT_CELL_BUDGET, check_budget
 from .cones import BaseFull, BasePoint, LambdaCone, OrbitRayCell, TaggedCell
@@ -313,34 +332,41 @@ def pullback(
     parts = f_map.coordinate_parts()
     if parts is None:
         return _pullback_general(f_map, f_map.inverse(), u, budget)
-    undo = []  # per row that reads x_j: s^-1, -b s^-1 and 2 ord(s)
-    for part, b in zip(parts, f_map.shift):
+    rows, lo = [], [0] * f_map.n_in
+    e2 = 0
+    for i, (part, b) in enumerate(zip(parts, f_map.shift)):
         if part is None:
-            undo.append(None)
+            rows.append(None)
             continue
-        si = _invert_scale(f, part[1])
-        undo.append((si, f.neg(f.mul(b, si)), 2 * f.ord(part[1])))
-    full = (0, 0, f.zero(), FULL)
-    out = []
-    for coef, mod, fs in u.terms:
-        nparts = [full] * f_map.n_in
-        angle = 0
-        for part, back, a, fac, b in zip(parts, undo, mod, fs, f_map.shift):
-            if part is not None:
-                j, s = part
-                si, nb, e2 = back
-                nfac, de2 = fac.push(f, si, nb)
-                nparts[j] = (de2 + e2, f.psi_angle(f.mul(a, b)), f.mul(a, s), nfac)
-                continue
-            if not fac.contains(f, b):
-                break
-            if isinstance(fac, DeltaF):
-                # guarded by the conormal check; defensive
-                raise NfIntersectsWF("a constant row meets a point mass")
-            angle += f.psi_angle(f.mul(a, b))
+        # the factor of y_i moves along the inverse row x_j = y_i / s - b / s
+        j, s = part
+        si = _invert_scale(f, s)
+        lo[j], plan = _transport_plan(f, u._lo[i], _column(u, i), si, s, f.neg(f.mul(b, si)))
+        rows.append((j, plan))
+        e2 += 2 * f.ord(s)
+    full = (LINE, f.zero())
+    items = []
+    for coef, key in u._coded:
+        out = [full] * f_map.n_in
+        total, angle, den = e2, 0, 1
+        for x, e, row, b in zip(key, u._lo, rows, f_map.shift):
+            if row is not None:
+                # a density's Jacobian exponent cancels 2 ord(s); a point
+                # mass keeps |s|^-1
+                j, plan = row
+                de2, j2, den2, out[j] = _transport(f, e, lo[j], plan, x)
+                total += de2
+            else:
+                if not _contains(f, e, x, b):
+                    break
+                if x[0] == POINT:
+                    # guarded by the conormal check; defensive
+                    raise NfIntersectsWF("a constant row meets a point mass")
+                j2, den2 = _angle_with(f, e, x[3], b) if x[0] == BALL else _psi(f, x[1], b)
+            angle, den = _add_angle(angle, den, j2, den2)
         else:
-            out.append(_term(coef.rotate(angle), nparts))
-    return MixedCellDistribution(f, f_map.n_in, out)
+            items.append((coef, None, total, angle, den, tuple(out)))
+    return _build(f, f_map.n_in, lo, items)
 
 
 def _pullback_general(f_map, inv, u, budget) -> MixedCellDistribution:
@@ -468,43 +494,55 @@ def pushforward(
         # pull along the inverse, times the inverse Jacobian modulus
         pulled = _pullback_general(f_map.inverse(), f_map, u, budget)
         return pulled.scale(CycloScalar.q_pow(f.p, 2 * f.ord(f_map.det())))
-    inv = [None if part is None else _invert_scale(f, part[1]) for part in parts]
     read = {part[0] for part in parts if part is not None}
     unread = [j for j in range(f_map.n_in) if j not in read]
-    zero = f.zero()
-    out = []
-    for coef, mod, fs in u.terms:
-        coef = _integrate_out(f, coef, mod, fs, unread)
-        if coef is None:
+    rows, lo = [], []
+    for part, b in zip(parts, f_map.shift):
+        if part is None:
+            rows.append(None)
+            lo.append(0)
             continue
-        nparts = []
-        for part, si, b in zip(parts, inv, f_map.shift):
-            if part is None:
-                nparts.append((0, 0, zero, DeltaF(b)))
+        j, s = part
+        lo2, plan = _transport_plan(f, u._lo[j], _column(u, j), s, _invert_scale(f, s), b)
+        rows.append((j, plan))
+        lo.append(lo2)
+    items = []
+    for coef, key in u._coded:
+        e2 = _integrate_out(key, unread)
+        if e2 is None:
+            continue
+        angle, den, out = 0, 1, []
+        for row, b, lo2 in zip(rows, f_map.shift, lo):
+            if row is None:
+                out.append((POINT, b))
                 continue
-            j, s = part
-            na = f.mul(mod[j], si)
-            fac, de2 = fs[j].push(f, s, b)
-            nparts.append((de2, -f.psi_angle(f.mul(na, b)), na, fac))
-        out.append(_term(coef, nparts))
-    return MixedCellDistribution(f, f_map.n_out, out)
+            j, plan = row
+            de2, j2, den2, y = _transport(f, u._lo[j], lo2, plan, key[j])
+            e2 += de2
+            angle, den = _add_angle(angle, den, j2, den2)
+            out.append(y)
+        items.append((coef, None, e2, angle, den, tuple(out)))
+    return _build(f, f_map.n_out, lo, items)
 
 
-def _integrate_out(f, coef, mod, fs, coords):
-    """coef times the integral of one term over the given coordinates, or
-    None when it is 0: a ball B_r(c) contributes psi(a c) q^(-r) unless
-    psi(a x) oscillates on it, a point mass 1 (its modulation is zero), and
-    a full line is not integrable."""
-    e2, angle = 0, 0
+def _column(u: MixedCellDistribution, j: int) -> list:
+    """The entries of coordinate j, one per term."""
+    return [key[j] for _, key in u._coded]
+
+
+def _integrate_out(key, coords):
+    """The exponent e2 of the integral q^(e2/2) of one term over the given
+    coordinates, or None when it is 0 (``_mass``); a full line is not
+    integrable."""
+    e2 = 0
     for j in coords:
-        if isinstance(fs[j], FullF):
+        if key[j][0] == LINE:
             raise NotProperOnSupport("support is a full line in an integrated axis")
-        got = fs[j].mass(f, mod[j])
+        got = _mass(key[j])
         if got is None:
             return None
-        e2 += got[0]
-        angle += got[1]
-    return coef.q_shift(e2).rotate(angle)
+        e2 += got
+    return e2
 
 
 # ---------------------------------------------------------------------------
@@ -539,33 +577,52 @@ def product_dist(
         raise WFCollision(
             "wavefront cones contain opposing codirections over a common point"
         )
-    out = []
-    for c1, m1, fs1 in u1.terms:
-        for c2, m2, fs2 in u2.terms:
-            coef = c1 * c2
-            nmod = vec_add(f, m1, m2)
-            nfs = []
-            dead = False
-            for fac1, fac2 in zip(fs1, fs2):
-                fac = _mul_factors(f, fac1, fac2)
-                if fac is None:
-                    dead = True
+    lo = tuple(
+        min(u1._origins_below(i, (LINE,)), u2._origins_below(i, (LINE,)))
+        for i in range(u1.n)
+    )
+    mine, theirs = u1._rebased(lo), u2._rebased(lo)
+    items = []
+    for c1, k1 in mine:
+        for c2, k2 in theirs:
+            angle, den, out = 0, 1, []
+            for x, y, e in zip(k1, k2, lo):
+                got = _mul_entries(f, e, x, y)
+                if got is None:
                     break
-                nfs.append(fac)
-            if dead:
-                continue
-            out.append((coef, tuple(nmod), tuple(nfs)))
-    return MixedCellDistribution(f, u1.n, out)
+                angle, den = _add_angle(angle, den, got[0], got[1])
+                out.append(got[2])
+            else:
+                items.append((c1, c2, 0, angle, den, tuple(out)))
+    return _build(f, u1.n, lo, items)
 
 
-def _mul_factors(f, a, b):
-    """Product of two per-coordinate factors; None when disjoint."""
-    if isinstance(a, DeltaF) and isinstance(b, DeltaF):
-        if f.is_zero(f.sub(a.point, b.point)):
+def _mul_entries(f, lo, x, y):
+    """(j, den, entry): the product of two canonical entries at origin lo,
+    their modulations added; None when their supports are disjoint."""
+    if x[0] == POINT and y[0] == POINT:
+        if f.is_zero(f.sub(x[1], y[1])):
             raise WFCollision("product of coinciding point masses")
         return None
-    if isinstance(b, DeltaF):
-        a, b = b, a
-    if isinstance(b, BallF):
-        return a.meet(f, b.center, b.r)
-    return a  # times the constant 1 of the line
+    if y[0] == POINT:
+        x, y = y, x
+    if x[0] == POINT:
+        # the character is a constant on the point mass: absorb it
+        if not _contains(f, lo, y, x[1]):
+            return None
+        if y[0] == BALL:
+            return (*_angle_with(f, lo, y[3], x[1]), x)
+        return (*_psi(f, y[1], x[1]), x)
+    if x[0] == LINE and y[0] == LINE:
+        return 0, 1, (LINE, f.add(x[1], y[1]))
+    if x[0] == LINE or (y[0] == BALL and y[1] > x[1]):
+        x, y = y, x
+    # x is the smaller ball, y a ball around it or a line: x met with y's
+    # ball (``_meet``), with the sum of the two modulations
+    q = f.q
+    _, r, c, m = x
+    other = y[3] if y[0] == BALL else _encode(f, y[1], lo, 1 - min(r, lo))
+    m = f.residue_add(m, other, max(1 - min(r, lo) - lo, 0))
+    if y[0] == BALL and _meet(f, q, lo, x, None, y[2], y[1]) is None:
+        return None
+    return _canonical_ball(f, q, lo, r, c, m)

@@ -34,8 +34,8 @@ from dataclasses import dataclass
 from itertools import islice
 
 from ..cyclo import CycloScalar
-from ..distribution import BallF, DeltaF, MixedCellDistribution
-from ..fields import FieldError, Polyball
+from ..distribution import BALL, LINE, POINT, MixedCellDistribution
+from ..fields import FieldError, _vp
 from ..schwartz import SchwartzBruhat
 from .subgroup import LambdaSubgroup
 
@@ -76,21 +76,23 @@ def _stabilizing_level(u: MixedCellDistribution, x0) -> int:
 
     Fine enough to (a) separate every point mass not exactly at x0, (b) be at
     least as fine as every ball factor, and (c) absorb every modulation on a
-    density coordinate into a constant.
+    density coordinate into a constant.  Ball data is read on the codes: a
+    modulation code m at origin lo has ord lo + v_q(m).
     """
-    f = u.field
+    f, q = u.field, u.field.q
     s = 1
-    for _, mod, fs in u.terms:
-        for i, fac in enumerate(fs):
-            if isinstance(fac, DeltaF):
-                d = f.sub(fac.point, x0[i])
+    for _, key in u._coded:
+        for x, e, c in zip(key, u._lo, x0):
+            if x[0] == POINT:
+                d = f.sub(x[1], c)
                 if not f.is_zero(d):
                     s = max(s, f.ord(d) + 1)
-            elif isinstance(fac, BallF):
-                s = max(s, fac.r)
-            a = mod[i]
-            if not f.is_zero(a):
-                s = max(s, 1 - f.ord(a))
+            elif x[0] == BALL:
+                s = max(s, x[1])
+                if x[3]:
+                    s = max(s, 1 - e - _vp(x[3], q))
+            elif not f.is_zero(x[1]):
+                s = max(s, 1 - f.ord(x[1]))
     return s
 
 
@@ -101,37 +103,43 @@ def _ray_profile(w: MixedCellDistribution, xi0):
     which every windowed term vanishes identically (None if there are none),
     and ``survivors`` maps character frequencies beta to their merged scalar
     coefficients; along the ray, below the threshold, the transform equals
-    sum_beta survivors[beta] * psi(beta * lam) exactly.
+    sum_beta survivors[beta] * psi(beta * lam) exactly.  A ball's centre is
+    read on its code at origin lo: 0 exactly when the code is, and of ord
+    lo + v_q(code) otherwise.
     """
-    f = w.field
+    f, q = w.field, w.field.q
+    ords = [None if f.is_zero(c) else f.ord(c) for c in xi0]
     thresholds = []
     coefs = {}  # beta -> its terms' coefficients, betas in order of first use
-    for coef, mod, fs in w.terms:
+    for coef, key in w._coded:
         kill = None  # widest vanishing window over the term's coordinates
         alive = True
-        for i, fac in enumerate(fs):
-            if isinstance(fac, BallF):
-                c, radius = fac.center, fac.r
-                if f.is_zero(xi0[i]):
+        for x, e, o in zip(key, w._lo, ords):
+            if x[0] == BALL:
+                _, radius, c, _ = x
+                if o is None:
                     # constant factor: does the ball contain 0?
-                    if f.ord(c) < radius:
+                    if c:
                         alive = False
                         break
                 else:
-                    t = min(f.ord(c), radius) - f.ord(xi0[i])
+                    t = (min(e + _vp(c, q), radius) if c else radius) - o
                     kill = t if kill is None else max(kill, t)
-            # FullF factors restrict to unit-modulus characters; DeltaF cannot
-            # appear in the transform of a compactly supported localization.
+            # lines restrict to unit-modulus characters; point masses cannot
+            # appear in the transform of a compactly supported localization
         if not alive:
             continue
         if kill is not None:
             thresholds.append(kill)
             continue
+        # on a survivor every ball sits where xi0 is 0: only lines add to beta
         beta = f.zero()
-        for i in range(w.n):
-            beta = f.add(beta, f.mul(mod[i], xi0[i]))
+        for x, c in zip(key, xi0):
+            if x[0] == LINE:
+                beta = f.add(beta, f.mul(x[1], c))
         coefs.setdefault(beta, []).append(coef)
-    sums = ((b, CycloScalar.sum(f.p, cs)) for b, cs in coefs.items())
+    # a lone coefficient is canonical already
+    sums = ((b, cs[0] if len(cs) == 1 else CycloScalar.sum(f.p, cs)) for b, cs in coefs.items())
     survivors = {b: c for b, c in sums if not c.is_zero()}
     threshold = min(thresholds) if thresholds else None
     return threshold, survivors
@@ -190,10 +198,10 @@ def is_smooth_at(
         raise FieldError("scaling subgroup lives on a different field")
 
     s_max = _stabilizing_level(u, x0)
+    one = CycloScalar.one(f.p)
     profiles = []  # (level, threshold, survivors)
     for s in range(1, s_max + 1):
-        chi = SchwartzBruhat.indicator(Polyball.ball(f, x0, s))
-        loc = u.mul_by_sb(chi)
+        loc = u.mul_by_sb(_ball_indicator(f, x0, s, one))
         if loc.is_zero():
             return SmoothnessVerdict(
                 "smooth", s, None, (), "distribution vanishes near the base point"
@@ -233,6 +241,16 @@ def is_smooth_at(
     else:
         detail = "survivor character sum vanished on all probed subgroup classes"
     return SmoothnessVerdict("undecided", s, threshold, (), detail)
+
+
+def _ball_indicator(f, x0, s: int, one: CycloScalar) -> SchwartzBruhat:
+    """The indicator of B_s(x0) on codes (``schwartz`` docstring): its one
+    cell's centre cut at s, coded at the origin min(s, ord of the cut
+    centre) of each coordinate."""
+    centre = [f.canon_trunc(x, s) for x in x0]
+    lo = tuple(s if f.is_zero(c) else min(s, f.ord(c)) for c in centre)
+    key = tuple(f.residue_code(c, e) for c, e in zip(centre, lo))
+    return SchwartzBruhat._trusted(f, len(lo), (s,) * len(lo), lo=lo, codes={key: one})
 
 
 def _reps_at_ord(subgroup: LambdaSubgroup, e: int, cap: int):

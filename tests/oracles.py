@@ -30,8 +30,9 @@ from umla.cexp.syntax import (
     Var,
 )
 from umla.cyclo import CycloScalar
+from umla.distribution import FULL, BallF, DeltaF, NonCompactSupport
 from umla.fibers import _Search, _critical_values, fiber_integrate
-from umla.fields import LaurentPoly, LocalField, Polyball
+from umla.fields import LaurentPoly, LocalField, Polyball, ball_intersect_1d
 from umla.polys import ring_det, sylvester_matrix
 
 
@@ -582,3 +583,195 @@ def quadratic_gauss_integral_q2(k: int, a: int) -> CycloScalar:
     if k % 2 == 0:
         return CycloScalar(2, [(-k, Fraction(0), 1), (-k, Fraction(a % 4, 4), 1)])
     return CycloScalar(2, [(1 - k, Fraction(a % 8, 8), 1)])
+
+
+# -- mixed-cell distributions on field elements ---------------------------------
+#
+# The per-coordinate factor rules as they ran on field elements before the
+# distribution terms moved to integer codes, and the operations of
+# ``MixedCellDistribution`` rebuilt from them: references that the coded
+# rules are checked against term by term.  A term is (coef, mod, factors)
+# with element modulations, as ``MixedCellDistribution.terms`` lists them.
+
+
+def factor_canonical(field: LocalField, fac, a) -> tuple:
+    """(e2, angle, a', fac'): a ball truncates its centre at r and its
+    modulation at the conductor 1 - r and gains psi of the discarded digits
+    times the centre; a point mass absorbs psi(a * point); a line keeps a."""
+    if isinstance(fac, BallF):
+        z = field.canon_trunc(fac.center, fac.r)
+        a2 = field.canon_trunc(a, 1 - fac.r)
+        return 0, field.psi_angle(field.mul(field.sub(a, a2), z)), a2, BallF(z, fac.r)
+    if isinstance(fac, DeltaF):
+        return 0, field.psi_angle(field.mul(a, fac.point)), field.zero(), fac
+    return 0, Fraction(0), a, fac
+
+
+def factor_push(field: LocalField, fac, s, b) -> tuple:
+    """(fac', e2): the image under x -> s x + b, with e2 = 2 ord(s) for a
+    density and 0 for a point mass."""
+    if isinstance(fac, BallF):
+        center = field.add(field.mul(s, fac.center), b)
+        return BallF(center, fac.r + field.ord(s)), 2 * field.ord(s)
+    if isinstance(fac, DeltaF):
+        return DeltaF(field.add(field.mul(s, fac.point), b)), 0
+    return fac, 2 * field.ord(s)
+
+
+def factor_meet(field: LocalField, fac, z, lev):
+    """The factor times the indicator of B_lev(z), or None when it is 0."""
+    if isinstance(fac, BallF):
+        got = ball_intersect_1d(field, z, lev, fac.center, fac.r)
+        return None if got is None else BallF(*got)
+    if isinstance(fac, DeltaF):
+        return None if field.ord(field.sub(fac.point, z)) < lev else fac
+    return BallF(z, lev)
+
+
+def factor_mass(field: LocalField, fac, a):
+    """(e2, angle) with the integral of psi(a x) against the factor equal to
+    q^(e2/2) psi(angle), or None when it is 0."""
+    if isinstance(fac, BallF):
+        if not field.is_zero(a) and field.ord(a) < 1 - fac.r:
+            return None
+        return -2 * fac.r, field.psi_angle(field.mul(a, fac.center))
+    if isinstance(fac, DeltaF):
+        return 0, field.psi_angle(field.mul(a, fac.point))
+    raise NonCompactSupport("the line has infinite mass")
+
+
+def factor_fourier(field: LocalField, fac, a) -> tuple:
+    """(e2, angle, a', fac') of the transform of psi(a x) times the factor."""
+    if isinstance(fac, BallF):
+        angle = field.psi_angle(field.mul(fac.center, a))
+        return -2 * fac.r, angle, fac.center, BallF(field.neg(a), 1 - fac.r)
+    if isinstance(fac, DeltaF):
+        return 0, Fraction(0), fac.point, FULL
+    return -2, Fraction(0), field.zero(), DeltaF(field.neg(a))
+
+
+def factor_contains(field: LocalField, fac, x) -> bool:
+    if isinstance(fac, BallF):
+        return field.ord(field.sub(x, fac.center)) >= fac.r
+    if isinstance(fac, DeltaF):
+        return field.is_zero(field.sub(x, fac.point))
+    return True
+
+
+def terms_by_field_ops(field: LocalField, raw) -> tuple:
+    """The canonical terms of raw (coef, parts) pairs, parts per coordinate
+    (e2, angle, a, factor): each coordinate canonicalised by
+    ``factor_canonical``, the coefficient times q^(sum e2 / 2) psi(sum
+    angle), equal (mod, factors) merged in order of first nonzero term."""
+    merged: dict = {}
+    for coef, parts in raw:
+        e2, angle, mod, fs = 0, Fraction(0), [], []
+        for de2, dangle, a, fac in parts:
+            ce2, cangle, a, fac = factor_canonical(field, fac, a)
+            e2 += de2 + ce2
+            angle += dangle + cangle
+            mod.append(a)
+            fs.append(fac)
+        coef = coef.q_shift(e2).rotate(angle)
+        if not coef.is_zero():
+            merged.setdefault((tuple(mod), tuple(fs)), []).append(coef)
+    out = []
+    for (mod, fs), coefs in merged.items():
+        coef = CycloScalar.sum(field.p, coefs)
+        if not coef.is_zero():
+            out.append((coef, mod, fs))
+    return tuple(out)
+
+
+def mul_by_sb_by_field_ops(u, phi) -> tuple:
+    """The terms of ``u.mul_by_sb(phi)``: every factor met with every cell."""
+    field, raw = u.field, []
+    for coef, mod, fs in u.terms:
+        for center, cphi in phi.cells.items():
+            met = [factor_meet(field, f, z, lev) for f, z, lev in zip(fs, center, phi.levels)]
+            if None not in met:
+                raw.append((coef * cphi, [(0, 0, a, f) for a, f in zip(mod, met)]))
+    return terms_by_field_ops(field, raw)
+
+
+def evaluate_by_field_ops(u, phi) -> CycloScalar:
+    """``u.evaluate(phi)``: the mass of every factor met with every cell."""
+    field, raw = u.field, []
+    for coef, mod, fs in u.terms:
+        for center, cphi in phi.cells.items():
+            e2, angle = 0, Fraction(0)
+            for a, f, z, lev in zip(mod, fs, center, phi.levels):
+                g = factor_meet(field, f, z, lev)
+                got = None if g is None else factor_mass(field, g, a)
+                if got is None:
+                    break
+                e2 += got[0]
+                angle += got[1]
+            else:
+                raw += [(e2 + t, angle + ang, c) for t, ang, c in coef * cphi]
+    return CycloScalar(field.p, raw)
+
+
+def fourier_dist_by_field_ops(u) -> tuple:
+    """The terms of ``u.fourier_dist()``, factor by factor."""
+    field = u.field
+    raw = [
+        (coef, [factor_fourier(field, f, a) for a, f in zip(mod, fs)])
+        for coef, mod, fs in u.terms
+    ]
+    return terms_by_field_ops(field, raw)
+
+
+def pushforward_by_field_ops(f_map, u) -> tuple:
+    """The terms of ``pushforward(f_map, u)`` for a map whose rows each read
+    at most one coordinate (``AffineMap.coordinate_parts``)."""
+    field = u.field
+    parts = f_map.coordinate_parts()
+    read = {part[0] for part in parts if part is not None}
+    raw = []
+    for coef, mod, fs in u.terms:
+        e2, angle = 0, Fraction(0)
+        for j in range(f_map.n_in):
+            if j in read:
+                continue
+            got = factor_mass(field, fs[j], mod[j])
+            if got is None:
+                break
+            e2 += got[0]
+            angle += got[1]
+        else:
+            out = []
+            for part, b in zip(parts, f_map.shift):
+                if part is None:
+                    out.append((0, 0, field.zero(), DeltaF(b)))
+                    continue
+                j, s = part
+                na = field.mul(mod[j], field.invert(s))
+                fac, de2 = factor_push(field, fs[j], s, b)
+                out.append((de2, -field.psi_angle(field.mul(na, b)), na, fac))
+            raw.append((coef.q_shift(e2).rotate(angle), out))
+    return terms_by_field_ops(field, raw)
+
+
+def pullback_by_field_ops(f_map, u) -> tuple:
+    """The terms of ``pullback(f_map, u)`` for a map whose rows each read
+    at most one coordinate, its constant rows meeting no point mass."""
+    field = u.field
+    parts = f_map.coordinate_parts()
+    raw = []
+    for coef, mod, fs in u.terms:
+        out = [(0, 0, field.zero(), FULL)] * f_map.n_in
+        angle = Fraction(0)
+        for part, a, fac, b in zip(parts, mod, fs, f_map.shift):
+            if part is None:
+                if not factor_contains(field, fac, b):
+                    break
+                angle += field.psi_angle(field.mul(a, b))
+                continue
+            j, s = part
+            si = field.invert(s)
+            nfac, de2 = factor_push(field, fac, si, field.neg(field.mul(b, si)))
+            out[j] = (de2 + 2 * field.ord(s), field.psi_angle(field.mul(a, b)), field.mul(a, s), nfac)
+        else:
+            raw.append((coef.rotate(angle), out))
+    return terms_by_field_ops(field, raw)

@@ -4,9 +4,11 @@ Closed-form rules are checked against pairings computed through the plain
 cell-function layer, and against hand-derived frozen values.
 """
 
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from umla.cyclo import CycloScalar
 from umla.distribution import (
@@ -17,12 +19,28 @@ from umla.distribution import (
     MixedCellDistribution,
     NonCompactSupport,
     SeriesDistribution,
+    _contains,
 )
 from umla.fields import FieldError, Polyball, make_field
+from umla.microlocal.maps import AffineMap, MapError, pullback, pushforward
 from umla.schwartz import SchwartzBruhat
 
 from conftest import CELL_FIELDS, rng_for, sample_element, sample_nonzero
-from oracles import children_by_field_ops, riemann_integral
+from oracles import (
+    children_by_field_ops,
+    evaluate_by_field_ops,
+    factor_canonical,
+    factor_contains,
+    factor_mass,
+    factor_meet,
+    factor_push,
+    fourier_dist_by_field_ops,
+    mul_by_sb_by_field_ops,
+    pullback_by_field_ops,
+    pushforward_by_field_ops,
+    riemann_integral,
+    terms_by_field_ops,
+)
 from test_schwartz import random_sb
 
 
@@ -369,7 +387,8 @@ def test_translate_rejects_wrong_length():
 
 
 # ---------------------------------------------------------------------------
-# laws of the per-coordinate factor rules
+# laws of the per-coordinate rules on codes, each against its element
+# reference in tests/oracles.py
 # ---------------------------------------------------------------------------
 
 
@@ -382,7 +401,15 @@ def random_factor(field, rng):
     return FULL
 
 
+def one_term(field, fac, a=None, coef=1):
+    """The distribution coef * psi(a x) * fac on the line."""
+    a = field.zero() if a is None else a
+    return MixedCellDistribution(field, 1, [(coef, (a,), (fac,))])
+
+
 def test_push_then_inverse_push_is_identity(field):
+    # pushforward along x -> s x + b moves the factor as oracles.factor_push
+    # does and scales a density by |s|^-1; the inverse map moves it back
     rng = rng_for(f"factor-push:{field!r}")
     for _ in range(30):
         fac = random_factor(field, rng)
@@ -392,57 +419,78 @@ def test_push_then_inverse_push_is_identity(field):
         )
         b = sample_element(field, rng, -2, 3)
         inv = field.invert(s)
-        image, e2 = fac.push(field, s, b)
-        back, e2_back = image.push(field, inv, field.neg(field.mul(inv, b)))
-        assert back == fac
-        assert e2 + e2_back == 0
+        u = one_term(field, fac)
+        image = pushforward(AffineMap(field, ((s,),), (b,)), u)
+        want, e2 = factor_push(field, fac, s, b)
         assert e2 == (0 if isinstance(fac, DeltaF) else 2 * field.ord(s))
+        ((coef, mod, fs),) = image.terms
+        assert fs == factor_canonical(field, want, field.zero())[3:]
+        assert coef == CycloScalar.q_pow(field.p, e2)
+        back = pushforward(AffineMap(field, ((inv,),), (field.neg(field.mul(inv, b)),)), image)
+        assert back.to_json() == u.to_json()
 
 
 def test_meet_agrees_with_contains(field):
+    # the coded meet (mul_by_sb with one ball) against the coded contains,
+    # and against oracles.factor_meet
     rng = rng_for(f"factor-meet:{field!r}")
     for _ in range(30):
         fac = random_factor(field, rng)
         z, lev = sample_element(field, rng, -1, 3), rng.randrange(-1, 3)
-        met = fac.meet(field, z, lev)
+        u = one_term(field, fac)
+        met = u.mul_by_sb(SchwartzBruhat.indicator(Polyball.ball(field, (z,), lev)))
+        ref = factor_meet(field, fac, z, lev)
+        if ref is None:
+            assert met.is_zero()
+        else:
+            ref = factor_canonical(field, ref, field.zero())[3]
+            assert met.terms == ((CycloScalar.one(field.p), (field.zero(),), (ref,)),)
         ball = BallF(z, lev)
         # random points, plus the ball's centre and the factor's own centre
         # or point, so that the inside of both supports is probed too
         probes = [sample_element(field, rng, -2, 4) for _ in range(12)] + [z]
         probes += [getattr(fac, name) for name in ("center", "point") if hasattr(fac, name)]
         for x in probes:
-            want = fac.contains(field, x) and ball.contains(field, x)
-            assert (met is not None and met.contains(field, x)) == want
+            want = factor_contains(field, fac, x) and factor_contains(field, ball, x)
+            got = any(
+                _contains(field, e, entry, x)
+                for _, key in met._coded
+                for entry, e in zip(key, met._lo)
+            )
+            assert got == want
+            assert _contains(field, u._lo[0], u._coded[0][1][0], x) == factor_contains(field, fac, x)
 
 
 def test_ball_mass_matches_riemann_sum(field):
+    # the coded mass, read by pairing psi(a x) 1_B with the indicator of B
     rng = rng_for(f"factor-mass:{field!r}")
     for _ in range(12):
         r = rng.randrange(-1, 2)
         fac = BallF(sample_element(field, rng, -1, 2), r)
         a = sample_nonzero(field, rng, -r - 1, 3) if rng.random() < 0.8 else field.zero()
         level = r if field.is_zero(a) else max(r, 1 - field.ord(a))
-        got = fac.mass(field, a)
+        ball = Polyball.ball(field, (fac.center,), r)
+        got = one_term(field, fac, a).evaluate(SchwartzBruhat.indicator(ball))
         want = riemann_integral(
-            field,
-            lambda c: field.psi(field.mul(a, c[0])),
-            Polyball.ball(field, (fac.center,), r),
-            level,
+            field, lambda c: field.psi(field.mul(a, c[0])), ball, level
         )
-        if got is None:
-            assert want.is_zero()
-        else:
-            e2, angle = got
-            assert CycloScalar.q_pow(field.p, e2).rotate(angle) == want
+        assert got == want
+        ref = factor_mass(field, fac, a)
+        assert want == (
+            CycloScalar.zero(field.p)
+            if ref is None
+            else CycloScalar.q_pow(field.p, ref[0]).rotate(ref[1])
+        )
 
 
 @pytest.mark.parametrize("field", CELL_FIELDS, ids=repr)
 def test_canonical_fast_cases_equal_the_full_rule(field):
-    # the full rules: a ball truncates its centre at r and its modulation at
-    # 1 - r, and gains psi of the discarded modulation times the centre; a
-    # point mass absorbs psi(a * point)
+    # the full rules (oracles.factor_canonical): a ball truncates its centre
+    # at r and its modulation at 1 - r, and gains psi of the discarded
+    # modulation times the centre; a point mass absorbs psi(a * point)
     rng = rng_for(f"factor-canonical:{field!r}")
     zero = field.zero()
+    one = CycloScalar.one(field.p)
     fast = 0
     for _ in range(60):
         r = rng.randrange(-1, 3)
@@ -451,16 +499,14 @@ def test_canonical_fast_cases_equal_the_full_rule(field):
         z = field.canon_trunc(ball.center, r)
         a2 = field.canon_trunc(a, 1 - r)
         angle = field.psi_angle(field.mul(field.sub(a, a2), z))
-        assert ball.canonical(field, a) == (0, angle, a2, BallF(z, r))
+        assert factor_canonical(field, ball, a) == (0, angle, a2, BallF(z, r))
+        assert one_term(field, ball, a).terms == ((one.rotate(angle), (a2,), (BallF(z, r),)),)
         delta = DeltaF(sample_element(field, rng, -1, 4))
-        want = (0, field.psi_angle(field.mul(a, delta.point)), zero, delta)
-        assert delta.canonical(field, a) == want
-        # canonical inputs come back as the same objects, with angle 0
-        canon = BallF(z, r)
-        e2, angle, got_a, got = canon.canonical(field, a2)
-        assert (e2, angle, got_a) == (0, 0, a2) and got is canon
-        e2, angle, got_a, got = delta.canonical(field, zero)
-        assert (e2, angle, got_a) == (0, 0, zero) and got is delta
+        angle = field.psi_angle(field.mul(a, delta.point))
+        assert one_term(field, delta, a).terms == ((one.rotate(angle), (zero,), (delta,)),)
+        # canonical inputs come back as they are, with angle 0
+        assert one_term(field, BallF(z, r), a2).terms == ((one, (a2,), (BallF(z, r),)),)
+        assert one_term(field, delta).terms == ((one, (zero,), (delta,)),)
         fast += ball.center == z or a == a2
     assert 0 < fast < 60
 
@@ -495,3 +541,161 @@ def test_canonical_terms_build_the_same_distribution_as_shifted_copies(field):
         w = MixedCellDistribution(field, 2, u.terms)
         assert v.to_json() == w.to_json() == u.to_json()
     assert moved >= 5
+
+
+# ---------------------------------------------------------------------------
+# the coded store against the element rules, term by term
+# ---------------------------------------------------------------------------
+
+
+def any_element(field, rng, lo=-3, hi=3):
+    """A random element, zero a fifth of the time; over Q_p sometimes a
+    Fraction with no finite expansion, such as 1/3 in Q_2."""
+    if rng.random() < 0.2:
+        return field.zero()
+    x = sample_element(field, rng, lo, hi)
+    if field.kind == "p-adic" and rng.random() < 0.3:
+        unit = rng.choice([u for u in range(2, 3 * field.p) if u % field.p])
+        x += Fraction(rng.randrange(1, field.p), unit) * Fraction(field.p) ** rng.randrange(lo, hi)
+    return x
+
+
+def coded_case(field, rng, n, max_terms=3):
+    """Raw terms with negative radii, zero and nonzero modulations, and
+    every kind of factor."""
+    raw = []
+    for _ in range(rng.randrange(1, max_terms + 1)):
+        mod, fs = [], []
+        for _ in range(n):
+            kind = rng.choice(["ball", "ball", "full", "delta"])
+            mod.append(any_element(field, rng))
+            if kind == "ball":
+                fs.append(BallF(any_element(field, rng, -2, 4), rng.randrange(-3, 4)))
+            elif kind == "delta":
+                fs.append(DeltaF(any_element(field, rng, -2, 4)))
+            else:
+                fs.append(FULL)
+        coef = CycloScalar.root(
+            field.p, Fraction(rng.randrange(field.p), field.p), Fraction(rng.randrange(1, 5))
+        )
+        raw.append((coef, tuple(mod), tuple(fs)))
+    return raw
+
+
+def random_cells(field, rng, n):
+    """A cell function with levels from -2 to 2 and centres near 0."""
+    levels = tuple(rng.randrange(-2, 3) for _ in range(n))
+    cells = {}
+    for _ in range(rng.randrange(1, 4)):
+        center = tuple(sample_element(field, rng, -3, max(levels) + 1) for _ in range(n))
+        cells[center] = CycloScalar.fraction(field.p, Fraction(rng.randrange(1, 9), rng.randrange(1, 4)))
+    return SchwartzBruhat(field, n, levels, cells)
+
+
+def random_scale(field, rng):
+    """A coordinate scale u pi^k: u a digit, or over Q_p a unit Fraction."""
+    u = field.from_int(rng.randrange(1, field.p))
+    if field.kind == "p-adic" and rng.random() < 0.5:
+        u = Fraction(rng.choice([1, field.p + 1, 2 * field.p - 1]), rng.choice([1, field.p + 1]))
+    return field.mul(u, field.pow_uniformizer(rng.randrange(-2, 3)))
+
+
+def random_coordinate_map(field, rng, n_in):
+    """A map whose rows each read at most one coordinate: a permuted
+    diagonal iso, a projection dropping the last coordinate, or an
+    inclusion with one constant row."""
+    kind = rng.choice(["iso", "iso", "projection", "inclusion"] if n_in == 2 else ["iso", "inclusion"])
+    zero = field.zero()
+    cols = list(range(n_in))
+    rng.shuffle(cols)
+    if kind == "projection":
+        cols = cols[:1]
+    # only an iso scales; projections and inclusions read coordinates as they are
+    scale = (lambda: random_scale(field, rng)) if kind == "iso" else field.one
+    rows = [tuple(scale() if j == c else zero for j in range(n_in)) for c in cols]
+    if kind == "inclusion":
+        rows.insert(rng.randrange(len(rows) + 1), (zero,) * n_in)
+    shift = tuple(any_element(field, rng) for _ in rows)
+    return AffineMap(field, tuple(rows), shift)
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(st.sampled_from(CELL_FIELDS), st.sampled_from([1, 2]), st.integers(0, 10**6))
+def test_coded_terms_and_operations_match_the_element_rules(field, n, seed):
+    rng = random.Random(seed)
+    raw = coded_case(field, rng, n)
+    u = MixedCellDistribution(field, n, raw)
+    assert u.terms == terms_by_field_ops(
+        field, [(coef, [(0, 0, a, f) for a, f in zip(mod, fs)]) for coef, mod, fs in raw]
+    )
+    phi = random_cells(field, rng, n)
+    assert u.mul_by_sb(phi).terms == mul_by_sb_by_field_ops(u, phi)
+    assert u.evaluate(phi) == evaluate_by_field_ops(u, phi)
+    assert u.fourier_dist().terms == fourier_dist_by_field_ops(u)
+    if u.is_density():
+        x = tuple(sample_element(field, rng, -3, 4) for _ in range(n))
+        want = CycloScalar.sum(field.p, [
+            coef * field.psi_pair(mod, x)
+            for coef, mod, fs in u.terms
+            if all(factor_contains(field, f, c) for f, c in zip(fs, x))
+        ])
+        assert u.pointwise_eval(x) == want
+    # translation and reflection are pushforwards along x -> x + v, x -> -x
+    v = tuple(any_element(field, rng) for _ in range(n))
+    one, zero = field.one(), field.zero()
+    diag = lambda s: tuple(tuple(s if i == j else zero for j in range(n)) for i in range(n))
+    assert u.translate(v).terms == pushforward_by_field_ops(AffineMap(field, diag(one), v), u)
+    assert u.reflect().terms == pushforward_by_field_ops(
+        AffineMap(field, diag(field.neg(one)), (zero,) * n), u
+    )
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(st.sampled_from(CELL_FIELDS), st.sampled_from([1, 2]), st.integers(0, 10**6))
+def test_coded_monomial_maps_match_the_element_rules(field, n, seed):
+    rng = random.Random(seed)
+    u = MixedCellDistribution(field, n, coded_case(field, rng, n))
+    f_map = random_coordinate_map(field, rng, n)
+    try:
+        got = pushforward(f_map, u)
+    except MapError:
+        # a full line in a dropped coordinate
+        assert f_map.n_out < n and not u.is_compact()
+    else:
+        assert got.terms == pushforward_by_field_ops(f_map, u)
+    w = MixedCellDistribution(field, f_map.n_out, coded_case(field, rng, f_map.n_out))
+    try:
+        got = pullback(f_map, w)
+    except MapError:
+        # the conormal check of an inclusion: a point mass on its image
+        assert f_map.n_out > n and not w.is_density()
+    else:
+        assert got.terms == pullback_by_field_ops(f_map, w)
+
+
+@pytest.mark.parametrize("kind", ["p-adic", "equal-characteristic"])
+def test_constructors_check_their_elements(kind):
+    field = make_field(kind, 3)
+    other = make_field("equal-characteristic" if kind == "p-adic" else "p-adic", 3)
+    wrong = [other.one(), 0.5, "1", True]
+    if kind == "equal-characteristic":
+        wrong.append(make_field(kind, 5).one())  # a Fraction has no p to check
+    for x in wrong:
+        with pytest.raises(FieldError, match="point mass in coordinate 1"):
+            MixedCellDistribution.delta(field, [field.one(), x])
+        with pytest.raises(FieldError, match="modulation of coordinate 0"):
+            MixedCellDistribution.modulated_constant(field, [x])
+        with pytest.raises(FieldError, match="ball centre in coordinate 0"):
+            MixedCellDistribution(field, 1, [(1, (field.zero(),), (BallF(x, 0),))])
+    # ints are lifted with from_int on both kinds
+    assert MixedCellDistribution.delta(field, [2]).to_json() == (
+        MixedCellDistribution.delta(field, [field.from_int(2)]).to_json()
+    )
+    u = MixedCellDistribution(field, 1, [(1, (1,), (BallF(4, -1),))])
+    v = MixedCellDistribution(
+        field, 1, [(1, (field.one(),), (BallF(field.from_int(4), -1),))]
+    )
+    assert u.to_json() == v.to_json()
+    assert MixedCellDistribution.delta(field, [field.one()]).translate([1]).to_json() == (
+        MixedCellDistribution.delta(field, [2]).to_json()
+    )

@@ -26,6 +26,7 @@ that ``level_measure`` finds agree too.
 import pytest
 
 from umla.cyclo import CycloScalar
+from umla.distribution import MixedCellDistribution
 from umla.fibers import FiberProblem, fiber_integrate, level_measure, padic_roots
 from umla.fields import Polyball, make_field
 from umla.polys import MultiPoly, ring_det, sylvester_matrix
@@ -145,3 +146,61 @@ def test_square_map_values_agree(p):
                 checked += 1
                 nonzero += not want.is_zero()
     assert checked == 48 and nonzero >= 8
+
+
+# -- Fourier transforms of integral balls ---------------------------------------
+#
+# The transform of 1_{B_r(z)} is q^(-r) psi(z xi) on B_(1-r)(0), constant on
+# the cells of level 1 - a, a = min(r, ord z).  For z = c pi^k with c a digit
+# the cells are the same digit codes over both fields, and psi(z xi) reads
+# the L = r - a digits of xi at 1 - r to -a.  For L <= 1 that is the one
+# digit d at -k, and psi(z xi) = exp(2 pi i c d / p) over Q_p and over
+# F_p((t)) alike.  For L >= 2 the two characters differ by construction:
+# over Q_p the lower digits add p^L-th roots of unity, and over F_p((t))
+# psi reads the digit at t^0 alone.  So the coefficients are compared only
+# for k >= r - 1; the cells are compared for every r and k.
+
+_ORIGIN = -8  # below every centre and level of these cases
+
+
+def _codes(field, point) -> tuple:
+    return tuple(field.residue_code(x, _ORIGIN) for x in point)
+
+
+def _ball_cases():
+    for p in PRIMES:
+        for r in range(-1, 3):
+            for k in range(-1, 3):
+                for c in (0, 1, p - 1):
+                    yield p, r, k, c
+
+
+def _dist_rendering(field, u) -> list:
+    """The terms of u as (coef, modulation codes, (radius, centre code))."""
+    return [
+        (
+            coef,
+            _codes(field, mod),
+            tuple((f.r, field.residue_code(f.center, _ORIGIN)) for f in fs),
+        )
+        for coef, mod, fs in u.terms
+    ]
+
+
+@pytest.mark.parametrize("p, r, k, c", list(_ball_cases()))
+def test_fourier_of_integral_balls_agrees_between_the_field_kinds(p, r, k, c):
+    got = []
+    for field in FIELD_PAIRS[p]:
+        z = field.mul(field.from_int(c), field.pow_uniformizer(k))
+        phi = SchwartzBruhat.indicator(Polyball.ball(field, (z,), r))
+        hat = phi.fourier()
+        cells = {_codes(field, key): coef for key, coef in hat.cells.items()}
+        u = MixedCellDistribution.from_sb(phi).fourier_dist()
+        got.append((hat.levels, cells, _dist_rendering(field, u)))
+    (levels_q, cells_q, dist_q), (levels_t, cells_t, dist_t) = got
+    assert levels_q == levels_t
+    assert cells_q.keys() == cells_t.keys()
+    assert [t[1:] for t in dist_q] == [t[1:] for t in dist_t]
+    if k >= r - 1 or c == 0:
+        assert cells_q == cells_t
+        assert dist_q == dist_t
