@@ -68,15 +68,16 @@ x alone.  The key is the field itself, since Q_p and F_p((t)) share p.
 
 Every decision of the walk reads ``lam`` only through ``ord(lam)``: the
 level ``L``, the budget check, the dropped subtrees and the skip rule.  The
-integral is therefore computed in two steps.  ``_walk`` takes ``ord(lam)``,
-makes every decision, and keeps, per support cell, the phase values
-``p(c, eta)`` at the level-``L`` centres that are not skipped; ``_angles``
-counts, once per walk, what psi reads from ``m * p(c, eta)`` for a
-multiplier ``m`` of order ``ord(lam)``, and ``_sum`` adds
-``q^(-n L) psi(u m p(c, eta))`` for a unit ``u`` from those counts alone.
+integral is therefore computed in two steps.  A walk (``_Plan.walk``)
+takes ``ord(lam)``, makes every decision, and keeps, per support cell, the
+phase values ``p(c, eta)`` at the level-``L`` centres that are not
+skipped; ``_angles`` counts, once per walk, what psi reads from
+``m * p(c, eta)`` for a multiplier ``m`` of order ``ord(lam)``, and
+``_sum`` adds ``q^(-n L) psi(u m p(c, eta))`` for a unit ``u`` from those
+counts alone.
 
 From the split to the psi angle a walk runs on integer codes, in one
-format per walk (``polys.walk_codes``): every coordinate of a cell, centre
+format per call (``polys.walk_codes``): every coordinate of a cell, centre
 and ``eta`` alike, is one int; a child is its parent's code plus a step.
 At each point, ``_OrdsAt`` builds one power table of its codes and of the
 walk's denominator, up to the largest degree of the phase's forms, on its
@@ -108,7 +109,19 @@ mod p.  :func:`oscillatory_integral` is one walk and one sum, with
 ``m = lam`` and ``u = 1``.  The verification of
 :func:`stationary_phase_bound` makes one walk per (scale order ``e``,
 ``eta``), counts it once with ``m = pi^e``, and sums it for every unit
-class of that order without building ``lam``.
+class of that order without building ``lam``.  A walk that keeps no value
+is 0 at every unit class, the empty sum: its unit classes all get one zero
+scalar, built once per call, and nothing is twisted or summed.
+
+What the walks of one call share is set up once, in a plan (``_plan``):
+one code format for every walk, at the deepest level over all its scales
+and ``eta``; the codes of the support centres and of each ``eta``; and the
+ord bounds (lb, |a|) of the higher Taylor terms on each (support cell,
+``eta``), read by ``MultiPoly.ord_lower_bound``.  A walk adds only
+``ord(lam)``: each cell's level in closed form, the least
+``L >= max(levels)`` with ``lb + |a| L >= 1 - ord(lam)`` for every bound,
+and the budget check, made when the walk runs, in the order of the walks.
+:func:`oscillatory_integral` plans its one (lam, eta) the same way.
 """
 
 from __future__ import annotations
@@ -407,7 +420,12 @@ def stationary_phase_bound(
     u by an integer twist: with psi as in ``fields.psi_angle``, an angle
     j / p^K becomes u j mod p^K over Q_p, and over F_p((t)) a digit vector
     (w_0, ..., w_{1-d}) becomes sum_i u_i w_{-i} mod p.  lam = pi^e u is
-    built as a field element only for the witness of a contradiction.
+    built as a field element only for the witness of a contradiction.  A
+    walk that keeps no value makes the integral 0 at every unit class of its
+    order, so those integrals are one zero built once per call, with no
+    twist.  The walks share one plan (module docstring): the code format at
+    the deepest level of the window, the centre and eta codes, and the
+    Taylor-term ord bounds per (support cell, eta); each walk adds ord(lam).
 
     The threshold reads the Taylor terms' ord bounds at the coordinate
     bounds of supp(phi) x V: over x ``phi.support_radii()``, the least
@@ -422,6 +440,8 @@ def stationary_phase_bound(
     n, r_par = phi.n, V.n
     if p.n != n + r_par:
         raise FieldError("phase has wrong number of variables")
+    if V.field != field:
+        raise FieldError("parameter ball lives over a different field")
     for name, count in (
         ("verify_window", verify_window),
         ("verify_eta_samples", verify_eta_samples),
@@ -559,10 +579,13 @@ def oscillatory_integral(
     exceeding it raises :class:`CellBudgetError`.  The walk reads lam only
     through ord(lam); the psi values of lam times the kept phase values are
     then counted once and summed, as the unit class u = 1 of the
-    verification in :func:`stationary_phase_bound`.
+    verification in :func:`stationary_phase_bound`.  An int ``lam`` or
+    ``eta`` coordinate is read as ``field.from_int``.
     """
     field = phi.field
-    eta = tuple(eta)
+    eta = tuple(field.from_int(v) if isinstance(v, int) else v for v in eta)
+    if isinstance(lam, int):
+        lam = field.from_int(lam)
     if p.n != phi.n + len(eta):
         raise FieldError("phase has wrong number of variables")
     if field.is_zero(lam):
@@ -590,16 +613,24 @@ def _unit_scale_integrals(
     j / p^K becomes u j mod p^K; over F_p((t)), u = sum_{i<d} u_i t^i and a
     digit vector (w_0, ..., w_{1-d}) becomes sum_i u_i w_{-i} mod p, psi
     reading the t^0 digit.  No lam is built here.
+
+    When the walk keeps no value, every unit class of its order yields the
+    same zero, built once per call: the integral is the empty sum.  The
+    walks share one ``_plan`` of every eta and scale order, and each adds
+    its ord(lam) and its budget check, made when the walk runs.
     """
+    plan = _plan(field, phase, phi, etas, [e_ord for e_ord, _ in scales])
+    zero = CycloScalar.zero(field.p)
     for e_ord, depth in scales:
         pi_e = field.pow_uniformizer(e_ord)
         counts = [None] * len(etas)
         for ucode in field.unit_classes(depth):
             for i, eta in enumerate(etas):
                 if counts[i] is None:
-                    walk = _walk(field, phase, phi, eta, e_ord, budget)
+                    walk = plan.walk(field, phase, i, e_ord, budget)
                     counts[i] = _angles(field, walk, pi_e, depth)
-                yield e_ord, ucode, eta, _sum(field, phi.n, counts[i], ucode)
+                val = _sum(field, phi.n, counts[i], ucode) if counts[i] else zero
+                yield e_ord, ucode, eta, val
 
 
 class _Walk(NamedTuple):
@@ -613,6 +644,95 @@ class _Walk(NamedTuple):
     cells: list
 
 
+class _Plan(NamedTuple):
+    """What the walks of one call share, built once by :func:`_plan`: one
+    ``codes`` format for every walk, the support cells as (centre codes,
+    coef), the ``levels`` of ``phi``, and per eta (its codes, the ord
+    bounds (lb, |a|) of the higher Taylor terms on each support cell with
+    that eta).  A walk adds only ord(lam) (:meth:`walk`)."""
+
+    codes: QpCodes | LaurentCodes
+    cells: list
+    levels: tuple
+    etas: list
+
+    def walk(
+        self, field: LocalField, phase: _Phase, i: int, lam_ord: int, budget: int
+    ) -> _Walk:
+        """The cell walk of :func:`oscillatory_integral` at the i-th eta for
+        every lam of order ``lam_ord``, on phase data expanded in x alone.
+
+        Keeps, per support cell, (coef, L, values): the cell's coefficient,
+        its level L and the phase values p(c, eta) at the level-L centres c
+        that the skip rule keeps.  Every level and budget check comes first;
+        the cells are then split and the values kept on the plan's codes
+        alone (module docstring).
+        """
+        codes, levels = self.codes, self.levels
+        eta_codes, steps = self.etas[i]
+        todo = [_level(s, levels, lam_ord) for s in steps]
+        for level in todo:
+            cells = field.q ** sum(level - r for r in levels)
+            check_budget("oscillatory integral", cells, budget)
+        out = []
+        for (nums, coef), level in zip(self.cells, todo):
+            # walk the cell top-down: drop a subtree on which some lam * d_i p
+            # has one valuation below 1 - level, split any other cell above
+            # the level, and at the level keep p(c, eta) unless a gradient
+            # coordinate oscillates
+            values = []
+            stack = [(nums, levels)]
+            while stack:
+                nums, radii = stack.pop()
+                point = nums + eta_codes
+                ords = _OrdsAt(codes, phase.forms, point, phase.deg)
+                if min(radii) == level:
+                    if all(ords[ei] + lam_ord >= 1 - level for ei, _ in phase.grads):
+                        values.append(ords.value(phase.pform))
+                elif not _dominant(phase.grads, ords, radii, -level - lam_ord):
+                    split = tuple(min(r + 1, level) for r in radii)
+                    kids = _subcells(codes, nums, radii, split)
+                    stack.extend((sub, split) for sub in kids)
+            out.append((coef, level, values))
+        return _Walk(codes, phase.pform[1], out)
+
+
+def _level(steps: list, levels: tuple, lam_ord: int) -> int:
+    """The level L of a support cell: the least L >= max(levels) with
+    lb + w L >= 1 - lam_ord for every (lb, w) in ``steps``."""
+    return max([max(levels)] + [-((lb + lam_ord - 1) // w) for lb, w in steps])
+
+
+def _plan(
+    field: LocalField, phase: _Phase, phi: SchwartzBruhat, etas: list, lam_ords
+) -> _Plan:
+    """The :class:`_Plan` of the walks at every eta of ``etas`` and every
+    order of ``lam_ords``: the codes hold the deepest level of them all,
+    and the ord bounds of each (support cell, eta) are read once, by
+    ``MultiPoly.ord_lower_bound`` (``_term_bounds``)."""
+    levels = phi.levels
+    cells = phi.cells  # keyed by canonical centres already
+    center_lo = [_ball_coord_lo(field, c, levels) for c in cells]
+    steps = []
+    for eta in etas:
+        eta_lo = [field.ord(v) for v in eta]  # exact; INF for zero coordinates
+        steps.append(
+            [_term_bounds(field, phase.higher, lo + eta_lo) for lo in center_lo]
+        )
+    deepest = max(
+        (_level(s, levels, o) for o in lam_ords for row in steps for s in row),
+        default=max(levels),  # phi = 0 has no cell
+    )
+    xs = [x for c in cells for x in c] + [x for eta in etas for x in eta]
+    codes = walk_codes(field, xs, min(levels), deepest, phase.forms.values())
+    return _Plan(
+        codes,
+        [(tuple(map(codes.code, c)), coef) for c, coef in cells.items()],
+        levels,
+        [(tuple(map(codes.code, eta)), row) for eta, row in zip(etas, steps)],
+    )
+
+
 def _walk(
     field: LocalField,
     phase: _Phase,
@@ -621,55 +741,9 @@ def _walk(
     lam_ord: int,
     budget: int,
 ) -> _Walk:
-    """The cell walk of :func:`oscillatory_integral` for every lam of order
-    ``lam_ord``, on phase data expanded in x alone.
-
-    Keeps, per support cell of ``phi``, (coef, L, values): the cell's
-    coefficient, its level L and the phase values p(c, eta) at the level-L
-    centres c that the skip rule keeps.  Every level and budget check comes
-    first, since the deepest level fixes the walk's codes; the cells are
-    then split and the values kept on codes alone (module docstring).
-    """
-    eta_lo = [field.ord(v) for v in eta]  # exact; INF for zero coordinates
-    levels = phi.levels
-    todo = []
-    deepest = max(levels)
-    # the cell keys are canonical centres already
-    for center, coef in phi.cells.items():
-        coord_lo = _ball_coord_lo(field, center, levels) + eta_lo
-        steps = _term_bounds(field, phase.higher, coord_lo)
-        level = max(levels)
-        if steps:
-            while min(lb + w * level for lb, w in steps) + lam_ord < 1:
-                level += 1
-        cells = field.q ** sum(level - r for r in levels)
-        check_budget("oscillatory integral", cells, budget)
-        todo.append((center, coef, level))
-        deepest = max(deepest, level)
-    xs = [x for center in phi.cells for x in center] + list(eta)
-    codes = walk_codes(field, xs, min(levels), deepest, phase.forms.values())
-    eta_codes = tuple(map(codes.code, eta))
-    out = []
-    for center, coef, level in todo:
-        # walk the cell top-down: drop a subtree on which some lam * d_i p
-        # has one valuation below 1 - level, split any other cell above the
-        # level, and at the level keep p(c, eta) unless a gradient
-        # coordinate oscillates
-        values = []
-        stack = [(tuple(map(codes.code, center)), levels)]
-        while stack:
-            nums, radii = stack.pop()
-            point = nums + eta_codes
-            ords = _OrdsAt(codes, phase.forms, point, phase.deg)
-            if min(radii) == level:
-                if all(ords[ei] + lam_ord >= 1 - level for ei, _ in phase.grads):
-                    values.append(ords.value(phase.pform))
-            elif not _dominant(phase.grads, ords, radii, -level - lam_ord):
-                split = tuple(min(r + 1, level) for r in radii)
-                kids = _subcells(codes, nums, radii, split)
-                stack.extend((sub, split) for sub in kids)
-        out.append((coef, level, values))
-    return _Walk(codes, phase.pform[1], out)
+    """The walk of one (lam, eta): :meth:`_Plan.walk` on a plan of its own."""
+    plan = _plan(field, phase, phi, [eta], [lam_ord])
+    return plan.walk(field, phase, 0, lam_ord, budget)
 
 
 def _angles(field: LocalField, walk: _Walk, mult, depth: int) -> list:
@@ -681,12 +755,12 @@ def _angles(field: LocalField, walk: _Walk, mult, depth: int) -> list:
     ``psi_angle(mult v) = j / den``, den = p^t for T = b D^m p = p^t T'.
     Over F_p((t)), it counts the digit vectors (w_0, w_{-1}, ...,
     w_{1-depth}) of w = mult v, and den = p.  A walk that keeps no value
-    counts nothing.
+    counts nothing, and the list is empty.
     """
     codes, deg, cells = walk
     p = field.p
     if not any(values for _, _, values in cells):
-        return [(coef, level, p, {}) for coef, level, _ in cells]
+        return []
     if field.kind == "p-adic":
         scale = mult.denominator * codes.den**deg * p
         den = p ** _vp(scale, p)

@@ -213,6 +213,15 @@ class TestOscillatoryIntegral:
         assert not want.is_zero()
         assert got == want
 
+    def test_zero_cell_function_integrates_to_zero(self, field):
+        # phi = 0 has no support cell, so the walk has no level to read
+        f = field
+        p = parse_poly("x^2*e", ("x", "e"))
+        phi = SchwartzBruhat(f, 1, (0,), {})
+        for o in (1, -3):
+            got = oscillatory_integral(p, phi, (f.one(),), f.pow_uniformizer(o))
+            assert got == CycloScalar.zero(f.p)
+
     def test_zero_scale_reduces_to_volume(self, field):
         f = field
         p = parse_poly("x^2*e", ("x", "e"))
@@ -476,6 +485,27 @@ class TestStationaryPhaseBound:
         assert isinstance(obj["rest_profile"], list)
 
 
+@pytest.mark.parametrize("key", ["Q3", "F3t"])
+def test_inputs_from_another_field_are_refused_and_ints_are_read(key):
+    # a parameter ball over the other field of residue field F_3 is refused
+    # at the top; an int lam or eta coordinate is read as field.from_int,
+    # over F_3((t)) as over Q_3
+    f = FIELDS[key]
+    other = FIELDS["F3t" if key == "Q3" else "Q3"]
+    p = parse_poly("x*e", ("x", "e"))
+    phi = indicator(f, (f.zero(),), 0)
+    with pytest.raises(FieldError, match="parameter ball lives over a different field"):
+        stationary_phase_bound(p, phi, unit_eta_ball(other), 1)
+    q = parse_poly("x^2*e + x", ("x", "e"))
+    phi = indicator(f, (f.zero(),), -2)
+    for lam in (1, 2, 0):
+        for eta in (2, 1):
+            got = oscillatory_integral(q, phi, (eta,), lam)
+            want = oscillatory_integral(q, phi, (f.from_int(eta),), f.from_int(lam))
+            assert got == want, (lam, eta)
+    assert not oscillatory_integral(q, phi, (2,), 1).is_zero()
+
+
 def riemann_by_digits(field, p, phi, eta, lam, level):
     """integral of phi(x) psi(lam p(x, eta)) dx as the Riemann sum over the
     level-``level`` cells of each support cell, with the values summed
@@ -700,6 +730,65 @@ class TestOneWalkPerScale:
         rep = stationary_phase_bound(p, phi, V, 1)
         assert rep.verification["lambda_orders"] == [-1, 0]
         assert rep.verification["integrals_checked"] == len(want)
+
+    def test_walks_keeping_values_and_none_share_one_plan(self, field):
+        # x^2 + x*e on pi*O: at a unit eta the gradient 2x + e has ord 0 on
+        # the support, so at ord(lam) <= -2 every level-2 subcell oscillates
+        # and the walk keeps no value; at eta = 0 and eta = pi^2 (ord >= 2
+        # on a level-2 subcell over odd p, everywhere over Q_2) the walk
+        # keeps values.  Walks of both kinds run under one plan, and every
+        # (e, u, eta) must be the integral at lam = pi^e u
+        f = field
+        pi = f.uniformizer()
+        p = parse_poly("x^2 + x*e", ("x", "e"))
+        phi = indicator(f, (f.zero(),), 1)
+        etas = [(f.one(),), (f.mul(pi, pi),), (f.add(f.one(), pi),), (f.zero(),)]
+        phase = _Phase.of(f, p, 1)
+        scales = [(-3, 1), (-3, 2), (-2, 1)]
+        for e, _ in scales:
+            kept = [
+                bool(_walk(f, phase, phi, eta, e, DEFAULT_CELL_BUDGET).cells[0][2])
+                for eta in etas
+            ]
+            assert kept == [False, True, False, True], e
+        got = list(
+            _unit_scale_integrals(f, phase, phi, etas, scales, DEFAULT_CELL_BUDGET)
+        )
+        want = [
+            (e, u, eta)
+            for e, depth in scales
+            for u in f.unit_classes(depth)
+            for eta in etas
+        ]
+        assert [(e, u, eta) for e, u, eta, _ in got] == want
+        for e, u, eta, val in got:
+            lam = f.mul(f.pow_uniformizer(e), f.residue_lift(u))
+            assert val == oscillatory_integral(p, phi, eta, lam), (e, u, eta)
+        assert any(not val.is_zero() for *_, val in got)
+
+    def test_contradiction_before_a_later_budget_overrun_is_reported(
+        self, field, monkeypatch
+    ):
+        # skip the gradient certificate: x^2*e on O x O with delta = 1 has
+        # threshold 0, and the window is ord(lam) in {-2, -1}.  The first
+        # eta sample is 0, where the phase vanishes: its walk requests one
+        # cell and its integral at the first unit is the volume 1, which
+        # contradicts the bound.  The walk at the second sample, eta = 1,
+        # requests q^2 cells at ord -2, over a budget of q, but comes later
+        # in the (e, u, eta) order, so the contradiction is what is raised
+        f = field
+        monkeypatch.setattr(phase_mod, "_certify_gradient", lambda *args: 1)
+        p = parse_poly("x^2*e", ("x", "e"))
+        phi = indicator(f, (f.zero(),), 0)
+        V = Polyball.ball(f, (f.zero(),), 0)
+        phase = _Phase.of(f, p, 1)
+        with pytest.raises(CellBudgetError, match="oscillatory integral: "):
+            _walk(f, phase, phi, (f.one(),), -2, f.q)
+        with pytest.raises(PhaseCertificationError) as exc:
+            stationary_phase_bound(p, phi, V, 1, budget=f.q, verify_eta_samples=2)
+        lam, eta, val = exc.value.witness
+        assert f.ord(lam) == -2 and eta == (f.zero(),)
+        assert val == CycloScalar.one(f.p)
 
     def test_contradiction_witness_is_pi_e_times_the_unit(self, field, monkeypatch):
         # skip the gradient certificate and claim delta = q (d0 = -1), so the

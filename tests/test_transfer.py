@@ -21,6 +21,12 @@ square exactly when k is even and u is a square mod p, and then its two
 square roots +-x have ord x = k / 2 and |f'(x)| = |2x| = q^(-k/2).  That
 test reads only the parity of ord y and the residue of ac y, so the levels
 that ``level_measure`` finds agree too.
+
+The oscillatory integral of b x^2 over O at lam = pi^o u, for p odd and p
+not dividing b u, is the Gauss integral of ``oracles.quadratic_gauss_integral``
+on both sides, a value fixed by p, o and b u alone.  The stationary-phase
+report of a x^2 + b x e with integer centres reads the same ords on both
+sides when the x-gradient is a unit on the support (see the test).
 """
 
 import pytest
@@ -29,10 +35,12 @@ from umla.cyclo import CycloScalar
 from umla.distribution import MixedCellDistribution
 from umla.fibers import FiberProblem, fiber_integrate, level_measure, padic_roots
 from umla.fields import Polyball, make_field
+from umla.microlocal import oscillatory_integral, stationary_phase_bound
 from umla.polys import MultiPoly, ring_det, sylvester_matrix
 from umla.schwartz import SchwartzBruhat
 
 from conftest import rng_for
+from oracles import quadratic_gauss_integral
 
 PRIMES = (7, 11, 13)
 # the fields of these tests only: Q_p and F_p((t)) for p = 7, 11, 13
@@ -204,3 +212,54 @@ def test_fourier_of_integral_balls_agrees_between_the_field_kinds(p, r, k, c):
     if k >= r - 1 or c == 0:
         assert cells_q == cells_t
         assert dist_q == dist_t
+
+
+# The Gauss integral: for p odd and b prime to p, integral over O of
+# psi(pi^(-k) b x^2) dx depends on p, k and b alone (the classical evaluation
+# of ``oracles.quadratic_gauss_integral``, its G(b) kept as its p terms), so
+# both field kinds must give the same scalar.
+@pytest.mark.parametrize("p", PRIMES)
+def test_gauss_integrals_agree_between_the_field_kinds(p):
+    nonzero = 0
+    for a in (1, 2, 3):
+        for u in (1, 2, p - 1):
+            got = []
+            for field in FIELD_PAIRS[p]:
+                phi = SchwartzBruhat.indicator(Polyball.ball(field, (field.zero(),), 0))
+                phase = MultiPoly(1, {(2,): a})
+                row = []
+                for o in range(1, -5, -1):
+                    lam = field.mul(field.pow_uniformizer(o), field.from_int(u))
+                    val = oscillatory_integral(phase, phi, (), lam)
+                    assert val == quadratic_gauss_integral(field, -o, u * a), (field, a, u, o)
+                    row.append(val)
+                got.append(row)
+            assert got[0] == got[1]
+            nonzero += sum(not v.is_zero() for v in got[0])
+    assert nonzero == 9 * 6
+
+
+# A Z-phase a x^2 + b x e with p dividing neither 2a nor b, on phi = 1 on
+# c + pi O and eta in u + pi O for integers c, u with 2 a c + b u prime to
+# p: the x-gradient 2 a x + b e is a unit on supp x V on both sides, every
+# Taylor coefficient is an integer form with unit coefficients, so the
+# certificate, the threshold and the verification read the same ords, and
+# the reports must be equal.
+@pytest.mark.parametrize("p", PRIMES)
+def test_stationary_phase_reports_agree_between_the_field_kinds(p):
+    rng = rng_for(f"transfer-phase:{p}")
+    checked = 0
+    while checked < 6:
+        a, b = rng.randrange(1, 3 * p), rng.randrange(1, 3 * p)
+        c, u = rng.randrange(p), rng.randrange(1, p)
+        if (2 * a) % p == 0 or b % p == 0 or (2 * a * c + b * u) % p == 0:
+            continue
+        phase = MultiPoly(2, {(2, 0): a, (1, 1): b})
+        reports = []
+        for field in FIELD_PAIRS[p]:
+            phi = SchwartzBruhat.indicator(Polyball.ball(field, (field.from_int(c),), 1))
+            V = Polyball.ball(field, (field.from_int(u),), 1)
+            reports.append(stationary_phase_bound(phase, phi, V, 1).to_json())
+        assert reports[0] == reports[1], (a, b, c, u)
+        assert reports[0]["verification"]["all_zero"] is True
+        checked += 1
